@@ -15,6 +15,7 @@ import argparse
 import math
 import os
 import sys
+import tempfile
 
 from .equilateral import solve_equilateral
 from .errors import DomainError, NumericError, PrecisionError, ResourceError
@@ -170,16 +171,17 @@ def _cmd_verify(args) -> int:
         return EXIT_OK if ok else EXIT_NUMERIC
     # conjecture: eigenvalue never exceeds the equilateral value on a sample grid
     cc = c0(S)
-    cfg = ScanConfig(
-        mode="fem-conjecture",
-        alpha_range=(alpha, alpha, 1),
-        a_range=(0.0, 2.0 * cc, 5),
-        c_range=(0.6 * cc, 1.8 * cc, 5),
-        S=S,
-        fem_rel_tol=1e-5,
-        output_path="conjecture.csv",
-    )
-    result = run_scan(cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = ScanConfig(
+            mode="fem-conjecture",
+            alpha_range=(alpha, alpha, 1),
+            a_range=(0.0, 2.0 * cc, 5),
+            c_range=(0.6 * cc, 1.8 * cc, 5),
+            S=S,
+            fem_rel_tol=1e-5,
+            output_path=os.path.join(tmp, "conjecture.csv"),
+        )
+        result = run_scan(cfg)
     _print_table(result)
     ok = all(row[result.columns.index("verdict")] for row in result.rows)
     print("verify conjecture: OK" if ok else "verify conjecture: FAILED")

@@ -3,24 +3,29 @@
 Structured meshes: refinement level n slices the triangle into 4^n congruent
 affine copies ((2^n+1)(2^n+2)/2 nodes), so Richardson extrapolation in the
 mesh size is clean and the discrete ground energy decreases monotonically
-toward the true one from above (conforming elements).
+toward the true one from above (conforming elements).  Every triangle shares
+one lattice per level: its topology, unit coordinates and the scatter map of
+the element matrices onto one CSR pattern are built once per process, and
+only the node coordinates are mapped affinely onto each triangle.
 
-The solver is inverse power iteration on (K + alpha*B - sigma*M)^{-1} M with
-the fixed shift sigma = -2 alpha^2 / sin^2(theta*/2) - 1, a deliberately low
-guess for the ground energy.  The iteration converges to the eigenvalue
-nearest sigma; if the converged vector is not of one sign (i.e. an excited
-state was picked up because sigma landed in the wrong gap), the shift is
-doubled and the solve retried.
+Each mesh level costs one sparse factorisation.  The shift starts at a warm
+value from the coarser level (or the cold guess -2 alpha^2/sin^2(theta*/2) - 1)
+and moves down until the factorisation's inertia certifies that no
+eigenvalue lies below it.  Shift-invert Lanczos (ARPACK) on that same
+factorisation then returns the two lowest eigenpairs, and the ground value's
+residual is measured in the M^{-1} norm.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import ArpackError, LinearOperator, cg, eigsh, splu
 
 from .equilateral import lambda0
 from .errors import DomainError, NumericError, PrecisionError, ResourceError
@@ -57,6 +62,7 @@ class EigenResult:
     converged: bool = True
     level: int | None = None
     history: tuple[float, ...] = ()
+    skipped: tuple[tuple[int, str], ...] = ()  # (level, error text) per skipped level
 
 
 def _as_geometry(tri) -> TriangleGeometry:
@@ -67,8 +73,100 @@ def _as_geometry(tri) -> TriangleGeometry:
     raise DomainError(f"expected TriangleParams or TriangleGeometry, got {type(tri)!r}")
 
 
+@dataclass(frozen=True)
+class _Scatter:
+    """Where each element and boundary-edge matrix entry lands in one CSR pattern.
+
+    The pattern is the union of the element and boundary couplings, so the
+    stiffness, mass and boundary-mass matrices all share it.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    element_slots: np.ndarray  # (9 M,) pattern position of each element entry
+    edge_slots: np.ndarray     # (4 E,) pattern position of each edge entry
+
+    @classmethod
+    def build(cls, elements: np.ndarray, edges: np.ndarray, n: int) -> _Scatter:
+        elements = np.asarray(elements, dtype=np.int64)
+        edges = np.asarray(edges, dtype=np.int64)
+        keys = np.concatenate([
+            np.repeat(elements, 3, axis=1).ravel() * n + np.tile(elements, (1, 3)).ravel(),
+            np.repeat(edges, 2, axis=1).ravel() * n + np.tile(edges, (1, 2)).ravel(),
+        ])
+        uniq, slots = np.unique(keys, return_inverse=True)
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(uniq // n, minlength=n), out=indptr[1:])
+        split = 9 * len(elements)
+        return cls(indptr, (uniq % n).astype(np.int32), slots[:split], slots[split:])
+
+    def matrix(self, values: np.ndarray, slots: np.ndarray) -> sp.csr_matrix:
+        """Sum per-entry values into the pattern (entries outside stay explicit zeros)."""
+        n = len(self.indptr) - 1
+        data = np.bincount(slots, weights=values, minlength=len(self.indices))
+        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=(n, n))
+
+
+@dataclass(frozen=True)
+class _Lattice:
+    """Topology of the level-n mesh in unit lattice coordinates (read-only arrays)."""
+
+    unit: np.ndarray            # (N, 2) lattice coordinates (i/n, j/n)
+    elements: np.ndarray
+    boundary_edges: np.ndarray
+    boundary_labels: np.ndarray
+    scatter: _Scatter
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=None)
+def _lattice(level: int) -> _Lattice:
+    """Lattice node (i, j), i + j <= n, numbered row by row in j; built on first use."""
+    n = 2**level
+    row_len = n + 1 - np.arange(n + 1)
+    offset = np.concatenate([[0], np.cumsum(row_len)])
+    jn = np.repeat(np.arange(n + 1), row_len)
+    i_n = np.arange(len(jn)) - offset[jn]
+
+    def ids(i, j):
+        return offset[j] + i
+
+    # cells (i, j) with i + j <= n - 1: an upward element each, and a downward
+    # one unless the cell touches the slanted side; kept interleaved per cell
+    jc = np.repeat(np.arange(n), n - np.arange(n))
+    ic = np.arange(len(jc)) - (jc * n - jc * (jc - 1) // 2)
+    up = np.stack([ids(ic, jc), ids(ic + 1, jc), ids(ic, jc + 1)], axis=1)
+    down = np.stack([ids(ic + 1, jc), ids(ic + 1, jc + 1), ids(ic, jc + 1)], axis=1)
+    keep = np.stack([np.ones(len(jc), dtype=bool), ic + jc <= n - 2], axis=1)
+    elements = np.stack([up, down], axis=1)[keep].astype(np.int64)
+
+    k = np.arange(n)
+    edges = np.concatenate([
+        np.stack([ids(k, 0), ids(k + 1, 0)], axis=1),
+        np.stack([ids(0, k), ids(0, k + 1)], axis=1),
+        np.stack([ids(n - k, k), ids(n - k - 1, k + 1)], axis=1),
+    ]).astype(np.int64)
+    labels = np.repeat(np.arange(3, dtype=np.int64), n)
+    unit = np.stack([i_n / n, jn / n], axis=1)
+    return _Lattice(
+        unit=_frozen(unit),
+        elements=_frozen(elements),
+        boundary_edges=_frozen(edges),
+        boundary_labels=_frozen(labels),
+        scatter=_Scatter.build(elements, edges, len(unit)),
+    )
+
+
 def build_mesh(tri, level: int) -> FemMesh:
-    """Structured level-`level` mesh; raises ResourceError above MAX_LEVEL."""
+    """Structured level-`level` mesh; raises ResourceError above MAX_LEVEL.
+
+    The topology arrays are the cached lattice's own (read-only); the nodes
+    are its unit coordinates mapped to v0 + xi (v1 - v0) + eta (v2 - v0).
+    """
     geom = _as_geometry(tri)
     if level < 0:
         raise DomainError(f"refinement level must be >= 0, got {level}")
@@ -77,40 +175,14 @@ def build_mesh(tri, level: int) -> FemMesh:
             f"refinement level {level} exceeds the cap {MAX_LEVEL} "
             f"({(2**level + 1) * (2**level + 2) // 2} nodes)"
         )
-    n = 2**level
+    lat = _lattice(level)
     v = geom.vertex_array()
-
-    # lattice node (i, j): v0 + (i/n)(v1 - v0) + (j/n)(v2 - v0), i + j <= n
-    ids = {}
-    coords = []
-    k = 0
-    for j in range(n + 1):
-        for i in range(n + 1 - j):
-            ids[(i, j)] = k
-            coords.append(v[0] + (i / n) * (v[1] - v[0]) + (j / n) * (v[2] - v[0]))
-            k += 1
-    elems = []
-    for j in range(n):
-        for i in range(n - j):
-            elems.append((ids[(i, j)], ids[(i + 1, j)], ids[(i, j + 1)]))
-            if i + j <= n - 2:
-                elems.append((ids[(i + 1, j)], ids[(i + 1, j + 1)], ids[(i, j + 1)]))
-    edges = []
-    labels = []
-    for i in range(n):
-        edges.append((ids[(i, 0)], ids[(i + 1, 0)]))
-        labels.append(0)
-    for j in range(n):
-        edges.append((ids[(0, j)], ids[(0, j + 1)]))
-        labels.append(1)
-    for j in range(n):
-        edges.append((ids[(n - j, j)], ids[(n - j - 1, j + 1)]))
-        labels.append(2)
+    nodes = v[0] + lat.unit[:, :1] * (v[1] - v[0]) + lat.unit[:, 1:] * (v[2] - v[0])
     return FemMesh(
-        nodes=np.asarray(coords),
-        elements=np.asarray(elems, dtype=np.int64),
-        boundary_edges=np.asarray(edges, dtype=np.int64),
-        boundary_labels=np.asarray(labels, dtype=np.int64),
+        nodes=nodes,
+        elements=lat.elements,
+        boundary_edges=lat.boundary_edges,
+        boundary_labels=lat.boundary_labels,
         refinement_level=level,
     )
 
@@ -130,8 +202,17 @@ def dump_mesh(mesh: FemMesh, path: str) -> None:
             fh.write(f"{i} {j} {lab}\n")
 
 
+def _scatter_for(mesh: FemMesh) -> _Scatter:
+    """The cached lattice map when the mesh carries the lattice's topology."""
+    if 0 <= mesh.refinement_level <= MAX_LEVEL:
+        lat = _lattice(mesh.refinement_level)
+        if mesh.elements is lat.elements and mesh.boundary_edges is lat.boundary_edges:
+            return lat.scatter
+    return _Scatter.build(mesh.elements, mesh.boundary_edges, len(mesh.nodes))
+
+
 def assemble(mesh: FemMesh, alpha: float) -> FemSystem:
-    """Assemble stiffness, boundary mass and mass matrices (all CSR)."""
+    """Assemble stiffness, boundary mass and mass matrices (CSR, one shared pattern)."""
     if not (math.isfinite(alpha) and alpha < 0.0):
         raise DomainError(f"alpha must be finite and strictly negative, got {alpha}")
     pts = mesh.nodes
@@ -154,48 +235,52 @@ def assemble(mesh: FemMesh, alpha: float) -> FemSystem:
     cvec = np.stack(
         [p2[:, 0] - p1[:, 0], p0[:, 0] - p2[:, 0], p1[:, 0] - p0[:, 0]], axis=1
     )
-    n = len(pts)
-    rows = np.repeat(el, 3, axis=1).ravel()
-    cols = np.tile(el, (1, 3)).ravel()
+    scatter = _scatter_for(mesh)
     ke = (
         bvec[:, :, None] * bvec[:, None, :] + cvec[:, :, None] * cvec[:, None, :]
     ) / (4.0 * area)[:, None, None]
-    stiff = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    stiff = scatter.matrix(ke.ravel(), scatter.element_slots)
 
     me = np.tile(np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0, (len(el), 1, 1))
     me *= area[:, None, None]
-    mass = sp.coo_matrix((me.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    mass = scatter.matrix(me.ravel(), scatter.element_slots)
 
     be = mesh.boundary_edges
     q0, q1 = pts[be[:, 0]], pts[be[:, 1]]
     lengths = np.hypot(*(q1 - q0).T)
-    brows = np.repeat(be, 2, axis=1).ravel()
-    bcols = np.tile(be, (1, 2)).ravel()
     edge_local = np.tile(np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0, (len(be), 1, 1))
     edge_local *= lengths[:, None, None]
-    bmass = sp.coo_matrix((edge_local.ravel(), (brows, bcols)), shape=(n, n)).tocsr()
+    bmass = scatter.matrix(edge_local.ravel(), scatter.edge_slots)
 
     return FemSystem(stiffness=stiff, boundary_mass=bmass, mass=mass, alpha=float(alpha))
 
 
-def _power_iterate(lu, A, M, x0, tol=1e-12, max_iter=500, project_out=None):
-    """Shifted inverse iteration; returns (rayleigh, vector, iterations)."""
-    x = x0 / math.sqrt(float(x0 @ (M @ x0)))
-    rho_prev = None
-    for it in range(1, max_iter + 1):
-        y = lu.solve(M @ x)
-        if project_out is not None:
-            u = project_out
-            y = y - float(u @ (M @ y)) * u
-        nrm = math.sqrt(float(y @ (M @ y)))
-        if not (nrm > 0.0 and math.isfinite(nrm)):
-            raise NumericError("inverse iteration produced a zero/overflowed vector")
-        x = y / nrm
-        rho = float(x @ (A @ x))
-        if rho_prev is not None and abs(rho - rho_prev) <= tol * max(1.0, abs(rho)):
-            return rho, x, it
-        rho_prev = rho
-    raise NumericError(f"inverse iteration did not converge in {max_iter} steps")
+def _power_iterate(lu, A, M, x0, sigma: float):
+    """Shift-invert Lanczos on the factorisation lu of A - sigma*M.
+
+    Returns the two eigenvalues of the pencil (A, M) nearest sigma in
+    ascending order, their M-orthonormal eigenvectors as columns, and the
+    number of lu.solve calls.  ARPACK runs at full precision (tol=0): a
+    looser tolerance can return a wrong second eigenvalue.
+    """
+    n = A.shape[0]
+    if n <= 3:  # ARPACK needs k < n - 1
+        vals, vecs = scipy.linalg.eigh(A.toarray(), M.toarray())
+        return vals[:2], vecs[:, :2], 0
+    solves = 0
+
+    def solve(b):
+        nonlocal solves
+        solves += 1
+        return lu.solve(b)
+
+    try:
+        vals, vecs = eigsh(A, k=2, M=M, sigma=sigma, v0=x0, tol=0,
+                           OPinv=LinearOperator((n, n), matvec=solve, dtype=float))
+    except ArpackError as exc:
+        raise NumericError(f"shift-invert Lanczos failed at shift {sigma:g}: {exc}") from exc
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order], solves
 
 
 def _factor_counting(A, M, sigma: float):
@@ -204,7 +289,9 @@ def _factor_counting(A, M, sigma: float):
     With symmetric-mode elimination the U diagonal carries the pivot signs,
     so the number of negative entries equals the number of eigenvalues of the
     pencil below sigma.  That gives a certificate that a shift sits under the
-    whole spectrum (count zero), which the ground-state iteration needs.
+    whole spectrum (count zero), which the ground-state solve needs.  The
+    count is an inertia only under a symmetric permutation, so any other
+    factorisation raises NumericError.
     """
     lu = splu(
         (A - sigma * M).tocsc(),
@@ -212,21 +299,32 @@ def _factor_counting(A, M, sigma: float):
         permc_spec="MMD_AT_PLUS_A",
         options=dict(SymmetricMode=True),
     )
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise NumericError(
+            f"factorisation at shift {sigma:g} pivoted off the diagonal; "
+            "its U-diagonal signs are not an inertia count"
+        )
     return lu, int((lu.U.diagonal() < 0.0).sum())
 
 
-def lowest_eigenpair(
-    system: FemSystem, tri, compute_gap: bool = False, sigma0: float | None = None
-) -> EigenResult:
-    """Ground eigenpair of K + alpha*B against M on the assembled mesh.
+def _minv_norm(M, r: np.ndarray) -> float:
+    """sqrt(r^T M^{-1} r) for the SPD mass matrix, by Jacobi-preconditioned CG."""
+    z, info = cg(M, r, rtol=1e-13, atol=0.0, M=sp.diags(1.0 / M.diagonal()))
+    if info != 0:
+        raise NumericError(f"mass-matrix solve for the residual did not converge (info {info})")
+    return math.sqrt(max(float(r @ z), 0.0))
+
+
+def lowest_eigenpair(system: FemSystem, tri, sigma0: float | None = None) -> EigenResult:
+    """Ground eigenpair, and lambda2, of K + alpha*B against M on the assembled mesh.
 
     The shift starts at -2 alpha^2/sin^2(theta*/2) - 1 (callers that already
-    know the eigenvalue from a coarser mesh pass a warm sigma0 instead) and is
-    then steered by the factorisation's inertia count: doubling until no
-    eigenvalue lies below it, bisecting upward afterwards.  Iterating at a
-    certified shift always converges onto the lowest eigenvalue, which matters
-    on flat triangles where corner-localised ground and excited states are
-    both nearly positive and sign inspection cannot tell them apart.
+    know the eigenvalue from a coarser mesh pass a warm sigma0 instead) and
+    moves down until the factorisation's inertia count shows no eigenvalue
+    below it.  Shift-invert Lanczos on that one certified factorisation
+    converges onto the lowest eigenvalues, which matters on flat triangles
+    where corner-localised ground and excited states are both nearly positive
+    and sign inspection cannot tell them apart.
     """
     geom = _as_geometry(tri)
     alpha = system.alpha
@@ -242,95 +340,71 @@ def lowest_eigenpair(
     # isosceles triangles produce them), which a pure constant start misses.
     x0 = ones + 0.01 * (np.arange(n) % 11 - 5.0)
     # Rayleigh quotient of the constant vector (it lies in the P1 space): an
-    # exact upper bound on the discrete ground value at every level, so just
-    # above it there is always at least one eigenvalue.
+    # exact upper bound on the discrete ground value at every level, so a
+    # shift at or above it cannot be certified.
     ub = float(ones @ (A @ ones)) / float(ones @ (M @ ones))
     if sigma >= ub:
         sigma = ub - 0.05 * max(1.0, abs(ub))
-    hi = ub + 0.01 * max(1.0, abs(ub))
-    lu_lo = None
     for _ in range(80):
         try:
             lu, neg = _factor_counting(A, M, sigma)
+            if neg == 0:
+                break
+        except NumericError:
+            raise
         except RuntimeError:
-            # Singular factorisation: sigma sits on an eigenvalue.
-            hi = min(hi, sigma)
-            sigma = 2.0 * sigma - 1.0
-            continue
-        if neg == 0:
-            lu_lo = lu
-            break
-        hi = min(hi, sigma)
+            pass  # singular factorisation: sigma sits on an eigenvalue
         sigma = 2.0 * sigma - 1.0
     else:
         raise NumericError(f"no shift below the spectrum found (last {sigma:g})")
-    lo = sigma
-    lam = vec = None
-    iters_total = 0
-    for _ in range(60):
-        if hi - lo <= 0.35 * max(1.0, abs(lo)):
-            try:
-                lam, vec, its = _power_iterate(lu_lo, A, M, x0)
-                iters_total += its
-                break
-            except NumericError:
-                # Unresolved cluster just above lo; narrowing the bracket
-                # pushes lo against lambda1 and shrinks the convergence factor.
-                pass
-        if hi - lo <= 1e-10 * max(1.0, abs(lo)):
-            raise NumericError(
-                f"iteration stalled inside a degenerate cluster at {lo:.12g}"
-            )
-        mid = 0.5 * (lo + hi)
-        try:
-            lu, neg = _factor_counting(A, M, mid)
-        except RuntimeError:
-            hi = mid
-            continue
-        if neg == 0:
-            lo, lu_lo = mid, lu
-        else:
-            hi = mid
-    else:
-        raise NumericError(
-            f"ground-state iteration did not converge (bracket [{lo:g}, {hi:g}])"
-        )
+    vals, vecs, solves = _power_iterate(lu, A, M, x0, sigma)
+    lam, vec = float(vals[0]), vecs[:, 0]
     if float(vec.sum()) < 0.0:
         vec = -vec
-
-    r = A @ vec - lam * (M @ vec)
-    lu_m = splu(M.tocsc())
-    residual = math.sqrt(max(float(r @ lu_m.solve(r)), 0.0))
-
-    lam2 = None
-    if compute_gap:
-        # Refactorise close to lambda1 so the deflated iteration separates
-        # lambda2 from lambda3 quickly even when the original shift was far off.
-        sigma2 = lam - 1e-2 * max(1.0, abs(lam))
-        lu = splu((A - sigma2 * M).tocsc())
-        z0 = system.mass @ (np.arange(n) % 7 - 3.0) + 1e-3
-        z0 = z0 - float(vec @ (M @ z0)) * vec
-        lam2, _, its2 = _power_iterate(lu, A, M, z0, tol=1e-9, max_iter=400, project_out=vec)
-        iters_total += its2
-
     return EigenResult(
-        lambda1=float(lam),
+        lambda1=lam,
         eigenvector=vec,
-        iterations=iters_total,
-        residual=residual,
-        lambda2=lam2,
+        iterations=solves,
+        residual=_minv_norm(M, A @ vec - lam * (M @ vec)),
+        lambda2=float(vals[1]),
         level=None,
     )
 
 
-def solve_at_level(
-    tri, alpha: float, level: int, compute_gap: bool = False, sigma0: float | None = None
-) -> EigenResult:
+def solve_at_level(tri, alpha: float, level: int, sigma0: float | None = None) -> EigenResult:
     geom = _as_geometry(tri)
     mesh = build_mesh(geom, level)
     system = assemble(mesh, alpha)
-    res = lowest_eigenpair(system, geom, compute_gap=compute_gap, sigma0=sigma0)
+    res = lowest_eigenpair(system, geom, sigma0=sigma0)
     return replace(res, level=level)
+
+
+def walk_levels(tri, alpha: float, min_level: int, max_level: int,
+                skipped: list[tuple[int, str]]):
+    """Yield the certified solve of each level from min_level to max_level.
+
+    Each level starts from a warm shift a bit below the value just found,
+    padded by the observed level-to-level movement.  A level whose solve
+    raises NumericError (tight but not-yet-degenerate pairs do this on very
+    flat triangles) is appended to ``skipped`` as (level, error text), and
+    the next level starts from the cold shift again.  Callers stop the walk
+    by leaving the loop.
+    """
+    geom = _as_geometry(tri)
+    sigma0 = None
+    prev = None
+    for level in range(min_level, max_level + 1):
+        try:
+            res = solve_at_level(geom, alpha, level, sigma0=sigma0)
+        except NumericError as exc:
+            skipped.append((level, str(exc)))
+            sigma0 = None
+            continue
+        yield res
+        lam = res.lambda1
+        drop = 2.0 * abs(lam - prev) if prev is not None else 0.1 * abs(lam)
+        sigma0 = lam - drop - 0.02 * abs(lam) - 1.0
+        prev = lam
 
 
 def eigenvalue_converged(
@@ -340,42 +414,31 @@ def eigenvalue_converged(
     abs_tol: float | None = None,
     min_level: int = 2,
     max_level: int = 9,
-    compute_gap: bool = False,
 ) -> EigenResult:
     """Refine until the Richardson-extrapolated eigenvalue settles.
 
     lambda1 carries the extrapolated value, residual its error estimate (the
-    change in the extrapolation over the last refinement).  If the level cap
-    is hit first the best value is returned with converged=False.  A level
-    whose iteration fails to certify (tight but not-yet-degenerate pairs do
-    this on very flat triangles) is skipped; the extrapolation then spans the
-    level gap with the matching 4^gap factor.
+    change in the extrapolation over the last refinement), lambda2 the finest
+    level's second eigenvalue.  If the level cap is hit first the best value
+    is returned with converged=False.  Levels that fail to certify are listed
+    in ``skipped``; the extrapolation then spans the level gap with the
+    matching 4^gap factor.
     """
     if rel_tol < 1e-8:
         raise DomainError(f"rel_tol below the supported floor 1e-8: {rel_tol}")
     if max_level > MAX_LEVEL:
         raise ResourceError(f"max_level {max_level} exceeds cap {MAX_LEVEL}")
-    geom = _as_geometry(tri)
     vals: list[float] = []
     lev_ids: list[int] = []
     extrs: list[float] = []
+    skipped: list[tuple[int, str]] = []
     iters = 0
-    result = None
-    sigma0 = None
-    for level in range(min_level, max_level + 1):
-        try:
-            res = solve_at_level(geom, alpha, level, sigma0=sigma0)
-        except NumericError:
-            sigma0 = None
-            continue
+    res = None
+    converged = False
+    for res in walk_levels(tri, alpha, min_level, max_level, skipped):
         iters += res.iterations
         vals.append(res.lambda1)
-        lev_ids.append(level)
-        # warm shift for the next level: a bit below the value just found,
-        # padded by the observed level-to-level movement
-        drop = 2.0 * abs(vals[-1] - vals[-2]) if len(vals) >= 2 else 0.1 * abs(vals[-1])
-        sigma0 = vals[-1] - drop - 0.02 * abs(vals[-1]) - 1.0
-        result = res
+        lev_ids.append(res.level)
         if len(vals) < 2:
             continue
         span = 4.0 ** (lev_ids[-1] - lev_ids[-2]) - 1.0
@@ -383,38 +446,24 @@ def eigenvalue_converged(
         if len(extrs) < 2:
             continue
         err = abs(extrs[-1] - extrs[-2])
-        tol_met = err <= abs_tol if abs_tol is not None else err <= rel_tol * abs(extrs[-1])
-        if tol_met:
-            final = res
-            if compute_gap:
-                final = solve_at_level(geom, alpha, level, compute_gap=True, sigma0=sigma0)
-                iters += final.iterations
-            return EigenResult(
-                lambda1=extrs[-1],
-                eigenvector=final.eigenvector,
-                iterations=iters,
-                residual=err,
-                extrapolated=extrs[-1],
-                lambda2=final.lambda2,
-                converged=True,
-                level=level,
-                history=tuple(vals),
-            )
+        converged = err <= abs_tol if abs_tol is not None else err <= rel_tol * abs(extrs[-1])
+        if converged:
+            break
     if len(vals) < 2:
         raise NumericError(
             f"fewer than two mesh levels certified up to level {max_level}"
         )
-    err = abs(extrs[-1] - extrs[-2]) if len(extrs) >= 2 else float("inf")
     return EigenResult(
         lambda1=extrs[-1],
-        eigenvector=result.eigenvector if result is not None else None,
+        eigenvector=res.eigenvector,
         iterations=iters,
-        residual=err,
+        residual=abs(extrs[-1] - extrs[-2]) if len(extrs) >= 2 else float("inf"),
         extrapolated=extrs[-1],
-        lambda2=None,
-        converged=False,
-        level=max_level,
+        lambda2=res.lambda2,
+        converged=converged,
+        level=res.level if converged else max_level,
         history=tuple(vals),
+        skipped=tuple(skipped),
     )
 
 

@@ -42,7 +42,7 @@ from .equilateral import (
     local_optimality_alpha_bound,
 )
 from .errors import DomainError, NumericError, PrecisionError, ResourceError
-from .fem import eigenvalue_converged, fd_derivatives_at_equilateral, solve_at_level
+from .fem import eigenvalue_converged, fd_derivatives_at_equilateral, walk_levels
 from .geometry import c0, make_triangle, perimeter_normalizer
 from .trial import (
     constant_bound,
@@ -659,25 +659,16 @@ def _raw_upper_bound(tri, alpha: float, rel_tol: float, max_level: int,
     lam = lam_prev = None
     lev_prev = 0
     est = math.inf
-    sigma0 = None
-    for lev in range(min_level, max_level + 1):
-        try:
-            res = solve_at_level(tri, alpha, lev, sigma0=sigma0)
-        except NumericError:
-            continue
+    for res in walk_levels(tri, alpha, min_level, max_level, []):
         lam_prev, lam = lam, res.lambda1
         if lam_prev is not None:
-            est = abs(lam - lam_prev) / (4.0 ** (lev - lev_prev) - 1.0)
-            drop = 2.0 * abs(lam - lam_prev)
-        else:
-            drop = 0.1 * abs(lam)
-        lev_prev = lev
+            est = abs(lam - lam_prev) / (4.0 ** (res.level - lev_prev) - 1.0)
+        lev_prev = res.level
         if est <= rel_tol * abs(lam):
             return lam, est, True
         if (sound_target is not None and lam_prev is not None
                 and lam + 10.0 * est <= sound_target):
             return lam, est, True
-        sigma0 = lam - drop - 0.02 * abs(lam) - 1.0
     if lam is None:
         raise NumericError(f"no mesh level up to {max_level} produced a certified eigenvalue")
     if lam_prev is None:

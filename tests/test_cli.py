@@ -1,9 +1,12 @@
 """Command-line entry point tests, run in-process through cli.main."""
 
 import math
+import os
+from types import SimpleNamespace
 
 import pytest
 
+from robintri import cli
 from robintri.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from robintri.equilateral import lambda0
 
@@ -145,6 +148,25 @@ class TestVerify:
         )
         assert code == EXIT_OK
         assert out.rstrip().endswith("OK")
+
+    def test_conjecture_suite_leaves_cwd_empty(self, capsys, monkeypatch, tmp_path):
+        """The suite's scan table goes to a temporary directory, not the cwd."""
+        paths = []
+
+        def fake_run_scan(cfg):
+            paths.append(cfg.output_path)
+            with open(cfg.output_path, "w") as fh:
+                fh.write("stub\n")
+            return SimpleNamespace(columns=("alpha", "verdict", "status"),
+                                   rows=((-0.5, 1, "ok"),))
+
+        monkeypatch.setattr(cli, "run_scan", fake_run_scan)
+        assert os.getcwd() == str(tmp_path)
+        code, out, _ = run(capsys, ["verify", "--suite", "conjecture", "--alpha", "-0.5"])
+        assert code == EXIT_OK
+        assert out.rstrip().endswith("OK")
+        assert len(paths) == 1 and not os.path.exists(paths[0])
+        assert os.listdir(tmp_path) == []
 
     def test_unknown_suite_rejected(self, capsys):
         code, _, _ = run(capsys, ["verify", "--suite", "everything"])

@@ -7,14 +7,23 @@ nearly-degenerate problems.
 """
 
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import eigh
+from scipy.sparse.linalg import splu
 
+import robintri
+from robintri import fem
 from robintri.equilateral import lambda0
 from robintri.errors import DomainError, NumericError, PrecisionError, ResourceError
 from robintri.fem import (
+    FemMesh,
     _factor_counting,
     assemble,
     build_mesh,
@@ -34,6 +43,66 @@ def dense_spectrum(tri, alpha, level):
     system = assemble(mesh, alpha)
     form = (system.stiffness + alpha * system.boundary_mass).toarray()
     return eigh(form, system.mass.toarray(), eigvals_only=True)
+
+
+def loop_mesh(tri, level):
+    """Per-node loop construction of the structured mesh (reference for the cache)."""
+    n = 2**level
+    v = tri.vertex_array()
+    ids = {}
+    coords = []
+    for j in range(n + 1):
+        for i in range(n + 1 - j):
+            ids[(i, j)] = len(coords)
+            coords.append(v[0] + (i / n) * (v[1] - v[0]) + (j / n) * (v[2] - v[0]))
+    elems = []
+    for j in range(n):
+        for i in range(n - j):
+            elems.append((ids[(i, j)], ids[(i + 1, j)], ids[(i, j + 1)]))
+            if i + j <= n - 2:
+                elems.append((ids[(i + 1, j)], ids[(i + 1, j + 1)], ids[(i, j + 1)]))
+    edges = [(ids[(i, 0)], ids[(i + 1, 0)]) for i in range(n)]
+    edges += [(ids[(0, j)], ids[(0, j + 1)]) for j in range(n)]
+    edges += [(ids[(n - j, j)], ids[(n - j - 1, j + 1)]) for j in range(n)]
+    return FemMesh(
+        nodes=np.asarray(coords),
+        elements=np.asarray(elems, dtype=np.int64),
+        boundary_edges=np.asarray(edges, dtype=np.int64),
+        boundary_labels=np.repeat(np.arange(3), n),
+        refinement_level=level,
+    )
+
+
+def coo_assemble(mesh):
+    """Stiffness, mass and boundary mass through COO -> CSR conversion (reference)."""
+    pts, el, be = mesh.nodes, mesh.elements, mesh.boundary_edges
+    n = len(pts)
+    p0, p1, p2 = pts[el[:, 0]], pts[el[:, 1]], pts[el[:, 2]]
+    area = 0.5 * np.abs((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
+                        - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
+    b = np.stack([p1[:, 1] - p2[:, 1], p2[:, 1] - p0[:, 1], p0[:, 1] - p1[:, 1]], axis=1)
+    c = np.stack([p2[:, 0] - p1[:, 0], p0[:, 0] - p2[:, 0], p1[:, 0] - p0[:, 0]], axis=1)
+    rows, cols = np.repeat(el, 3, axis=1).ravel(), np.tile(el, (1, 3)).ravel()
+    ke = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (4.0 * area)[:, None, None]
+    me = (np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0) * area[:, None, None]
+    lengths = np.hypot(*(pts[be[:, 1]] - pts[be[:, 0]]).T)
+    bl = (np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0) * lengths[:, None, None]
+    brows, bcols = np.repeat(be, 2, axis=1).ravel(), np.tile(be, (1, 2)).ravel()
+
+    def csr(vals, r, cc):
+        return sp.coo_matrix((vals.ravel(), (r, cc)), shape=(n, n)).tocsr()
+
+    return csr(ke, rows, cols), csr(me, rows, cols), csr(bl, brows, bcols)
+
+
+def assert_same_matrix(new, old, same_pattern=True):
+    """Values to 1e-14 of the largest entry; the stored pattern itself if asked."""
+    new, old = new.tocsr(), old.tocsr()
+    if same_pattern:
+        assert np.array_equal(new.indptr, old.indptr)
+        assert np.array_equal(new.indices, old.indices)
+    scale = float(np.abs(old.data).max())
+    assert abs(new - old).max() <= 1e-14 * scale
 
 
 class TestMesh:
@@ -122,6 +191,61 @@ class TestAssembly:
             assemble(build_mesh(make_triangle(0.0, 1.0, 1.0), 2), 0.0)
 
 
+class TestLatticeCache:
+    def test_matches_loop_mesh_and_coo_assembly(self, rng):
+        for level in range(7):
+            tri = make_triangle(rng.uniform(-2, 2), rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0))
+            mesh, ref = build_mesh(tri, level), loop_mesh(tri, level)
+            scale = float(np.abs(ref.nodes).max())
+            assert np.abs(mesh.nodes - ref.nodes).max() <= 1e-15 * scale
+            for name in ("elements", "boundary_edges", "boundary_labels"):
+                assert np.array_equal(getattr(mesh, name), getattr(ref, name))
+            system = assemble(mesh, -1.5)
+            k_ref, m_ref, b_ref = coo_assemble(ref)
+            assert_same_matrix(system.stiffness, k_ref)
+            assert_same_matrix(system.mass, m_ref)
+            # the boundary mass is stored on the shared pattern, zeros included
+            assert_same_matrix(system.boundary_mass, b_ref, same_pattern=False)
+            assert np.array_equal(system.boundary_mass.indptr, system.mass.indptr)
+            assert np.array_equal(system.boundary_mass.indices, system.mass.indices)
+            nonzero = system.boundary_mass.copy()
+            nonzero.eliminate_zeros()
+            assert (nonzero != 0).sum() == (b_ref != 0).sum()
+
+    def test_interleaved_triangles_match_fresh_calls(self):
+        tris = [(make_triangle(0.4, 0.9, 1.1), -1.0), (make_triangle(-1.3, 0.5, 0.7), -3.0)]
+        fresh = []
+        for tri, alpha in tris:
+            fem._lattice.cache_clear()
+            fresh.append(solve_at_level(tri, alpha, 4).lambda1)
+        for _ in range(2):
+            for (tri, alpha), lam in zip(tris, fresh):
+                assert solve_at_level(tri, alpha, 4).lambda1 == lam
+
+    def test_permuted_elements(self, rng):
+        tri = make_triangle(0.7, 0.6, 0.9)
+        mesh = build_mesh(tri, 4)
+        shuffled = replace(mesh, elements=mesh.elements[rng.permutation(len(mesh.elements))],
+                           boundary_edges=mesh.boundary_edges[::-1])
+        got, want = assemble(shuffled, -2.0), assemble(mesh, -2.0)
+        assert_same_matrix(got.stiffness, want.stiffness)
+        assert_same_matrix(got.mass, want.mass)
+        assert_same_matrix(got.boundary_mass, want.boundary_mass)
+
+    def test_lattice_is_read_only(self):
+        mesh = build_mesh(make_triangle(0.0, 1.0, 1.0), 2)
+        with pytest.raises(ValueError):
+            mesh.elements[0, 0] = 1
+
+    def test_import_builds_no_lattice(self):
+        src = os.path.dirname(os.path.dirname(robintri.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import robintri; print(robintri.fem._lattice.cache_info().currsize)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "0"
+
+
 class TestFactorCounting:
     def test_counts_match_dense_inertia(self, rng):
         """The no-pivot factorisation counts pencil eigenvalues below any shift."""
@@ -143,6 +267,30 @@ class TestFactorCounting:
                 continue  # exactly singular shift; the solver retries elsewhere
             assert neg == int(np.sum(spec < sigma))
 
+    def test_unsymmetric_permutation_is_refused(self, monkeypatch):
+        """The U-diagonal sign count is an inertia only when perm_r == perm_c."""
+        system = assemble(build_mesh(make_triangle(0.3, 0.8, 1.0), 2), -1.0)
+        form = system.stiffness + system.alpha * system.boundary_mass
+        n = form.shape[0]
+
+        class Pivoted:
+            perm_c = np.arange(n)
+            perm_r = np.roll(np.arange(n), 1)
+            U = sp.identity(n, format="csc")
+
+        calls = []
+
+        def fake_splu(*args, **kwargs):
+            calls.append(1)
+            return Pivoted()
+
+        monkeypatch.setattr(fem, "splu", fake_splu)
+        with pytest.raises(NumericError, match="inertia"):
+            _factor_counting(form, system.mass, -10.0)
+        with pytest.raises(NumericError, match="inertia"):
+            lowest_eigenpair(system, make_triangle(0.3, 0.8, 1.0))
+        assert len(calls) == 2  # the solver does not retry other shifts
+
 
 class TestLowestEigenpair:
     def test_matches_dense_solution(self, rng):
@@ -154,6 +302,27 @@ class TestLowestEigenpair:
             res = lowest_eigenpair(system, tri)
             spec = dense_spectrum(tri, alpha, 3)
             assert abs(res.lambda1 - spec[0]) < 1e-9 * max(1.0, abs(spec[0]))
+            assert abs(res.lambda2 - spec[1]) < 1e-9 * max(1.0, abs(spec[1]))
+
+    def test_coarsest_levels_match_dense_solution(self):
+        """Levels 0 and 1 have 3 and 6 nodes, too few for two Lanczos vectors."""
+        tri = make_triangle(0.3, 0.7, S_THIRD)
+        for level in (0, 1):
+            res = solve_at_level(tri, -1.5, level)
+            spec = dense_spectrum(tri, -1.5, level)
+            assert abs(res.lambda1 - spec[0]) < 1e-12 * max(1.0, abs(spec[0]))
+            assert abs(res.lambda2 - spec[1]) < 1e-12 * max(1.0, abs(spec[1]))
+
+    def test_residual_is_the_mass_inverse_norm(self, rng):
+        for _ in range(4):
+            tri = make_triangle(rng.uniform(-2, 2), rng.uniform(0.4, 1.8), S_THIRD)
+            alpha = -float(rng.uniform(0.3, 6.0))
+            system = assemble(build_mesh(tri, 4), alpha)
+            res = lowest_eigenpair(system, tri)
+            form = system.stiffness + alpha * system.boundary_mass
+            r = form @ res.eigenvector - res.lambda1 * (system.mass @ res.eigenvector)
+            want = math.sqrt(float(r @ splu(system.mass.tocsc()).solve(r)))
+            assert abs(res.residual - want) <= 1e-10 * want
 
     def test_eigenvector_is_signed_consistently(self):
         tri = make_triangle(0.5, 0.8, 1.0)
@@ -166,7 +335,7 @@ class TestLowestEigenpair:
     def test_gap_computation(self):
         tri = make_triangle(1.0, 1.0, S_THIRD)
         system = assemble(build_mesh(tri, 4), -2.0)
-        res = lowest_eigenpair(system, tri, compute_gap=True)
+        res = lowest_eigenpair(system, tri)
         spec = dense_spectrum(tri, -2.0, 4)
         assert abs(res.lambda1 - spec[0]) < 1e-8 * abs(spec[0])
         assert res.lambda2 is not None
@@ -175,9 +344,9 @@ class TestLowestEigenpair:
     def test_near_degenerate_pair(self):
         """Flat isosceles at strong coupling: two corner states almost tie."""
         tri = make_triangle(0.0, 3.0, S_THIRD)
-        res = solve_at_level(tri, -8.0, 4, compute_gap=True)
+        res = solve_at_level(tri, -8.0, 4)
         assert res.lambda2 is not None
-        # in a cluster this tight the deflated iterate may land a hair below
+        # the two lowest eigenvalues of a cluster this tight may tie to rounding
         assert res.lambda1 <= res.lambda2 + 1e-6 * abs(res.lambda1)
         assert abs(res.lambda2 - res.lambda1) < 1e-2 * abs(res.lambda1)
 
@@ -241,6 +410,31 @@ class TestConvergence:
         )
         assert not res.converged
         assert res.residual > 0.0
+
+    def test_skipped_level_is_recorded(self, monkeypatch):
+        """A level that fails is listed with its error; the next level starts
+        cold and the extrapolation spans the gap with 4^2 - 1."""
+        tri = make_triangle(0.5, 0.9, S_THIRD)
+        solve = fem.solve_at_level
+        shifts = {}
+
+        def failing(tri, alpha, level, sigma0=None):
+            shifts[level] = sigma0
+            if level == 4:
+                raise NumericError("forced failure")
+            return solve(tri, alpha, level, sigma0=sigma0)
+
+        monkeypatch.setattr(fem, "solve_at_level", failing)
+        res = eigenvalue_converged(tri, -2.0, rel_tol=1e-8, max_level=6)
+        assert res.skipped == ((4, "forced failure"),)
+        assert shifts[5] is None and shifts[3] is not None and shifts[6] is not None
+        lam = {lev: solve(tri, -2.0, lev).lambda1 for lev in (2, 3, 5, 6)}
+        assert res.history == pytest.approx([lam[2], lam[3], lam[5], lam[6]], rel=1e-12)
+        e1 = lam[5] + (lam[5] - lam[3]) / 15.0
+        e2 = lam[6] + (lam[6] - lam[5]) / 3.0
+        assert res.lambda1 == pytest.approx(e2, rel=1e-12)
+        assert res.residual == pytest.approx(abs(e2 - e1), rel=1e-6)
+        assert res.lambda2 == pytest.approx(solve(tri, -2.0, 6).lambda2, rel=1e-12)
 
     def test_needs_two_levels(self):
         with pytest.raises(NumericError):
