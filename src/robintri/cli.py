@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import tempfile
+from collections import Counter
 
 from .equilateral import solve_equilateral
 from .errors import DomainError, NumericError, PrecisionError, ResourceError
@@ -118,12 +119,11 @@ def _cmd_scan(args) -> int:
             kwargs.setdefault("a_range", (0.05, 0.995, 95))
         cfg = ScanConfig(**kwargs)
     result = run_scan(cfg, workers=max(1, args.workers))
-    bad = sum(1 for row in result.rows if row[-1] not in ("ok", "no-claim"))
-    total = len(result.rows)
+    statuses = sorted(Counter(row[-1] for row in result.rows).items())
     certified = sum(sum(r) for r in result.verdict_grid)
     cells = sum(len(r) for r in result.verdict_grid)
     print(f"mode      = {cfg.mode}")
-    print(f"rows      = {total} ({bad} with non-ok status)")
+    print(f"rows      = {len(result.rows)} ({', '.join(f'{s} {n}' for s, n in statuses)})")
     print(f"verdicts  = {certified}/{cells} cells positive")
     print(f"csv       -> {cfg.output_path}")
     if cfg.emit_svg:

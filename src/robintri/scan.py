@@ -18,10 +18,13 @@ perimeter-variant   fixed-perimeter rescaling chain on an (a, c) grid
 monotonicity        eigenvalue ordering across areas {S/2, S, 2S}
 
 Every cell row carries the numeric evidence its verdict was derived from, a
-verdict flag, and a status tag ("ok", "unconverged", "domain-error",
-"numeric-error", "precision-error").  Timestamps stay in the in-memory
-provenance; serialized headers echo only the config and package version so
-identical configs produce byte-identical files.
+verdict flag, and a status tag ("ok", "unconverged", "unresolved",
+"no-claim", "domain-error", "numeric-error", "precision-error").  Headers
+echo only the config and package version, so identical configs produce
+byte-identical files.
+
+run_scan, the verify_* helpers and soundness_sweep all run through one sweep
+core, _sweep, the only place that builds a ScanResult.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from functools import partial
 from multiprocessing import get_context
 
@@ -55,33 +57,59 @@ from .trial import (
     transplant_verdict,
 )
 
-MODES = (
-    "g-curve",
-    "transplant-region",
-    "constant-region",
-    "condition-region",
-    "sector-region",
-    "fem-conjecture",
-    "local-optimality",
-    "perimeter-variant",
-    "monotonicity",
-)
+_MODE_COLUMNS = {
+    "g-curve": ("t", "g_value", "verdict", "status"),
+    "transplant-region": ("alpha", "a", "delta", "verdict", "status"),
+    "constant-region": ("alpha", "a", "bound", "lambda0", "verdict", "status"),
+    "condition-region": ("alpha", "a", "closed_upper", "lower_bound", "verdict", "status"),
+    "sector-region": ("alpha", "a", "rayleigh", "closed_upper", "lambda0", "verdict", "status"),
+    "fem-conjecture": ("alpha", "a", "c", "lambda_fem", "fem_error", "lambda0",
+                       "margin", "verdict", "status"),
+    "local-optimality": ("alpha", "grad_a", "grad_c", "hess_aa", "hess_cc", "hess_ac",
+                         "bound_aa", "bound_cc", "C", "claimed", "verdict", "status"),
+    "perimeter-variant": ("a", "c", "gamma", "lambda_fem", "fem_error", "lambda0_scaled",
+                          "lambda0", "margin_link1", "margin_link2", "margin",
+                          "verdict", "status"),
+    "monotonicity": ("alpha", "lambda0_half", "lambda0_base", "lambda0_twice",
+                     "fem_half", "fem_base", "fem_twice", "verdict", "status"),
+    # reached only through soundness_sweep, which takes no ScanConfig
+    "soundness": ("alpha", "a", "delta", "constant_ok", "condition_ok", "certified",
+                  "lambda_fem", "fem_error", "lambda0", "sound", "verdict", "status"),
+}
+
+MODES = tuple(m for m in _MODE_COLUMNS if m != "soundness")
+
+# per mode: config field -> _check_range keywords, None forbidding the field;
+# fields not listed are not read by the mode.
+_NEG_OR_ONE = {"collapsed_ok": True, "hi_max": 0.0}
+_AC_GRID = {"a_range": {}, "c_range": {"lo_min": 0.0}}
+_RANGE_RULES = {
+    "g-curve": {"a_range": {"lo_min": 0.0, "hi_max": 1.0}},
+    **dict.fromkeys(("transplant-region", "constant-region", "condition-region", "sector-region"),
+                    {"alpha_range": {"hi_max": 0.0}, "a_range": {}, "c_range": None}),
+    "fem-conjecture": {"alpha_range": _NEG_OR_ONE, **_AC_GRID},
+    "local-optimality": {"alpha_range": _NEG_OR_ONE},
+    "perimeter-variant": {"alpha_range": {"single": True, "hi_max": 0.0}, **_AC_GRID},
+    "monotonicity": {"alpha_range": _NEG_OR_ONE},
+}
 
 _SQRT3 = math.sqrt(3.0)
 _NAN = float("nan")
 
 
-def _check_range(name: str, rng, *, collapsed_ok: bool = False,
+def _check_range(name: str, rng, *, collapsed_ok: bool = False, single: bool = False,
                  lo_min: float | None = None, hi_max: float | None = None) -> None:
     try:
         lo, hi, n = rng
     except (TypeError, ValueError):
         raise DomainError(f"{name} must be a (lo, hi, n) triple, got {rng!r}")
     n = int(n)
+    if single and n != 1:
+        raise DomainError(f"{name}: this mode uses a single value (collapsed range), got {rng!r}")
     if n >= 2:
         if not lo < hi:
             raise DomainError(f"{name}: need lo < hi for n >= 2, got {rng!r}")
-    elif n == 1 and collapsed_ok:
+    elif n == 1 and (collapsed_ok or single):
         if lo != hi:
             raise DomainError(f"{name}: collapsed range needs lo == hi, got {rng!r}")
     else:
@@ -129,32 +157,12 @@ class ScanConfig:
             raise DomainError("output_path must be non-empty")
         if self.c_fixed is not None and not self.c_fixed > 0.0:
             raise DomainError(f"c_fixed must be positive, got {self.c_fixed}")
-        mode = self.mode
-        if mode == "g-curve":
-            _check_range("a_range (t axis)", self.a_range, lo_min=0.0, hi_max=1.0)
-        elif mode in ("transplant-region", "constant-region", "condition-region", "sector-region"):
-            _check_range("alpha_range", self.alpha_range, hi_max=0.0)
-            _check_range("a_range", self.a_range)
-            if self.c_range is not None:
-                raise DomainError(f"mode {mode} grids (alpha, a); use c_fixed, not c_range")
-        elif mode == "fem-conjecture":
-            _check_range("alpha_range", self.alpha_range, collapsed_ok=True, hi_max=0.0)
-            _check_range("a_range", self.a_range)
-            if self.c_range is None:
-                raise DomainError("fem-conjecture needs a c_range")
-            _check_range("c_range", self.c_range, lo_min=0.0)
-        elif mode == "local-optimality":
-            _check_range("alpha_range", self.alpha_range, collapsed_ok=True, hi_max=0.0)
-        elif mode == "perimeter-variant":
-            _check_range("alpha_range", self.alpha_range, collapsed_ok=True, hi_max=0.0)
-            if self.alpha_range[2] != 1:
-                raise DomainError("perimeter-variant uses a single alpha (collapsed alpha_range)")
-            _check_range("a_range", self.a_range)
-            if self.c_range is None:
-                raise DomainError("perimeter-variant needs a c_range")
-            _check_range("c_range", self.c_range, lo_min=0.0)
-        elif mode == "monotonicity":
-            _check_range("alpha_range", self.alpha_range, collapsed_ok=True, hi_max=0.0)
+        for name, rule in _RANGE_RULES[self.mode].items():
+            rng = getattr(self, name)
+            if rule is None and rng is not None:
+                raise DomainError(f"mode {self.mode} takes no {name}; use c_fixed")
+            if rule is not None:
+                _check_range(name, rng, **rule)
 
     def resolved_c(self) -> float:
         return self.c_fixed if self.c_fixed is not None else c0(self.S)
@@ -298,17 +306,16 @@ def _cell_local(alpha: float, *, S: float) -> tuple:
     simple, _improved = local_optimality_alpha_bound(S)
     claimed = int(alpha >= simple)
     try:
-        fd = None
         # stronger coupling needs a wider stencil before the difference
         # quotients rise above the eigenvalue solver's accuracy
         for h_rel in (1e-2, 3e-2, 1e-1, 2e-1):
             try:
                 fd = fd_derivatives_at_equilateral(alpha, S, h=h_rel * c0(S), max_level=8)
                 break
-            except PrecisionError:
-                continue
-        if fd is None:
-            fd = fd_derivatives_at_equilateral(alpha, S, h=1e-2 * c0(S), max_level=8)
+            except PrecisionError as exc:
+                last_error = exc
+        else:
+            raise last_error
         hb = hessian_upper_bounds(alpha, S)
         half_span = math.sqrt(0.25 * (fd.hess_aa - fd.hess_cc) ** 2 + fd.hess_ac**2)
         eig_max = 0.5 * (fd.hess_aa + fd.hess_cc) + half_span
@@ -347,75 +354,91 @@ def _cell_monotone(alpha: float, *, S: float, rel_tol: float) -> tuple:
         return (alpha, _NAN, _NAN, _NAN, _NAN, _NAN, _NAN, 0, _status_of(exc))
 
 
-_MODE_COLUMNS = {
-    "g-curve": ("t", "g_value", "verdict", "status"),
-    "transplant-region": ("alpha", "a", "delta", "verdict", "status"),
-    "constant-region": ("alpha", "a", "bound", "lambda0", "verdict", "status"),
-    "condition-region": ("alpha", "a", "closed_upper", "lower_bound", "verdict", "status"),
-    "sector-region": ("alpha", "a", "rayleigh", "closed_upper", "lambda0", "verdict", "status"),
-    "fem-conjecture": ("alpha", "a", "c", "lambda_fem", "fem_error", "lambda0",
-                       "margin", "verdict", "status"),
-    "local-optimality": ("alpha", "grad_a", "grad_c", "hess_aa", "hess_cc", "hess_ac",
-                         "bound_aa", "bound_cc", "C", "claimed", "verdict", "status"),
-    "perimeter-variant": ("a", "c", "gamma", "lambda_fem", "fem_error", "lambda0_scaled",
-                          "lambda0", "margin_link1", "margin_link2", "margin",
-                          "verdict", "status"),
-    "monotonicity": ("alpha", "lambda0_half", "lambda0_base", "lambda0_twice",
-                     "fem_half", "fem_base", "fem_twice", "verdict", "status"),
-}
+def _prov(**values) -> dict[str, str]:
+    return {key: _format_cell(v) for key, v in values.items()}
 
 
-def _map_cells(fn, tasks, workers: int) -> list[tuple]:
-    if workers > 1 and len(tasks) > 1:
-        with get_context("fork").Pool(workers) as pool:
-            return pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers)))
-    return [fn(t) for t in tasks]
-
-
-def _provenance(cfg: ScanConfig, extra: dict[str, str] | None = None) -> dict[str, str]:
-    fmt = lambda v: "%.17g" % v  # noqa: E731
-    prov = {
-        "version": _package_version(),
-        "mode": cfg.mode,
-        "alpha_range": ",".join(fmt(v) for v in cfg.alpha_range[:2]) + f",{cfg.alpha_range[2]}",
-        "a_range": ",".join(fmt(v) for v in cfg.a_range[:2]) + f",{cfg.a_range[2]}",
-        "S": fmt(cfg.S),
-        "fem_rel_tol": fmt(cfg.fem_rel_tol),
-        "anchor_left": str(cfg.anchor_left).lower(),
-    }
-    if cfg.c_range is not None:
-        prov["c_range"] = ",".join(fmt(v) for v in cfg.c_range[:2]) + f",{cfg.c_range[2]}"
-    else:
-        prov["c"] = fmt(cfg.resolved_c())
-    if extra:
-        prov.update(extra)
-    prov["timestamp"] = datetime.now(timezone.utc).isoformat()
+def _provenance(cfg: ScanConfig) -> dict[str, str]:
+    prov = {"anchor_left": str(cfg.anchor_left).lower(),
+            **_prov(S=cfg.S, fem_rel_tol=cfg.fem_rel_tol)}
+    for name in ("alpha_range", "a_range", "c_range"):
+        rng = getattr(cfg, name)
+        if rng is not None:
+            prov[name] = f"{_format_cell(rng[0])},{_format_cell(rng[1])},{rng[2]}"
+    if cfg.c_range is None:
+        prov["c"] = _format_cell(cfg.resolved_c())
     return prov
 
 
-def _package_version() -> str:
+def _verdict_grid(rows, columns, axes) -> tuple[tuple[int, ...], ...]:
+    """Row verdicts for one axis, else their AND over the first two axes (0 if no row)."""
+    vi = columns.index("verdict")
+    names = list(axes)
+    if len(names) == 1:
+        return (tuple(int(r[vi]) for r in rows),)
+    xs, ys = axes[names[0]], axes[names[1]]
+    xi, yi = columns.index(names[0]), columns.index(names[1])
+    xpos = {v: i for i, v in enumerate(xs)}
+    ypos = {v: i for i, v in enumerate(ys)}
+    cells: dict[tuple[int, int], int] = {}
+    for row in rows:
+        key = (ypos[row[yi]], xpos[row[xi]])
+        cells[key] = min(cells.get(key, 1), int(row[vi]))
+    return tuple(tuple(cells.get((iy, ix), 0) for ix in range(len(xs)))
+                 for iy in range(len(ys)))
+
+
+def _sweep(mode: str, fn, tasks, axes: dict[str, tuple[float, ...]],
+           provenance: dict[str, str], workers: int = 1) -> ScanResult:
+    """Evaluate fn on every task, in task order, and assemble the ScanResult."""
     from . import __version__
 
-    return __version__
+    tasks = list(tasks)
+    if workers > 1 and len(tasks) > 1:
+        with get_context("fork").Pool(workers) as pool:
+            rows = tuple(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+    else:
+        rows = tuple(fn(t) for t in tasks)
+    columns = _MODE_COLUMNS[mode]
+    prov = {"version": __version__, "mode": mode, **provenance}
+    if len(axes) > 2:
+        prov["verdict_grid_reduction"] = "and-over-" + "-".join(list(axes)[2:])
+    return ScanResult(mode=mode, columns=columns, rows=rows, axes=axes,
+                      provenance=prov, verdict_grid=_verdict_grid(rows, columns, axes))
 
 
-def _verdict_grid_2d(rows, columns, x_vals, y_vals, x_col, y_col) -> tuple[tuple[int, ...], ...]:
-    vi = columns.index("verdict")
-    xi = columns.index(x_col)
-    yi = columns.index(y_col)
-    xpos = {v: i for i, v in enumerate(x_vals)}
-    ypos = {v: i for i, v in enumerate(y_vals)}
-    grid = [[1] * len(x_vals) for _ in y_vals]
-    seen = [[False] * len(x_vals) for _ in y_vals]
-    for row in rows:
-        ix, iy = xpos[row[xi]], ypos[row[yi]]
-        grid[iy][ix] = grid[iy][ix] and int(row[vi])
-        seen[iy][ix] = True
-    for iy, srow in enumerate(seen):
-        for ix, s in enumerate(srow):
-            if not s:
-                grid[iy][ix] = 0
-    return tuple(tuple(int(v) for v in r) for r in grid)
+def _plan(cfg: ScanConfig):
+    """(cell function, tasks in row order, axes) for one validated config.
+    Evaluators are looked up at call time, so wrappers on their names see every cell."""
+    mode, S = cfg.mode, cfg.S
+    if mode == "g-curve":
+        ts = _grid(cfg.a_range)
+        return _cell_g, ts, {"t": ts}
+    alphas = _grid(cfg.alpha_range)
+    if mode == "local-optimality":
+        return partial(_cell_local, S=S), alphas, {"alpha": alphas}
+    if mode == "monotonicity":
+        return partial(_cell_monotone, S=S, rel_tol=cfg.fem_rel_tol), alphas, {"alpha": alphas}
+    avals = _grid(cfg.a_range)
+    if mode == "perimeter-variant":
+        cvals = _grid(cfg.c_range)
+        fn = partial(_cell_perimeter, alpha=cfg.alpha_range[0], S=S, rel_tol=cfg.fem_rel_tol)
+        return fn, [(a, c) for a in avals for c in cvals], {"a": avals, "c": cvals}
+    if mode == "fem-conjecture":
+        cvals = _grid(cfg.c_range)
+        tasks = [(al, a, c) for al in alphas for a in avals for c in cvals]
+        axes = {"a": avals, "c": cvals}
+        if len(alphas) > 1:
+            axes["alpha"] = alphas
+        return partial(_cell_fem, S=S, rel_tol=cfg.fem_rel_tol), tasks, axes
+    c = cfg.resolved_c()
+    fn = {
+        "transplant-region": partial(_cell_transplant, c=c, S=S),
+        "constant-region": partial(_cell_constant, c=c, S=S),
+        "condition-region": partial(_cell_condition, c=c, S=S),
+        "sector-region": partial(_cell_sector, c=c, S=S, anchor_left=cfg.anchor_left),
+    }[mode]
+    return fn, [(al, a) for al in alphas for a in avals], {"a": avals, "alpha": alphas}
 
 
 def run_scan(cfg: ScanConfig, workers: int = 1) -> ScanResult:
@@ -425,72 +448,8 @@ def run_scan(cfg: ScanConfig, workers: int = 1) -> ScanResult:
     I/O failures do abort.  Row order is the deterministic nested loop over
     the axes, independent of the worker count.
     """
-    mode = cfg.mode
-    S = cfg.S
-    columns = _MODE_COLUMNS[mode]
-    extra: dict[str, str] = {}
-
-    if mode == "g-curve":
-        ts = _grid(cfg.a_range)
-        rows = _map_cells(_cell_g, list(ts), workers)
-        axes = {"t": ts}
-        grid = (tuple(int(r[columns.index("verdict")]) for r in rows),)
-    elif mode in ("transplant-region", "constant-region", "condition-region", "sector-region"):
-        alphas = _grid(cfg.alpha_range)
-        avals = _grid(cfg.a_range)
-        c = cfg.resolved_c()
-        tasks = [(al, a) for al in alphas for a in avals]
-        fn = {
-            "transplant-region": partial(_cell_transplant, c=c, S=S),
-            "constant-region": partial(_cell_constant, c=c, S=S),
-            "condition-region": partial(_cell_condition, c=c, S=S),
-            "sector-region": partial(_cell_sector, c=c, S=S, anchor_left=cfg.anchor_left),
-        }[mode]
-        rows = _map_cells(fn, tasks, workers)
-        axes = {"a": avals, "alpha": alphas}
-        grid = _verdict_grid_2d(rows, columns, avals, alphas, "a", "alpha")
-    elif mode == "fem-conjecture":
-        alphas = _grid(cfg.alpha_range)
-        avals = _grid(cfg.a_range)
-        cvals = _grid(cfg.c_range)
-        tasks = [(al, a, c) for al in alphas for a in avals for c in cvals]
-        rows = _map_cells(partial(_cell_fem, S=S, rel_tol=cfg.fem_rel_tol), tasks, workers)
-        if len(alphas) > 1:
-            axes = {"a": avals, "c": cvals, "alpha": alphas}
-            extra["verdict_grid_reduction"] = "and-over-alpha"
-        else:
-            axes = {"a": avals, "c": cvals}
-        grid = _verdict_grid_2d(rows, columns, avals, cvals, "a", "c")
-    elif mode == "local-optimality":
-        alphas = _grid(cfg.alpha_range)
-        rows = _map_cells(partial(_cell_local, S=S), list(alphas), workers)
-        axes = {"alpha": alphas}
-        grid = (tuple(int(r[columns.index("verdict")]) for r in rows),)
-    elif mode == "perimeter-variant":
-        alpha = cfg.alpha_range[0]
-        avals = _grid(cfg.a_range)
-        cvals = _grid(cfg.c_range)
-        tasks = [(a, c) for a in avals for c in cvals]
-        rows = _map_cells(
-            partial(_cell_perimeter, alpha=alpha, S=S, rel_tol=cfg.fem_rel_tol), tasks, workers
-        )
-        axes = {"a": avals, "c": cvals}
-        grid = _verdict_grid_2d(rows, columns, avals, cvals, "a", "c")
-    else:  # monotonicity
-        alphas = _grid(cfg.alpha_range)
-        rows = _map_cells(partial(_cell_monotone, S=S, rel_tol=cfg.fem_rel_tol),
-                          list(alphas), workers)
-        axes = {"alpha": alphas}
-        grid = (tuple(int(r[columns.index("verdict")]) for r in rows),)
-
-    result = ScanResult(
-        mode=mode,
-        columns=columns,
-        rows=tuple(rows),
-        axes=axes,
-        provenance=_provenance(cfg, extra),
-        verdict_grid=grid,
-    )
+    fn, tasks, axes = _plan(cfg)
+    result = _sweep(cfg.mode, fn, tasks, axes, _provenance(cfg), workers)
     emit_csv(result, cfg.output_path)
     if cfg.emit_svg:
         emit_svg(result, os.path.splitext(cfg.output_path)[0] + ".svg")
@@ -505,27 +464,11 @@ def verify_local(alpha_list, S: float) -> ScanResult:
     the quadratic model); rows below it report the same numbers with status
     "no-claim" and no verdict asserted.
     """
-    alphas = [float(a) for a in alpha_list]
+    alphas = tuple(float(a) for a in alpha_list)
     if not alphas or any(a >= 0.0 for a in alphas):
         raise DomainError("alpha_list must be non-empty and strictly negative")
-    rows = tuple(_cell_local(a, S=S) for a in alphas)
-    columns = _MODE_COLUMNS["local-optimality"]
-    prov = {
-        "version": _package_version(),
-        "mode": "local-optimality",
-        "alpha_list": ",".join("%.17g" % a for a in alphas),
-        "S": "%.17g" % S,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
-    grid = (tuple(int(r[columns.index("verdict")]) for r in rows),)
-    return ScanResult(
-        mode="local-optimality",
-        columns=columns,
-        rows=rows,
-        axes={"alpha": tuple(alphas)},
-        provenance=prov,
-        verdict_grid=grid,
-    )
+    prov = {"alpha_list": ",".join(_format_cell(a) for a in alphas), **_prov(S=S)}
+    return _sweep("local-optimality", partial(_cell_local, S=S), alphas, {"alpha": alphas}, prov)
 
 
 def verify_perimeter_variant(alpha: float, S: float, grid) -> ScanResult:
@@ -534,39 +477,22 @@ def verify_perimeter_variant(alpha: float, S: float, grid) -> ScanResult:
     Each triangle is shrunk onto the equilateral perimeter, FEM-solved, and
     chained against the closed forms: scaled eigenvalue <= scaled equilateral
     value < reference equilateral value.  Margins for both links and their
-    combination are reported per cell.
+    combination are reported per cell.  A full (a, c) product gets (a, c)
+    axes; any other set of pairs gets one "cell" axis in the given order.
     """
     if alpha >= 0.0:
         raise DomainError(f"alpha must be negative, got {alpha}")
     pairs = [(float(a), float(c)) for a, c in grid]
     if not pairs:
         raise DomainError("empty (a, c) grid")
-    rows = tuple(_cell_perimeter(p, alpha=alpha, S=S, rel_tol=1e-6) for p in pairs)
-    columns = _MODE_COLUMNS["perimeter-variant"]
     avals = tuple(dict.fromkeys(p[0] for p in pairs))
     cvals = tuple(dict.fromkeys(p[1] for p in pairs))
-    prov = {
-        "version": _package_version(),
-        "mode": "perimeter-variant",
-        "alpha": "%.17g" % alpha,
-        "S": "%.17g" % S,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
-    full = len(pairs) == len(avals) * len(cvals)
-    if full:
-        gridv = _verdict_grid_2d(rows, columns, avals, cvals, "a", "c")
+    if len(pairs) == len(avals) * len(cvals):
         axes = {"a": avals, "c": cvals}
     else:
-        gridv = (tuple(int(r[columns.index("verdict")]) for r in rows),)
         axes = {"cell": tuple(float(i) for i in range(len(pairs)))}
-    return ScanResult(
-        mode="perimeter-variant",
-        columns=columns,
-        rows=rows,
-        axes=axes,
-        provenance=prov,
-        verdict_grid=gridv,
-    )
+    fn = partial(_cell_perimeter, alpha=alpha, S=S, rel_tol=1e-6)
+    return _sweep("perimeter-variant", fn, pairs, axes, _prov(alpha=alpha, S=S))
 
 
 def verify_monotone(alpha: float, S: float, rel_tol: float = 1e-5) -> ScanResult:
@@ -577,68 +503,28 @@ def verify_monotone(alpha: float, S: float, rel_tol: float = 1e-5) -> ScanResult
     """
     if alpha >= 0.0:
         raise DomainError(f"alpha must be negative, got {alpha}")
-    row = _cell_monotone(alpha, S=S, rel_tol=rel_tol)
-    columns = _MODE_COLUMNS["monotonicity"]
-    prov = {
-        "version": _package_version(),
-        "mode": "monotonicity",
-        "alpha": "%.17g" % alpha,
-        "S": "%.17g" % S,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
-    return ScanResult(
-        mode="monotonicity",
-        columns=columns,
-        rows=(row,),
-        axes={"alpha": (float(alpha),)},
-        provenance=prov,
-        verdict_grid=((int(row[columns.index("verdict")]),),),
-    )
+    fn = partial(_cell_monotone, S=S, rel_tol=rel_tol)
+    return _sweep("monotonicity", fn, [alpha], {"alpha": (float(alpha),)}, _prov(alpha=alpha, S=S))
 
 
-def soundness_sweep(
-    alpha_values,
-    a_values,
-    c: float,
-    S: float,
-    fem_rel_tol: float = 1e-3,
-    max_level: int = 9,
-    workers: int = 1,
-) -> ScanResult:
+def soundness_sweep(alpha_values, a_values, c: float, S: float, fem_rel_tol: float = 1e-3,
+                    max_level: int = 9, workers: int = 1) -> ScanResult:
     """Cross-check every certificate against the FEM oracle on an (a, alpha) grid.
 
     For each cell the three trial-function certificates are evaluated; on the
-    cells where at least one fires, the extrapolated FEM eigenvalue must sit
-    below the equilateral value by ten times its own error estimate.  The
-    verdict is 1 for uncertified cells and for certified-and-confirmed cells,
-    0 only for a contradiction.
+    cells where at least one fires, the FEM upper bound must sit below the
+    equilateral value by ten times its own error estimate.  The verdict is 1
+    for uncertified and for certified-and-confirmed cells, else 0.  A settled
+    verdict-0 cell whose bound is within ten error estimates of the equilateral
+    value has status "unresolved"; with status "ok" it is a contradiction.
     """
-    alphas = [float(x) for x in alpha_values]
-    avals = [float(x) for x in a_values]
+    alphas = tuple(float(x) for x in alpha_values)
+    avals = tuple(float(x) for x in a_values)
     if any(a >= 0.0 for a in alphas):
         raise DomainError("alpha values must be strictly negative")
-    tasks = [(al, a) for al in alphas for a in avals]
     fn = partial(_soundness_cell, c=c, S=S, rel_tol=fem_rel_tol, max_level=max_level)
-    rows = tuple(_map_cells(fn, tasks, workers))
-    columns = ("alpha", "a", "delta", "constant_ok", "condition_ok", "certified",
-               "lambda_fem", "fem_error", "lambda0", "sound", "verdict", "status")
-    prov = {
-        "version": _package_version(),
-        "mode": "soundness",
-        "c": "%.17g" % c,
-        "S": "%.17g" % S,
-        "fem_rel_tol": "%.17g" % fem_rel_tol,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
-    grid = _verdict_grid_2d(rows, columns, tuple(avals), tuple(alphas), "a", "alpha")
-    return ScanResult(
-        mode="soundness",
-        columns=columns,
-        rows=rows,
-        axes={"a": tuple(avals), "alpha": tuple(alphas)},
-        provenance=prov,
-        verdict_grid=grid,
-    )
+    return _sweep("soundness", fn, [(al, a) for al in alphas for a in avals],
+                  {"a": avals, "alpha": alphas}, _prov(c=c, S=S, fem_rel_tol=fem_rel_tol), workers)
 
 
 def _raw_upper_bound(tri, alpha: float, rel_tol: float, max_level: int,
@@ -694,7 +580,13 @@ def _soundness_cell(task, *, c: float, S: float, rel_tol: float, max_level: int)
         lam, err, settled = _raw_upper_bound(tri, alpha, rel_tol, max_level,
                                              sound_target=lam0)
         sound = lam <= lam0 - 10.0 * err
-        status = "ok" if settled else "unconverged"
+        if not settled:
+            status = "unconverged"
+        elif not sound and lam - 10.0 * err <= lam0:
+            # lam0 lies inside the oracle's +-10 err band: no contradiction shown
+            status = "unresolved"
+        else:
+            status = "ok"
         return (alpha, a, delta, int(const_ok), int(cond_ok), 1,
                 lam, err, lam0, int(sound), int(sound), status)
     except Exception as exc:  # noqa: BLE001
@@ -716,17 +608,18 @@ def emit_csv(result: ScanResult, path: str) -> None:
     """Write the scan table: '#'-prefixed provenance, header row, data rows.
 
     Floats are printed with 17 significant digits so re-parsing reproduces
-    them bit-exactly; the in-memory timestamp is deliberately not written,
-    keeping the bytes a function of the config alone.
+    them bit-exactly; the bytes are a function of the config alone.
     """
     lines = ["# robintri scan output"]
-    for key in sorted(result.provenance):
-        if key == "timestamp":
-            continue
-        lines.append(f"# {key} = {result.provenance[key]}")
+    lines.extend(f"# {key} = {result.provenance[key]}" for key in sorted(result.provenance))
     lines.append(",".join(result.columns))
     for row in result.rows:
         lines.append(",".join(_format_cell(v) for v in row))
+    _write_lines(path, lines)
+
+
+def _write_lines(path: str, lines: list[str]) -> None:
+    """Write ASCII lines through a temporary file, so path is never half-written."""
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -802,10 +695,7 @@ def emit_svg(result: ScanResult, path: str) -> None:
             f'text-anchor="middle" transform="rotate(-90 22 {mt + ph / 2:.1f})">{ylabel}</text>'
         )
     parts.append("</svg>")
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
-    os.replace(tmp, path)
+    _write_lines(path, parts)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ All bounds evaluate the Rayleigh quotient of an explicit field.  Two of them
 live on the equilateral reference triangle and are transported through the
 area-preserving affine map (so only the quadratic-form coefficients change):
 
-  * TransplantedGroundState -- the equilateral ground state u0;
-  * ConstantOne             -- the constant field.
+  * the equilateral ground state u0 (equilateral.ground_state);
+  * ConstantOne -- the constant field.
 
 The third, SectorExponential, lives on the physical triangle: u(x) =
 exp(alpha * x' / sin(theta*/2)) with x' the coordinate along the bisector of
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _quad
-from .equilateral import EquilateralSolution, GroundStateField, closed_form_norms, ground_state, solve_equilateral
+from .equilateral import closed_form_norms, solve_equilateral
 from .errors import DomainError
 from .geometry import (
     TriangleGeometry,
@@ -63,17 +63,6 @@ class FormValue:
         return self.raw / self.l2_norm_sq
 
 
-class TransplantedGroundState:
-    """Equilateral ground state used as a trial field on other triangles."""
-
-    def __init__(self, solution: EquilateralSolution):
-        self.solution = solution
-        self._field = ground_state(solution)
-
-    def values_and_grads(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._field.values_and_grads(pts)
-
-
 class ConstantOne:
     """The constant trial field."""
 
@@ -108,9 +97,6 @@ class SectorExponential:
         vals = np.exp(np.maximum(rate * proj, _EXP_FLOOR))
         grads = (rate * vals)[:, None] * np.asarray(self.bisector)[None, :]
         return vals, grads
-
-
-TrialField = TransplantedGroundState | ConstantOne | SectorExponential
 
 
 def _vertex_angle_data(tri: TriangleGeometry, idx: int) -> tuple[float, float, tuple[float, float], tuple[float, float]]:

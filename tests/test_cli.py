@@ -119,6 +119,16 @@ class TestScan:
         assert code == EXIT_OK
         assert out_path.exists()
 
+    def test_summary_counts_rows_per_status(self, capsys, tmp_path):
+        """The condition is vacuous on the equilateral column a = 0."""
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("mode = condition-region\nalpha_range = -9, -1, 3\na_range = 0, 2.5, 4\n")
+        code, out, _ = run(
+            capsys, ["scan", "--config", str(cfg), "--out", str(tmp_path / "cond.csv")]
+        )
+        assert code == EXIT_OK
+        assert "rows      = 12 (domain-error 3, ok 9)" in out.splitlines()
+
     def test_missing_mode_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["scan"])
         assert code == EXIT_USAGE

@@ -5,8 +5,10 @@ import math
 
 import pytest
 
+import robintri
+from robintri import scan
 from robintri.equilateral import c0, lambda0
-from robintri.errors import DomainError
+from robintri.errors import DomainError, PrecisionError
 from robintri.scan import (
     MODES,
     ScanConfig,
@@ -388,3 +390,199 @@ class TestModeList:
         }
         for mode in MODES:
             ScanConfig(mode=mode, **extra.get(mode, {}))
+
+
+class TestSoundnessStatus:
+    def test_margin_inside_oracle_error_is_unresolved(self):
+        """Next to the equilateral triangle the transplant certificate fires but
+        lambda_fem +- 10 err straddles lambda0: no contradiction is shown."""
+        (row,) = soundness_sweep([-1.64], [0.015], c=S_THIRD, S=S_THIRD).rows
+        certified, lam, err, lam0, sound, verdict, status = row[5:]
+        assert certified == 1 and sound == 0 and verdict == 0
+        assert lam - 10.0 * err <= lam0 < lam + 10.0 * err
+        assert status == "unresolved"
+
+    def test_clear_contradiction_keeps_ok_status(self, monkeypatch):
+        def above_target(tri, alpha, rel_tol, max_level, sound_target):
+            return sound_target + 1.0, 1e-3, True
+
+        monkeypatch.setattr(scan, "_raw_upper_bound", above_target)
+        (row,) = soundness_sweep([-0.5], [0.5], c0(S_THIRD), S_THIRD).rows
+        assert row[5] == 1  # certified
+        assert row[-3:] == (0, 0, "ok")
+
+
+class TestLocalStencil:
+    def test_failing_stencils_are_each_tried_once(self, monkeypatch):
+        calls = []
+
+        def always_imprecise(alpha, S, h, max_level):
+            calls.append(h)
+            raise PrecisionError("difference quotient below solver accuracy")
+
+        monkeypatch.setattr(scan, "fd_derivatives_at_equilateral", always_imprecise)
+        row = scan._cell_local(-0.5, S=S_THIRD)
+        assert len(calls) == 4
+        assert row[0] == -0.5 and all(math.isnan(v) for v in row[1:9])
+        assert row[9:] == (1, 0, "precision-error")
+
+
+# every mode's evaluator, and the header block it writes for _PIPELINE_CFG
+_EVALUATORS = {
+    "g-curve": "_cell_g",
+    "transplant-region": "_cell_transplant",
+    "constant-region": "_cell_constant",
+    "condition-region": "_cell_condition",
+    "sector-region": "_cell_sector",
+    "fem-conjecture": "_cell_fem",
+    "local-optimality": "_cell_local",
+    "perimeter-variant": "_cell_perimeter",
+    "monotonicity": "_cell_monotone",
+}
+_PIPELINE_CFG = {
+    "g-curve": dict(a_range=(0.5, 0.9, 3)),
+    "transplant-region": dict(alpha_range=(-2.0, -0.5, 2), a_range=(0.0, 1.0, 3)),
+    "constant-region": dict(alpha_range=(-2.0, -0.5, 2), a_range=(0.0, 1.0, 3), c_fixed=0.75),
+    "condition-region": dict(alpha_range=(-2.0, -0.5, 2), a_range=(0.0, 1.0, 3)),
+    "sector-region": dict(alpha_range=(-2.0, -0.5, 2), a_range=(0.0, 1.0, 3), anchor_left=True),
+    "fem-conjecture": dict(alpha_range=(-2.0, -1.0, 2), a_range=(0.0, 1.0, 2),
+                           c_range=(0.5, 1.0, 2)),
+    "local-optimality": dict(alpha_range=(-3.0, -0.5, 2)),
+    "perimeter-variant": dict(alpha_range=(-0.5, -0.5, 1), a_range=(0.0, 1.0, 2),
+                              c_range=(0.5, 1.0, 2)),
+    "monotonicity": dict(alpha_range=(-1.0, -1.0, 1), fem_rel_tol=1e-4),
+}
+_PINNED_HEADERS = {
+    "g-curve": """\
+# robintri scan output
+# S = 0.57735026918962584
+# a_range = 0.5,0.90000000000000002,3
+# alpha_range = -10,-0.01,60
+# anchor_left = false
+# c = 0.57735026918962584
+# fem_rel_tol = 9.9999999999999995e-07
+# mode = g-curve
+# version = {version}
+t,g_value,verdict,status
+""",
+    "transplant-region": """\
+# robintri scan output
+# S = 0.57735026918962584
+# a_range = 0,1,3
+# alpha_range = -2,-0.5,2
+# anchor_left = false
+# c = 0.57735026918962584
+# fem_rel_tol = 9.9999999999999995e-07
+# mode = transplant-region
+# version = {version}
+alpha,a,delta,verdict,status
+""",
+    "constant-region": """\
+# robintri scan output
+# S = 0.57735026918962584
+# a_range = 0,1,3
+# alpha_range = -2,-0.5,2
+# anchor_left = false
+# c = 0.75
+# fem_rel_tol = 9.9999999999999995e-07
+# mode = constant-region
+# version = {version}
+alpha,a,bound,lambda0,verdict,status
+""",
+    "condition-region": """\
+# robintri scan output
+# S = 0.57735026918962584
+# a_range = 0,1,3
+# alpha_range = -2,-0.5,2
+# anchor_left = false
+# c = 0.57735026918962584
+# fem_rel_tol = 9.9999999999999995e-07
+# mode = condition-region
+# version = {version}
+alpha,a,closed_upper,lower_bound,verdict,status
+""",
+    "sector-region": """\
+# robintri scan output
+# S = 0.57735026918962584
+# a_range = 0,1,3
+# alpha_range = -2,-0.5,2
+# anchor_left = true
+# c = 0.57735026918962584
+# fem_rel_tol = 9.9999999999999995e-07
+# mode = sector-region
+# version = {version}
+alpha,a,rayleigh,closed_upper,lambda0,verdict,status
+""",
+    "fem-conjecture": """\
+# robintri scan output
+# S = 0.57735026918962584
+# a_range = 0,1,2
+# alpha_range = -2,-1,2
+# anchor_left = false
+# c_range = 0.5,1,2
+# fem_rel_tol = 9.9999999999999995e-07
+# mode = fem-conjecture
+# verdict_grid_reduction = and-over-alpha
+# version = {version}
+alpha,a,c,lambda_fem,fem_error,lambda0,margin,verdict,status
+""",
+    "local-optimality": """\
+# robintri scan output
+# S = 0.57735026918962584
+# a_range = 0,5,60
+# alpha_range = -3,-0.5,2
+# anchor_left = false
+# c = 0.57735026918962584
+# fem_rel_tol = 9.9999999999999995e-07
+# mode = local-optimality
+# version = {version}
+alpha,grad_a,grad_c,hess_aa,hess_cc,hess_ac,bound_aa,bound_cc,C,claimed,verdict,status
+""",
+    "perimeter-variant": """\
+# robintri scan output
+# S = 0.57735026918962584
+# a_range = 0,1,2
+# alpha_range = -0.5,-0.5,1
+# anchor_left = false
+# c_range = 0.5,1,2
+# fem_rel_tol = 9.9999999999999995e-07
+# mode = perimeter-variant
+# version = {version}
+a,c,gamma,lambda_fem,fem_error,lambda0_scaled,lambda0,margin_link1,margin_link2,margin,verdict,status
+""",
+    "monotonicity": """\
+# robintri scan output
+# S = 0.57735026918962584
+# a_range = 0,5,60
+# alpha_range = -1,-1,1
+# anchor_left = false
+# c = 0.57735026918962584
+# fem_rel_tol = 0.0001
+# mode = monotonicity
+# version = {version}
+alpha,lambda0_half,lambda0_base,lambda0_twice,fem_half,fem_base,fem_twice,verdict,status
+""",
+}
+
+
+class TestPipeline:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_mode_runs_its_evaluator_and_pins_header(self, mode, monkeypatch, tmp_path):
+        """run_scan must look the evaluator up by name at call time (wrappers
+        installed on scan's names see every cell), and the header stays fixed."""
+        width = len(scan._MODE_COLUMNS[mode])
+        tasks = []
+
+        def stub(task, **_):
+            tasks.append(task)
+            lead = task if isinstance(task, tuple) else (task,)
+            return lead + (0.0,) * (width - len(lead) - 2) + (1, "ok")
+
+        monkeypatch.setattr(scan, _EVALUATORS[mode], stub)
+        out = tmp_path / "pinned.csv"
+        res = run_scan(ScanConfig(mode=mode, output_path=str(out), **_PIPELINE_CFG[mode]))
+        assert tasks and len(tasks) == len(res.rows)
+        assert all(v == 1 for grid_row in res.verdict_grid for v in grid_row)
+        # the pinned block runs from the first line through the column line
+        assert out.read_text().startswith(
+            _PINNED_HEADERS[mode].format(version=robintri.__version__))

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from robintri import _quad
-from robintri.equilateral import lambda0, solve_equilateral
+from robintri.equilateral import ground_state, lambda0, solve_equilateral
 from robintri.errors import DomainError
 from robintri.geometry import TriangleParams, c0, equilateral_params, make_triangle
 from robintri.trial import (
     ConstantOne,
     SectorExponential,
-    TransplantedGroundState,
     constant_bound,
     delta_transplant,
     form_hat,
@@ -60,7 +59,7 @@ class TestFormHat:
         """With the identity map the transported Rayleigh quotient is lambda0."""
         for alpha in (-0.3, -1.0, -4.0):
             sol = solve_equilateral(alpha, S_THIRD)
-            fv = form_hat(alpha, equilateral_params(S_THIRD), TransplantedGroundState(sol))
+            fv = form_hat(alpha, equilateral_params(S_THIRD), ground_state(sol))
             assert abs(fv.rayleigh - sol.lambda0) < 1e-9 * abs(sol.lambda0)
 
     def test_rejects_sector_field_and_bad_alpha(self):
@@ -80,7 +79,7 @@ class TestTransplant:
             a = float(rng.uniform(-1.5, 1.5))
             c = float(rng.uniform(0.4, 1.6)) * c0(S)
             sol = solve_equilateral(alpha, S)
-            psi = TransplantedGroundState(sol)
+            psi = ground_state(sol)
             raw_shape = form_hat(alpha, TriangleParams(a, c, S), psi).raw
             raw_eq = form_hat(alpha, equilateral_params(S), psi).raw
             delta = delta_transplant(alpha, TriangleParams(a, c, S))
