@@ -7,10 +7,11 @@ polynomials of total degree <= 2n-2 exactly when each factor uses n nodes.
 The default n=6 therefore handles degree 10.
 
 Integrands are vector-valued callables f(pts) -> (npts, m) so that several
-moments (|grad|^2 components, u^2, ...) share one set of evaluations.  The
-adaptive drivers split a cell into four congruent children and accept when
-coarse and fine answers agree componentwise; this is what resolves the
-boundary-layer exponentials at strong coupling without hand-tuned meshes.
+moments (|grad|^2 components, u^2, ...) share one set of evaluations.  One
+adaptive loop serves both domains: it splits a triangle into four congruent
+children (a segment into two halves) and accepts when coarse and fine answers
+agree componentwise; this is what resolves the boundary-layer exponentials at
+strong coupling without hand-tuned meshes.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericError
+
+#: cells one adaptive integral may split before it gives up
+_MAX_CELLS = 400_000
 
 
 @lru_cache(maxsize=None)
@@ -78,46 +82,40 @@ def _children(verts: np.ndarray) -> list[np.ndarray]:
     ]
 
 
-def triangle_integrate(
-    f,
-    verts,
-    n: int = 6,
-    tol: float = 1e-12,
-    max_depth: int = 26,
-    max_cells: int = 400_000,
-) -> np.ndarray:
-    """Adaptive integral of a vector-valued integrand over one triangle.
-
-    Accepts a cell when the coarse rule and the summed child rules agree to
-    `tol` relative to the running magnitude of each component.  Raises
-    NumericError if the cell budget is exhausted before that happens.
-    """
-    verts = np.asarray(verts, dtype=float)
-    coarse0 = triangle_apply(f, verts, n)
-    m = np.atleast_1d(coarse0).size
-    total = np.zeros(m)
-    scale = np.maximum(np.abs(np.atleast_1d(coarse0)), 1e-300)
-    stack = [(verts, np.atleast_1d(coarse0), 0)]
+def _adaptive(rule, split, cell, tol: float, max_depth: int, what: str) -> np.ndarray:
+    """Shared subdivision loop: split each popped cell, accept when the coarse
+    rule and the summed children agree to `tol` relative to the running
+    magnitude of each component, else push the children.  Raises NumericError
+    once _MAX_CELLS cells have been split."""
+    coarse0 = np.atleast_1d(rule(cell))
+    total = np.zeros_like(coarse0)
+    scale = np.maximum(np.abs(coarse0), 1e-300)
+    stack = [(cell, coarse0, 0)]
     cells = 0
     while stack:
         cell, coarse, depth = stack.pop()
         cells += 1
-        if cells > max_cells:
+        if cells > _MAX_CELLS:
             raise NumericError(
-                f"adaptive triangle quadrature exceeded {max_cells} cells "
+                f"adaptive {what} quadrature exceeded {_MAX_CELLS} cells "
                 f"(tol={tol:g}); integrand too rough for this tolerance"
             )
-        kids = _children(cell)
-        fine_parts = [np.atleast_1d(triangle_apply(f, k, n)) for k in kids]
+        kids = split(cell)
+        fine_parts = [np.atleast_1d(rule(k)) for k in kids]
         fine = sum(fine_parts)
         scale = np.maximum(scale, np.abs(fine))
         err = np.abs(fine - coarse)
         if depth >= max_depth or np.all(err <= tol * np.maximum(scale, 1e-300)):
             total += fine
         else:
-            for k, part in zip(kids, fine_parts):
-                stack.append((k, part, depth + 1))
+            stack.extend((k, part, depth + 1) for k, part in zip(kids, fine_parts))
     return total if total.size > 1 else total[0]
+
+
+def triangle_integrate(f, verts, n: int = 6, tol: float = 1e-12, max_depth: int = 26) -> np.ndarray:
+    """Adaptive integral of a vector-valued integrand over one triangle."""
+    return _adaptive(lambda cell: triangle_apply(f, cell, n), _children,
+                     np.asarray(verts, dtype=float), tol, max_depth, "triangle")
 
 
 def segment_apply(f, p0, p1, n: int = 8) -> np.ndarray:
@@ -133,32 +131,14 @@ def segment_apply(f, p0, p1, n: int = 8) -> np.ndarray:
     return length * (w @ vals)
 
 
-def segment_integrate(
-    f,
-    p0,
-    p1,
-    n: int = 8,
-    tol: float = 1e-12,
-    max_depth: int = 40,
-) -> np.ndarray:
+def _halves(seg):
+    a, b = seg
+    mid = 0.5 * (a + b)
+    return [(a, mid), (mid, b)]
+
+
+def segment_integrate(f, p0, p1, n: int = 8, tol: float = 1e-12, max_depth: int = 40) -> np.ndarray:
     """Adaptive bisection counterpart of segment_apply."""
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    coarse0 = np.atleast_1d(segment_apply(f, p0, p1, n))
-    total = np.zeros_like(coarse0)
-    scale = np.maximum(np.abs(coarse0), 1e-300)
-    stack = [(p0, p1, coarse0, 0)]
-    while stack:
-        a, b, coarse, depth = stack.pop()
-        mid = 0.5 * (a + b)
-        left = np.atleast_1d(segment_apply(f, a, mid, n))
-        right = np.atleast_1d(segment_apply(f, mid, b, n))
-        fine = left + right
-        scale = np.maximum(scale, np.abs(fine))
-        err = np.abs(fine - coarse)
-        if depth >= max_depth or np.all(err <= tol * np.maximum(scale, 1e-300)):
-            total += fine
-        else:
-            stack.append((a, mid, left, depth + 1))
-            stack.append((mid, b, right, depth + 1))
-    return total if total.size > 1 else total[0]
+    seg = (np.asarray(p0, dtype=float), np.asarray(p1, dtype=float))
+    return _adaptive(lambda s: segment_apply(f, s[0], s[1], n), _halves,
+                     seg, tol, max_depth, "segment")

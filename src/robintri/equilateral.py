@@ -8,6 +8,12 @@ where K = arctanh(t) + arctanh(t/2) and t in (0, 1) is the unique root of
 
     t * (arctanh(t) + arctanh(t/2)) = beta,   beta = -alpha * sqrt(sqrt(3) S).
 
+One solve serves every coupling: the unknown is y = log(1 - t), bracketed in
+[-2 beta - 10, 0], bisected and then polished by Newton.  Writing
+t = -expm1(y) and arctanh(t) = (log1p(t) - y)/2 loses no digits at weak
+coupling (y near 0), and at strong coupling 1 - t = e^y may underflow while y
+itself, kept as log_one_minus_t, stays exact.
+
 The corresponding positive eigenfunction, in coordinates where the triangle
 has vertices (-c0, 0), (c0, 0), (0, b_0) and with hatted coordinates measured
 in units of b0 = sqrt(sqrt(3) S), is
@@ -77,81 +83,42 @@ def _slope_A(t: float) -> float:
     return t / (1.0 - t * t) + t / (2.0 - 0.5 * t * t)
 
 
-def _solve_t_direct(beta: float) -> tuple[float, float]:
-    """Root of t*K(t) = beta for moderate beta; returns (t, residual).
-
-    Bisection narrows the bracket, Newton polishes down to the evaluation
-    noise floor (which grows like (K + A) * eps as t approaches 1 — the
-    log-space branch takes over before that matters).
-    """
-    lo, hi = 1e-300, 1.0 - 1e-16
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if mid * _bigK(mid) - beta < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    t = 0.5 * (lo + hi)
-    best_t, best_f = t, t * _bigK(t) - beta
-    for _ in range(50):
-        f = t * _bigK(t) - beta
-        if abs(f) < abs(best_f):
-            best_t, best_f = t, f
-        if f == 0.0:
-            break
-        if f < 0.0:
-            lo = max(lo, t)
-        else:
-            hi = min(hi, t)
-        step = f / (_bigK(t) + _slope_A(t))
-        t_next = t - step
-        if not (lo < t_next < hi):
-            t_next = 0.5 * (lo + hi)
-        if t_next == t:
-            break
-        t = t_next
-    if abs(best_f) > 1e-11 * max(1.0, beta):
-        raise NumericError(
-            f"transcendental solve stalled at t={best_t}, residual={best_f:g}"
-        )
-    return best_t, best_f
+def _t_and_K(y: float) -> tuple[float, float]:
+    """(t, K) at y = log(1 - t); expm1/log1p keep every digit as y -> 0."""
+    t = -math.expm1(y)
+    return t, 0.5 * (math.log1p(t) - y) + math.atanh(0.5 * t)
 
 
-def _psi_log(y: float, beta: float) -> float:
-    """(1 - e^y) * K - beta written in y = log(1 - t)."""
+def _psi(y: float, beta: float) -> float:
+    """t * K - beta written in y = log(1 - t)."""
+    t, k = _t_and_K(y)
+    return t * k - beta
+
+
+def _psi_prime(y: float) -> float:
+    """d/dy of _psi; stays finite when e^y underflows (limit -1/2)."""
     s = math.exp(y)
-    t = 1.0 - s
-    m_hat = 0.5 * (math.log(2.0 - s) - y)
-    k_hat = m_hat + math.atanh(0.5 * t)
-    return t * k_hat - beta
-
-
-def _psi_log_prime(y: float) -> float:
-    """d/dy of _psi_log; stays finite when e^y underflows (limit -1/2)."""
-    s = math.exp(y)
-    t = 1.0 - s
-    m_hat = 0.5 * (math.log(2.0 - s) - y)
-    k_hat = m_hat + math.atanh(0.5 * t)
+    t, k = _t_and_K(y)
     # s * A(t) expanded so the 1/(1-t^2) pole cancels the factor s analytically
-    s_times_A = t / (2.0 - s) + s * t / (2.0 - 0.5 * t * t)
-    return -(s * k_hat + s_times_A)
+    s_times_A = t / (1.0 + t) + s * t / (2.0 - 0.5 * t * t)
+    return -(s * k + s_times_A)
 
 
-def _solve_t_log(beta: float) -> tuple[float, float, float]:
-    """Root in y = log(1-t) space for large beta; returns (t, y, residual)."""
-    lo, hi = -2.0 * beta - 10.0, math.log(0.5)
-    if _psi_log(lo, beta) <= 0.0 or _psi_log(hi, beta) >= 0.0:
+def _solve_t(beta: float) -> tuple[float, float, float]:
+    """Root of t K(t) = beta in y = log(1 - t); returns (t, y, residual)."""
+    lo, hi = -2.0 * beta - 10.0, 0.0
+    if _psi(lo, beta) <= 0.0 or _psi(hi, beta) >= 0.0:
         raise NumericError(f"log-space bracket failed for beta={beta}")
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        if _psi_log(mid, beta) > 0.0:
+        if _psi(mid, beta) > 0.0:
             lo = mid
         else:
             hi = mid
     y = 0.5 * (lo + hi)
-    best_y, best_f = y, _psi_log(y, beta)
+    best_y, best_f = y, _psi(y, beta)
     for _ in range(50):
-        f = _psi_log(y, beta)
+        f = _psi(y, beta)
         if abs(f) < abs(best_f):
             best_y, best_f = y, f
         if f == 0.0:
@@ -160,7 +127,7 @@ def _solve_t_log(beta: float) -> tuple[float, float, float]:
             lo = max(lo, y)
         else:
             hi = min(hi, y)
-        y_next = y - f / _psi_log_prime(y)
+        y_next = y - f / _psi_prime(y)
         if not (lo < y_next < hi):
             y_next = 0.5 * (lo + hi)
         if y_next == y:
@@ -170,7 +137,7 @@ def _solve_t_log(beta: float) -> tuple[float, float, float]:
         raise NumericError(
             f"log-space solve stalled at y={best_y}, residual={best_f:g}"
         )
-    return 1.0 - math.exp(best_y), best_y, best_f
+    return -math.expm1(best_y), best_y, best_f
 
 
 def solve_equilateral(alpha: float, S: float) -> EquilateralSolution:
@@ -184,14 +151,8 @@ def solve_equilateral(alpha: float, S: float) -> EquilateralSolution:
     if not (math.isfinite(S) and S > 0.0):
         raise DomainError(f"S must be finite and strictly positive, got {S}")
     beta = -alpha * math.sqrt(_SQRT3 * S)
-    if beta <= 5.0:
-        t, res = _solve_t_direct(beta)
-        y = math.log1p(-t)
-        M = math.atanh(t)
-    else:
-        t, y, res = _solve_t_log(beta)
-        s = math.exp(y)
-        M = 0.5 * (math.log(2.0 - s) - y)
+    t, y, res = _solve_t(beta)
+    M = 0.5 * (math.log1p(t) - y)
     L = -math.atanh(0.5 * t)
     K = M - L
     lam = -4.0 * K * K / (_SQRT3 * S)

@@ -57,7 +57,6 @@ class EigenResult:
     eigenvector: np.ndarray | None
     iterations: int
     residual: float
-    extrapolated: float | None = None
     lambda2: float | None = None
     converged: bool = True
     level: int | None = None
@@ -458,7 +457,6 @@ def eigenvalue_converged(
         eigenvector=res.eigenvector,
         iterations=iters,
         residual=abs(extrs[-1] - extrs[-2]) if len(extrs) >= 2 else float("inf"),
-        extrapolated=extrs[-1],
         lambda2=res.lambda2,
         converged=converged,
         level=res.level if converged else max_level,

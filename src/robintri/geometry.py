@@ -99,14 +99,15 @@ class AffineMap:
         return np.asarray(pts, dtype=float) @ self.inverse_matrix.T
 
 
+def side_lengths(params: TriangleParams) -> tuple[float, float, float]:
+    """Side lengths in label order: 2c, |V0V2|, |V1V2|."""
+    a, c, b = params.a, params.c, params.b
+    return (2.0 * c, math.hypot(a + c, b), math.hypot(a - c, b))
+
+
 def perimeter(params: TriangleParams) -> float:
-    """Closed-form boundary length 2c + |V0V2| + |V1V2|."""
-    a, c, S = params.a, params.c, params.S
-    return (
-        2.0 * c
-        + math.sqrt(S * S / (c * c) + (a - c) ** 2)
-        + math.sqrt(S * S / (c * c) + (a + c) ** 2)
-    )
+    """Boundary length, the sum of the three side lengths."""
+    return sum(side_lengths(params))
 
 
 def perimeter_min_over_a(c: float, S: float) -> float:
@@ -116,56 +117,56 @@ def perimeter_min_over_a(c: float, S: float) -> float:
     return 2.0 * c + 2.0 * math.sqrt(c * c + S * S / (c * c))
 
 
-def _angle(at: np.ndarray, p: np.ndarray, q: np.ndarray) -> float:
-    u = p - at
-    v = q - at
+def corner(
+    verts: np.ndarray, sides: tuple[float, float, float], i: int
+) -> tuple[float, float, tuple[float, float], tuple[float, float]]:
+    """(angle, shorter adjacent side, vertex, inward unit bisector) at vertex i.
+
+    verts is the (3, 2) vertex array and sides the side lengths in label
+    order; the side joining vertices j and k carries label j + k - 1.
+    """
+    at = verts[i]
+    j, k = (i + 1) % 3, (i + 2) % 3
+    d1 = verts[j] - at
+    d2 = verts[k] - at
     # atan2 form stays accurate for very thin triangles where arccos loses digits
-    return math.atan2(abs(u[0] * v[1] - u[1] * v[0]), float(u @ v))
+    angle = math.atan2(abs(d1[0] * d2[1] - d1[1] * d2[0]), float(d1 @ d2))
+    n1, n2 = sides[i + j - 1], sides[i + k - 1]
+    bx = d1[0] / n1 + d2[0] / n2
+    by = d1[1] / n1 + d2[1] / n2
+    nb = math.hypot(bx, by)
+    return angle, min(n1, n2), (float(at[0]), float(at[1])), (float(bx / nb), float(by / nb))
 
 
 def make_triangle(a: float, c: float, S: float) -> TriangleGeometry:
     """Build the full geometry record for Omega_{a,c} with area S."""
     params = TriangleParams(float(a), float(c), float(S))
-    b = params.b
-    verts = np.array([[-params.c, 0.0], [params.c, 0.0], [params.a, b]])
-    sides = (
-        2.0 * params.c,
-        float(np.hypot(params.a + params.c, b)),
-        float(np.hypot(params.a - params.c, b)),
-    )
-    angles = tuple(
-        _angle(verts[i], verts[(i + 1) % 3], verts[(i + 2) % 3]) for i in range(3)
-    )
+    verts = np.array([[-params.c, 0.0], [params.c, 0.0], [params.a, params.b]])
+    sides = side_lengths(params)
+    corners = [corner(verts, sides, i) for i in range(3)]
+    angles = tuple(cn[0] for cn in corners)
     apex = int(np.argmin(angles))
     theta = min(angles[apex], math.pi / 3.0)
-
-    # the two sides meeting at vertex i are the ones not labelled by _opposite(i)
-    adjacent = {0: (0, 1), 1: (0, 2), 2: (1, 2)}
-    l_prime = min(sides[k] for k in adjacent[apex])
-
-    others = [(apex + 1) % 3, (apex + 2) % 3]
-    d1 = verts[others[0]] - verts[apex]
-    d2 = verts[others[1]] - verts[apex]
-    bis = d1 / np.linalg.norm(d1) + d2 / np.linalg.norm(d2)
-    bis = bis / np.linalg.norm(bis)
-
+    _, l_prime, _, bis = corners[apex]
     return TriangleGeometry(
         params=params,
         vertices=tuple((float(x), float(y)) for x, y in verts),
         side_lengths=sides,
-        perimeter=perimeter(params),
+        perimeter=sum(sides),
         angles=angles,
         theta_star=theta,
-        L_prime=float(l_prime),
+        L_prime=l_prime,
         apex_index=apex,
-        bisector=(float(bis[0]), float(bis[1])),
+        bisector=bis,
         degenerate=bool(theta < _DEGENERATE_ANGLE),
     )
 
 
-def smallest_angle_data(tri: TriangleGeometry) -> tuple[float, float, tuple[float, float], tuple[float, float]]:
-    """(theta_star, L', apex vertex, inward unit bisector) at the smallest angle."""
-    return tri.theta_star, tri.L_prime, tri.apex_vertex, tri.bisector
+def inverse_metric(params: TriangleParams) -> tuple[float, float, float]:
+    """Entries (g11, g12, g22) of the inverse metric of the affine map."""
+    a, c, S = params.a, params.c, params.S
+    s3 = math.sqrt(3.0)
+    return a * a / (s3 * S) + S / (s3 * c * c), -a * c / S, s3 * c * c / S
 
 
 def affine_map(params: TriangleParams) -> AffineMap:
@@ -175,15 +176,9 @@ def affine_map(params: TriangleParams) -> AffineMap:
     bb0 = b0(S)
     m = np.array([[c / cc0, a / bb0], [0.0, params.b / bb0]])
     inv = np.array([[params.b / bb0, -a / bb0], [0.0, c / cc0]])
-    metric = m.T @ m
-    s3 = math.sqrt(3.0)
-    inv_metric = np.array(
-        [
-            [(a * a * c * c + S * S) / (s3 * c * c * S), -a * c / S],
-            [-a * c / S, s3 * c * c / S],
-        ]
-    )
-    return AffineMap(matrix=m, inverse_matrix=inv, metric=metric, inverse_metric=inv_metric)
+    g11, g12, g22 = inverse_metric(params)
+    inv_metric = np.array([[g11, g12], [g12, g22]])
+    return AffineMap(matrix=m, inverse_matrix=inv, metric=m.T @ m, inverse_metric=inv_metric)
 
 
 def perimeter_normalizer(tri: TriangleGeometry) -> float:
@@ -199,9 +194,4 @@ def edge_stretch_weights(params: TriangleParams) -> tuple[float, float, float]:
     sqrt(sqrt(3)/S) * perimeter / 2.
     """
     base = 2.0 * c0(params.S)
-    tri_sides = (
-        2.0 * params.c,
-        math.hypot(params.a + params.c, params.b),
-        math.hypot(params.a - params.c, params.b),
-    )
-    return tuple(s / base for s in tri_sides)
+    return tuple(s / base for s in side_lengths(params))

@@ -20,8 +20,8 @@ monotonicity        eigenvalue ordering across areas {S/2, S, 2S}
 Every cell row carries the numeric evidence its verdict was derived from, a
 verdict flag, and a status tag ("ok", "unconverged", "unresolved",
 "no-claim", "domain-error", "numeric-error", "precision-error").  Headers
-echo only the config and package version, so identical configs produce
-byte-identical files.
+echo only the config fields the mode reads and the package version, so
+identical configs produce byte-identical files.
 
 run_scan, the verify_* helpers and soundness_sweep all run through one sweep
 core, _sweep, the only place that builds a ScanResult.
@@ -358,16 +358,13 @@ def _prov(**values) -> dict[str, str]:
     return {key: _format_cell(v) for key, v in values.items()}
 
 
-def _provenance(cfg: ScanConfig) -> dict[str, str]:
-    prov = {"anchor_left": str(cfg.anchor_left).lower(),
-            **_prov(S=cfg.S, fem_rel_tol=cfg.fem_rel_tol)}
-    for name in ("alpha_range", "a_range", "c_range"):
-        rng = getattr(cfg, name)
-        if rng is not None:
-            prov[name] = f"{_format_cell(rng[0])},{_format_cell(rng[1])},{rng[2]}"
-    if cfg.c_range is None:
-        prov["c"] = _format_cell(cfg.resolved_c())
-    return prov
+def _ranges(cfg: ScanConfig, *names: str) -> dict[str, str]:
+    """'lo,hi,n' provenance entries for the named range fields."""
+    out = {}
+    for name in names:
+        lo, hi, n = getattr(cfg, name)
+        out[name] = f"{_format_cell(lo)},{_format_cell(hi)},{n}"
+    return out
 
 
 def _verdict_grid(rows, columns, axes) -> tuple[tuple[int, ...], ...]:
@@ -390,9 +387,16 @@ def _verdict_grid(rows, columns, axes) -> tuple[tuple[int, ...], ...]:
 
 def _sweep(mode: str, fn, tasks, axes: dict[str, tuple[float, ...]],
            provenance: dict[str, str], workers: int = 1) -> ScanResult:
-    """Evaluate fn on every task, in task order, and assemble the ScanResult."""
+    """Evaluate fn on every task, in task order, and assemble the ScanResult.
+
+    A value repeated on one of the first two axes would make two cells share
+    one verdict-grid slot, so it is rejected before any cell runs.
+    """
     from . import __version__
 
+    for name in list(axes)[:2]:
+        if len(set(axes[name])) != len(axes[name]):
+            raise DomainError(f"axis {name} repeats a value: {axes[name]}")
     tasks = list(tasks)
     if workers > 1 and len(tasks) > 1:
         with get_context("fork").Pool(workers) as pool:
@@ -408,37 +412,45 @@ def _sweep(mode: str, fn, tasks, axes: dict[str, tuple[float, ...]],
 
 
 def _plan(cfg: ScanConfig):
-    """(cell function, tasks in row order, axes) for one validated config.
+    """(cell function, tasks in row order, axes, provenance) for one validated
+    config; the provenance records exactly the config fields the mode reads.
     Evaluators are looked up at call time, so wrappers on their names see every cell."""
     mode, S = cfg.mode, cfg.S
     if mode == "g-curve":
         ts = _grid(cfg.a_range)
-        return _cell_g, ts, {"t": ts}
+        return _cell_g, ts, {"t": ts}, _ranges(cfg, "a_range")
     alphas = _grid(cfg.alpha_range)
     if mode == "local-optimality":
-        return partial(_cell_local, S=S), alphas, {"alpha": alphas}
+        prov = {**_ranges(cfg, "alpha_range"), **_prov(S=S)}
+        return partial(_cell_local, S=S), alphas, {"alpha": alphas}, prov
     if mode == "monotonicity":
-        return partial(_cell_monotone, S=S, rel_tol=cfg.fem_rel_tol), alphas, {"alpha": alphas}
+        prov = {**_ranges(cfg, "alpha_range"), **_prov(S=S, fem_rel_tol=cfg.fem_rel_tol)}
+        fn = partial(_cell_monotone, S=S, rel_tol=cfg.fem_rel_tol)
+        return fn, alphas, {"alpha": alphas}, prov
     avals = _grid(cfg.a_range)
-    if mode == "perimeter-variant":
+    if mode in ("perimeter-variant", "fem-conjecture"):
         cvals = _grid(cfg.c_range)
-        fn = partial(_cell_perimeter, alpha=cfg.alpha_range[0], S=S, rel_tol=cfg.fem_rel_tol)
-        return fn, [(a, c) for a in avals for c in cvals], {"a": avals, "c": cvals}
-    if mode == "fem-conjecture":
-        cvals = _grid(cfg.c_range)
+        prov = {**_ranges(cfg, "alpha_range", "a_range", "c_range"),
+                **_prov(S=S, fem_rel_tol=cfg.fem_rel_tol)}
+        if mode == "perimeter-variant":
+            fn = partial(_cell_perimeter, alpha=cfg.alpha_range[0], S=S, rel_tol=cfg.fem_rel_tol)
+            return fn, [(a, c) for a in avals for c in cvals], {"a": avals, "c": cvals}, prov
         tasks = [(al, a, c) for al in alphas for a in avals for c in cvals]
         axes = {"a": avals, "c": cvals}
         if len(alphas) > 1:
             axes["alpha"] = alphas
-        return partial(_cell_fem, S=S, rel_tol=cfg.fem_rel_tol), tasks, axes
+        return partial(_cell_fem, S=S, rel_tol=cfg.fem_rel_tol), tasks, axes, prov
     c = cfg.resolved_c()
+    prov = {**_ranges(cfg, "alpha_range", "a_range"), **_prov(c=c, S=S)}
+    if mode == "sector-region":
+        prov["anchor_left"] = str(cfg.anchor_left).lower()
     fn = {
         "transplant-region": partial(_cell_transplant, c=c, S=S),
         "constant-region": partial(_cell_constant, c=c, S=S),
         "condition-region": partial(_cell_condition, c=c, S=S),
         "sector-region": partial(_cell_sector, c=c, S=S, anchor_left=cfg.anchor_left),
     }[mode]
-    return fn, [(al, a) for al in alphas for a in avals], {"a": avals, "alpha": alphas}
+    return fn, [(al, a) for al in alphas for a in avals], {"a": avals, "alpha": alphas}, prov
 
 
 def run_scan(cfg: ScanConfig, workers: int = 1) -> ScanResult:
@@ -448,8 +460,7 @@ def run_scan(cfg: ScanConfig, workers: int = 1) -> ScanResult:
     I/O failures do abort.  Row order is the deterministic nested loop over
     the axes, independent of the worker count.
     """
-    fn, tasks, axes = _plan(cfg)
-    result = _sweep(cfg.mode, fn, tasks, axes, _provenance(cfg), workers)
+    result = _sweep(cfg.mode, *_plan(cfg), workers)
     emit_csv(result, cfg.output_path)
     if cfg.emit_svg:
         emit_svg(result, os.path.splitext(cfg.output_path)[0] + ".svg")

@@ -32,8 +32,10 @@ from .geometry import (
     TriangleParams,
     b0,
     c0,
+    corner,
     edge_stretch_weights,
-    make_triangle,
+    inverse_metric,
+    perimeter,
 )
 
 _SQRT3 = math.sqrt(3.0)
@@ -86,8 +88,7 @@ class SectorExponential:
         """Anchor at the smallest angle, or at an explicit vertex index."""
         if vertex is None:
             return cls(tri.theta_star, tri.L_prime, tri.apex_vertex, tri.bisector, alpha)
-        theta, l_prime, apex, bis = _vertex_angle_data(tri, vertex)
-        return cls(theta, l_prime, apex, bis, alpha)
+        return cls(*corner(tri.vertex_array(), tri.side_lengths, vertex), alpha)
 
     def values_and_grads(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pts = np.asarray(pts, dtype=float)
@@ -97,21 +98,6 @@ class SectorExponential:
         vals = np.exp(np.maximum(rate * proj, _EXP_FLOOR))
         grads = (rate * vals)[:, None] * np.asarray(self.bisector)[None, :]
         return vals, grads
-
-
-def _vertex_angle_data(tri: TriangleGeometry, idx: int) -> tuple[float, float, tuple[float, float], tuple[float, float]]:
-    """(angle, shorter adjacent side, vertex, inward unit bisector) at vertex idx."""
-    verts = tri.vertex_array()
-    at = verts[idx]
-    o1 = verts[(idx + 1) % 3]
-    o2 = verts[(idx + 2) % 3]
-    d1 = o1 - at
-    d2 = o2 - at
-    n1, n2 = np.linalg.norm(d1), np.linalg.norm(d2)
-    angle = math.atan2(abs(d1[0] * d2[1] - d1[1] * d2[0]), float(d1 @ d2))
-    bis = d1 / n1 + d2 / n2
-    bis = bis / np.linalg.norm(bis)
-    return angle, float(min(n1, n2)), (float(at[0]), float(at[1])), (float(bis[0]), float(bis[1]))
 
 
 def _as_params(tri) -> TriangleParams:
@@ -141,8 +127,7 @@ def form_hat(alpha: float, tri, psi) -> FormValue:
     params = _as_params(tri)
     if not (alpha < 0.0):
         raise DomainError(f"alpha must be negative, got {alpha}")
-    a, c, S = params.a, params.c, params.S
-    verts = _reference_vertices(S)
+    verts = _reference_vertices(params.S)
 
     def moments(pts: np.ndarray) -> np.ndarray:
         vals, grads = psi.values_and_grads(pts)
@@ -151,9 +136,7 @@ def form_hat(alpha: float, tri, psi) -> FormValue:
         )
 
     A1, A2, A12, L2 = _quad.triangle_integrate(moments, verts, n=8, tol=1e-12)
-    g11 = a * a / (_SQRT3 * S) + S / (_SQRT3 * c * c)
-    g12 = -a * c / S
-    g22 = _SQRT3 * c * c / S
+    g11, g12, g22 = inverse_metric(params)
     gradient = g11 * A1 + 2.0 * g12 * A12 + g22 * A2
 
     w = edge_stretch_weights(params)
@@ -167,8 +150,8 @@ def form_hat(alpha: float, tri, psi) -> FormValue:
 
 def shape_coefficient(params: TriangleParams) -> float:
     """Trace of the inverse metric minus 2; zero exactly at the equilateral shape."""
-    a, c, S = params.a, params.c, params.S
-    return _SQRT3 * c * c / S + S / (_SQRT3 * c * c) + a * a / (_SQRT3 * S) - 2.0
+    g11, _, g22 = inverse_metric(params)
+    return g11 + g22 - 2.0
 
 
 def delta_transplant(alpha: float, tri) -> float:
@@ -203,8 +186,7 @@ def constant_bound(alpha: float, tri) -> tuple[float, bool]:
     params = _as_params(tri)
     if not (alpha < 0.0):
         raise DomainError(f"alpha must be negative, got {alpha}")
-    geom = make_triangle(params.a, params.c, params.S)
-    bound = alpha * geom.perimeter / params.S
+    bound = alpha * perimeter(params) / params.S
     lam0 = solve_equilateral(alpha, params.S).lambda0
     return bound, strictly_below(bound, lam0)
 
@@ -257,7 +239,7 @@ def sector_bound(alpha: float, tri: TriangleGeometry, anchor_vertex: int | None 
     return rayleigh, closed
 
 
-def sector_condition(alpha: float, tri: TriangleGeometry, anchor_vertex: int | None = None) -> bool:
+def sector_condition(alpha: float, tri: TriangleGeometry) -> bool:
     """True when the closed sector bound drops below the closed lower bound for lambda0.
 
     This is the fully closed-form certificate chain; it is vacuous for the
@@ -265,11 +247,7 @@ def sector_condition(alpha: float, tri: TriangleGeometry, anchor_vertex: int | N
     """
     if tri.theta_star >= math.pi / 3.0 - 1e-12:
         raise DomainError("sector condition is undefined for the equilateral triangle")
-    if anchor_vertex is None:
-        theta, l_prime = tri.theta_star, tri.L_prime
-    else:
-        theta, l_prime, _, _ = _vertex_angle_data(tri, anchor_vertex)
-    closed = sector_closed_upper(alpha, theta, l_prime)
+    closed = sector_closed_upper(alpha, tri.theta_star, tri.L_prime)
     lower = lambda0_lower_bound(alpha, tri.params.S)
     return strictly_below(closed, lower)
 

@@ -24,7 +24,7 @@ from robintri.equilateral import (
     local_optimality_alpha_bound,
     solve_equilateral,
 )
-from robintri.errors import DomainError
+from robintri.errors import DomainError, NumericError
 from robintri.geometry import b0, c0
 from robintri.trial import lambda0_lower_bound
 
@@ -94,6 +94,16 @@ class TestSolver:
             assert abs(sol.lambda0 - lam_ref) < 1e-12 * abs(lam_ref)
             if t_ref < 0.999:
                 assert abs(sol.t - t_ref) < 1e-12
+
+    def test_lambda0_to_two_ulps_across_couplings(self):
+        """One log-space solve gives lambda0 to 2e-15 of a 50-digit bisection for
+        beta in [1e-10, 30], densely around beta = 5."""
+        betas = list(np.geomspace(1e-10, 30.0, 25)) + list(np.linspace(4.8, 5.2, 41))
+        for beta in betas:
+            alpha = -float(beta)
+            _, _, lam_ref = mp_reference(alpha, S_THIRD, dps=50)
+            lam = lambda0(alpha, S_THIRD)
+            assert abs(lam - lam_ref) <= 2e-15 * abs(lam_ref), beta
 
     def test_system_relations(self, rng):
         """K = M - L, t = beta/K, M = atanh t and L = -atanh(t/2) hold exactly."""
@@ -313,6 +323,13 @@ class TestQuadratureHelpers:
         )
         # integral of x^2 y^3 over the unit right triangle = B(3,5)/4 = 1/420
         assert abs(float(val) - 1.0 / 420.0) < 1e-15
+
+    def test_rough_segment_integrand_exhausts_the_cell_budget(self, monkeypatch):
+        monkeypatch.setattr(_quad, "_MAX_CELLS", 1000)
+        with pytest.raises(NumericError):
+            _quad.segment_integrate(
+                lambda p: np.sign(np.sin(1e9 * p[:, 0])), np.zeros(2), np.array([1.0, 0.0])
+            )
 
     def test_segment_rule(self):
         val = _quad.segment_integrate(

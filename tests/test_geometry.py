@@ -12,14 +12,16 @@ from robintri.geometry import (
     affine_map,
     b0,
     c0,
+    corner,
     equilateral_params,
     edge_stretch_weights,
+    inverse_metric,
     make_triangle,
     perimeter,
     perimeter_min_over_a,
     perimeter_normalizer,
-    smallest_angle_data,
 )
+from robintri.trial import shape_coefficient
 
 SQRT3 = math.sqrt(3.0)
 
@@ -82,6 +84,7 @@ class TestMakeTriangle:
             tri = make_triangle(rng.uniform(-3, 3), rng.uniform(0.2, 3), rng.uniform(0.3, 3))
             assert abs(tri.perimeter - sum(tri.side_lengths)) < 1e-12 * tri.perimeter
             assert abs(tri.perimeter - perimeter(tri.params)) < 1e-12 * tri.perimeter
+            assert perimeter(tri.params) == sum(tri.side_lengths)
 
     def test_theta_star_is_clamped_smallest_angle(self):
         tri = make_triangle(2.5, 0.7, 0.9)
@@ -123,13 +126,15 @@ class TestMakeTriangle:
             assert abs(t1.side_lengths[2] - t2.side_lengths[1]) < 1e-12
             assert abs(t1.theta_star - t2.theta_star) < 1e-12
 
-    def test_smallest_angle_data_mirrors_fields(self):
-        tri = make_triangle(0.9, 0.5, 0.7)
-        theta, l_prime, apex, bis = smallest_angle_data(tri)
-        assert theta == tri.theta_star
-        assert l_prime == tri.L_prime
-        assert apex == tri.apex_vertex
-        assert bis == tri.bisector
+    def test_apex_data_is_the_corner_at_the_apex(self, rng):
+        """Angles, L' and the bisector come from the one corner function, bitwise."""
+        for _ in range(200):
+            tri = make_triangle(rng.uniform(-3.0, 3.0), rng.uniform(0.2, 2.0), rng.uniform(0.3, 2.0))
+            verts = tri.vertex_array()
+            corners = [corner(verts, tri.side_lengths, i) for i in range(3)]
+            assert tuple(cn[0] for cn in corners) == tri.angles
+            _, l_prime, vertex, bis = corners[tri.apex_index]
+            assert (l_prime, vertex, bis) == (tri.L_prime, tri.apex_vertex, tri.bisector)
 
 
 class TestPerimeter:
@@ -194,6 +199,10 @@ class TestAffineMap:
             amap = affine_map(params)
             assert np.allclose(amap.metric, amap.matrix.T @ amap.matrix, atol=1e-12)
             assert np.allclose(amap.metric @ amap.inverse_metric, np.eye(2), atol=1e-10)
+            # one inverse-metric formula serves the map and the shape coefficient
+            g11, g12, g22 = inverse_metric(params)
+            assert amap.inverse_metric.tolist() == [[g11, g12], [g12, g22]]
+            assert shape_coefficient(params) == g11 + g22 - 2.0
 
     def test_returns_affine_map_type(self):
         assert isinstance(affine_map(TriangleParams(0.1, 0.5, 0.4)), AffineMap)

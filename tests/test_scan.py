@@ -281,6 +281,14 @@ class TestFemModes:
         assert l_half < l_base < l_twice < 0.0
         assert f_half < f_base < f_twice < 0.0
 
+    def test_soundness_rejects_a_repeated_axis_value(self, monkeypatch):
+        """Two cells on one verdict-grid slot are refused before any cell runs."""
+        calls = []
+        monkeypatch.setattr(scan, "_soundness_cell", lambda task, **_: calls.append(task))
+        with pytest.raises(DomainError, match="axis a"):
+            soundness_sweep([-0.5], [0.0, 0.0], c=S_THIRD, S=S_THIRD)
+        assert not calls
+
     def test_soundness_certified_cells_stay_sound(self):
         cc = c0(S_THIRD)
         res = soundness_sweep(
@@ -455,12 +463,7 @@ _PIPELINE_CFG = {
 _PINNED_HEADERS = {
     "g-curve": """\
 # robintri scan output
-# S = 0.57735026918962584
 # a_range = 0.5,0.90000000000000002,3
-# alpha_range = -10,-0.01,60
-# anchor_left = false
-# c = 0.57735026918962584
-# fem_rel_tol = 9.9999999999999995e-07
 # mode = g-curve
 # version = {version}
 t,g_value,verdict,status
@@ -470,9 +473,7 @@ t,g_value,verdict,status
 # S = 0.57735026918962584
 # a_range = 0,1,3
 # alpha_range = -2,-0.5,2
-# anchor_left = false
 # c = 0.57735026918962584
-# fem_rel_tol = 9.9999999999999995e-07
 # mode = transplant-region
 # version = {version}
 alpha,a,delta,verdict,status
@@ -482,9 +483,7 @@ alpha,a,delta,verdict,status
 # S = 0.57735026918962584
 # a_range = 0,1,3
 # alpha_range = -2,-0.5,2
-# anchor_left = false
 # c = 0.75
-# fem_rel_tol = 9.9999999999999995e-07
 # mode = constant-region
 # version = {version}
 alpha,a,bound,lambda0,verdict,status
@@ -494,9 +493,7 @@ alpha,a,bound,lambda0,verdict,status
 # S = 0.57735026918962584
 # a_range = 0,1,3
 # alpha_range = -2,-0.5,2
-# anchor_left = false
 # c = 0.57735026918962584
-# fem_rel_tol = 9.9999999999999995e-07
 # mode = condition-region
 # version = {version}
 alpha,a,closed_upper,lower_bound,verdict,status
@@ -508,7 +505,6 @@ alpha,a,closed_upper,lower_bound,verdict,status
 # alpha_range = -2,-0.5,2
 # anchor_left = true
 # c = 0.57735026918962584
-# fem_rel_tol = 9.9999999999999995e-07
 # mode = sector-region
 # version = {version}
 alpha,a,rayleigh,closed_upper,lambda0,verdict,status
@@ -518,7 +514,6 @@ alpha,a,rayleigh,closed_upper,lambda0,verdict,status
 # S = 0.57735026918962584
 # a_range = 0,1,2
 # alpha_range = -2,-1,2
-# anchor_left = false
 # c_range = 0.5,1,2
 # fem_rel_tol = 9.9999999999999995e-07
 # mode = fem-conjecture
@@ -529,11 +524,7 @@ alpha,a,c,lambda_fem,fem_error,lambda0,margin,verdict,status
     "local-optimality": """\
 # robintri scan output
 # S = 0.57735026918962584
-# a_range = 0,5,60
 # alpha_range = -3,-0.5,2
-# anchor_left = false
-# c = 0.57735026918962584
-# fem_rel_tol = 9.9999999999999995e-07
 # mode = local-optimality
 # version = {version}
 alpha,grad_a,grad_c,hess_aa,hess_cc,hess_ac,bound_aa,bound_cc,C,claimed,verdict,status
@@ -543,7 +534,6 @@ alpha,grad_a,grad_c,hess_aa,hess_cc,hess_ac,bound_aa,bound_cc,C,claimed,verdict,
 # S = 0.57735026918962584
 # a_range = 0,1,2
 # alpha_range = -0.5,-0.5,1
-# anchor_left = false
 # c_range = 0.5,1,2
 # fem_rel_tol = 9.9999999999999995e-07
 # mode = perimeter-variant
@@ -553,10 +543,7 @@ a,c,gamma,lambda_fem,fem_error,lambda0_scaled,lambda0,margin_link1,margin_link2,
     "monotonicity": """\
 # robintri scan output
 # S = 0.57735026918962584
-# a_range = 0,5,60
 # alpha_range = -1,-1,1
-# anchor_left = false
-# c = 0.57735026918962584
 # fem_rel_tol = 0.0001
 # mode = monotonicity
 # version = {version}

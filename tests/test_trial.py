@@ -161,6 +161,15 @@ class TestSectorBound:
             ray, closed = sector_bound(-2.0, tri, anchor_vertex=vertex)
             assert ray <= closed + 1e-11 * abs(closed)
 
+    def test_anchor_at_apex_is_the_default(self, rng):
+        """Anchoring explicitly at the apex reads the same corner data, bitwise."""
+        for k in range(200):
+            tri = make_triangle(rng.uniform(-3.0, 3.0), rng.uniform(0.2, 2.0), rng.uniform(0.3, 2.0))
+            anchored = SectorExponential.from_triangle(tri, -2.0, vertex=tri.apex_index)
+            assert anchored == SectorExponential.from_triangle(tri, -2.0)
+            if k < 4:
+                assert sector_bound(-2.0, tri, anchor_vertex=tri.apex_index) == sector_bound(-2.0, tri)
+
     def test_gradient_identity(self, rng):
         """|grad u|^2 integrates to (alpha/sin(theta/2))^2 times the L2 norm."""
         for _ in range(10):
