@@ -6,12 +6,22 @@ by (u, v) -> (u*(1-v), u*v) with Jacobian u, which integrates bivariate
 polynomials of total degree <= 2n-2 exactly when each factor uses n nodes.
 The default n=6 therefore handles degree 10.
 
-Integrands are vector-valued callables f(pts) -> (npts, m) so that several
-moments (|grad|^2 components, u^2, ...) share one set of evaluations.  One
-adaptive loop serves both domains: it splits a triangle into four congruent
-children (a segment into two halves) and accepts when coarse and fine answers
-agree componentwise; this is what resolves the boundary-layer exponentials at
-strong coupling without hand-tuned meshes.
+Integrands are vector-valued callables f(pts) -> (npts,) or (npts, m) so that
+several moments (|grad|^2 components, u^2, ...) share one set of evaluations.
+The rules are batched: triangle_apply takes a stack of triangles and
+segment_apply stacks of endpoints, and each calls f once on the points of
+every cell in the stack.
+
+One adaptive loop serves both domains, vectorised over open cells in the
+manner of Shampine's quadgk (J. Comput. Appl. Math. 211, 2008).  Each pass
+pops a batch of cells off a LIFO stack, splits every one of them (a triangle
+into four congruent children, a segment into two halves), evaluates all the
+children with one rule call and accepts a cell when its coarse and fine
+answers agree componentwise; the children of the cells that fail go back on
+the stack as one chunk.  A batch is bounded by evaluation points, not cells,
+so a high-order rule costs no more memory per call than a low-order one.
+This is what resolves the boundary-layer exponentials at strong coupling
+without hand-tuned meshes, at a few dozen rule calls per integral.
 """
 
 from __future__ import annotations
@@ -24,6 +34,9 @@ from .errors import NumericError
 
 #: cells one adaptive integral may split before it gives up
 _MAX_CELLS = 400_000
+#: evaluation points one batched rule call of the adaptive loop may use
+#: (a batch always takes at least one cell)
+_MAX_POINTS = 2**15
 
 
 @lru_cache(maxsize=None)
@@ -48,97 +61,123 @@ def duffy_rule(n: int = 6) -> tuple[np.ndarray, np.ndarray]:
     return pts, wts
 
 
-def _map_to_triangle(verts: np.ndarray, ref_pts: np.ndarray) -> tuple[np.ndarray, float]:
-    """Map reference-triangle points into the physical triangle `verts` (3,2)."""
-    p0, p1, p2 = verts
-    e1 = p1 - p0
-    e2 = p2 - p0
-    jac = abs(e1[0] * e2[1] - e1[1] * e2[0])
-    pts = p0 + np.outer(ref_pts[:, 0], e1) + np.outer(ref_pts[:, 1], e2)
-    return pts, jac
+def _weighted_sums(f, pts: np.ndarray, wts: np.ndarray) -> np.ndarray:
+    """Evaluate f once on points (m, k, 2); return the wts-weighted sum per row, (m, c)."""
+    m, k, _ = pts.shape
+    vals = np.asarray(f(pts.reshape(m * k, 2)), dtype=float)
+    if vals.shape[0] != m * k:
+        raise ValueError(f"integrand returned shape {vals.shape} for {m * k} points")
+    return np.einsum("k,mkc->mc", wts, vals.reshape(m, k, -1))
 
 
-def triangle_apply(f, verts: np.ndarray, n: int = 6) -> np.ndarray:
-    """One-shot rule on a single triangle; returns the vector of integrals."""
+def triangle_apply(f, cells: np.ndarray, n: int = 6) -> np.ndarray:
+    """Duffy rule on each triangle of the stack `cells` (m, 3, 2), with one
+    call of f on all m*n*n points; returns the integrals as (m, c)."""
     ref_pts, ref_wts = duffy_rule(n)
-    pts, jac = _map_to_triangle(np.asarray(verts, dtype=float), ref_pts)
-    vals = np.atleast_2d(np.asarray(f(pts), dtype=float))
-    if vals.shape[0] != pts.shape[0]:
-        vals = vals.T
-    return jac * (ref_wts @ vals)
+    cells = np.asarray(cells, dtype=float)
+    p0 = cells[:, None, 0]
+    e1 = cells[:, None, 1] - p0
+    e2 = cells[:, None, 2] - p0
+    jac = np.abs(e1[:, 0, 0] * e2[:, 0, 1] - e1[:, 0, 1] * e2[:, 0, 0])
+    pts = p0 + ref_pts[:, 0, None] * e1 + ref_pts[:, 1, None] * e2
+    return jac[:, None] * _weighted_sums(f, pts, ref_wts)
 
 
-def _children(verts: np.ndarray) -> list[np.ndarray]:
-    """Uniform 4-way split through edge midpoints."""
-    p0, p1, p2 = verts
+def segment_apply(f, p0, p1, n: int = 8) -> np.ndarray:
+    """Gauss rule on each segment p0[i] -> p1[i] of two endpoint stacks (m, 2),
+    with one call of f on all m*n points; returns the integrals as (m, c)."""
+    p0 = np.asarray(p0, dtype=float)
+    d = np.asarray(p1, dtype=float) - p0
+    x, w = _gauss01(n)
+    pts = p0[:, None] + x[:, None] * d[:, None]
+    return np.hypot(d[:, 0], d[:, 1])[:, None] * _weighted_sums(f, pts, w)
+
+
+def _children(cells: np.ndarray) -> np.ndarray:
+    """Uniform 4-way split of each triangle (m, 3, 2) through its edge
+    midpoints; the four children of a cell are consecutive in (4m, 3, 2)."""
+    p0, p1, p2 = cells[:, 0], cells[:, 1], cells[:, 2]
     m01 = 0.5 * (p0 + p1)
     m12 = 0.5 * (p1 + p2)
     m20 = 0.5 * (p2 + p0)
-    return [
-        np.array([p0, m01, m20]),
-        np.array([m01, p1, m12]),
-        np.array([m20, m12, p2]),
-        np.array([m01, m12, m20]),
-    ]
+    kids = np.stack([p0, m01, m20, m01, p1, m12, m20, m12, p2, m01, m12, m20], axis=1)
+    return kids.reshape(-1, 3, 2)
 
 
-def _adaptive(rule, split, cell, tol: float, max_depth: int, what: str) -> np.ndarray:
-    """Shared subdivision loop: split each popped cell, accept when the coarse
-    rule and the summed children agree to `tol` relative to the running
-    magnitude of each component, else push the children.  Raises NumericError
-    once _MAX_CELLS cells have been split."""
-    coarse0 = np.atleast_1d(rule(cell))
+def _halves(segs: np.ndarray) -> np.ndarray:
+    """Bisect each segment (m, 2, 2); the two halves of a cell are consecutive."""
+    a, b = segs[:, 0], segs[:, 1]
+    mid = 0.5 * (a + b)
+    return np.stack([a, mid, mid, b], axis=1).reshape(-1, 2, 2)
+
+
+def _finite(vals: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(vals).all():
+        raise NumericError(f"adaptive {what} quadrature: the integrand is not finite")
+    return vals
+
+
+def _pop(stack: list, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Take up to `size` cells, with their coarse values and depths, off the
+    top of a stack of (cells, coarse, depth) chunks."""
+    taken = []
+    while stack and size > 0:
+        chunk = stack.pop()
+        if len(chunk[0]) > size:
+            stack.append(tuple(a[:-size] for a in chunk))
+            chunk = tuple(a[-size:] for a in chunk)
+        taken.append(chunk)
+        size -= len(chunk[0])
+    if len(taken) == 1:
+        return taken[0]
+    return tuple(np.concatenate(parts) for parts in zip(*taken))
+
+
+def _adaptive(rule, split, root: np.ndarray, batch: int, tol: float, max_depth: int,
+              what: str) -> np.ndarray:
+    """Shared subdivision loop over batches of open cells.
+
+    Each pass splits up to `batch` cells popped off the LIFO stack and
+    evaluates all their children with one rule call.  A cell is accepted when
+    its coarse value and the sum of its children agree to `tol` relative to
+    the running magnitude of each component, or at max_depth; the children of
+    the other cells are pushed.  Raises NumericError as soon as a rule value
+    is not finite, and once more than _MAX_CELLS cells would be split."""
+    coarse0 = _finite(rule(root[None]), what)[0]
     total = np.zeros_like(coarse0)
     scale = np.maximum(np.abs(coarse0), 1e-300)
-    stack = [(cell, coarse0, 0)]
+    stack = [(root[None], coarse0[None], np.zeros(1, dtype=int))]
     cells = 0
     while stack:
-        cell, coarse, depth = stack.pop()
-        cells += 1
+        cell, coarse, depth = _pop(stack, batch)
+        cells += len(cell)
         if cells > _MAX_CELLS:
             raise NumericError(
                 f"adaptive {what} quadrature exceeded {_MAX_CELLS} cells "
                 f"(tol={tol:g}); integrand too rough for this tolerance"
             )
         kids = split(cell)
-        fine_parts = [np.atleast_1d(rule(k)) for k in kids]
-        fine = sum(fine_parts)
-        scale = np.maximum(scale, np.abs(fine))
-        err = np.abs(fine - coarse)
-        if depth >= max_depth or np.all(err <= tol * np.maximum(scale, 1e-300)):
-            total += fine
-        else:
-            stack.extend((k, part, depth + 1) for k, part in zip(kids, fine_parts))
+        parts = _finite(rule(kids), what)
+        fine = parts.reshape(len(cell), -1, parts.shape[1]).sum(axis=1)
+        scale = np.maximum(scale, np.abs(fine).max(axis=0))
+        done = (depth >= max_depth) | np.all(np.abs(fine - coarse) <= tol * scale, axis=1)
+        total += fine[done].sum(axis=0)
+        if not done.all():
+            per_cell = len(kids) // len(cell)
+            keep = np.repeat(~done, per_cell)
+            stack.append((kids[keep], parts[keep], np.repeat(depth[~done] + 1, per_cell)))
     return total if total.size > 1 else total[0]
 
 
 def triangle_integrate(f, verts, n: int = 6, tol: float = 1e-12, max_depth: int = 26) -> np.ndarray:
     """Adaptive integral of a vector-valued integrand over one triangle."""
-    return _adaptive(lambda cell: triangle_apply(f, cell, n), _children,
-                     np.asarray(verts, dtype=float), tol, max_depth, "triangle")
-
-
-def segment_apply(f, p0, p1, n: int = 8) -> np.ndarray:
-    """One-shot Gauss rule on the segment p0 -> p1 for vector integrands."""
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    x, w = _gauss01(n)
-    pts = p0 + np.outer(x, p1 - p0)
-    length = float(np.hypot(*(p1 - p0)))
-    vals = np.atleast_2d(np.asarray(f(pts), dtype=float))
-    if vals.shape[0] != pts.shape[0]:
-        vals = vals.T
-    return length * (w @ vals)
-
-
-def _halves(seg):
-    a, b = seg
-    mid = 0.5 * (a + b)
-    return [(a, mid), (mid, b)]
+    return _adaptive(lambda cells: triangle_apply(f, cells, n), _children,
+                     np.asarray(verts, dtype=float), max(1, _MAX_POINTS // (4 * n * n)),
+                     tol, max_depth, "triangle")
 
 
 def segment_integrate(f, p0, p1, n: int = 8, tol: float = 1e-12, max_depth: int = 40) -> np.ndarray:
     """Adaptive bisection counterpart of segment_apply."""
-    seg = (np.asarray(p0, dtype=float), np.asarray(p1, dtype=float))
-    return _adaptive(lambda s: segment_apply(f, s[0], s[1], n), _halves,
-                     seg, tol, max_depth, "segment")
+    return _adaptive(lambda segs: segment_apply(f, segs[:, 0], segs[:, 1], n), _halves,
+                     np.array([p0, p1], dtype=float), max(1, _MAX_POINTS // (2 * n)),
+                     tol, max_depth, "segment")

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from multiprocessing import get_context
 
@@ -79,19 +79,23 @@ _MODE_COLUMNS = {
 
 MODES = tuple(m for m in _MODE_COLUMNS if m != "soundness")
 
-# per mode: config field -> _check_range keywords, None forbidding the field;
-# fields not listed are not read by the mode.
+# per mode: every config field it reads, with the _check_range keywords of a
+# range field (None for a scalar).  Any other field must keep its default,
+# and the CSV header records exactly these fields.  mode, output_path and
+# emit_svg are read by run_scan for every mode.
 _NEG_OR_ONE = {"collapsed_ok": True, "hi_max": 0.0}
-_AC_GRID = {"a_range": {}, "c_range": {"lo_min": 0.0}}
-_RANGE_RULES = {
+_AC_GRID = {"a_range": {}, "c_range": {"lo_min": 0.0}, "S": None, "fem_rel_tol": None}
+_REGION = {"alpha_range": {"hi_max": 0.0}, "a_range": {}, "c_fixed": None, "S": None}
+_MODE_FIELDS = {
     "g-curve": {"a_range": {"lo_min": 0.0, "hi_max": 1.0}},
-    **dict.fromkeys(("transplant-region", "constant-region", "condition-region", "sector-region"),
-                    {"alpha_range": {"hi_max": 0.0}, "a_range": {}, "c_range": None}),
+    **dict.fromkeys(("transplant-region", "constant-region", "condition-region"), _REGION),
+    "sector-region": {**_REGION, "anchor_left": None},
     "fem-conjecture": {"alpha_range": _NEG_OR_ONE, **_AC_GRID},
-    "local-optimality": {"alpha_range": _NEG_OR_ONE},
+    "local-optimality": {"alpha_range": _NEG_OR_ONE, "S": None},
     "perimeter-variant": {"alpha_range": {"single": True, "hi_max": 0.0}, **_AC_GRID},
-    "monotonicity": {"alpha_range": _NEG_OR_ONE},
+    "monotonicity": {"alpha_range": _NEG_OR_ONE, "S": None, "fem_rel_tol": None},
 }
+_READ_BY_EVERY_MODE = ("mode", "output_path", "emit_svg")
 
 _SQRT3 = math.sqrt(3.0)
 _NAN = float("nan")
@@ -132,7 +136,8 @@ class ScanConfig:
     alpha_range / a_range / c_range are (lo, hi, n) triples; axes a mode does
     not grid over may be collapsed to a single value (n = 1, lo == hi).  For
     g-curve the a_range supplies the t axis and must lie inside (0, 1).
-    c_fixed defaults to the equilateral half-base c0(S) when left unset.
+    c_fixed defaults to the equilateral half-base c0(S) when left unset.  A
+    field the mode does not read (see _MODE_FIELDS) must keep its default.
     """
 
     mode: str
@@ -157,12 +162,14 @@ class ScanConfig:
             raise DomainError("output_path must be non-empty")
         if self.c_fixed is not None and not self.c_fixed > 0.0:
             raise DomainError(f"c_fixed must be positive, got {self.c_fixed}")
-        for name, rule in _RANGE_RULES[self.mode].items():
-            rng = getattr(self, name)
-            if rule is None and rng is not None:
-                raise DomainError(f"mode {self.mode} takes no {name}; use c_fixed")
+        reads = _MODE_FIELDS[self.mode]
+        for f in fields(self):
+            if (f.name not in reads and f.name not in _READ_BY_EVERY_MODE
+                    and getattr(self, f.name) != f.default):
+                raise DomainError(f"mode {self.mode} does not read {f.name}; leave it unset")
+        for name, rule in reads.items():
             if rule is not None:
-                _check_range(name, rng, **rule)
+                _check_range(name, getattr(self, name), **rule)
 
     def resolved_c(self) -> float:
         return self.c_fixed if self.c_fixed is not None else c0(self.S)
@@ -358,12 +365,21 @@ def _prov(**values) -> dict[str, str]:
     return {key: _format_cell(v) for key, v in values.items()}
 
 
-def _ranges(cfg: ScanConfig, *names: str) -> dict[str, str]:
-    """'lo,hi,n' provenance entries for the named range fields."""
+def _provenance(cfg: ScanConfig) -> dict[str, str]:
+    """Header entries for exactly the config fields the mode reads; c_fixed
+    is recorded as the resolved c, a range as 'lo,hi,n'."""
     out = {}
-    for name in names:
-        lo, hi, n = getattr(cfg, name)
-        out[name] = f"{_format_cell(lo)},{_format_cell(hi)},{n}"
+    for name, rule in _MODE_FIELDS[cfg.mode].items():
+        value = getattr(cfg, name)
+        if name == "c_fixed":
+            out["c"] = _format_cell(cfg.resolved_c())
+        elif rule is not None:
+            lo, hi, n = value
+            out[name] = f"{_format_cell(lo)},{_format_cell(hi)},{n}"
+        elif isinstance(value, bool):
+            out[name] = str(value).lower()
+        else:
+            out[name] = _format_cell(value)
     return out
 
 
@@ -412,45 +428,36 @@ def _sweep(mode: str, fn, tasks, axes: dict[str, tuple[float, ...]],
 
 
 def _plan(cfg: ScanConfig):
-    """(cell function, tasks in row order, axes, provenance) for one validated
-    config; the provenance records exactly the config fields the mode reads.
+    """(cell function, tasks in row order, axes) for one validated config.
     Evaluators are looked up at call time, so wrappers on their names see every cell."""
     mode, S = cfg.mode, cfg.S
     if mode == "g-curve":
         ts = _grid(cfg.a_range)
-        return _cell_g, ts, {"t": ts}, _ranges(cfg, "a_range")
+        return _cell_g, ts, {"t": ts}
     alphas = _grid(cfg.alpha_range)
     if mode == "local-optimality":
-        prov = {**_ranges(cfg, "alpha_range"), **_prov(S=S)}
-        return partial(_cell_local, S=S), alphas, {"alpha": alphas}, prov
+        return partial(_cell_local, S=S), alphas, {"alpha": alphas}
     if mode == "monotonicity":
-        prov = {**_ranges(cfg, "alpha_range"), **_prov(S=S, fem_rel_tol=cfg.fem_rel_tol)}
-        fn = partial(_cell_monotone, S=S, rel_tol=cfg.fem_rel_tol)
-        return fn, alphas, {"alpha": alphas}, prov
+        return partial(_cell_monotone, S=S, rel_tol=cfg.fem_rel_tol), alphas, {"alpha": alphas}
     avals = _grid(cfg.a_range)
     if mode in ("perimeter-variant", "fem-conjecture"):
         cvals = _grid(cfg.c_range)
-        prov = {**_ranges(cfg, "alpha_range", "a_range", "c_range"),
-                **_prov(S=S, fem_rel_tol=cfg.fem_rel_tol)}
         if mode == "perimeter-variant":
             fn = partial(_cell_perimeter, alpha=cfg.alpha_range[0], S=S, rel_tol=cfg.fem_rel_tol)
-            return fn, [(a, c) for a in avals for c in cvals], {"a": avals, "c": cvals}, prov
+            return fn, [(a, c) for a in avals for c in cvals], {"a": avals, "c": cvals}
         tasks = [(al, a, c) for al in alphas for a in avals for c in cvals]
         axes = {"a": avals, "c": cvals}
         if len(alphas) > 1:
             axes["alpha"] = alphas
-        return partial(_cell_fem, S=S, rel_tol=cfg.fem_rel_tol), tasks, axes, prov
+        return partial(_cell_fem, S=S, rel_tol=cfg.fem_rel_tol), tasks, axes
     c = cfg.resolved_c()
-    prov = {**_ranges(cfg, "alpha_range", "a_range"), **_prov(c=c, S=S)}
-    if mode == "sector-region":
-        prov["anchor_left"] = str(cfg.anchor_left).lower()
     fn = {
         "transplant-region": partial(_cell_transplant, c=c, S=S),
         "constant-region": partial(_cell_constant, c=c, S=S),
         "condition-region": partial(_cell_condition, c=c, S=S),
         "sector-region": partial(_cell_sector, c=c, S=S, anchor_left=cfg.anchor_left),
     }[mode]
-    return fn, [(al, a) for al in alphas for a in avals], {"a": avals, "alpha": alphas}, prov
+    return fn, [(al, a) for al in alphas for a in avals], {"a": avals, "alpha": alphas}
 
 
 def run_scan(cfg: ScanConfig, workers: int = 1) -> ScanResult:
@@ -460,7 +467,7 @@ def run_scan(cfg: ScanConfig, workers: int = 1) -> ScanResult:
     I/O failures do abort.  Row order is the deterministic nested loop over
     the axes, independent of the worker count.
     """
-    result = _sweep(cfg.mode, *_plan(cfg), workers)
+    result = _sweep(cfg.mode, *_plan(cfg), _provenance(cfg), workers)
     emit_csv(result, cfg.output_path)
     if cfg.emit_svg:
         emit_svg(result, os.path.splitext(cfg.output_path)[0] + ".svg")

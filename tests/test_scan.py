@@ -58,6 +58,25 @@ class TestScanConfig:
         with pytest.raises(DomainError):
             ScanConfig(mode="transplant-region", c_range=(0.5, 1.0, 3))
 
+    @pytest.mark.parametrize("mode,field,value", [
+        ("transplant-region", "anchor_left", True),
+        ("transplant-region", "fem_rel_tol", 1e-3),
+        ("sector-region", "fem_rel_tol", 1e-3),
+        ("g-curve", "alpha_range", (-2.0, -1.0, 3)),
+        ("g-curve", "S", 1.0),
+        ("local-optimality", "c_fixed", 0.8),
+        ("monotonicity", "a_range", (0.0, 1.0, 3)),
+        ("fem-conjecture", "c_fixed", 0.8),
+    ])
+    def test_fields_the_mode_does_not_read_are_refused(self, mode, field, value):
+        with pytest.raises(DomainError, match=f"does not read {field}"):
+            ScanConfig(mode=mode, **{field: value})
+
+    def test_unread_fields_at_their_defaults_are_accepted(self):
+        ScanConfig(mode="transplant-region", anchor_left=False, fem_rel_tol=1e-6,
+                   c_range=None, emit_svg=True)
+        ScanConfig(mode="sector-region", anchor_left=True, c_fixed=0.8)
+
     def test_fem_conjecture_requires_c_range(self):
         with pytest.raises(DomainError):
             ScanConfig(mode="fem-conjecture")
@@ -99,7 +118,6 @@ class TestParseConfig:
             "a_range = 0.0, 2.5, 9\n"
             "c_fixed = 0.8\n"
             "S = 1.0\n"
-            "fem_rel_tol = 1e-5\n"
             "emit_svg = yes\n"
             "output_path = out/region.csv\n",
         )
@@ -109,7 +127,6 @@ class TestParseConfig:
         assert cfg.a_range == (0.0, 2.5, 9)
         assert cfg.c_fixed == 0.8
         assert cfg.S == 1.0
-        assert cfg.fem_rel_tol == 1e-5
         assert cfg.emit_svg is True
         assert cfg.output_path == "out/region.csv"
 
