@@ -19,7 +19,7 @@ import tempfile
 from collections import Counter
 
 from .equilateral import solve_equilateral
-from .errors import DomainError, NumericError, PrecisionError, ResourceError
+from .errors import DomainError, NumericError, ResourceError
 from .fem import build_mesh, dump_mesh, eigenvalue_converged
 from .geometry import c0, make_triangle
 from .scan import (
@@ -205,7 +205,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NumericError, PrecisionError, ResourceError) as exc:
+    except (NumericError, ResourceError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

@@ -281,9 +281,11 @@ def _l2_norm_sq_cached(alpha: float, S: float) -> float:
     field = GroundStateField(sol)
     cc, bb = c0(S), b0(S)
     verts = np.array([[-cc, 0.0], [cc, 0.0], [0.0, bb]])
-    val = _quad.triangle_integrate(
-        lambda p: field.values(p) ** 2, verts, n=24, tol=1e-13
-    )
+    # u0^2 overflows at strong coupling; the quadrature raises NumericError on the inf
+    with np.errstate(over="ignore"):
+        val = _quad.triangle_integrate(
+            lambda p: field.values(p) ** 2, verts, n=24, tol=1e-13
+        )
     return float(val)
 
 

@@ -15,9 +15,5 @@ class NumericError(RuntimeError):
     """A numerical routine failed to converge or produced an inconsistent state."""
 
 
-class PrecisionError(NumericError):
-    """A result was computed but its error estimate exceeds what the caller needs."""
-
-
 class ResourceError(RuntimeError):
     """A request would exceed a hard resource cap (e.g. mesh refinement level)."""

@@ -3,10 +3,10 @@
 Structured meshes: refinement level n slices the triangle into 4^n congruent
 affine copies ((2^n+1)(2^n+2)/2 nodes), so Richardson extrapolation in the
 mesh size is clean and the discrete ground energy decreases monotonically
-toward the true one from above (conforming elements).  Every triangle shares
-one lattice per level: its topology, unit coordinates and the scatter map of
-the element matrices onto one CSR pattern are built once per process, and
-only the node coordinates are mapped affinely onto each triangle.
+toward the true one from above (conforming elements).  Every mesh of a level
+is an affine image of one unit lattice, so assembly is a weighted sum of
+reference matrices built once per level (see assemble), and the weights'
+(a, c)-derivatives give exact eigenvalue derivatives (Nelson's method).
 
 Each mesh level costs one sparse factorisation.  The shift starts at a warm
 value from the coarser level (or the cold guess -2 alpha^2/sin^2(theta*/2) - 1)
@@ -27,8 +27,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, LinearOperator, cg, eigsh, splu
 
-from .equilateral import lambda0
-from .errors import DomainError, NumericError, PrecisionError, ResourceError
+from .errors import DomainError, NumericError, ResourceError
 from .geometry import TriangleGeometry, TriangleParams, c0, make_triangle
 
 MAX_LEVEL = 10
@@ -73,48 +72,24 @@ def _as_geometry(tri) -> TriangleGeometry:
 
 
 @dataclass(frozen=True)
-class _Scatter:
-    """Where each element and boundary-edge matrix entry lands in one CSR pattern.
-
-    The pattern is the union of the element and boundary couplings, so the
-    stiffness, mass and boundary-mass matrices all share it.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    element_slots: np.ndarray  # (9 M,) pattern position of each element entry
-    edge_slots: np.ndarray     # (4 E,) pattern position of each edge entry
-
-    @classmethod
-    def build(cls, elements: np.ndarray, edges: np.ndarray, n: int) -> _Scatter:
-        elements = np.asarray(elements, dtype=np.int64)
-        edges = np.asarray(edges, dtype=np.int64)
-        keys = np.concatenate([
-            np.repeat(elements, 3, axis=1).ravel() * n + np.tile(elements, (1, 3)).ravel(),
-            np.repeat(edges, 2, axis=1).ravel() * n + np.tile(edges, (1, 2)).ravel(),
-        ])
-        uniq, slots = np.unique(keys, return_inverse=True)
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(uniq // n, minlength=n), out=indptr[1:])
-        split = 9 * len(elements)
-        return cls(indptr, (uniq % n).astype(np.int32), slots[:split], slots[split:])
-
-    def matrix(self, values: np.ndarray, slots: np.ndarray) -> sp.csr_matrix:
-        """Sum per-entry values into the pattern (entries outside stay explicit zeros)."""
-        n = len(self.indptr) - 1
-        data = np.bincount(slots, weights=values, minlength=len(self.indices))
-        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=(n, n))
-
-
-@dataclass(frozen=True)
 class _Lattice:
-    """Topology of the level-n mesh in unit lattice coordinates (read-only arrays)."""
+    """The level-n mesh in unit lattice coordinates and its reference matrices
+    as data over one CSR pattern, the union of the element and boundary
+    couplings.  The arrays are read-only."""
 
     unit: np.ndarray            # (N, 2) lattice coordinates (i/n, j/n)
     elements: np.ndarray
     boundary_edges: np.ndarray
     boundary_labels: np.ndarray
-    scatter: _Scatter
+    indptr: np.ndarray
+    indices: np.ndarray
+    stiffness: np.ndarray       # (3, nnz) K_xixi, K_xieta + K_etaxi, K_etaeta
+    mass: np.ndarray            # (nnz,) M_lat, the P1 mass in lattice coordinates
+    sides: sp.csc_matrix        # (nnz, 3) B_k, side k's 1-D P1 mass in its unit parameter
+
+    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
+        n = len(self.indptr) - 1
+        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=(n, n))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -151,12 +126,44 @@ def _lattice(level: int) -> _Lattice:
     ]).astype(np.int64)
     labels = np.repeat(np.arange(3, dtype=np.int64), n)
     unit = np.stack([i_n / n, jn / n], axis=1)
+
+    # pattern slot of every element and edge entry; only the sums are kept
+    size = len(unit)
+    keys = np.concatenate([
+        np.repeat(elements, 3, axis=1).ravel() * size + np.tile(elements, (1, 3)).ravel(),
+        np.repeat(edges, 2, axis=1).ravel() * size + np.tile(edges, (1, 2)).ravel(),
+    ])
+    uniq, slots = np.unique(keys, return_inverse=True)
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(uniq // size, minlength=size), out=indptr[1:])
+    element_slots, edge_slots = np.split(slots.ravel(), [9 * len(elements)])
+
+    def summed(values):
+        return np.bincount(element_slots, weights=values.ravel(), minlength=len(uniq))
+
+    # hat gradients via the opposite-edge normals b, c (integer lattice
+    # coordinates); K_e = (b b^T + c c^T) / (4 area) with area 1/2
+    p = unit[elements] * n
+    b = np.roll(p[..., 1], -1, axis=1) - np.roll(p[..., 1], 1, axis=1)
+    c = np.roll(p[..., 0], 1, axis=1) - np.roll(p[..., 0], -1, axis=1)
+    bc = b[:, :, None] * c[:, None, :]
+    stiffness = 0.5 * np.stack([summed(b[:, :, None] * b[:, None, :]),
+                                summed(bc + bc.transpose(0, 2, 1)),
+                                summed(c[:, :, None] * c[:, None, :])])
+    mass = summed(np.tile(np.eye(3) + 1.0, (len(elements), 1))) / (24.0 * n * n)
+
+    entries = np.tile([2.0, 1.0, 1.0, 2.0], len(edges)) / (6.0 * n)
+    sides = sp.csc_matrix((entries, (edge_slots, np.repeat(labels, 4))), shape=(len(uniq), 3))
     return _Lattice(
         unit=_frozen(unit),
         elements=_frozen(elements),
         boundary_edges=_frozen(edges),
         boundary_labels=_frozen(labels),
-        scatter=_Scatter.build(elements, edges, len(unit)),
+        indptr=_frozen(indptr),
+        indices=_frozen((uniq % size).astype(np.int32)),
+        stiffness=_frozen(stiffness),
+        mass=_frozen(mass),
+        sides=sides,
     )
 
 
@@ -201,57 +208,72 @@ def dump_mesh(mesh: FemMesh, path: str) -> None:
             fh.write(f"{i} {j} {lab}\n")
 
 
-def _scatter_for(mesh: FemMesh) -> _Scatter:
-    """The cached lattice map when the mesh carries the lattice's topology."""
-    if 0 <= mesh.refinement_level <= MAX_LEVEL:
-        lat = _lattice(mesh.refinement_level)
-        if mesh.elements is lat.elements and mesh.boundary_edges is lat.boundary_edges:
-            return lat.scatter
-    return _Scatter.build(mesh.elements, mesh.boundary_edges, len(mesh.nodes))
+# jet rows: value, d/da, d/dc, d2/da2, d2/dadc, d2/dc2; row 3 + k
+# differentiates along the first-derivative rows _SECOND[k]
+_SECOND = ((1, 1), (1, 2), (2, 2))
+
+
+def _invariant_jet(a: float, c: float, S: float) -> np.ndarray:
+    """Jet (6, 4) of (|e1|^2, |e2|^2, |e2 - e1|^2, e1.e2) for Omega_{a,c}, where
+    e1 = v1 - v0 = (2c, 0), e2 = v2 - v0 = (a + c, S/c) and |det J| = 2S is fixed."""
+    t, tc, tcc = (S / c) ** 2, -2.0 * S * S / c**3, 6.0 * S * S / c**4  # b^2 and its c-derivatives
+    return np.array([
+        [4.0 * c * c, (a + c) ** 2 + t, (a - c) ** 2 + t, 2.0 * c * (a + c)],
+        [0.0, 2.0 * (a + c), 2.0 * (a - c), 2.0 * c],
+        [8.0 * c, 2.0 * (a + c) + tc, -2.0 * (a - c) + tc, 2.0 * a + 4.0 * c],
+        [0.0, 2.0, 2.0, 0.0],
+        [0.0, 2.0, -2.0, 2.0],
+        [8.0, 2.0 + tcc, 2.0 + tcc, 4.0],
+    ])
+
+
+def _weights(jet: np.ndarray, det: float) -> tuple[np.ndarray, np.ndarray]:
+    """Jets of the stiffness weights (H11, H12, H22) and of the side lengths.
+
+    H = |det J| J^-1 J^-T = [[|e2|^2, -e1.e2], [-e1.e2, |e1|^2]] / |det J|, and
+    side k (label order) has length sqrt(q_k), q_k the k-th invariant.
+    """
+    h = np.column_stack([jet[:, 1], -jet[:, 3], jet[:, 0]]) / det
+    q = jet[:, :3]
+    ell = np.sqrt(q[0])
+    second = [q[3 + k] / (2.0 * ell) - q[x] * q[y] / (4.0 * ell**3)
+              for k, (x, y) in enumerate(_SECOND)]
+    return h, np.array([ell, q[1] / (2.0 * ell), q[2] / (2.0 * ell), *second])
 
 
 def assemble(mesh: FemMesh, alpha: float) -> FemSystem:
-    """Assemble stiffness, boundary mass and mass matrices (CSR, one shared pattern)."""
+    """Stiffness, boundary mass and mass (CSR, one shared pattern) of a lattice mesh:
+    K = H11 K_xixi + H12 (K_xieta + K_etaxi) + H22 K_etaeta, M = |det J| M_lat and
+    B = sum_k l_k B_k, with J = [v1 - v0, v2 - v0] and the side lengths l_k read
+    from the corner nodes (lattice ids 0, 2^level and the last node).  A mesh whose
+    topology is not the lattice's, or whose nodes are not its image, raises DomainError.
+    """
     if not (math.isfinite(alpha) and alpha < 0.0):
         raise DomainError(f"alpha must be finite and strictly negative, got {alpha}")
-    pts = mesh.nodes
-    el = mesh.elements
-    p0, p1, p2 = pts[el[:, 0]], pts[el[:, 1]], pts[el[:, 2]]
-    det = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) - (p2[:, 0] - p0[:, 0]) * (
-        p1[:, 1] - p0[:, 1]
+    level = mesh.refinement_level
+    lat = _lattice(level) if 0 <= level <= MAX_LEVEL else None
+    if lat is None or len(mesh.nodes) != len(lat.unit) or not all(
+            np.array_equal(getattr(mesh, f), getattr(lat, f))
+            for f in ("elements", "boundary_edges", "boundary_labels")):
+        raise DomainError(f"mesh topology is not that of the level-{level} lattice; "
+                          "assemble only meshes from build_mesh")
+    v0, v1, v2 = mesh.nodes[[0, 2**level, -1]]
+    e1, e2 = v1 - v0, v2 - v0
+    if np.abs(v0 + lat.unit @ np.stack([e1, e2]) - mesh.nodes).max() > (
+            1e-12 * np.abs(mesh.nodes).max()):
+        raise DomainError("mesh nodes are not an affine image of the lattice")
+    det = abs(float(e1[0] * e2[1] - e1[1] * e2[0]))
+    if not det > 1e-14 * float(e1 @ e1 + e2 @ e2):
+        raise NumericError(f"degenerate triangle: |det J| = {det:g}")
+    jet = np.zeros((6, 4))
+    jet[0] = (e1 @ e1, e2 @ e2, (e2 - e1) @ (e2 - e1), e1 @ e2)
+    h, ell = _weights(jet, det)
+    return FemSystem(
+        stiffness=lat.matrix(h[0] @ lat.stiffness),
+        boundary_mass=lat.matrix(lat.sides @ ell[0]),
+        mass=lat.matrix(det * lat.mass),
+        alpha=float(alpha),
     )
-    area = 0.5 * np.abs(det)
-    total = float(area.sum())
-    if np.any(area < 1e-14 * total):
-        raise NumericError(
-            f"degenerate element: min area {area.min():g} vs total {total:g}"
-        )
-
-    # hat-function gradients via the opposite-edge normals
-    bvec = np.stack(
-        [p1[:, 1] - p2[:, 1], p2[:, 1] - p0[:, 1], p0[:, 1] - p1[:, 1]], axis=1
-    )
-    cvec = np.stack(
-        [p2[:, 0] - p1[:, 0], p0[:, 0] - p2[:, 0], p1[:, 0] - p0[:, 0]], axis=1
-    )
-    scatter = _scatter_for(mesh)
-    ke = (
-        bvec[:, :, None] * bvec[:, None, :] + cvec[:, :, None] * cvec[:, None, :]
-    ) / (4.0 * area)[:, None, None]
-    stiff = scatter.matrix(ke.ravel(), scatter.element_slots)
-
-    me = np.tile(np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0, (len(el), 1, 1))
-    me *= area[:, None, None]
-    mass = scatter.matrix(me.ravel(), scatter.element_slots)
-
-    be = mesh.boundary_edges
-    q0, q1 = pts[be[:, 0]], pts[be[:, 1]]
-    lengths = np.hypot(*(q1 - q0).T)
-    edge_local = np.tile(np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0, (len(be), 1, 1))
-    edge_local *= lengths[:, None, None]
-    bmass = scatter.matrix(edge_local.ravel(), scatter.edge_slots)
-
-    return FemSystem(stiffness=stiff, boundary_mass=bmass, mass=mass, alpha=float(alpha))
 
 
 def _power_iterate(lu, A, M, x0, sigma: float):
@@ -406,11 +428,29 @@ def walk_levels(tri, alpha: float, min_level: int, max_level: int,
         prev = lam
 
 
+def _settle(results, measure, settled):
+    """Richardson-extrapolate measure(res) over the solved levels (4^gap - 1
+    across skipped ones) until settled(previous, latest) holds.  Returns the
+    solved levels, their measures, the extrapolations and whether they settled.
+    """
+    done, vals, extrs = [], [], []
+    for res in results:
+        done.append(res)
+        vals.append(measure(res))
+        if len(done) > 1:
+            gap = done[-1].level - done[-2].level
+            extrs.append(vals[-1] + (vals[-1] - vals[-2]) / (4.0**gap - 1.0))
+            if len(extrs) > 1 and settled(extrs[-2], extrs[-1]):
+                return done, vals, extrs, True
+    if len(done) < 2:
+        raise NumericError("fewer than two mesh levels certified")
+    return done, vals, extrs, False
+
+
 def eigenvalue_converged(
     tri,
     alpha: float,
     rel_tol: float = 1e-6,
-    abs_tol: float | None = None,
     min_level: int = 2,
     max_level: int = 9,
 ) -> EigenResult:
@@ -423,39 +463,19 @@ def eigenvalue_converged(
     in ``skipped``; the extrapolation then spans the level gap with the
     matching 4^gap factor.
     """
-    if rel_tol < 1e-8:
-        raise DomainError(f"rel_tol below the supported floor 1e-8: {rel_tol}")
+    if not (math.isfinite(rel_tol) and rel_tol >= 1e-8):
+        raise DomainError(f"rel_tol must be finite and >= 1e-8, got {rel_tol}")
     if max_level > MAX_LEVEL:
         raise ResourceError(f"max_level {max_level} exceeds cap {MAX_LEVEL}")
-    vals: list[float] = []
-    lev_ids: list[int] = []
-    extrs: list[float] = []
     skipped: list[tuple[int, str]] = []
-    iters = 0
-    res = None
-    converged = False
-    for res in walk_levels(tri, alpha, min_level, max_level, skipped):
-        iters += res.iterations
-        vals.append(res.lambda1)
-        lev_ids.append(res.level)
-        if len(vals) < 2:
-            continue
-        span = 4.0 ** (lev_ids[-1] - lev_ids[-2]) - 1.0
-        extrs.append(vals[-1] + (vals[-1] - vals[-2]) / span)
-        if len(extrs) < 2:
-            continue
-        err = abs(extrs[-1] - extrs[-2])
-        converged = err <= abs_tol if abs_tol is not None else err <= rel_tol * abs(extrs[-1])
-        if converged:
-            break
-    if len(vals) < 2:
-        raise NumericError(
-            f"fewer than two mesh levels certified up to level {max_level}"
-        )
+    done, vals, extrs, converged = _settle(
+        walk_levels(tri, alpha, min_level, max_level, skipped), lambda res: res.lambda1,
+        lambda old, new: abs(new - old) <= rel_tol * abs(new))
+    res = done[-1]
     return EigenResult(
         lambda1=extrs[-1],
         eigenvector=res.eigenvector,
-        iterations=iters,
+        iterations=sum(r.iterations for r in done),
         residual=abs(extrs[-1] - extrs[-2]) if len(extrs) >= 2 else float("inf"),
         lambda2=res.lambda2,
         converged=converged,
@@ -466,68 +486,58 @@ def eigenvalue_converged(
 
 
 @dataclass(frozen=True)
-class FdDerivatives:
-    """Central differences of the FEM eigenvalue around the equilateral point."""
+class ShapeDerivatives:
+    """Gradient and Hessian of (a, c) -> lambda1 at the equilateral point in
+    jet-row order, extrapolated over mesh levels; converged says whether
+    lambda1, hess_aa and hess_cc settled before the level cap."""
 
+    lambda1: float
     grad_a: float
     grad_c: float
     hess_aa: float
-    hess_cc: float
     hess_ac: float
-    lambda_center: float
-    h: float
-    fem_error_estimate: float
+    hess_cc: float
+    converged: bool
+    skipped: tuple[tuple[int, str], ...] = ()
 
 
-def fd_derivatives_at_equilateral(
-    alpha: float,
-    S: float,
-    h: float | None = None,
-    rel_tol: float = 1e-8,
-    max_level: int = 9,
-) -> FdDerivatives:
-    """Gradient and Hessian of (a, c) -> lambda1 at (0, c0(S)) by 3x3 stencil.
+def _level_derivatives(lat: _Lattice, u: np.ndarray, alpha: float,
+                       h: np.ndarray, ell: np.ndarray, det: float) -> np.ndarray:
+    """Jet of one level's ground eigenvalue, given its eigenvector u.
 
-    Each eigenvalue is converged in absolute terms to a small fraction of the
-    h^2 scale; if that cannot be certified the PrecisionError names the
-    achieved estimate so the caller can enlarge h or the level cap.
+    A(a, c) = sum_j h_j K_j + alpha sum_k l_k B_k and M is fixed, so with
+    u^T M u = 1: lambda_x = u^T A_x u, and lambda_xy = u^T A_xy u + 2 u^T A_x u_y,
+    where u_y solves the bordered system [[A - lambda M, M u], [u^T M, 0]]
+    [u_y; mu] = [-(A_y - lambda_y M) u; 0] (Nelson, AIAA J. 14, 1976).
+    """
+    mass = lat.matrix(det * lat.mass)
+    u = u / math.sqrt(float(u @ (mass @ u)))
+    forms = [lat.matrix(h[k] @ lat.stiffness + alpha * (lat.sides @ ell[k])) for k in range(6)]
+    au = [f @ u for f in forms]
+    mu = mass @ u
+    lam, lam_a, lam_c = (float(u @ au[k]) for k in range(3))
+    bordered = sp.bmat([[forms[0] - lam * mass, mu[:, None]], [mu[None, :], None]], format="csc")
+    rhs = np.vstack([np.outer(mu, [lam_a, lam_c]) - np.column_stack(au[1:3]), np.zeros(2)])
+    du = splu(bordered).solve(rhs)[:-1]
+    second = [float(u @ au[3 + k] + 2.0 * au[x] @ du[:, y - 1])
+              for k, (x, y) in enumerate(_SECOND)]
+    return np.array([lam, lam_a, lam_c, *second])
+
+
+def shape_derivatives_at_equilateral(alpha: float, S: float) -> ShapeDerivatives:
+    """Exact discrete gradient and Hessian of lambda1 in (a, c) at (0, c0(S)).
+
+    One ladder, levels 2 to 8, differentiates each level's eigenvalue and
+    extrapolates the jets like lambda1 until lambda1, hess_aa and hess_cc
+    settle to 1e-6 relative.
     """
     cc = c0(S)
-    if h is None:
-        h = 1e-3 * cc
-    if not (0.0 < h < 0.5 * cc):
-        raise DomainError(f"stencil width h={h} out of range for c0={cc}")
-    lam0 = lambda0(alpha, S)
-    guard = 0.01 * h * h * abs(lam0)
-    vals: dict[tuple[int, int], float] = {}
-    worst = 0.0
-    for ia in (-1, 0, 1):
-        for ic in (-1, 0, 1):
-            tri = TriangleParams(ia * h, cc + ic * h, S)
-            res = eigenvalue_converged(
-                tri, alpha, rel_tol=rel_tol, abs_tol=guard / 4.0, max_level=max_level
-            )
-            worst = max(worst, res.residual)
-            if not res.converged or res.residual > guard:
-                raise PrecisionError(
-                    f"FEM error estimate {res.residual:g} exceeds the stencil "
-                    f"guard {guard:g} at offset ({ia}, {ic}); refine further or "
-                    f"enlarge h"
-                )
-            vals[(ia, ic)] = res.lambda1
-    f = vals
-    grad_a = (f[(1, 0)] - f[(-1, 0)]) / (2.0 * h)
-    grad_c = (f[(0, 1)] - f[(0, -1)]) / (2.0 * h)
-    hess_aa = (f[(1, 0)] - 2.0 * f[(0, 0)] + f[(-1, 0)]) / (h * h)
-    hess_cc = (f[(0, 1)] - 2.0 * f[(0, 0)] + f[(0, -1)]) / (h * h)
-    hess_ac = (f[(1, 1)] - f[(1, -1)] - f[(-1, 1)] + f[(-1, -1)]) / (4.0 * h * h)
-    return FdDerivatives(
-        grad_a=grad_a,
-        grad_c=grad_c,
-        hess_aa=hess_aa,
-        hess_cc=hess_cc,
-        hess_ac=hess_ac,
-        lambda_center=f[(0, 0)],
-        h=h,
-        fem_error_estimate=worst,
-    )
+    h, ell = _weights(_invariant_jet(0.0, cc, S), 2.0 * S)
+    watched = [0, 3, 5]  # lambda1, hess_aa, hess_cc
+    skipped: list[tuple[int, str]] = []
+    _, _, extrs, converged = _settle(
+        walk_levels(TriangleParams(0.0, cc, S), alpha, 2, 8, skipped),
+        lambda res: _level_derivatives(_lattice(res.level), res.eigenvector, alpha,
+                                       h, ell, 2.0 * S),
+        lambda old, new: bool(np.all(np.abs(new - old)[watched] <= 1e-6 * np.abs(new[watched]))))
+    return ShapeDerivatives(*map(float, extrs[-1]), converged, tuple(skipped))

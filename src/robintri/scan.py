@@ -13,15 +13,14 @@ constant-region     constant trial function: alpha*perimeter/area vs lambda0
 condition-region    closed sufficient condition for the corner trial field
 sector-region       Rayleigh quotient of the corner exponential vs lambda0
 fem-conjecture      extrapolated FEM eigenvalue vs lambda0 on an (a, c) grid
-local-optimality    finite-difference criticality/Hessian report per alpha
+local-optimality    exact discrete gradient/Hessian report at the equilateral point
 perimeter-variant   fixed-perimeter rescaling chain on an (a, c) grid
 monotonicity        eigenvalue ordering across areas {S/2, S, 2S}
 
 Every cell row carries the numeric evidence its verdict was derived from, a
-verdict flag, and a status tag ("ok", "unconverged", "unresolved",
-"no-claim", "domain-error", "numeric-error", "precision-error").  Headers
-echo only the config fields the mode reads and the package version, so
-identical configs produce byte-identical files.
+verdict flag, and a status tag ("ok", "unconverged", "unresolved", "no-claim",
+"domain-error", "numeric-error").  Headers echo only the config fields the mode
+reads and the package version, so identical configs give byte-identical files.
 
 run_scan, the verify_* helpers and soundness_sweep all run through one sweep
 core, _sweep, the only place that builds a ScanResult.
@@ -30,6 +29,7 @@ core, _sweep, the only place that builds a ScanResult.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, fields
 from functools import partial
@@ -43,8 +43,8 @@ from .equilateral import (
     lambda0,
     local_optimality_alpha_bound,
 )
-from .errors import DomainError, NumericError, PrecisionError, ResourceError
-from .fem import eigenvalue_converged, fd_derivatives_at_equilateral, walk_levels
+from .errors import DomainError, NumericError, ResourceError
+from .fem import eigenvalue_converged, shape_derivatives_at_equilateral, walk_levels
 from .geometry import c0, make_triangle, perimeter_normalizer
 from .trial import (
     constant_bound,
@@ -107,6 +107,8 @@ def _check_range(name: str, rng, *, collapsed_ok: bool = False, single: bool = F
         lo, hi, n = rng
     except (TypeError, ValueError):
         raise DomainError(f"{name} must be a (lo, hi, n) triple, got {rng!r}")
+    if not (isinstance(n, numbers.Real) and float(n).is_integer()):
+        raise DomainError(f"{name}: the point count n must be a whole number, got {rng!r}")
     n = int(n)
     if single and n != 1:
         raise DomainError(f"{name}: this mode uses a single value (collapsed range), got {rng!r}")
@@ -156,8 +158,8 @@ class ScanConfig:
             raise DomainError(f"unknown mode {self.mode!r}; choose one of {', '.join(MODES)}")
         if not (math.isfinite(self.S) and self.S > 0.0):
             raise DomainError(f"area S must be positive and finite, got {self.S}")
-        if self.fem_rel_tol < 1e-8:
-            raise DomainError(f"fem_rel_tol below supported floor 1e-8: {self.fem_rel_tol}")
+        if not (math.isfinite(self.fem_rel_tol) and self.fem_rel_tol >= 1e-8):
+            raise DomainError(f"fem_rel_tol must be finite and >= 1e-8, got {self.fem_rel_tol}")
         if not self.output_path:
             raise DomainError("output_path must be non-empty")
         if self.c_fixed is not None and not self.c_fixed > 0.0:
@@ -207,8 +209,6 @@ class ScanResult:
 # per-cell evaluators (top-level functions so worker pools can pickle them)
 
 def _status_of(exc: Exception) -> str:
-    if isinstance(exc, PrecisionError):
-        return "precision-error"
     if isinstance(exc, (NumericError, ResourceError)):
         return "numeric-error"
     if isinstance(exc, DomainError):
@@ -313,30 +313,21 @@ def _cell_local(alpha: float, *, S: float) -> tuple:
     simple, _improved = local_optimality_alpha_bound(S)
     claimed = int(alpha >= simple)
     try:
-        # stronger coupling needs a wider stencil before the difference
-        # quotients rise above the eigenvalue solver's accuracy
-        for h_rel in (1e-2, 3e-2, 1e-1, 2e-1):
-            try:
-                fd = fd_derivatives_at_equilateral(alpha, S, h=h_rel * c0(S), max_level=8)
-                break
-            except PrecisionError as exc:
-                last_error = exc
-        else:
-            raise last_error
+        d = shape_derivatives_at_equilateral(alpha, S)
         hb = hessian_upper_bounds(alpha, S)
-        half_span = math.sqrt(0.25 * (fd.hess_aa - fd.hess_cc) ** 2 + fd.hess_ac**2)
-        eig_max = 0.5 * (fd.hess_aa + fd.hess_cc) + half_span
+        half_span = math.sqrt(0.25 * (d.hess_aa - d.hess_cc) ** 2 + d.hess_ac**2)
+        eig_max = 0.5 * (d.hess_aa + d.hess_cc) + half_span
         C = -0.5 * eig_max
         lam = lambda0(alpha, S)
         cc = c0(S)
         tol_g = 1e-3 * abs(lam) / cc
         tol_h = 1e-3 * abs(lam) / cc**2
-        flat = abs(fd.grad_a) < tol_g and abs(fd.grad_c) < tol_g and abs(fd.hess_ac) < tol_h
-        concave = fd.hess_aa < 0.0 and fd.hess_cc < 0.0 and C > 0.0
-        bounded = fd.hess_aa <= hb.bound_aa + tol_h and fd.hess_cc <= hb.bound_cc + tol_h
-        verdict = int(bool(claimed) and flat and concave and bounded)
-        status = "ok" if claimed else "no-claim"
-        return (alpha, fd.grad_a, fd.grad_c, fd.hess_aa, fd.hess_cc, fd.hess_ac,
+        flat = abs(d.grad_a) < tol_g and abs(d.grad_c) < tol_g and abs(d.hess_ac) < tol_h
+        concave = d.hess_aa < 0.0 and d.hess_cc < 0.0 and C > 0.0
+        bounded = d.hess_aa <= hb.bound_aa + tol_h and d.hess_cc <= hb.bound_cc + tol_h
+        verdict = int(bool(claimed) and d.converged and flat and concave and bounded)
+        status = "unconverged" if not d.converged else "ok" if claimed else "no-claim"
+        return (alpha, d.grad_a, d.grad_c, d.hess_aa, d.hess_cc, d.hess_ac,
                 hb.bound_aa, hb.bound_cc, C, claimed, verdict, status)
     except Exception as exc:  # noqa: BLE001
         return (alpha, _NAN, _NAN, _NAN, _NAN, _NAN, _NAN, _NAN, _NAN,
@@ -375,7 +366,7 @@ def _provenance(cfg: ScanConfig) -> dict[str, str]:
             out["c"] = _format_cell(cfg.resolved_c())
         elif rule is not None:
             lo, hi, n = value
-            out[name] = f"{_format_cell(lo)},{_format_cell(hi)},{n}"
+            out[name] = f"{_format_cell(lo)},{_format_cell(hi)},{int(n)}"
         elif isinstance(value, bool):
             out[name] = str(value).lower()
         else:
@@ -414,7 +405,8 @@ def _sweep(mode: str, fn, tasks, axes: dict[str, tuple[float, ...]],
         if len(set(axes[name])) != len(axes[name]):
             raise DomainError(f"axis {name} repeats a value: {axes[name]}")
     tasks = list(tasks)
-    if workers > 1 and len(tasks) > 1:
+    workers = min(workers, len(tasks))
+    if workers > 1:
         with get_context("fork").Pool(workers) as pool:
             rows = tuple(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
     else:
@@ -477,10 +469,10 @@ def run_scan(cfg: ScanConfig, workers: int = 1) -> ScanResult:
 def verify_local(alpha_list, S: float) -> ScanResult:
     """Criticality/Hessian report at the equilateral point for each alpha.
 
-    Rows above the simple coupling threshold carry a certified verdict (flat
-    gradient, negative-definite Hessian within its closed-form caps, C > 0 in
-    the quadratic model); rows below it report the same numbers with status
-    "no-claim" and no verdict asserted.
+    Rows above the simple coupling threshold carry a verdict (settled exact
+    derivatives, flat gradient, negative-definite Hessian within its caps,
+    C > 0 in the quadratic model); rows below it report the same numbers as
+    "no-claim".  Rows whose derivatives do not settle are "unconverged".
     """
     alphas = tuple(float(a) for a in alpha_list)
     if not alphas or any(a >= 0.0 for a in alphas):

@@ -114,14 +114,14 @@ class TestClosedFormNorms:
 
 class TestCriticalityAndHessian:
     def test_equilateral_is_a_critical_point_with_negative_hessian(self):
-        """Finite differences at the equilateral shape: vanishing gradient
-        and mixed second derivative on the 1e-3 scale, diagonal second
-        derivatives below their closed-form upper bounds and strictly
-        negative.  Budget: under a minute."""
+        """Exact discrete derivatives at the equilateral shape, extrapolated
+        over mesh levels: vanishing gradient and mixed second derivative on
+        the 1e-3 scale, diagonal second derivatives below their closed-form
+        upper bounds and strictly negative.  Budget: under a minute."""
         S, alpha = S_THIRD, -0.5
         cc = r.c0(S)
         t0 = time.time()
-        fd = r.fd_derivatives_at_equilateral(alpha, S, h=1e-2 * cc)
+        fd = r.shape_derivatives_at_equilateral(alpha, S)
         elapsed = time.time() - t0
         lam0 = abs(r.lambda0(alpha, S))
         grad_scale = 1e-3 * lam0 / cc

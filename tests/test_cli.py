@@ -178,6 +178,15 @@ class TestVerify:
         assert len(paths) == 1 and not os.path.exists(paths[0])
         assert os.listdir(tmp_path) == []
 
+    def test_local_suite_at_the_edge_of_the_claim(self, capsys):
+        """alpha = -1.2 lies just inside the claimed range alpha >= -0.92/sqrt(S)."""
+        code, out, _ = run(capsys, ["verify", "--suite", "local", "--alpha", "-1.2"])
+        assert code == EXIT_OK
+        header, row = out.splitlines()[:2]
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert (cells["claimed"], cells["verdict"], cells["status"]) == ("1", "1", "ok")
+        assert out.rstrip().endswith("verify local: OK")
+
     def test_unknown_suite_rejected(self, capsys):
         code, _, _ = run(capsys, ["verify", "--suite", "everything"])
         assert code == EXIT_USAGE

@@ -21,7 +21,7 @@ from scipy.sparse.linalg import splu
 import robintri
 from robintri import fem
 from robintri.equilateral import lambda0
-from robintri.errors import DomainError, NumericError, PrecisionError, ResourceError
+from robintri.errors import DomainError, NumericError, ResourceError
 from robintri.fem import (
     FemMesh,
     _factor_counting,
@@ -29,7 +29,6 @@ from robintri.fem import (
     build_mesh,
     dump_mesh,
     eigenvalue_converged,
-    fd_derivatives_at_equilateral,
     lowest_eigenpair,
     solve_at_level,
 )
@@ -223,14 +222,24 @@ class TestLatticeCache:
                 assert solve_at_level(tri, alpha, 4).lambda1 == lam
 
     def test_permuted_elements(self, rng):
-        tri = make_triangle(0.7, 0.6, 0.9)
-        mesh = build_mesh(tri, 4)
-        shuffled = replace(mesh, elements=mesh.elements[rng.permutation(len(mesh.elements))],
-                           boundary_edges=mesh.boundary_edges[::-1])
-        got, want = assemble(shuffled, -2.0), assemble(mesh, -2.0)
-        assert_same_matrix(got.stiffness, want.stiffness)
-        assert_same_matrix(got.mass, want.mass)
-        assert_same_matrix(got.boundary_mass, want.boundary_mass)
+        """Assembly reads the lattice's reference matrices, so a mesh that is
+        not the lattice's affine image is refused, not mis-assembled."""
+        mesh = build_mesh(make_triangle(0.7, 0.6, 0.9), 4)
+        moved = mesh.nodes.copy()
+        moved[7] += 1e-3
+        for wrong in (
+            replace(mesh, elements=mesh.elements[rng.permutation(len(mesh.elements))]),
+            replace(mesh, boundary_edges=mesh.boundary_edges[::-1]),
+            replace(mesh, refinement_level=3),
+            replace(mesh, nodes=moved),
+        ):
+            with pytest.raises(DomainError):
+                assemble(wrong, -2.0)
+        with pytest.raises(NumericError, match="degenerate"):
+            assemble(replace(mesh, nodes=mesh.nodes * [1.0, 0.0]), -2.0)
+        # equal topology arrays that are not the cached ones are accepted
+        copied = replace(mesh, elements=mesh.elements.copy())
+        assert_same_matrix(assemble(copied, -2.0).stiffness, assemble(mesh, -2.0).stiffness)
 
     def test_lattice_is_read_only(self):
         mesh = build_mesh(make_triangle(0.0, 1.0, 1.0), 2)
@@ -436,30 +445,83 @@ class TestConvergence:
         assert res.residual == pytest.approx(abs(e2 - e1), rel=1e-6)
         assert res.lambda2 == pytest.approx(solve(tri, -2.0, 6).lambda2, rel=1e-12)
 
+    def test_non_finite_tolerance_is_refused(self):
+        tri = make_triangle(0.5, 0.6, S_THIRD)
+        for tol in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="finite"):
+                eigenvalue_converged(tri, -1.0, rel_tol=tol)
+
     def test_needs_two_levels(self):
         with pytest.raises(NumericError):
             eigenvalue_converged(
                 equilateral_params(1.0), -1.0, min_level=2, max_level=2
             )
 
-    def test_abs_tol_mode(self):
-        res = eigenvalue_converged(
-            equilateral_params(S_THIRD), -0.5, abs_tol=1e-5, max_level=8
-        )
-        assert res.converged
-        assert abs(res.lambda1 - lambda0(-0.5, S_THIRD)) < 1e-4
 
+class TestShapeDerivatives:
+    """Exact derivatives of each level's eigenvalue in (a, c) at the
+    equilateral point (Nelson's method on the weighted reference matrices)."""
 
-class TestFdDerivatives:
-    def test_stencil_width_validation(self):
-        with pytest.raises(DomainError):
-            fd_derivatives_at_equilateral(-0.5, 1.0, h=0.0)
-        with pytest.raises(DomainError):
-            fd_derivatives_at_equilateral(-0.5, 1.0, h=10.0)
+    @staticmethod
+    def level_jets(alpha, levels):
+        cc = c0(S_THIRD)
+        h, ell = fem._weights(fem._invariant_jet(0.0, cc, S_THIRD), 2.0 * S_THIRD)
+        for res in fem.walk_levels(make_triangle(0.0, cc, S_THIRD), alpha,
+                                   levels[0], levels[-1], []):
+            yield res.level, fem._level_derivatives(fem._lattice(res.level), res.eigenvector,
+                                                    alpha, h, ell, 2.0 * S_THIRD)
 
-    def test_guard_raises_when_levels_cannot_deliver(self):
-        """A tiny stencil needs more accuracy than four levels can certify."""
-        with pytest.raises(PrecisionError):
-            fd_derivatives_at_equilateral(
-                -0.5, S_THIRD, h=1e-3 * c0(S_THIRD), max_level=4
-            )
+    @pytest.mark.parametrize("alpha", [-0.1, -0.5, -1.0])
+    def test_hessian_matches_central_differences(self, alpha):
+        cc = c0(S_THIRD)
+        step = 1e-3 * cc
+        ((_, jet),) = self.level_jets(alpha, [5])
+        lam = {(i, j): solve_at_level(make_triangle(i * step, cc + j * step, S_THIRD),
+                                      alpha, 5).lambda1
+               for i in (-1, 0, 1) for j in (-1, 0, 1)}
+        hess_aa = (lam[1, 0] - 2.0 * lam[0, 0] + lam[-1, 0]) / step**2
+        hess_cc = (lam[0, 1] - 2.0 * lam[0, 0] + lam[0, -1]) / step**2
+        assert jet[0] == pytest.approx(lam[0, 0], rel=1e-12)
+        assert jet[3] == pytest.approx(hess_aa, rel=1e-4)
+        assert jet[5] == pytest.approx(hess_cc, rel=1e-4)
+
+    @pytest.mark.parametrize("alpha", [-0.1, -0.5, -1.0])
+    def test_symmetry_at_every_level(self, alpha):
+        """The lattice mesh of the equilateral triangle has full D3 symmetry:
+        the gradient and the mixed derivative vanish, and hess_cc = 12 hess_aa."""
+        cc = c0(S_THIRD)
+        seen = []
+        for level, (lam, grad_a, grad_c, hess_aa, hess_ac, hess_cc) in self.level_jets(
+                alpha, [2, 8]):
+            seen.append(level)
+            assert max(abs(grad_a), abs(grad_c)) <= 1e-9 * abs(lam) / cc
+            assert abs(hess_ac) <= 1e-9 * abs(lam) / cc**2
+            assert hess_cc == pytest.approx(12.0 * hess_aa, rel=1e-8)
+        assert seen == list(range(2, 9))
+
+    def test_weight_jet_matches_central_differences(self):
+        """Value row: the inverse-metric weights and side lengths of the
+        triangle; derivative rows: central differences of the value row."""
+        a, c, S = 0.4, 0.7, 0.9
+        b = S / c
+
+        def values(a, c):
+            h, ell = fem._weights(fem._invariant_jet(a, c, S), 2.0 * S)
+            return np.concatenate([h[0], ell[0]])
+
+        h, ell = fem._weights(fem._invariant_jet(a, c, S), 2.0 * S)
+        jet = np.hstack([h, ell])
+        assert jet[0, :3] == pytest.approx([(b * b + (a + c) ** 2) / (2.0 * S),
+                                            -c * (a + c) / S, 2.0 * c * c / S], rel=1e-14)
+        assert jet[0, 3:] == pytest.approx(make_triangle(a, c, S).side_lengths, rel=1e-14)
+        step = 1e-4
+        d = {(i, j): values(a + i * step, c + j * step)
+             for i in (-1, 0, 1) for j in (-1, 0, 1)}
+        fd = [
+            (d[1, 0] - d[-1, 0]) / (2 * step),
+            (d[0, 1] - d[0, -1]) / (2 * step),
+            (d[1, 0] - 2 * d[0, 0] + d[-1, 0]) / step**2,
+            (d[1, 1] - d[1, -1] - d[-1, 1] + d[-1, -1]) / (4 * step**2),
+            (d[0, 1] - 2 * d[0, 0] + d[0, -1]) / step**2,
+        ]
+        assert np.abs(jet[1:] - np.array(fd)).max() <= 1e-6 * np.abs(jet).max()

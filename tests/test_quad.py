@@ -7,6 +7,7 @@ same number of cells and agree to 1e-14 relative.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -217,8 +218,9 @@ class TestBatchBounds:
 
     def test_overflowing_ground_state_norm_fails_fast(self, monkeypatch):
         """u0^2 overflows at alpha = -190; the norm raises on its first rule
-        call (it used to split its way to the cell budget for minutes).  The
-        rule is looked up at call time, so a wrapper on _quad sees the call."""
+        call (it used to split its way to the cell budget for minutes), and
+        without a numpy overflow warning.  The rule is looked up at call time,
+        so a wrapper on _quad sees the call."""
         calls = []
         rule = _quad.triangle_apply
 
@@ -227,6 +229,8 @@ class TestBatchBounds:
             return rule(*args, **kwargs)
 
         monkeypatch.setattr(_quad, "triangle_apply", counted)
-        with np.errstate(over="ignore"), pytest.raises(NumericError, match="not finite"):
-            _l2_norm_sq_cached(-190.0, S_THIRD)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="not finite"):
+                _l2_norm_sq_cached(-190.0, S_THIRD)
         assert len(calls) == 1

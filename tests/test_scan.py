@@ -2,13 +2,15 @@
 deterministic CSV/SVG output, and the verification helpers."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
 import robintri
 from robintri import scan
 from robintri.equilateral import c0, lambda0
-from robintri.errors import DomainError, PrecisionError
+from robintri.errors import DomainError
+from robintri.fem import ShapeDerivatives
 from robintri.scan import (
     MODES,
     ScanConfig,
@@ -94,8 +96,19 @@ class TestScanConfig:
             ScanConfig(mode="transplant-region", S=0.0)
         with pytest.raises(DomainError):
             ScanConfig(mode="transplant-region", c_fixed=-1.0)
-        with pytest.raises(DomainError):
-            ScanConfig(mode="transplant-region", fem_rel_tol=0.0)
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                ScanConfig(mode="transplant-region", fem_rel_tol=tol)
+
+    def test_range_count_must_be_whole(self):
+        for n in (2.7, math.nan, math.inf, "3"):
+            with pytest.raises(DomainError, match="whole number"):
+                ScanConfig(mode="transplant-region", a_range=(0.0, 1.0, n))
+        # an integral float count records the same header as the int
+        whole = scan._provenance(ScanConfig(mode="transplant-region", a_range=(0.0, 1.0, 60.0)))
+        assert whole == scan._provenance(ScanConfig(mode="transplant-region",
+                                                    a_range=(0.0, 1.0, 60)))
+        assert whole["a_range"] == "0,1,60"
 
     def test_resolved_c_defaults_to_equilateral(self):
         cfg = ScanConfig(mode="transplant-region")
@@ -154,6 +167,12 @@ class TestParseConfig:
         path = self._write(tmp_path, "mode = g-curve\na_range = 0.91, 0.96\n")
         with pytest.raises(DomainError):
             parse_config(path)
+
+    def test_non_finite_tolerance_rejected(self, tmp_path):
+        for value in ("nan", "inf"):
+            path = self._write(tmp_path, f"mode = monotonicity\nfem_rel_tol = {value}\n")
+            with pytest.raises(DomainError, match="finite"):
+                parse_config(path)
 
 
 class TestGCurve:
@@ -437,19 +456,47 @@ class TestSoundnessStatus:
         assert row[-3:] == (0, 0, "ok")
 
 
-class TestLocalStencil:
-    def test_failing_stencils_are_each_tried_once(self, monkeypatch):
-        calls = []
+class TestLocalOptimality:
+    def test_unsettled_claimed_row_is_unconverged(self, monkeypatch):
+        """Derivatives that look fine but did not settle by the level cap give
+        no verdict."""
+        def unsettled(alpha, S):
+            return ShapeDerivatives(lambda1=-3.28, grad_a=0.0, grad_c=0.0, hess_aa=-2.05,
+                                    hess_cc=-24.6, hess_ac=0.0, converged=False)
 
-        def always_imprecise(alpha, S, h, max_level):
-            calls.append(h)
-            raise PrecisionError("difference quotient below solver accuracy")
-
-        monkeypatch.setattr(scan, "fd_derivatives_at_equilateral", always_imprecise)
+        monkeypatch.setattr(scan, "shape_derivatives_at_equilateral", unsettled)
         row = scan._cell_local(-0.5, S=S_THIRD)
-        assert len(calls) == 4
-        assert row[0] == -0.5 and all(math.isnan(v) for v in row[1:9])
-        assert row[9:] == (1, 0, "precision-error")
+        assert row[9:] == (1, 0, "unconverged")
+        assert row[3:5] == (-2.05, -24.6)
+
+
+class TestWorkerPool:
+    def test_pool_is_capped_at_the_task_count(self, monkeypatch, tmp_path):
+        """A fake pool records its size and maps serially: no process starts."""
+        sizes = []
+
+        class FakePool:
+            def __init__(self, n):
+                sizes.append(n)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return [fn(t) for t in tasks]
+
+        monkeypatch.setattr(scan, "get_context", lambda method: SimpleNamespace(Pool=FakePool))
+        out = str(tmp_path / "g.csv")
+        serial = run_scan(ScanConfig(mode="g-curve", a_range=(0.91, 0.96, 2), output_path=out))
+        capped = run_scan(ScanConfig(mode="g-curve", a_range=(0.91, 0.96, 2), output_path=out),
+                          workers=8)
+        pooled = run_scan(ScanConfig(mode="g-curve", a_range=(0.91, 0.96, 5), output_path=out),
+                          workers=3)
+        assert sizes == [2, 3]
+        assert capped.rows == serial.rows and len(pooled.rows) == 5
 
 
 # every mode's evaluator, and the header block it writes for _PIPELINE_CFG
