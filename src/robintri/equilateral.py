@@ -295,11 +295,16 @@ def closed_form_norms(sol: EquilateralSolution) -> tuple[float, float, float]:
     The first two come from closed forms on the unit-height triangle and the
     dilation rules (gradient-component norm invariant, boundary norm scales
     with the height, volume norm with its square); the volume norm itself is
-    evaluated by high-order quadrature.
+    evaluated by high-order quadrature.  Raises NumericError once the raw
+    field's norms leave float64 (beta past about 175).
     """
-    gamma = b0(sol.S)
-    d1 = _d1_norm_sq_unit(sol.K, sol.M)
-    bdry = gamma * _boundary_norm_sq_unit(sol.K, sol.L, sol.M)
+    try:
+        d1 = _d1_norm_sq_unit(sol.K, sol.M)
+        bdry = b0(sol.S) * _boundary_norm_sq_unit(sol.K, sol.L, sol.M)
+    except OverflowError:
+        d1 = bdry = math.inf
+    if not math.isfinite(d1 + bdry):
+        raise NumericError(f"ground-state norms overflow float64 at beta = {sol.beta:.6g}")
     l2 = _l2_norm_sq_cached(sol.alpha, sol.S)
     return d1, bdry, l2
 

@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, LinearOperator, cg, eigsh, splu
 
 from .errors import DomainError, NumericError, ResourceError
-from .geometry import TriangleGeometry, TriangleParams, c0, make_triangle
+from .geometry import TriangleParams, as_geometry, c0
 
 MAX_LEVEL = 10
 
@@ -61,14 +61,6 @@ class EigenResult:
     level: int | None = None
     history: tuple[float, ...] = ()
     skipped: tuple[tuple[int, str], ...] = ()  # (level, error text) per skipped level
-
-
-def _as_geometry(tri) -> TriangleGeometry:
-    if isinstance(tri, TriangleGeometry):
-        return tri
-    if isinstance(tri, TriangleParams):
-        return make_triangle(tri.a, tri.c, tri.S)
-    raise DomainError(f"expected TriangleParams or TriangleGeometry, got {type(tri)!r}")
 
 
 @dataclass(frozen=True)
@@ -173,7 +165,7 @@ def build_mesh(tri, level: int) -> FemMesh:
     The topology arrays are the cached lattice's own (read-only); the nodes
     are its unit coordinates mapped to v0 + xi (v1 - v0) + eta (v2 - v0).
     """
-    geom = _as_geometry(tri)
+    geom = as_geometry(tri)
     if level < 0:
         raise DomainError(f"refinement level must be >= 0, got {level}")
     if level > MAX_LEVEL:
@@ -347,7 +339,7 @@ def lowest_eigenpair(system: FemSystem, tri, sigma0: float | None = None) -> Eig
     where corner-localised ground and excited states are both nearly positive
     and sign inspection cannot tell them apart.
     """
-    geom = _as_geometry(tri)
+    geom = as_geometry(tri)
     alpha = system.alpha
     A = (system.stiffness + alpha * system.boundary_mass).tocsc()
     M = system.mass.tocsr()
@@ -393,7 +385,7 @@ def lowest_eigenpair(system: FemSystem, tri, sigma0: float | None = None) -> Eig
 
 
 def solve_at_level(tri, alpha: float, level: int, sigma0: float | None = None) -> EigenResult:
-    geom = _as_geometry(tri)
+    geom = as_geometry(tri)
     mesh = build_mesh(geom, level)
     system = assemble(mesh, alpha)
     res = lowest_eigenpair(system, geom, sigma0=sigma0)
@@ -411,7 +403,7 @@ def walk_levels(tri, alpha: float, min_level: int, max_level: int,
     the next level starts from the cold shift again.  Callers stop the walk
     by leaving the loop.
     """
-    geom = _as_geometry(tri)
+    geom = as_geometry(tri)
     sigma0 = None
     prev = None
     for level in range(min_level, max_level + 1):

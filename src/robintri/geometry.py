@@ -162,6 +162,15 @@ def make_triangle(a: float, c: float, S: float) -> TriangleGeometry:
     )
 
 
+def as_geometry(tri) -> TriangleGeometry:
+    """The geometry record of a TriangleGeometry or TriangleParams argument."""
+    if isinstance(tri, TriangleGeometry):
+        return tri
+    if isinstance(tri, TriangleParams):
+        return make_triangle(tri.a, tri.c, tri.S)
+    raise DomainError(f"expected TriangleParams or TriangleGeometry, got {type(tri)!r}")
+
+
 def inverse_metric(params: TriangleParams) -> tuple[float, float, float]:
     """Entries (g11, g12, g22) of the inverse metric of the affine map."""
     a, c, S = params.a, params.c, params.S

@@ -23,7 +23,10 @@ verdict flag, and a status tag ("ok", "unconverged", "unresolved", "no-claim",
 reads and the package version, so identical configs give byte-identical files.
 
 run_scan, the verify_* helpers and soundness_sweep all run through one sweep
-core, _sweep, the only place that builds a ScanResult.
+core, _sweep, the only place that builds a ScanResult.  Each entry point checks
+its global inputs (ranges, area, tolerance) before any cell runs.  _sweep runs
+every cell through one isolation boundary, _isolated: a robintri error becomes
+a typed failure row, and any other exception propagates.
 """
 
 from __future__ import annotations
@@ -126,6 +129,16 @@ def _check_range(name: str, rng, *, collapsed_ok: bool = False, single: bool = F
         raise DomainError(f"{name}: requires hi < {hi_max}, got {rng!r}")
 
 
+def _check_scalars(*, S: float, rel_tol: float | None = None, c: float | None = None) -> None:
+    """The area, FEM tolerance and c rules every sweep entry applies before any cell runs."""
+    if not (math.isfinite(S) and S > 0.0):
+        raise DomainError(f"area S must be positive and finite, got {S}")
+    if rel_tol is not None and not (math.isfinite(rel_tol) and rel_tol >= 1e-8):
+        raise DomainError(f"fem_rel_tol must be finite and >= 1e-8, got {rel_tol}")
+    if c is not None and not c > 0.0:
+        raise DomainError(f"c_fixed must be positive, got {c}")
+
+
 def _grid(rng) -> tuple[float, ...]:
     lo, hi, n = rng
     return tuple(float(x) for x in np.linspace(lo, hi, int(n)))
@@ -156,14 +169,9 @@ class ScanConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise DomainError(f"unknown mode {self.mode!r}; choose one of {', '.join(MODES)}")
-        if not (math.isfinite(self.S) and self.S > 0.0):
-            raise DomainError(f"area S must be positive and finite, got {self.S}")
-        if not (math.isfinite(self.fem_rel_tol) and self.fem_rel_tol >= 1e-8):
-            raise DomainError(f"fem_rel_tol must be finite and >= 1e-8, got {self.fem_rel_tol}")
+        _check_scalars(S=self.S, rel_tol=self.fem_rel_tol, c=self.c_fixed)
         if not self.output_path:
             raise DomainError("output_path must be non-empty")
-        if self.c_fixed is not None and not self.c_fixed > 0.0:
-            raise DomainError(f"c_fixed must be positive, got {self.c_fixed}")
         reads = _MODE_FIELDS[self.mode]
         for f in fields(self):
             if (f.name not in reads and f.name not in _READ_BY_EVERY_MODE
@@ -206,68 +214,64 @@ class ScanResult:
 
 
 # ---------------------------------------------------------------------------
-# per-cell evaluators (top-level functions so worker pools can pickle them)
+# the isolation boundary and the per-cell evaluators, which only compute their
+# row (top-level functions so worker pools can pickle them)
 
-def _status_of(exc: Exception) -> str:
-    if isinstance(exc, (NumericError, ResourceError)):
-        return "numeric-error"
-    if isinstance(exc, DomainError):
-        return "domain-error"
-    raise exc
+_CELL_ERRORS = (DomainError, NumericError, ResourceError)
+_FLAGS = frozenset(("verdict", "constant_ok", "condition_ok", "certified", "sound", "claimed"))
+
+
+def _failure_row(mode: str, task, exc: Exception) -> tuple:
+    """The task's values, then 0 in flag columns and NaN elsewhere, then the status."""
+    lead = task if isinstance(task, tuple) else (task,)
+    rest = _MODE_COLUMNS[mode][len(lead):-1]
+    status = "domain-error" if isinstance(exc, DomainError) else "numeric-error"
+    return (*lead, *(0 if name in _FLAGS else _NAN for name in rest), status)
+
+
+def _isolated(mode: str, fn, task) -> tuple:
+    """fn(task), or its failure row if fn raises a robintri error; others propagate."""
+    try:
+        return fn(task)
+    except _CELL_ERRORS as exc:
+        return _failure_row(mode, task, exc)
 
 
 def _cell_g(t: float) -> tuple:
-    try:
-        g = g_threshold(t)
-        return (t, g, int(g < 0.0), "ok")
-    except Exception as exc:  # noqa: BLE001 - isolation boundary
-        return (t, _NAN, 0, _status_of(exc))
+    g = g_threshold(t)
+    return (t, g, int(g < 0.0), "ok")
 
 
 def _cell_transplant(task, *, c: float, S: float) -> tuple:
     alpha, a = task
-    try:
-        delta, ok = transplant_verdict(alpha, make_triangle(a, c, S))
-        return (alpha, a, delta, int(ok), "ok")
-    except Exception as exc:  # noqa: BLE001
-        return (alpha, a, _NAN, 0, _status_of(exc))
+    delta, ok = transplant_verdict(alpha, make_triangle(a, c, S))
+    return (alpha, a, delta, int(ok), "ok")
 
 
 def _cell_constant(task, *, c: float, S: float) -> tuple:
     alpha, a = task
-    try:
-        bound, ok = constant_bound(alpha, make_triangle(a, c, S))
-        return (alpha, a, bound, lambda0(alpha, S), int(ok), "ok")
-    except Exception as exc:  # noqa: BLE001
-        return (alpha, a, _NAN, _NAN, 0, _status_of(exc))
+    bound, ok = constant_bound(alpha, make_triangle(a, c, S))
+    return (alpha, a, bound, lambda0(alpha, S), int(ok), "ok")
 
 
 def _cell_condition(task, *, c: float, S: float) -> tuple:
     alpha, a = task
+    tri = make_triangle(a, c, S)
+    closed = sector_closed_upper(alpha, tri.theta_star, tri.L_prime)
+    lower = lambda0_lower_bound(alpha, S)
     try:
-        tri = make_triangle(a, c, S)
-        closed = sector_closed_upper(alpha, tri.theta_star, tri.L_prime)
-        lower = lambda0_lower_bound(alpha, S)
-        try:
-            ok = sector_condition(alpha, tri)
-            status = "ok"
-        except DomainError:  # vacuous at the equilateral corner of the grid
-            ok = False
-            status = "domain-error"
-        return (alpha, a, closed, lower, int(ok), status)
-    except Exception as exc:  # noqa: BLE001
-        return (alpha, a, _NAN, _NAN, 0, _status_of(exc))
+        ok, status = sector_condition(alpha, tri), "ok"
+    except DomainError:  # vacuous at the equilateral corner of the grid
+        ok, status = False, "domain-error"
+    return (alpha, a, closed, lower, int(ok), status)
 
 
 def _cell_sector(task, *, c: float, S: float, anchor_left: bool) -> tuple:
     alpha, a = task
-    try:
-        tri = make_triangle(a, c, S)
-        ray, closed = sector_bound(alpha, tri, anchor_vertex=0 if anchor_left else None)
-        lam0 = lambda0(alpha, S)
-        return (alpha, a, ray, closed, lam0, int(strictly_below(ray, lam0)), "ok")
-    except Exception as exc:  # noqa: BLE001
-        return (alpha, a, _NAN, _NAN, _NAN, 0, _status_of(exc))
+    tri = make_triangle(a, c, S)
+    ray, closed = sector_bound(alpha, tri, anchor_vertex=0 if anchor_left else None)
+    lam0 = lambda0(alpha, S)
+    return (alpha, a, ray, closed, lam0, int(strictly_below(ray, lam0)), "ok")
 
 
 def _fem_pad(lam0: float, err: float) -> float:
@@ -276,37 +280,31 @@ def _fem_pad(lam0: float, err: float) -> float:
 
 def _cell_fem(task, *, S: float, rel_tol: float, max_level: int = 9) -> tuple:
     alpha, a, c = task
-    try:
-        res = eigenvalue_converged(make_triangle(a, c, S), alpha,
-                                   rel_tol=rel_tol, max_level=max_level)
-        lam0 = lambda0(alpha, S)
-        margin = res.lambda1 - lam0
-        ok = margin <= _fem_pad(lam0, res.residual)
-        status = "ok" if res.converged else "unconverged"
-        return (alpha, a, c, res.lambda1, res.residual, lam0, margin, int(ok), status)
-    except Exception as exc:  # noqa: BLE001
-        return (alpha, a, c, _NAN, _NAN, _NAN, _NAN, 0, _status_of(exc))
+    res = eigenvalue_converged(make_triangle(a, c, S), alpha,
+                               rel_tol=rel_tol, max_level=max_level)
+    lam0 = lambda0(alpha, S)
+    margin = res.lambda1 - lam0
+    ok = margin <= _fem_pad(lam0, res.residual)
+    status = "ok" if res.converged else "unconverged"
+    return (alpha, a, c, res.lambda1, res.residual, lam0, margin, int(ok), status)
 
 
 def _cell_perimeter(task, *, alpha: float, S: float, rel_tol: float) -> tuple:
     a, c = task
-    try:
-        tri = make_triangle(a, c, S)
-        gamma = perimeter_normalizer(tri)
-        scaled = make_triangle(gamma * a, gamma * c, gamma * gamma * S)
-        res = eigenvalue_converged(scaled, alpha, rel_tol=rel_tol)
-        lam0_scaled = lambda0(alpha, gamma * gamma * S)
-        lam0_ref = lambda0(alpha, S)
-        m1 = res.lambda1 - lam0_scaled
-        m2 = lam0_scaled - lam0_ref
-        m = res.lambda1 - lam0_ref
-        pad = _fem_pad(lam0_ref, res.residual)
-        ok = (m1 <= pad) and (m2 <= 1e-12 * abs(lam0_ref)) and (m <= pad)
-        status = "ok" if res.converged else "unconverged"
-        return (a, c, gamma, res.lambda1, res.residual, lam0_scaled, lam0_ref,
-                m1, m2, m, int(ok), status)
-    except Exception as exc:  # noqa: BLE001
-        return (a, c, _NAN, _NAN, _NAN, _NAN, _NAN, _NAN, _NAN, _NAN, 0, _status_of(exc))
+    tri = make_triangle(a, c, S)
+    gamma = perimeter_normalizer(tri)
+    scaled = make_triangle(gamma * a, gamma * c, gamma * gamma * S)
+    res = eigenvalue_converged(scaled, alpha, rel_tol=rel_tol)
+    lam0_scaled = lambda0(alpha, gamma * gamma * S)
+    lam0_ref = lambda0(alpha, S)
+    m1 = res.lambda1 - lam0_scaled
+    m2 = lam0_scaled - lam0_ref
+    m = res.lambda1 - lam0_ref
+    pad = _fem_pad(lam0_ref, res.residual)
+    ok = (m1 <= pad) and (m2 <= 1e-12 * abs(lam0_ref)) and (m <= pad)
+    status = "ok" if res.converged else "unconverged"
+    return (a, c, gamma, res.lambda1, res.residual, lam0_scaled, lam0_ref,
+            m1, m2, m, int(ok), status)
 
 
 def _cell_local(alpha: float, *, S: float) -> tuple:
@@ -315,41 +313,38 @@ def _cell_local(alpha: float, *, S: float) -> tuple:
     try:
         d = shape_derivatives_at_equilateral(alpha, S)
         hb = hessian_upper_bounds(alpha, S)
-        half_span = math.sqrt(0.25 * (d.hess_aa - d.hess_cc) ** 2 + d.hess_ac**2)
-        eig_max = 0.5 * (d.hess_aa + d.hess_cc) + half_span
-        C = -0.5 * eig_max
-        lam = lambda0(alpha, S)
-        cc = c0(S)
-        tol_g = 1e-3 * abs(lam) / cc
-        tol_h = 1e-3 * abs(lam) / cc**2
-        flat = abs(d.grad_a) < tol_g and abs(d.grad_c) < tol_g and abs(d.hess_ac) < tol_h
-        concave = d.hess_aa < 0.0 and d.hess_cc < 0.0 and C > 0.0
-        bounded = d.hess_aa <= hb.bound_aa + tol_h and d.hess_cc <= hb.bound_cc + tol_h
-        verdict = int(bool(claimed) and d.converged and flat and concave and bounded)
-        status = "unconverged" if not d.converged else "ok" if claimed else "no-claim"
-        return (alpha, d.grad_a, d.grad_c, d.hess_aa, d.hess_cc, d.hess_ac,
-                hb.bound_aa, hb.bound_cc, C, claimed, verdict, status)
-    except Exception as exc:  # noqa: BLE001
-        return (alpha, _NAN, _NAN, _NAN, _NAN, _NAN, _NAN, _NAN, _NAN,
-                claimed, 0, _status_of(exc))
+    except _CELL_ERRORS as exc:
+        # claimed depends on (alpha, S) alone: a failed claimed row must still say so
+        row = _failure_row("local-optimality", alpha, exc)
+        return row[:9] + (claimed,) + row[10:]
+    half_span = math.sqrt(0.25 * (d.hess_aa - d.hess_cc) ** 2 + d.hess_ac**2)
+    eig_max = 0.5 * (d.hess_aa + d.hess_cc) + half_span
+    C = -0.5 * eig_max
+    lam = lambda0(alpha, S)
+    cc = c0(S)
+    tol_g = 1e-3 * abs(lam) / cc
+    tol_h = 1e-3 * abs(lam) / cc**2
+    flat = abs(d.grad_a) < tol_g and abs(d.grad_c) < tol_g and abs(d.hess_ac) < tol_h
+    concave = d.hess_aa < 0.0 and d.hess_cc < 0.0 and C > 0.0
+    bounded = d.hess_aa <= hb.bound_aa + tol_h and d.hess_cc <= hb.bound_cc + tol_h
+    verdict = int(bool(claimed) and d.converged and flat and concave and bounded)
+    status = "unconverged" if not d.converged else "ok" if claimed else "no-claim"
+    return (alpha, d.grad_a, d.grad_c, d.hess_aa, d.hess_cc, d.hess_ac,
+            hb.bound_aa, hb.bound_cc, C, claimed, verdict, status)
 
 
 def _cell_monotone(alpha: float, *, S: float, rel_tol: float) -> tuple:
     areas = (0.5 * S, S, 2.0 * S)
-    try:
-        lam0s = [lambda0(alpha, s) for s in areas]
-        fems = []
-        errs = []
-        for s in areas:
-            res = eigenvalue_converged(make_triangle(0.0, c0(s), s), alpha, rel_tol=rel_tol)
-            fems.append(res.lambda1)
-            errs.append(res.residual)
-        pad = [_fem_pad(l, e) for l, e in zip(lam0s, errs)]
-        ok_closed = lam0s[0] < lam0s[1] < lam0s[2]
-        ok_fem = (fems[0] < fems[1] + pad[0] + pad[1]) and (fems[1] < fems[2] + pad[1] + pad[2])
-        return (alpha, *lam0s, *fems, int(ok_closed and ok_fem), "ok")
-    except Exception as exc:  # noqa: BLE001
-        return (alpha, _NAN, _NAN, _NAN, _NAN, _NAN, _NAN, 0, _status_of(exc))
+    lam0s = [lambda0(alpha, s) for s in areas]
+    fems, errs = [], []
+    for s in areas:
+        res = eigenvalue_converged(make_triangle(0.0, c0(s), s), alpha, rel_tol=rel_tol)
+        fems.append(res.lambda1)
+        errs.append(res.residual)
+    pad = [_fem_pad(l, e) for l, e in zip(lam0s, errs)]
+    ok_closed = lam0s[0] < lam0s[1] < lam0s[2]
+    ok_fem = (fems[0] < fems[1] + pad[0] + pad[1]) and (fems[1] < fems[2] + pad[1] + pad[2])
+    return (alpha, *lam0s, *fems, int(ok_closed and ok_fem), "ok")
 
 
 def _prov(**values) -> dict[str, str]:
@@ -396,8 +391,9 @@ def _sweep(mode: str, fn, tasks, axes: dict[str, tuple[float, ...]],
            provenance: dict[str, str], workers: int = 1) -> ScanResult:
     """Evaluate fn on every task, in task order, and assemble the ScanResult.
 
-    A value repeated on one of the first two axes would make two cells share
-    one verdict-grid slot, so it is rejected before any cell runs.
+    Each cell runs through _isolated.  A value repeated on one of the first
+    two axes would make two cells share one verdict-grid slot, so it is
+    rejected before any cell runs.
     """
     from . import __version__
 
@@ -405,12 +401,13 @@ def _sweep(mode: str, fn, tasks, axes: dict[str, tuple[float, ...]],
         if len(set(axes[name])) != len(axes[name]):
             raise DomainError(f"axis {name} repeats a value: {axes[name]}")
     tasks = list(tasks)
+    cell = partial(_isolated, mode, fn)
     workers = min(workers, len(tasks))
     if workers > 1:
         with get_context("fork").Pool(workers) as pool:
-            rows = tuple(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+            rows = tuple(pool.map(cell, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
     else:
-        rows = tuple(fn(t) for t in tasks)
+        rows = tuple(map(cell, tasks))
     columns = _MODE_COLUMNS[mode]
     prov = {"version": __version__, "mode": mode, **provenance}
     if len(axes) > 2:
@@ -455,8 +452,8 @@ def _plan(cfg: ScanConfig):
 def run_scan(cfg: ScanConfig, workers: int = 1) -> ScanResult:
     """Evaluate one grid scan, write its CSV (and SVG on request), return it.
 
-    Cell failures are recorded in the row's status and never abort the scan;
-    I/O failures do abort.  Row order is the deterministic nested loop over
+    A robintri error in a cell is recorded in its row's status and does not
+    abort the scan; I/O failures and any other exception do.  Row order is the deterministic nested loop over
     the axes, independent of the worker count.
     """
     result = _sweep(cfg.mode, *_plan(cfg), _provenance(cfg), workers)
@@ -477,6 +474,7 @@ def verify_local(alpha_list, S: float) -> ScanResult:
     alphas = tuple(float(a) for a in alpha_list)
     if not alphas or any(a >= 0.0 for a in alphas):
         raise DomainError("alpha_list must be non-empty and strictly negative")
+    _check_scalars(S=S)
     prov = {"alpha_list": ",".join(_format_cell(a) for a in alphas), **_prov(S=S)}
     return _sweep("local-optimality", partial(_cell_local, S=S), alphas, {"alpha": alphas}, prov)
 
@@ -492,6 +490,7 @@ def verify_perimeter_variant(alpha: float, S: float, grid) -> ScanResult:
     """
     if alpha >= 0.0:
         raise DomainError(f"alpha must be negative, got {alpha}")
+    _check_scalars(S=S)
     pairs = [(float(a), float(c)) for a, c in grid]
     if not pairs:
         raise DomainError("empty (a, c) grid")
@@ -513,6 +512,7 @@ def verify_monotone(alpha: float, S: float, rel_tol: float = 1e-5) -> ScanResult
     """
     if alpha >= 0.0:
         raise DomainError(f"alpha must be negative, got {alpha}")
+    _check_scalars(S=S, rel_tol=rel_tol)
     fn = partial(_cell_monotone, S=S, rel_tol=rel_tol)
     return _sweep("monotonicity", fn, [alpha], {"alpha": (float(alpha),)}, _prov(alpha=alpha, S=S))
 
@@ -532,6 +532,7 @@ def soundness_sweep(alpha_values, a_values, c: float, S: float, fem_rel_tol: flo
     avals = tuple(float(x) for x in a_values)
     if any(a >= 0.0 for a in alphas):
         raise DomainError("alpha values must be strictly negative")
+    _check_scalars(S=S, rel_tol=fem_rel_tol, c=c)
     fn = partial(_soundness_cell, c=c, S=S, rel_tol=fem_rel_tol, max_level=max_level)
     return _sweep("soundness", fn, [(al, a) for al in alphas for a in avals],
                   {"a": avals, "alpha": alphas}, _prov(c=c, S=S, fem_rel_tol=fem_rel_tol), workers)
@@ -574,33 +575,30 @@ def _raw_upper_bound(tri, alpha: float, rel_tol: float, max_level: int,
 
 def _soundness_cell(task, *, c: float, S: float, rel_tol: float, max_level: int) -> tuple:
     alpha, a = task
+    tri = make_triangle(a, c, S)
+    delta, delta_ok = transplant_verdict(alpha, tri)
+    _, const_ok = constant_bound(alpha, tri)
     try:
-        tri = make_triangle(a, c, S)
-        delta, delta_ok = transplant_verdict(alpha, tri)
-        _, const_ok = constant_bound(alpha, tri)
-        try:
-            cond_ok = sector_condition(alpha, tri)
-        except DomainError:
-            cond_ok = False
-        certified = delta_ok or const_ok or cond_ok
-        lam0 = lambda0(alpha, S)
-        if not certified:
-            return (alpha, a, delta, int(const_ok), int(cond_ok), 0,
-                    _NAN, _NAN, lam0, 1, 1, "ok")
-        lam, err, settled = _raw_upper_bound(tri, alpha, rel_tol, max_level,
-                                             sound_target=lam0)
-        sound = lam <= lam0 - 10.0 * err
-        if not settled:
-            status = "unconverged"
-        elif not sound and lam - 10.0 * err <= lam0:
-            # lam0 lies inside the oracle's +-10 err band: no contradiction shown
-            status = "unresolved"
-        else:
-            status = "ok"
-        return (alpha, a, delta, int(const_ok), int(cond_ok), 1,
-                lam, err, lam0, int(sound), int(sound), status)
-    except Exception as exc:  # noqa: BLE001
-        return (alpha, a, _NAN, 0, 0, 0, _NAN, _NAN, _NAN, 0, 0, _status_of(exc))
+        cond_ok = sector_condition(alpha, tri)
+    except DomainError:
+        cond_ok = False
+    certified = delta_ok or const_ok or cond_ok
+    lam0 = lambda0(alpha, S)
+    if not certified:
+        return (alpha, a, delta, int(const_ok), int(cond_ok), 0,
+                _NAN, _NAN, lam0, 1, 1, "ok")
+    lam, err, settled = _raw_upper_bound(tri, alpha, rel_tol, max_level,
+                                         sound_target=lam0)
+    sound = lam <= lam0 - 10.0 * err
+    if not settled:
+        status = "unconverged"
+    elif not sound and lam - 10.0 * err <= lam0:
+        # lam0 lies inside the oracle's +-10 err band: no contradiction shown
+        status = "unresolved"
+    else:
+        status = "ok"
+    return (alpha, a, delta, int(const_ok), int(cond_ok), 1,
+            lam, err, lam0, int(sound), int(sound), status)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .errors import DomainError
 from .geometry import (
     TriangleGeometry,
     TriangleParams,
+    as_geometry,
     b0,
     c0,
     corner,
@@ -100,14 +101,6 @@ class SectorExponential:
         return vals, grads
 
 
-def _as_params(tri) -> TriangleParams:
-    if isinstance(tri, TriangleGeometry):
-        return tri.params
-    if isinstance(tri, TriangleParams):
-        return tri
-    raise DomainError(f"expected TriangleParams or TriangleGeometry, got {type(tri)!r}")
-
-
 def _reference_vertices(S: float) -> np.ndarray:
     cc, bb = c0(S), b0(S)
     return np.array([[-cc, 0.0], [cc, 0.0], [0.0, bb]])
@@ -124,7 +117,7 @@ def form_hat(alpha: float, tri, psi) -> FormValue:
         raise DomainError(
             "SectorExponential lives on the physical triangle; use sector_bound"
         )
-    params = _as_params(tri)
+    params = as_geometry(tri).params
     if not (alpha < 0.0):
         raise DomainError(f"alpha must be negative, got {alpha}")
     verts = _reference_vertices(params.S)
@@ -160,7 +153,7 @@ def delta_transplant(alpha: float, tri) -> float:
     delta <= 0 certifies lambda(alpha, a, c) <= lambda0(alpha, S); built from
     the closed-form norms, so no quadrature is involved.
     """
-    params = _as_params(tri)
+    params = as_geometry(tri).params
     sol = solve_equilateral(alpha, params.S)
     d1, bdry, _ = closed_form_norms(sol)
     f1 = sum(edge_stretch_weights(params))
@@ -169,10 +162,10 @@ def delta_transplant(alpha: float, tri) -> float:
 
 def transplant_verdict(alpha: float, tri) -> tuple[float, bool]:
     """(delta, certified) with the strict safety margin on the delta scale."""
-    params = _as_params(tri)
-    sol = solve_equilateral(alpha, params.S)
+    geom = as_geometry(tri)
+    sol = solve_equilateral(alpha, geom.params.S)
     _, bdry, _ = closed_form_norms(sol)
-    delta = delta_transplant(alpha, params)
+    delta = delta_transplant(alpha, geom)
     scale = abs(alpha) * bdry
     return delta, delta < -_MARGIN * scale
 
@@ -183,7 +176,7 @@ def constant_bound(alpha: float, tri) -> tuple[float, bool]:
     The verdict is True when this upper bound lies strictly below lambda0,
     i.e. when perimeter/area alone already certifies the inequality.
     """
-    params = _as_params(tri)
+    params = as_geometry(tri).params
     if not (alpha < 0.0):
         raise DomainError(f"alpha must be negative, got {alpha}")
     bound = alpha * perimeter(params) / params.S
@@ -207,7 +200,7 @@ def sector_closed_upper(alpha: float, theta: float, l_prime: float) -> float:
     return -(alpha / math.sin(half)) ** 2 * (1.0 - tail)
 
 
-def sector_bound(alpha: float, tri: TriangleGeometry, anchor_vertex: int | None = None) -> tuple[float, float]:
+def sector_bound(alpha: float, tri, anchor_vertex: int | None = None) -> tuple[float, float]:
     """(rayleigh_upper, closed_upper) for the sector exponential.
 
     rayleigh_upper is the exact Rayleigh quotient on the triangle by adaptive
@@ -219,6 +212,7 @@ def sector_bound(alpha: float, tri: TriangleGeometry, anchor_vertex: int | None 
     """
     if not (alpha < 0.0):
         raise DomainError(f"alpha must be negative, got {alpha}")
+    tri = as_geometry(tri)
     field = SectorExponential.from_triangle(tri, alpha, vertex=anchor_vertex)
     verts = tri.vertex_array()
 
@@ -239,12 +233,13 @@ def sector_bound(alpha: float, tri: TriangleGeometry, anchor_vertex: int | None 
     return rayleigh, closed
 
 
-def sector_condition(alpha: float, tri: TriangleGeometry) -> bool:
+def sector_condition(alpha: float, tri) -> bool:
     """True when the closed sector bound drops below the closed lower bound for lambda0.
 
     This is the fully closed-form certificate chain; it is vacuous for the
     equilateral triangle, which is rejected as a domain error.
     """
+    tri = as_geometry(tri)
     if tri.theta_star >= math.pi / 3.0 - 1e-12:
         raise DomainError("sector condition is undefined for the equilateral triangle")
     closed = sector_closed_upper(alpha, tri.theta_star, tri.L_prime)
@@ -261,7 +256,7 @@ def small_coupling_functions(alpha: float, tri) -> tuple[float, float, float]:
     equivalent to delta_transplant <= 0.  z is NaN at the equilateral shape
     where both excesses vanish.
     """
-    params = _as_params(tri)
+    params = as_geometry(tri).params
     f1 = sum(edge_stretch_weights(params))
     coef = shape_coefficient(params)
     z = (f1 - 3.0) / coef if coef > 1e-14 else float("nan")

@@ -1,0 +1,72 @@
+"""The package names and counters the benchmark in bench/ relies on.
+
+bench/layers.py wraps package functions by name, bench/worker.py reads the
+norm cache's statistics, and bench/run.py requires every counter a workload
+serves to read nonzero.  These checks import the three scripts unchanged and
+run one small traced unit of each workload that has such counters, so a
+change that breaks the benchmark fails here first.
+"""
+
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+from robintri import equilateral, scan
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+S = 1.0 / math.sqrt(3.0)
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """The bench scripts, imported the way they import each other and
+    without writing bytecode next to them."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+    import run
+    import worker
+    return layers, worker, run
+
+
+def _traced(layers, unit) -> dict[str, float]:
+    """layer_metrics of one traced call of unit, from a cold norm cache."""
+    equilateral._l2_norm_sq_cached.cache_clear()
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        before = equilateral._l2_norm_sq_cached.cache_info()
+        unit()
+        after = equilateral._l2_norm_sq_cached.cache_info()
+    finally:
+        tracer.uninstall()
+    return layers.layer_metrics(tracer, after.hits - before.hits, after.misses - before.misses)
+
+
+def test_every_wrapped_name_exists(bench):
+    layers, _, _ = bench
+    tracer = layers.Tracer()
+    try:
+        tracer.install()  # raises if a wrapped name is gone
+    finally:
+        tracer.uninstall()
+    assert callable(equilateral._l2_norm_sq_cached.cache_info)
+
+
+def test_region_scan_counters_read_nonzero(bench, tmp_path):
+    layers, worker, run = bench
+    metrics = _traced(layers, lambda: worker.RegionScan(0, tmp_path).run_unit(0))
+    assert {k for k in run.SERVES["region-scan"] if not metrics[k] > 0} == set()
+
+
+def test_soundness_counters_read_nonzero(bench):
+    layers, _, run = bench
+
+    def certified_cell():
+        (row,) = scan.soundness_sweep([-4.0], [1.5], c=S, S=S).rows
+        assert row[5] == 1 and row[-1] == "ok"  # certified: the FEM ladder runs
+
+    metrics = _traced(layers, certified_cell)
+    assert {k for k in run.SERVES["soundness"] if not metrics[k] > 0} == set()

@@ -187,6 +187,13 @@ class TestVerify:
         assert (cells["claimed"], cells["verdict"], cells["status"]) == ("1", "1", "ok")
         assert out.rstrip().endswith("verify local: OK")
 
+    def test_monotone_suite_refuses_a_bad_area(self, capsys):
+        """A bad area is a usage error before any cell runs, not a failed check."""
+        code, out, err = run(capsys, ["verify", "--suite", "monotone", "--alpha", "-0.5",
+                                      "--area", "-1"])
+        assert code == EXIT_USAGE
+        assert "area S" in err and "FAILED" not in out
+
     def test_unknown_suite_rejected(self, capsys):
         code, _, _ = run(capsys, ["verify", "--suite", "everything"])
         assert code == EXIT_USAGE

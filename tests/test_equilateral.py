@@ -301,6 +301,15 @@ class TestThresholds:
         assert abs(hb.f_value - (-0.34534402086608496)) < 1e-12
         assert abs(hb.bound_cc - 12.0 * hb.bound_aa) < 1e-12 * abs(hb.bound_cc)
 
+    def test_norms_past_float64_are_a_numeric_error(self):
+        """beta = 300 overflows the raw field's closed-form norms (OverflowError
+        from math.cosh); the norms and every consumer raise NumericError instead."""
+        with pytest.raises(NumericError, match="beta = 300"):
+            closed_form_norms(solve_equilateral(-300.0, S_THIRD))
+        with pytest.raises(NumericError):
+            hessian_upper_bounds(-300.0, S_THIRD)
+        assert all(map(math.isfinite, closed_form_norms(solve_equilateral(-170.0, S_THIRD))))
+
     def test_hessian_bounds_sign_flip(self):
         """Bounds are negative above the improved threshold and positive well below."""
         simple, improved = local_optimality_alpha_bound(S_THIRD)

@@ -2,6 +2,8 @@
 deterministic CSV/SVG output, and the verification helpers."""
 
 import math
+import pickle
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -9,7 +11,7 @@ import pytest
 import robintri
 from robintri import scan
 from robintri.equilateral import c0, lambda0
-from robintri.errors import DomainError
+from robintri.errors import DomainError, NumericError
 from robintri.fem import ShapeDerivatives
 from robintri.scan import (
     MODES,
@@ -19,11 +21,35 @@ from robintri.scan import (
     parse_config,
     run_scan,
     soundness_sweep,
+    verify_local,
     verify_monotone,
     verify_perimeter_variant,
 )
 
 S_THIRD = 1.0 / math.sqrt(3.0)
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Route _sweep's pool path through a serial map in this process: no
+    process starts.  Returns the list of requested pool sizes."""
+    sizes = []
+
+    class FakePool:
+        def __init__(self, n):
+            sizes.append(n)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(scan, "get_context", lambda method: SimpleNamespace(Pool=FakePool))
+    return sizes
 
 
 class TestScanConfig:
@@ -471,24 +497,9 @@ class TestLocalOptimality:
 
 
 class TestWorkerPool:
-    def test_pool_is_capped_at_the_task_count(self, monkeypatch, tmp_path):
+    def test_pool_is_capped_at_the_task_count(self, fake_pool, tmp_path):
         """A fake pool records its size and maps serially: no process starts."""
-        sizes = []
-
-        class FakePool:
-            def __init__(self, n):
-                sizes.append(n)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return [fn(t) for t in tasks]
-
-        monkeypatch.setattr(scan, "get_context", lambda method: SimpleNamespace(Pool=FakePool))
+        sizes = fake_pool
         out = str(tmp_path / "g.csv")
         serial = run_scan(ScanConfig(mode="g-curve", a_range=(0.91, 0.96, 2), output_path=out))
         capped = run_scan(ScanConfig(mode="g-curve", a_range=(0.91, 0.96, 2), output_path=out),
@@ -497,6 +508,12 @@ class TestWorkerPool:
                           workers=3)
         assert sizes == [2, 3]
         assert capped.rows == serial.rows and len(pooled.rows) == 5
+
+    def test_pooled_cell_function_pickles(self):
+        """The pool ships partial(_isolated, mode, fn) to its workers."""
+        fn = partial(scan._cell_transplant, c=S_THIRD, S=S_THIRD)
+        cell = pickle.loads(pickle.dumps(partial(scan._isolated, "transplant-region", fn)))
+        assert cell((-1.0, 0.5)) == scan._isolated("transplant-region", fn, (-1.0, 0.5))
 
 
 # every mode's evaluator, and the header block it writes for _PIPELINE_CFG
@@ -637,3 +654,121 @@ class TestPipeline:
         # the pinned block runs from the first line through the column line
         assert out.read_text().startswith(
             _PINNED_HEADERS[mode].format(version=robintri.__version__))
+
+
+# the scan-level callee through which each evaluator is made to fail
+_FAILING_CALLEE = {
+    "g-curve": "g_threshold",
+    "transplant-region": "transplant_verdict",
+    "constant-region": "constant_bound",
+    "condition-region": "sector_closed_upper",
+    "sector-region": "sector_bound",
+    "fem-conjecture": "eigenvalue_converged",
+    "local-optimality": "shape_derivatives_at_equilateral",
+    "perimeter-variant": "eigenvalue_converged",
+    "monotonicity": "eigenvalue_converged",
+    "soundness": "make_triangle",
+}
+# failure rows (repr) of the _PIPELINE_CFG runs, recorded from the per-evaluator
+# handlers that _isolated replaced; {status} is the row's status
+_REGION_TASKS = ("-2.0, 0.0", "-2.0, 0.5", "-2.0, 1.0", "-0.5, 0.0", "-0.5, 0.5", "-0.5, 1.0")
+_FAILURE_ROWS = {
+    "g-curve": ["(0.5, nan, 0, '{status}')", "(0.7, nan, 0, '{status}')",
+                "(0.9, nan, 0, '{status}')"],
+    "transplant-region": [f"({t}, nan, 0, '{{status}}')" for t in _REGION_TASKS],
+    "constant-region": [f"({t}, nan, nan, 0, '{{status}}')" for t in _REGION_TASKS],
+    "condition-region": [f"({t}, nan, nan, 0, '{{status}}')" for t in _REGION_TASKS],
+    "sector-region": [f"({t}, nan, nan, nan, 0, '{{status}}')" for t in _REGION_TASKS],
+    "fem-conjecture": [f"({al}, {a}, {c}, nan, nan, nan, nan, 0, '{{status}}')"
+                       for al in ("-2.0", "-1.0") for a in ("0.0", "1.0") for c in ("0.5", "1.0")],
+    "local-optimality": [
+        "(-3.0, nan, nan, nan, nan, nan, nan, nan, nan, 0, 0, '{status}')",
+        # claimed depends on (alpha, S) alone and survives the failure
+        "(-0.5, nan, nan, nan, nan, nan, nan, nan, nan, 1, 0, '{status}')",
+    ],
+    "perimeter-variant": [f"({a}, {c}, nan, nan, nan, nan, nan, nan, nan, nan, 0, '{{status}}')"
+                          for a in ("0.0", "1.0") for c in ("0.5", "1.0")],
+    "monotonicity": ["(-1.0, nan, nan, nan, nan, nan, nan, 0, '{status}')"],
+    "soundness": [f"({t}, nan, 0, 0, 0, nan, nan, nan, 0, 0, '{{status}}')"
+                  for t in ("-2.0, 0.0", "-2.0, 1.0", "-0.5, 0.0", "-0.5, 1.0")],
+}
+
+
+def _raising(error):
+    def fail(*args, **kwargs):
+        raise error("forced failure")
+    return fail
+
+
+class TestFailurePath:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("error,status", [(NumericError, "numeric-error"),
+                                              (DomainError, "domain-error")])
+    @pytest.mark.parametrize("mode", [*MODES, "soundness"])
+    def test_failure_rows_are_pinned(self, mode, error, status, workers, fake_pool,
+                                     monkeypatch, tmp_path):
+        """A robintri error in any evaluator gives the same typed row, serially
+        and through the pool path."""
+        monkeypatch.setattr(scan, _FAILING_CALLEE[mode], _raising(error))
+        if mode == "soundness":
+            res = soundness_sweep([-2.0, -0.5], [0.0, 1.0], c=S_THIRD, S=S_THIRD,
+                                  workers=workers)
+        else:
+            cfg = ScanConfig(mode=mode, output_path=str(tmp_path / "f.csv"), **_PIPELINE_CFG[mode])
+            res = run_scan(cfg, workers=workers)
+        assert [repr(row) for row in res.rows] == [
+            row.format(status=status) for row in _FAILURE_ROWS[mode]]
+
+    def test_failed_claimed_local_row_keeps_its_claim(self, monkeypatch):
+        monkeypatch.setattr(scan, "hessian_upper_bounds", _raising(NumericError))
+        row = scan._cell_local(-0.5, S=S_THIRD)
+        assert row[9:] == (1, 0, "numeric-error")
+        assert all(math.isnan(v) for v in row[1:9])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_other_exceptions_propagate(self, workers, fake_pool, monkeypatch):
+        """Only robintri errors are cell failures; anything else is a bug."""
+        monkeypatch.setattr(scan, "g_threshold", _raising(ValueError))
+        with pytest.raises(ValueError, match="forced failure"):
+            run_scan(ScanConfig(mode="g-curve", a_range=(0.5, 0.9, 3)), workers=workers)
+
+    @pytest.mark.parametrize("call,cell", [
+        (lambda S: verify_local([-0.5], S), "_cell_local"),
+        (lambda S: verify_perimeter_variant(-0.5, S, [(0.0, 0.5)]), "_cell_perimeter"),
+        (lambda S: verify_monotone(-0.5, S), "_cell_monotone"),
+        (lambda S: soundness_sweep([-0.5], [0.5], c=S_THIRD, S=S), "_soundness_cell"),
+    ], ids=["local", "perimeter", "monotone", "soundness"])
+    def test_helpers_refuse_a_bad_area_before_any_cell(self, call, cell, monkeypatch):
+        calls = []
+        monkeypatch.setattr(scan, cell, lambda task, **_: calls.append(task))
+        for S in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="area S"):
+                call(S)
+        assert not calls
+
+    def test_helpers_refuse_bad_tolerances_before_any_cell(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(scan, "_soundness_cell", lambda task, **_: calls.append(task))
+        monkeypatch.setattr(scan, "_cell_monotone", lambda task, **_: calls.append(task))
+        for tol in (math.inf, math.nan, 0.0):
+            with pytest.raises(DomainError, match="fem_rel_tol"):
+                soundness_sweep([-2.0], [1.0], c=S_THIRD, S=S_THIRD, fem_rel_tol=tol)
+            with pytest.raises(DomainError, match="fem_rel_tol"):
+                verify_monotone(-0.5, S_THIRD, rel_tol=tol)
+        with pytest.raises(DomainError, match="c_fixed"):
+            soundness_sweep([-2.0], [1.0], c=-1.0, S=S_THIRD)
+        assert not calls
+
+
+class TestStrongCoupling:
+    """Past beta ~ 175 the raw ground-state norms leave float64: typed rows, no crash."""
+
+    def test_transplant_scan_keeps_every_row(self):
+        res = run_scan(ScanConfig(mode="transplant-region", alpha_range=(-300.0, -100.0, 2),
+                                  a_range=(0.0, 1.0, 2)))
+        assert [(row[0], row[-1]) for row in res.rows] == [
+            (-300.0, "numeric-error"), (-300.0, "numeric-error"), (-100.0, "ok"), (-100.0, "ok")]
+
+    def test_soundness_cell_is_a_numeric_error(self):
+        (row,) = soundness_sweep([-300.0], [0.5], c=S_THIRD, S=S_THIRD).rows
+        assert row[-1] == "numeric-error"

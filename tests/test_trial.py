@@ -204,6 +204,18 @@ class TestSectorBound:
         assert sector_condition(-8.0, tri)
         assert not sector_condition(-0.1, tri)
 
+    def test_sector_certificates_accept_params(self):
+        """Like every other certificate, both take TriangleParams or TriangleGeometry."""
+        params = TriangleParams(0.5, 0.6, S_THIRD)
+        tri = make_triangle(0.5, 0.6, S_THIRD)
+        for alpha in (-1.0, -8.0):
+            assert sector_bound(alpha, params) == sector_bound(alpha, tri)
+            assert sector_bound(alpha, params, anchor_vertex=0) == sector_bound(
+                alpha, tri, anchor_vertex=0)
+            assert sector_condition(alpha, params) == sector_condition(alpha, tri)
+        with pytest.raises(DomainError):
+            sector_bound(-1.0, (0.5, 0.6, S_THIRD))
+
 
 class TestLowerBound:
     def test_dominated_by_lambda0(self, rng):
