@@ -34,6 +34,9 @@ from .errors import NumericError
 
 #: cells one adaptive integral may split before it gives up
 _MAX_CELLS = 400_000
+#: subdivision depth at which a triangle / segment cell is accepted as is
+_MAX_DEPTH_TRIANGLE = 26
+_MAX_DEPTH_SEGMENT = 40
 #: evaluation points one batched rule call of the adaptive loop may use
 #: (a batch always takes at least one cell)
 _MAX_POINTS = 2**15
@@ -169,15 +172,15 @@ def _adaptive(rule, split, root: np.ndarray, batch: int, tol: float, max_depth: 
     return total if total.size > 1 else total[0]
 
 
-def triangle_integrate(f, verts, n: int = 6, tol: float = 1e-12, max_depth: int = 26) -> np.ndarray:
+def triangle_integrate(f, verts, n: int = 6, tol: float = 1e-12) -> np.ndarray:
     """Adaptive integral of a vector-valued integrand over one triangle."""
     return _adaptive(lambda cells: triangle_apply(f, cells, n), _children,
                      np.asarray(verts, dtype=float), max(1, _MAX_POINTS // (4 * n * n)),
-                     tol, max_depth, "triangle")
+                     tol, _MAX_DEPTH_TRIANGLE, "triangle")
 
 
-def segment_integrate(f, p0, p1, n: int = 8, tol: float = 1e-12, max_depth: int = 40) -> np.ndarray:
+def segment_integrate(f, p0, p1, n: int = 8, tol: float = 1e-12) -> np.ndarray:
     """Adaptive bisection counterpart of segment_apply."""
     return _adaptive(lambda segs: segment_apply(f, segs[:, 0], segs[:, 1], n), _halves,
                      np.array([p0, p1], dtype=float), max(1, _MAX_POINTS // (2 * n)),
-                     tol, max_depth, "segment")
+                     tol, _MAX_DEPTH_SEGMENT, "segment")

@@ -25,6 +25,7 @@ from .geometry import c0, make_triangle
 from .scan import (
     MODES,
     ScanConfig,
+    _check_scalars,
     parse_config,
     run_scan,
     verify_local,
@@ -35,6 +36,8 @@ from .scan import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
+
+SUITES = ("local", "perimeter", "monotone", "conjecture")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,8 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="anchor the corner trial field at the left base vertex")
 
     p_ve = sub.add_parser("verify", help="run one bundled verification suite")
-    p_ve.add_argument("--suite", required=True,
-                      choices=("local", "perimeter", "monotone", "conjecture"))
+    p_ve.add_argument("--suite", required=True, choices=SUITES)
     p_ve.add_argument("--alpha", type=float, required=True, help="boundary coupling, negative")
     p_ve.add_argument("--area", type=float, default=1.0 / math.sqrt(3.0), help="triangle area")
     return parser
@@ -137,42 +139,20 @@ def _print_table(result) -> None:
         print(",".join(v if isinstance(v, str) else "%r" % v for v in row))
 
 
-def _cmd_verify(args) -> int:
-    alpha, S = args.alpha, args.area
-    if args.suite == "local":
-        result = verify_local([alpha], S)
-        _print_table(result)
-        row = result.rows[0]
-        claimed = bool(row[result.columns.index("claimed")])
-        verdict = bool(row[result.columns.index("verdict")])
-        if claimed and not verdict:
-            print("verify local: FAILED")
-            return EXIT_NUMERIC
-        print("verify local: OK" if claimed else "verify local: no claim at this coupling")
-        return EXIT_OK
-    if args.suite == "perimeter":
-        cc = c0(S)
-        grid = [
-            (fa * cc, fc * cc)
-            for fa in (0.0, 0.2, 0.4)
-            for fc in (0.8, 0.9, 1.0, 1.15, 1.3)
-        ]
-        result = verify_perimeter_variant(alpha, S, grid)
-        _print_table(result)
-        ok = all(row[result.columns.index("verdict")] for row in result.rows)
-        print("verify perimeter: OK" if ok else "verify perimeter: FAILED")
-        return EXIT_OK if ok else EXIT_NUMERIC
-    if args.suite == "monotone":
-        result = verify_monotone(alpha, S)
-        _print_table(result)
-        row = result.rows[0]
-        ok = bool(row[result.columns.index("verdict")]) and row[-1] == "ok"
-        print("verify monotone: OK" if ok else "verify monotone: FAILED")
-        return EXIT_OK if ok else EXIT_NUMERIC
-    # conjecture: eigenvalue never exceeds the equilateral value on a sample grid
+def _suite_result(suite: str, alpha: float, S: float):
+    """The ScanResult of one bundled suite; the area is checked before any grid is built."""
+    _check_scalars(S=S)
+    if suite == "local":
+        return verify_local([alpha], S)
+    if suite == "monotone":
+        return verify_monotone(alpha, S)
     cc = c0(S)
+    if suite == "perimeter":
+        grid = [(fa * cc, fc * cc) for fa in (0.0, 0.2, 0.4) for fc in (0.8, 0.9, 1.0, 1.15, 1.3)]
+        return verify_perimeter_variant(alpha, S, grid)
+    # conjecture: eigenvalue never exceeds the equilateral value on a sample grid
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = ScanConfig(
+        return run_scan(ScanConfig(
             mode="fem-conjecture",
             alpha_range=(alpha, alpha, 1),
             a_range=(0.0, 2.0 * cc, 5),
@@ -180,11 +160,21 @@ def _cmd_verify(args) -> int:
             S=S,
             fem_rel_tol=1e-5,
             output_path=os.path.join(tmp, "conjecture.csv"),
-        )
-        result = run_scan(cfg)
+        ))
+
+
+def _cmd_verify(args) -> int:
+    """Print the suite's table; it passes when every claimed row has verdict 1.
+    A result without a claimed column claims every row."""
+    result = _suite_result(args.suite, args.alpha, args.area)
     _print_table(result)
-    ok = all(row[result.columns.index("verdict")] for row in result.rows)
-    print("verify conjecture: OK" if ok else "verify conjecture: FAILED")
+    cols = result.columns
+    claimed = [row for row in result.rows if "claimed" not in cols or row[cols.index("claimed")]]
+    if not claimed:
+        print(f"verify {args.suite}: no claim at this coupling")
+        return EXIT_OK
+    ok = all(row[cols.index("verdict")] == 1 for row in claimed)
+    print(f"verify {args.suite}: {'OK' if ok else 'FAILED'}")
     return EXIT_OK if ok else EXIT_NUMERIC
 
 

@@ -66,8 +66,6 @@ class EquilateralSolution:
     #: log(1 - t); kept separately because 1 - t underflows float64 once
     #: beta = -alpha*sqrt(sqrt(3) S) grows past ~350
     log_one_minus_t: float
-    #: defect of t*K - beta at the accepted iterate
-    residual: float
 
     @property
     def beta(self) -> float:
@@ -104,8 +102,8 @@ def _psi_prime(y: float) -> float:
     return -(s * k + s_times_A)
 
 
-def _solve_t(beta: float) -> tuple[float, float, float]:
-    """Root of t K(t) = beta in y = log(1 - t); returns (t, y, residual)."""
+def _solve_t(beta: float) -> tuple[float, float]:
+    """Root of t K(t) = beta in y = log(1 - t); returns (t, y)."""
     lo, hi = -2.0 * beta - 10.0, 0.0
     if _psi(lo, beta) <= 0.0 or _psi(hi, beta) >= 0.0:
         raise NumericError(f"log-space bracket failed for beta={beta}")
@@ -137,7 +135,7 @@ def _solve_t(beta: float) -> tuple[float, float, float]:
         raise NumericError(
             f"log-space solve stalled at y={best_y}, residual={best_f:g}"
         )
-    return -math.expm1(best_y), best_y, best_f
+    return -math.expm1(best_y), best_y
 
 
 def solve_equilateral(alpha: float, S: float) -> EquilateralSolution:
@@ -151,14 +149,14 @@ def solve_equilateral(alpha: float, S: float) -> EquilateralSolution:
     if not (math.isfinite(S) and S > 0.0):
         raise DomainError(f"S must be finite and strictly positive, got {S}")
     beta = -alpha * math.sqrt(_SQRT3 * S)
-    t, y, res = _solve_t(beta)
+    t, y = _solve_t(beta)
     M = 0.5 * (math.log1p(t) - y)
     L = -math.atanh(0.5 * t)
     K = M - L
     lam = -4.0 * K * K / (_SQRT3 * S)
     return EquilateralSolution(
         alpha=float(alpha), S=float(S), t=t, K=K, L=L, M=M,
-        lambda0=lam, log_one_minus_t=y, residual=res,
+        lambda0=lam, log_one_minus_t=y,
     )
 
 

@@ -443,10 +443,9 @@ def eigenvalue_converged(
     tri,
     alpha: float,
     rel_tol: float = 1e-6,
-    min_level: int = 2,
     max_level: int = 9,
 ) -> EigenResult:
-    """Refine until the Richardson-extrapolated eigenvalue settles.
+    """Refine from level 2 until the Richardson-extrapolated eigenvalue settles.
 
     lambda1 carries the extrapolated value, residual its error estimate (the
     change in the extrapolation over the last refinement), lambda2 the finest
@@ -461,7 +460,7 @@ def eigenvalue_converged(
         raise ResourceError(f"max_level {max_level} exceeds cap {MAX_LEVEL}")
     skipped: list[tuple[int, str]] = []
     done, vals, extrs, converged = _settle(
-        walk_levels(tri, alpha, min_level, max_level, skipped), lambda res: res.lambda1,
+        walk_levels(tri, alpha, 2, max_level, skipped), lambda res: res.lambda1,
         lambda old, new: abs(new - old) <= rel_tol * abs(new))
     res = done[-1]
     return EigenResult(

@@ -24,7 +24,8 @@ reads and the package version, so identical configs give byte-identical files.
 
 run_scan, the verify_* helpers and soundness_sweep all run through one sweep
 core, _sweep, the only place that builds a ScanResult.  Each entry point checks
-its global inputs (ranges, area, tolerance) before any cell runs.  _sweep runs
+its global inputs (ranges, couplings, grid values, area, tolerance) before any
+cell runs.  _sweep runs
 every cell through one isolation boundary, _isolated: a robintri error becomes
 a typed failure row, and any other exception propagates.
 """
@@ -115,6 +116,8 @@ def _check_range(name: str, rng, *, collapsed_ok: bool = False, single: bool = F
     n = int(n)
     if single and n != 1:
         raise DomainError(f"{name}: this mode uses a single value (collapsed range), got {rng!r}")
+    if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in (lo, hi)):
+        raise DomainError(f"{name}: endpoints must be finite numbers, got {rng!r}")
     if n >= 2:
         if not lo < hi:
             raise DomainError(f"{name}: need lo < hi for n >= 2, got {rng!r}")
@@ -135,8 +138,15 @@ def _check_scalars(*, S: float, rel_tol: float | None = None, c: float | None = 
         raise DomainError(f"area S must be positive and finite, got {S}")
     if rel_tol is not None and not (math.isfinite(rel_tol) and rel_tol >= 1e-8):
         raise DomainError(f"fem_rel_tol must be finite and >= 1e-8, got {rel_tol}")
-    if c is not None and not c > 0.0:
-        raise DomainError(f"c_fixed must be positive, got {c}")
+    if c is not None and not (math.isfinite(c) and c > 0.0):
+        raise DomainError(f"c_fixed must be positive and finite, got {c}")
+
+
+def _check_finite(name: str, values, *, negative: bool = False) -> None:
+    """Refuse non-finite grid values, and with negative=True any coupling >= 0."""
+    if not all(math.isfinite(v) and (v < 0.0 or not negative) for v in values):
+        rule = "finite and strictly negative" if negative else "finite"
+        raise DomainError(f"{name} must be {rule}, got {tuple(values)}")
 
 
 def _grid(rng) -> tuple[float, ...]:
@@ -278,10 +288,9 @@ def _fem_pad(lam0: float, err: float) -> float:
     return 10.0 * err + 1e-9 * max(1.0, abs(lam0))
 
 
-def _cell_fem(task, *, S: float, rel_tol: float, max_level: int = 9) -> tuple:
+def _cell_fem(task, *, S: float, rel_tol: float) -> tuple:
     alpha, a, c = task
-    res = eigenvalue_converged(make_triangle(a, c, S), alpha,
-                               rel_tol=rel_tol, max_level=max_level)
+    res = eigenvalue_converged(make_triangle(a, c, S), alpha, rel_tol=rel_tol)
     lam0 = lambda0(alpha, S)
     margin = res.lambda1 - lam0
     ok = margin <= _fem_pad(lam0, res.residual)
@@ -336,15 +345,14 @@ def _cell_local(alpha: float, *, S: float) -> tuple:
 def _cell_monotone(alpha: float, *, S: float, rel_tol: float) -> tuple:
     areas = (0.5 * S, S, 2.0 * S)
     lam0s = [lambda0(alpha, s) for s in areas]
-    fems, errs = [], []
-    for s in areas:
-        res = eigenvalue_converged(make_triangle(0.0, c0(s), s), alpha, rel_tol=rel_tol)
-        fems.append(res.lambda1)
-        errs.append(res.residual)
-    pad = [_fem_pad(l, e) for l, e in zip(lam0s, errs)]
+    results = [eigenvalue_converged(make_triangle(0.0, c0(s), s), alpha, rel_tol=rel_tol)
+               for s in areas]
+    fems = [res.lambda1 for res in results]
+    pad = [_fem_pad(l, res.residual) for l, res in zip(lam0s, results)]
     ok_closed = lam0s[0] < lam0s[1] < lam0s[2]
     ok_fem = (fems[0] < fems[1] + pad[0] + pad[1]) and (fems[1] < fems[2] + pad[1] + pad[2])
-    return (alpha, *lam0s, *fems, int(ok_closed and ok_fem), "ok")
+    status = "ok" if all(res.converged for res in results) else "unconverged"
+    return (alpha, *lam0s, *fems, int(ok_closed and ok_fem), status)
 
 
 def _prov(**values) -> dict[str, str]:
@@ -472,8 +480,9 @@ def verify_local(alpha_list, S: float) -> ScanResult:
     "no-claim".  Rows whose derivatives do not settle are "unconverged".
     """
     alphas = tuple(float(a) for a in alpha_list)
-    if not alphas or any(a >= 0.0 for a in alphas):
-        raise DomainError("alpha_list must be non-empty and strictly negative")
+    if not alphas:
+        raise DomainError("alpha_list must be non-empty")
+    _check_finite("alpha_list", alphas, negative=True)
     _check_scalars(S=S)
     prov = {"alpha_list": ",".join(_format_cell(a) for a in alphas), **_prov(S=S)}
     return _sweep("local-optimality", partial(_cell_local, S=S), alphas, {"alpha": alphas}, prov)
@@ -486,14 +495,17 @@ def verify_perimeter_variant(alpha: float, S: float, grid) -> ScanResult:
     chained against the closed forms: scaled eigenvalue <= scaled equilateral
     value < reference equilateral value.  Margins for both links and their
     combination are reported per cell.  A full (a, c) product gets (a, c)
-    axes; any other set of pairs gets one "cell" axis in the given order.
+    axes; any other set of distinct pairs gets one "cell" axis in the given
+    order.
     """
-    if alpha >= 0.0:
-        raise DomainError(f"alpha must be negative, got {alpha}")
+    _check_finite("alpha", [alpha], negative=True)
     _check_scalars(S=S)
     pairs = [(float(a), float(c)) for a, c in grid]
     if not pairs:
         raise DomainError("empty (a, c) grid")
+    _check_finite("(a, c) grid", [v for p in pairs for v in p])
+    if len(set(pairs)) != len(pairs):
+        raise DomainError(f"(a, c) grid repeats a pair: {pairs}")
     avals = tuple(dict.fromkeys(p[0] for p in pairs))
     cvals = tuple(dict.fromkeys(p[1] for p in pairs))
     if len(pairs) == len(avals) * len(cvals):
@@ -510,15 +522,14 @@ def verify_monotone(alpha: float, S: float, rel_tol: float = 1e-5) -> ScanResult
     Both the closed-form equilateral values and the FEM values must increase
     with the area (FEM within its padded error estimates).
     """
-    if alpha >= 0.0:
-        raise DomainError(f"alpha must be negative, got {alpha}")
+    _check_finite("alpha", [alpha], negative=True)
     _check_scalars(S=S, rel_tol=rel_tol)
     fn = partial(_cell_monotone, S=S, rel_tol=rel_tol)
     return _sweep("monotonicity", fn, [alpha], {"alpha": (float(alpha),)}, _prov(alpha=alpha, S=S))
 
 
 def soundness_sweep(alpha_values, a_values, c: float, S: float, fem_rel_tol: float = 1e-3,
-                    max_level: int = 9, workers: int = 1) -> ScanResult:
+                    workers: int = 1) -> ScanResult:
     """Cross-check every certificate against the FEM oracle on an (a, alpha) grid.
 
     For each cell the three trial-function certificates are evaluated; on the
@@ -530,50 +541,45 @@ def soundness_sweep(alpha_values, a_values, c: float, S: float, fem_rel_tol: flo
     """
     alphas = tuple(float(x) for x in alpha_values)
     avals = tuple(float(x) for x in a_values)
-    if any(a >= 0.0 for a in alphas):
-        raise DomainError("alpha values must be strictly negative")
+    _check_finite("alpha values", alphas, negative=True)
+    _check_finite("a values", avals)
     _check_scalars(S=S, rel_tol=fem_rel_tol, c=c)
-    fn = partial(_soundness_cell, c=c, S=S, rel_tol=fem_rel_tol, max_level=max_level)
+    fn = partial(_soundness_cell, c=c, S=S, rel_tol=fem_rel_tol)
     return _sweep("soundness", fn, [(al, a) for al in alphas for a in avals],
                   {"a": avals, "alpha": alphas}, _prov(c=c, S=S, fem_rel_tol=fem_rel_tol), workers)
 
 
-def _raw_upper_bound(tri, alpha: float, rel_tol: float, max_level: int,
-                     min_level: int = 3,
-                     sound_target: float | None = None) -> tuple[float, float, bool]:
-    """(lambda_h, correction_estimate, settled) from the raw mesh ladder.
+def _raw_upper_bound(tri, alpha: float, rel_tol: float,
+                     sound_target: float) -> tuple[float, float, bool]:
+    """(lambda_h, correction_estimate, settled) from the raw mesh ladder, levels 3 to 9.
 
     lambda_h is the finest certified level's value itself — a conforming
     upper bound for the true eigenvalue regardless of extrapolation — and
     the estimate is the one-sided Richardson correction still expected
     below it.
 
-    When ``sound_target`` is given the ladder also stops as soon as
-    lambda_h + 10*estimate <= sound_target: the true eigenvalue sits below
-    the conforming value, so the comparison is already decided and further
-    refinement can only reconfirm it.
+    The ladder also stops as soon as lambda_h + 10*estimate <= sound_target:
+    the true eigenvalue sits below the conforming value, so the comparison
+    is already decided and further refinement can only reconfirm it.
     """
     lam = lam_prev = None
     lev_prev = 0
-    est = math.inf
-    for res in walk_levels(tri, alpha, min_level, max_level, []):
+    est = math.inf  # until two levels are solved, so neither stop can fire
+    for res in walk_levels(tri, alpha, 3, 9, []):
         lam_prev, lam = lam, res.lambda1
         if lam_prev is not None:
             est = abs(lam - lam_prev) / (4.0 ** (res.level - lev_prev) - 1.0)
         lev_prev = res.level
-        if est <= rel_tol * abs(lam):
-            return lam, est, True
-        if (sound_target is not None and lam_prev is not None
-                and lam + 10.0 * est <= sound_target):
+        if est <= rel_tol * abs(lam) or lam + 10.0 * est <= sound_target:
             return lam, est, True
     if lam is None:
-        raise NumericError(f"no mesh level up to {max_level} produced a certified eigenvalue")
+        raise NumericError("no mesh level from 3 to 9 produced a certified eigenvalue")
     if lam_prev is None:
         est = 0.1 * abs(lam)
     return lam, est, False
 
 
-def _soundness_cell(task, *, c: float, S: float, rel_tol: float, max_level: int) -> tuple:
+def _soundness_cell(task, *, c: float, S: float, rel_tol: float) -> tuple:
     alpha, a = task
     tri = make_triangle(a, c, S)
     delta, delta_ok = transplant_verdict(alpha, tri)
@@ -587,8 +593,7 @@ def _soundness_cell(task, *, c: float, S: float, rel_tol: float, max_level: int)
     if not certified:
         return (alpha, a, delta, int(const_ok), int(cond_ok), 0,
                 _NAN, _NAN, lam0, 1, 1, "ok")
-    lam, err, settled = _raw_upper_bound(tri, alpha, rel_tol, max_level,
-                                         sound_target=lam0)
+    lam, err, settled = _raw_upper_bound(tri, alpha, rel_tol, sound_target=lam0)
     sound = lam <= lam0 - 10.0 * err
     if not settled:
         status = "unconverged"

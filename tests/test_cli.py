@@ -6,9 +6,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from robintri import cli
+from robintri import cli, scan
 from robintri.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from robintri.equilateral import lambda0
+from robintri.errors import NumericError
 
 S_THIRD = 1.0 / math.sqrt(3.0)
 
@@ -67,6 +68,15 @@ class TestEigen:
         )
         assert code == EXIT_NUMERIC
         assert "converged = False" in out
+
+    def test_level_past_the_cap_is_a_numeric_failure(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["eigen", "--a", "0.0", "--c", "0.6", "--area", "0.5",
+             "--alpha", "-1.0", "--max-level", "12"],
+        )
+        assert code == EXIT_NUMERIC
+        assert out == "" and err.startswith("numeric failure:")
 
     def test_tolerance_below_floor_is_usage_error(self, capsys):
         code, _, _ = run(
@@ -187,12 +197,32 @@ class TestVerify:
         assert (cells["claimed"], cells["verdict"], cells["status"]) == ("1", "1", "ok")
         assert out.rstrip().endswith("verify local: OK")
 
-    def test_monotone_suite_refuses_a_bad_area(self, capsys):
+    @pytest.mark.parametrize("suite", cli.SUITES)
+    def test_every_suite_refuses_a_bad_area(self, suite, capsys):
         """A bad area is a usage error before any cell runs, not a failed check."""
-        code, out, err = run(capsys, ["verify", "--suite", "monotone", "--alpha", "-0.5",
+        code, out, err = run(capsys, ["verify", "--suite", suite, "--alpha", "-0.5",
                                       "--area", "-1"])
         assert code == EXIT_USAGE
-        assert "area S" in err and "FAILED" not in out
+        assert "area S" in err and out == ""
+
+    def test_perimeter_suite_passes(self, capsys):
+        code, out, _ = run(capsys, ["verify", "--suite", "perimeter", "--alpha", "-0.5"])
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert lines[0].startswith("a,c,gamma,") and len(lines) == 1 + 15 + 1
+        assert lines[-1] == "verify perimeter: OK"
+
+    def test_local_suite_fails_on_a_claimed_failing_row(self, capsys, monkeypatch):
+        """A claimed row whose derivatives cannot be computed fails the suite."""
+        def fail(alpha, S):
+            raise NumericError("forced failure")
+
+        monkeypatch.setattr(scan, "shape_derivatives_at_equilateral", fail)
+        code, out, _ = run(capsys, ["verify", "--suite", "local", "--alpha", "-0.5"])
+        assert code == EXIT_NUMERIC
+        cells = dict(zip(*(line.split(",") for line in out.splitlines()[:2])))
+        assert (cells["claimed"], cells["verdict"], cells["status"]) == ("1", "0", "numeric-error")
+        assert out.rstrip().endswith("verify local: FAILED")
 
     def test_unknown_suite_rejected(self, capsys):
         code, _, _ = run(capsys, ["verify", "--suite", "everything"])

@@ -453,9 +453,7 @@ class TestConvergence:
 
     def test_needs_two_levels(self):
         with pytest.raises(NumericError):
-            eigenvalue_converged(
-                equilateral_params(1.0), -1.0, min_level=2, max_level=2
-            )
+            eigenvalue_converged(equilateral_params(1.0), -1.0, max_level=2)
 
 
 class TestShapeDerivatives:

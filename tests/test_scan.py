@@ -12,7 +12,7 @@ import robintri
 from robintri import scan
 from robintri.equilateral import c0, lambda0
 from robintri.errors import DomainError, NumericError
-from robintri.fem import ShapeDerivatives
+from robintri.fem import EigenResult, ShapeDerivatives
 from robintri.scan import (
     MODES,
     ScanConfig,
@@ -65,6 +65,22 @@ class TestScanConfig:
     def test_rejects_reversed_range(self):
         with pytest.raises(DomainError):
             ScanConfig(mode="transplant-region", alpha_range=(-0.5, -2.0, 4))
+
+    @pytest.mark.parametrize("field,rng", [
+        ("a_range", (-math.inf, -1.0, 3)),
+        ("a_range", (0.0, math.inf, 3)),
+        ("a_range", (0.0, math.nan, 3)),
+        ("alpha_range", (-math.inf, -1.0, 3)),
+        ("alpha_range", (math.nan, -1.0, 3)),
+    ])
+    def test_range_endpoints_must_be_finite(self, field, rng, monkeypatch):
+        """A non-finite endpoint would put NaN on an axis; the config is refused
+        before any cell runs."""
+        calls = []
+        monkeypatch.setattr(scan, "_cell_constant", lambda task, **_: calls.append(task))
+        with pytest.raises(DomainError, match="endpoints must be finite"):
+            run_scan(ScanConfig(mode="constant-region", **{field: rng}))
+        assert not calls
 
     def test_collapsed_range_needs_equal_endpoints(self):
         with pytest.raises(DomainError):
@@ -120,8 +136,9 @@ class TestScanConfig:
     def test_scalar_parameter_validation(self):
         with pytest.raises(DomainError):
             ScanConfig(mode="transplant-region", S=0.0)
-        with pytest.raises(DomainError):
-            ScanConfig(mode="transplant-region", c_fixed=-1.0)
+        for c in (-1.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="c_fixed must be positive and finite"):
+                ScanConfig(mode="transplant-region", c_fixed=c)
         for tol in (0.0, math.nan, math.inf):
             with pytest.raises(DomainError):
                 ScanConfig(mode="transplant-region", fem_rel_tol=tol)
@@ -343,6 +360,27 @@ class TestFemModes:
         assert l_half < l_base < l_twice < 0.0
         assert f_half < f_base < f_twice < 0.0
 
+    def test_unconverged_ladders_mark_the_monotone_row(self, monkeypatch):
+        """The verdict stays the comparison's; the status says a ladder hit its cap."""
+        def capped(tri, alpha, rel_tol):
+            return EigenResult(lambda1=lambda0(alpha, tri.params.S), eigenvector=None,
+                               iterations=0, residual=1e-9, converged=False)
+
+        monkeypatch.setattr(scan, "eigenvalue_converged", capped)
+        row = scan._cell_monotone(-0.5, S=S_THIRD, rel_tol=1e-4)
+        assert row[-2:] == (1, "unconverged")
+
+    def test_perimeter_variant_refuses_a_repeated_pair(self, monkeypatch):
+        """Four pairs over two a and two c values are not the full product
+        when one pair repeats; refused before any cell runs."""
+        calls = []
+        monkeypatch.setattr(scan, "_cell_perimeter", lambda task, **_: calls.append(task))
+        cc = c0(S_THIRD)
+        grid = [(0.0, cc), (0.0, 1.1 * cc), (0.2, cc), (0.0, cc)]
+        with pytest.raises(DomainError, match="repeats a pair"):
+            verify_perimeter_variant(-0.5, S_THIRD, grid)
+        assert not calls
+
     def test_soundness_rejects_a_repeated_axis_value(self, monkeypatch):
         """Two cells on one verdict-grid slot are refused before any cell runs."""
         calls = []
@@ -353,9 +391,7 @@ class TestFemModes:
 
     def test_soundness_certified_cells_stay_sound(self):
         cc = c0(S_THIRD)
-        res = soundness_sweep(
-            [-0.5, -6.0], [0.5, 2.0], cc, S_THIRD, fem_rel_tol=1e-2, max_level=6
-        )
+        res = soundness_sweep([-0.5, -6.0], [0.5, 2.0], cc, S_THIRD, fem_rel_tol=1e-2)
         assert len(res.rows) == 4
         certified = [row for row in res.rows if row[5] == 1]
         assert certified  # the sweep must actually exercise a certificate
@@ -473,7 +509,7 @@ class TestSoundnessStatus:
         assert status == "unresolved"
 
     def test_clear_contradiction_keeps_ok_status(self, monkeypatch):
-        def above_target(tri, alpha, rel_tol, max_level, sound_target):
+        def above_target(tri, alpha, rel_tol, sound_target):
             return sound_target + 1.0, 1e-3, True
 
         monkeypatch.setattr(scan, "_raw_upper_bound", above_target)
@@ -755,8 +791,30 @@ class TestFailurePath:
                 soundness_sweep([-2.0], [1.0], c=S_THIRD, S=S_THIRD, fem_rel_tol=tol)
             with pytest.raises(DomainError, match="fem_rel_tol"):
                 verify_monotone(-0.5, S_THIRD, rel_tol=tol)
-        with pytest.raises(DomainError, match="c_fixed"):
-            soundness_sweep([-2.0], [1.0], c=-1.0, S=S_THIRD)
+        for c in (-1.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="c_fixed"):
+                soundness_sweep([-2.0], [1.0], c=c, S=S_THIRD)
+        assert not calls
+
+    @pytest.mark.parametrize("call,cell", [
+        (lambda v: verify_local([-0.5, v], S_THIRD), "_cell_local"),
+        (lambda v: verify_perimeter_variant(v, S_THIRD, [(0.0, 0.5)]), "_cell_perimeter"),
+        (lambda v: verify_monotone(v, S_THIRD), "_cell_monotone"),
+        (lambda v: soundness_sweep([-0.5, v], [0.5], c=S_THIRD, S=S_THIRD), "_soundness_cell"),
+        (lambda v: verify_perimeter_variant(-0.5, S_THIRD, [(0.0, 0.5), (v, 0.5)]),
+         "_cell_perimeter"),
+        (lambda v: verify_perimeter_variant(-0.5, S_THIRD, [(0.0, 0.5), (0.0, v)]),
+         "_cell_perimeter"),
+        (lambda v: soundness_sweep([-0.5], [0.5, v], c=S_THIRD, S=S_THIRD), "_soundness_cell"),
+    ], ids=["local", "perimeter", "monotone", "soundness",
+            "perimeter-a", "perimeter-c", "soundness-a"])
+    def test_helpers_refuse_a_non_finite_coupling_or_grid_value_before_any_cell(
+            self, call, cell, monkeypatch):
+        calls = []
+        monkeypatch.setattr(scan, cell, lambda task, **_: calls.append(task))
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="must be finite"):
+                call(value)
         assert not calls
 
 
