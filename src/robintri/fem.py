@@ -12,8 +12,8 @@ Each mesh level costs one sparse factorisation.  The shift starts at a warm
 value from the coarser level (or the cold guess -2 alpha^2/sin^2(theta*/2) - 1)
 and moves down until the factorisation's inertia certifies that no
 eigenvalue lies below it.  Shift-invert Lanczos (ARPACK) on that same
-factorisation then returns the two lowest eigenpairs, and the ground value's
-residual is measured in the M^{-1} norm.
+factorisation then returns the ground eigenpair, and its residual is measured
+in the M^{-1} norm.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ class EigenResult:
     eigenvector: np.ndarray | None
     iterations: int
     residual: float
-    lambda2: float | None = None
     converged: bool = True
     level: int | None = None
     history: tuple[float, ...] = ()
@@ -271,15 +270,17 @@ def assemble(mesh: FemMesh, alpha: float) -> FemSystem:
 def _power_iterate(lu, A, M, x0, sigma: float):
     """Shift-invert Lanczos on the factorisation lu of A - sigma*M.
 
-    Returns the two eigenvalues of the pencil (A, M) nearest sigma in
-    ascending order, their M-orthonormal eigenvectors as columns, and the
-    number of lu.solve calls.  ARPACK runs at full precision (tol=0): a
-    looser tolerance can return a wrong second eigenvalue.
+    Returns the eigenvalue of the pencil (A, M) nearest sigma as a length-1
+    array, its M-normalised eigenvector as the one column of an (n, 1) array,
+    and the number of lu.solve calls.  With sigma certified below the
+    spectrum that is the ground pair.  ARPACK runs at full precision (tol=0):
+    the value feeds level-to-level Richardson differences, and a looser stop
+    can leave the Ritz vector mixed with a near-degenerate excited state.
     """
     n = A.shape[0]
-    if n <= 3:  # ARPACK needs k < n - 1
-        vals, vecs = scipy.linalg.eigh(A.toarray(), M.toarray())
-        return vals[:2], vecs[:, :2], 0
+    if n <= 3:  # level 0: three nodes, solved densely
+        vals, vecs = scipy.linalg.eigh(A.toarray(), M.toarray(), subset_by_index=[0, 0])
+        return vals, vecs, 0
     solves = 0
 
     def solve(b):
@@ -288,12 +289,11 @@ def _power_iterate(lu, A, M, x0, sigma: float):
         return lu.solve(b)
 
     try:
-        vals, vecs = eigsh(A, k=2, M=M, sigma=sigma, v0=x0, tol=0,
+        vals, vecs = eigsh(A, k=1, M=M, sigma=sigma, v0=x0, tol=0,
                            OPinv=LinearOperator((n, n), matvec=solve, dtype=float))
     except ArpackError as exc:
         raise NumericError(f"shift-invert Lanczos failed at shift {sigma:g}: {exc}") from exc
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order], solves
+    return vals, vecs, solves
 
 
 def _factor_counting(A, M, sigma: float):
@@ -329,13 +329,13 @@ def _minv_norm(M, r: np.ndarray) -> float:
 
 
 def lowest_eigenpair(system: FemSystem, tri, sigma0: float | None = None) -> EigenResult:
-    """Ground eigenpair, and lambda2, of K + alpha*B against M on the assembled mesh.
+    """Ground eigenpair of K + alpha*B against M on the assembled mesh.
 
     The shift starts at -2 alpha^2/sin^2(theta*/2) - 1 (callers that already
     know the eigenvalue from a coarser mesh pass a warm sigma0 instead) and
     moves down until the factorisation's inertia count shows no eigenvalue
     below it.  Shift-invert Lanczos on that one certified factorisation
-    converges onto the lowest eigenvalues, which matters on flat triangles
+    converges onto the lowest eigenvalue, which matters on flat triangles
     where corner-localised ground and excited states are both nearly positive
     and sign inspection cannot tell them apart.
     """
@@ -379,7 +379,6 @@ def lowest_eigenpair(system: FemSystem, tri, sigma0: float | None = None) -> Eig
         eigenvector=vec,
         iterations=solves,
         residual=_minv_norm(M, A @ vec - lam * (M @ vec)),
-        lambda2=float(vals[1]),
         level=None,
     )
 
@@ -448,14 +447,18 @@ def eigenvalue_converged(
     """Refine from level 2 until the Richardson-extrapolated eigenvalue settles.
 
     lambda1 carries the extrapolated value, residual its error estimate (the
-    change in the extrapolation over the last refinement), lambda2 the finest
-    level's second eigenvalue.  If the level cap is hit first the best value
-    is returned with converged=False.  Levels that fail to certify are listed
-    in ``skipped``; the extrapolation then spans the level gap with the
-    matching 4^gap factor.
+    change in the extrapolation over the last refinement), eigenvector the
+    finest level's.  If the level cap is hit first the best value is returned
+    with converged=False.  Levels that fail to certify are listed in
+    ``skipped``; the extrapolation then spans the level gap with the matching
+    4^gap factor.  max_level below 4 leaves too few levels for two
+    extrapolations to compare and raises DomainError.
     """
     if not (math.isfinite(rel_tol) and rel_tol >= 1e-8):
         raise DomainError(f"rel_tol must be finite and >= 1e-8, got {rel_tol}")
+    if max_level < 4:
+        raise DomainError(f"max_level must be >= 4 for two extrapolations to compare, "
+                          f"got {max_level}")
     if max_level > MAX_LEVEL:
         raise ResourceError(f"max_level {max_level} exceeds cap {MAX_LEVEL}")
     skipped: list[tuple[int, str]] = []
@@ -468,7 +471,6 @@ def eigenvalue_converged(
         eigenvector=res.eigenvector,
         iterations=sum(r.iterations for r in done),
         residual=abs(extrs[-1] - extrs[-2]) if len(extrs) >= 2 else float("inf"),
-        lambda2=res.lambda2,
         converged=converged,
         level=res.level if converged else max_level,
         history=tuple(vals),

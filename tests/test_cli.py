@@ -78,6 +78,15 @@ class TestEigen:
         assert code == EXIT_NUMERIC
         assert out == "" and err.startswith("numeric failure:")
 
+    def test_level_cap_below_four_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["eigen", "--a", "0.0", "--c", "0.6", "--area", "0.5",
+             "--alpha", "-1.0", "--max-level", "3"],
+        )
+        assert code == EXIT_USAGE
+        assert out == "" and "max_level" in err
+
     def test_tolerance_below_floor_is_usage_error(self, capsys):
         code, _, _ = run(
             capsys,
