@@ -8,12 +8,14 @@ is an affine image of one unit lattice, so assembly is a weighted sum of
 reference matrices built once per level (see assemble), and the weights'
 (a, c)-derivatives give exact eigenvalue derivatives (Nelson's method).
 
-Each mesh level costs one sparse factorisation.  The shift starts at a warm
-value from the coarser level (or the cold guess -2 alpha^2/sin^2(theta*/2) - 1)
-and moves down until the factorisation's inertia certifies that no
-eigenvalue lies below it.  Shift-invert Lanczos (ARPACK) on that same
-factorisation then returns the ground eigenpair, and its residual is measured
-in the M^{-1} norm.
+A mesh of at most 153 nodes (levels 0 to 4) is solved by dense LAPACK, which
+needs no shift.  Every larger level costs one sparse factorisation: the shift
+starts at a warm value from the coarser level (or the cold guess
+-2 alpha^2/sin^2(theta*/2) - 1) and moves down until the factorisation's
+inertia certifies that no eigenvalue lies below it, and shift-invert Lanczos
+(ARPACK, a 10-vector basis) on that same factorisation returns the ground
+eigenpair.  On both paths the level's value is the Rayleigh quotient of the
+returned vector, and its residual is measured in the M^{-1} norm.
 """
 
 from __future__ import annotations
@@ -31,6 +33,12 @@ from .errors import DomainError, NumericError, ResourceError
 from .geometry import TriangleParams, as_geometry, c0
 
 MAX_LEVEL = 10
+# Meshes up to this many nodes (levels 0 to 4) are solved by dense LAPACK.  One
+# warm solve with one BLAS thread on a 2-core Xeon VM: level 4 takes 3.0 ms
+# dense against 5.3 ms sparse, level 5 (561 nodes) 61 ms against 7.7 ms.
+_DENSE_NODES = 153
+# Lanczos basis size of the sparse solve (ARPACK's default for k = 1 is 20).
+_NCV = 10
 
 
 @dataclass(frozen=True)
@@ -273,14 +281,16 @@ def _power_iterate(lu, A, M, x0, sigma: float):
     Returns the eigenvalue of the pencil (A, M) nearest sigma as a length-1
     array, its M-normalised eigenvector as the one column of an (n, 1) array,
     and the number of lu.solve calls.  With sigma certified below the
-    spectrum that is the ground pair.  ARPACK runs at full precision (tol=0):
-    the value feeds level-to-level Richardson differences, and a looser stop
-    can leave the Ritz vector mixed with a near-degenerate excited state.
+    spectrum that is the ground pair.  The Lanczos basis holds _NCV = 10
+    vectors: shift-invert needs only 2k + 1 of them for k wanted pairs
+    (Ericsson & Ruhe, Math. Comp. 35, 1980).  From a warm shift that takes
+    about 16 solves per level, where ARPACK's default basis of 20 vectors
+    for k = 1 takes about 21.  ARPACK runs at full precision
+    (tol=0): the value feeds level-to-level Richardson differences, and a
+    looser stop can leave the Ritz vector mixed with a near-degenerate
+    excited state.
     """
     n = A.shape[0]
-    if n <= 3:  # level 0: three nodes, solved densely
-        vals, vecs = scipy.linalg.eigh(A.toarray(), M.toarray(), subset_by_index=[0, 0])
-        return vals, vecs, 0
     solves = 0
 
     def solve(b):
@@ -289,7 +299,7 @@ def _power_iterate(lu, A, M, x0, sigma: float):
         return lu.solve(b)
 
     try:
-        vals, vecs = eigsh(A, k=1, M=M, sigma=sigma, v0=x0, tol=0,
+        vals, vecs = eigsh(A, k=1, M=M, sigma=sigma, v0=x0, ncv=_NCV, tol=0,
                            OPinv=LinearOperator((n, n), matvec=solve, dtype=float))
     except ArpackError as exc:
         raise NumericError(f"shift-invert Lanczos failed at shift {sigma:g}: {exc}") from exc
@@ -321,64 +331,80 @@ def _factor_counting(A, M, sigma: float):
 
 
 def _minv_norm(M, r: np.ndarray) -> float:
-    """sqrt(r^T M^{-1} r) for the SPD mass matrix, by Jacobi-preconditioned CG."""
-    z, info = cg(M, r, rtol=1e-13, atol=0.0, M=sp.diags(1.0 / M.diagonal()))
-    if info != 0:
-        raise NumericError(f"mass-matrix solve for the residual did not converge (info {info})")
+    """sqrt(r^T M^{-1} r) for the SPD mass matrix: by a dense Cholesky factor on
+    meshes the eigensolve treats densely, by Jacobi-preconditioned CG above."""
+    if M.shape[0] <= _DENSE_NODES:
+        z = scipy.linalg.cho_solve(scipy.linalg.cho_factor(M.toarray()), r)
+    else:
+        z, info = cg(M, r, rtol=1e-13, atol=0.0, M=sp.diags(1.0 / M.diagonal()))
+        if info != 0:
+            raise NumericError(
+                f"mass-matrix solve for the residual did not converge (info {info})")
     return math.sqrt(max(float(r @ z), 0.0))
 
 
 def lowest_eigenpair(system: FemSystem, tri, sigma0: float | None = None) -> EigenResult:
     """Ground eigenpair of K + alpha*B against M on the assembled mesh.
 
-    The shift starts at -2 alpha^2/sin^2(theta*/2) - 1 (callers that already
-    know the eigenvalue from a coarser mesh pass a warm sigma0 instead) and
-    moves down until the factorisation's inertia count shows no eigenvalue
-    below it.  Shift-invert Lanczos on that one certified factorisation
-    converges onto the lowest eigenvalue, which matters on flat triangles
-    where corner-localised ground and excited states are both nearly positive
-    and sign inspection cannot tell them apart.
+    A mesh of at most _DENSE_NODES = 153 nodes (levels 0 to 4) is solved by
+    dense LAPACK, which returns the exact lowest pair with no shift to
+    certify.  On a larger mesh the shift starts at -2 alpha^2/sin^2(theta*/2) - 1
+    (callers that already know the eigenvalue from a coarser mesh pass a warm
+    sigma0 instead) and moves down until the factorisation's inertia count
+    shows no eigenvalue below it.  Shift-invert Lanczos with a _NCV = 10
+    vector basis on that one certified factorisation converges onto the
+    lowest eigenvalue, which matters on flat triangles where corner-localised
+    ground and excited states are both nearly positive and sign inspection
+    cannot tell them apart.  On both paths lambda1 is the Rayleigh quotient
+    x^T A x / x^T M x of the returned vector, and the residual is measured in
+    the M^{-1} norm.
     """
     geom = as_geometry(tri)
     alpha = system.alpha
     A = (system.stiffness + alpha * system.boundary_mass).tocsc()
     M = system.mass.tocsr()
     n = A.shape[0]
-    sigma = sigma0 if sigma0 is not None else (
-        -2.0 * (alpha / math.sin(0.5 * geom.theta_star)) ** 2 - 1.0
-    )
-    ones = np.ones(n)
-    # Start vector: constant plus a fixed asymmetric ripple.  The ripple keeps
-    # a usable overlap with antisymmetric ground states (symmetric meshes of
-    # isosceles triangles produce them), which a pure constant start misses.
-    x0 = ones + 0.01 * (np.arange(n) % 11 - 5.0)
-    # Rayleigh quotient of the constant vector (it lies in the P1 space): an
-    # exact upper bound on the discrete ground value at every level, so a
-    # shift at or above it cannot be certified.
-    ub = float(ones @ (A @ ones)) / float(ones @ (M @ ones))
-    if sigma >= ub:
-        sigma = ub - 0.05 * max(1.0, abs(ub))
-    for _ in range(80):
-        try:
-            lu, neg = _factor_counting(A, M, sigma)
-            if neg == 0:
-                break
-        except NumericError:
-            raise
-        except RuntimeError:
-            pass  # singular factorisation: sigma sits on an eigenvalue
-        sigma = 2.0 * sigma - 1.0
+    if n <= _DENSE_NODES:
+        vecs = scipy.linalg.eigh(A.toarray(), M.toarray(), subset_by_index=[0, 0])[1]
+        solves = 0
     else:
-        raise NumericError(f"no shift below the spectrum found (last {sigma:g})")
-    vals, vecs, solves = _power_iterate(lu, A, M, x0, sigma)
-    lam, vec = float(vals[0]), vecs[:, 0]
+        sigma = sigma0 if sigma0 is not None else (
+            -2.0 * (alpha / math.sin(0.5 * geom.theta_star)) ** 2 - 1.0
+        )
+        ones = np.ones(n)
+        # Start vector: constant plus a fixed asymmetric ripple.  The ripple keeps
+        # a usable overlap with antisymmetric ground states (symmetric meshes of
+        # isosceles triangles produce them), which a pure constant start misses.
+        x0 = ones + 0.01 * (np.arange(n) % 11 - 5.0)
+        # Rayleigh quotient of the constant vector (it lies in the P1 space): an
+        # exact upper bound on the discrete ground value at every level, so a
+        # shift at or above it cannot be certified.
+        ub = float(ones @ (A @ ones)) / float(ones @ (M @ ones))
+        if sigma >= ub:
+            sigma = ub - 0.05 * max(1.0, abs(ub))
+        for _ in range(80):
+            try:
+                lu, neg = _factor_counting(A, M, sigma)
+                if neg == 0:
+                    break
+            except NumericError:
+                raise
+            except RuntimeError:
+                pass  # singular factorisation: sigma sits on an eigenvalue
+            sigma = 2.0 * sigma - 1.0
+        else:
+            raise NumericError(f"no shift below the spectrum found (last {sigma:g})")
+        _, vecs, solves = _power_iterate(lu, A, M, x0, sigma)
+    vec = vecs[:, 0]
     if float(vec.sum()) < 0.0:
         vec = -vec
+    av, mv = A @ vec, M @ vec
+    lam = float(vec @ av) / float(vec @ mv)
     return EigenResult(
         lambda1=lam,
         eigenvector=vec,
         iterations=solves,
-        residual=_minv_norm(M, A @ vec - lam * (M @ vec)),
+        residual=_minv_norm(M, av - lam * mv),
         level=None,
     )
 

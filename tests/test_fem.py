@@ -278,7 +278,7 @@ class TestFactorCounting:
 
     def test_unsymmetric_permutation_is_refused(self, monkeypatch):
         """The U-diagonal sign count is an inertia only when perm_r == perm_c."""
-        system = assemble(build_mesh(make_triangle(0.3, 0.8, 1.0), 2), -1.0)
+        system = assemble(build_mesh(make_triangle(0.3, 0.8, 1.0), 5), -1.0)
         form = system.stiffness + system.alpha * system.boundary_mass
         n = form.shape[0]
 
@@ -300,37 +300,82 @@ class TestFactorCounting:
             lowest_eigenpair(system, make_triangle(0.3, 0.8, 1.0))
         assert len(calls) == 2  # the solver does not retry other shifts
 
+    def test_shift_above_the_ground_value_is_moved_down(self):
+        """A warm shift between lambda1 and lambda2, nearer lambda2, counts one
+        eigenvalue below it; only a count of zero is accepted, so the solve still
+        returns lambda1 and not the pair nearest the shift."""
+        tri = make_triangle(0.5, 0.8, S_THIRD)
+        spec = dense_spectrum(tri, -2.0, 5)
+        sigma0 = spec[1] - 0.1 * (spec[1] - spec[0])
+        res = solve_at_level(tri, -2.0, 5, sigma0=sigma0)
+        assert abs(res.lambda1 - spec[0]) < 1e-10 * abs(spec[0])
+
 
 class TestLowestEigenpair:
     def test_matches_dense_solution(self, rng):
         for _ in range(8):
             tri = make_triangle(rng.uniform(-2, 2), rng.uniform(0.4, 1.8), S_THIRD)
             alpha = -float(rng.uniform(0.3, 6.0))
-            mesh = build_mesh(tri, 3)
+            mesh = build_mesh(tri, 5)
             system = assemble(mesh, alpha)
             res = lowest_eigenpair(system, tri)
-            spec = dense_spectrum(tri, alpha, 3)
+            spec = dense_spectrum(tri, alpha, 5)
             assert abs(res.lambda1 - spec[0]) < 1e-9 * max(1.0, abs(spec[0]))
 
     def test_coarsest_levels_match_dense_solution(self):
-        """Level 0 (3 nodes) is solved densely, level 1 (6 nodes) is the smallest
-        Lanczos solve."""
+        """Level 0 (3 nodes) is the smallest dense solve, level 5 (561 nodes) the
+        smallest Lanczos solve."""
         tri = make_triangle(0.3, 0.7, S_THIRD)
-        for level in (0, 1):
+        for level in (0, 5):
             res = solve_at_level(tri, -1.5, level)
             spec = dense_spectrum(tri, -1.5, level)
             assert abs(res.lambda1 - spec[0]) < 1e-12 * max(1.0, abs(spec[0]))
 
-    def test_residual_is_the_mass_inverse_norm(self, rng):
+    def test_dense_levels_factor_nothing(self, monkeypatch):
+        """Levels 0 to 4 (at most 153 nodes) are solved by dense LAPACK: no
+        sparse factorisation, no Lanczos solve, the dense minimum.  Level 5 is
+        the first to factor."""
+        tri = make_triangle(-0.6, 0.9, S_THIRD)
+        factored = []
+
+        def counting_splu(*args, **kwargs):
+            factored.append(1)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(fem, "splu", counting_splu)
+        for level in range(5):
+            res = solve_at_level(tri, -3.0, level)
+            lam = dense_spectrum(tri, -3.0, level)[0]
+            assert res.iterations == 0
+            assert abs(res.lambda1 - lam) < 1e-12 * max(1.0, abs(lam))
+        assert not factored
+        assert solve_at_level(tri, -3.0, 5).iterations > 0
+        assert factored
+
+    @pytest.mark.parametrize("level", [4, 5])
+    def test_residual_is_the_mass_inverse_norm(self, rng, level):
+        """Dense Cholesky of M at level 4, Jacobi CG at level 5."""
         for _ in range(4):
             tri = make_triangle(rng.uniform(-2, 2), rng.uniform(0.4, 1.8), S_THIRD)
             alpha = -float(rng.uniform(0.3, 6.0))
-            system = assemble(build_mesh(tri, 4), alpha)
+            system = assemble(build_mesh(tri, level), alpha)
             res = lowest_eigenpair(system, tri)
             form = system.stiffness + alpha * system.boundary_mass
             r = form @ res.eigenvector - res.lambda1 * (system.mass @ res.eigenvector)
             want = math.sqrt(float(r @ splu(system.mass.tocsc()).solve(r)))
             assert abs(res.residual - want) <= 1e-10 * want
+
+    @pytest.mark.parametrize("level", [4, 7])
+    def test_value_is_the_rayleigh_quotient(self, level):
+        """lambda1 is x^T A x / x^T M x of the returned vector on both paths; at
+        level 7 a Lanczos Ritz value sits up to about 2e-13 off it."""
+        tri = make_triangle(1.8, 1.32, S_THIRD)
+        system = assemble(build_mesh(tri, level), -0.5)
+        res = lowest_eigenpair(system, tri)
+        x = res.eigenvector
+        form = system.stiffness + system.alpha * system.boundary_mass
+        quotient = float(x @ (form @ x)) / float(x @ (system.mass @ x))
+        assert abs(res.lambda1 - quotient) <= 1e-14 * abs(quotient)
 
     def test_eigenvector_is_signed_consistently(self):
         tri = make_triangle(0.5, 0.8, 1.0)
@@ -342,17 +387,17 @@ class TestLowestEigenpair:
 
     def test_gap_computation(self):
         tri = make_triangle(1.0, 1.0, S_THIRD)
-        system = assemble(build_mesh(tri, 4), -2.0)
+        system = assemble(build_mesh(tri, 5), -2.0)
         res = lowest_eigenpair(system, tri)
-        spec = dense_spectrum(tri, -2.0, 4)
+        spec = dense_spectrum(tri, -2.0, 5)
         assert abs(res.lambda1 - spec[0]) < 1e-8 * abs(spec[0])
 
     def test_near_degenerate_pair(self):
         """Flat isosceles at strong coupling: two corner states almost tie, and
         the solve returns the lower of the two."""
         tri = make_triangle(0.0, 3.0, S_THIRD)
-        res = solve_at_level(tri, -8.0, 4)
-        spec = dense_spectrum(tri, -8.0, 4)
+        res = solve_at_level(tri, -8.0, 5)
+        spec = dense_spectrum(tri, -8.0, 5)
         assert spec[1] - spec[0] < 1e-2 * abs(spec[0])
         assert abs(res.lambda1 - spec[0]) < 1e-10 * abs(spec[0])
 
@@ -455,12 +500,14 @@ class TestConvergence:
         assert np.abs(res.eigenvector - finest).max() <= 1e-8 * np.abs(finest).max()
 
     def test_one_eigenpair_per_level_solve_count(self):
-        """Shift-invert Lanczos converges the ground pair alone: about 20
-        factorisation solves per level, where a second pair costs about three
-        times that."""
+        """Shift-invert Lanczos with a 10-vector basis converges the ground pair
+        alone in about 16 factorisation solves per sparse level (5 and 6 here;
+        levels 2 to 4 are dense and solve nothing).  ARPACK's default 20-vector
+        basis spends about 21, and a second pair about three times that."""
         res = eigenvalue_converged(make_triangle(1.0, 1.6, S_THIRD), -2.0,
                                    rel_tol=1e-3, max_level=6)
-        assert res.iterations <= 25 * len(res.history)
+        assert len(res.history) == 5 and not res.skipped  # levels 2 to 6
+        assert res.iterations <= 18 * 2
 
     def test_non_finite_tolerance_is_refused(self):
         tri = make_triangle(0.5, 0.6, S_THIRD)
