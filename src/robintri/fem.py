@@ -331,15 +331,10 @@ def _factor_counting(A, M, sigma: float):
 
 
 def _minv_norm(M, r: np.ndarray) -> float:
-    """sqrt(r^T M^{-1} r) for the SPD mass matrix: by a dense Cholesky factor on
-    meshes the eigensolve treats densely, by Jacobi-preconditioned CG above."""
-    if M.shape[0] <= _DENSE_NODES:
-        z = scipy.linalg.cho_solve(scipy.linalg.cho_factor(M.toarray()), r)
-    else:
-        z, info = cg(M, r, rtol=1e-13, atol=0.0, M=sp.diags(1.0 / M.diagonal()))
-        if info != 0:
-            raise NumericError(
-                f"mass-matrix solve for the residual did not converge (info {info})")
+    """sqrt(r^T M^{-1} r) for the SPD mass matrix, by Jacobi-preconditioned CG."""
+    z, info = cg(M, r, rtol=1e-13, atol=0.0, M=sp.diags(1.0 / M.diagonal()))
+    if info != 0:
+        raise NumericError(f"mass-matrix solve for the residual did not converge (info {info})")
     return math.sqrt(max(float(r @ z), 0.0))
 
 

@@ -31,6 +31,7 @@ from robintri.fem import (
     eigenvalue_converged,
     lowest_eigenpair,
     solve_at_level,
+    walk_levels,
 )
 from robintri.geometry import c0, equilateral_params, make_triangle
 
@@ -322,20 +323,11 @@ class TestLowestEigenpair:
             spec = dense_spectrum(tri, alpha, 5)
             assert abs(res.lambda1 - spec[0]) < 1e-9 * max(1.0, abs(spec[0]))
 
-    def test_coarsest_levels_match_dense_solution(self):
-        """Level 0 (3 nodes) is the smallest dense solve, level 5 (561 nodes) the
-        smallest Lanczos solve."""
-        tri = make_triangle(0.3, 0.7, S_THIRD)
-        for level in (0, 5):
-            res = solve_at_level(tri, -1.5, level)
-            spec = dense_spectrum(tri, -1.5, level)
-            assert abs(res.lambda1 - spec[0]) < 1e-12 * max(1.0, abs(spec[0]))
-
-    def test_dense_levels_factor_nothing(self, monkeypatch):
+    def test_coarsest_levels_match_dense_solution(self, monkeypatch):
         """Levels 0 to 4 (at most 153 nodes) are solved by dense LAPACK: no
-        sparse factorisation, no Lanczos solve, the dense minimum.  Level 5 is
-        the first to factor."""
-        tri = make_triangle(-0.6, 0.9, S_THIRD)
+        sparse factorisation, no Lanczos solve.  Level 5 (561 nodes) is the
+        smallest Lanczos solve.  Every level returns the dense minimum."""
+        tri = make_triangle(0.3, 0.7, S_THIRD)
         factored = []
 
         def counting_splu(*args, **kwargs):
@@ -343,18 +335,16 @@ class TestLowestEigenpair:
             return splu(*args, **kwargs)
 
         monkeypatch.setattr(fem, "splu", counting_splu)
-        for level in range(5):
-            res = solve_at_level(tri, -3.0, level)
-            lam = dense_spectrum(tri, -3.0, level)[0]
-            assert res.iterations == 0
+        for level in range(6):
+            res = solve_at_level(tri, -1.5, level)
+            lam = dense_spectrum(tri, -1.5, level)[0]
             assert abs(res.lambda1 - lam) < 1e-12 * max(1.0, abs(lam))
-        assert not factored
-        assert solve_at_level(tri, -3.0, 5).iterations > 0
-        assert factored
+            assert (res.iterations > 0) == (level == 5)
+            assert bool(factored) == (level == 5)
 
     @pytest.mark.parametrize("level", [4, 5])
     def test_residual_is_the_mass_inverse_norm(self, rng, level):
-        """Dense Cholesky of M at level 4, Jacobi CG at level 5."""
+        """The residual of a dense (level 4) and a Lanczos (level 5) solve."""
         for _ in range(4):
             tri = make_triangle(rng.uniform(-2, 2), rng.uniform(0.4, 1.8), S_THIRD)
             alpha = -float(rng.uniform(0.3, 6.0))
@@ -365,12 +355,11 @@ class TestLowestEigenpair:
             want = math.sqrt(float(r @ splu(system.mass.tocsc()).solve(r)))
             assert abs(res.residual - want) <= 1e-10 * want
 
-    @pytest.mark.parametrize("level", [4, 7])
-    def test_value_is_the_rayleigh_quotient(self, level):
-        """lambda1 is x^T A x / x^T M x of the returned vector on both paths; at
-        level 7 a Lanczos Ritz value sits up to about 2e-13 off it."""
+    def test_value_is_the_rayleigh_quotient(self):
+        """lambda1 is x^T A x / x^T M x of the returned vector; at level 7 a
+        Lanczos Ritz value sits up to about 2e-13 off it."""
         tri = make_triangle(1.8, 1.32, S_THIRD)
-        system = assemble(build_mesh(tri, level), -0.5)
+        system = assemble(build_mesh(tri, 7), -0.5)
         res = lowest_eigenpair(system, tri)
         x = res.eigenvector
         form = system.stiffness + system.alpha * system.boundary_mass
@@ -405,11 +394,16 @@ class TestLowestEigenpair:
     @pytest.mark.parametrize("a,c", [(0.0, 3.0), (0.0, 2.5), (0.05, 3.0), (2.7, 3.0), (3.0, 0.2)])
     def test_ground_state_of_flat_triangles(self, a, c, alpha):
         """Flat triangles at strong coupling carry corner states that tie or
-        nearly tie; the one Lanczos pair is the dense minimum at every level."""
+        nearly tie.  Along a ladder with warm shifts, as eigenvalue_converged
+        walks it, the one Lanczos pair is the dense minimum at level 5, and at
+        level 6 too for the strongest couplings; so is the cold-shift solve."""
         tri = make_triangle(a, c, S_THIRD)
-        for level in range(2, 6):
-            lam = dense_spectrum(tri, alpha, level)[0]
-            res = solve_at_level(tri, alpha, level)
+        top = 6 if alpha <= -8.0 else 5
+        skipped = []
+        warm = [res for res in walk_levels(tri, alpha, 2, top, skipped) if res.level >= 5]
+        assert not skipped and len(warm) == top - 4
+        for res in [solve_at_level(tri, alpha, 5)] + warm:
+            lam = dense_spectrum(tri, alpha, res.level)[0]
             assert abs(res.lambda1 - lam) <= 1e-10 * max(1.0, abs(lam))
 
     def test_frozen_flat_anchor(self):
