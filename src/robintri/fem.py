@@ -15,7 +15,9 @@ starts at a warm value from the coarser level (or the cold guess
 inertia certifies that no eigenvalue lies below it, and shift-invert Lanczos
 (ARPACK, a 10-vector basis) on that same factorisation returns the ground
 eigenpair.  On both paths the level's value is the Rayleigh quotient of the
-returned vector, and its residual is measured in the M^{-1} norm.
+returned vector, and its residual is measured in the M^{-1} norm.  _settle is
+the one Richardson loop of all three ladders: eigenvalue_converged,
+shape_derivatives_at_equilateral and the soundness oracle scan._raw_upper_bound.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ MAX_LEVEL = 10
 _DENSE_NODES = 153
 # Lanczos basis size of the sparse solve (ARPACK's default for k = 1 is 20).
 _NCV = 10
+_MIN_REL_TOL = 1e-8  # smallest ladder rel_tol; the DomainError texts spell it 1e-8
 
 
 @dataclass(frozen=True)
@@ -441,18 +444,19 @@ def walk_levels(tri, alpha: float, min_level: int, max_level: int,
 
 
 def _settle(results, measure, settled):
-    """Richardson-extrapolate measure(res) over the solved levels (4^gap - 1
-    across skipped ones) until settled(previous, latest) holds.  Returns the
-    solved levels, their measures, the extrapolations and whether they settled.
-    """
+    """The one Richardson loop of all three ladders (module docstring): extrapolate
+    measure(res) over the solved levels (4^gap - 1 across skipped ones) until
+    settled(vals, extrs), asked after every extrapolation, holds.  Returns the
+    solved levels, their measures, the extrapolations and whether they settled;
+    fewer than two solved levels raise NumericError."""
     done, vals, extrs = [], [], []
     for res in results:
         done.append(res)
         vals.append(measure(res))
         if len(done) > 1:
             gap = done[-1].level - done[-2].level
-            extrs.append(vals[-1] + (vals[-1] - vals[-2]) / (4.0**gap - 1.0))
-            if len(extrs) > 1 and settled(extrs[-2], extrs[-1]):
+            extrs.append(vals[-1] + (vals[-1] - vals[-2]) / (4.0 ** gap - 1.0))
+            if settled(vals, extrs):
                 return done, vals, extrs, True
     if len(done) < 2:
         raise NumericError("fewer than two mesh levels certified")
@@ -475,7 +479,7 @@ def eigenvalue_converged(
     4^gap factor.  max_level below 4 leaves too few levels for two
     extrapolations to compare and raises DomainError.
     """
-    if not (math.isfinite(rel_tol) and rel_tol >= 1e-8):
+    if not (math.isfinite(rel_tol) and rel_tol >= _MIN_REL_TOL):
         raise DomainError(f"rel_tol must be finite and >= 1e-8, got {rel_tol}")
     if max_level < 4:
         raise DomainError(f"max_level must be >= 4 for two extrapolations to compare, "
@@ -485,7 +489,7 @@ def eigenvalue_converged(
     skipped: list[tuple[int, str]] = []
     done, vals, extrs, converged = _settle(
         walk_levels(tri, alpha, 2, max_level, skipped), lambda res: res.lambda1,
-        lambda old, new: abs(new - old) <= rel_tol * abs(new))
+        lambda _, x: len(x) > 1 and abs(x[-1] - x[-2]) <= rel_tol * abs(x[-1]))
     res = done[-1]
     return EigenResult(
         lambda1=extrs[-1],
@@ -553,5 +557,6 @@ def shape_derivatives_at_equilateral(alpha: float, S: float) -> ShapeDerivatives
         walk_levels(TriangleParams(0.0, cc, S), alpha, 2, 8, skipped),
         lambda res: _level_derivatives(_lattice(res.level), res.eigenvector, alpha,
                                        h, ell, 2.0 * S),
-        lambda old, new: bool(np.all(np.abs(new - old)[watched] <= 1e-6 * np.abs(new[watched]))))
+        lambda _, x: len(x) > 1 and bool(np.all(
+            np.abs(x[-1] - x[-2])[watched] <= 1e-6 * np.abs(x[-1][watched]))))
     return ShapeDerivatives(*map(float, extrs[-1]), converged, tuple(skipped))

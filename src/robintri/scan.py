@@ -48,7 +48,8 @@ from .equilateral import (
     local_optimality_alpha_bound,
 )
 from .errors import DomainError, NumericError, ResourceError
-from .fem import eigenvalue_converged, shape_derivatives_at_equilateral, walk_levels
+from .fem import (_MIN_REL_TOL, _settle, eigenvalue_converged,
+                  shape_derivatives_at_equilateral, walk_levels)
 from .geometry import c0, make_triangle, perimeter_normalizer
 from .trial import (
     constant_bound,
@@ -136,7 +137,7 @@ def _check_scalars(*, S: float, rel_tol: float | None = None, c: float | None = 
     """The area, FEM tolerance and c rules every sweep entry applies before any cell runs."""
     if not (math.isfinite(S) and S > 0.0):
         raise DomainError(f"area S must be positive and finite, got {S}")
-    if rel_tol is not None and not (math.isfinite(rel_tol) and rel_tol >= 1e-8):
+    if rel_tol is not None and not (math.isfinite(rel_tol) and rel_tol >= _MIN_REL_TOL):
         raise DomainError(f"fem_rel_tol must be finite and >= 1e-8, got {rel_tol}")
     if c is not None and not (math.isfinite(c) and c > 0.0):
         raise DomainError(f"c_fixed must be positive and finite, got {c}")
@@ -554,29 +555,22 @@ def _raw_upper_bound(tri, alpha: float, rel_tol: float,
     """(lambda_h, correction_estimate, settled) from the raw mesh ladder, levels 3 to 9.
 
     lambda_h is the finest certified level's value itself — a conforming
-    upper bound for the true eigenvalue regardless of extrapolation — and
-    the estimate is the one-sided Richardson correction still expected
-    below it.
-
-    The ladder also stops as soon as lambda_h + 10*estimate <= sound_target:
-    the true eigenvalue sits below the conforming value, so the comparison
-    is already decided and further refinement can only reconfirm it.
+    upper bound for the true eigenvalue regardless of extrapolation — and the
+    estimate is fem._settle's last Richardson correction |extr - lambda_h|,
+    the one-sided correction still expected below it.  Fewer than two
+    certified levels raise _settle's NumericError.  The ladder stops once the
+    estimate is at most rel_tol*|lambda_h|, or as soon as lambda_h +
+    10*estimate <= sound_target: the true eigenvalue sits below the conforming
+    value, so the comparison is already decided and further refinement can
+    only reconfirm it.
     """
-    lam = lam_prev = None
-    lev_prev = 0
-    est = math.inf  # until two levels are solved, so neither stop can fire
-    for res in walk_levels(tri, alpha, 3, 9, []):
-        lam_prev, lam = lam, res.lambda1
-        if lam_prev is not None:
-            est = abs(lam - lam_prev) / (4.0 ** (res.level - lev_prev) - 1.0)
-        lev_prev = res.level
-        if est <= rel_tol * abs(lam) or lam + 10.0 * est <= sound_target:
-            return lam, est, True
-    if lam is None:
-        raise NumericError("no mesh level from 3 to 9 produced a certified eigenvalue")
-    if lam_prev is None:
-        est = 0.1 * abs(lam)
-    return lam, est, False
+    def decided(vals, extrs):
+        est = abs(extrs[-1] - vals[-1])
+        return est <= rel_tol * abs(vals[-1]) or vals[-1] + 10.0 * est <= sound_target
+
+    _, vals, extrs, settled = _settle(walk_levels(tri, alpha, 3, 9, []),
+                                      lambda res: res.lambda1, decided)
+    return vals[-1], abs(extrs[-1] - vals[-1]), settled
 
 
 def _soundness_cell(task, *, c: float, S: float, rel_tol: float) -> tuple:

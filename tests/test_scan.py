@@ -4,15 +4,17 @@ deterministic CSV/SVG output, and the verification helpers."""
 import math
 import pickle
 from functools import partial
+from itertools import islice
 from types import SimpleNamespace
 
 import pytest
 
 import robintri
-from robintri import scan
+from robintri import fem, scan
 from robintri.equilateral import c0, lambda0
 from robintri.errors import DomainError, NumericError
 from robintri.fem import EigenResult, ShapeDerivatives
+from robintri.geometry import make_triangle
 from robintri.scan import (
     MODES,
     ScanConfig,
@@ -516,6 +518,58 @@ class TestSoundnessStatus:
         (row,) = soundness_sweep([-0.5], [0.5], c0(S_THIRD), S_THIRD).rows
         assert row[5] == 1  # certified
         assert row[-3:] == (0, 0, "ok")
+
+
+def _solve_levels_except(monkeypatch, failing):
+    """Make fem.solve_at_level raise NumericError at every level where failing(level) holds."""
+    solve = fem.solve_at_level
+
+    def patched(tri, alpha, level, sigma0=None):
+        if failing(level):
+            raise NumericError(f"forced failure at level {level}")
+        return solve(tri, alpha, level, sigma0=sigma0)
+
+    monkeypatch.setattr(fem, "solve_at_level", patched)
+
+
+class TestRawUpperBound:
+    """The soundness ladder against a hand walk of walk_levels(tri, alpha, 3, 9, [])
+    at S = c = 1/sqrt(3) with the sweep's default rel_tol 1e-3."""
+
+    @pytest.mark.parametrize("alpha,a,rule", [(-4.0, 1.5, "target"), (-1.64, 0.015, "rel_tol")])
+    def test_stops_at_level_5_by_one_rule(self, alpha, a, rule):
+        tri, lam0 = make_triangle(a, S_THIRD, S_THIRD), lambda0(alpha, S_THIRD)
+        lams = [res.lambda1 for res in islice(fem.walk_levels(tri, alpha, 3, 9, []), 3)]
+        ests = [abs(new - old) / 3.0 for old, new in zip(lams, lams[1:])]
+
+        def rules(lam, est):
+            return est <= 1e-3 * abs(lam), lam + 10.0 * est <= lam0
+
+        assert rules(lams[1], ests[0]) == (False, False)  # level 4 decides nothing
+        assert rules(lams[2], ests[1]) == (rule == "rel_tol", rule == "target")
+        lam, est, settled = scan._raw_upper_bound(tri, alpha, 1e-3, sound_target=lam0)
+        assert lam == lams[2] and settled
+        assert est == pytest.approx(ests[1], rel=1e-12, abs=0.0)
+
+    def test_a_skipped_level_spans_the_gap(self, monkeypatch):
+        """With level 4 skipped the level-5 estimate is |lambda_5 - lambda_3| / (4^2 - 1)."""
+        _solve_levels_except(monkeypatch, lambda level: level == 4)
+        tri, lam0 = make_triangle(1.5, S_THIRD, S_THIRD), lambda0(-4.0, S_THIRD)
+        skipped = []
+        lam3, lam5 = (res.lambda1 for res in islice(fem.walk_levels(tri, -4.0, 3, 9, skipped), 2))
+        assert [level for level, _ in skipped] == [4]
+        lam, est, settled = scan._raw_upper_bound(tri, -4.0, 1e-3, sound_target=lam0)
+        assert lam == lam5 and settled
+        assert est == pytest.approx(abs(lam5 - lam3) / 15.0, rel=1e-12, abs=0.0)
+
+    def test_one_certified_level_is_a_numeric_error_row(self, monkeypatch):
+        """One level gives no Richardson correction: the certified cell fails typed."""
+        _solve_levels_except(monkeypatch, lambda level: level != 3)
+        tri, lam0 = make_triangle(1.5, S_THIRD, S_THIRD), lambda0(-4.0, S_THIRD)
+        with pytest.raises(NumericError, match="fewer than two mesh levels"):
+            scan._raw_upper_bound(tri, -4.0, 1e-3, sound_target=lam0)
+        (row,) = soundness_sweep([-4.0], [1.5], c=S_THIRD, S=S_THIRD).rows
+        assert row[:2] == (-4.0, 1.5) and row[-1] == "numeric-error"
 
 
 class TestLocalOptimality:
