@@ -64,10 +64,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sc = sub.add_parser("scan", help="grid scan driven by a config file or flags")
     p_sc.add_argument("--config", default=None, help="flat key=value config file")
     p_sc.add_argument("--mode", choices=MODES, default=None, help="scan mode override")
-    p_sc.add_argument("--out", default=None, help="output CSV path override")
-    p_sc.add_argument("--svg", action="store_true", help="also write an SVG heatmap")
+    p_sc.add_argument("--out", dest="output_path", default=None, help="output CSV path override")
+    p_sc.add_argument("--svg", dest="emit_svg", action="store_const", const=True,
+                      help="also write an SVG heatmap")
     p_sc.add_argument("--workers", type=int, default=1, help="parallel cell workers")
-    p_sc.add_argument("--anchor-left", action="store_true",
+    p_sc.add_argument("--anchor-left", dest="anchor_left", action="store_const", const=True,
                       help="anchor the corner trial field at the left base vertex")
 
     p_ve = sub.add_parser("verify", help="run one bundled verification suite")
@@ -102,12 +103,7 @@ def _cmd_eigen(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    overrides = {
-        "mode": args.mode,
-        "output_path": args.out,
-        "emit_svg": True if args.svg else None,
-        "anchor_left": True if args.anchor_left else None,
-    }
+    overrides = {k: getattr(args, k) for k in ("mode", "output_path", "emit_svg", "anchor_left")}
     if args.config is not None:
         cfg = parse_config(args.config, overrides)
     else:

@@ -472,11 +472,11 @@ def eigenvalue_converged(
     """Refine from level 2 until the Richardson-extrapolated eigenvalue settles.
 
     lambda1 carries the extrapolated value, residual its error estimate (the
-    change in the extrapolation over the last refinement), eigenvector the
-    finest level's.  If the level cap is hit first the best value is returned
-    with converged=False.  Levels that fail to certify are listed in
-    ``skipped``; the extrapolation then spans the level gap with the matching
-    4^gap factor.  max_level below 4 leaves too few levels for two
+    change in the extrapolation over the last refinement), eigenvector and
+    level the finest solved level's.  If the level cap is hit first the best
+    value is returned with converged=False.  Levels that fail to certify are
+    listed in ``skipped``; the extrapolation then spans the level gap with the
+    matching 4^gap factor.  max_level below 4 leaves too few levels for two
     extrapolations to compare and raises DomainError.
     """
     if not (math.isfinite(rel_tol) and rel_tol >= _MIN_REL_TOL):
@@ -497,7 +497,7 @@ def eigenvalue_converged(
         iterations=sum(r.iterations for r in done),
         residual=abs(extrs[-1] - extrs[-2]) if len(extrs) >= 2 else float("inf"),
         converged=converged,
-        level=res.level if converged else max_level,
+        level=res.level,
         history=tuple(vals),
         skipped=tuple(skipped),
     )

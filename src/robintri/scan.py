@@ -708,18 +708,19 @@ def emit_svg(result: ScanResult, path: str) -> None:
 # ---------------------------------------------------------------------------
 # config files
 
-_RANGE_KEYS = ("alpha_range", "a_range", "c_range")
-_FLOAT_KEYS = ("c_fixed", "S", "fem_rel_tol")
-_BOOL_KEYS = ("emit_svg", "anchor_left")
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
 def parse_config(path: str, overrides: dict | None = None) -> ScanConfig:
     """Read a flat "key = value" config file into a ScanConfig.
 
-    Keys match the ScanConfig fields exactly; ranges are comma triples
-    "lo,hi,n", booleans are true/false.  Blank lines and '#' comments are
-    ignored.  Entries in overrides (CLI flags) replace file values.
+    Keys match the ScanConfig fields exactly, and each value is read as its
+    field's type: ranges are comma triples "lo,hi,n", booleans true/false
+    (or 1/0, yes/no), mode and output_path strings and every other field a
+    float.  Blank lines and '#' comments are ignored.  Entries in overrides
+    (CLI flags) replace file values.
     """
+    kinds = {f.name: f.type for f in fields(ScanConfig)}  # annotation strings
     raw: dict[str, object] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -735,31 +736,26 @@ def parse_config(path: str, overrides: dict | None = None) -> ScanConfig:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key in _RANGE_KEYS:
-            pieces = [p.strip() for p in value.split(",")]
-            if len(pieces) != 3:
-                raise DomainError(f"{path}:{lineno}: {key} needs 'lo,hi,n'")
-            try:
-                raw[key] = (float(pieces[0]), float(pieces[1]), int(pieces[2]))
-            except ValueError as exc:
-                raise DomainError(f"{path}:{lineno}: bad {key}: {exc}") from exc
-        elif key in _FLOAT_KEYS:
-            try:
-                raw[key] = float(value)
-            except ValueError as exc:
-                raise DomainError(f"{path}:{lineno}: bad {key}: {exc}") from exc
-        elif key in _BOOL_KEYS:
-            low = value.lower()
-            if low in ("true", "1", "yes"):
-                raw[key] = True
-            elif low in ("false", "0", "no"):
-                raw[key] = False
-            else:
-                raise DomainError(f"{path}:{lineno}: {key} must be true/false")
-        elif key in ("mode", "output_path"):
-            raw[key] = value
-        else:
+        kind = kinds.get(key)
+        if kind is None:
             raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
+        if kind == "str":
+            raw[key] = value
+        elif kind == "bool":
+            if value.lower() not in _BOOLS:
+                raise DomainError(f"{path}:{lineno}: {key} must be true/false")
+            raw[key] = _BOOLS[value.lower()]
+        elif kind.startswith("tuple") and value.count(",") != 2:
+            raise DomainError(f"{path}:{lineno}: {key} needs 'lo,hi,n'")
+        else:
+            try:
+                if kind.startswith("tuple"):
+                    lo, hi, n = value.split(",")
+                    raw[key] = (float(lo), float(hi), int(n))
+                else:
+                    raw[key] = float(value)
+            except ValueError as exc:
+                raise DomainError(f"{path}:{lineno}: bad {key}: {exc}") from exc
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
     if "mode" not in raw:

@@ -8,10 +8,11 @@ area-preserving affine map (so only the quadratic-form coefficients change):
   * ConstantOne -- the constant field.
 
 The third, SectorExponential, lives on the physical triangle: u(x) =
-exp(alpha * x' / sin(theta*/2)) with x' the coordinate along the bisector of
-the smallest angle; its gradient has |grad u| = |alpha| u / sin(theta*/2)
-pointwise, which gives a closed upper bound once the membrane is replaced by
-the infinite sector.
+exp(rate * x') with rate = alpha / sin(theta*/2) and x' the coordinate along
+the bisector of the smallest angle.  Its gradient has |grad u| = |rate| u
+pointwise, so its Rayleigh quotient is rate^2 + alpha * ||u||^2_bdry / ||u||^2
+and only u^2 is integrated; replacing the triangle by the infinite sector
+gives a closed upper bound.
 
 Verdicts certify strict inequalities and therefore include a small safety
 margin: a bound counts only when it clears its target by 1e-10 relative.
@@ -86,10 +87,9 @@ class SectorExponential:
 
     @classmethod
     def from_triangle(cls, tri: TriangleGeometry, alpha: float, vertex: int | None = None) -> "SectorExponential":
-        """Anchor at the smallest angle, or at an explicit vertex index."""
-        if vertex is None:
-            return cls(tri.theta_star, tri.L_prime, tri.apex_vertex, tri.bisector, alpha)
-        return cls(*corner(tri.vertex_array(), tri.side_lengths, vertex), alpha)
+        """Anchor at the smallest angle (tri.apex_index), or at an explicit vertex index."""
+        index = tri.apex_index if vertex is None else vertex
+        return cls(*corner(tri.vertex_array(), tri.side_lengths, index), alpha)
 
     def values_and_grads(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pts = np.asarray(pts, dtype=float)
@@ -203,12 +203,14 @@ def sector_closed_upper(alpha: float, theta: float, l_prime: float) -> float:
 def sector_bound(alpha: float, tri, anchor_vertex: int | None = None) -> tuple[float, float]:
     """(rayleigh_upper, closed_upper) for the sector exponential.
 
-    rayleigh_upper is the exact Rayleigh quotient on the triangle by adaptive
-    quadrature; closed_upper replaces the volume norm by the infinite-sector
-    integral and the boundary norm by the two adjacent sides truncated at L',
-    so rayleigh_upper <= closed_upper always.  By default the field anchors at
-    the smallest angle; anchor_vertex pins it to a chosen vertex instead (the
-    inequality holds per-vertex with that vertex's angle data).
+    rayleigh_upper is the exact Rayleigh quotient on the triangle, the quotient
+    rate^2 + alpha * ||u||^2_bdry / ||u||^2 that |grad u|^2 = rate^2 u^2 gives,
+    with both norms of u^2 by adaptive quadrature; closed_upper replaces the
+    volume norm by the infinite-sector integral and the boundary norm by the
+    two adjacent sides truncated at L', so rayleigh_upper <= closed_upper
+    always.  By default the field anchors at the smallest angle; anchor_vertex
+    pins it to a chosen vertex instead (the inequality holds per-vertex with
+    that vertex's angle data).
     """
     if not (alpha < 0.0):
         raise DomainError(f"alpha must be negative, got {alpha}")
@@ -216,19 +218,14 @@ def sector_bound(alpha: float, tri, anchor_vertex: int | None = None) -> tuple[f
     field = SectorExponential.from_triangle(tri, alpha, vertex=anchor_vertex)
     verts = tri.vertex_array()
 
-    def moments(pts: np.ndarray) -> np.ndarray:
-        vals, grads = field.values_and_grads(pts)
-        return np.column_stack([vals**2, grads[:, 0] ** 2 + grads[:, 1] ** 2])
+    def square(pts: np.ndarray) -> np.ndarray:
+        return field.values_and_grads(pts)[0] ** 2
 
-    l2, grad = _quad.triangle_integrate(moments, verts, n=8, tol=1e-12)
-    bdry = 0.0
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        bdry += float(
-            _quad.segment_integrate(
-                lambda p: field.values_and_grads(p)[0] ** 2, verts[i], verts[j], n=10, tol=1e-12
-            )
-        )
-    rayleigh = (float(grad) + alpha * bdry) / float(l2)
+    l2 = float(_quad.triangle_integrate(square, verts, n=8, tol=1e-12))
+    bdry = sum(float(_quad.segment_integrate(square, verts[i], verts[j], n=10, tol=1e-12))
+               for i, j in ((0, 1), (0, 2), (1, 2)))
+    rate = alpha / math.sin(0.5 * field.theta_star)
+    rayleigh = rate * rate + alpha * bdry / l2
     closed = sector_closed_upper(alpha, field.theta_star, field.L_prime)
     return rayleigh, closed
 

@@ -160,6 +160,26 @@ class TestScan:
         )
         assert code == EXIT_USAGE
 
+    def test_flags_reach_the_config(self, capsys, monkeypatch, tmp_path):
+        """--out, --svg and --anchor-left set their ScanConfig fields, with and
+        without a config file."""
+        seen = []
+
+        def record(cfg, workers):
+            seen.append(cfg)
+            return SimpleNamespace(rows=[], verdict_grid=[])
+
+        monkeypatch.setattr(cli, "run_scan", record)
+        out_path = str(tmp_path / "s.csv")
+        flags = ["--out", out_path, "--svg", "--anchor-left"]
+        cfg_file = tmp_path / "scan.cfg"
+        cfg_file.write_text("mode = sector-region\nanchor_left = no\n")
+        assert run(capsys, ["scan", "--mode", "sector-region", *flags])[0] == EXIT_OK
+        assert run(capsys, ["scan", "--config", str(cfg_file), *flags])[0] == EXIT_OK
+        assert run(capsys, ["scan", "--config", str(cfg_file)])[0] == EXIT_OK
+        assert [(c.output_path, c.emit_svg, c.anchor_left) for c in seen] == [
+            (out_path, True, True), (out_path, True, True), ("scan.csv", False, False)]
+
     def test_svg_flag_writes_image(self, capsys, tmp_path):
         out_path = tmp_path / "g.csv"
         code, _, _ = run(

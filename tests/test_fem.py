@@ -493,6 +493,23 @@ class TestConvergence:
         finest = solve(tri, -2.0, 6).eigenvector
         assert np.abs(res.eigenvector - finest).max() <= 1e-8 * np.abs(finest).max()
 
+    def test_unconverged_level_names_its_eigenvector(self, monkeypatch):
+        """With the top levels skipped, level is the finest solved one (5, whose
+        mesh has 561 nodes), not the cap: --dump-mesh writes that mesh."""
+        solve = fem.solve_at_level
+
+        def failing(tri, alpha, level, sigma0=None):
+            if level >= 6:
+                raise NumericError("forced failure")
+            return solve(tri, alpha, level, sigma0=sigma0)
+
+        monkeypatch.setattr(fem, "solve_at_level", failing)
+        tri = make_triangle(1.0, 0.8, S_THIRD)
+        res = eigenvalue_converged(tri, -2.0, rel_tol=1e-8, max_level=7)
+        assert not res.converged and [lev for lev, _ in res.skipped] == [6, 7]
+        assert res.level == 5
+        assert res.eigenvector.shape == (561,) == (len(build_mesh(tri, res.level).nodes),)
+
     def test_one_eigenpair_per_level_solve_count(self):
         """Shift-invert Lanczos with a 10-vector basis converges the ground pair
         alone in about 16 factorisation solves per sparse level (5 and 6 here;

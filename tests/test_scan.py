@@ -188,6 +188,30 @@ class TestParseConfig:
         assert cfg.emit_svg is True
         assert cfg.output_path == "out/region.csv"
 
+    @pytest.mark.parametrize("word,flag", [("true", True), ("1", True), ("Yes", True),
+                                           ("false", False), ("0", False), ("no", False)])
+    def test_every_field_kind(self, tmp_path, word, flag):
+        """Each value is read as its ScanConfig field's type."""
+        cfg = parse_config(self._write(
+            tmp_path,
+            f"mode = sector-region\nemit_svg = {word}\nanchor_left = {word}\nc_fixed = 0.8\n",
+        ))
+        assert (cfg.emit_svg, cfg.anchor_left, cfg.c_fixed) == (flag, flag, 0.8)
+        assert type(cfg.emit_svg) is bool and type(cfg.anchor_left) is bool
+        cfg = parse_config(self._write(
+            tmp_path, "mode = fem-conjecture\nc_range = 0.5, 1.5, 3\nfem_rel_tol = 1e-5\n",
+        ))
+        assert cfg.c_range == (0.5, 1.5, 3) and type(cfg.c_range[2]) is int
+        assert cfg.fem_rel_tol == 1e-5
+
+    @pytest.mark.parametrize("line,text", [("anchor_left = maybe", "must be true/false"),
+                                           ("c_range = 0.5, 1.5", "needs 'lo,hi,n'"),
+                                           ("S = big", "bad S"),
+                                           ("version = 1", "unknown config key")])
+    def test_error_texts(self, tmp_path, line, text):
+        with pytest.raises(DomainError, match=text):
+            parse_config(self._write(tmp_path, f"mode = fem-conjecture\n{line}\n"))
+
     def test_unknown_key_rejected(self, tmp_path):
         path = self._write(tmp_path, "mode = g-curve\nmesh_budget = 12\n")
         with pytest.raises(DomainError):

@@ -190,6 +190,29 @@ class TestSectorBound:
                 rate * rate * float(l2)
             )
 
+    @pytest.mark.parametrize("vertex", [0, 1, 2])
+    def test_equals_two_column_quotient(self, rng, vertex):
+        """The quotient rate^2 + alpha*bdry/l2 equals (grad + alpha*bdry)/l2
+        with |grad u|^2 integrated as its own column."""
+        for alpha in (-0.2, -0.7, -2.0, -5.0, -12.0):
+            tri = make_triangle(rng.uniform(-2, 2), rng.uniform(0.3, 1.5), rng.uniform(0.3, 1.5))
+            field = SectorExponential.from_triangle(tri, alpha, vertex=vertex)
+            verts = tri.vertex_array()
+
+            def moments(pts):
+                vals, grads = field.values_and_grads(pts)
+                return np.column_stack([vals**2, grads[:, 0] ** 2 + grads[:, 1] ** 2])
+
+            l2, grad = _quad.triangle_integrate(moments, verts, n=8, tol=1e-12)
+            bdry = sum(
+                float(_quad.segment_integrate(lambda p: field.values_and_grads(p)[0] ** 2,
+                                              verts[i], verts[j], n=10, tol=1e-12))
+                for i, j in ((0, 1), (0, 2), (1, 2))
+            )
+            expected = (float(grad) + alpha * bdry) / float(l2)
+            ray, _ = sector_bound(alpha, tri, anchor_vertex=vertex)
+            assert abs(ray - expected) <= 1e-13 * abs(expected)
+
     def test_closed_form_monotone_in_l_prime(self):
         """Extending the truncated sides can only improve the closed bound."""
         vals = [sector_closed_upper(-2.0, 0.5, lp) for lp in (0.3, 0.6, 1.2, 2.4)]
