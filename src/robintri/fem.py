@@ -15,9 +15,13 @@ starts at a warm value from the coarser level (or the cold guess
 inertia certifies that no eigenvalue lies below it, and shift-invert Lanczos
 (ARPACK, a 10-vector basis) on that same factorisation returns the ground
 eigenpair.  On both paths the level's value is the Rayleigh quotient of the
-returned vector, and its residual is measured in the M^{-1} norm.  _settle is
-the one Richardson loop of all three ladders: eigenvalue_converged,
+returned vector.  The shifted pencil is arithmetic on the data vectors of the
+one symmetric CSR pattern that assemble gives K, B and M, so no sparse add or
+format conversion runs per level or per shift.  _settle is the one Richardson
+loop of all three ladders: eigenvalue_converged,
 shape_derivatives_at_equilateral and the soundness oracle scan._raw_upper_bound.
+A level's residual in the M^{-1} norm costs a mass-matrix solve that no ladder
+reads, so it is computed only on demand, by mass_residual.
 """
 
 from __future__ import annotations
@@ -63,6 +67,21 @@ class FemSystem:
 
 @dataclass(frozen=True)
 class EigenResult:
+    """A ground eigenvalue and how it was found.
+
+    lambda1: the level's Rayleigh quotient (one level) or the Richardson
+      extrapolation over the ladder (eigenvalue_converged).
+    eigenvector: the M-normalised ground vector of the finest solved level.
+    iterations: shift-invert solves spent (0 on a dense level).
+    residual: the ladder's error estimate, the change of the extrapolation
+      over the last refinement; nan on a one-level result (no estimate).  The
+      M^{-1}-norm residual of a vector is mass_residual's.
+    converged: whether the ladder settled before its level cap.
+    level: the finest solved level.
+    history: the ladder's per-level values, coarsest first.
+    skipped: (level, error text) per level that failed to certify.
+    """
+
     lambda1: float
     eigenvector: np.ndarray | None
     iterations: int
@@ -70,7 +89,7 @@ class EigenResult:
     converged: bool = True
     level: int | None = None
     history: tuple[float, ...] = ()
-    skipped: tuple[tuple[int, str], ...] = ()  # (level, error text) per skipped level
+    skipped: tuple[tuple[int, str], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -278,6 +297,24 @@ def assemble(mesh: FemMesh, alpha: float) -> FemSystem:
     )
 
 
+def _pencil(system: FemSystem) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """A = K + alpha*B and M on the one canonical CSR pattern of the system.
+
+    A is computed on the data vectors, so no sparse add runs.  A system whose
+    three matrices do not share that pattern (as assemble's do) raises
+    DomainError.
+    """
+    K, B, M = system.stiffness, system.boundary_mass, system.mass
+    shared = K.format == "csr" and all(
+        X.format == "csr" and np.array_equal(X.indptr, K.indptr)
+        and np.array_equal(X.indices, K.indices) for X in (B, M))
+    if not (shared and K.has_canonical_format):
+        raise DomainError("stiffness, boundary mass and mass must share one canonical "
+                          "CSR pattern, as assemble's do")
+    A = sp.csr_matrix((K.data + system.alpha * B.data, K.indices, K.indptr), shape=K.shape)
+    return A, M
+
+
 def _power_iterate(lu, A, M, x0, sigma: float):
     """Shift-invert Lanczos on the factorisation lu of A - sigma*M.
 
@@ -317,10 +354,13 @@ def _factor_counting(A, M, sigma: float):
     pencil below sigma.  That gives a certificate that a shift sits under the
     whole spectrum (count zero), which the ground-state solve needs.  The
     count is an inertia only under a symmetric permutation, so any other
-    factorisation raises NumericError.
+    factorisation raises NumericError.  A and M share one CSR pattern
+    (_pencil), so A - sigma*M is computed on their data vectors, and as the
+    matrix is symmetric its CSR arrays are its CSC arrays: SuperLU reads them
+    with no conversion.
     """
     lu = splu(
-        (A - sigma * M).tocsc(),
+        sp.csc_matrix((A.data - sigma * M.data, A.indices, A.indptr), shape=A.shape),
         diag_pivot_thresh=0.0,
         permc_spec="MMD_AT_PLUS_A",
         options=dict(SymmetricMode=True),
@@ -333,12 +373,22 @@ def _factor_counting(A, M, sigma: float):
     return lu, int((lu.U.diagonal() < 0.0).sum())
 
 
-def _minv_norm(M, r: np.ndarray) -> float:
-    """sqrt(r^T M^{-1} r) for the SPD mass matrix, by Jacobi-preconditioned CG."""
+def mass_residual(system: FemSystem, x: np.ndarray) -> float:
+    """sqrt(r^T M^{-1} r / x^T M x) for r = A x - rho M x, where A = K + alpha*B
+    and rho = x^T A x / x^T M x is the Rayleigh quotient of x.
+
+    Some eigenvalue of the pencil (A, M) lies within this distance of rho.
+    The mass-matrix solve is Jacobi-preconditioned CG to rtol 1e-13; no
+    ladder calls this, so only a caller that reports the residual pays for it.
+    """
+    A, M = _pencil(system)
+    ax, mx = A @ x, M @ x
+    xmx = float(x @ mx)
+    r = ax - (float(x @ ax) / xmx) * mx
     z, info = cg(M, r, rtol=1e-13, atol=0.0, M=sp.diags(1.0 / M.diagonal()))
     if info != 0:
         raise NumericError(f"mass-matrix solve for the residual did not converge (info {info})")
-    return math.sqrt(max(float(r @ z), 0.0))
+    return math.sqrt(max(float(r @ z), 0.0) / xmx)
 
 
 def lowest_eigenpair(system: FemSystem, tri, sigma0: float | None = None) -> EigenResult:
@@ -354,13 +404,13 @@ def lowest_eigenpair(system: FemSystem, tri, sigma0: float | None = None) -> Eig
     lowest eigenvalue, which matters on flat triangles where corner-localised
     ground and excited states are both nearly positive and sign inspection
     cannot tell them apart.  On both paths lambda1 is the Rayleigh quotient
-    x^T A x / x^T M x of the returned vector, and the residual is measured in
-    the M^{-1} norm.
+    x^T A x / x^T M x of the returned vector; one level gives no error
+    estimate, so residual is nan (mass_residual measures the vector's).
+    A system whose matrices do not share one CSR pattern raises DomainError.
     """
     geom = as_geometry(tri)
     alpha = system.alpha
-    A = (system.stiffness + alpha * system.boundary_mass).tocsc()
-    M = system.mass.tocsr()
+    A, M = _pencil(system)
     n = A.shape[0]
     if n <= _DENSE_NODES:
         vecs = scipy.linalg.eigh(A.toarray(), M.toarray(), subset_by_index=[0, 0])[1]
@@ -369,15 +419,14 @@ def lowest_eigenpair(system: FemSystem, tri, sigma0: float | None = None) -> Eig
         sigma = sigma0 if sigma0 is not None else (
             -2.0 * (alpha / math.sin(0.5 * geom.theta_star)) ** 2 - 1.0
         )
-        ones = np.ones(n)
         # Start vector: constant plus a fixed asymmetric ripple.  The ripple keeps
         # a usable overlap with antisymmetric ground states (symmetric meshes of
         # isosceles triangles produce them), which a pure constant start misses.
-        x0 = ones + 0.01 * (np.arange(n) % 11 - 5.0)
-        # Rayleigh quotient of the constant vector (it lies in the P1 space): an
-        # exact upper bound on the discrete ground value at every level, so a
-        # shift at or above it cannot be certified.
-        ub = float(ones @ (A @ ones)) / float(ones @ (M @ ones))
+        x0 = 1.0 + 0.01 * (np.arange(n) % 11 - 5.0)
+        # Rayleigh quotient of the constant vector (it lies in the P1 space),
+        # 1^T A 1 / 1^T M 1: an exact upper bound on the discrete ground value
+        # at every level, so a shift at or above it cannot be certified.
+        ub = float(A.data.sum()) / float(M.data.sum())
         if sigma >= ub:
             sigma = ub - 0.05 * max(1.0, abs(ub))
         for _ in range(80):
@@ -402,8 +451,7 @@ def lowest_eigenpair(system: FemSystem, tri, sigma0: float | None = None) -> Eig
         lambda1=lam,
         eigenvector=vec,
         iterations=solves,
-        residual=_minv_norm(M, av - lam * mv),
-        level=None,
+        residual=math.nan,
     )
 
 

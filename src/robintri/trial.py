@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _quad
 from .equilateral import closed_form_norms, solve_equilateral
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .geometry import (
     TriangleGeometry,
     TriangleParams,
@@ -210,7 +210,8 @@ def sector_bound(alpha: float, tri, anchor_vertex: int | None = None) -> tuple[f
     two adjacent sides truncated at L', so rayleigh_upper <= closed_upper
     always.  By default the field anchors at the smallest angle; anchor_vertex
     pins it to a chosen vertex instead (the inequality holds per-vertex with
-    that vertex's angle data).
+    that vertex's angle data).  A triangle on which u^2 underflows to 0
+    (flat ones at strong coupling) raises NumericError.
     """
     if not (alpha < 0.0):
         raise DomainError(f"alpha must be negative, got {alpha}")
@@ -222,6 +223,10 @@ def sector_bound(alpha: float, tri, anchor_vertex: int | None = None) -> tuple[f
         return field.values_and_grads(pts)[0] ** 2
 
     l2 = float(_quad.triangle_integrate(square, verts, n=8, tol=1e-12))
+    if not (math.isfinite(l2) and l2 > 0.0):
+        # on flat triangles u^2 underflows to 0 at every node away from the anchor
+        raise NumericError(f"sector field's volume norm is {l2:g} at alpha = {alpha:g}; "
+                           "u^2 is not representable on this triangle")
     bdry = sum(float(_quad.segment_integrate(square, verts[i], verts[j], n=10, tol=1e-12))
                for i, j in ((0, 1), (0, 2), (1, 2)))
     rate = alpha / math.sin(0.5 * field.theta_star)

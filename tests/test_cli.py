@@ -10,6 +10,8 @@ from robintri import cli, scan
 from robintri.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from robintri.equilateral import lambda0
 from robintri.errors import NumericError
+from robintri.fem import assemble, build_mesh, eigenvalue_converged, mass_residual
+from robintri.geometry import make_triangle
 
 S_THIRD = 1.0 / math.sqrt(3.0)
 
@@ -18,6 +20,12 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fields(out):
+    """The ``key = value`` lines of a command's output."""
+    return {k.strip(): v.strip() for k, _, v in
+            (line.partition("=") for line in out.splitlines() if "=" in line)}
 
 
 class TestEquilateral:
@@ -52,13 +60,28 @@ class TestEigen:
              "--alpha", "-1.0", "--tol", "1e-4"],
         )
         assert code == EXIT_OK
-        fields = dict(
-            line.partition("=")[::2] for line in out.splitlines() if "=" in line
-        )
-        fields = {k.strip(): v.strip() for k, v in fields.items()}
-        assert fields["converged"] == "True"
-        lam = float(fields["lambda1"])
+        printed = fields(out)
+        assert printed["converged"] == "True"
+        lam = float(printed["lambda1"])
         assert -9.5 < lam < -7.5
+
+    def test_prints_the_finest_level_residual(self, capsys):
+        """residual is mass_residual of the finest level's eigenvector, next to
+        the ladder's error estimate."""
+        code, out, _ = run(
+            capsys,
+            ["eigen", "--a", "0.3", "--c", "0.6", "--area", "0.5",
+             "--alpha", "-1.0", "--tol", "1e-4"],
+        )
+        assert code == EXIT_OK
+        printed = fields(out)
+        tri = make_triangle(0.3, 0.6, 0.5)
+        res = eigenvalue_converged(tri, -1.0, rel_tol=1e-4)
+        want = mass_residual(assemble(build_mesh(tri, res.level), -1.0), res.eigenvector)
+        assert printed["level"] == str(res.level)
+        assert printed["residual"] == f"{want:.3g}"
+        assert 0.0 < want < 1e-8 * abs(res.lambda1)
+        assert printed["error_est"] == f"{res.residual:.3g}"
 
     def test_nonconvergence_exits_numeric(self, capsys):
         code, out, _ = run(

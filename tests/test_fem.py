@@ -19,17 +19,19 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import splu
 
 import robintri
-from robintri import fem
+from robintri import fem, scan
 from robintri.equilateral import lambda0
 from robintri.errors import DomainError, NumericError, ResourceError
 from robintri.fem import (
     FemMesh,
     _factor_counting,
+    _pencil,
     assemble,
     build_mesh,
     dump_mesh,
     eigenvalue_converged,
     lowest_eigenpair,
+    mass_residual,
     solve_at_level,
     walk_levels,
 )
@@ -265,14 +267,14 @@ class TestFactorCounting:
             level = int(rng.integers(2, 4))
             mesh = build_mesh(tri, level)
             system = assemble(mesh, alpha)
-            form = (system.stiffness + alpha * system.boundary_mass).tocsr()
-            spec = eigh(form.toarray(), system.mass.toarray(), eigvals_only=True)
+            form, mass = _pencil(system)
+            spec = eigh(form.toarray(), mass.toarray(), eigvals_only=True)
             lo, hi = spec[0], spec[min(4, len(spec) - 1)]
             sigma = float(rng.uniform(lo - 0.5 * abs(lo) - 1.0, hi))
             if np.min(np.abs(spec - sigma)) < 1e-8 * max(1.0, abs(sigma)):
                 continue
             try:
-                _, neg = _factor_counting(form, system.mass, sigma)
+                _, neg = _factor_counting(form, mass, sigma)
             except RuntimeError:
                 continue  # exactly singular shift; the solver retries elsewhere
             assert neg == int(np.sum(spec < sigma))
@@ -280,7 +282,7 @@ class TestFactorCounting:
     def test_unsymmetric_permutation_is_refused(self, monkeypatch):
         """The U-diagonal sign count is an inertia only when perm_r == perm_c."""
         system = assemble(build_mesh(make_triangle(0.3, 0.8, 1.0), 5), -1.0)
-        form = system.stiffness + system.alpha * system.boundary_mass
+        form, mass = _pencil(system)
         n = form.shape[0]
 
         class Pivoted:
@@ -296,7 +298,7 @@ class TestFactorCounting:
 
         monkeypatch.setattr(fem, "splu", fake_splu)
         with pytest.raises(NumericError, match="inertia"):
-            _factor_counting(form, system.mass, -10.0)
+            _factor_counting(form, mass, -10.0)
         with pytest.raises(NumericError, match="inertia"):
             lowest_eigenpair(system, make_triangle(0.3, 0.8, 1.0))
         assert len(calls) == 2  # the solver does not retry other shifts
@@ -344,16 +346,42 @@ class TestLowestEigenpair:
 
     @pytest.mark.parametrize("level", [4, 5])
     def test_residual_is_the_mass_inverse_norm(self, rng, level):
-        """The residual of a dense (level 4) and a Lanczos (level 5) solve."""
+        """mass_residual of a dense (level 4) and a Lanczos (level 5) solve; the
+        one-level result itself carries no error estimate."""
         for _ in range(4):
             tri = make_triangle(rng.uniform(-2, 2), rng.uniform(0.4, 1.8), S_THIRD)
             alpha = -float(rng.uniform(0.3, 6.0))
             system = assemble(build_mesh(tri, level), alpha)
             res = lowest_eigenpair(system, tri)
+            assert math.isnan(res.residual)
             form = system.stiffness + alpha * system.boundary_mass
             r = form @ res.eigenvector - res.lambda1 * (system.mass @ res.eigenvector)
             want = math.sqrt(float(r @ splu(system.mass.tocsc()).solve(r)))
-            assert abs(res.residual - want) <= 1e-10 * want
+            assert abs(mass_residual(system, res.eigenvector) - want) <= 1e-10 * want
+            # the vector's scale does not enter (checked off the rounding floor)
+            ones = np.ones(len(res.eigenvector))
+            once = mass_residual(system, ones)
+            assert abs(mass_residual(system, -3.0 * ones) - once) <= 1e-12 * once
+
+    def test_matrices_off_the_shared_pattern_are_refused(self):
+        """The pencil is arithmetic on one CSR pattern's data: a lumped (diagonal)
+        mass matrix or unsorted column indices are refused, not misread."""
+        tri = make_triangle(0.3, 0.8, S_THIRD)
+        system = assemble(build_mesh(tri, 5), -1.5)
+        lumped = sp.diags(np.asarray(system.mass.sum(axis=1)).ravel(), format="csr")
+        indptr = system.mass.indptr
+        row = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+        flip = indptr[row] + indptr[row + 1] - 1 - np.arange(len(row))  # reverse each row
+        unsorted = [sp.csr_matrix((m.data[flip], m.indices[flip], indptr), shape=m.shape)
+                    for m in (system.stiffness, system.boundary_mass, system.mass)]
+        assert abs(unsorted[2] - system.mass).max() == 0.0
+        for wrong in (replace(system, mass=lumped),
+                      replace(system, boundary_mass=system.boundary_mass.tocsc()),
+                      fem.FemSystem(*unsorted, alpha=-1.5)):
+            with pytest.raises(DomainError, match="pattern"):
+                lowest_eigenpair(wrong, tri)
+            with pytest.raises(DomainError, match="pattern"):
+                mass_residual(wrong, np.ones(system.mass.shape[0]))
 
     def test_value_is_the_rayleigh_quotient(self):
         """lambda1 is x^T A x / x^T M x of the returned vector; at level 7 a
@@ -519,6 +547,21 @@ class TestConvergence:
                                    rel_tol=1e-3, max_level=6)
         assert len(res.history) == 5 and not res.skipped  # levels 2 to 6
         assert res.iterations <= 18 * 2
+
+    def test_ladders_run_no_mass_matrix_solve(self, monkeypatch):
+        """No ladder reads a level's M^{-1} residual, so none pays for its CG
+        mass solve: with cg and mass_residual refusing, all three ladders finish."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("mass-matrix solve inside a ladder")
+
+        monkeypatch.setattr(fem, "cg", refuse)
+        monkeypatch.setattr(fem, "mass_residual", refuse)
+        tri = make_triangle(1.0, 1.6, S_THIRD)
+        res = eigenvalue_converged(tri, -2.0, rel_tol=1e-3, max_level=6)
+        assert res.level == 6 and not res.skipped  # Lanczos levels 5 and 6 ran
+        _, _, settled = scan._raw_upper_bound(tri, -2.0, 1e-3, sound_target=lambda0(-2.0, S_THIRD))
+        assert settled
+        assert fem.shape_derivatives_at_equilateral(-0.5, 1.0).converged
 
     def test_non_finite_tolerance_is_refused(self):
         tri = make_triangle(0.5, 0.6, S_THIRD)

@@ -7,7 +7,7 @@ import pytest
 
 from robintri import _quad
 from robintri.equilateral import ground_state, lambda0, solve_equilateral
-from robintri.errors import DomainError
+from robintri.errors import DomainError, NumericError
 from robintri.geometry import TriangleParams, c0, equilateral_params, make_triangle
 from robintri.trial import (
     ConstantOne,
@@ -154,6 +154,13 @@ class TestSectorBound:
             tri = make_triangle(a, c, S)
             ray, closed = sector_bound(alpha, tri)
             assert ray <= closed + 1e-11 * max(1.0, abs(closed))
+
+    @pytest.mark.parametrize("alpha,a", [(-10.0, 20.0), (-1.0, 50.0)])
+    def test_underflowing_field_is_a_numeric_error(self, alpha, a):
+        """On a flat triangle u^2 underflows to 0 at every quadrature node, so the
+        volume norm reads 0: a typed NumericError, not a ZeroDivisionError."""
+        with pytest.raises(NumericError, match="volume norm"):
+            sector_bound(alpha, make_triangle(a, 0.5, 1.0))
 
     def test_anchored_variant(self):
         tri = make_triangle(1.5, 0.6, 0.8)
