@@ -11,8 +11,9 @@ The third, SectorExponential, lives on the physical triangle: u(x) =
 exp(rate * x') with rate = alpha / sin(theta*/2) and x' the coordinate along
 the bisector of the smallest angle.  Its gradient has |grad u| = |rate| u
 pointwise, so its Rayleigh quotient is rate^2 + alpha * ||u||^2_bdry / ||u||^2
-and only u^2 is integrated; replacing the triangle by the infinite sector
-gives a closed upper bound.
+and only u^2 is integrated.  u^2 = exp(k.x) is a single exponential, so its
+volume norm is exact (Hermite-Genocchi); replacing the triangle by the
+infinite sector gives a closed upper bound.
 
 Verdicts certify strict inequalities and therefore include a small safety
 margin: a bound counts only when it clears its target by 1e-10 relative.
@@ -43,6 +44,8 @@ from .geometry import (
 _SQRT3 = math.sqrt(3.0)
 _MARGIN = 1e-10
 _EXP_FLOOR = -700.0
+#: terms of the centred series in _exp_divided_difference
+_SERIES_TERMS = 25
 
 
 def strictly_below(value: float, target: float) -> bool:
@@ -200,36 +203,78 @@ def sector_closed_upper(alpha: float, theta: float, l_prime: float) -> float:
     return -(alpha / math.sin(half)) ** 2 * (1.0 - tail)
 
 
+def _exp_divided_difference(z0: float, z1: float, z2: float) -> float:
+    """Second divided difference exp[z0, z1, z2] of the exponential.
+
+    By Hermite-Genocchi, 2|T| exp[k.v0, k.v1, k.v2] is the integral of
+    exp(k.x) over the triangle T with vertices v0, v1, v2 (C. de Boor,
+    "Divided differences", Surveys in Approximation Theory 1, 2005).  The
+    points are shifted by the largest, so every exponential is at most 1.
+    Past a spread of 1 the three-point difference is the recursion on two-point
+    ones, each formed as e^b (-expm1(a - b)) / (b - a) with a <= b <= 0 so
+    that nothing overflows, and the recursion's subtraction loses at most a
+    bit or two.  Below a spread of 1 it would cancel, and the centred series
+    e^zbar sum_k h_k(z - zbar) / (k + 2)! takes over.
+    """
+    a, b, top = sorted((z0, z1, z2))
+    a -= top
+    b -= top
+    if -a > 1.0:
+        def two(lo: float, hi: float) -> float:
+            gap = hi - lo
+            return math.exp(hi) * (-math.expm1(-gap) / gap if gap > 0.0 else 1.0)
+        return math.exp(top) * ((two(b, 0.0) - two(a, b)) / -a)
+    mean = (a + b) / 3.0
+    x, y, z = a - mean, b - mean, -mean
+    # h_k(x, y, z), the complete homogeneous symmetric polynomials, one
+    # variable at a time; h_1 is 0 after centring, so no term ends the sum
+    h = [x**k for k in range(_SERIES_TERMS)]
+    for w in (y, z):
+        for k in range(1, _SERIES_TERMS):
+            h[k] += w * h[k - 1]
+    total, fact = 0.0, 2.0
+    for k in range(_SERIES_TERMS):
+        total += h[k] / fact
+        fact *= k + 3
+    return math.exp(top) * math.exp(mean) * total
+
+
 def sector_bound(alpha: float, tri, anchor_vertex: int | None = None) -> tuple[float, float]:
     """(rayleigh_upper, closed_upper) for the sector exponential.
 
     rayleigh_upper is the exact Rayleigh quotient on the triangle, the quotient
-    rate^2 + alpha * ||u||^2_bdry / ||u||^2 that |grad u|^2 = rate^2 u^2 gives,
-    with both norms of u^2 by adaptive quadrature; closed_upper replaces the
-    volume norm by the infinite-sector integral and the boundary norm by the
-    two adjacent sides truncated at L', so rayleigh_upper <= closed_upper
-    always.  By default the field anchors at the smallest angle; anchor_vertex
-    pins it to a chosen vertex instead (the inequality holds per-vertex with
-    that vertex's angle data).  A triangle on which u^2 underflows to 0
-    (flat ones at strong coupling) raises NumericError.
+    rate^2 + alpha * ||u||^2_bdry / ||u||^2 that |grad u|^2 = rate^2 u^2 gives.
+    u^2 = exp(k.x) with k = 2 rate bisector, so the volume norm is the closed
+    form 2|T| exp[z0, z1, z2], z_i = k.(v_i - apex).  The three side norms
+    stay on adaptive quadrature: the benchmark contract still counts segment
+    quadrature cells on the region scans, and an exact side norm waits for
+    that contract to change.  closed_upper replaces the volume norm by the
+    infinite-sector integral and the boundary norm by the two adjacent sides
+    truncated at L', so rayleigh_upper <= closed_upper always.  By default the
+    field anchors at the smallest angle; anchor_vertex pins it to a chosen
+    vertex instead (the inequality holds per-vertex with that vertex's angle
+    data).  A triangle on which a norm of u^2 is not a positive finite number
+    raises NumericError: on flat triangles at strong coupling u^2 underflows
+    at every side quadrature node, and the side norms read 0.
     """
     if not (alpha < 0.0):
         raise DomainError(f"alpha must be negative, got {alpha}")
     tri = as_geometry(tri)
     field = SectorExponential.from_triangle(tri, alpha, vertex=anchor_vertex)
     verts = tri.vertex_array()
+    rate = alpha / math.sin(0.5 * field.theta_star)
+    (px, py), (bx, by) = field.apex, field.bisector
+    z = [2.0 * rate * ((vx - px) * bx + (vy - py) * by) for vx, vy in verts.tolist()]
+    l2 = 2.0 * tri.params.S * _exp_divided_difference(*z)
 
     def square(pts: np.ndarray) -> np.ndarray:
         return field.values_and_grads(pts)[0] ** 2
 
-    l2 = float(_quad.triangle_integrate(square, verts, n=8, tol=1e-12))
-    if not (math.isfinite(l2) and l2 > 0.0):
-        # on flat triangles u^2 underflows to 0 at every node away from the anchor
-        raise NumericError(f"sector field's volume norm is {l2:g} at alpha = {alpha:g}; "
-                           "u^2 is not representable on this triangle")
     bdry = sum(float(_quad.segment_integrate(square, verts[i], verts[j], n=10, tol=1e-12))
                for i, j in ((0, 1), (0, 2), (1, 2)))
-    rate = alpha / math.sin(0.5 * field.theta_star)
+    if not (math.isfinite(l2) and l2 > 0.0 and math.isfinite(bdry) and bdry > 0.0):
+        raise NumericError(f"sector field at alpha = {alpha:g}: volume norm {l2:g}, "
+                           f"boundary norm {bdry:g}; u^2 is not representable on this triangle")
     rayleigh = rate * rate + alpha * bdry / l2
     closed = sector_closed_upper(alpha, field.theta_star, field.L_prime)
     return rayleigh, closed

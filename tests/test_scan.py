@@ -346,8 +346,8 @@ class TestRegionModes:
             assert rayleigh <= closed + 1e-9 * abs(closed)
 
     def test_underflowing_sector_cell_is_a_numeric_error_row(self):
-        """A flat cell whose sector field underflows is one typed row; the scan
-        and its other cells run on."""
+        """A flat cell whose sector field's side norms read 0 is one typed row;
+        the scan and its other cells run on."""
         res = run_scan(ScanConfig(mode="sector-region", alpha_range=(-10.0, -1.0, 2),
                                   a_range=(0.0, 20.0, 2), c_fixed=0.5, S=1.0))
         assert [(row[0], row[1], row[-1]) for row in res.rows] == [

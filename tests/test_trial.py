@@ -1,7 +1,9 @@
 """Tests for the trial-function upper bounds and their certificates."""
 
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -9,9 +11,11 @@ from robintri import _quad
 from robintri.equilateral import ground_state, lambda0, solve_equilateral
 from robintri.errors import DomainError, NumericError
 from robintri.geometry import TriangleParams, c0, equilateral_params, make_triangle
+from robintri.scan import ScanConfig, run_scan
 from robintri.trial import (
     ConstantOne,
     SectorExponential,
+    _exp_divided_difference,
     constant_bound,
     delta_transplant,
     form_hat,
@@ -26,6 +30,89 @@ from robintri.trial import (
 )
 
 S_THIRD = 1.0 / math.sqrt(3.0)
+
+
+def mp_exp_divided_difference(points):
+    """exp[z0, ..., zn] by the divided-difference recursion in mpmath, with
+    the confluent limit exp(z) / n! where all points coincide."""
+    def rec(p):
+        if p[0] == p[-1]:
+            return mp.exp(p[0]) / mp.factorial(len(p) - 1)
+        return (rec(p[1:]) - rec(p[:-1])) / (p[-1] - p[0])
+
+    return rec(sorted(mp.mpf(z) for z in points))
+
+
+def mp_sector_rayleigh(alpha, tri, vertex):
+    """rate^2 + alpha * ||u||^2_bdry / ||u||^2 at 40 digits from the float
+    corner data: the volume norm by Hermite-Genocchi and each side as
+    |e| exp[z_i, z_j]."""
+    field = SectorExponential.from_triangle(tri, alpha, vertex=vertex)
+    with mp.workdps(40):
+        verts = [(mp.mpf(x), mp.mpf(y)) for x, y in tri.vertex_array().tolist()]
+        (px, py), (bx, by) = [tuple(map(mp.mpf, v)) for v in (field.apex, field.bisector)]
+        rate = alpha / mp.sin(mp.mpf(field.theta_star) / 2)
+        z = [2 * rate * ((x - px) * bx + (y - py) * by) for x, y in verts]
+        (x0, y0), (x1, y1), (x2, y2) = verts
+        area = abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)) / 2
+        l2 = 2 * area * mp_exp_divided_difference(z)
+        bdry = sum(mp.hypot(verts[j][0] - verts[i][0], verts[j][1] - verts[i][1])
+                   * mp_exp_divided_difference([z[i], z[j]])
+                   for i, j in ((0, 1), (0, 2), (1, 2)))
+        return rate * rate + alpha * bdry / l2
+
+
+class TestExpDividedDifference:
+    """The scalar exp[z0, z1, z2] against a 50-digit mpmath recursion."""
+
+    @staticmethod
+    def worst_error(point_sets):
+        worst = 0.0
+        with mp.workdps(50):
+            for z in point_sets:
+                ref = mp_exp_divided_difference(z)
+                worst = max(worst, float(abs(_exp_divided_difference(*z) - ref) / ref))
+        return worst
+
+    def test_seeded_point_sets(self):
+        """{0, -s u1, -s u2} with s from 1e-8 to 1e5, on both sides of the
+        spread-1 switch between series and recursion."""
+        rng = np.random.default_rng(20261018)
+        sets = [(0.0, -s * u1, -s * u2)
+                for s, u1, u2 in zip(10.0 ** rng.uniform(-8.0, 5.0, 3000),
+                                     rng.uniform(0.0, 1.0, 3000), rng.uniform(0.0, 1.0, 3000))]
+        spreads = [-min(z) for z in sets]
+        assert sum(sp <= 1.0 for sp in spreads) > 500 and sum(sp > 1.0 for sp in spreads) > 500
+        assert self.worst_error(sets) <= 2e-15
+
+    def test_shifted_point_sets(self):
+        """A common offset t scales the value by e^t, whichever point is largest."""
+        rng = np.random.default_rng(7)
+        sets = []
+        for t, s, u1, u2 in zip(rng.uniform(-20.0, 20.0, 300), 10.0 ** rng.uniform(-6.0, 3.0, 300),
+                                rng.uniform(-1.0, 1.0, 300), rng.uniform(-1.0, 1.0, 300)):
+            sets.append((t - s * u1, t, t + s * u2))
+        assert self.worst_error(sets) <= 2e-15
+
+    def test_switch_and_confluent_points(self):
+        """Spreads just either side of 1, two points equal and all three equal."""
+        sets = [(0.0, -1.0 + d, -0.3) for d in (-1e-13, 0.0, 1e-13)]
+        sets += [(0.0, -s, -s) for s in (1e-9, 0.5, 1.0, 2.0, 40.0)]
+        sets += [(0.0, 0.0, -s) for s in (1e-9, 0.5, 1.0, 2.0, 40.0)]
+        sets += [(z, z, z) for z in (0.0, -3.0, 2.5)]
+        assert self.worst_error(sets) <= 2e-15
+        for z in (0.0, -3.0, 2.5):
+            assert _exp_divided_difference(z, z, z) == pytest.approx(math.exp(z) / 2.0, rel=2e-16)
+
+    def test_no_overflow_or_warning_at_large_spread(self):
+        """Exponents down to -1e6 give finite values and raise nothing."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for z in [(0.0, -1e6, -1e6), (0.0, -5e5, -1e6), (0.0, -1e-3, -1e6), (0.0, 0.0, -1e6),
+                      (-1e6, -1e6, -1e6), (-1e6, -1e6 + 0.5, -1e6 + 1.0)]:
+                value = _exp_divided_difference(*z)
+                assert math.isfinite(value) and value >= 0.0
+            assert _exp_divided_difference(0.0, -1e6, -1e6) == pytest.approx(1e-12, rel=1e-5)
 
 
 class TestStrictlyBelow:
@@ -157,10 +244,39 @@ class TestSectorBound:
 
     @pytest.mark.parametrize("alpha,a", [(-10.0, 20.0), (-1.0, 50.0)])
     def test_underflowing_field_is_a_numeric_error(self, alpha, a):
-        """On a flat triangle u^2 underflows to 0 at every quadrature node, so the
-        volume norm reads 0: a typed NumericError, not a ZeroDivisionError."""
+        """On a flat triangle u^2 underflows to 0 at every side quadrature node,
+        so the boundary norm reads 0: a typed NumericError, not a quotient built
+        from a norm that underflowed."""
         with pytest.raises(NumericError, match="volume norm"):
             sector_bound(alpha, make_triangle(a, 0.5, 1.0))
+
+    @pytest.mark.parametrize("vertex", [0, 1, 2])
+    def test_matches_mpmath_formula(self, rng, vertex):
+        """The quotient agrees with a 40-digit evaluation of the same formula."""
+        cells = [(-8.615666666666666, 3.384615384615385, 0.3, S_THIRD)]
+        for _ in range(30):
+            cells.append((-float(10.0 ** rng.uniform(-2.0, 1.1)), float(rng.uniform(-3.0, 6.0)),
+                          float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.3, 1.5))))
+        for alpha, a, c, S in cells:
+            tri = make_triangle(a, c, S)
+            ray, _ = sector_bound(alpha, tri, anchor_vertex=vertex)
+            ref = mp_sector_rayleigh(alpha, tri, vertex)
+            assert float(abs(ray - ref) / abs(ref)) <= 1e-12, (alpha, a, c, S)
+
+    def test_stays_off_triangle_quadrature(self, monkeypatch):
+        """The sector certificate and its region scan run with 2-D quadrature
+        disabled and give the same values."""
+        tri = make_triangle(1.2, 0.5, S_THIRD)
+        cfg = ScanConfig(mode="sector-region", alpha_range=(-6.0, -0.5, 3), a_range=(-1.0, 3.0, 3))
+        expected = [sector_bound(-2.0, tri, anchor_vertex=v) for v in (None, 0, 1, 2)]
+        rows = run_scan(cfg).rows
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("triangle quadrature on the sector path")
+
+        monkeypatch.setattr(_quad, "triangle_integrate", refuse)
+        assert [sector_bound(-2.0, tri, anchor_vertex=v) for v in (None, 0, 1, 2)] == expected
+        assert run_scan(cfg).rows == rows
 
     def test_anchored_variant(self):
         tri = make_triangle(1.5, 0.6, 0.8)
