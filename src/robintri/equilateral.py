@@ -8,8 +8,9 @@ where K = arctanh(t) + arctanh(t/2) and t in (0, 1) is the unique root of
 
     t * (arctanh(t) + arctanh(t/2)) = beta,   beta = -alpha * sqrt(sqrt(3) S).
 
-One solve serves every coupling: the unknown is y = log(1 - t), bracketed in
-[-2 beta - 10, 0], bisected and then polished by Newton.  Writing
+One solve serves every coupling: the unknown is y = log(1 - t), found by one
+safeguarded Newton loop that starts on the equation's weak- or strong-coupling
+asymptote and keeps the bracket [-2 beta - 10, 0].  Writing
 t = -expm1(y) and arctanh(t) = (log1p(t) - y)/2 loses no digits at weak
 coupling (y near 0), and at strong coupling 1 - t = e^y may underflow while y
 itself, kept as log_one_minus_t, stays exact.
@@ -103,38 +104,36 @@ def _psi_prime(y: float) -> float:
 
 
 def _solve_t(beta: float) -> tuple[float, float]:
-    """Root of t K(t) = beta in y = log(1 - t); returns (t, y)."""
+    """Root of t K(t) = beta in y = log(1 - t); returns (t, y).
+
+    Safeguarded Newton from the asymptote, t K ~ 3 t^2/2 (weak coupling) or
+    y ~ log 2 + 2 atanh(1/2) - 2 beta (strong), which lies inside the bracket
+    [-2 beta - 10, 0]; a step that leaves the bracket bisects it.  The loop
+    stops once a step no longer lowers |psi| or moves y by two ulps or less,
+    and the root must reach |psi| <= 1e-11 beta.
+    """
     lo, hi = -2.0 * beta - 10.0, 0.0
-    if _psi(lo, beta) <= 0.0 or _psi(hi, beta) >= 0.0:
+    if not (_psi(lo, beta) > 0.0 > _psi(hi, beta)):
         raise NumericError(f"log-space bracket failed for beta={beta}")
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if _psi(mid, beta) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    y = 0.5 * (lo + hi)
-    best_y, best_f = y, _psi(y, beta)
+    weak = math.sqrt(beta / 1.5)
+    y = math.log1p(-weak) if weak < 0.9 else math.log(2.0) + 2.0 * math.atanh(0.5) - 2.0 * beta
+    best_y, best_f = y, math.inf
     for _ in range(50):
         f = _psi(y, beta)
-        if abs(f) < abs(best_f):
-            best_y, best_f = y, f
+        if not abs(f) < abs(best_f):
+            break
+        best_y, best_f = y, f
         if f == 0.0:
             break
-        if f > 0.0:
-            lo = max(lo, y)
-        else:
-            hi = min(hi, y)
+        lo, hi = (y, hi) if f > 0.0 else (lo, y)
         y_next = y - f / _psi_prime(y)
         if not (lo < y_next < hi):
             y_next = 0.5 * (lo + hi)
-        if y_next == y:
+        if abs(y_next - y) <= 2.0 * math.ulp(y):
             break
         y = y_next
-    if abs(best_f) > 1e-11 * max(1.0, beta):
-        raise NumericError(
-            f"log-space solve stalled at y={best_y}, residual={best_f:g}"
-        )
+    if not abs(best_f) <= 1e-11 * beta:
+        raise NumericError(f"log-space solve stalled at y={best_y}, residual={best_f:g}")
     return -math.expm1(best_y), best_y
 
 

@@ -529,8 +529,8 @@ def verify_monotone(alpha: float, S: float, rel_tol: float = 1e-5) -> ScanResult
     return _sweep("monotonicity", fn, [alpha], {"alpha": (float(alpha),)}, _prov(alpha=alpha, S=S))
 
 
-def soundness_sweep(alpha_values, a_values, c: float, S: float, fem_rel_tol: float = 1e-3,
-                    workers: int = 1) -> ScanResult:
+def soundness_sweep(alpha_values, a_values, c: float, S: float,
+                    fem_rel_tol: float = 1e-3) -> ScanResult:
     """Cross-check every certificate against the FEM oracle on an (a, alpha) grid.
 
     For each cell the three trial-function certificates are evaluated; on the
@@ -547,7 +547,7 @@ def soundness_sweep(alpha_values, a_values, c: float, S: float, fem_rel_tol: flo
     _check_scalars(S=S, rel_tol=fem_rel_tol, c=c)
     fn = partial(_soundness_cell, c=c, S=S, rel_tol=fem_rel_tol)
     return _sweep("soundness", fn, [(al, a) for al in alphas for a in avals],
-                  {"a": avals, "alpha": alphas}, _prov(c=c, S=S, fem_rel_tol=fem_rel_tol), workers)
+                  {"a": avals, "alpha": alphas}, _prov(c=c, S=S, fem_rel_tol=fem_rel_tol))
 
 
 def _raw_upper_bound(tri, alpha: float, rel_tol: float,

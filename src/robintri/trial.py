@@ -11,9 +11,9 @@ The third, SectorExponential, lives on the physical triangle: u(x) =
 exp(rate * x') with rate = alpha / sin(theta*/2) and x' the coordinate along
 the bisector of the smallest angle.  Its gradient has |grad u| = |rate| u
 pointwise, so its Rayleigh quotient is rate^2 + alpha * ||u||^2_bdry / ||u||^2
-and only u^2 is integrated.  u^2 = exp(k.x) is a single exponential, so its
-volume norm is exact (Hermite-Genocchi); replacing the triangle by the
-infinite sector gives a closed upper bound.
+and only u^2 = exp(k.(x - apex)), k = 2 rate bisector, is integrated: exactly
+over the triangle (Hermite-Genocchi), by quadrature on the sides.  Replacing
+the triangle by the infinite sector gives a closed upper bound.
 
 Verdicts certify strict inequalities and therefore include a small safety
 margin: a bound counts only when it clears its target by 1e-10 relative.
@@ -46,6 +46,12 @@ _MARGIN = 1e-10
 _EXP_FLOOR = -700.0
 #: terms of the centred series in _exp_divided_difference
 _SERIES_TERMS = 25
+
+
+def _check_alpha(alpha: float) -> None:
+    """The coupling check every certificate shares."""
+    if not (math.isfinite(alpha) and alpha < 0.0):
+        raise DomainError(f"alpha must be finite and strictly negative, got {alpha}")
 
 
 def strictly_below(value: float, target: float) -> bool:
@@ -104,11 +110,6 @@ class SectorExponential:
         return vals, grads
 
 
-def _reference_vertices(S: float) -> np.ndarray:
-    cc, bb = c0(S), b0(S)
-    return np.array([[-cc, 0.0], [cc, 0.0], [0.0, bb]])
-
-
 def form_hat(alpha: float, tri, psi) -> FormValue:
     """Transported Robin form of a reference-triangle field psi on Omega_{a,c}.
 
@@ -117,13 +118,11 @@ def form_hat(alpha: float, tri, psi) -> FormValue:
     both over the equilateral reference of the same area.
     """
     if isinstance(psi, SectorExponential):
-        raise DomainError(
-            "SectorExponential lives on the physical triangle; use sector_bound"
-        )
+        raise DomainError("SectorExponential lives on the physical triangle; use sector_bound")
+    _check_alpha(alpha)
     params = as_geometry(tri).params
-    if not (alpha < 0.0):
-        raise DomainError(f"alpha must be negative, got {alpha}")
-    verts = _reference_vertices(params.S)
+    cc, bb = c0(params.S), b0(params.S)
+    verts = np.array([[-cc, 0.0], [cc, 0.0], [0.0, bb]])
 
     def moments(pts: np.ndarray) -> np.ndarray:
         vals, grads = psi.values_and_grads(pts)
@@ -179,9 +178,8 @@ def constant_bound(alpha: float, tri) -> tuple[float, bool]:
     The verdict is True when this upper bound lies strictly below lambda0,
     i.e. when perimeter/area alone already certifies the inequality.
     """
+    _check_alpha(alpha)
     params = as_geometry(tri).params
-    if not (alpha < 0.0):
-        raise DomainError(f"alpha must be negative, got {alpha}")
     bound = alpha * perimeter(params) / params.S
     lam0 = solve_equilateral(alpha, params.S).lambda0
     return bound, strictly_below(bound, lam0)
@@ -189,8 +187,9 @@ def constant_bound(alpha: float, tri) -> tuple[float, bool]:
 
 def lambda0_lower_bound(alpha: float, S: float) -> float:
     """-4 alpha^2 + 24 alpha / sqrt(sqrt(3) S) - 36/(sqrt(3) S), a bound below lambda0."""
-    if not (alpha < 0.0 and S > 0.0):
-        raise DomainError("lambda0_lower_bound needs alpha < 0 and S > 0")
+    _check_alpha(alpha)
+    if not (S > 0.0):
+        raise DomainError(f"lambda0_lower_bound needs S > 0, got {S}")
     root = math.sqrt(_SQRT3 * S)
     return -4.0 * alpha * alpha + 24.0 * alpha / root - 36.0 / (root * root)
 
@@ -244,39 +243,40 @@ def sector_bound(alpha: float, tri, anchor_vertex: int | None = None) -> tuple[f
 
     rayleigh_upper is the exact Rayleigh quotient on the triangle, the quotient
     rate^2 + alpha * ||u||^2_bdry / ||u||^2 that |grad u|^2 = rate^2 u^2 gives.
-    u^2 = exp(k.x) with k = 2 rate bisector, so the volume norm is the closed
-    form 2|T| exp[z0, z1, z2], z_i = k.(v_i - apex).  The three side norms
-    stay on adaptive quadrature: the benchmark contract still counts segment
-    quadrature cells on the region scans, and an exact side norm waits for
-    that contract to change.  closed_upper replaces the volume norm by the
-    infinite-sector integral and the boundary norm by the two adjacent sides
-    truncated at L', so rayleigh_upper <= closed_upper always.  By default the
-    field anchors at the smallest angle; anchor_vertex pins it to a chosen
-    vertex instead (the inequality holds per-vertex with that vertex's angle
-    data).  A triangle on which a norm of u^2 is not a positive finite number
-    raises NumericError: on flat triangles at strong coupling u^2 underflows
-    at every side quadrature node, and the side norms read 0.
+    One exponent k = 2 rate bisector gives u^2 = exp(k.(x - apex)) for both
+    norms: the volume norm is 2|T| exp[z0, z1, z2] with z_i = k.(v_i - apex),
+    and the side norms integrate the same exponential by adaptive quadrature
+    (the benchmark contract still counts its cells on the region scans).
+    closed_upper replaces the volume norm by the infinite-sector integral and
+    the boundary norm by the two adjacent sides truncated at L', so
+    rayleigh_upper <= closed_upper always.  The field anchors at the smallest
+    angle, or at anchor_vertex 0, 1 or 2 with that vertex's angle data.  A
+    norm that is not positive and finite raises NumericError: on flat
+    triangles at strong coupling no side quadrature node lands in the
+    boundary layer, 1/|2 rate| wide, and the side norms read 0.
     """
-    if not (alpha < 0.0):
-        raise DomainError(f"alpha must be negative, got {alpha}")
+    _check_alpha(alpha)
+    if anchor_vertex not in (None, 0, 1, 2):
+        raise DomainError(f"anchor_vertex must be None, 0, 1 or 2, got {anchor_vertex!r}")
     tri = as_geometry(tri)
-    field = SectorExponential.from_triangle(tri, alpha, vertex=anchor_vertex)
     verts = tri.vertex_array()
-    rate = alpha / math.sin(0.5 * field.theta_star)
-    (px, py), (bx, by) = field.apex, field.bisector
-    z = [2.0 * rate * ((vx - px) * bx + (vy - py) * by) for vx, vy in verts.tolist()]
-    l2 = 2.0 * tri.params.S * _exp_divided_difference(*z)
+    index = tri.apex_index if anchor_vertex is None else int(anchor_vertex)
+    theta, l_prime, apex, bisector = corner(verts, tri.side_lengths, index)
+    rate = alpha / math.sin(0.5 * theta)
+    apex, k = np.asarray(apex), 2.0 * rate * np.asarray(bisector)
+    l2 = 2.0 * tri.params.S * _exp_divided_difference(*((verts - apex) @ k).tolist())
 
     def square(pts: np.ndarray) -> np.ndarray:
-        return field.values_and_grads(pts)[0] ** 2
+        return np.exp((pts - apex) @ k)
 
     bdry = sum(float(_quad.segment_integrate(square, verts[i], verts[j], n=10, tol=1e-12))
                for i, j in ((0, 1), (0, 2), (1, 2)))
     if not (math.isfinite(l2) and l2 > 0.0 and math.isfinite(bdry) and bdry > 0.0):
         raise NumericError(f"sector field at alpha = {alpha:g}: volume norm {l2:g}, "
-                           f"boundary norm {bdry:g}; u^2 is not representable on this triangle")
+                           f"boundary norm {bdry:g}; the side quadrature found no mass "
+                           f"in the boundary layer of width {1.0 / abs(2.0 * rate):g}")
     rayleigh = rate * rate + alpha * bdry / l2
-    closed = sector_closed_upper(alpha, field.theta_star, field.L_prime)
+    closed = sector_closed_upper(alpha, theta, l_prime)
     return rayleigh, closed
 
 

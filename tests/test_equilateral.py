@@ -11,7 +11,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from robintri import _quad
+from robintri import _quad, equilateral
 from robintri.equilateral import (
     T0,
     closed_form_norms,
@@ -25,7 +25,7 @@ from robintri.equilateral import (
     solve_equilateral,
 )
 from robintri.errors import DomainError, NumericError
-from robintri.geometry import b0, c0
+from robintri.geometry import b0, c0, equilateral_params, perimeter
 from robintri.trial import lambda0_lower_bound
 
 SQRT3 = math.sqrt(3.0)
@@ -104,6 +104,32 @@ class TestSolver:
             _, _, lam_ref = mp_reference(alpha, S_THIRD, dps=50)
             lam = lambda0(alpha, S_THIRD)
             assert abs(lam - lam_ref) <= 2e-15 * abs(lam_ref), beta
+
+    @pytest.mark.parametrize("S", [S_THIRD, 1.0, 2.5])
+    def test_weak_coupling_limit_to_machine_precision(self, S):
+        """For beta in [1e-300, 1e-20], lambda0 = alpha P/S (1 + O(beta)), so it
+        equals the constant field's quotient alpha P/S to rounding."""
+        scale = math.sqrt(SQRT3 * S)
+        for beta in np.geomspace(1e-300, 1e-20, 200):
+            alpha = -float(beta) / scale
+            expected = alpha * perimeter(equilateral_params(S)) / S
+            assert abs(lambda0(alpha, S) - expected) <= 1e-15 * abs(expected), beta
+
+    def test_one_newton_loop_is_short(self, monkeypatch):
+        """Started on the coupling equation's asymptote, the solve evaluates psi
+        at most 8 times (the two bracket ends included) at every coupling."""
+        calls = []
+        psi = equilateral._psi
+
+        def counted(y, beta):
+            calls.append(y)
+            return psi(y, beta)
+
+        monkeypatch.setattr(equilateral, "_psi", counted)
+        for beta in np.geomspace(1e-12, 1e5, 3000):
+            calls.clear()
+            equilateral._solve_t(float(beta))
+            assert len(calls) <= 8, beta
 
     def test_system_relations(self, rng):
         """K = M - L, t = beta/K, M = atanh t and L = -atanh(t/2) hold exactly."""

@@ -346,8 +346,9 @@ class TestRegionModes:
             assert rayleigh <= closed + 1e-9 * abs(closed)
 
     def test_underflowing_sector_cell_is_a_numeric_error_row(self):
-        """A flat cell whose sector field's side norms read 0 is one typed row;
-        the scan and its other cells run on."""
+        """A flat cell where the side quadrature finds no mass in the sector
+        field's boundary layer is one typed row; the scan and its other cells
+        run on."""
         res = run_scan(ScanConfig(mode="sector-region", alpha_range=(-10.0, -1.0, 2),
                                   a_range=(0.0, 20.0, 2), c_fixed=0.5, S=1.0))
         assert [(row[0], row[1], row[-1]) for row in res.rows] == [
@@ -824,18 +825,19 @@ def _raising(error):
 
 
 class TestFailurePath:
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("error,status", [(NumericError, "numeric-error"),
-                                              (DomainError, "domain-error")])
-    @pytest.mark.parametrize("mode", [*MODES, "soundness"])
+    @pytest.mark.parametrize("mode,error,status,workers", [
+        pytest.param(mode, error, status, workers, id=f"{mode}-{error.__name__}-{status}-{workers}")
+        for mode in (*MODES, "soundness")
+        for error, status in ((NumericError, "numeric-error"), (DomainError, "domain-error"))
+        # soundness_sweep takes no workers: it has no pool path
+        for workers in ((1,) if mode == "soundness" else (1, 2))])
     def test_failure_rows_are_pinned(self, mode, error, status, workers, fake_pool,
                                      monkeypatch, tmp_path):
         """A robintri error in any evaluator gives the same typed row, serially
-        and through the pool path."""
+        and, for run_scan, through the pool path."""
         monkeypatch.setattr(scan, _FAILING_CALLEE[mode], _raising(error))
         if mode == "soundness":
-            res = soundness_sweep([-2.0, -0.5], [0.0, 1.0], c=S_THIRD, S=S_THIRD,
-                                  workers=workers)
+            res = soundness_sweep([-2.0, -0.5], [0.0, 1.0], c=S_THIRD, S=S_THIRD)
         else:
             cfg = ScanConfig(mode=mode, output_path=str(tmp_path / "f.csv"), **_PIPELINE_CFG[mode])
             res = run_scan(cfg, workers=workers)

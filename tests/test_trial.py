@@ -244,9 +244,10 @@ class TestSectorBound:
 
     @pytest.mark.parametrize("alpha,a", [(-10.0, 20.0), (-1.0, 50.0)])
     def test_underflowing_field_is_a_numeric_error(self, alpha, a):
-        """On a flat triangle u^2 underflows to 0 at every side quadrature node,
-        so the boundary norm reads 0: a typed NumericError, not a quotient built
-        from a norm that underflowed."""
+        """On a flat triangle at strong coupling no side quadrature node lands
+        in the boundary layer, 1/|2 rate| wide, so the boundary norm reads 0
+        while the exact volume norm is positive: a typed NumericError, not a
+        quotient built from a norm the quadrature missed."""
         with pytest.raises(NumericError, match="volume norm"):
             sector_bound(alpha, make_triangle(a, 0.5, 1.0))
 
@@ -264,19 +265,28 @@ class TestSectorBound:
             assert float(abs(ray - ref) / abs(ref)) <= 1e-12, (alpha, a, c, S)
 
     def test_stays_off_triangle_quadrature(self, monkeypatch):
-        """The sector certificate and its region scan run with 2-D quadrature
-        disabled and give the same values."""
+        """The sector certificate and its region scan integrate exp(k.(x - apex))
+        themselves: with 2-D quadrature disabled and SectorExponential refusing
+        to build or evaluate, they give the same values and rows."""
         tri = make_triangle(1.2, 0.5, S_THIRD)
         cfg = ScanConfig(mode="sector-region", alpha_range=(-6.0, -0.5, 3), a_range=(-1.0, 3.0, 3))
         expected = [sector_bound(-2.0, tri, anchor_vertex=v) for v in (None, 0, 1, 2)]
         rows = run_scan(cfg).rows
 
         def refuse(*args, **kwargs):
-            raise AssertionError("triangle quadrature on the sector path")
+            raise AssertionError("triangle quadrature or SectorExponential on the sector path")
 
         monkeypatch.setattr(_quad, "triangle_integrate", refuse)
+        monkeypatch.setattr(SectorExponential, "from_triangle", refuse)
+        monkeypatch.setattr(SectorExponential, "values_and_grads", refuse)
         assert [sector_bound(-2.0, tri, anchor_vertex=v) for v in (None, 0, 1, 2)] == expected
         assert run_scan(cfg).rows == rows
+
+    @pytest.mark.parametrize("vertex", [3, -1])
+    def test_rejects_anchor_outside_the_vertices(self, vertex):
+        """Neither an IndexError nor Python's negative indexing: a DomainError."""
+        with pytest.raises(DomainError, match="anchor_vertex"):
+            sector_bound(-2.0, make_triangle(1.2, 0.5, S_THIRD), anchor_vertex=vertex)
 
     def test_anchored_variant(self):
         tri = make_triangle(1.5, 0.6, 0.8)
@@ -375,3 +385,24 @@ class TestLowerBound:
             lambda0_lower_bound(0.5, 1.0)
         with pytest.raises(DomainError):
             lambda0_lower_bound(-1.0, -1.0)
+
+
+_ALPHA_ENTRIES = {
+    "form_hat": lambda al, tri: form_hat(al, tri, ConstantOne()),
+    "constant_bound": constant_bound,
+    "sector_bound": sector_bound,
+    "sector_condition": sector_condition,
+    "lambda0_lower_bound": lambda al, tri: lambda0_lower_bound(al, tri.params.S),
+    "delta_transplant": delta_transplant,
+    "transplant_verdict": transplant_verdict,
+    "small_coupling_functions": small_coupling_functions,
+}
+
+
+class TestCouplingCheck:
+    @pytest.mark.parametrize("alpha", [-math.inf, math.nan, 0.0])
+    @pytest.mark.parametrize("entry", sorted(_ALPHA_ENTRIES))
+    def test_every_entry_rejects_a_bad_coupling(self, entry, alpha):
+        """One check, one message: -inf and nan are domain errors like alpha >= 0."""
+        with pytest.raises(DomainError, match="alpha must be finite and strictly negative"):
+            _ALPHA_ENTRIES[entry](alpha, make_triangle(1.2, 0.5, S_THIRD))
