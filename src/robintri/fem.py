@@ -12,10 +12,13 @@ A mesh of at most 153 nodes (levels 0 to 4) is solved by dense LAPACK, which
 needs no shift.  Every larger level costs one sparse factorisation: the shift
 starts at a warm value from the coarser level (or the cold guess
 -2 alpha^2/sin^2(theta*/2) - 1) and moves down until the factorisation's
-inertia certifies that no eigenvalue lies below it, and shift-invert Lanczos
-(ARPACK, a 10-vector basis) on that same factorisation returns the ground
-eigenpair.  On both paths the level's value is the Rayleigh quotient of the
-returned vector.  The shifted pencil is arithmetic on the data vectors of the
+inertia certifies that no eigenvalue lies below it, and a thick-restart
+shift-invert Lanczos loop (_power_iterate, a 10-vector basis) on that same
+factorisation returns the ground eigenpair.  A ladder starts that loop from
+the coarser level's ground vector: the lattices are nested, so interpolated
+onto the finer one it is the coarse eigenfunction itself (_prolongate).  On
+both paths the level's value is the Rayleigh quotient of the returned
+vector.  The shifted pencil is arithmetic on the data vectors of the
 one symmetric CSR pattern that assemble gives K, B and M, so no sparse add or
 format conversion runs per level or per shift.  _settle is the one Richardson
 loop of all three ladders: eigenvalue_converged,
@@ -33,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, LinearOperator, cg, eigsh, splu
+from scipy.sparse.linalg import cg, splu
 
 from .errors import DomainError, NumericError, ResourceError
 from .geometry import TriangleParams, as_geometry, c0
@@ -43,8 +46,14 @@ MAX_LEVEL = 10
 # warm solve with one BLAS thread on a 2-core Xeon VM: level 4 takes 3.0 ms
 # dense against 5.3 ms sparse, level 5 (561 nodes) 61 ms against 7.7 ms.
 _DENSE_NODES = 153
-# Lanczos basis size of the sparse solve (ARPACK's default for k = 1 is 20).
+# Lanczos basis size of the sparse solve (shift-invert needs 2k + 1 vectors for
+# k wanted pairs, Ericsson & Ruhe, Math. Comp. 35, 1980), the Ritz vectors a
+# restart keeps (flat triangles carry three corner states that nearly tie),
+# and the solve budget before the loop gives up.
 _NCV = 10
+_KEEP = 3
+_MAX_SOLVES = 100 * _NCV
+_EPS = float(np.finfo(float).eps)
 _MIN_REL_TOL = 1e-8  # smallest ladder rel_tol; the DomainError texts spell it 1e-8
 
 
@@ -188,6 +197,34 @@ def _lattice(level: int) -> _Lattice:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _parents(level: int) -> np.ndarray:
+    """(2, N) ids on the level - 1 lattice of the two coarse nodes whose
+    midpoint each level-`level` node is: lattice node (i, j) lies halfway
+    between coarse nodes (ceil(i/2), floor(j/2)) and (floor(i/2), ceil(j/2)),
+    one node twice when i and j are even.  Read-only, built on first use."""
+    m = 2 ** (level - 1)
+    i, j = np.rint(_lattice(level).unit * (2 * m)).astype(np.int64).T
+
+    def ids(i, j):
+        return j * (m + 1) - j * (j - 1) // 2 + i
+
+    return _frozen(np.stack([ids((i + 1) // 2, j // 2), ids(i // 2, (j + 1) // 2)]))
+
+
+def _prolongate(u: np.ndarray, n: int) -> np.ndarray:
+    """The P1 function with nodal values u on one lattice level, at the n
+    nodes of the next finer level.  The coarse space is nested in the fine
+    one, so this is the same function, and so are its Rayleigh quotients."""
+    m = (math.isqrt(8 * n + 1) - 3) // 2  # n = (m + 1)(m + 2)/2 nodes, m = 2^level
+    level = m.bit_length() - 1
+    if not (2 <= m == 2**level and len(u) == (m // 2 + 1) * (m // 2 + 2) // 2):
+        raise DomainError(f"a start vector for a mesh of {n} nodes must hold the nodal "
+                          f"values of the next coarser lattice level, got {len(u)} values")
+    parent = _parents(level)
+    return 0.5 * (u[parent[0]] + u[parent[1]])
+
+
 def build_mesh(tri, level: int) -> FemMesh:
     """Structured level-`level` mesh; raises ResourceError above MAX_LEVEL.
 
@@ -316,34 +353,78 @@ def _pencil(system: FemSystem) -> tuple[sp.csr_matrix, sp.csr_matrix]:
 
 
 def _power_iterate(lu, A, M, x0, sigma: float):
-    """Shift-invert Lanczos on the factorisation lu of A - sigma*M.
+    """Thick-restart shift-invert Lanczos on the factorisation lu of A - sigma*M.
 
     Returns the eigenvalue of the pencil (A, M) nearest sigma as a length-1
     array, its M-normalised eigenvector as the one column of an (n, 1) array,
     and the number of lu.solve calls.  With sigma certified below the
-    spectrum that is the ground pair.  The Lanczos basis holds _NCV = 10
-    vectors: shift-invert needs only 2k + 1 of them for k wanted pairs
-    (Ericsson & Ruhe, Math. Comp. 35, 1980).  From a warm shift that takes
-    about 16 solves per level, where ARPACK's default basis of 20 vectors
-    for k = 1 takes about 21.  ARPACK runs at full precision
-    (tol=0): the value feeds level-to-level Richardson differences, and a
-    looser stop can leave the Ritz vector mixed with a near-degenerate
-    excited state.
+    spectrum that is the ground pair: the largest eigenvalue nu of
+    OP = (A - sigma*M)^{-1} M, which is self-adjoint in the M inner product,
+    and lambda = sigma + 1/nu.
+
+    The basis holds at most _NCV = 10 M-orthonormal vectors, and only they
+    are stored, not M times them, so the loop holds as much as ARPACK does.
+    Each step is one solve, full Gram-Schmidt against the basis with
+    coefficients Q (M w) and a second pass when the first one cancels
+    (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 1976), and the
+    eigenproblem of the projected matrix, at most 10 x 10.  M is applied
+    once for the coefficients and once to the orthogonalised vector, whose
+    product gives its norm and the next solve's right-hand side; a second
+    pass costs a third.  A full basis restarts on the _KEEP = 3 largest Ritz
+    vectors plus the residual direction (Wu & Simon, SIAM J. Matrix Anal.
+    Appl. 22, 2000): flat triangles carry three corner states that nearly
+    tie, and a restart on fewer loses them.
+
+    The stop is ARPACK's at tol=0, a Ritz residual beta |s_last| <= eps nu,
+    tested after every solve: the value feeds level-to-level Richardson
+    differences, and a looser stop can leave the vector mixed with a
+    near-degenerate excited state.  ARPACK (scipy's eigsh, used here
+    before) tests only once its basis is full, so a start vector that is
+    already close saves it nothing.  From the coarser level's prolongated
+    eigenvector this loop stops after 14.1 solves per level on the
+    benchmark's conjecture-grid ladders, where ARPACK spent 16.6.
     """
     n = A.shape[0]
-    solves = 0
-
-    def solve(b):
-        nonlocal solves
-        solves += 1
-        return lu.solve(b)
-
-    try:
-        vals, vecs = eigsh(A, k=1, M=M, sigma=sigma, v0=x0, ncv=_NCV, tol=0,
-                           OPinv=LinearOperator((n, n), matvec=solve, dtype=float))
-    except ArpackError as exc:
-        raise NumericError(f"shift-invert Lanczos failed at shift {sigma:g}: {exc}") from exc
-    return vals, vecs, solves
+    Q = np.empty((_NCV + 1, n))
+    T = np.zeros((_NCV, _NCV))  # upper triangle: the projection Q M OP Q^T
+    p = M @ x0
+    norm = math.sqrt(float(x0 @ p))
+    Q[0] = x0 / norm
+    p /= norm
+    j = 0
+    for solves in range(1, _MAX_SOLVES + 1):
+        basis = Q[:j + 1]
+        w = lu.solve(p)
+        z = M @ w
+        raw = float(w @ z)
+        h = basis @ z
+        w -= h @ basis
+        z = M @ w
+        beta2 = float(w @ z)
+        if beta2 < 0.5 * raw:  # the first pass cancelled: one more (DGKS)
+            extra = basis @ z
+            w -= extra @ basis
+            h += extra
+            z = M @ w
+            beta2 = float(w @ z)
+        beta = math.sqrt(max(beta2, 0.0))
+        T[:j + 1, j] = h
+        theta, s = np.linalg.eigh(T[:j + 1, :j + 1], UPLO="U")
+        if not (math.isfinite(beta) and theta[-1] > 0.0):
+            raise NumericError(f"shift-invert Lanczos broke down at shift {sigma:g}")
+        if beta * abs(s[j, -1]) <= _EPS * theta[-1]:
+            return np.array([sigma + 1.0 / theta[-1]]), (s[:, -1] @ basis)[:, None], solves
+        np.divide(w, beta, out=Q[j + 1])
+        p = np.divide(z, beta, out=z)
+        j += 1
+        if j == _NCV:  # thick restart
+            Q[:_KEEP] = s[:, -_KEEP:].T @ Q[:_NCV]
+            Q[_KEEP] = Q[_NCV]
+            T[:] = 0.0
+            T[range(_KEEP), range(_KEEP)] = theta[-_KEEP:]
+            j = _KEEP
+    raise NumericError(f"shift-invert Lanczos did not converge in {_MAX_SOLVES} solves "
+                       f"at shift {sigma:g}")
 
 
 def _factor_counting(A, M, sigma: float):
@@ -391,7 +472,8 @@ def mass_residual(system: FemSystem, x: np.ndarray) -> float:
     return math.sqrt(max(float(r @ z), 0.0) / xmx)
 
 
-def lowest_eigenpair(system: FemSystem, tri, sigma0: float | None = None) -> EigenResult:
+def lowest_eigenpair(system: FemSystem, tri, sigma0: float | None = None,
+                     start: np.ndarray | None = None) -> EigenResult:
     """Ground eigenpair of K + alpha*B against M on the assembled mesh.
 
     A mesh of at most _DENSE_NODES = 153 nodes (levels 0 to 4) is solved by
@@ -399,11 +481,15 @@ def lowest_eigenpair(system: FemSystem, tri, sigma0: float | None = None) -> Eig
     certify.  On a larger mesh the shift starts at -2 alpha^2/sin^2(theta*/2) - 1
     (callers that already know the eigenvalue from a coarser mesh pass a warm
     sigma0 instead) and moves down until the factorisation's inertia count
-    shows no eigenvalue below it.  Shift-invert Lanczos with a _NCV = 10
-    vector basis on that one certified factorisation converges onto the
-    lowest eigenvalue, which matters on flat triangles where corner-localised
-    ground and excited states are both nearly positive and sign inspection
-    cannot tell them apart.  On both paths lambda1 is the Rayleigh quotient
+    shows no eigenvalue below it.  The thick-restart shift-invert Lanczos
+    loop of _power_iterate on that one certified factorisation converges onto
+    the lowest eigenvalue, which matters on flat triangles where
+    corner-localised ground and excited states are both nearly positive and
+    sign inspection cannot tell them apart.  It starts from the constant plus
+    a 1% ripple, or, given start (the ground vector of the next coarser
+    lattice level), from that vector interpolated onto this mesh plus the
+    same ripple; a start of another length raises DomainError.  Dense levels
+    need no start and ignore it.  On both paths lambda1 is the Rayleigh quotient
     x^T A x / x^T M x of the returned vector; one level gives no error
     estimate, so residual is nan (mass_residual measures the vector's).
     A system whose matrices do not share one CSR pattern raises DomainError.
@@ -419,10 +505,20 @@ def lowest_eigenpair(system: FemSystem, tri, sigma0: float | None = None) -> Eig
         sigma = sigma0 if sigma0 is not None else (
             -2.0 * (alpha / math.sin(0.5 * geom.theta_star)) ** 2 - 1.0
         )
-        # Start vector: constant plus a fixed asymmetric ripple.  The ripple keeps
-        # a usable overlap with antisymmetric ground states (symmetric meshes of
-        # isosceles triangles produce them), which a pure constant start misses.
-        x0 = 1.0 + 0.01 * (np.arange(n) % 11 - 5.0)
+        # Start vector: the constant, or the coarser level's ground vector
+        # prolongated and scaled to peak 1, plus a fixed asymmetric ripple.  The
+        # ripple keeps a usable overlap with antisymmetric ground states
+        # (symmetric meshes of isosceles triangles produce them) and with
+        # corner states that overtake the coarse ground state on refinement.
+        x0 = 0.01 * (np.arange(n) % 11 - 5.0)
+        if start is None:
+            x0 += 1.0
+        else:
+            u = _prolongate(np.asarray(start, dtype=float), n)
+            peak = float(np.abs(u).max())
+            if not (math.isfinite(peak) and peak > 0.0):
+                raise DomainError("a start vector must be finite and nonzero")
+            x0 += u / peak
         # Rayleigh quotient of the constant vector (it lies in the P1 space),
         # 1^T A 1 / 1^T M 1: an exact upper bound on the discrete ground value
         # at every level, so a shift at or above it cannot be certified.
@@ -455,11 +551,14 @@ def lowest_eigenpair(system: FemSystem, tri, sigma0: float | None = None) -> Eig
     )
 
 
-def solve_at_level(tri, alpha: float, level: int, sigma0: float | None = None) -> EigenResult:
+def solve_at_level(tri, alpha: float, level: int, sigma0: float | None = None,
+                   start: np.ndarray | None = None) -> EigenResult:
+    """lowest_eigenpair on the level-`level` mesh; start is the ground vector
+    of level - 1, if the caller holds it."""
     geom = as_geometry(tri)
     mesh = build_mesh(geom, level)
     system = assemble(mesh, alpha)
-    res = lowest_eigenpair(system, geom, sigma0=sigma0)
+    res = lowest_eigenpair(system, geom, sigma0=sigma0, start=start)
     return replace(res, level=level)
 
 
@@ -468,23 +567,26 @@ def walk_levels(tri, alpha: float, min_level: int, max_level: int,
     """Yield the certified solve of each level from min_level to max_level.
 
     Each level starts from a warm shift a bit below the value just found,
-    padded by the observed level-to-level movement.  A level whose solve
-    raises NumericError (tight but not-yet-degenerate pairs do this on very
-    flat triangles) is appended to ``skipped`` as (level, error text), and
-    the next level starts from the cold shift again.  Callers stop the walk
-    by leaving the loop.
+    padded by the observed level-to-level movement, and its Lanczos loop from
+    the ground vector just found, interpolated onto the finer lattice (see
+    _power_iterate).  A level whose solve raises NumericError (tight but
+    not-yet-degenerate pairs do this on very flat triangles) is appended to
+    ``skipped`` as (level, error text), and the next level starts from the
+    cold shift and the constant vector again.  Callers stop the walk by
+    leaving the loop.
     """
     geom = as_geometry(tri)
-    sigma0 = None
+    sigma0 = start = None
     prev = None
     for level in range(min_level, max_level + 1):
         try:
-            res = solve_at_level(geom, alpha, level, sigma0=sigma0)
+            res = solve_at_level(geom, alpha, level, sigma0=sigma0, start=start)
         except NumericError as exc:
             skipped.append((level, str(exc)))
-            sigma0 = None
+            sigma0 = start = None
             continue
         yield res
+        start = res.eigenvector
         lam = res.lambda1
         drop = 2.0 * abs(lam - prev) if prev is not None else 0.1 * abs(lam)
         sigma0 = lam - drop - 0.02 * abs(lam) - 1.0

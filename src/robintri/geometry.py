@@ -129,8 +129,13 @@ def corner(
     j, k = (i + 1) % 3, (i + 2) % 3
     d1 = verts[j] - at
     d2 = verts[k] - at
+    (x1, y1), (x2, y2) = d1.tolist(), d2.tolist()
+    cross = abs(x1 * y2 - y1 * x2)
+    if not (math.isfinite(cross) and math.isfinite(x1 * x2 + y1 * y2)):
+        raise DomainError(f"the side vectors at vertex {i} are too long to multiply "
+                          "without overflow")
     # atan2 form stays accurate for very thin triangles where arccos loses digits
-    angle = math.atan2(abs(d1[0] * d2[1] - d1[1] * d2[0]), float(d1 @ d2))
+    angle = math.atan2(cross, float(d1 @ d2))
     n1, n2 = sides[i + j - 1], sides[i + k - 1]
     bx = d1[0] / n1 + d2[0] / n2
     by = d1[1] / n1 + d2[1] / n2

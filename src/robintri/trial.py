@@ -54,6 +54,13 @@ def _check_alpha(alpha: float) -> None:
         raise DomainError(f"alpha must be finite and strictly negative, got {alpha}")
 
 
+def _check_angle(theta: float) -> None:
+    """The sector field's rate alpha/sin(theta/2) needs a positive angle; on a
+    triangle so flat that its smallest angle rounds to 0 it has none."""
+    if not theta > 0.0:
+        raise DomainError(f"the sector field needs a positive corner angle, got {theta:g}")
+
+
 def strictly_below(value: float, target: float) -> bool:
     """value < target with a 1e-10 relative safety margin."""
     return value < target - _MARGIN * max(1.0, abs(target))
@@ -196,6 +203,7 @@ def lambda0_lower_bound(alpha: float, S: float) -> float:
 
 def sector_closed_upper(alpha: float, theta: float, l_prime: float) -> float:
     """-(alpha/sin(theta/2))^2 (1 - 2 exp(2 alpha L' cot(theta/2)))."""
+    _check_angle(theta)
     half = 0.5 * theta
     expo = 2.0 * alpha * l_prime / math.tan(half)
     tail = 2.0 * math.exp(max(expo, _EXP_FLOOR))
@@ -250,10 +258,11 @@ def sector_bound(alpha: float, tri, anchor_vertex: int | None = None) -> tuple[f
     closed_upper replaces the volume norm by the infinite-sector integral and
     the boundary norm by the two adjacent sides truncated at L', so
     rayleigh_upper <= closed_upper always.  The field anchors at the smallest
-    angle, or at anchor_vertex 0, 1 or 2 with that vertex's angle data.  A
-    norm that is not positive and finite raises NumericError: on flat
-    triangles at strong coupling no side quadrature node lands in the
-    boundary layer, 1/|2 rate| wide, and the side norms read 0.
+    angle, or at anchor_vertex 0, 1 or 2 with that vertex's angle data; an
+    angle that rounds to 0 raises DomainError.  A norm that is not positive
+    and finite raises NumericError: on flat triangles at strong coupling no
+    side quadrature node lands in the boundary layer, 1/|2 rate| wide, and
+    the side norms read 0.
     """
     _check_alpha(alpha)
     if anchor_vertex not in (None, 0, 1, 2):
@@ -262,6 +271,7 @@ def sector_bound(alpha: float, tri, anchor_vertex: int | None = None) -> tuple[f
     verts = tri.vertex_array()
     index = tri.apex_index if anchor_vertex is None else int(anchor_vertex)
     theta, l_prime, apex, bisector = corner(verts, tri.side_lengths, index)
+    _check_angle(theta)
     rate = alpha / math.sin(0.5 * theta)
     apex, k = np.asarray(apex), 2.0 * rate * np.asarray(bisector)
     l2 = 2.0 * tri.params.S * _exp_divided_difference(*((verts - apex) @ k).tolist())
@@ -284,7 +294,8 @@ def sector_condition(alpha: float, tri) -> bool:
     """True when the closed sector bound drops below the closed lower bound for lambda0.
 
     This is the fully closed-form certificate chain; it is vacuous for the
-    equilateral triangle, which is rejected as a domain error.
+    equilateral triangle, which is rejected as a domain error, and so is a
+    triangle whose smallest angle rounds to 0.
     """
     tri = as_geometry(tri)
     if tri.theta_star >= math.pi / 3.0 - 1e-12:

@@ -70,3 +70,13 @@ def test_soundness_counters_read_nonzero(bench):
 
     metrics = _traced(layers, certified_cell)
     assert {k for k in run.SERVES["soundness"] if not metrics[k] > 0} == set()
+
+
+def test_iteration_counter_reads_the_solve_count(bench, tmp_path):
+    """layers.py adds up the third value _power_iterate returns; on a traced
+    conjecture-grid unit that sum is the unit's EigenResult.iterations."""
+    layers, worker, _ = bench
+    cells = []
+    metrics = _traced(layers, lambda: cells.extend(worker.ConjectureGrid(0, tmp_path).run_unit(0)))
+    ((_, (_, res)),) = cells
+    assert metrics["fem.iterations"] == res.iterations > 0

@@ -15,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
 from scipy.linalg import eigh
 from scipy.sparse.linalg import splu
 
@@ -384,8 +385,8 @@ class TestLowestEigenpair:
                 mass_residual(wrong, np.ones(system.mass.shape[0]))
 
     def test_value_is_the_rayleigh_quotient(self):
-        """lambda1 is x^T A x / x^T M x of the returned vector; at level 7 a
-        Lanczos Ritz value sits up to about 2e-13 off it."""
+        """lambda1 is x^T A x / x^T M x of the returned vector; at level 7 the
+        Lanczos loop's Ritz value sigma + 1/theta sits about 2.5e-13 off it."""
         tri = make_triangle(1.8, 1.32, S_THIRD)
         system = assemble(build_mesh(tri, 7), -0.5)
         res = lowest_eigenpair(system, tri)
@@ -422,9 +423,10 @@ class TestLowestEigenpair:
     @pytest.mark.parametrize("a,c", [(0.0, 3.0), (0.0, 2.5), (0.05, 3.0), (2.7, 3.0), (3.0, 0.2)])
     def test_ground_state_of_flat_triangles(self, a, c, alpha):
         """Flat triangles at strong coupling carry corner states that tie or
-        nearly tie.  Along a ladder with warm shifts, as eigenvalue_converged
-        walks it, the one Lanczos pair is the dense minimum at level 5, and at
-        level 6 too for the strongest couplings; so is the cold-shift solve."""
+        nearly tie.  Along a ladder with warm shifts and start vectors, as
+        eigenvalue_converged walks it, the one Lanczos pair is the dense
+        minimum at level 5, and at level 6 too for the strongest couplings; so
+        is the cold solve."""
         tri = make_triangle(a, c, S_THIRD)
         top = 6 if alpha <= -8.0 else 5
         skipped = []
@@ -444,6 +446,137 @@ class TestLowestEigenpair:
         plus = solve_at_level(make_triangle(0.8, 0.7, 1.0), -1.5, 3)
         minus = solve_at_level(make_triangle(-0.8, 0.7, 1.0), -1.5, 3)
         assert abs(plus.lambda1 - minus.lambda1) < 1e-11 * abs(plus.lambda1)
+
+
+FLAT_CELLS = [(0.0, 3.0), (0.0, 2.5), (0.05, 3.0), (2.7, 3.0), (3.0, 0.2)]
+
+
+class CountingLU:
+    """A factorisation that counts its solve calls."""
+
+    def __init__(self, lu):
+        self.lu, self.calls = lu, 0
+
+    def solve(self, b):
+        self.calls += 1
+        return self.lu.solve(b)
+
+
+class TestWarmStart:
+    """Each ladder level starts its Lanczos solve from the coarser level's
+    ground vector, interpolated onto the finer lattice."""
+
+    def test_prolongation_is_exact(self, rng):
+        """The P1 spaces are nested: the interpolated coarse ground vector is
+        the same function, so its Rayleigh quotient on the fine pencil is the
+        coarse level's value (fine levels 3 to 8)."""
+        for _ in range(2):
+            tri = make_triangle(rng.uniform(-2, 2), rng.uniform(0.4, 1.8), S_THIRD)
+            alpha = -float(rng.uniform(0.3, 6.0))
+            fine_levels = []
+            for coarse in walk_levels(tri, alpha, 2, 7, []):
+                level = coarse.level + 1
+                form, mass = _pencil(assemble(build_mesh(tri, level), alpha))
+                u = fem._prolongate(coarse.eigenvector, form.shape[0])
+                quotient = float(u @ (form @ u)) / float(u @ (mass @ u))
+                assert abs(quotient - coarse.lambda1) <= 1e-12 * abs(coarse.lambda1)
+                fine_levels.append(level)
+            assert fine_levels == list(range(3, 9))
+
+    def test_start_is_the_previous_level_only(self, monkeypatch):
+        """The first level and the level after a skipped one start cold; every
+        other level gets the ground vector of the level just below it."""
+        solve = fem.solve_at_level
+        starts = {}
+
+        def recording(tri, alpha, level, sigma0=None, start=None):
+            if level == 4:
+                raise NumericError("forced failure")
+            starts[level] = None if start is None else len(start)
+            return solve(tri, alpha, level, sigma0=sigma0, start=start)
+
+        monkeypatch.setattr(fem, "solve_at_level", recording)
+        list(walk_levels(make_triangle(0.5, 0.9, S_THIRD), -2.0, 2, 6, []))
+        assert starts == {2: None, 3: 15, 5: None, 6: 561}
+
+    def test_start_of_the_wrong_level_is_refused(self):
+        tri = make_triangle(0.5, 0.9, S_THIRD)
+        with pytest.raises(DomainError, match="coarser lattice level"):
+            solve_at_level(tri, -2.0, 5, start=np.ones(561))
+        with pytest.raises(DomainError, match="nonzero"):
+            solve_at_level(tri, -2.0, 5, start=np.zeros(153))
+
+    @pytest.mark.parametrize("alpha", [-0.5, -2.0, -8.0, -16.0])
+    @pytest.mark.parametrize("a,c", FLAT_CELLS)
+    def test_warm_and_cold_starts_find_the_minimum(self, a, c, alpha):
+        """On the flat-triangle grid of test_ground_state_of_flat_triangles
+        (its (0, 3) cell at alpha -8 is test_near_degenerate_pair), the warm
+        ladder solve and a cold direct solve agree with each other and with
+        the lowest eigenvalue at levels 5 and 6: the dense minimum at level 5,
+        and at level 6 an inertia count that finds no eigenvalue 1e-10 below
+        the value (a Rayleigh quotient cannot lie below the minimum).  Where
+        the lowest pair is well separated (every cell off a = 0), the vectors
+        agree too; where it nearly ties, any mix of the pair is a valid
+        answer and only the value is pinned."""
+        tri = make_triangle(a, c, S_THIRD)
+        skipped = []
+        warm = {res.level: res for res in walk_levels(tri, alpha, 2, 6, skipped)}
+        assert not skipped
+        cold = {level: solve_at_level(tri, alpha, level) for level in (5, 6)}
+        for level in (5, 6):
+            form, mass = _pencil(assemble(build_mesh(tri, level), alpha))
+            if level == 5:
+                spec, vecs = eigh(form.toarray(), mass.toarray(), subset_by_index=[0, 1])
+                assert abs(warm[5].lambda1 - spec[0]) <= 1e-10 * max(1.0, abs(spec[0]))
+            for res in (warm[level], cold[level]):
+                pad = 1e-10 * max(1.0, abs(res.lambda1))
+                assert abs(res.lambda1 - cold[level].lambda1) <= pad
+                _, neg = _factor_counting(form, mass, res.lambda1 - pad)
+                assert neg == 0
+        if spec[1] - spec[0] > 1e-2 * abs(spec[0]):
+            ref = vecs[:, 0] * np.sign(vecs[:, 0].sum())
+            pairs = [(warm[5].eigenvector, ref)] + [
+                (warm[level].eigenvector, cold[level].eigenvector) for level in (5, 6)]
+            for x, y in pairs:
+                assert np.abs(x - y).max() <= 1e-10 * np.abs(y).max()
+
+    def test_solves_are_counted(self, monkeypatch):
+        """_power_iterate's third value, which EigenResult.iterations carries
+        and the benchmark's iteration counter reads, is the number of
+        lu.solve calls, cold and warm."""
+        counted = []
+        factor = fem._factor_counting
+
+        def counting_factor(*args):
+            lu, neg = factor(*args)
+            counted.append(CountingLU(lu))
+            return counted[-1], neg
+
+        monkeypatch.setattr(fem, "_factor_counting", counting_factor)
+        tri = make_triangle(0.5, 0.9, S_THIRD)
+        coarse = solve_at_level(tri, -2.0, 5)
+        assert coarse.iterations == counted[-1].calls > 0
+        fine = solve_at_level(tri, -2.0, 6, start=coarse.eigenvector)
+        assert fine.iterations == counted[-1].calls > 0
+        form, mass = _pencil(assemble(build_mesh(tri, 5), -2.0))
+        lu = CountingLU(factor(form, mass, -500.0)[0])
+        _, _, solves = fem._power_iterate(lu, form, mass, np.ones(form.shape[0]), -500.0)
+        assert solves == lu.calls > 0
+
+    def test_ladders_run_without_arpack(self, monkeypatch):
+        """With ARPACK's eigsh refusing, all three ladders finish: the sparse
+        levels are solved by the module's own Lanczos loop."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("ARPACK called")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", refuse)
+        assert not {"eigsh", "LinearOperator", "ArpackError"} & set(vars(fem))
+        tri = make_triangle(1.0, 1.6, S_THIRD)
+        res = eigenvalue_converged(tri, -2.0, rel_tol=1e-3, max_level=6)
+        assert res.level == 6 and res.iterations > 0
+        _, _, settled = scan._raw_upper_bound(tri, -2.0, 1e-3, sound_target=lambda0(-2.0, S_THIRD))
+        assert settled
+        assert fem.shape_derivatives_at_equilateral(-0.5, 1.0).converged
 
 
 class TestConvergence:
@@ -502,11 +635,11 @@ class TestConvergence:
         solve = fem.solve_at_level
         shifts = {}
 
-        def failing(tri, alpha, level, sigma0=None):
+        def failing(tri, alpha, level, sigma0=None, **kwargs):
             shifts[level] = sigma0
             if level == 4:
                 raise NumericError("forced failure")
-            return solve(tri, alpha, level, sigma0=sigma0)
+            return solve(tri, alpha, level, sigma0=sigma0, **kwargs)
 
         monkeypatch.setattr(fem, "solve_at_level", failing)
         res = eigenvalue_converged(tri, -2.0, rel_tol=1e-8, max_level=6)
@@ -526,10 +659,10 @@ class TestConvergence:
         mesh has 561 nodes), not the cap: --dump-mesh writes that mesh."""
         solve = fem.solve_at_level
 
-        def failing(tri, alpha, level, sigma0=None):
+        def failing(tri, alpha, level, sigma0=None, **kwargs):
             if level >= 6:
                 raise NumericError("forced failure")
-            return solve(tri, alpha, level, sigma0=sigma0)
+            return solve(tri, alpha, level, sigma0=sigma0, **kwargs)
 
         monkeypatch.setattr(fem, "solve_at_level", failing)
         tri = make_triangle(1.0, 0.8, S_THIRD)
@@ -539,14 +672,13 @@ class TestConvergence:
         assert res.eigenvector.shape == (561,) == (len(build_mesh(tri, res.level).nodes),)
 
     def test_one_eigenpair_per_level_solve_count(self):
-        """Shift-invert Lanczos with a 10-vector basis converges the ground pair
-        alone in about 16 factorisation solves per sparse level (5 and 6 here;
-        levels 2 to 4 are dense and solve nothing).  ARPACK's default 20-vector
-        basis spends about 21, and a second pair about three times that."""
+        """Shift-invert Lanczos started from the coarser level's ground vector
+        converges the ground pair alone in 14 factorisation solves per sparse
+        level here (levels 5 and 6; levels 2 to 4 are dense and solve nothing)."""
         res = eigenvalue_converged(make_triangle(1.0, 1.6, S_THIRD), -2.0,
                                    rel_tol=1e-3, max_level=6)
         assert len(res.history) == 5 and not res.skipped  # levels 2 to 6
-        assert res.iterations <= 18 * 2
+        assert res.iterations <= 14 * 2
 
     def test_ladders_run_no_mass_matrix_solve(self, monkeypatch):
         """No ladder reads a level's M^{-1} residual, so none pays for its CG

@@ -109,6 +109,15 @@ class TestMakeTriangle:
         inside = np.asarray(tri.apex_vertex) + 1e-3 * bis
         assert shoelace([tri.vertices[0], tri.vertices[1], inside]) < tri.params.S
 
+    def test_overflowing_side_products_are_a_domain_error(self):
+        """At a = 1e200 the side vectors' dot product overflows: a typed error,
+        not a warning and an angle read off inf.  At a = 1e150 the products
+        are finite; the smallest angle rounds to 0, which the sector
+        certificates refuse in turn."""
+        with pytest.raises(DomainError, match="overflow"):
+            make_triangle(1e200, 0.5, 1.0)
+        assert make_triangle(1e150, 0.5, 1.0).theta_star == 0.0
+
     def test_degenerate_flag(self):
         assert make_triangle(2000.0, 1.0, 1.0).degenerate
         assert not make_triangle(0.5, 1.0, 1.0).degenerate

@@ -355,6 +355,24 @@ class TestRegionModes:
             (-10.0, 0.0, "ok"), (-10.0, 20.0, "numeric-error"),
             (-1.0, 0.0, "ok"), (-1.0, 20.0, "ok")]
 
+    @pytest.mark.parametrize("mode", ["sector-region", "condition-region"])
+    def test_zero_angle_cell_is_a_domain_error_row(self, mode):
+        """At a = 1e17 the smallest angle rounds to 0, where the sector field
+        has no rate: those cells are typed rows and the a = 0 cells read ok."""
+        assert make_triangle(1e17, 0.5, 1.0).theta_star == 0.0
+        res = run_scan(ScanConfig(mode=mode, alpha_range=(-2.0, -1.0, 2),
+                                  a_range=(0.0, 1e17, 2), c_fixed=0.5, S=1.0))
+        assert [(row[0], row[1], row[-1]) for row in res.rows] == [
+            (-2.0, 0.0, "ok"), (-2.0, 1e17, "domain-error"),
+            (-1.0, 0.0, "ok"), (-1.0, 1e17, "domain-error")]
+
+    def test_zero_angle_soundness_cell_is_a_typed_row(self):
+        """The zero-angle cell's sector condition is a domain error, which the
+        sweep reads as no certificate.  The constant bound certifies the cell,
+        and the FEM oracle refuses its degenerate mesh: one typed row."""
+        (row,) = soundness_sweep([-2.0], [1e17], c=0.5, S=1.0).rows
+        assert row[:2] == (-2.0, 1e17) and row[-1] == "numeric-error"
+
 
 class TestFemModes:
     def test_conjecture_grid_margins(self):
@@ -558,10 +576,10 @@ def _solve_levels_except(monkeypatch, failing):
     """Make fem.solve_at_level raise NumericError at every level where failing(level) holds."""
     solve = fem.solve_at_level
 
-    def patched(tri, alpha, level, sigma0=None):
+    def patched(tri, alpha, level, sigma0=None, **kwargs):
         if failing(level):
             raise NumericError(f"forced failure at level {level}")
-        return solve(tri, alpha, level, sigma0=sigma0)
+        return solve(tri, alpha, level, sigma0=sigma0, **kwargs)
 
     monkeypatch.setattr(fem, "solve_at_level", patched)
 

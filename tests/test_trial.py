@@ -355,6 +355,16 @@ class TestSectorBound:
         with pytest.raises(DomainError):
             sector_condition(-2.0, make_triangle(0.0, c0(1.0), 1.0))
 
+    def test_zero_angle_is_a_domain_error(self):
+        """Once the smallest angle rounds to 0 the sector rate alpha/sin(theta/2)
+        does not exist: both sector certificates refuse it, typed."""
+        tri = make_triangle(1e17, 0.5, 1.0)
+        assert tri.theta_star == 0.0
+        for check in (lambda: sector_bound(-2.0, tri), lambda: sector_condition(-2.0, tri),
+                      lambda: sector_closed_upper(-2.0, 0.0, 1.0)):
+            with pytest.raises(DomainError, match="positive corner angle"):
+                check()
+
     def test_condition_fires_only_at_strong_coupling(self):
         tri = make_triangle(3.0, S_THIRD, S_THIRD)
         assert sector_condition(-8.0, tri)
