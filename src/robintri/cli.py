@@ -28,8 +28,6 @@ from .scan import (
     _check_scalars,
     parse_config,
     run_scan,
-    verify_local,
-    verify_monotone,
     verify_perimeter_variant,
 )
 
@@ -140,27 +138,27 @@ def _print_table(result) -> None:
 
 
 def _suite_result(suite: str, alpha: float, S: float):
-    """The ScanResult of one bundled suite; the area is checked before any grid is built."""
+    """The ScanResult of one bundled suite; the area is checked before any grid is built.
+
+    perimeter samples unevenly spaced c values, so it lists them; every other
+    suite is a ScanConfig preset at the single coupling alpha, scanned into a
+    temporary directory.
+    """
     _check_scalars(S=S)
-    if suite == "local":
-        return verify_local([alpha], S)
-    if suite == "monotone":
-        return verify_monotone(alpha, S)
     cc = c0(S)
     if suite == "perimeter":
-        grid = [(fa * cc, fc * cc) for fa in (0.0, 0.2, 0.4) for fc in (0.8, 0.9, 1.0, 1.15, 1.3)]
-        return verify_perimeter_variant(alpha, S, grid)
-    # conjecture: eigenvalue never exceeds the equilateral value on a sample grid
+        return verify_perimeter_variant(alpha, S, [fa * cc for fa in (0.0, 0.2, 0.4)],
+                                        [fc * cc for fc in (0.8, 0.9, 1.0, 1.15, 1.3)])
+    preset = {
+        "local": {"mode": "local-optimality"},
+        "monotone": {"mode": "monotonicity", "fem_rel_tol": 1e-5},
+        # eigenvalue never exceeds the equilateral value on a sample grid
+        "conjecture": {"mode": "fem-conjecture", "a_range": (0.0, 2.0 * cc, 5),
+                       "c_range": (0.6 * cc, 1.8 * cc, 5), "fem_rel_tol": 1e-5},
+    }[suite]
     with tempfile.TemporaryDirectory() as tmp:
-        return run_scan(ScanConfig(
-            mode="fem-conjecture",
-            alpha_range=(alpha, alpha, 1),
-            a_range=(0.0, 2.0 * cc, 5),
-            c_range=(0.6 * cc, 1.8 * cc, 5),
-            S=S,
-            fem_rel_tol=1e-5,
-            output_path=os.path.join(tmp, "conjecture.csv"),
-        ))
+        return run_scan(ScanConfig(alpha_range=(alpha, alpha, 1), S=S,
+                                   output_path=os.path.join(tmp, suite + ".csv"), **preset))
 
 
 def _cmd_verify(args) -> int:

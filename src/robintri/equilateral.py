@@ -340,8 +340,8 @@ def local_optimality_alpha_bound(S: float) -> tuple[float, float]:
     -0.92/sqrt(S); the improved one is the exact coupling at which the solved
     t crosses the g-root, -t~ K(t~) / sqrt(sqrt(3) S).
     """
-    if not (S > 0.0):
-        raise DomainError(f"S must be positive, got {S}")
+    if not (math.isfinite(S) and S > 0.0):
+        raise DomainError(f"S must be positive and finite, got {S}")
     simple = -0.92 / math.sqrt(S)
     tr = g_root()
     improved = -tr * _bigK(tr) / math.sqrt(_SQRT3 * S)

@@ -375,14 +375,12 @@ def _power_iterate(lu, A, M, x0, sigma: float):
     Appl. 22, 2000): flat triangles carry three corner states that nearly
     tie, and a restart on fewer loses them.
 
-    The stop is ARPACK's at tol=0, a Ritz residual beta |s_last| <= eps nu,
-    tested after every solve: the value feeds level-to-level Richardson
-    differences, and a looser stop can leave the vector mixed with a
-    near-degenerate excited state.  ARPACK (scipy's eigsh, used here
-    before) tests only once its basis is full, so a start vector that is
-    already close saves it nothing.  From the coarser level's prolongated
-    eigenvector this loop stops after 14.1 solves per level on the
-    benchmark's conjecture-grid ladders, where ARPACK spent 16.6.
+    The stop is ARPACK's at tol=0, a Ritz residual beta |s_last| <= eps nu:
+    the value feeds level-to-level Richardson differences, and a looser stop
+    can leave the vector mixed with a near-degenerate excited state.  It is
+    tested after every solve, not only once the basis is full, so a start
+    vector that is already close, the coarser level's prolongated
+    eigenvector, ends the loop early.
     """
     n = A.shape[0]
     Q = np.empty((_NCV + 1, n))

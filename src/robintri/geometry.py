@@ -112,8 +112,8 @@ def perimeter(params: TriangleParams) -> float:
 
 def perimeter_min_over_a(c: float, S: float) -> float:
     """Minimum of the perimeter over a at fixed (c, S), attained at a = 0."""
-    if not (c > 0.0 and S > 0.0):
-        raise DomainError("perimeter_min_over_a needs c > 0 and S > 0")
+    if not (math.isfinite(c) and math.isfinite(S) and c > 0.0 and S > 0.0):
+        raise DomainError(f"perimeter_min_over_a needs positive finite c and S, got {c}, {S}")
     return 2.0 * c + 2.0 * math.sqrt(c * c + S * S / (c * c))
 
 

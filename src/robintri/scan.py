@@ -22,12 +22,13 @@ verdict flag, and a status tag ("ok", "unconverged", "unresolved", "no-claim",
 "domain-error", "numeric-error").  Headers echo only the config fields the mode
 reads and the package version, so identical configs give byte-identical files.
 
-run_scan, the verify_* helpers and soundness_sweep all run through one sweep
-core, _sweep, the only place that builds a ScanResult.  Each entry point checks
-its global inputs (ranges, couplings, grid values, area, tolerance) before any
-cell runs.  _sweep runs
-every cell through one isolation boundary, _isolated: a robintri error becomes
-a typed failure row, and any other exception propagates.
+run_scan, verify_perimeter_variant and soundness_sweep, one entry per kind of
+grid (ScanConfig ranges, listed (a, c) values, listed (alpha, a) values), all
+run through one sweep core, _sweep, the only place that builds a ScanResult.
+Each entry point checks its global inputs (ranges, couplings, grid values,
+area, tolerance) before any cell runs.  _sweep runs every cell through one
+isolation boundary, _isolated: a robintri error becomes a typed failure row,
+and any other exception propagates.
 """
 
 from __future__ import annotations
@@ -472,61 +473,25 @@ def run_scan(cfg: ScanConfig, workers: int = 1) -> ScanResult:
     return result
 
 
-def verify_local(alpha_list, S: float) -> ScanResult:
-    """Criticality/Hessian report at the equilateral point for each alpha.
-
-    Rows above the simple coupling threshold carry a verdict (settled exact
-    derivatives, flat gradient, negative-definite Hessian within its caps,
-    C > 0 in the quadratic model); rows below it report the same numbers as
-    "no-claim".  Rows whose derivatives do not settle are "unconverged".
-    """
-    alphas = tuple(float(a) for a in alpha_list)
-    if not alphas:
-        raise DomainError("alpha_list must be non-empty")
-    _check_finite("alpha_list", alphas, negative=True)
-    _check_scalars(S=S)
-    prov = {"alpha_list": ",".join(_format_cell(a) for a in alphas), **_prov(S=S)}
-    return _sweep("local-optimality", partial(_cell_local, S=S), alphas, {"alpha": alphas}, prov)
-
-
-def verify_perimeter_variant(alpha: float, S: float, grid) -> ScanResult:
-    """Fixed-perimeter comparison for each (a, c) in the given iterable.
+def verify_perimeter_variant(alpha: float, S: float, a_values, c_values) -> ScanResult:
+    """Fixed-perimeter comparison on the a-major (a, c) product of the given values.
 
     Each triangle is shrunk onto the equilateral perimeter, FEM-solved, and
     chained against the closed forms: scaled eigenvalue <= scaled equilateral
     value < reference equilateral value.  Margins for both links and their
-    combination are reported per cell.  A full (a, c) product gets (a, c)
-    axes; any other set of distinct pairs gets one "cell" axis in the given
-    order.
+    combination are reported per cell.
     """
     _check_finite("alpha", [alpha], negative=True)
     _check_scalars(S=S)
-    pairs = [(float(a), float(c)) for a, c in grid]
-    if not pairs:
-        raise DomainError("empty (a, c) grid")
-    _check_finite("(a, c) grid", [v for p in pairs for v in p])
-    if len(set(pairs)) != len(pairs):
-        raise DomainError(f"(a, c) grid repeats a pair: {pairs}")
-    avals = tuple(dict.fromkeys(p[0] for p in pairs))
-    cvals = tuple(dict.fromkeys(p[1] for p in pairs))
-    if len(pairs) == len(avals) * len(cvals):
-        axes = {"a": avals, "c": cvals}
-    else:
-        axes = {"cell": tuple(float(i) for i in range(len(pairs)))}
+    avals = tuple(float(x) for x in a_values)
+    cvals = tuple(float(x) for x in c_values)
+    if not (avals and cvals):
+        raise DomainError(f"empty (a, c) grid: a values {avals}, c values {cvals}")
+    _check_finite("a values", avals)
+    _check_finite("c values", cvals)
     fn = partial(_cell_perimeter, alpha=alpha, S=S, rel_tol=1e-6)
-    return _sweep("perimeter-variant", fn, pairs, axes, _prov(alpha=alpha, S=S))
-
-
-def verify_monotone(alpha: float, S: float, rel_tol: float = 1e-5) -> ScanResult:
-    """Single-coupling area-monotonicity check across {S/2, S, 2S}.
-
-    Both the closed-form equilateral values and the FEM values must increase
-    with the area (FEM within its padded error estimates).
-    """
-    _check_finite("alpha", [alpha], negative=True)
-    _check_scalars(S=S, rel_tol=rel_tol)
-    fn = partial(_cell_monotone, S=S, rel_tol=rel_tol)
-    return _sweep("monotonicity", fn, [alpha], {"alpha": (float(alpha),)}, _prov(alpha=alpha, S=S))
+    return _sweep("perimeter-variant", fn, [(a, c) for a in avals for c in cvals],
+                  {"a": avals, "c": cvals}, _prov(alpha=alpha, S=S))
 
 
 def soundness_sweep(alpha_values, a_values, c: float, S: float,

@@ -195,19 +195,28 @@ def constant_bound(alpha: float, tri) -> tuple[float, bool]:
 def lambda0_lower_bound(alpha: float, S: float) -> float:
     """-4 alpha^2 + 24 alpha / sqrt(sqrt(3) S) - 36/(sqrt(3) S), a bound below lambda0."""
     _check_alpha(alpha)
-    if not (S > 0.0):
-        raise DomainError(f"lambda0_lower_bound needs S > 0, got {S}")
+    if not (math.isfinite(S) and S > 0.0):
+        raise DomainError(f"lambda0_lower_bound needs a positive finite S, got {S}")
     root = math.sqrt(_SQRT3 * S)
     return -4.0 * alpha * alpha + 24.0 * alpha / root - 36.0 / (root * root)
 
 
 def sector_closed_upper(alpha: float, theta: float, l_prime: float) -> float:
-    """-(alpha/sin(theta/2))^2 (1 - 2 exp(2 alpha L' cot(theta/2)))."""
+    """-(alpha/sin(theta/2))^2 (1 - 2 exp(2 alpha L' cot(theta/2))).
+
+    A DomainError refuses an angle that is not positive, or so small that the
+    rate's square overflows float64 (where Python's float power raises).
+    """
     _check_angle(theta)
     half = 0.5 * theta
     expo = 2.0 * alpha * l_prime / math.tan(half)
     tail = 2.0 * math.exp(max(expo, _EXP_FLOOR))
-    return -(alpha / math.sin(half)) ** 2 * (1.0 - tail)
+    try:
+        rate_sq = (alpha / math.sin(half)) ** 2
+    except OverflowError:
+        raise DomainError(f"the sector rate's square overflows float64 at corner angle "
+                          f"{theta:g}") from None
+    return -rate_sq * (1.0 - tail)
 
 
 def _exp_divided_difference(z0: float, z1: float, z2: float) -> float:

@@ -283,7 +283,8 @@ class TestInvariantBundle:
 
     def test_area_monotonicity_ordering(self):
         for alpha in (-0.5, -2.0):
-            res = r.verify_monotone(alpha, S_THIRD, rel_tol=1e-4)
+            res = r.run_scan(r.ScanConfig(mode="monotonicity", alpha_range=(alpha, alpha, 1),
+                                          S=S_THIRD, fem_rel_tol=1e-4))
             (row,) = res.rows
             assert row[-2] == 1 and row[-1] == "ok"
             assert row[1] < row[2] < row[3] < 0.0  # closed form over S/2, S, 2S
@@ -324,12 +325,8 @@ class TestInvariantBundle:
         """Perimeter-normalised comparison strictly favours the equilateral
         on a near-equilateral grid at alpha = -0.5."""
         cc = r.c0(S_THIRD)
-        grid = [
-            (fa * cc, fc * cc)
-            for fa in (0.05, 0.2, 0.4)
-            for fc in (0.85, 0.95, 1.05, 1.2)
-        ]
-        res = r.verify_perimeter_variant(-0.5, S_THIRD, grid)
+        res = r.verify_perimeter_variant(-0.5, S_THIRD, [fa * cc for fa in (0.05, 0.2, 0.4)],
+                                         [fc * cc for fc in (0.85, 0.95, 1.05, 1.2)])
         for row in res.rows:
             assert row[-1] == "ok" and row[-2] == 1
             assert row[7] < 0.0  # scaled-triangle link

@@ -25,7 +25,7 @@ from robintri.equilateral import (
     solve_equilateral,
 )
 from robintri.errors import DomainError, NumericError
-from robintri.geometry import b0, c0, equilateral_params, perimeter
+from robintri.geometry import b0, c0, equilateral_params, perimeter, perimeter_min_over_a
 from robintri.trial import lambda0_lower_bound
 
 SQRT3 = math.sqrt(3.0)
@@ -372,3 +372,15 @@ class TestQuadratureHelpers:
             n=10, tol=1e-13,
         )
         assert abs(float(val) - (math.e - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("call", [
+    lambda S: lambda0_lower_bound(-1.0, S),
+    lambda S: local_optimality_alpha_bound(S),
+    lambda S: perimeter_min_over_a(1.0, S),
+], ids=["lambda0_lower_bound", "local_optimality_alpha_bound", "perimeter_min_over_a"])
+def test_closed_forms_refuse_an_infinite_area(call):
+    """solve_equilateral and TriangleParams refuse an infinite area; so does
+    every closed form that takes one."""
+    with pytest.raises(DomainError):
+        call(math.inf)

@@ -23,12 +23,15 @@ from robintri.scan import (
     parse_config,
     run_scan,
     soundness_sweep,
-    verify_local,
-    verify_monotone,
     verify_perimeter_variant,
 )
 
 S_THIRD = 1.0 / math.sqrt(3.0)
+
+
+def _single_coupling_scan(mode: str, alpha: float, S: float = S_THIRD, **fields):
+    """run_scan of a mode at the one coupling alpha, as the verify suites preset it."""
+    return run_scan(ScanConfig(mode=mode, alpha_range=(alpha, alpha, 1), S=S, **fields))
 
 
 @pytest.fixture
@@ -93,6 +96,12 @@ class TestScanConfig:
         # region modes grid over alpha and refuse the collapse outright
         with pytest.raises(DomainError):
             ScanConfig(mode="transplant-region", alpha_range=(-2.0, -2.0, 1))
+
+    @pytest.mark.parametrize("mode", ["local-optimality", "monotonicity"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, math.nan, math.inf, -math.inf])
+    def test_single_coupling_must_be_finite_and_negative(self, mode, alpha):
+        with pytest.raises(DomainError, match="alpha_range"):
+            ScanConfig(mode=mode, alpha_range=(alpha, alpha, 1))
 
     def test_gcurve_axis_stays_inside_open_unit_interval(self):
         with pytest.raises(DomainError):
@@ -366,6 +375,15 @@ class TestRegionModes:
             (-2.0, 0.0, "ok"), (-2.0, 1e17, "domain-error"),
             (-1.0, 0.0, "ok"), (-1.0, 1e17, "domain-error")]
 
+    def test_overflowing_rate_square_is_a_domain_error_row(self):
+        """At c = 1e-100 the closed sector value's squared rate overflows
+        float64 on every cell: each is a typed row and the scan completes."""
+        res = run_scan(ScanConfig(mode="condition-region", alpha_range=(-2.0, -1.0, 2),
+                                  a_range=(0.0, 1.0, 2), c_fixed=1e-100, S=1.0))
+        assert [(row[0], row[1], row[-1]) for row in res.rows] == [
+            (-2.0, 0.0, "domain-error"), (-2.0, 1.0, "domain-error"),
+            (-1.0, 0.0, "domain-error"), (-1.0, 1.0, "domain-error")]
+
     def test_zero_angle_soundness_cell_is_a_typed_row(self):
         """The zero-angle cell's sector condition is a domain error, which the
         sweep reads as no certificate.  The constant bound certifies the cell,
@@ -397,7 +415,10 @@ class TestFemModes:
         """Perimeter-normalised comparison splits into two negative links
         away from the equilateral, and both collapse to zero on it."""
         cc = c0(S_THIRD)
-        res = verify_perimeter_variant(-0.5, S_THIRD, [(0.0, cc), (0.4, 0.8 * cc)])
+        res = verify_perimeter_variant(-0.5, S_THIRD, [0.0, 0.4], [0.8 * cc, cc])
+        assert res.axes == {"a": (0.0, 0.4), "c": (0.8 * cc, cc)}
+        assert [row[:2] for row in res.rows] == [
+            (0.0, 0.8 * cc), (0.0, cc), (0.4, 0.8 * cc), (0.4, cc)]
         by_cell = {(row[0], row[1]): row for row in res.rows}
         eq = by_cell[(0.0, cc)]
         assert abs(eq[7]) < 1e-6  # lambda_fem - lambda0(scaled) at equilateral
@@ -407,7 +428,7 @@ class TestFemModes:
         assert all(row[10] == 1 for row in res.rows)
 
     def test_monotone_in_area(self):
-        res = verify_monotone(-0.5, S_THIRD, rel_tol=1e-4)
+        res = _single_coupling_scan("monotonicity", -0.5, fem_rel_tol=1e-4)
         (row,) = res.rows
         _, l_half, l_base, l_twice, f_half, f_base, f_twice, verdict, status = row
         assert status == "ok" and verdict == 1
@@ -424,15 +445,20 @@ class TestFemModes:
         row = scan._cell_monotone(-0.5, S=S_THIRD, rel_tol=1e-4)
         assert row[-2:] == (1, "unconverged")
 
-    def test_perimeter_variant_refuses_a_repeated_pair(self, monkeypatch):
-        """Four pairs over two a and two c values are not the full product
-        when one pair repeats; refused before any cell runs."""
+    @pytest.mark.parametrize("a_values,c_values,text", [
+        ([0.0, 0.2, 0.0], [1.0], "axis a repeats"),
+        ([0.0], [1.0, 1.1, 1.0], "axis c repeats"),
+        ([], [1.0], "empty"),
+        ([0.0], [], "empty"),
+    ], ids=["repeated-a", "repeated-c", "empty-a", "empty-c"])
+    def test_perimeter_variant_refuses_a_degenerate_axis(self, a_values, c_values, text,
+                                                          monkeypatch):
+        """Two cells on one verdict-grid slot, or no cell at all, are refused
+        before any cell runs."""
         calls = []
         monkeypatch.setattr(scan, "_cell_perimeter", lambda task, **_: calls.append(task))
-        cc = c0(S_THIRD)
-        grid = [(0.0, cc), (0.0, 1.1 * cc), (0.2, cc), (0.0, cc)]
-        with pytest.raises(DomainError, match="repeats a pair"):
-            verify_perimeter_variant(-0.5, S_THIRD, grid)
+        with pytest.raises(DomainError, match=text):
+            verify_perimeter_variant(-0.5, S_THIRD, a_values, c_values)
         assert not calls
 
     def test_soundness_rejects_a_repeated_axis_value(self, monkeypatch):
@@ -876,9 +902,9 @@ class TestFailurePath:
             run_scan(ScanConfig(mode="g-curve", a_range=(0.5, 0.9, 3)), workers=workers)
 
     @pytest.mark.parametrize("call,cell", [
-        (lambda S: verify_local([-0.5], S), "_cell_local"),
-        (lambda S: verify_perimeter_variant(-0.5, S, [(0.0, 0.5)]), "_cell_perimeter"),
-        (lambda S: verify_monotone(-0.5, S), "_cell_monotone"),
+        (lambda S: _single_coupling_scan("local-optimality", -0.5, S), "_cell_local"),
+        (lambda S: verify_perimeter_variant(-0.5, S, [0.0], [0.5]), "_cell_perimeter"),
+        (lambda S: _single_coupling_scan("monotonicity", -0.5, S), "_cell_monotone"),
         (lambda S: soundness_sweep([-0.5], [0.5], c=S_THIRD, S=S), "_soundness_cell"),
     ], ids=["local", "perimeter", "monotone", "soundness"])
     def test_helpers_refuse_a_bad_area_before_any_cell(self, call, cell, monkeypatch):
@@ -897,21 +923,19 @@ class TestFailurePath:
             with pytest.raises(DomainError, match="fem_rel_tol"):
                 soundness_sweep([-2.0], [1.0], c=S_THIRD, S=S_THIRD, fem_rel_tol=tol)
             with pytest.raises(DomainError, match="fem_rel_tol"):
-                verify_monotone(-0.5, S_THIRD, rel_tol=tol)
+                _single_coupling_scan("monotonicity", -0.5, fem_rel_tol=tol)
         for c in (-1.0, math.inf, math.nan):
             with pytest.raises(DomainError, match="c_fixed"):
                 soundness_sweep([-2.0], [1.0], c=c, S=S_THIRD)
         assert not calls
 
     @pytest.mark.parametrize("call,cell", [
-        (lambda v: verify_local([-0.5, v], S_THIRD), "_cell_local"),
-        (lambda v: verify_perimeter_variant(v, S_THIRD, [(0.0, 0.5)]), "_cell_perimeter"),
-        (lambda v: verify_monotone(v, S_THIRD), "_cell_monotone"),
+        (lambda v: _single_coupling_scan("local-optimality", v), "_cell_local"),
+        (lambda v: verify_perimeter_variant(v, S_THIRD, [0.0], [0.5]), "_cell_perimeter"),
+        (lambda v: _single_coupling_scan("monotonicity", v), "_cell_monotone"),
         (lambda v: soundness_sweep([-0.5, v], [0.5], c=S_THIRD, S=S_THIRD), "_soundness_cell"),
-        (lambda v: verify_perimeter_variant(-0.5, S_THIRD, [(0.0, 0.5), (v, 0.5)]),
-         "_cell_perimeter"),
-        (lambda v: verify_perimeter_variant(-0.5, S_THIRD, [(0.0, 0.5), (0.0, v)]),
-         "_cell_perimeter"),
+        (lambda v: verify_perimeter_variant(-0.5, S_THIRD, [0.0, v], [0.5]), "_cell_perimeter"),
+        (lambda v: verify_perimeter_variant(-0.5, S_THIRD, [0.0], [0.5, v]), "_cell_perimeter"),
         (lambda v: soundness_sweep([-0.5], [0.5, v], c=S_THIRD, S=S_THIRD), "_soundness_cell"),
     ], ids=["local", "perimeter", "monotone", "soundness",
             "perimeter-a", "perimeter-c", "soundness-a"])

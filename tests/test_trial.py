@@ -365,6 +365,16 @@ class TestSectorBound:
             with pytest.raises(DomainError, match="positive corner angle"):
                 check()
 
+    def test_overflowing_rate_square_is_a_domain_error(self):
+        """At c = 1e-100 the smallest angle is 2e-200: positive, but the
+        squared rate (alpha/sin(theta/2))^2 overflows float64, typed."""
+        tri = make_triangle(0.0, 1e-100, 1.0)
+        assert 0.0 < tri.theta_star < 1e-150
+        for check in (lambda: sector_condition(-2.0, tri),
+                      lambda: sector_closed_upper(-2.0, tri.theta_star, tri.L_prime)):
+            with pytest.raises(DomainError, match="overflows float64"):
+                check()
+
     def test_condition_fires_only_at_strong_coupling(self):
         tri = make_triangle(3.0, S_THIRD, S_THIRD)
         assert sector_condition(-8.0, tri)
