@@ -43,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _quad
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, check_area, check_coupling, check_unit_interval
 from .geometry import b0, c0
 
 _SQRT3 = math.sqrt(3.0)
@@ -108,13 +108,14 @@ def _solve_t(beta: float) -> tuple[float, float]:
 
     Safeguarded Newton from the asymptote, t K ~ 3 t^2/2 (weak coupling) or
     y ~ log 2 + 2 atanh(1/2) - 2 beta (strong), which lies inside the bracket
-    [-2 beta - 10, 0]; a step that leaves the bracket bisects it.  The loop
-    stops once a step no longer lowers |psi| or moves y by two ulps or less,
-    and the root must reach |psi| <= 1e-11 beta.
+    [-2 beta - 10, 0] (psi changes sign on it for every beta > 0, so its ends
+    are not evaluated); a step that leaves it bisects it.  The loop stops once
+    a step no longer lowers |psi| or moves y by two ulps or less, and the root
+    must reach |psi| <= 1e-11 beta.
     """
+    if not 0.0 < beta < math.inf:
+        raise NumericError(f"coupling strength beta = {beta:g} is not a positive float64")
     lo, hi = -2.0 * beta - 10.0, 0.0
-    if not (_psi(lo, beta) > 0.0 > _psi(hi, beta)):
-        raise NumericError(f"log-space bracket failed for beta={beta}")
     weak = math.sqrt(beta / 1.5)
     y = math.log1p(-weak) if weak < 0.9 else math.log(2.0) + 2.0 * math.atanh(0.5) - 2.0 * beta
     best_y, best_f = y, math.inf
@@ -140,19 +141,19 @@ def _solve_t(beta: float) -> tuple[float, float]:
 def solve_equilateral(alpha: float, S: float) -> EquilateralSolution:
     """Solve the coupling equation and package (t, K, L, M, lambda0).
 
-    Raises DomainError unless alpha < 0 and S > 0, NumericError if the root
-    search fails to reach residual tolerance.
+    Raises DomainError unless alpha < 0 and S > 0, NumericError if beta or
+    lambda0 leaves float64 or the root search misses its tolerance.
     """
-    if not (math.isfinite(alpha) and alpha < 0.0):
-        raise DomainError(f"alpha must be finite and strictly negative, got {alpha}")
-    if not (math.isfinite(S) and S > 0.0):
-        raise DomainError(f"S must be finite and strictly positive, got {S}")
+    check_coupling("alpha", alpha)
+    check_area(S)
     beta = -alpha * math.sqrt(_SQRT3 * S)
     t, y = _solve_t(beta)
     M = 0.5 * (math.log1p(t) - y)
     L = -math.atanh(0.5 * t)
     K = M - L
     lam = -4.0 * K * K / (_SQRT3 * S)
+    if not math.isfinite(lam):
+        raise NumericError(f"lambda0 overflows float64 at beta = {beta:g}")
     return EquilateralSolution(
         alpha=float(alpha), S=float(S), t=t, K=K, L=L, M=M,
         lambda0=lam, log_one_minus_t=y,
@@ -312,8 +313,7 @@ def closed_form_norms(sol: EquilateralSolution) -> tuple[float, float, float]:
 
 def g_threshold(t: float) -> float:
     """Sign function deciding concavity of the eigenvalue at the equilateral point."""
-    if not (0.0 < t < 1.0):
-        raise DomainError(f"g_threshold needs t in (0, 1), got {t}")
+    check_unit_interval("g_threshold's t", t)
     return _slope_A(t) - 4.0 * _bigK(t)
 
 
@@ -340,8 +340,7 @@ def local_optimality_alpha_bound(S: float) -> tuple[float, float]:
     -0.92/sqrt(S); the improved one is the exact coupling at which the solved
     t crosses the g-root, -t~ K(t~) / sqrt(sqrt(3) S).
     """
-    if not (math.isfinite(S) and S > 0.0):
-        raise DomainError(f"S must be positive and finite, got {S}")
+    check_area(S)
     simple = -0.92 / math.sqrt(S)
     tr = g_root()
     improved = -tr * _bigK(tr) / math.sqrt(_SQRT3 * S)

@@ -38,7 +38,8 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import cg, splu
 
-from .errors import DomainError, NumericError, ResourceError
+from .errors import (DomainError, NumericError, ResourceError, check_coupling, check_level,
+                     check_rel_tol)
 from .geometry import TriangleParams, as_geometry, c0
 
 MAX_LEVEL = 10
@@ -54,7 +55,6 @@ _NCV = 10
 _KEEP = 3
 _MAX_SOLVES = 100 * _NCV
 _EPS = float(np.finfo(float).eps)
-_MIN_REL_TOL = 1e-8  # smallest ladder rel_tol; the DomainError texts spell it 1e-8
 
 
 @dataclass(frozen=True)
@@ -232,8 +232,7 @@ def build_mesh(tri, level: int) -> FemMesh:
     are its unit coordinates mapped to v0 + xi (v1 - v0) + eta (v2 - v0).
     """
     geom = as_geometry(tri)
-    if level < 0:
-        raise DomainError(f"refinement level must be >= 0, got {level}")
+    check_level("refinement level", level)
     if level > MAX_LEVEL:
         raise ResourceError(
             f"refinement level {level} exceeds the cap {MAX_LEVEL} "
@@ -306,8 +305,7 @@ def assemble(mesh: FemMesh, alpha: float) -> FemSystem:
     from the corner nodes (lattice ids 0, 2^level and the last node).  A mesh whose
     topology is not the lattice's, or whose nodes are not its image, raises DomainError.
     """
-    if not (math.isfinite(alpha) and alpha < 0.0):
-        raise DomainError(f"alpha must be finite and strictly negative, got {alpha}")
+    check_coupling("alpha", alpha)
     level = mesh.refinement_level
     lat = _lattice(level) if 0 <= level <= MAX_LEVEL else None
     if lat is None or len(mesh.nodes) != len(lat.unit) or not all(
@@ -627,8 +625,8 @@ def eigenvalue_converged(
     matching 4^gap factor.  max_level below 4 leaves too few levels for two
     extrapolations to compare and raises DomainError.
     """
-    if not (math.isfinite(rel_tol) and rel_tol >= _MIN_REL_TOL):
-        raise DomainError(f"rel_tol must be finite and >= 1e-8, got {rel_tol}")
+    check_rel_tol("rel_tol", rel_tol)
+    check_level("max_level", max_level)
     if max_level < 4:
         raise DomainError(f"max_level must be >= 4 for two extrapolations to compare, "
                           f"got {max_level}")

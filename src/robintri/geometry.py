@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_area, check_finite, check_length
 
 _DEGENERATE_ANGLE = 1e-6
 
@@ -33,12 +33,9 @@ class TriangleParams:
     S: float
 
     def __post_init__(self) -> None:
-        if not (self.c > 0.0) or not math.isfinite(self.c):
-            raise DomainError(f"c must be positive and finite, got {self.c}")
-        if not (self.S > 0.0) or not math.isfinite(self.S):
-            raise DomainError(f"S must be positive and finite, got {self.S}")
-        if not math.isfinite(self.a):
-            raise DomainError(f"a must be finite, got {self.a}")
+        check_length("c", self.c)
+        check_area(self.S)
+        check_finite("a", self.a)
 
     @property
     def b(self) -> float:
@@ -48,11 +45,13 @@ class TriangleParams:
 
 def c0(S: float) -> float:
     """Half-base of the equilateral triangle of area S."""
+    check_area(S)
     return math.sqrt(S / math.sqrt(3.0))
 
 
 def b0(S: float) -> float:
     """Apex height of the equilateral triangle of area S."""
+    check_area(S)
     return math.sqrt(math.sqrt(3.0) * S)
 
 
@@ -112,8 +111,8 @@ def perimeter(params: TriangleParams) -> float:
 
 def perimeter_min_over_a(c: float, S: float) -> float:
     """Minimum of the perimeter over a at fixed (c, S), attained at a = 0."""
-    if not (math.isfinite(c) and math.isfinite(S) and c > 0.0 and S > 0.0):
-        raise DomainError(f"perimeter_min_over_a needs positive finite c and S, got {c}, {S}")
+    check_length("c", c)
+    check_area(S)
     return 2.0 * c + 2.0 * math.sqrt(c * c + S * S / (c * c))
 
 
@@ -195,8 +194,9 @@ def affine_map(params: TriangleParams) -> AffineMap:
     return AffineMap(matrix=m, inverse_matrix=inv, metric=m.T @ m, inverse_metric=inv_metric)
 
 
-def perimeter_normalizer(tri: TriangleGeometry) -> float:
+def perimeter_normalizer(tri) -> float:
     """Scale factor gamma in (0, 1] making gamma*Omega match the equilateral perimeter."""
+    tri = as_geometry(tri)
     gamma = 6.0 * c0(tri.params.S) / tri.perimeter
     return min(gamma, 1.0)
 

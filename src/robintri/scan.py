@@ -26,9 +26,9 @@ run_scan, verify_perimeter_variant and soundness_sweep, one entry per kind of
 grid (ScanConfig ranges, listed (a, c) values, listed (alpha, a) values), all
 run through one sweep core, _sweep, the only place that builds a ScanResult.
 Each entry point checks its global inputs (ranges, couplings, grid values,
-area, tolerance) before any cell runs.  _sweep runs every cell through one
-isolation boundary, _isolated: a robintri error becomes a typed failure row,
-and any other exception propagates.
+area, tolerance) by the rules of errors.py before any cell runs.  _sweep runs
+every cell through one isolation boundary, _isolated: a robintri error becomes
+a typed failure row, and any other exception propagates.
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ from .equilateral import (
     lambda0,
     local_optimality_alpha_bound,
 )
-from .errors import DomainError, NumericError, ResourceError
-from .fem import (_MIN_REL_TOL, _settle, eigenvalue_converged,
-                  shape_derivatives_at_equilateral, walk_levels)
+from .errors import (DomainError, NumericError, ResourceError, check_area, check_coupling,
+                     check_finite, check_length, check_rel_tol, check_unit_interval)
+from .fem import _settle, eigenvalue_converged, shape_derivatives_at_equilateral, walk_levels
 from .geometry import c0, make_triangle, perimeter_normalizer
 from .trial import (
     constant_bound,
@@ -86,19 +86,19 @@ _MODE_COLUMNS = {
 MODES = tuple(m for m in _MODE_COLUMNS if m != "soundness")
 
 # per mode: every config field it reads, with the _check_range keywords of a
-# range field (None for a scalar).  Any other field must keep its default,
-# and the CSV header records exactly these fields.  mode, output_path and
-# emit_svg are read by run_scan for every mode.
-_NEG_OR_ONE = {"collapsed_ok": True, "hi_max": 0.0}
-_AC_GRID = {"a_range": {}, "c_range": {"lo_min": 0.0}, "S": None, "fem_rel_tol": None}
-_REGION = {"alpha_range": {"hi_max": 0.0}, "a_range": {}, "c_fixed": None, "S": None}
+# range field (None for a scalar; the rule holds at both endpoints).  Any other
+# field must keep its default, and the CSV header records exactly these fields.
+# mode, output_path and emit_svg are read by run_scan for every mode.
+_NEG_OR_ONE = {"rule": check_coupling, "collapsed_ok": True}
+_AC_GRID = {"a_range": {}, "c_range": {"rule": check_length}, "S": None, "fem_rel_tol": None}
+_REGION = {"alpha_range": {"rule": check_coupling}, "a_range": {}, "c_fixed": None, "S": None}
 _MODE_FIELDS = {
-    "g-curve": {"a_range": {"lo_min": 0.0, "hi_max": 1.0}},
+    "g-curve": {"a_range": {"rule": check_unit_interval}},  # g_threshold's t rule
     **dict.fromkeys(("transplant-region", "constant-region", "condition-region"), _REGION),
     "sector-region": {**_REGION, "anchor_left": None},
     "fem-conjecture": {"alpha_range": _NEG_OR_ONE, **_AC_GRID},
     "local-optimality": {"alpha_range": _NEG_OR_ONE, "S": None},
-    "perimeter-variant": {"alpha_range": {"single": True, "hi_max": 0.0}, **_AC_GRID},
+    "perimeter-variant": {"alpha_range": {"rule": check_coupling, "single": True}, **_AC_GRID},
     "monotonicity": {"alpha_range": _NEG_OR_ONE, "S": None, "fem_rel_tol": None},
 }
 _READ_BY_EVERY_MODE = ("mode", "output_path", "emit_svg")
@@ -107,8 +107,7 @@ _SQRT3 = math.sqrt(3.0)
 _NAN = float("nan")
 
 
-def _check_range(name: str, rng, *, collapsed_ok: bool = False, single: bool = False,
-                 lo_min: float | None = None, hi_max: float | None = None) -> None:
+def _check_range(name: str, rng, *, rule=None, collapsed_ok=False, single=False) -> None:
     try:
         lo, hi, n = rng
     except (TypeError, ValueError):
@@ -118,8 +117,7 @@ def _check_range(name: str, rng, *, collapsed_ok: bool = False, single: bool = F
     n = int(n)
     if single and n != 1:
         raise DomainError(f"{name}: this mode uses a single value (collapsed range), got {rng!r}")
-    if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in (lo, hi)):
-        raise DomainError(f"{name}: endpoints must be finite numbers, got {rng!r}")
+    check_finite(f"{name}: endpoints", lo, hi)
     if n >= 2:
         if not lo < hi:
             raise DomainError(f"{name}: need lo < hi for n >= 2, got {rng!r}")
@@ -128,27 +126,8 @@ def _check_range(name: str, rng, *, collapsed_ok: bool = False, single: bool = F
             raise DomainError(f"{name}: collapsed range needs lo == hi, got {rng!r}")
     else:
         raise DomainError(f"{name}: need n >= 2 (or a collapsed single value), got {rng!r}")
-    if lo_min is not None and not lo > lo_min:
-        raise DomainError(f"{name}: requires lo > {lo_min}, got {rng!r}")
-    if hi_max is not None and not hi < hi_max:
-        raise DomainError(f"{name}: requires hi < {hi_max}, got {rng!r}")
-
-
-def _check_scalars(*, S: float, rel_tol: float | None = None, c: float | None = None) -> None:
-    """The area, FEM tolerance and c rules every sweep entry applies before any cell runs."""
-    if not (math.isfinite(S) and S > 0.0):
-        raise DomainError(f"area S must be positive and finite, got {S}")
-    if rel_tol is not None and not (math.isfinite(rel_tol) and rel_tol >= _MIN_REL_TOL):
-        raise DomainError(f"fem_rel_tol must be finite and >= 1e-8, got {rel_tol}")
-    if c is not None and not (math.isfinite(c) and c > 0.0):
-        raise DomainError(f"c_fixed must be positive and finite, got {c}")
-
-
-def _check_finite(name: str, values, *, negative: bool = False) -> None:
-    """Refuse non-finite grid values, and with negative=True any coupling >= 0."""
-    if not all(math.isfinite(v) and (v < 0.0 or not negative) for v in values):
-        rule = "finite and strictly negative" if negative else "finite"
-        raise DomainError(f"{name} must be {rule}, got {tuple(values)}")
+    if rule is not None:
+        rule(name, lo, hi)
 
 
 def _grid(rng) -> tuple[float, ...]:
@@ -181,7 +160,9 @@ class ScanConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise DomainError(f"unknown mode {self.mode!r}; choose one of {', '.join(MODES)}")
-        _check_scalars(S=self.S, rel_tol=self.fem_rel_tol, c=self.c_fixed)
+        check_area(self.S)
+        check_rel_tol("fem_rel_tol", self.fem_rel_tol)
+        check_length("c_fixed", self.resolved_c())
         if not self.output_path:
             raise DomainError("output_path must be non-empty")
         reads = _MODE_FIELDS[self.mode]
@@ -481,14 +462,14 @@ def verify_perimeter_variant(alpha: float, S: float, a_values, c_values) -> Scan
     value < reference equilateral value.  Margins for both links and their
     combination are reported per cell.
     """
-    _check_finite("alpha", [alpha], negative=True)
-    _check_scalars(S=S)
+    check_coupling("alpha", alpha)
+    check_area(S)
     avals = tuple(float(x) for x in a_values)
     cvals = tuple(float(x) for x in c_values)
     if not (avals and cvals):
         raise DomainError(f"empty (a, c) grid: a values {avals}, c values {cvals}")
-    _check_finite("a values", avals)
-    _check_finite("c values", cvals)
+    check_finite("a values", *avals)
+    check_finite("c values", *cvals)
     fn = partial(_cell_perimeter, alpha=alpha, S=S, rel_tol=1e-6)
     return _sweep("perimeter-variant", fn, [(a, c) for a in avals for c in cvals],
                   {"a": avals, "c": cvals}, _prov(alpha=alpha, S=S))
@@ -507,9 +488,11 @@ def soundness_sweep(alpha_values, a_values, c: float, S: float,
     """
     alphas = tuple(float(x) for x in alpha_values)
     avals = tuple(float(x) for x in a_values)
-    _check_finite("alpha values", alphas, negative=True)
-    _check_finite("a values", avals)
-    _check_scalars(S=S, rel_tol=fem_rel_tol, c=c)
+    check_coupling("alpha values", *alphas)
+    check_finite("a values", *avals)
+    check_area(S)
+    check_rel_tol("fem_rel_tol", fem_rel_tol)
+    check_length("c", c)
     fn = partial(_soundness_cell, c=c, S=S, rel_tol=fem_rel_tol)
     return _sweep("soundness", fn, [(al, a) for al in alphas for a in avals],
                   {"a": avals, "alpha": alphas}, _prov(c=c, S=S, fem_rel_tol=fem_rel_tol))

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _quad
 from .equilateral import closed_form_norms, solve_equilateral
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, check_area, check_coupling, check_length
 from .geometry import (
     TriangleGeometry,
     TriangleParams,
@@ -46,12 +46,6 @@ _MARGIN = 1e-10
 _EXP_FLOOR = -700.0
 #: terms of the centred series in _exp_divided_difference
 _SERIES_TERMS = 25
-
-
-def _check_alpha(alpha: float) -> None:
-    """The coupling check every certificate shares."""
-    if not (math.isfinite(alpha) and alpha < 0.0):
-        raise DomainError(f"alpha must be finite and strictly negative, got {alpha}")
 
 
 def _check_angle(theta: float) -> None:
@@ -126,7 +120,7 @@ def form_hat(alpha: float, tri, psi) -> FormValue:
     """
     if isinstance(psi, SectorExponential):
         raise DomainError("SectorExponential lives on the physical triangle; use sector_bound")
-    _check_alpha(alpha)
+    check_coupling("alpha", alpha)
     params = as_geometry(tri).params
     cc, bb = c0(params.S), b0(params.S)
     verts = np.array([[-cc, 0.0], [cc, 0.0], [0.0, bb]])
@@ -185,7 +179,7 @@ def constant_bound(alpha: float, tri) -> tuple[float, bool]:
     The verdict is True when this upper bound lies strictly below lambda0,
     i.e. when perimeter/area alone already certifies the inequality.
     """
-    _check_alpha(alpha)
+    check_coupling("alpha", alpha)
     params = as_geometry(tri).params
     bound = alpha * perimeter(params) / params.S
     lam0 = solve_equilateral(alpha, params.S).lambda0
@@ -194,9 +188,8 @@ def constant_bound(alpha: float, tri) -> tuple[float, bool]:
 
 def lambda0_lower_bound(alpha: float, S: float) -> float:
     """-4 alpha^2 + 24 alpha / sqrt(sqrt(3) S) - 36/(sqrt(3) S), a bound below lambda0."""
-    _check_alpha(alpha)
-    if not (math.isfinite(S) and S > 0.0):
-        raise DomainError(f"lambda0_lower_bound needs a positive finite S, got {S}")
+    check_coupling("alpha", alpha)
+    check_area(S)
     root = math.sqrt(_SQRT3 * S)
     return -4.0 * alpha * alpha + 24.0 * alpha / root - 36.0 / (root * root)
 
@@ -204,9 +197,11 @@ def lambda0_lower_bound(alpha: float, S: float) -> float:
 def sector_closed_upper(alpha: float, theta: float, l_prime: float) -> float:
     """-(alpha/sin(theta/2))^2 (1 - 2 exp(2 alpha L' cot(theta/2))).
 
-    A DomainError refuses an angle that is not positive, or so small that the
-    rate's square overflows float64 (where Python's float power raises).
+    A DomainError refuses a bad coupling or L' (errors' rules), an angle that is
+    not positive, or one so small that the rate's square overflows float64.
     """
+    check_coupling("alpha", alpha)
+    check_length("l_prime", l_prime)
     _check_angle(theta)
     half = 0.5 * theta
     expo = 2.0 * alpha * l_prime / math.tan(half)
@@ -269,11 +264,11 @@ def sector_bound(alpha: float, tri, anchor_vertex: int | None = None) -> tuple[f
     rayleigh_upper <= closed_upper always.  The field anchors at the smallest
     angle, or at anchor_vertex 0, 1 or 2 with that vertex's angle data; an
     angle that rounds to 0 raises DomainError.  A norm that is not positive
-    and finite raises NumericError: on flat triangles at strong coupling no
-    side quadrature node lands in the boundary layer, 1/|2 rate| wide, and
-    the side norms read 0.
+    and finite raises NumericError naming it: the volume norm underflows at
+    angles near 1e-200, and on flat triangles at strong coupling no side
+    quadrature node lands in the boundary layer, 1/|2 rate| wide.
     """
-    _check_alpha(alpha)
+    check_coupling("alpha", alpha)
     if anchor_vertex not in (None, 0, 1, 2):
         raise DomainError(f"anchor_vertex must be None, 0, 1 or 2, got {anchor_vertex!r}")
     tri = as_geometry(tri)
@@ -290,7 +285,10 @@ def sector_bound(alpha: float, tri, anchor_vertex: int | None = None) -> tuple[f
 
     bdry = sum(float(_quad.segment_integrate(square, verts[i], verts[j], n=10, tol=1e-12))
                for i, j in ((0, 1), (0, 2), (1, 2)))
-    if not (math.isfinite(l2) and l2 > 0.0 and math.isfinite(bdry) and bdry > 0.0):
+    if not (math.isfinite(l2) and l2 > 0.0):
+        raise NumericError(f"sector field at alpha = {alpha:g}: the exact volume norm "
+                           f"2|T| exp[z0, z1, z2] = {l2:g} is not a positive float64")
+    if not (math.isfinite(bdry) and bdry > 0.0):
         raise NumericError(f"sector field at alpha = {alpha:g}: volume norm {l2:g}, "
                            f"boundary norm {bdry:g}; the side quadrature found no mass "
                            f"in the boundary layer of width {1.0 / abs(2.0 * rate):g}")

@@ -117,7 +117,7 @@ class TestSolver:
 
     def test_one_newton_loop_is_short(self, monkeypatch):
         """Started on the coupling equation's asymptote, the solve evaluates psi
-        at most 8 times (the two bracket ends included) at every coupling."""
+        at most 5 times at every coupling; the bracket ends are never evaluated."""
         calls = []
         psi = equilateral._psi
 
@@ -129,7 +129,7 @@ class TestSolver:
         for beta in np.geomspace(1e-12, 1e5, 3000):
             calls.clear()
             equilateral._solve_t(float(beta))
-            assert len(calls) <= 8, beta
+            assert len(calls) <= 5, beta
 
     def test_system_relations(self, rng):
         """K = M - L, t = beta/K, M = atanh t and L = -atanh(t/2) hold exactly."""
@@ -148,6 +148,26 @@ class TestSolver:
         sol = solve_equilateral(-100.0, 1.0)
         assert abs(sol.lambda0 / (-4.0 * 100.0**2) - 1.0) < 1e-10
         assert sol.log_one_minus_t < -200.0
+
+    @pytest.mark.parametrize("beta", [1e17, 1e50, 1e150])
+    def test_strong_coupling_limit_past_the_bracket_rounding(self, beta):
+        """Past beta ~ 7.3e16 psi(-2 beta - 10) rounds to 0 in float64, so the
+        bracket's sign cannot be checked by evaluating it; the Newton loop lands
+        on the strong-coupling limit K = beta, lambda0 = -4 beta^2/(sqrt(3) S)."""
+        S = 1.0 / math.sqrt(3.0)
+        sol = solve_equilateral(-beta / math.sqrt(math.sqrt(3.0) * S), S)
+        limit = -4.0 * sol.beta**2 / (math.sqrt(3.0) * S)
+        assert abs(sol.K / sol.beta - 1.0) <= 1e-15
+        assert abs(sol.lambda0 / limit - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("alpha,S", [(-1e300, 1e300), (-1e155, 1.0 / math.sqrt(3.0)),
+                                         (-1e-200, 1e-300)],
+                             ids=["beta-inf", "lambda0-overflow", "beta-underflow"])
+    def test_couplings_past_float64_are_a_numeric_error(self, alpha, S):
+        """beta = inf (or rounded to 0) and a lambda0 whose K^2 overflows raise
+        NumericError instead of returning a non-finite or zero solution."""
+        with pytest.raises(NumericError, match="beta"):
+            solve_equilateral(alpha, S)
 
     def test_extreme_coupling_does_not_overflow(self):
         sol = solve_equilateral(-1e4, 1.0)

@@ -1,7 +1,12 @@
-"""The package's public surface: __all__ and the imports of __init__.py agree."""
+"""The package's public surface: __all__ and the imports of __init__.py agree, and
+every public entry refuses bad inputs with the rule texts of robintri.errors."""
 
 import ast
 import inspect
+import math
+import re
+
+import pytest
 
 import robintri
 
@@ -18,3 +23,88 @@ def test_all_lists_exactly_the_imported_public_names():
                     and not inspect.ismodule(getattr(robintri, name)))
     assert len(set(robintri.__all__)) == len(robintri.__all__)
     assert sorted(set(robintri.__all__) - {"__version__"}) == public
+
+
+S3 = 1.0 / math.sqrt(3.0)
+TRI = robintri.make_triangle(0.3, 0.8, S3)
+NAN, INF = math.nan, math.inf
+COUPLINGS = (NAN, INF, -INF, 0.0, 1.0, "-1")       # fails: finite and strictly negative
+POSITIVES = (NAN, INF, -INF, 0.0, -1.0, "1")       # fails: positive and finite
+FINITES = (NAN, INF, -INF)
+LEVELS = (2.5, 2.0, -1, "2")                       # fails: a non-negative integer
+ALPHA = "alpha must be finite and strictly negative"
+AREA = "area S must be positive and finite"
+
+# entry/argument -> (call with the bad value, bad values, the rule's text); the
+# sweep entries' scalars and the certificates' couplings have their own tests
+# in test_scan.py and test_trial.py
+_BAD_INPUTS = {
+    "solve_equilateral/alpha": (lambda v: robintri.solve_equilateral(v, S3), COUPLINGS, ALPHA),
+    "solve_equilateral/S": (lambda v: robintri.solve_equilateral(-1.0, v), POSITIVES, AREA),
+    "lambda0/alpha": (lambda v: robintri.lambda0(v, S3), COUPLINGS, ALPHA),
+    "hessian_upper_bounds/S": (lambda v: robintri.hessian_upper_bounds(-1.0, v), POSITIVES, AREA),
+    "local_optimality_alpha_bound/S": (robintri.local_optimality_alpha_bound, POSITIVES, AREA),
+    "c0/S": (robintri.c0, POSITIVES, AREA),
+    "b0/S": (robintri.b0, POSITIVES, AREA),
+    "equilateral_params/S": (robintri.equilateral_params, POSITIVES, AREA),
+    "TriangleParams/a": (lambda v: robintri.TriangleParams(v, 1.0, 1.0), FINITES + ("0",),
+                         "a must be finite"),
+    "TriangleParams/c": (lambda v: robintri.TriangleParams(0.0, v, 1.0), POSITIVES,
+                         "c must be positive and finite"),
+    "TriangleParams/S": (lambda v: robintri.TriangleParams(0.0, 1.0, v), POSITIVES, AREA),
+    "make_triangle/S": (lambda v: robintri.make_triangle(0.0, 1.0, v), FINITES + (0.0,), AREA),
+    "perimeter_min_over_a/c": (lambda v: robintri.perimeter_min_over_a(v, 1.0), POSITIVES,
+                               "c must be positive and finite"),
+    "perimeter_min_over_a/S": (lambda v: robintri.perimeter_min_over_a(1.0, v), POSITIVES, AREA),
+    "perimeter_normalizer/tri": (robintri.perimeter_normalizer, (None, 1.0, "tri"),
+                                 "expected TriangleParams or TriangleGeometry"),
+    "g_threshold/t": (robintri.g_threshold, FINITES + (0.0, 1.0, -0.5), "t must be in (0, 1)"),
+    "lambda0_lower_bound/S": (lambda v: robintri.lambda0_lower_bound(-1.0, v), POSITIVES, AREA),
+    "sector_closed_upper/alpha": (lambda v: robintri.sector_closed_upper(v, 0.5, 1.0), COUPLINGS,
+                                  ALPHA),
+    "sector_closed_upper/l_prime": (lambda v: robintri.sector_closed_upper(-1.0, 0.5, v),
+                                    POSITIVES, "l_prime must be positive and finite"),
+    "assemble/alpha": (lambda v: robintri.assemble(robintri.build_mesh(TRI, 2), v), COUPLINGS,
+                       ALPHA),
+    "build_mesh/level": (lambda v: robintri.build_mesh(TRI, v), LEVELS,
+                         "refinement level must be a non-negative integer"),
+    "solve_at_level/alpha": (lambda v: robintri.solve_at_level(TRI, v, 2), COUPLINGS, ALPHA),
+    "solve_at_level/level": (lambda v: robintri.solve_at_level(TRI, -1.0, v), LEVELS,
+                             "refinement level must be a non-negative integer"),
+    "eigenvalue_converged/alpha": (lambda v: robintri.eigenvalue_converged(TRI, v), COUPLINGS,
+                                   ALPHA),
+    "eigenvalue_converged/max_level": (
+        lambda v: robintri.eigenvalue_converged(TRI, -1.0, max_level=v), (5.5, 6.0, "6"),
+        "max_level must be a non-negative integer"),
+    "shape_derivatives_at_equilateral/alpha": (
+        lambda v: robintri.shape_derivatives_at_equilateral(v, 1.0), COUPLINGS, ALPHA),
+    "shape_derivatives_at_equilateral/S": (
+        lambda v: robintri.shape_derivatives_at_equilateral(-1.0, v), POSITIVES, AREA),
+    "ScanConfig/alpha_range": (
+        lambda v: robintri.ScanConfig(mode="constant-region", alpha_range=(-2.0, v, 3)),
+        (0.0, 1.0), "alpha_range must be finite and strictly negative"),
+    "ScanConfig/c_range": (
+        lambda v: robintri.ScanConfig(mode="fem-conjecture", c_range=(v, 1.0, 2)),
+        (0.0, -1.0), "c_range must be positive and finite"),
+    "ScanConfig/t": (lambda v: robintri.ScanConfig(mode="g-curve", a_range=(v, 0.9, 3)),
+                     (0.0, -0.5), "a_range must be in (0, 1)"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_BAD_INPUTS))
+def test_every_entry_refuses_bad_inputs_with_the_rule_text(entry):
+    """Each public entry checks its coupling, area, lengths, tolerance, levels
+    and triangle through the one copy of each rule in robintri.errors: nan,
+    +-inf, 0, a wrong sign, a non-integer level or a value of the wrong type is
+    a DomainError carrying the rule's text, never a bare ValueError, TypeError
+    or AttributeError, and never a returned nan."""
+    call, values, text = _BAD_INPUTS[entry]
+    for value in values:
+        with pytest.raises(robintri.DomainError, match=re.escape(text)):
+            call(value)
+
+
+def test_perimeter_normalizer_takes_either_triangle_record():
+    params = robintri.TriangleParams(0.4, 0.7, 1.0)
+    assert robintri.perimeter_normalizer(params) == robintri.perimeter_normalizer(
+        robintri.make_triangle(0.4, 0.7, 1.0))

@@ -925,7 +925,7 @@ class TestFailurePath:
             with pytest.raises(DomainError, match="fem_rel_tol"):
                 _single_coupling_scan("monotonicity", -0.5, fem_rel_tol=tol)
         for c in (-1.0, math.inf, math.nan):
-            with pytest.raises(DomainError, match="c_fixed"):
+            with pytest.raises(DomainError, match="c must be positive and finite"):
                 soundness_sweep([-2.0], [1.0], c=c, S=S_THIRD)
         assert not calls
 

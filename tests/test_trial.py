@@ -251,6 +251,16 @@ class TestSectorBound:
         with pytest.raises(NumericError, match="volume norm"):
             sector_bound(alpha, make_triangle(a, 0.5, 1.0))
 
+    def test_error_names_the_norm_that_failed(self):
+        """At a smallest angle of 2e-200 the exact volume norm underflows to 0
+        and the error says so; on the flat strong-coupling triangle the volume
+        norm is fine and the side quadrature is what missed the layer."""
+        with pytest.raises(NumericError, match="exact volume norm") as underflow:
+            sector_bound(-2.0, make_triangle(0.0, 1e-100, 1.0))
+        assert "side quadrature" not in str(underflow.value)
+        with pytest.raises(NumericError, match="side quadrature found no mass"):
+            sector_bound(-10.0, make_triangle(20.0, 0.5, 1.0))
+
     @pytest.mark.parametrize("vertex", [0, 1, 2])
     def test_matches_mpmath_formula(self, rng, vertex):
         """The quotient agrees with a 40-digit evaluation of the same formula."""
