@@ -50,7 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ei.add_argument("--tol", type=float, default=1e-6, help="relative tolerance")
     p_ei.add_argument("--max-level", type=int, default=9, help="finest refinement level")
     p_ei.add_argument("--dump-mesh", metavar="PATH", default=None,
-                      help="write the final mesh as CSV blocks to PATH")
+                      help="write the final mesh to PATH as space-separated rows under "
+                           "'# level', 'nodes', 'elements' and 'boundary_edges' headers")
 
     p_sc = sub.add_parser("scan", help="grid scan driven by a config file or flags")
     p_sc.add_argument("--config", default=None, help="flat key=value config file")

@@ -43,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _quad
-from .errors import DomainError, NumericError, check_area, check_coupling, check_unit_interval
+from .errors import NumericError, check_area, check_coupling, check_unit_interval
 from .geometry import b0, c0
 
 _SQRT3 = math.sqrt(3.0)
@@ -182,16 +182,15 @@ def coupling_elasticity(sol: EquilateralSolution) -> float:
 
 
 class GroundStateField:
-    """Positive eigenfunction on the equilateral reference triangle.
+    """Positive eigenfunction u0 on the equilateral reference triangle.
 
-    Vectorised evaluators return values, gradients and Laplacians at (n, 2)
-    point arrays; scalar __call__ additionally enforces the triangle domain.
+    Vectorised evaluators of values and gradients at (n, 2) point arrays; no
+    domain check, so points off the triangle are evaluated too.
     """
 
     def __init__(self, solution: EquilateralSolution):
         self.solution = solution
         self._h = b0(solution.S)
-        self._c0 = c0(solution.S)
 
     def values_and_grads(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         sol = self.solution
@@ -212,28 +211,6 @@ class GroundStateField:
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         return self.values_and_grads(pts)[0]
-
-    def laplacian(self, pts: np.ndarray) -> np.ndarray:
-        sol = self.solution
-        vals = self.values_and_grads(pts)[0]
-        return (4.0 * sol.K * sol.K / (self._h * self._h)) * vals
-
-    def _inside(self, x: float, y: float, fuzz: float) -> bool:
-        slack = fuzz * self._h
-        return (
-            y >= -slack
-            and x / self._c0 + y / self._h <= 1.0 + fuzz
-            and -x / self._c0 + y / self._h <= 1.0 + fuzz
-        )
-
-    def __call__(self, x: float, y: float) -> float:
-        if not self._inside(float(x), float(y), 1e-12):
-            raise DomainError(f"point ({x}, {y}) lies outside the reference triangle")
-        return float(self.values(np.array([[x, y]]))[0])
-
-
-def ground_state(solution: EquilateralSolution) -> GroundStateField:
-    return GroundStateField(solution)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +339,8 @@ def hessian_upper_bounds(alpha: float, S: float) -> HessianBounds:
     psi0 is the L2-normalised ground state; its gradient norm comes from the
     eigenvalue identity ||grad psi0||^2 = lambda0 - alpha ||psi0||^2_bdry.
     f_value = ||grad psi0||^2/3 + alpha ||psi0||^2_bdry / 8 shares the sign of
-    both bounds.
+    both bounds.  A bound that leaves float64 (at an area near 1e-300) raises
+    NumericError.
     """
     sol = solve_equilateral(alpha, S)
     _, bdry, l2 = closed_form_norms(sol)
@@ -370,5 +348,8 @@ def hessian_upper_bounds(alpha: float, S: float) -> HessianBounds:
     grad_sq = sol.lambda0 - alpha * b
     bound_aa = (grad_sq + 0.375 * alpha * b) / (_SQRT3 * S)
     bound_cc = 12.0 * bound_aa
+    if not math.isfinite(bound_cc):
+        raise NumericError(f"Hessian bounds overflow float64 at alpha = {alpha:g}, "
+                           f"S = {S:g}")
     f_value = grad_sq / 3.0 + alpha * b / 8.0
     return HessianBounds(bound_aa=bound_aa, bound_cc=bound_cc, f_value=f_value)

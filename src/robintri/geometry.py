@@ -56,6 +56,7 @@ def b0(S: float) -> float:
 
 
 def equilateral_params(S: float) -> TriangleParams:
+    """The equilateral triangle of area S: a = 0, c = c0(S)."""
     return TriangleParams(0.0, c0(S), S)
 
 
@@ -80,22 +81,6 @@ class TriangleGeometry:
 
     def vertex_array(self) -> np.ndarray:
         return np.asarray(self.vertices, dtype=float)
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """Unit-determinant map taking the equilateral reference onto Omega_{a,c}."""
-
-    matrix: np.ndarray
-    inverse_matrix: np.ndarray
-    metric: np.ndarray
-    inverse_metric: np.ndarray
-
-    def apply(self, pts: np.ndarray) -> np.ndarray:
-        return np.asarray(pts, dtype=float) @ self.matrix.T
-
-    def pull_back(self, pts: np.ndarray) -> np.ndarray:
-        return np.asarray(pts, dtype=float) @ self.inverse_matrix.T
 
 
 def side_lengths(params: TriangleParams) -> tuple[float, float, float]:
@@ -176,22 +161,14 @@ def as_geometry(tri) -> TriangleGeometry:
 
 
 def inverse_metric(params: TriangleParams) -> tuple[float, float, float]:
-    """Entries (g11, g12, g22) of the inverse metric of the affine map."""
+    """Entries (g11, g12, g22) of the inverse metric (M^T M)^-1.
+
+    M = [[c/c0, a/b0], [0, b/b0]] is the area-preserving affine map (det M =
+    c b / (c0 b0) = 1) taking the equilateral reference onto Omega_{a,c}.
+    """
     a, c, S = params.a, params.c, params.S
     s3 = math.sqrt(3.0)
     return a * a / (s3 * S) + S / (s3 * c * c), -a * c / S, s3 * c * c / S
-
-
-def affine_map(params: TriangleParams) -> AffineMap:
-    """Map with matrix [[c/c0, a/b0], [0, b/b0]]; det = 1 exactly since c*b = S."""
-    a, c, S = params.a, params.c, params.S
-    cc0 = c0(S)
-    bb0 = b0(S)
-    m = np.array([[c / cc0, a / bb0], [0.0, params.b / bb0]])
-    inv = np.array([[params.b / bb0, -a / bb0], [0.0, c / cc0]])
-    g11, g12, g22 = inverse_metric(params)
-    inv_metric = np.array([[g11, g12], [g12, g22]])
-    return AffineMap(matrix=m, inverse_matrix=inv, metric=m.T @ m, inverse_metric=inv_metric)
 
 
 def perimeter_normalizer(tri) -> float:

@@ -1,19 +1,22 @@
 """Trial-function upper bounds for the lowest Robin eigenvalue.
 
-All bounds evaluate the Rayleigh quotient of an explicit field.  Two of them
-live on the equilateral reference triangle and are transported through the
-area-preserving affine map (so only the quadratic-form coefficients change):
+Each certificate is the Rayleigh quotient of one explicit field, in closed
+form or exactly:
 
-  * the equilateral ground state u0 (equilateral.ground_state);
-  * ConstantOne -- the constant field.
-
-The third, SectorExponential, lives on the physical triangle: u(x) =
-exp(rate * x') with rate = alpha / sin(theta*/2) and x' the coordinate along
-the bisector of the smallest angle.  Its gradient has |grad u| = |rate| u
-pointwise, so its Rayleigh quotient is rate^2 + alpha * ||u||^2_bdry / ||u||^2
-and only u^2 = exp(k.(x - apex)), k = 2 rate bisector, is integrated: exactly
-over the triangle (Hermite-Genocchi), by quadrature on the sides.  Replacing
-the triangle by the infinite sector gives a closed upper bound.
+  * the transplanted equilateral ground state u0: carried onto Omega_{a,c} by
+    the area-preserving affine map, only the form's coefficients change (the
+    inverse metric on the gradient term, one stretch weight per side on the
+    boundary term), so delta_transplant and transplant_verdict need only the
+    closed-form norms of u0;
+  * the constant field: constant_bound, alpha * perimeter / area;
+  * the corner exponential u(x) = exp(rate * x') with rate =
+    alpha / sin(theta*/2) and x' the coordinate along the bisector of the
+    smallest angle.  Its gradient has |grad u| = |rate| u pointwise, so its
+    Rayleigh quotient is rate^2 + alpha * ||u||^2_bdry / ||u||^2 and only
+    u^2 = exp(k.(x - apex)), k = 2 rate bisector, is integrated: exactly over
+    the triangle (Hermite-Genocchi), by quadrature on the sides (sector_bound).
+    Replacing the triangle by the infinite sector gives a closed upper bound
+    (sector_closed_upper, sector_condition).
 
 Verdicts certify strict inequalities and therefore include a small safety
 margin: a bound counts only when it clears its target by 1e-10 relative.
@@ -22,7 +25,6 @@ margin: a bound counts only when it clears its target by 1e-10 relative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,11 +32,8 @@ from . import _quad
 from .equilateral import closed_form_norms, solve_equilateral
 from .errors import DomainError, NumericError, check_area, check_coupling, check_length
 from .geometry import (
-    TriangleGeometry,
     TriangleParams,
     as_geometry,
-    b0,
-    c0,
     corner,
     edge_stretch_weights,
     inverse_metric,
@@ -49,99 +48,17 @@ _SERIES_TERMS = 25
 
 
 def _check_angle(theta: float) -> None:
-    """The sector field's rate alpha/sin(theta/2) needs a positive angle; on a
-    triangle so flat that its smallest angle rounds to 0 it has none."""
-    if not theta > 0.0:
-        raise DomainError(f"the sector field needs a positive corner angle, got {theta:g}")
+    """The sector field's rate alpha/sin(theta/2) needs a corner angle in
+    (0, pi); on a triangle so flat that its smallest angle rounds to 0 it has
+    none, and an angle of pi or more, or one that is not finite, is no corner."""
+    if not 0.0 < theta < math.pi:
+        raise DomainError(f"the sector field needs a positive corner angle below pi, "
+                          f"got {theta:g}")
 
 
 def strictly_below(value: float, target: float) -> bool:
     """value < target with a 1e-10 relative safety margin."""
     return value < target - _MARGIN * max(1.0, abs(target))
-
-
-@dataclass(frozen=True)
-class FormValue:
-    """Pieces of the Robin quadratic form evaluated on one trial field."""
-
-    gradient_term: float
-    boundary_term: float
-    l2_norm_sq: float
-
-    @property
-    def raw(self) -> float:
-        return self.gradient_term + self.boundary_term
-
-    @property
-    def rayleigh(self) -> float:
-        return self.raw / self.l2_norm_sq
-
-
-class ConstantOne:
-    """The constant trial field."""
-
-    def values_and_grads(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n = np.asarray(pts).shape[0]
-        return np.ones(n), np.zeros((n, 2))
-
-
-@dataclass(frozen=True)
-class SectorExponential:
-    """exp(alpha x'/sin(theta/2)) anchored at `apex`, decaying along `bisector`."""
-
-    theta_star: float
-    L_prime: float
-    apex: tuple[float, float]
-    bisector: tuple[float, float]
-    alpha: float
-
-    @classmethod
-    def from_triangle(cls, tri: TriangleGeometry, alpha: float, vertex: int | None = None) -> "SectorExponential":
-        """Anchor at the smallest angle (tri.apex_index), or at an explicit vertex index."""
-        index = tri.apex_index if vertex is None else vertex
-        return cls(*corner(tri.vertex_array(), tri.side_lengths, index), alpha)
-
-    def values_and_grads(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pts = np.asarray(pts, dtype=float)
-        rel = pts - np.asarray(self.apex)
-        proj = rel @ np.asarray(self.bisector)
-        rate = self.alpha / math.sin(0.5 * self.theta_star)
-        vals = np.exp(np.maximum(rate * proj, _EXP_FLOOR))
-        grads = (rate * vals)[:, None] * np.asarray(self.bisector)[None, :]
-        return vals, grads
-
-
-def form_hat(alpha: float, tri, psi) -> FormValue:
-    """Transported Robin form of a reference-triangle field psi on Omega_{a,c}.
-
-    gradient term:  integral of (inverse metric) grad psi . grad psi
-    boundary term:  alpha * sum_k (side stretch factor_k) * ||psi||^2 on side k
-    both over the equilateral reference of the same area.
-    """
-    if isinstance(psi, SectorExponential):
-        raise DomainError("SectorExponential lives on the physical triangle; use sector_bound")
-    check_coupling("alpha", alpha)
-    params = as_geometry(tri).params
-    cc, bb = c0(params.S), b0(params.S)
-    verts = np.array([[-cc, 0.0], [cc, 0.0], [0.0, bb]])
-
-    def moments(pts: np.ndarray) -> np.ndarray:
-        vals, grads = psi.values_and_grads(pts)
-        return np.column_stack(
-            [grads[:, 0] ** 2, grads[:, 1] ** 2, grads[:, 0] * grads[:, 1], vals**2]
-        )
-
-    A1, A2, A12, L2 = _quad.triangle_integrate(moments, verts, n=8, tol=1e-12)
-    g11, g12, g22 = inverse_metric(params)
-    gradient = g11 * A1 + 2.0 * g12 * A12 + g22 * A2
-
-    w = edge_stretch_weights(params)
-    edges = ((verts[0], verts[1]), (verts[0], verts[2]), (verts[1], verts[2]))
-    boundary = 0.0
-    for wk, (p0, p1) in zip(w, edges):
-        ek = _quad.segment_integrate(lambda p: psi.values_and_grads(p)[0] ** 2, p0, p1, n=10, tol=1e-12)
-        boundary += wk * float(ek)
-    return FormValue(gradient_term=float(gradient), boundary_term=alpha * boundary, l2_norm_sq=float(L2))
 
 
 def shape_coefficient(params: TriangleParams) -> float:
@@ -197,8 +114,8 @@ def lambda0_lower_bound(alpha: float, S: float) -> float:
 def sector_closed_upper(alpha: float, theta: float, l_prime: float) -> float:
     """-(alpha/sin(theta/2))^2 (1 - 2 exp(2 alpha L' cot(theta/2))).
 
-    A DomainError refuses a bad coupling or L' (errors' rules), an angle that is
-    not positive, or one so small that the rate's square overflows float64.
+    A DomainError refuses a bad coupling or L' (errors' rules), an angle outside
+    (0, pi), or one so small that the rate's square overflows float64.
     """
     check_coupling("alpha", alpha)
     check_length("l_prime", l_prime)

@@ -1,0 +1,69 @@
+"""Quadrature oracles for the closed-form certificates (not a test module).
+
+A field is a callable pts -> (values, gradients) on (n, 2) point arrays, e.g.
+GroundStateField(sol).values_and_grads.  transported_form integrates the Robin
+form of a reference-triangle field carried onto Omega_{a,c}; the constant and
+corner-exponential fields are the other two trial functions of the paper.
+"""
+
+import math
+
+import numpy as np
+
+from robintri import _quad
+from robintri.geometry import as_geometry, b0, c0, corner, edge_stretch_weights, inverse_metric
+
+def reference_vertices(S):
+    """The equilateral reference triangle of area S, vertices in label order."""
+    return np.array([[-c0(S), 0.0], [c0(S), 0.0], [0.0, b0(S)]])
+
+
+def side_integrals(f, verts, n, tol):
+    """Adaptive quadrature of the scalar f over sides 0, 1 and 2 of verts."""
+    return [float(_quad.segment_integrate(f, verts[i], verts[j], n=n, tol=tol))
+            for i, j in ((0, 1), (0, 2), (1, 2))]
+
+
+def transported_form(alpha, tri, field):
+    """(gradient, boundary, l2) of the reference field transported onto tri.
+
+    gradient:  integral of (inverse metric) grad psi . grad psi
+    boundary:  alpha * sum_k (side stretch weight_k) * ||psi||^2 on side k
+    both over the equilateral reference of the same area, as is l2.
+    """
+    params = as_geometry(tri).params
+    verts = reference_vertices(params.S)
+
+    def moments(pts):
+        vals, grads = field(pts)
+        gx, gy = grads[:, 0], grads[:, 1]
+        return np.column_stack([gx**2, gy**2, gx * gy, vals**2])
+
+    A1, A2, A12, l2 = _quad.triangle_integrate(moments, verts, n=8, tol=1e-12)
+    g11, g12, g22 = inverse_metric(params)
+    sides = side_integrals(lambda p: field(p)[0] ** 2, verts, n=10, tol=1e-12)
+    boundary = sum(w * e for w, e in zip(edge_stretch_weights(params), sides))
+    return float(g11 * A1 + 2.0 * g12 * A12 + g22 * A2), alpha * boundary, float(l2)
+
+
+def constant(pts):
+    """The constant field 1."""
+    n = np.asarray(pts).shape[0]
+    return np.ones(n), np.zeros((n, 2))
+
+
+def corner_exponential(tri, alpha, vertex=None):
+    """(rate, field) for exp(rate x'), rate = alpha / sin(theta/2) and x' the
+    coordinate along the inward bisector of the corner at vertex (default the
+    smallest angle, tri.apex_index), measured from that vertex."""
+    index = tri.apex_index if vertex is None else vertex
+    theta, _, apex, bisector = corner(tri.vertex_array(), tri.side_lengths, index)
+    rate = alpha / math.sin(0.5 * theta)
+    apex, bisector = np.asarray(apex), np.asarray(bisector)
+
+    def field(pts):
+        proj = (np.asarray(pts, dtype=float) - apex) @ bisector
+        vals = np.exp(np.maximum(rate * proj, -700.0))
+        return vals, (rate * vals)[:, None] * bisector[None, :]
+
+    return rate, field

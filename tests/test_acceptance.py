@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import corner_exponential, reference_vertices, side_integrals, transported_form
 
 import robintri as r
 from robintri import _quad
@@ -83,28 +84,16 @@ class TestClosedFormNorms:
         worst = 0.0
         for alpha in (-0.5, -2.0, -8.0):
             sol = r.solve_equilateral(alpha, S_THIRD)
-            field = r.ground_state(sol)
+            field = r.GroundStateField(sol)
             d1, bdry, l2 = r.closed_form_norms(sol)
-            cc, bb = r.c0(S_THIRD), r.b0(S_THIRD)
-            verts = np.array([[-cc, 0.0], [cc, 0.0], [0.0, bb]])
+            verts = reference_vertices(S_THIRD)
 
             def moments(pts):
                 vals, grads = field.values_and_grads(pts)
                 return np.column_stack([grads[:, 0] ** 2, vals**2])
 
             d1_q, l2_q = _quad.triangle_integrate(moments, verts, n=12, tol=1e-13)
-            bdry_q = sum(
-                float(
-                    _quad.segment_integrate(
-                        lambda p: field.values_and_grads(p)[0] ** 2,
-                        verts[i],
-                        verts[j],
-                        n=12,
-                        tol=1e-13,
-                    )
-                )
-                for i, j in ((0, 1), (0, 2), (1, 2))
-            )
+            bdry_q = sum(side_integrals(lambda p: field.values(p) ** 2, verts, n=12, tol=1e-13))
             for closed, quad in ((d1, d1_q), (bdry, bdry_q), (l2, l2_q)):
                 rel = abs(closed - quad) / abs(quad)
                 worst = max(worst, rel)
@@ -202,54 +191,38 @@ class TestConjectureGrid:
 class TestInvariantBundle:
     def test_form_change_of_variables(self):
         """Hat-form evaluation equals direct quadrature of the transported
-        field on the physical triangle (1e-8 relative)."""
+        field on the physical triangle (1e-8 relative), for the ground state
+        and for an exponential in a direction that no symmetry of the reference
+        preserves, so that its three side norms and gradient components differ."""
         rng = np.random.default_rng(20260815)
         worst = 0.0
         for _ in range(4):
             alpha = -float(rng.uniform(0.3, 3.0))
-            params = r.make_triangle(
+            tri = r.make_triangle(
                 float(rng.uniform(-1.5, 1.5)), float(rng.uniform(0.4, 1.5)), S_THIRD
-            ).params
-            sol = r.solve_equilateral(alpha, params.S)
-            psi = r.ground_state(sol)
-            hat = r.form_hat(alpha, params, psi)
-
-            tri = r.make_triangle(params.a, params.c, params.S)
-            amap = r.affine_map(params)
-            inv = np.asarray(amap.inverse_matrix)
-            verts = tri.vertex_array()
-
-            def moments(pts):
-                ref_pts = r_pull(pts)
-                vals, grads = psi.values_and_grads(ref_pts)
-                phys = grads @ inv
-                return np.column_stack([phys[:, 0] ** 2 + phys[:, 1] ** 2, vals**2])
-
-            def r_pull(pts):
-                return np.asarray(pts, dtype=float) @ inv.T
-
-            grad_q, l2_q = _quad.triangle_integrate(moments, verts, n=10, tol=1e-13)
-            bdry_q = sum(
-                float(
-                    _quad.segment_integrate(
-                        lambda p: psi.values_and_grads(r_pull(p))[0] ** 2,
-                        verts[i],
-                        verts[j],
-                        n=12,
-                        tol=1e-13,
-                    )
-                )
-                for i, j in ((0, 1), (0, 2), (1, 2))
             )
-            for closed, quad in (
-                (hat.gradient_term, grad_q),
-                (hat.boundary_term, alpha * bdry_q),
-                (hat.l2_norm_sq, l2_q),
-            ):
-                rel = abs(closed - quad) / abs(quad)
-                worst = max(worst, rel)
-                assert rel < 1e-8
-        _report("form-change-of-variables", f"worst rel {worst:.2e} over 4 shapes")
+            params, verts = tri.params, tri.vertex_array()
+            a, b, c, S = params.a, params.b, params.c, params.S
+            # inverse of the affine map [[c/c0, a/b0], [0, b/b0]] onto Omega_{a,c}
+            inv = np.array([[b / r.b0(S), -a / r.b0(S)], [0.0, c / r.c0(S)]])
+            skew = r.make_triangle(0.5, 0.8 * r.c0(S), S)
+            for psi in (r.GroundStateField(r.solve_equilateral(alpha, S)).values_and_grads,
+                        corner_exponential(skew, alpha)[1]):
+                hat = transported_form(alpha, params, psi)
+
+                def moments(pts):
+                    vals, grads = psi(pts @ inv.T)
+                    phys = grads @ inv
+                    return np.column_stack([phys[:, 0] ** 2 + phys[:, 1] ** 2, vals**2])
+
+                grad_q, l2_q = _quad.triangle_integrate(moments, verts, n=10, tol=1e-13)
+                bdry_q = sum(side_integrals(lambda p: psi(p @ inv.T)[0] ** 2, verts, n=12,
+                                            tol=1e-13))
+                for closed, quad in zip(hat, (grad_q, alpha * bdry_q, l2_q)):
+                    rel = abs(closed - quad) / abs(quad)
+                    worst = max(worst, rel)
+                    assert rel < 1e-8
+        _report("form-change-of-variables", f"worst rel {worst:.2e} over 4 shapes, 2 fields")
 
     def test_sector_gradient_identity(self):
         """The sector field's gradient norm is exactly (alpha/sin(theta/2))^2
@@ -263,18 +236,13 @@ class TestInvariantBundle:
                 float(rng.uniform(0.3, 1.5)),
                 float(rng.uniform(0.3, 1.5)),
             )
-            from robintri.trial import SectorExponential
-
-            field = SectorExponential.from_triangle(tri, alpha)
-            verts = tri.vertex_array()
+            _, field = corner_exponential(tri, alpha)
 
             def moments(pts):
-                vals, grads = field.values_and_grads(pts)
-                return np.column_stack(
-                    [vals**2, grads[:, 0] ** 2 + grads[:, 1] ** 2]
-                )
+                vals, grads = field(pts)
+                return np.column_stack([vals**2, grads[:, 0] ** 2 + grads[:, 1] ** 2])
 
-            l2, grad = _quad.triangle_integrate(moments, verts, n=10, tol=1e-13)
+            l2, grad = _quad.triangle_integrate(moments, tri.vertex_array(), n=10, tol=1e-13)
             rate = alpha / math.sin(0.5 * tri.theta_star)
             rel = abs(grad - rate * rate * l2) / abs(grad)
             worst = max(worst, rel)

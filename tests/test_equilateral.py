@@ -10,15 +10,16 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from oracles import reference_vertices, side_integrals
 
 from robintri import _quad, equilateral
 from robintri.equilateral import (
     T0,
+    GroundStateField,
     closed_form_norms,
     coupling_elasticity,
     g_root,
     g_threshold,
-    ground_state,
     hessian_upper_bounds,
     lambda0,
     local_optimality_alpha_bound,
@@ -195,7 +196,7 @@ class TestGroundState:
     def test_robin_condition_on_base(self):
         """du/dn + alpha u = 0 on the base edge y = 0 (outward normal -e_y)."""
         sol = solve_equilateral(-0.8, S_THIRD)
-        field = ground_state(sol)
+        field = GroundStateField(sol)
         cc = c0(S_THIRD)
         pts = np.column_stack([np.linspace(-0.9 * cc, 0.9 * cc, 7), np.zeros(7)])
         vals, grads = field.values_and_grads(pts)
@@ -204,7 +205,7 @@ class TestGroundState:
 
     def test_robin_condition_on_slanted_side(self):
         sol = solve_equilateral(-1.3, 1.0)
-        field = ground_state(sol)
+        field = GroundStateField(sol)
         cc, bb = c0(1.0), b0(1.0)
         s = np.linspace(0.1, 0.9, 7)[:, None]
         pts = (1 - s) * np.array([[cc, 0.0]]) + s * np.array([[0.0, bb]])
@@ -216,7 +217,7 @@ class TestGroundState:
     def test_eigenfunction_equation_by_finite_differences(self):
         """A 5-point numerical Laplacian reproduces lambda0 * u at interior points."""
         sol = solve_equilateral(-0.7, S_THIRD)
-        field = ground_state(sol)
+        field = GroundStateField(sol)
         h = 1e-4
         centers = np.array([[0.0, 0.3], [0.1, 0.2], [-0.15, 0.25]])
         for cx, cy in centers:
@@ -228,21 +229,9 @@ class TestGroundState:
             assert abs(-lap - sol.lambda0 * v[0]) < 1e-4 * abs(sol.lambda0 * v[0])
 
     def test_positive_inside(self, rng):
-        sol = solve_equilateral(-2.0, 1.0)
-        field = ground_state(sol)
-        cc, bb = c0(1.0), b0(1.0)
-        bary = rng.dirichlet(np.ones(3), size=200)
-        verts = np.array([[-cc, 0.0], [cc, 0.0], [0.0, bb]])
-        pts = bary @ verts
+        field = GroundStateField(solve_equilateral(-2.0, 1.0))
+        pts = rng.dirichlet(np.ones(3), size=200) @ reference_vertices(1.0)
         assert np.min(field.values(pts)) > 0.0
-
-    def test_closed_laplacian_matches_eigenvalue(self):
-        sol = solve_equilateral(-1.0, 2.0)
-        field = ground_state(sol)
-        pts = np.array([[0.05, 0.4], [-0.2, 0.7]])
-        lap = field.laplacian(pts)
-        vals = field.values(pts)
-        assert np.allclose(-lap, sol.lambda0 * vals, rtol=1e-12)
 
 
 class TestClosedFormNorms:
@@ -260,27 +249,16 @@ class TestClosedFormNorms:
         """Closed forms agree with adaptive quadrature of the field to 1e-9."""
         for alpha in (-0.5, -2.0, -8.0):
             sol = solve_equilateral(alpha, S_THIRD)
-            field = ground_state(sol)
+            field = GroundStateField(sol)
             d1, bdry, l2 = closed_form_norms(sol)
-            cc, bb = c0(S_THIRD), b0(S_THIRD)
-            verts = np.array([[-cc, 0.0], [cc, 0.0], [0.0, bb]])
+            verts = reference_vertices(S_THIRD)
 
             def moments(pts):
                 vals, grads = field.values_and_grads(pts)
                 return np.column_stack([grads[:, 0] ** 2, vals**2])
 
             d1_q, l2_q = _quad.triangle_integrate(moments, verts, n=12, tol=1e-13)
-            bdry_q = 0.0
-            for i, j in ((0, 1), (0, 2), (1, 2)):
-                bdry_q += float(
-                    _quad.segment_integrate(
-                        lambda p: field.values_and_grads(p)[0] ** 2,
-                        verts[i],
-                        verts[j],
-                        n=12,
-                        tol=1e-13,
-                    )
-                )
+            bdry_q = sum(side_integrals(lambda p: field.values(p) ** 2, verts, n=12, tol=1e-13))
             assert abs(d1 - d1_q) < 1e-9 * abs(d1_q)
             assert abs(bdry - bdry_q) < 1e-9 * abs(bdry_q)
             assert abs(l2 - l2_q) < 1e-9 * abs(l2_q)
@@ -355,6 +333,12 @@ class TestThresholds:
         with pytest.raises(NumericError):
             hessian_upper_bounds(-300.0, S_THIRD)
         assert all(map(math.isfinite, closed_form_norms(solve_equilateral(-170.0, S_THIRD))))
+
+    def test_hessian_bounds_past_float64_are_a_numeric_error(self):
+        """At S = 1e-300 every input rule passes but (grad + 3 alpha b/8)/(sqrt(3) S)
+        overflows: a NumericError naming the coupling and the area, not -inf."""
+        with pytest.raises(NumericError, match="alpha = -1, S = 1e-300"):
+            hessian_upper_bounds(-1.0, 1e-300)
 
     def test_hessian_bounds_sign_flip(self):
         """Bounds are negative above the improved threshold and positive well below."""

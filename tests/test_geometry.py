@@ -7,9 +7,7 @@ import pytest
 
 from robintri.errors import DomainError
 from robintri.geometry import (
-    AffineMap,
     TriangleParams,
-    affine_map,
     b0,
     c0,
     corner,
@@ -181,40 +179,39 @@ class TestPerimeter:
                 assert abs(scaled.perimeter - 6.0 * c0(S)) < 1e-10
 
 
-class TestAffineMap:
+def _affine_matrix(params):
+    """M = [[c/c0, a/b0], [0, b/b0]], the map from the reference onto Omega_{a,c}."""
+    S = params.S
+    return np.array([[params.c / c0(S), params.a / b0(S)], [0.0, params.b / b0(S)]])
+
+
+class TestInverseMetric:
     def test_maps_reference_onto_triangle(self, rng):
+        """M takes the vertices of the equilateral triangle of area S onto
+        those of make_triangle(a, c, S), label by label."""
         for _ in range(25):
-            params = TriangleParams(rng.uniform(-3, 3), rng.uniform(0.2, 3), rng.uniform(0.3, 3))
-            amap = affine_map(params)
-            ref = np.array(
-                [[-c0(params.S), 0.0], [c0(params.S), 0.0], [0.0, b0(params.S)]]
-            )
-            target = np.array(
-                [[-params.c, 0.0], [params.c, 0.0], [params.a, params.b]]
-            )
-            assert np.allclose(amap.apply(ref), target, atol=1e-12)
-            assert np.allclose(amap.pull_back(target), ref, atol=1e-12)
+            a, c, S = rng.uniform(-3, 3), rng.uniform(0.2, 3), rng.uniform(0.3, 3)
+            m = _affine_matrix(TriangleParams(a, c, S))
+            ref = make_triangle(0.0, c0(S), S).vertex_array()
+            assert np.allclose(ref @ m.T, make_triangle(a, c, S).vertex_array(), atol=1e-12)
 
     def test_determinant_one(self, rng):
+        """M preserves area, so M^T M and its inverse both have determinant one."""
         for _ in range(25):
             params = TriangleParams(rng.uniform(-3, 3), rng.uniform(0.2, 3), rng.uniform(0.3, 3))
-            amap = affine_map(params)
-            assert abs(np.linalg.det(amap.matrix) - 1.0) < 1e-12
-
-    def test_metric_consistency(self, rng):
-        """metric = M^T M and inverse_metric is its exact inverse."""
-        for _ in range(25):
-            params = TriangleParams(rng.uniform(-3, 3), rng.uniform(0.2, 3), rng.uniform(0.3, 3))
-            amap = affine_map(params)
-            assert np.allclose(amap.metric, amap.matrix.T @ amap.matrix, atol=1e-12)
-            assert np.allclose(amap.metric @ amap.inverse_metric, np.eye(2), atol=1e-10)
-            # one inverse-metric formula serves the map and the shape coefficient
+            assert abs(np.linalg.det(_affine_matrix(params)) - 1.0) < 1e-12
             g11, g12, g22 = inverse_metric(params)
-            assert amap.inverse_metric.tolist() == [[g11, g12], [g12, g22]]
-            assert shape_coefficient(params) == g11 + g22 - 2.0
+            assert abs(g11 * g22 - g12 * g12 - 1.0) < 1e-10 * g11 * g22
 
-    def test_returns_affine_map_type(self):
-        assert isinstance(affine_map(TriangleParams(0.1, 0.5, 0.4)), AffineMap)
+    def test_inverts_the_metric_of_the_affine_map(self, rng):
+        """inverse_metric is the exact inverse of M^T M, and its trace minus 2
+        is the shape coefficient."""
+        for _ in range(25):
+            params = TriangleParams(rng.uniform(-3, 3), rng.uniform(0.2, 3), rng.uniform(0.3, 3))
+            m = _affine_matrix(params)
+            g11, g12, g22 = inverse_metric(params)
+            assert np.allclose(m.T @ m @ [[g11, g12], [g12, g22]], np.eye(2), atol=1e-10)
+            assert shape_coefficient(params) == g11 + g22 - 2.0
 
 
 class TestEdgeWeights:

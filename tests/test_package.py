@@ -25,6 +25,15 @@ def test_all_lists_exactly_the_imported_public_names():
     assert sorted(set(robintri.__all__) - {"__version__"}) == public
 
 
+def test_every_public_callable_has_a_docstring():
+    """Each class and function in __all__ says what it is in a docstring of its
+    own (a class does not borrow object's)."""
+    missing = [name for name in robintri.__all__
+               if callable(getattr(robintri, name))
+               and not (getattr(robintri, name).__doc__ or "").strip()]
+    assert missing == []
+
+
 S3 = 1.0 / math.sqrt(3.0)
 TRI = robintri.make_triangle(0.3, 0.8, S3)
 NAN, INF = math.nan, math.inf

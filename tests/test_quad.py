@@ -11,12 +11,12 @@ import warnings
 
 import numpy as np
 import pytest
+from oracles import corner_exponential, reference_vertices
 
 from robintri import _quad
 from robintri.equilateral import GroundStateField, _l2_norm_sq_cached, solve_equilateral
 from robintri.errors import NumericError
-from robintri.geometry import b0, c0, make_triangle
-from robintri.trial import SectorExponential
+from robintri.geometry import make_triangle
 
 S_THIRD = 1.0 / math.sqrt(3.0)
 
@@ -110,12 +110,12 @@ def _sector_cases(n_cases=12):
     for _ in range(n_cases):
         tri = make_triangle(rng.uniform(-2, 2), rng.uniform(0.3, 1.5), rng.uniform(0.3, 1.5))
         alpha = -float(rng.uniform(0.1, 40.0))
-        yield tri, SectorExponential.from_triangle(tri, alpha)
+        yield tri, corner_exponential(tri, alpha)[1]
 
 
 def _sector_moments(field):
     def moments(pts):
-        vals, grads = field.values_and_grads(pts)
+        vals, grads = field(pts)
         return np.column_stack([vals**2, grads[:, 0] ** 2 + grads[:, 1] ** 2])
     return moments
 
@@ -145,8 +145,7 @@ class TestAgainstPerCellLoop:
         """The u0^2 integral behind equilateral._l2_norm_sq_cached (n=24)."""
         counter = _counting_split(monkeypatch, "_children")
         field = GroundStateField(solve_equilateral(alpha, S_THIRD))
-        cc, bb = c0(S_THIRD), b0(S_THIRD)
-        verts = np.array([[-cc, 0.0], [cc, 0.0], [0.0, bb]])
+        verts = reference_vertices(S_THIRD)
         f = lambda p: field.values(p) ** 2  # noqa: E731
         old, old_cells = _oracle_triangle(f, verts, n=24, tol=1e-13)
         new = _quad.triangle_integrate(f, verts, n=24, tol=1e-13)
@@ -159,7 +158,7 @@ class TestAgainstPerCellLoop:
         counter = _counting_split(monkeypatch, "_halves")
         for tri, field in _sector_cases():
             verts = tri.vertex_array()
-            f = lambda p: field.values_and_grads(p)[0] ** 2  # noqa: E731
+            f = lambda p: field(p)[0] ** 2  # noqa: E731
             for i, j in ((0, 1), (0, 2), (1, 2)):
                 old, old_cells = _oracle_segment(f, verts[i], verts[j], n=10, tol=1e-12)
                 counter["cells"] = 0

@@ -6,19 +6,17 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from oracles import constant, corner_exponential, side_integrals, transported_form
 
 from robintri import _quad
-from robintri.equilateral import ground_state, lambda0, solve_equilateral
+from robintri.equilateral import GroundStateField, lambda0, solve_equilateral
 from robintri.errors import DomainError, NumericError
-from robintri.geometry import TriangleParams, c0, equilateral_params, make_triangle
+from robintri.geometry import TriangleParams, c0, corner, equilateral_params, make_triangle
 from robintri.scan import ScanConfig, run_scan
 from robintri.trial import (
-    ConstantOne,
-    SectorExponential,
     _exp_divided_difference,
     constant_bound,
     delta_transplant,
-    form_hat,
     lambda0_lower_bound,
     sector_bound,
     sector_closed_upper,
@@ -47,11 +45,11 @@ def mp_sector_rayleigh(alpha, tri, vertex):
     """rate^2 + alpha * ||u||^2_bdry / ||u||^2 at 40 digits from the float
     corner data: the volume norm by Hermite-Genocchi and each side as
     |e| exp[z_i, z_j]."""
-    field = SectorExponential.from_triangle(tri, alpha, vertex=vertex)
+    theta, _, apex, bisector = corner(tri.vertex_array(), tri.side_lengths, vertex)
     with mp.workdps(40):
         verts = [(mp.mpf(x), mp.mpf(y)) for x, y in tri.vertex_array().tolist()]
-        (px, py), (bx, by) = [tuple(map(mp.mpf, v)) for v in (field.apex, field.bisector)]
-        rate = alpha / mp.sin(mp.mpf(field.theta_star) / 2)
+        (px, py), (bx, by) = [tuple(map(mp.mpf, v)) for v in (apex, bisector)]
+        rate = alpha / mp.sin(mp.mpf(theta) / 2)
         z = [2 * rate * ((x - px) * bx + (y - py) * by) for x, y in verts]
         (x0, y0), (x1, y1), (x2, y2) = verts
         area = abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)) / 2
@@ -128,33 +126,27 @@ class TestStrictlyBelow:
 
 
 class TestFormHat:
+    """The transported form of a reference field, integrated by the oracle."""
+
     def test_constant_field_reproduces_perimeter_quotient(self, rng):
         """On the constant field the form is alpha*perimeter and the norm is S."""
         for _ in range(15):
             alpha = -float(rng.uniform(0.05, 5.0))
             tri = make_triangle(rng.uniform(-2, 2), rng.uniform(0.3, 2), rng.uniform(0.3, 2))
-            fv = form_hat(alpha, tri, ConstantOne())
-            assert abs(fv.gradient_term) < 1e-12
-            assert abs(fv.boundary_term - alpha * tri.perimeter) < 1e-10 * abs(
-                alpha * tri.perimeter
-            )
-            assert abs(fv.l2_norm_sq - tri.params.S) < 1e-10 * tri.params.S
+            gradient, boundary, l2 = transported_form(alpha, tri, constant)
+            assert abs(gradient) < 1e-12
+            assert abs(boundary - alpha * tri.perimeter) < 1e-10 * abs(alpha * tri.perimeter)
+            assert abs(l2 - tri.params.S) < 1e-10 * tri.params.S
             bound, _ = constant_bound(alpha, tri)
-            assert abs(fv.rayleigh - bound) < 1e-10 * abs(bound)
+            assert abs((gradient + boundary) / l2 - bound) < 1e-10 * abs(bound)
 
     def test_ground_state_recovers_lambda0_at_equilateral(self):
         """With the identity map the transported Rayleigh quotient is lambda0."""
         for alpha in (-0.3, -1.0, -4.0):
             sol = solve_equilateral(alpha, S_THIRD)
-            fv = form_hat(alpha, equilateral_params(S_THIRD), ground_state(sol))
-            assert abs(fv.rayleigh - sol.lambda0) < 1e-9 * abs(sol.lambda0)
-
-    def test_rejects_sector_field_and_bad_alpha(self):
-        tri = make_triangle(0.5, 0.8, 1.0)
-        with pytest.raises(DomainError):
-            form_hat(-1.0, tri, SectorExponential.from_triangle(tri, -1.0))
-        with pytest.raises(DomainError):
-            form_hat(0.0, tri, ConstantOne())
+            gradient, boundary, l2 = transported_form(
+                alpha, equilateral_params(S_THIRD), GroundStateField(sol).values_and_grads)
+            assert abs((gradient + boundary) / l2 - sol.lambda0) < 1e-9 * abs(sol.lambda0)
 
 
 class TestTransplant:
@@ -165,10 +157,9 @@ class TestTransplant:
             S = float(rng.uniform(0.4, 1.5))
             a = float(rng.uniform(-1.5, 1.5))
             c = float(rng.uniform(0.4, 1.6)) * c0(S)
-            sol = solve_equilateral(alpha, S)
-            psi = ground_state(sol)
-            raw_shape = form_hat(alpha, TriangleParams(a, c, S), psi).raw
-            raw_eq = form_hat(alpha, equilateral_params(S), psi).raw
+            psi = GroundStateField(solve_equilateral(alpha, S)).values_and_grads
+            raw_shape = sum(transported_form(alpha, TriangleParams(a, c, S), psi)[:2])
+            raw_eq = sum(transported_form(alpha, equilateral_params(S), psi)[:2])
             delta = delta_transplant(alpha, TriangleParams(a, c, S))
             scale = max(abs(raw_shape), abs(raw_eq), 1e-8)
             assert abs(delta - (raw_shape - raw_eq)) < 1e-8 * scale
@@ -276,19 +267,17 @@ class TestSectorBound:
 
     def test_stays_off_triangle_quadrature(self, monkeypatch):
         """The sector certificate and its region scan integrate exp(k.(x - apex))
-        themselves: with 2-D quadrature disabled and SectorExponential refusing
-        to build or evaluate, they give the same values and rows."""
+        over the triangle exactly: with 2-D quadrature disabled they give the
+        same values and rows."""
         tri = make_triangle(1.2, 0.5, S_THIRD)
         cfg = ScanConfig(mode="sector-region", alpha_range=(-6.0, -0.5, 3), a_range=(-1.0, 3.0, 3))
         expected = [sector_bound(-2.0, tri, anchor_vertex=v) for v in (None, 0, 1, 2)]
         rows = run_scan(cfg).rows
 
         def refuse(*args, **kwargs):
-            raise AssertionError("triangle quadrature or SectorExponential on the sector path")
+            raise AssertionError("triangle quadrature on the sector path")
 
         monkeypatch.setattr(_quad, "triangle_integrate", refuse)
-        monkeypatch.setattr(SectorExponential, "from_triangle", refuse)
-        monkeypatch.setattr(SectorExponential, "values_and_grads", refuse)
         assert [sector_bound(-2.0, tri, anchor_vertex=v) for v in (None, 0, 1, 2)] == expected
         assert run_scan(cfg).rows == rows
 
@@ -305,30 +294,23 @@ class TestSectorBound:
             assert ray <= closed + 1e-11 * abs(closed)
 
     def test_anchor_at_apex_is_the_default(self, rng):
-        """Anchoring explicitly at the apex reads the same corner data, bitwise."""
-        for k in range(200):
+        """Anchoring explicitly at the apex gives the same bound, bitwise."""
+        for _ in range(200):
             tri = make_triangle(rng.uniform(-3.0, 3.0), rng.uniform(0.2, 2.0), rng.uniform(0.3, 2.0))
-            anchored = SectorExponential.from_triangle(tri, -2.0, vertex=tri.apex_index)
-            assert anchored == SectorExponential.from_triangle(tri, -2.0)
-            if k < 4:
-                assert sector_bound(-2.0, tri, anchor_vertex=tri.apex_index) == sector_bound(-2.0, tri)
+            assert sector_bound(-2.0, tri, anchor_vertex=tri.apex_index) == sector_bound(-2.0, tri)
 
     def test_gradient_identity(self, rng):
         """|grad u|^2 integrates to (alpha/sin(theta/2))^2 times the L2 norm."""
         for _ in range(10):
             alpha = -float(rng.uniform(0.3, 6.0))
             tri = make_triangle(rng.uniform(-2, 2), rng.uniform(0.3, 1.5), rng.uniform(0.3, 1.5))
-            field = SectorExponential.from_triangle(tri, alpha)
-            verts = tri.vertex_array()
+            rate, field = corner_exponential(tri, alpha)
 
             def moments(pts):
-                vals, grads = field.values_and_grads(pts)
-                return np.column_stack(
-                    [vals**2, grads[:, 0] ** 2 + grads[:, 1] ** 2]
-                )
+                vals, grads = field(pts)
+                return np.column_stack([vals**2, grads[:, 0] ** 2 + grads[:, 1] ** 2])
 
-            l2, grad = _quad.triangle_integrate(moments, verts, n=10, tol=1e-13)
-            rate = alpha / math.sin(0.5 * field.theta_star)
+            l2, grad = _quad.triangle_integrate(moments, tri.vertex_array(), n=10, tol=1e-13)
             assert abs(float(grad) - rate * rate * float(l2)) < 1e-10 * abs(
                 rate * rate * float(l2)
             )
@@ -339,19 +321,15 @@ class TestSectorBound:
         with |grad u|^2 integrated as its own column."""
         for alpha in (-0.2, -0.7, -2.0, -5.0, -12.0):
             tri = make_triangle(rng.uniform(-2, 2), rng.uniform(0.3, 1.5), rng.uniform(0.3, 1.5))
-            field = SectorExponential.from_triangle(tri, alpha, vertex=vertex)
+            _, field = corner_exponential(tri, alpha, vertex=vertex)
             verts = tri.vertex_array()
 
             def moments(pts):
-                vals, grads = field.values_and_grads(pts)
+                vals, grads = field(pts)
                 return np.column_stack([vals**2, grads[:, 0] ** 2 + grads[:, 1] ** 2])
 
             l2, grad = _quad.triangle_integrate(moments, verts, n=8, tol=1e-12)
-            bdry = sum(
-                float(_quad.segment_integrate(lambda p: field.values_and_grads(p)[0] ** 2,
-                                              verts[i], verts[j], n=10, tol=1e-12))
-                for i, j in ((0, 1), (0, 2), (1, 2))
-            )
+            bdry = sum(side_integrals(lambda p: field(p)[0] ** 2, verts, n=10, tol=1e-12))
             expected = (float(grad) + alpha * bdry) / float(l2)
             ray, _ = sector_bound(alpha, tri, anchor_vertex=vertex)
             assert abs(ray - expected) <= 1e-13 * abs(expected)
@@ -374,6 +352,13 @@ class TestSectorBound:
                       lambda: sector_closed_upper(-2.0, 0.0, 1.0)):
             with pytest.raises(DomainError, match="positive corner angle"):
                 check()
+
+    @pytest.mark.parametrize("theta", [math.pi, 4.0, math.inf, math.nan])
+    def test_angle_of_pi_or_more_is_a_domain_error(self, theta):
+        """No corner has an angle of pi or more: the closed form would return a
+        positive 'upper bound' at 4.0 and fail inside math.tan at inf."""
+        with pytest.raises(DomainError, match=f"positive corner angle below pi, got {theta:g}"):
+            sector_closed_upper(-1.0, theta, 1.0)
 
     def test_overflowing_rate_square_is_a_domain_error(self):
         """At c = 1e-100 the smallest angle is 2e-200: positive, but the
@@ -418,7 +403,6 @@ class TestLowerBound:
 
 
 _ALPHA_ENTRIES = {
-    "form_hat": lambda al, tri: form_hat(al, tri, ConstantOne()),
     "constant_bound": constant_bound,
     "sector_bound": sector_bound,
     "sector_condition": sector_condition,
