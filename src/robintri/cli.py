@@ -59,7 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sc.add_argument("--out", dest="output_path", default=None, help="output CSV path override")
     p_sc.add_argument("--svg", dest="emit_svg", action="store_const", const=True,
                       help="also write an SVG heatmap")
-    p_sc.add_argument("--workers", type=int, default=1, help="parallel cell workers")
+    p_sc.add_argument("--workers", type=int, default=1,
+                      help="parallel cell workers, at most one per cell and per available core")
     p_sc.add_argument("--anchor-left", dest="anchor_left", action="store_const", const=True,
                       help="anchor the corner trial field at the left base vertex")
 

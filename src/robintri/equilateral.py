@@ -178,42 +178,6 @@ def coupling_elasticity(sol: EquilateralSolution) -> float:
 
 
 # ---------------------------------------------------------------------------
-# ground-state field
-
-
-class GroundStateField:
-    """Positive eigenfunction u0 on the equilateral reference triangle.
-
-    Vectorised evaluators of values and gradients at (n, 2) point arrays; no
-    domain check, so points off the triangle are evaluated too.
-    """
-
-    def __init__(self, solution: EquilateralSolution):
-        self.solution = solution
-        self._h = b0(solution.S)
-
-    def values_and_grads(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        sol = self.solution
-        h = self._h
-        xh = np.asarray(pts, dtype=float)[:, 0] / h
-        yh = np.asarray(pts, dtype=float)[:, 1] / h
-        K, L, M = sol.K, sol.L, sol.M
-        ch_b = np.cosh(L + 2.0 * K * yh)
-        sh_b = np.sinh(L + 2.0 * K * yh)
-        ch_m = np.cosh(M - K * yh)
-        sh_m = np.sinh(M - K * yh)
-        ch_x = np.cosh(_SQRT3 * K * xh)
-        sh_x = np.sinh(_SQRT3 * K * xh)
-        vals = ch_b + 2.0 * ch_m * ch_x
-        gx = (2.0 * _SQRT3 * K / h) * ch_m * sh_x
-        gy = (2.0 * K / h) * (sh_b - sh_m * ch_x)
-        return vals, np.column_stack([gx, gy])
-
-    def values(self, pts: np.ndarray) -> np.ndarray:
-        return self.values_and_grads(pts)[0]
-
-
-# ---------------------------------------------------------------------------
 # norms of the (unnormalised) ground state
 
 
@@ -252,15 +216,20 @@ def _boundary_norm_sq_unit(K: float, L: float, M: float) -> float:
 
 @lru_cache(maxsize=256)
 def _l2_norm_sq_cached(alpha: float, S: float) -> float:
+    """||u0||^2 over the reference triangle by adaptive quadrature of u0^2."""
     sol = solve_equilateral(alpha, S)
-    field = GroundStateField(sol)
+    K, L, M = sol.K, sol.L, sol.M
     cc, bb = c0(S), b0(S)
     verts = np.array([[-cc, 0.0], [cc, 0.0], [0.0, bb]])
+
+    def u0_squared(pts: np.ndarray) -> np.ndarray:
+        xh, yh = pts[:, 0] / bb, pts[:, 1] / bb
+        return (np.cosh(L + 2.0 * K * yh)
+                + 2.0 * np.cosh(M - K * yh) * np.cosh(_SQRT3 * K * xh)) ** 2
+
     # u0^2 overflows at strong coupling; the quadrature raises NumericError on the inf
     with np.errstate(over="ignore"):
-        val = _quad.triangle_integrate(
-            lambda p: field.values(p) ** 2, verts, n=24, tol=1e-13
-        )
+        val = _quad.triangle_integrate(u0_squared, verts, n=24, tol=1e-13)
     return float(val)
 
 
@@ -330,26 +299,30 @@ class HessianBounds:
 
     bound_aa: float
     bound_cc: float
-    f_value: float
+
+
+def _normalised_ground_state(alpha: float, S: float) -> tuple[float, float]:
+    """(||psi0||^2_bdry, ||grad psi0||^2) of the L2-normalised ground state psi0.
+
+    The gradient norm comes from the eigenvalue identity
+    ||grad psi0||^2 = lambda0 - alpha ||psi0||^2_bdry.
+    """
+    sol = solve_equilateral(alpha, S)
+    _, bdry, l2 = closed_form_norms(sol)
+    b = bdry / l2
+    return b, sol.lambda0 - alpha * b
 
 
 def hessian_upper_bounds(alpha: float, S: float) -> HessianBounds:
     """Bounds (1/(sqrt(3)S)) (||grad psi0||^2 + (3 alpha/8)||psi0||^2_bdry) and 12x it.
 
-    psi0 is the L2-normalised ground state; its gradient norm comes from the
-    eigenvalue identity ||grad psi0||^2 = lambda0 - alpha ||psi0||^2_bdry.
-    f_value = ||grad psi0||^2/3 + alpha ||psi0||^2_bdry / 8 shares the sign of
-    both bounds.  A bound that leaves float64 (at an area near 1e-300) raises
-    NumericError.
+    psi0 is the L2-normalised ground state (_normalised_ground_state).  A
+    bound that leaves float64 (at an area near 1e-300) raises NumericError.
     """
-    sol = solve_equilateral(alpha, S)
-    _, bdry, l2 = closed_form_norms(sol)
-    b = bdry / l2
-    grad_sq = sol.lambda0 - alpha * b
+    b, grad_sq = _normalised_ground_state(alpha, S)
     bound_aa = (grad_sq + 0.375 * alpha * b) / (_SQRT3 * S)
     bound_cc = 12.0 * bound_aa
     if not math.isfinite(bound_cc):
         raise NumericError(f"Hessian bounds overflow float64 at alpha = {alpha:g}, "
                            f"S = {S:g}")
-    f_value = grad_sq / 3.0 + alpha * b / 8.0
-    return HessianBounds(bound_aa=bound_aa, bound_cc=bound_cc, f_value=f_value)
+    return HessianBounds(bound_aa=bound_aa, bound_cc=bound_cc)

@@ -21,8 +21,6 @@ import numpy as np
 
 from .errors import DomainError, check_area, check_finite, check_length
 
-_DEGENERATE_ANGLE = 1e-6
-
 
 @dataclass(frozen=True)
 class TriangleParams:
@@ -72,12 +70,6 @@ class TriangleGeometry:
     theta_star: float
     L_prime: float
     apex_index: int
-    bisector: tuple[float, float]
-    degenerate: bool
-
-    @property
-    def apex_vertex(self) -> tuple[float, float]:
-        return self.vertices[self.apex_index]
 
     def vertex_array(self) -> np.ndarray:
         return np.asarray(self.vertices, dtype=float)
@@ -135,19 +127,15 @@ def make_triangle(a: float, c: float, S: float) -> TriangleGeometry:
     corners = [corner(verts, sides, i) for i in range(3)]
     angles = tuple(cn[0] for cn in corners)
     apex = int(np.argmin(angles))
-    theta = min(angles[apex], math.pi / 3.0)
-    _, l_prime, _, bis = corners[apex]
     return TriangleGeometry(
         params=params,
         vertices=tuple((float(x), float(y)) for x, y in verts),
         side_lengths=sides,
         perimeter=sum(sides),
         angles=angles,
-        theta_star=theta,
-        L_prime=l_prime,
+        theta_star=min(angles[apex], math.pi / 3.0),
+        L_prime=corners[apex][1],
         apex_index=apex,
-        bisector=bis,
-        degenerate=bool(theta < _DEGENERATE_ANGLE),
     )
 
 

@@ -26,9 +26,10 @@ run_scan, verify_perimeter_variant and soundness_sweep, one entry per kind of
 grid (ScanConfig ranges, listed (a, c) values, listed (alpha, a) values), all
 run through one sweep core, _sweep, the only place that builds a ScanResult.
 Each entry point checks its global inputs (ranges, couplings, grid values,
-area, tolerance) by the rules of errors.py before any cell runs.  _sweep runs
-every cell through one isolation boundary, _isolated: a robintri error becomes
-a typed failure row, and any other exception propagates.
+area, tolerance) by the rules of errors.py before any cell runs, and _sweep
+owns the axis rules (none empty, no value repeated).  _sweep runs every cell
+through one isolation boundary, _isolated: a robintri error becomes a typed
+failure row, and any other exception propagates.
 """
 
 from __future__ import annotations
@@ -382,18 +383,23 @@ def _sweep(mode: str, fn, tasks, axes: dict[str, tuple[float, ...]],
            provenance: dict[str, str], workers: int = 1) -> ScanResult:
     """Evaluate fn on every task, in task order, and assemble the ScanResult.
 
-    Each cell runs through _isolated.  A value repeated on one of the first
-    two axes would make two cells share one verdict-grid slot, so it is
-    rejected before any cell runs.
+    Each cell runs through _isolated.  An empty axis among the first two
+    leaves no cell, and a value repeated on one would make two cells share one
+    verdict-grid slot, so both are rejected before any cell runs.  The pool
+    has at most one worker per task and per core this process may run on.
     """
     from . import __version__
 
-    for name in list(axes)[:2]:
+    names = list(axes)[:2]
+    if not all(axes[name] for name in names):
+        raise DomainError(f"empty ({', '.join(names)}) grid: "
+                          + ", ".join(f"{name} values {axes[name]}" for name in names))
+    for name in names:
         if len(set(axes[name])) != len(axes[name]):
             raise DomainError(f"axis {name} repeats a value: {axes[name]}")
     tasks = list(tasks)
     cell = partial(_isolated, mode, fn)
-    workers = min(workers, len(tasks))
+    workers = min(workers, len(tasks), len(os.sched_getaffinity(0)))
     if workers > 1:
         with get_context("fork").Pool(workers) as pool:
             rows = tuple(pool.map(cell, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
@@ -466,8 +472,6 @@ def verify_perimeter_variant(alpha: float, S: float, a_values, c_values) -> Scan
     check_area(S)
     avals = tuple(float(x) for x in a_values)
     cvals = tuple(float(x) for x in c_values)
-    if not (avals and cvals):
-        raise DomainError(f"empty (a, c) grid: a values {avals}, c values {cvals}")
     check_finite("a values", *avals)
     check_finite("c values", *cvals)
     fn = partial(_cell_perimeter, alpha=alpha, S=S, rel_tol=1e-6)

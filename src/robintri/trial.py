@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from . import _quad
-from .equilateral import closed_form_norms, solve_equilateral
+from .equilateral import _normalised_ground_state, closed_form_norms, solve_equilateral
 from .errors import DomainError, NumericError, check_area, check_coupling, check_length
 from .geometry import (
     TriangleParams,
@@ -242,9 +242,6 @@ def small_coupling_functions(alpha: float, tri) -> tuple[float, float, float]:
     f1 = sum(edge_stretch_weights(params))
     coef = shape_coefficient(params)
     z = (f1 - 3.0) / coef if coef > 1e-14 else float("nan")
-    sol = solve_equilateral(alpha, params.S)
-    _, bdry, l2 = closed_form_norms(sol)
-    b = bdry / l2
-    grad_sq = sol.lambda0 - alpha * b
+    b, grad_sq = _normalised_ground_state(alpha, params.S)
     g1 = 3.0 * grad_sq / (-2.0 * alpha * b)
     return z, f1, g1

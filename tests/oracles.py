@@ -1,8 +1,8 @@
 """Quadrature oracles for the closed-form certificates (not a test module).
 
 A field is a callable pts -> (values, gradients) on (n, 2) point arrays, e.g.
-GroundStateField(sol).values_and_grads.  transported_form integrates the Robin
-form of a reference-triangle field carried onto Omega_{a,c}; the constant and
+ground_state(sol).  transported_form integrates the Robin form of a
+reference-triangle field carried onto Omega_{a,c}; the constant and
 corner-exponential fields are the other two trial functions of the paper.
 """
 
@@ -12,6 +12,7 @@ import numpy as np
 
 from robintri import _quad
 from robintri.geometry import as_geometry, b0, c0, corner, edge_stretch_weights, inverse_metric
+
 
 def reference_vertices(S):
     """The equilateral reference triangle of area S, vertices in label order."""
@@ -44,6 +45,27 @@ def transported_form(alpha, tri, field):
     sides = side_integrals(lambda p: field(p)[0] ** 2, verts, n=10, tol=1e-12)
     boundary = sum(w * e for w, e in zip(edge_stretch_weights(params), sides))
     return float(g11 * A1 + 2.0 * g12 * A12 + g22 * A2), alpha * boundary, float(l2)
+
+
+def ground_state(sol):
+    """The field of u0 = cosh(L + 2K yh) + 2 cosh(M - K yh) cosh(sqrt(3) K xh),
+    hatted coordinates in units of b0(S), for the solved sol; points off the
+    reference triangle are evaluated too."""
+    h = b0(sol.S)
+    K, L, M = sol.K, sol.L, sol.M
+    s3 = math.sqrt(3.0)
+
+    def field(pts):
+        pts = np.asarray(pts, dtype=float)
+        xh, yh = pts[:, 0] / h, pts[:, 1] / h
+        ch_b, sh_b = np.cosh(L + 2.0 * K * yh), np.sinh(L + 2.0 * K * yh)
+        ch_m, sh_m = np.cosh(M - K * yh), np.sinh(M - K * yh)
+        ch_x, sh_x = np.cosh(s3 * K * xh), np.sinh(s3 * K * xh)
+        gx = (2.0 * s3 * K / h) * ch_m * sh_x
+        gy = (2.0 * K / h) * (sh_b - sh_m * ch_x)
+        return ch_b + 2.0 * ch_m * ch_x, np.column_stack([gx, gy])
+
+    return field
 
 
 def constant(pts):

@@ -11,7 +11,8 @@ import time
 
 import numpy as np
 import pytest
-from oracles import corner_exponential, reference_vertices, side_integrals, transported_form
+from oracles import (corner_exponential, ground_state, reference_vertices, side_integrals,
+                     transported_form)
 
 import robintri as r
 from robintri import _quad
@@ -84,16 +85,16 @@ class TestClosedFormNorms:
         worst = 0.0
         for alpha in (-0.5, -2.0, -8.0):
             sol = r.solve_equilateral(alpha, S_THIRD)
-            field = r.GroundStateField(sol)
+            field = ground_state(sol)
             d1, bdry, l2 = r.closed_form_norms(sol)
             verts = reference_vertices(S_THIRD)
 
             def moments(pts):
-                vals, grads = field.values_and_grads(pts)
+                vals, grads = field(pts)
                 return np.column_stack([grads[:, 0] ** 2, vals**2])
 
             d1_q, l2_q = _quad.triangle_integrate(moments, verts, n=12, tol=1e-13)
-            bdry_q = sum(side_integrals(lambda p: field.values(p) ** 2, verts, n=12, tol=1e-13))
+            bdry_q = sum(side_integrals(lambda p: field(p)[0] ** 2, verts, n=12, tol=1e-13))
             for closed, quad in ((d1, d1_q), (bdry, bdry_q), (l2, l2_q)):
                 rel = abs(closed - quad) / abs(quad)
                 worst = max(worst, rel)
@@ -206,7 +207,7 @@ class TestInvariantBundle:
             # inverse of the affine map [[c/c0, a/b0], [0, b/b0]] onto Omega_{a,c}
             inv = np.array([[b / r.b0(S), -a / r.b0(S)], [0.0, c / r.c0(S)]])
             skew = r.make_triangle(0.5, 0.8 * r.c0(S), S)
-            for psi in (r.GroundStateField(r.solve_equilateral(alpha, S)).values_and_grads,
+            for psi in (ground_state(r.solve_equilateral(alpha, S)),
                         corner_exponential(skew, alpha)[1]):
                 hat = transported_form(alpha, params, psi)
 

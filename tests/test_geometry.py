@@ -101,10 +101,11 @@ class TestMakeTriangle:
 
     def test_bisector_is_unit_and_inward(self):
         tri = make_triangle(1.3, 0.8, 1.1)
-        bis = np.asarray(tri.bisector)
+        _, _, apex, bis = corner(tri.vertex_array(), tri.side_lengths, tri.apex_index)
+        bis = np.asarray(bis)
         assert abs(np.linalg.norm(bis) - 1.0) < 1e-12
         # a short step along the bisector stays inside the triangle
-        inside = np.asarray(tri.apex_vertex) + 1e-3 * bis
+        inside = np.asarray(apex) + 1e-3 * bis
         assert shoelace([tri.vertices[0], tri.vertices[1], inside]) < tri.params.S
 
     def test_overflowing_side_products_are_a_domain_error(self):
@@ -115,10 +116,6 @@ class TestMakeTriangle:
         with pytest.raises(DomainError, match="overflow"):
             make_triangle(1e200, 0.5, 1.0)
         assert make_triangle(1e150, 0.5, 1.0).theta_star == 0.0
-
-    def test_degenerate_flag(self):
-        assert make_triangle(2000.0, 1.0, 1.0).degenerate
-        assert not make_triangle(0.5, 1.0, 1.0).degenerate
 
     def test_reflection_swaps_slanted_sides(self, rng):
         """a -> -a mirrors the triangle: same perimeter/angles, sides 1 and 2 swap."""
@@ -134,14 +131,16 @@ class TestMakeTriangle:
             assert abs(t1.theta_star - t2.theta_star) < 1e-12
 
     def test_apex_data_is_the_corner_at_the_apex(self, rng):
-        """Angles, L' and the bisector come from the one corner function, bitwise."""
+        """Angles, L' and the apex come from the one corner function, bitwise;
+        the bisector sector_bound reads there is a unit vector."""
         for _ in range(200):
             tri = make_triangle(rng.uniform(-3.0, 3.0), rng.uniform(0.2, 2.0), rng.uniform(0.3, 2.0))
             verts = tri.vertex_array()
             corners = [corner(verts, tri.side_lengths, i) for i in range(3)]
             assert tuple(cn[0] for cn in corners) == tri.angles
             _, l_prime, vertex, bis = corners[tri.apex_index]
-            assert (l_prime, vertex, bis) == (tri.L_prime, tri.apex_vertex, tri.bisector)
+            assert (l_prime, vertex) == (tri.L_prime, tri.vertices[tri.apex_index])
+            assert abs(math.hypot(*bis) - 1.0) < 1e-14
 
 
 class TestPerimeter:

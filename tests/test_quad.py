@@ -11,10 +11,10 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import corner_exponential, reference_vertices
+from oracles import corner_exponential, ground_state, reference_vertices
 
 from robintri import _quad
-from robintri.equilateral import GroundStateField, _l2_norm_sq_cached, solve_equilateral
+from robintri.equilateral import _l2_norm_sq_cached, solve_equilateral
 from robintri.errors import NumericError
 from robintri.geometry import make_triangle
 
@@ -144,9 +144,9 @@ class TestAgainstPerCellLoop:
     def test_ground_state_square(self, monkeypatch, alpha):
         """The u0^2 integral behind equilateral._l2_norm_sq_cached (n=24)."""
         counter = _counting_split(monkeypatch, "_children")
-        field = GroundStateField(solve_equilateral(alpha, S_THIRD))
+        field = ground_state(solve_equilateral(alpha, S_THIRD))
         verts = reference_vertices(S_THIRD)
-        f = lambda p: field.values(p) ** 2  # noqa: E731
+        f = lambda p: field(p)[0] ** 2  # noqa: E731
         old, old_cells = _oracle_triangle(f, verts, n=24, tol=1e-13)
         new = _quad.triangle_integrate(f, verts, n=24, tol=1e-13)
         assert counter["cells"] == old_cells

@@ -461,6 +461,23 @@ class TestFemModes:
             verify_perimeter_variant(-0.5, S_THIRD, a_values, c_values)
         assert not calls
 
+    @pytest.mark.parametrize("alpha_values,a_values", [([], [0.5]), ([-1.0], [])],
+                             ids=["empty-alpha", "empty-a"])
+    def test_soundness_refuses_an_empty_axis(self, alpha_values, a_values, monkeypatch):
+        """No cell at all is refused before any cell runs, with the message the
+        perimeter entry gives for its empty axes."""
+        calls = []
+        monkeypatch.setattr(scan, "_soundness_cell", lambda task, **_: calls.append(task))
+        monkeypatch.setattr(scan, "_cell_perimeter", lambda task, **_: calls.append(task))
+        with pytest.raises(DomainError) as sound:
+            soundness_sweep(alpha_values, a_values, c=S_THIRD, S=S_THIRD)
+        with pytest.raises(DomainError) as perim:
+            verify_perimeter_variant(-0.5, S_THIRD, [], [1.0])
+        assert str(sound.value) == (f"empty (a, alpha) grid: a values {tuple(a_values)}, "
+                                    f"alpha values {tuple(alpha_values)}")
+        assert str(perim.value) == "empty (a, c) grid: a values (), c values (1.0,)"
+        assert not calls
+
     def test_soundness_rejects_a_repeated_axis_value(self, monkeypatch):
         """Two cells on one verdict-grid slot are refused before any cell runs."""
         calls = []
@@ -665,9 +682,11 @@ class TestLocalOptimality:
 
 
 class TestWorkerPool:
-    def test_pool_is_capped_at_the_task_count(self, fake_pool, tmp_path):
-        """A fake pool records its size and maps serially: no process starts."""
+    def test_pool_is_capped_at_the_task_count(self, fake_pool, monkeypatch, tmp_path):
+        """A fake pool records its size and maps serially: no process starts.
+        Eight cores are pinned, so only the task count caps the pool."""
         sizes = fake_pool
+        monkeypatch.setattr(scan.os, "sched_getaffinity", lambda pid: set(range(8)))
         out = str(tmp_path / "g.csv")
         serial = run_scan(ScanConfig(mode="g-curve", a_range=(0.91, 0.96, 2), output_path=out))
         capped = run_scan(ScanConfig(mode="g-curve", a_range=(0.91, 0.96, 2), output_path=out),
@@ -676,6 +695,16 @@ class TestWorkerPool:
                           workers=3)
         assert sizes == [2, 3]
         assert capped.rows == serial.rows and len(pooled.rows) == 5
+
+    def test_pool_is_capped_at_the_cores(self, fake_pool, monkeypatch, tmp_path):
+        """A worker count far past the cores asks for one worker per core
+        this process may run on, and the rows keep their serial order."""
+        sizes = fake_pool
+        monkeypatch.setattr(scan.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        cfg = ScanConfig(mode="g-curve", a_range=(0.91, 0.96, 5), output_path=str(tmp_path / "g.csv"))
+        pooled = run_scan(cfg, workers=4000)
+        assert sizes == [3]
+        assert pooled.rows == run_scan(cfg).rows
 
     def test_pooled_cell_function_pickles(self):
         """The pool ships partial(_isolated, mode, fn) to its workers."""
