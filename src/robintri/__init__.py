@@ -12,12 +12,9 @@ __version__ = "0.1.0"
 from .errors import DomainError, NumericError, ResourceError
 from .geometry import (
     TriangleGeometry,
-    TriangleParams,
     b0,
     c0,
-    equilateral_params,
     make_triangle,
-    perimeter,
     perimeter_min_over_a,
     perimeter_normalizer,
 )
@@ -87,7 +84,6 @@ __all__ = [
     "ShapeDerivatives",
     "T0",
     "TriangleGeometry",
-    "TriangleParams",
     "assemble",
     "b0",
     "build_mesh",
@@ -100,7 +96,6 @@ __all__ = [
     "eigenvalue_converged",
     "emit_csv",
     "emit_svg",
-    "equilateral_params",
     "g_root",
     "g_threshold",
     "hessian_upper_bounds",
@@ -111,7 +106,6 @@ __all__ = [
     "make_triangle",
     "mass_residual",
     "parse_config",
-    "perimeter",
     "perimeter_min_over_a",
     "perimeter_normalizer",
     "run_scan",

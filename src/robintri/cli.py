@@ -107,12 +107,7 @@ def _cmd_scan(args) -> int:
         if args.mode is None:
             print("scan needs --config or --mode", file=sys.stderr)
             return EXIT_USAGE
-        kwargs = {k: v for k, v in overrides.items() if v is not None}
-        if args.mode == "g-curve":
-            # flag-only runs reuse a_range as the t axis; give it a span
-            # that covers the sign change instead of the (a, alpha) default
-            kwargs.setdefault("a_range", (0.05, 0.995, 95))
-        cfg = ScanConfig(**kwargs)
+        cfg = ScanConfig(**{k: v for k, v in overrides.items() if v is not None})
     result = run_scan(cfg, workers=max(1, args.workers))
     statuses = sorted(Counter(row[-1] for row in result.rows).items())
     certified = sum(sum(r) for r in result.verdict_grid)
@@ -122,7 +117,7 @@ def _cmd_scan(args) -> int:
     print(f"verdicts  = {certified}/{cells} cells positive")
     print(f"csv       -> {cfg.output_path}")
     if cfg.emit_svg:
-        print(f"svg       -> {os.path.splitext(cfg.output_path)[0] + '.svg'}")
+        print(f"svg       -> {cfg.svg_path}")
     return EXIT_OK
 
 

@@ -40,7 +40,7 @@ from scipy.sparse.linalg import cg, splu
 
 from .errors import (DomainError, NumericError, ResourceError, check_coupling, check_level,
                      check_rel_tol)
-from .geometry import TriangleParams, as_geometry, c0
+from .geometry import as_geometry, c0, make_triangle
 
 MAX_LEVEL = 10
 # Meshes up to this many nodes (levels 0 to 4) are solved by dense LAPACK.  One
@@ -700,7 +700,7 @@ def shape_derivatives_at_equilateral(alpha: float, S: float) -> ShapeDerivatives
     watched = [0, 3, 5]  # lambda1, hess_aa, hess_cc
     skipped: list[tuple[int, str]] = []
     _, _, extrs, converged = _settle(
-        walk_levels(TriangleParams(0.0, cc, S), alpha, 2, 8, skipped),
+        walk_levels(make_triangle(0.0, cc, S), alpha, 2, 8, skipped),
         lambda res: _level_derivatives(_lattice(res.level), res.eigenvector, alpha,
                                        h, ell, 2.0 * S),
         lambda _, x: len(x) > 1 and bool(np.all(

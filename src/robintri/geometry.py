@@ -22,25 +22,6 @@ import numpy as np
 from .errors import DomainError, check_area, check_finite, check_length
 
 
-@dataclass(frozen=True)
-class TriangleParams:
-    """Shape parameters (a, c) at fixed area S."""
-
-    a: float
-    c: float
-    S: float
-
-    def __post_init__(self) -> None:
-        check_length("c", self.c)
-        check_area(self.S)
-        check_finite("a", self.a)
-
-    @property
-    def b(self) -> float:
-        """Apex height S/c."""
-        return self.S / self.c
-
-
 def c0(S: float) -> float:
     """Half-base of the equilateral triangle of area S."""
     check_area(S)
@@ -53,37 +34,31 @@ def b0(S: float) -> float:
     return math.sqrt(math.sqrt(3.0) * S)
 
 
-def equilateral_params(S: float) -> TriangleParams:
-    """The equilateral triangle of area S: a = 0, c = c0(S)."""
-    return TriangleParams(0.0, c0(S), S)
-
-
 @dataclass(frozen=True)
 class TriangleGeometry:
-    """Derived geometric data for one parameter triple."""
+    """Omega_{a,c} of area S and the data derived from it, built by make_triangle.
 
-    params: TriangleParams
+    side_lengths are in label order; theta_star is the smallest angle (at
+    vertex apex_index) clamped to pi/3, and L_prime the shorter side there.
+    """
+
+    a: float
+    c: float
+    S: float
     vertices: tuple[tuple[float, float], ...]
     side_lengths: tuple[float, float, float]
     perimeter: float
-    angles: tuple[float, float, float]
     theta_star: float
     L_prime: float
     apex_index: int
 
+    @property
+    def b(self) -> float:
+        """Apex height S/c."""
+        return self.S / self.c
+
     def vertex_array(self) -> np.ndarray:
         return np.asarray(self.vertices, dtype=float)
-
-
-def side_lengths(params: TriangleParams) -> tuple[float, float, float]:
-    """Side lengths in label order: 2c, |V0V2|, |V1V2|."""
-    a, c, b = params.a, params.c, params.b
-    return (2.0 * c, math.hypot(a + c, b), math.hypot(a - c, b))
-
-
-def perimeter(params: TriangleParams) -> float:
-    """Boundary length, the sum of the three side lengths."""
-    return sum(side_lengths(params))
 
 
 def perimeter_min_over_a(c: float, S: float) -> float:
@@ -120,19 +95,27 @@ def corner(
 
 
 def make_triangle(a: float, c: float, S: float) -> TriangleGeometry:
-    """Build the full geometry record for Omega_{a,c} with area S."""
-    params = TriangleParams(float(a), float(c), float(S))
-    verts = np.array([[-params.c, 0.0], [params.c, 0.0], [params.a, params.b]])
-    sides = side_lengths(params)
+    """Build the geometry record for Omega_{a,c} with area S.
+
+    DomainError unless c and S are positive and finite and a is finite.
+    """
+    check_length("c", c)
+    check_area(S)
+    check_finite("a", a)
+    a, c, S = float(a), float(c), float(S)
+    b = S / c
+    verts = np.array([[-c, 0.0], [c, 0.0], [a, b]])
+    sides = (2.0 * c, math.hypot(a + c, b), math.hypot(a - c, b))
     corners = [corner(verts, sides, i) for i in range(3)]
-    angles = tuple(cn[0] for cn in corners)
+    angles = [cn[0] for cn in corners]
     apex = int(np.argmin(angles))
     return TriangleGeometry(
-        params=params,
+        a=a,
+        c=c,
+        S=S,
         vertices=tuple((float(x), float(y)) for x, y in verts),
         side_lengths=sides,
         perimeter=sum(sides),
-        angles=angles,
         theta_star=min(angles[apex], math.pi / 3.0),
         L_prime=corners[apex][1],
         apex_index=apex,
@@ -140,21 +123,19 @@ def make_triangle(a: float, c: float, S: float) -> TriangleGeometry:
 
 
 def as_geometry(tri) -> TriangleGeometry:
-    """The geometry record of a TriangleGeometry or TriangleParams argument."""
-    if isinstance(tri, TriangleGeometry):
-        return tri
-    if isinstance(tri, TriangleParams):
-        return make_triangle(tri.a, tri.c, tri.S)
-    raise DomainError(f"expected TriangleParams or TriangleGeometry, got {type(tri)!r}")
+    """tri itself when it is a TriangleGeometry; DomainError for anything else."""
+    if not isinstance(tri, TriangleGeometry):
+        raise DomainError(f"expected a TriangleGeometry from make_triangle, got {type(tri)!r}")
+    return tri
 
 
-def inverse_metric(params: TriangleParams) -> tuple[float, float, float]:
+def inverse_metric(tri: TriangleGeometry) -> tuple[float, float, float]:
     """Entries (g11, g12, g22) of the inverse metric (M^T M)^-1.
 
     M = [[c/c0, a/b0], [0, b/b0]] is the area-preserving affine map (det M =
     c b / (c0 b0) = 1) taking the equilateral reference onto Omega_{a,c}.
     """
-    a, c, S = params.a, params.c, params.S
+    a, c, S = tri.a, tri.c, tri.S
     s3 = math.sqrt(3.0)
     return a * a / (s3 * S) + S / (s3 * c * c), -a * c / S, s3 * c * c / S
 
@@ -162,15 +143,15 @@ def inverse_metric(params: TriangleParams) -> tuple[float, float, float]:
 def perimeter_normalizer(tri) -> float:
     """Scale factor gamma in (0, 1] making gamma*Omega match the equilateral perimeter."""
     tri = as_geometry(tri)
-    gamma = 6.0 * c0(tri.params.S) / tri.perimeter
+    gamma = 6.0 * c0(tri.S) / tri.perimeter
     return min(gamma, 1.0)
 
 
-def edge_stretch_weights(params: TriangleParams) -> tuple[float, float, float]:
+def edge_stretch_weights(tri: TriangleGeometry) -> tuple[float, float, float]:
     """Per-side length ratios |side_k(a,c)| / |side_k(equilateral)|.
 
     These are the boundary weights of the transported Robin form; they sum to
     sqrt(sqrt(3)/S) * perimeter / 2.
     """
-    base = 2.0 * c0(params.S)
-    return tuple(s / base for s in side_lengths(params))
+    base = 2.0 * c0(tri.S)
+    return tuple(s / base for s in tri.side_lengths)

@@ -142,14 +142,18 @@ class ScanConfig:
 
     alpha_range / a_range / c_range are (lo, hi, n) triples; axes a mode does
     not grid over may be collapsed to a single value (n = 1, lo == hi).  For
-    g-curve the a_range supplies the t axis and must lie inside (0, 1).
-    c_fixed defaults to the equilateral half-base c0(S) when left unset.  A
-    field the mode does not read (see _MODE_FIELDS) must keep its default.
+    g-curve the a_range supplies the t axis and must lie inside (0, 1).  Left
+    unset, a_range resolves per mode: the t axis (0.05, 0.995, 95), which
+    spans the sign change of g, for g-curve, and (0, 5, 60) for every other
+    mode that reads it.  c_fixed defaults to the equilateral half-base c0(S)
+    when left unset.  A field the mode does not read (see _MODE_FIELDS) must
+    keep its default.  emit_svg writes to svg_path, which may not be
+    output_path itself.
     """
 
     mode: str
     alpha_range: tuple[float, float, int] = (-10.0, -0.01, 60)
-    a_range: tuple[float, float, int] = (0.0, 5.0, 60)
+    a_range: tuple[float, float, int] | None = None
     c_fixed: float | None = None
     c_range: tuple[float, float, int] | None = None
     S: float = 1.0 / _SQRT3
@@ -166,7 +170,13 @@ class ScanConfig:
         check_length("c_fixed", self.resolved_c())
         if not self.output_path:
             raise DomainError("output_path must be non-empty")
+        if self.emit_svg and self.svg_path == self.output_path:
+            raise DomainError(f"the SVG heatmap would overwrite the CSV at {self.output_path}; "
+                              "give output_path an extension other than .svg")
         reads = _MODE_FIELDS[self.mode]
+        if self.a_range is None and "a_range" in reads:
+            default = (0.05, 0.995, 95) if self.mode == "g-curve" else (0.0, 5.0, 60)
+            object.__setattr__(self, "a_range", default)
         for f in fields(self):
             if (f.name not in reads and f.name not in _READ_BY_EVERY_MODE
                     and getattr(self, f.name) != f.default):
@@ -177,6 +187,11 @@ class ScanConfig:
 
     def resolved_c(self) -> float:
         return self.c_fixed if self.c_fixed is not None else c0(self.S)
+
+    @property
+    def svg_path(self) -> str:
+        """output_path with its extension replaced by .svg."""
+        return os.path.splitext(self.output_path)[0] + ".svg"
 
 
 @dataclass(frozen=True)
@@ -456,7 +471,7 @@ def run_scan(cfg: ScanConfig, workers: int = 1) -> ScanResult:
     result = _sweep(cfg.mode, *_plan(cfg), _provenance(cfg), workers)
     emit_csv(result, cfg.output_path)
     if cfg.emit_svg:
-        emit_svg(result, os.path.splitext(cfg.output_path)[0] + ".svg")
+        emit_svg(result, cfg.svg_path)
     return result
 
 
@@ -473,7 +488,7 @@ def verify_perimeter_variant(alpha: float, S: float, a_values, c_values) -> Scan
     avals = tuple(float(x) for x in a_values)
     cvals = tuple(float(x) for x in c_values)
     check_finite("a values", *avals)
-    check_finite("c values", *cvals)
+    check_length("c values", *cvals)
     fn = partial(_cell_perimeter, alpha=alpha, S=S, rel_tol=1e-6)
     return _sweep("perimeter-variant", fn, [(a, c) for a in avals for c in cvals],
                   {"a": avals, "c": cvals}, _prov(alpha=alpha, S=S))
@@ -702,8 +717,9 @@ def parse_config(path: str, overrides: dict | None = None) -> ScanConfig:
         else:
             try:
                 if kind.startswith("tuple"):
-                    lo, hi, n = value.split(",")
-                    raw[key] = (float(lo), float(hi), int(n))
+                    lo, hi, n = (float(x) for x in value.split(","))
+                    # a whole count reads as int; _check_range refuses any other
+                    raw[key] = (lo, hi, int(n) if n.is_integer() else n)
                 else:
                     raw[key] = float(value)
             except ValueError as exc:

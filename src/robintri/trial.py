@@ -31,14 +31,7 @@ import numpy as np
 from . import _quad
 from .equilateral import _normalised_ground_state, closed_form_norms, solve_equilateral
 from .errors import DomainError, NumericError, check_area, check_coupling, check_length
-from .geometry import (
-    TriangleParams,
-    as_geometry,
-    corner,
-    edge_stretch_weights,
-    inverse_metric,
-    perimeter,
-)
+from .geometry import TriangleGeometry, as_geometry, corner, edge_stretch_weights, inverse_metric
 
 _SQRT3 = math.sqrt(3.0)
 _MARGIN = 1e-10
@@ -61,9 +54,9 @@ def strictly_below(value: float, target: float) -> bool:
     return value < target - _MARGIN * max(1.0, abs(target))
 
 
-def shape_coefficient(params: TriangleParams) -> float:
+def shape_coefficient(tri: TriangleGeometry) -> float:
     """Trace of the inverse metric minus 2; zero exactly at the equilateral shape."""
-    g11, _, g22 = inverse_metric(params)
+    g11, _, g22 = inverse_metric(tri)
     return g11 + g22 - 2.0
 
 
@@ -73,19 +66,19 @@ def delta_transplant(alpha: float, tri) -> float:
     delta <= 0 certifies lambda(alpha, a, c) <= lambda0(alpha, S); built from
     the closed-form norms, so no quadrature is involved.
     """
-    params = as_geometry(tri).params
-    sol = solve_equilateral(alpha, params.S)
+    tri = as_geometry(tri)
+    sol = solve_equilateral(alpha, tri.S)
     d1, bdry, _ = closed_form_norms(sol)
-    f1 = sum(edge_stretch_weights(params))
-    return shape_coefficient(params) * d1 + alpha * (f1 - 3.0) * bdry / 3.0
+    f1 = sum(edge_stretch_weights(tri))
+    return shape_coefficient(tri) * d1 + alpha * (f1 - 3.0) * bdry / 3.0
 
 
 def transplant_verdict(alpha: float, tri) -> tuple[float, bool]:
     """(delta, certified) with the strict safety margin on the delta scale."""
-    geom = as_geometry(tri)
-    sol = solve_equilateral(alpha, geom.params.S)
+    tri = as_geometry(tri)
+    sol = solve_equilateral(alpha, tri.S)
     _, bdry, _ = closed_form_norms(sol)
-    delta = delta_transplant(alpha, geom)
+    delta = delta_transplant(alpha, tri)
     scale = abs(alpha) * bdry
     return delta, delta < -_MARGIN * scale
 
@@ -97,9 +90,9 @@ def constant_bound(alpha: float, tri) -> tuple[float, bool]:
     i.e. when perimeter/area alone already certifies the inequality.
     """
     check_coupling("alpha", alpha)
-    params = as_geometry(tri).params
-    bound = alpha * perimeter(params) / params.S
-    lam0 = solve_equilateral(alpha, params.S).lambda0
+    tri = as_geometry(tri)
+    bound = alpha * tri.perimeter / tri.S
+    lam0 = solve_equilateral(alpha, tri.S).lambda0
     return bound, strictly_below(bound, lam0)
 
 
@@ -195,7 +188,7 @@ def sector_bound(alpha: float, tri, anchor_vertex: int | None = None) -> tuple[f
     _check_angle(theta)
     rate = alpha / math.sin(0.5 * theta)
     apex, k = np.asarray(apex), 2.0 * rate * np.asarray(bisector)
-    l2 = 2.0 * tri.params.S * _exp_divided_difference(*((verts - apex) @ k).tolist())
+    l2 = 2.0 * tri.S * _exp_divided_difference(*((verts - apex) @ k).tolist())
 
     def square(pts: np.ndarray) -> np.ndarray:
         return np.exp((pts - apex) @ k)
@@ -225,7 +218,7 @@ def sector_condition(alpha: float, tri) -> bool:
     if tri.theta_star >= math.pi / 3.0 - 1e-12:
         raise DomainError("sector condition is undefined for the equilateral triangle")
     closed = sector_closed_upper(alpha, tri.theta_star, tri.L_prime)
-    lower = lambda0_lower_bound(alpha, tri.params.S)
+    lower = lambda0_lower_bound(alpha, tri.S)
     return strictly_below(closed, lower)
 
 
@@ -238,10 +231,10 @@ def small_coupling_functions(alpha: float, tri) -> tuple[float, float, float]:
     equivalent to delta_transplant <= 0.  z is NaN at the equilateral shape
     where both excesses vanish.
     """
-    params = as_geometry(tri).params
-    f1 = sum(edge_stretch_weights(params))
-    coef = shape_coefficient(params)
+    tri = as_geometry(tri)
+    f1 = sum(edge_stretch_weights(tri))
+    coef = shape_coefficient(tri)
     z = (f1 - 3.0) / coef if coef > 1e-14 else float("nan")
-    b, grad_sq = _normalised_ground_state(alpha, params.S)
+    b, grad_sq = _normalised_ground_state(alpha, tri.S)
     g1 = 3.0 * grad_sq / (-2.0 * alpha * b)
     return z, f1, g1

@@ -32,8 +32,8 @@ def transported_form(alpha, tri, field):
     boundary:  alpha * sum_k (side stretch weight_k) * ||psi||^2 on side k
     both over the equilateral reference of the same area, as is l2.
     """
-    params = as_geometry(tri).params
-    verts = reference_vertices(params.S)
+    tri = as_geometry(tri)
+    verts = reference_vertices(tri.S)
 
     def moments(pts):
         vals, grads = field(pts)
@@ -41,9 +41,9 @@ def transported_form(alpha, tri, field):
         return np.column_stack([gx**2, gy**2, gx * gy, vals**2])
 
     A1, A2, A12, l2 = _quad.triangle_integrate(moments, verts, n=8, tol=1e-12)
-    g11, g12, g22 = inverse_metric(params)
+    g11, g12, g22 = inverse_metric(tri)
     sides = side_integrals(lambda p: field(p)[0] ** 2, verts, n=10, tol=1e-12)
-    boundary = sum(w * e for w, e in zip(edge_stretch_weights(params), sides))
+    boundary = sum(w * e for w, e in zip(edge_stretch_weights(tri), sides))
     return float(g11 * A1 + 2.0 * g12 * A12 + g22 * A2), alpha * boundary, float(l2)
 
 

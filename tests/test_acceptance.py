@@ -35,7 +35,7 @@ class TestClosedFormAgainstFem:
         for S in (S_THIRD, 1.0):
             for alpha in (-0.5, -1.0, -4.0):
                 res = r.eigenvalue_converged(
-                    r.equilateral_params(S), alpha, rel_tol=1e-6, max_level=7
+                    r.make_triangle(0.0, r.c0(S), S), alpha, rel_tol=1e-6, max_level=7
                 )
                 lam0 = r.lambda0(alpha, S)
                 rel = abs(res.lambda1 - lam0) / abs(lam0)
@@ -202,14 +202,14 @@ class TestInvariantBundle:
             tri = r.make_triangle(
                 float(rng.uniform(-1.5, 1.5)), float(rng.uniform(0.4, 1.5)), S_THIRD
             )
-            params, verts = tri.params, tri.vertex_array()
-            a, b, c, S = params.a, params.b, params.c, params.S
+            verts = tri.vertex_array()
+            a, b, c, S = tri.a, tri.b, tri.c, tri.S
             # inverse of the affine map [[c/c0, a/b0], [0, b/b0]] onto Omega_{a,c}
             inv = np.array([[b / r.b0(S), -a / r.b0(S)], [0.0, c / r.c0(S)]])
             skew = r.make_triangle(0.5, 0.8 * r.c0(S), S)
             for psi in (ground_state(r.solve_equilateral(alpha, S)),
                         corner_exponential(skew, alpha)[1]):
-                hat = transported_form(alpha, params, psi)
+                hat = transported_form(alpha, tri, psi)
 
                 def moments(pts):
                     vals, grads = psi(pts @ inv.T)

@@ -203,6 +203,30 @@ class TestScan:
         assert [(c.output_path, c.emit_svg, c.anchor_left) for c in seen] == [
             (out_path, True, True), (out_path, True, True), ("scan.csv", False, False)]
 
+    def test_gcurve_default_axis_is_the_same_on_every_path(self, capsys, tmp_path):
+        """ScanConfig resolves the unset t axis itself, so the flag run, a config
+        file holding only the mode and a Python run write the same bytes."""
+        flag, conf, py = (tmp_path / name for name in ("flag.csv", "conf.csv", "py.csv"))
+        cfg_file = tmp_path / "g.cfg"
+        cfg_file.write_text("mode = g-curve\n")
+        assert run(capsys, ["scan", "--mode", "g-curve", "--out", str(flag)])[0] == EXIT_OK
+        assert run(capsys, ["scan", "--config", str(cfg_file), "--out", str(conf)])[0] == EXIT_OK
+        scan.run_scan(scan.ScanConfig(mode="g-curve", output_path=str(py)))
+        assert flag.read_bytes() == conf.read_bytes() == py.read_bytes()
+        assert "# a_range = 0.050000000000000003,0.995,95" in flag.read_text().splitlines()
+
+    def test_svg_over_the_csv_is_a_usage_error(self, capsys, monkeypatch, tmp_path):
+        """--out X.svg --svg would write the CSV and then the heatmap over it:
+        refused before any cell runs, and nothing is written."""
+        calls = []
+        monkeypatch.setattr(scan, "_cell_constant", lambda task, **_: calls.append(task))
+        out_path = tmp_path / "heat.svg"
+        code, out, err = run(capsys, ["scan", "--mode", "constant-region",
+                                      "--out", str(out_path), "--svg"])
+        assert code == EXIT_USAGE
+        assert "would overwrite the CSV" in err and out == ""
+        assert not calls and not out_path.exists()
+
     def test_svg_flag_writes_image(self, capsys, tmp_path):
         out_path = tmp_path / "g.csv"
         code, _, _ = run(

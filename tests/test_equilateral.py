@@ -25,7 +25,7 @@ from robintri.equilateral import (
     solve_equilateral,
 )
 from robintri.errors import DomainError, NumericError
-from robintri.geometry import b0, c0, equilateral_params, perimeter, perimeter_min_over_a
+from robintri.geometry import b0, c0, make_triangle, perimeter_min_over_a
 from robintri.trial import lambda0_lower_bound
 
 SQRT3 = math.sqrt(3.0)
@@ -112,7 +112,7 @@ class TestSolver:
         scale = math.sqrt(SQRT3 * S)
         for beta in np.geomspace(1e-300, 1e-20, 200):
             alpha = -float(beta) / scale
-            expected = alpha * perimeter(equilateral_params(S)) / S
+            expected = alpha * make_triangle(0.0, c0(S), S).perimeter / S
             assert abs(lambda0(alpha, S) - expected) <= 1e-15 * abs(expected), beta
 
     def test_one_newton_loop_is_short(self, monkeypatch):
@@ -374,7 +374,7 @@ class TestQuadratureHelpers:
     lambda S: perimeter_min_over_a(1.0, S),
 ], ids=["lambda0_lower_bound", "local_optimality_alpha_bound", "perimeter_min_over_a"])
 def test_closed_forms_refuse_an_infinite_area(call):
-    """solve_equilateral and TriangleParams refuse an infinite area; so does
+    """solve_equilateral and make_triangle refuse an infinite area; so does
     every closed form that takes one."""
     with pytest.raises(DomainError):
         call(math.inf)

@@ -36,7 +36,7 @@ from robintri.fem import (
     solve_at_level,
     walk_levels,
 )
-from robintri.geometry import c0, equilateral_params, make_triangle
+from robintri.geometry import c0, make_triangle
 
 S_THIRD = 1.0 / math.sqrt(3.0)
 
@@ -176,7 +176,7 @@ class TestAssembly:
             scale = float(np.abs(system.stiffness.data).max())
             assert abs(quad_k) < 1e-12 * scale
             assert abs(quad_b - tri.perimeter) < 1e-12 * tri.perimeter
-            assert abs(quad_m - tri.params.S) < 1e-12 * tri.params.S
+            assert abs(quad_m - tri.S) < 1e-12 * tri.S
             form = quad_k + alpha * quad_b
             assert abs(form - alpha * tri.perimeter) < 1e-10 * abs(alpha * tri.perimeter)
 
@@ -583,7 +583,7 @@ class TestConvergence:
     def test_equilateral_history_is_monotone_upper_bounds(self):
         """Nested P1 spaces give a non-increasing eigenvalue ladder above lambda0."""
         lam0 = lambda0(-1.0, S_THIRD)
-        res = eigenvalue_converged(equilateral_params(S_THIRD), -1.0, rel_tol=1e-6)
+        res = eigenvalue_converged(make_triangle(0.0, c0(S_THIRD), S_THIRD), -1.0, rel_tol=1e-6)
         assert res.converged
         hist = np.array(res.history)
         assert np.all(np.diff(hist) <= 1e-12 * np.abs(hist[:-1]))
@@ -704,7 +704,7 @@ class TestConvergence:
     def test_needs_two_levels(self):
         for max_level in (-1, 2, 3):
             with pytest.raises(DomainError, match="max_level"):
-                eigenvalue_converged(equilateral_params(1.0), -1.0, max_level=max_level)
+                eigenvalue_converged(make_triangle(0.0, c0(1.0), 1.0), -1.0, max_level=max_level)
 
 
 class TestShapeDerivatives:

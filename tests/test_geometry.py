@@ -7,15 +7,12 @@ import pytest
 
 from robintri.errors import DomainError
 from robintri.geometry import (
-    TriangleParams,
     b0,
     c0,
     corner,
-    equilateral_params,
     edge_stretch_weights,
     inverse_metric,
     make_triangle,
-    perimeter,
     perimeter_min_over_a,
     perimeter_normalizer,
 )
@@ -37,25 +34,25 @@ class TestParams:
         for S in (0.25, 1.0 / SQRT3, 1.0, 7.3):
             assert abs(SQRT3 * c0(S) ** 2 - S) < 1e-14 * S
             assert abs(b0(S) * c0(S) - S) < 1e-14 * S
-            eq = equilateral_params(S)
+            eq = make_triangle(0.0, c0(S), S)
             assert eq.a == 0.0
             assert abs(eq.b - b0(S)) < 1e-14 * b0(S)
 
     def test_apex_height(self):
-        p = TriangleParams(0.4, 2.0, 3.0)
+        p = make_triangle(0.4, 2.0, 3.0)
         assert abs(p.b - 1.5) < 1e-15
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(DomainError):
-            TriangleParams(0.0, 0.0, 1.0)
+            make_triangle(0.0, 0.0, 1.0)
         with pytest.raises(DomainError):
-            TriangleParams(0.0, -1.0, 1.0)
+            make_triangle(0.0, -1.0, 1.0)
         with pytest.raises(DomainError):
-            TriangleParams(0.0, 1.0, 0.0)
+            make_triangle(0.0, 1.0, 0.0)
         with pytest.raises(DomainError):
-            TriangleParams(math.inf, 1.0, 1.0)
+            make_triangle(math.inf, 1.0, 1.0)
         with pytest.raises(DomainError):
-            TriangleParams(math.nan, 1.0, 1.0)
+            make_triangle(math.nan, 1.0, 1.0)
 
 
 class TestMakeTriangle:
@@ -75,18 +72,19 @@ class TestMakeTriangle:
     def test_angles_sum_to_pi(self, rng):
         for _ in range(50):
             tri = make_triangle(rng.uniform(-4, 4), rng.uniform(0.1, 4), rng.uniform(0.2, 5))
-            assert abs(sum(tri.angles) - math.pi) < 1e-12
+            angles = [corner(tri.vertex_array(), tri.side_lengths, i)[0] for i in range(3)]
+            assert abs(sum(angles) - math.pi) < 1e-12
 
     def test_perimeter_matches_sides(self, rng):
         for _ in range(30):
             tri = make_triangle(rng.uniform(-3, 3), rng.uniform(0.2, 3), rng.uniform(0.3, 3))
             assert abs(tri.perimeter - sum(tri.side_lengths)) < 1e-12 * tri.perimeter
-            assert abs(tri.perimeter - perimeter(tri.params)) < 1e-12 * tri.perimeter
-            assert perimeter(tri.params) == sum(tri.side_lengths)
+            assert tri.perimeter == sum(tri.side_lengths)
 
     def test_theta_star_is_clamped_smallest_angle(self):
         tri = make_triangle(2.5, 0.7, 0.9)
-        assert abs(tri.theta_star - min(tri.angles)) < 1e-15
+        angles = [corner(tri.vertex_array(), tri.side_lengths, i)[0] for i in range(3)]
+        assert abs(tri.theta_star - min(angles)) < 1e-15
         eq = make_triangle(0.0, c0(1.0), 1.0)
         assert eq.theta_star <= math.pi / 3.0 + 1e-15
 
@@ -106,7 +104,7 @@ class TestMakeTriangle:
         assert abs(np.linalg.norm(bis) - 1.0) < 1e-12
         # a short step along the bisector stays inside the triangle
         inside = np.asarray(apex) + 1e-3 * bis
-        assert shoelace([tri.vertices[0], tri.vertices[1], inside]) < tri.params.S
+        assert shoelace([tri.vertices[0], tri.vertices[1], inside]) < tri.S
 
     def test_overflowing_side_products_are_a_domain_error(self):
         """At a = 1e200 the side vectors' dot product overflows: a typed error,
@@ -131,13 +129,15 @@ class TestMakeTriangle:
             assert abs(t1.theta_star - t2.theta_star) < 1e-12
 
     def test_apex_data_is_the_corner_at_the_apex(self, rng):
-        """Angles, L' and the apex come from the one corner function, bitwise;
-        the bisector sector_bound reads there is a unit vector."""
+        """The apex index, theta*, L' and the apex come from the one corner
+        function, bitwise; the bisector sector_bound reads there is a unit vector."""
         for _ in range(200):
             tri = make_triangle(rng.uniform(-3.0, 3.0), rng.uniform(0.2, 2.0), rng.uniform(0.3, 2.0))
             verts = tri.vertex_array()
             corners = [corner(verts, tri.side_lengths, i) for i in range(3)]
-            assert tuple(cn[0] for cn in corners) == tri.angles
+            angles = [cn[0] for cn in corners]
+            assert tri.apex_index == int(np.argmin(angles))
+            assert tri.theta_star == min(angles[tri.apex_index], math.pi / 3.0)
             _, l_prime, vertex, bis = corners[tri.apex_index]
             assert (l_prime, vertex) == (tri.L_prime, tri.vertices[tri.apex_index])
             assert abs(math.hypot(*bis) - 1.0) < 1e-14
@@ -150,9 +150,9 @@ class TestPerimeter:
             c = rng.uniform(0.2, 3.0)
             S = rng.uniform(0.3, 3.0)
             base = perimeter_min_over_a(c, S)
-            assert abs(perimeter(TriangleParams(0.0, c, S)) - base) < 1e-12 * base
+            assert abs(make_triangle(0.0, c, S).perimeter - base) < 1e-12 * base
             for a in rng.uniform(-3.0, 3.0, size=8):
-                assert perimeter(TriangleParams(a, c, S)) >= base - 1e-12 * base
+                assert make_triangle(a, c, S).perimeter >= base - 1e-12 * base
 
     def test_rejects_nonpositive_arguments(self):
         with pytest.raises(DomainError):
@@ -178,10 +178,10 @@ class TestPerimeter:
                 assert abs(scaled.perimeter - 6.0 * c0(S)) < 1e-10
 
 
-def _affine_matrix(params):
+def _affine_matrix(tri):
     """M = [[c/c0, a/b0], [0, b/b0]], the map from the reference onto Omega_{a,c}."""
-    S = params.S
-    return np.array([[params.c / c0(S), params.a / b0(S)], [0.0, params.b / b0(S)]])
+    S = tri.S
+    return np.array([[tri.c / c0(S), tri.a / b0(S)], [0.0, tri.b / b0(S)]])
 
 
 class TestInverseMetric:
@@ -190,38 +190,38 @@ class TestInverseMetric:
         those of make_triangle(a, c, S), label by label."""
         for _ in range(25):
             a, c, S = rng.uniform(-3, 3), rng.uniform(0.2, 3), rng.uniform(0.3, 3)
-            m = _affine_matrix(TriangleParams(a, c, S))
+            m = _affine_matrix(make_triangle(a, c, S))
             ref = make_triangle(0.0, c0(S), S).vertex_array()
             assert np.allclose(ref @ m.T, make_triangle(a, c, S).vertex_array(), atol=1e-12)
 
     def test_determinant_one(self, rng):
         """M preserves area, so M^T M and its inverse both have determinant one."""
         for _ in range(25):
-            params = TriangleParams(rng.uniform(-3, 3), rng.uniform(0.2, 3), rng.uniform(0.3, 3))
-            assert abs(np.linalg.det(_affine_matrix(params)) - 1.0) < 1e-12
-            g11, g12, g22 = inverse_metric(params)
+            tri = make_triangle(rng.uniform(-3, 3), rng.uniform(0.2, 3), rng.uniform(0.3, 3))
+            assert abs(np.linalg.det(_affine_matrix(tri)) - 1.0) < 1e-12
+            g11, g12, g22 = inverse_metric(tri)
             assert abs(g11 * g22 - g12 * g12 - 1.0) < 1e-10 * g11 * g22
 
     def test_inverts_the_metric_of_the_affine_map(self, rng):
         """inverse_metric is the exact inverse of M^T M, and its trace minus 2
         is the shape coefficient."""
         for _ in range(25):
-            params = TriangleParams(rng.uniform(-3, 3), rng.uniform(0.2, 3), rng.uniform(0.3, 3))
-            m = _affine_matrix(params)
-            g11, g12, g22 = inverse_metric(params)
+            tri = make_triangle(rng.uniform(-3, 3), rng.uniform(0.2, 3), rng.uniform(0.3, 3))
+            m = _affine_matrix(tri)
+            g11, g12, g22 = inverse_metric(tri)
             assert np.allclose(m.T @ m @ [[g11, g12], [g12, g22]], np.eye(2), atol=1e-10)
-            assert shape_coefficient(params) == g11 + g22 - 2.0
+            assert shape_coefficient(tri) == g11 + g22 - 2.0
 
 
 class TestEdgeWeights:
     def test_equilateral_weights_are_unity(self):
-        w = edge_stretch_weights(equilateral_params(2.0))
+        w = edge_stretch_weights(make_triangle(0.0, c0(2.0), 2.0))
         assert np.allclose(w, [1.0, 1.0, 1.0], atol=1e-12)
 
     def test_sum_identity(self, rng):
         """The weights sum to sqrt(sqrt(3)/S) * perimeter / 2."""
         for _ in range(25):
-            params = TriangleParams(rng.uniform(-3, 3), rng.uniform(0.2, 3), rng.uniform(0.3, 3))
-            w = edge_stretch_weights(params)
-            expected = math.sqrt(SQRT3 / params.S) * perimeter(params) / 2.0
+            tri = make_triangle(rng.uniform(-3, 3), rng.uniform(0.2, 3), rng.uniform(0.3, 3))
+            w = edge_stretch_weights(tri)
+            expected = math.sqrt(SQRT3 / tri.S) * tri.perimeter / 2.0
             assert abs(sum(w) - expected) < 1e-12 * expected

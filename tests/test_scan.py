@@ -164,6 +164,28 @@ class TestScanConfig:
                                                     a_range=(0.0, 1.0, 60)))
         assert whole["a_range"] == "0,1,60"
 
+    def test_unset_a_range_resolves_per_mode(self):
+        """g-curve's t axis spans the sign change of g; the (a, alpha) modes grid
+        a over [0, 5]; a mode that reads no a_range keeps it unset."""
+        assert ScanConfig(mode="g-curve").a_range == (0.05, 0.995, 95)
+        assert ScanConfig(mode="transplant-region").a_range == (0.0, 5.0, 60)
+        assert ScanConfig(mode="fem-conjecture", c_range=(0.5, 1.0, 2)).a_range == (0.0, 5.0, 60)
+        assert ScanConfig(mode="monotonicity").a_range is None
+        assert ScanConfig(mode="g-curve", a_range=(0.5, 0.6, 3)).a_range == (0.5, 0.6, 3)
+
+    def test_svg_may_not_overwrite_the_csv(self, tmp_path, monkeypatch):
+        """run_scan writes the heatmap to svg_path; an output_path that is
+        already that path is refused before any cell runs."""
+        calls = []
+        monkeypatch.setattr(scan, "_cell_constant", lambda task, **_: calls.append(task))
+        for path in ("heat.svg", str(tmp_path / "heat.svg")):
+            with pytest.raises(DomainError, match="would overwrite the CSV"):
+                run_scan(ScanConfig(mode="constant-region", output_path=path, emit_svg=True))
+        assert not calls and not (tmp_path / "heat.svg").exists()
+        # without the heatmap the CSV may take any name
+        assert ScanConfig(mode="constant-region", output_path="heat.svg").svg_path == "heat.svg"
+        assert ScanConfig(mode="g-curve", output_path="out/g.csv").svg_path == "out/g.svg"
+
     def test_resolved_c_defaults_to_equilateral(self):
         cfg = ScanConfig(mode="transplant-region")
         assert abs(cfg.resolved_c() - c0(cfg.S)) < 1e-15
@@ -216,10 +238,18 @@ class TestParseConfig:
     @pytest.mark.parametrize("line,text", [("anchor_left = maybe", "must be true/false"),
                                            ("c_range = 0.5, 1.5", "needs 'lo,hi,n'"),
                                            ("S = big", "bad S"),
+                                           # the range rule's text, not a parse error
+                                           ("c_range = 0.5, 1.5, 2.5", "must be a whole number"),
+                                           ("c_range = 0.5, 1.5, nan", "must be a whole number"),
                                            ("version = 1", "unknown config key")])
     def test_error_texts(self, tmp_path, line, text):
         with pytest.raises(DomainError, match=text):
             parse_config(self._write(tmp_path, f"mode = fem-conjecture\n{line}\n"))
+
+    def test_whole_point_count_reads_as_int_in_any_spelling(self, tmp_path):
+        cfg = parse_config(self._write(tmp_path, "mode = constant-region\na_range = 0, 1, 60.0\n"))
+        assert cfg.a_range == (0.0, 1.0, 60) and type(cfg.a_range[2]) is int
+        assert scan._provenance(cfg)["a_range"] == "0,1,60"
 
     def test_unknown_key_rejected(self, tmp_path):
         path = self._write(tmp_path, "mode = g-curve\nmesh_budget = 12\n")
@@ -438,7 +468,7 @@ class TestFemModes:
     def test_unconverged_ladders_mark_the_monotone_row(self, monkeypatch):
         """The verdict stays the comparison's; the status says a ladder hit its cap."""
         def capped(tri, alpha, rel_tol):
-            return EigenResult(lambda1=lambda0(alpha, tri.params.S), eigenvector=None,
+            return EigenResult(lambda1=lambda0(alpha, tri.S), eigenvector=None,
                                iterations=0, residual=1e-9, converged=False)
 
         monkeypatch.setattr(scan, "eigenvalue_converged", capped)
@@ -575,6 +605,7 @@ class TestOutputs:
         run_scan(cfg)
         assert out.exists()
         assert out.with_suffix(".svg").exists()
+        assert cfg.svg_path == str(out.with_suffix(".svg"))
 
 
 class TestModeList:
@@ -958,22 +989,31 @@ class TestFailurePath:
                 soundness_sweep([-2.0], [1.0], c=c, S=S_THIRD)
         assert not calls
 
-    @pytest.mark.parametrize("call,cell", [
-        (lambda v: _single_coupling_scan("local-optimality", v), "_cell_local"),
-        (lambda v: verify_perimeter_variant(v, S_THIRD, [0.0], [0.5]), "_cell_perimeter"),
-        (lambda v: _single_coupling_scan("monotonicity", v), "_cell_monotone"),
-        (lambda v: soundness_sweep([-0.5, v], [0.5], c=S_THIRD, S=S_THIRD), "_soundness_cell"),
-        (lambda v: verify_perimeter_variant(-0.5, S_THIRD, [0.0, v], [0.5]), "_cell_perimeter"),
-        (lambda v: verify_perimeter_variant(-0.5, S_THIRD, [0.0], [0.5, v]), "_cell_perimeter"),
-        (lambda v: soundness_sweep([-0.5], [0.5, v], c=S_THIRD, S=S_THIRD), "_soundness_cell"),
+    _NON_FINITE = ((math.nan, math.inf, -math.inf), "must be finite")
+
+    @pytest.mark.parametrize("call,cell,bad", [
+        (lambda v: _single_coupling_scan("local-optimality", v), "_cell_local", _NON_FINITE),
+        (lambda v: verify_perimeter_variant(v, S_THIRD, [0.0], [0.5]), "_cell_perimeter",
+         _NON_FINITE),
+        (lambda v: _single_coupling_scan("monotonicity", v), "_cell_monotone", _NON_FINITE),
+        (lambda v: soundness_sweep([-0.5, v], [0.5], c=S_THIRD, S=S_THIRD), "_soundness_cell",
+         _NON_FINITE),
+        (lambda v: verify_perimeter_variant(-0.5, S_THIRD, [0.0, v], [0.5]), "_cell_perimeter",
+         _NON_FINITE),
+        # c is a length: soundness_sweep and ScanConfig.c_range refuse the same values
+        (lambda v: verify_perimeter_variant(-0.5, S_THIRD, [0.0], [0.5, v]), "_cell_perimeter",
+         ((math.nan, math.inf, -math.inf, -1.0, 0.0), "c values must be positive and finite")),
+        (lambda v: soundness_sweep([-0.5], [0.5, v], c=S_THIRD, S=S_THIRD), "_soundness_cell",
+         _NON_FINITE),
     ], ids=["local", "perimeter", "monotone", "soundness",
             "perimeter-a", "perimeter-c", "soundness-a"])
     def test_helpers_refuse_a_non_finite_coupling_or_grid_value_before_any_cell(
-            self, call, cell, monkeypatch):
+            self, call, cell, bad, monkeypatch):
         calls = []
         monkeypatch.setattr(scan, cell, lambda task, **_: calls.append(task))
-        for value in (math.nan, math.inf, -math.inf):
-            with pytest.raises(DomainError, match="must be finite"):
+        values, text = bad
+        for value in values:
+            with pytest.raises(DomainError, match=text):
                 call(value)
         assert not calls
 

@@ -11,7 +11,7 @@ from oracles import constant, corner_exponential, ground_state, side_integrals, 
 from robintri import _quad
 from robintri.equilateral import lambda0, solve_equilateral
 from robintri.errors import DomainError, NumericError
-from robintri.geometry import TriangleParams, c0, corner, equilateral_params, make_triangle
+from robintri.geometry import c0, corner, make_triangle
 from robintri.scan import ScanConfig, run_scan
 from robintri.trial import (
     _exp_divided_difference,
@@ -136,7 +136,7 @@ class TestFormHat:
             gradient, boundary, l2 = transported_form(alpha, tri, constant)
             assert abs(gradient) < 1e-12
             assert abs(boundary - alpha * tri.perimeter) < 1e-10 * abs(alpha * tri.perimeter)
-            assert abs(l2 - tri.params.S) < 1e-10 * tri.params.S
+            assert abs(l2 - tri.S) < 1e-10 * tri.S
             bound, _ = constant_bound(alpha, tri)
             assert abs((gradient + boundary) / l2 - bound) < 1e-10 * abs(bound)
 
@@ -145,7 +145,7 @@ class TestFormHat:
         for alpha in (-0.3, -1.0, -4.0):
             sol = solve_equilateral(alpha, S_THIRD)
             gradient, boundary, l2 = transported_form(
-                alpha, equilateral_params(S_THIRD), ground_state(sol))
+                alpha, make_triangle(0.0, c0(S_THIRD), S_THIRD), ground_state(sol))
             assert abs((gradient + boundary) / l2 - sol.lambda0) < 1e-9 * abs(sol.lambda0)
 
 
@@ -158,28 +158,28 @@ class TestTransplant:
             a = float(rng.uniform(-1.5, 1.5))
             c = float(rng.uniform(0.4, 1.6)) * c0(S)
             psi = ground_state(solve_equilateral(alpha, S))
-            raw_shape = sum(transported_form(alpha, TriangleParams(a, c, S), psi)[:2])
-            raw_eq = sum(transported_form(alpha, equilateral_params(S), psi)[:2])
-            delta = delta_transplant(alpha, TriangleParams(a, c, S))
+            raw_shape = sum(transported_form(alpha, make_triangle(a, c, S), psi)[:2])
+            raw_eq = sum(transported_form(alpha, make_triangle(0.0, c0(S), S), psi)[:2])
+            delta = delta_transplant(alpha, make_triangle(a, c, S))
             scale = max(abs(raw_shape), abs(raw_eq), 1e-8)
             assert abs(delta - (raw_shape - raw_eq)) < 1e-8 * scale
 
     def test_zero_at_equilateral(self):
-        assert abs(delta_transplant(-1.0, equilateral_params(0.7))) < 1e-12
+        assert abs(delta_transplant(-1.0, make_triangle(0.0, c0(0.7), 0.7))) < 1e-12
 
     def test_shape_coefficient_positive_off_equilateral(self, rng):
-        assert abs(shape_coefficient(equilateral_params(1.3))) < 1e-14
+        assert abs(shape_coefficient(make_triangle(0.0, c0(1.3), 1.3))) < 1e-14
         for _ in range(20):
             S = float(rng.uniform(0.3, 2.0))
             a = float(rng.uniform(-2, 2))
             c = float(rng.uniform(0.3, 2.0))
-            params = TriangleParams(a, c, S)
+            tri = make_triangle(a, c, S)
             if abs(a) > 0.02 or abs(c - c0(S)) > 0.02:
-                assert shape_coefficient(params) > 0.0
+                assert shape_coefficient(tri) > 0.0
 
     def test_verdict_tracks_sign(self):
         """Weak coupling certifies a moderate shape; strong coupling does not."""
-        tri = TriangleParams(1.0, S_THIRD, S_THIRD)
+        tri = make_triangle(1.0, S_THIRD, S_THIRD)
         delta_weak, ok_weak = transplant_verdict(-0.1, tri)
         assert ok_weak and delta_weak < 0.0
         delta_strong, ok_strong = transplant_verdict(-8.0, tri)
@@ -189,8 +189,8 @@ class TestTransplant:
         for _ in range(10):
             alpha = -float(rng.uniform(0.1, 5.0))
             a = float(rng.uniform(0.1, 2.0))
-            d_plus = delta_transplant(alpha, TriangleParams(a, 0.8, 1.0))
-            d_minus = delta_transplant(alpha, TriangleParams(-a, 0.8, 1.0))
+            d_plus = delta_transplant(alpha, make_triangle(a, 0.8, 1.0))
+            d_minus = delta_transplant(alpha, make_triangle(-a, 0.8, 1.0))
             assert abs(d_plus - d_minus) < 1e-12 * max(1.0, abs(d_plus))
 
     def test_small_coupling_split_consistent(self, rng):
@@ -199,11 +199,11 @@ class TestTransplant:
             alpha = -float(rng.uniform(0.05, 3.0))
             a = float(rng.uniform(-2, 2))
             c = float(rng.uniform(0.4, 1.8)) * c0(1.0)
-            params = TriangleParams(a, c, 1.0)
-            if shape_coefficient(params) < 1e-10:
+            tri = make_triangle(a, c, 1.0)
+            if shape_coefficient(tri) < 1e-10:
                 continue
-            z, f1, g1 = small_coupling_functions(alpha, params)
-            delta = delta_transplant(alpha, params)
+            z, f1, g1 = small_coupling_functions(alpha, tri)
+            delta = delta_transplant(alpha, tri)
             if abs(delta) < 1e-10:
                 continue
             assert (g1 <= z) == (delta <= 0.0)
@@ -212,11 +212,11 @@ class TestTransplant:
 
 class TestConstantBound:
     def test_certifies_weak_coupling_far_shapes(self):
-        bound, ok = constant_bound(-0.05, TriangleParams(2.0, S_THIRD, S_THIRD))
+        bound, ok = constant_bound(-0.05, make_triangle(2.0, S_THIRD, S_THIRD))
         assert ok and bound < lambda0(-0.05, S_THIRD)
 
     def test_never_certifies_equilateral(self):
-        bound, ok = constant_bound(-1.0, equilateral_params(1.0))
+        bound, ok = constant_bound(-1.0, make_triangle(0.0, c0(1.0), 1.0))
         assert not ok
         assert bound > lambda0(-1.0, 1.0)
 
@@ -360,14 +360,8 @@ class TestSectorBound:
         assert not sector_condition(-0.1, tri)
 
     def test_sector_certificates_accept_params(self):
-        """Like every other certificate, both take TriangleParams or TriangleGeometry."""
-        params = TriangleParams(0.5, 0.6, S_THIRD)
-        tri = make_triangle(0.5, 0.6, S_THIRD)
-        for alpha in (-1.0, -8.0):
-            assert sector_bound(alpha, params) == sector_bound(alpha, tri)
-            assert sector_bound(alpha, params, anchor_vertex=0) == sector_bound(
-                alpha, tri, anchor_vertex=0)
-            assert sector_condition(alpha, params) == sector_condition(alpha, tri)
+        """Like every other certificate, sector_bound refuses anything but the
+        record make_triangle builds."""
         with pytest.raises(DomainError):
             sector_bound(-1.0, (0.5, 0.6, S_THIRD))
 
@@ -390,7 +384,7 @@ _ALPHA_ENTRIES = {
     "constant_bound": constant_bound,
     "sector_bound": sector_bound,
     "sector_condition": sector_condition,
-    "lambda0_lower_bound": lambda al, tri: lambda0_lower_bound(al, tri.params.S),
+    "lambda0_lower_bound": lambda al, tri: lambda0_lower_bound(al, tri.S),
     "delta_transplant": delta_transplant,
     "transplant_verdict": transplant_verdict,
     "small_coupling_functions": small_coupling_functions,
