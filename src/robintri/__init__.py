@@ -66,7 +66,6 @@ from .scan import (
     parse_config,
     run_scan,
     soundness_sweep,
-    verify_perimeter_variant,
 )
 
 __all__ = [
@@ -120,6 +119,5 @@ __all__ = [
     "soundness_sweep",
     "strictly_below",
     "transplant_verdict",
-    "verify_perimeter_variant",
     "__version__",
 ]

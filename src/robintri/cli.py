@@ -22,7 +22,7 @@ from .equilateral import solve_equilateral
 from .errors import DomainError, NumericError, ResourceError
 from .fem import assemble, build_mesh, dump_mesh, eigenvalue_converged, mass_residual
 from .geometry import c0, make_triangle
-from .scan import MODES, ScanConfig, parse_config, run_scan, verify_perimeter_variant
+from .scan import MODES, ScanConfig, parse_config, run_scan
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -110,8 +110,9 @@ def _cmd_scan(args) -> int:
         cfg = ScanConfig(**{k: v for k, v in overrides.items() if v is not None})
     result = run_scan(cfg, workers=max(1, args.workers))
     statuses = sorted(Counter(row[-1] for row in result.rows).items())
-    certified = sum(sum(r) for r in result.verdict_grid)
-    cells = sum(len(r) for r in result.verdict_grid)
+    grid = result.verdict_grid
+    certified = sum(sum(r) for r in grid)
+    cells = sum(len(r) for r in grid)
     print(f"mode      = {cfg.mode}")
     print(f"rows      = {len(result.rows)} ({', '.join(f'{s} {n}' for s, n in statuses)})")
     print(f"verdicts  = {certified}/{cells} cells positive")
@@ -130,16 +131,16 @@ def _print_table(result) -> None:
 def _suite_result(suite: str, alpha: float, S: float):
     """The ScanResult of one bundled suite; c0 refuses a bad area before any grid is built.
 
-    perimeter samples unevenly spaced c values, so it lists them; every other
-    suite is a ScanConfig preset at the single coupling alpha, scanned into a
-    temporary directory.
+    Every suite is a ScanConfig preset at the single coupling alpha, scanned
+    into a temporary directory, so robintri scan with the same config gives
+    the same rows.
     """
     cc = c0(S)
-    if suite == "perimeter":
-        return verify_perimeter_variant(alpha, S, [fa * cc for fa in (0.0, 0.2, 0.4)],
-                                        [fc * cc for fc in (0.8, 0.9, 1.0, 1.15, 1.3)])
     preset = {
         "local": {"mode": "local-optimality"},
+        # the scaled chain holds near the equilateral, on both sides of c0
+        "perimeter": {"mode": "perimeter-variant", "a_range": (0.0, 0.4 * cc, 3),
+                      "c_range": (0.8 * cc, 1.3 * cc, 5)},
         "monotone": {"mode": "monotonicity", "fem_rel_tol": 1e-5},
         # eigenvalue never exceeds the equilateral value on a sample grid
         "conjecture": {"mode": "fem-conjecture", "a_range": (0.0, 2.0 * cc, 5),

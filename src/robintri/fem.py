@@ -350,15 +350,14 @@ def _pencil(system: FemSystem) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     return A, M
 
 
-def _power_iterate(lu, A, M, x0, sigma: float):
+def _power_iterate(lu, M, x0, sigma: float):
     """Thick-restart shift-invert Lanczos on the factorisation lu of A - sigma*M.
 
-    Returns the eigenvalue of the pencil (A, M) nearest sigma as a length-1
-    array, its M-normalised eigenvector as the one column of an (n, 1) array,
-    and the number of lu.solve calls.  With sigma certified below the
-    spectrum that is the ground pair: the largest eigenvalue nu of
-    OP = (A - sigma*M)^{-1} M, which is self-adjoint in the M inner product,
-    and lambda = sigma + 1/nu.
+    Returns the eigenvalue of the pencil (A, M) nearest sigma, its
+    M-normalised eigenvector and the number of lu.solve calls.  With sigma
+    certified below the spectrum that is the ground pair: the largest
+    eigenvalue nu of OP = (A - sigma*M)^{-1} M, which is self-adjoint in the
+    M inner product, and lambda = sigma + 1/nu.
 
     The basis holds at most _NCV = 10 M-orthonormal vectors, and only they
     are stored, not M times them, so the loop holds as much as ARPACK does.
@@ -380,8 +379,7 @@ def _power_iterate(lu, A, M, x0, sigma: float):
     vector that is already close, the coarser level's prolongated
     eigenvector, ends the loop early.
     """
-    n = A.shape[0]
-    Q = np.empty((_NCV + 1, n))
+    Q = np.empty((_NCV + 1, len(x0)))
     T = np.zeros((_NCV, _NCV))  # upper triangle: the projection Q M OP Q^T
     p = M @ x0
     norm = math.sqrt(float(x0 @ p))
@@ -409,7 +407,7 @@ def _power_iterate(lu, A, M, x0, sigma: float):
         if not (math.isfinite(beta) and theta[-1] > 0.0):
             raise NumericError(f"shift-invert Lanczos broke down at shift {sigma:g}")
         if beta * abs(s[j, -1]) <= _EPS * theta[-1]:
-            return np.array([sigma + 1.0 / theta[-1]]), (s[:, -1] @ basis)[:, None], solves
+            return sigma + 1.0 / theta[-1], s[:, -1] @ basis, solves
         np.divide(w, beta, out=Q[j + 1])
         p = np.divide(z, beta, out=z)
         j += 1
@@ -495,7 +493,7 @@ def lowest_eigenpair(system: FemSystem, tri, sigma0: float | None = None,
     A, M = _pencil(system)
     n = A.shape[0]
     if n <= _DENSE_NODES:
-        vecs = scipy.linalg.eigh(A.toarray(), M.toarray(), subset_by_index=[0, 0])[1]
+        vec = scipy.linalg.eigh(A.toarray(), M.toarray(), subset_by_index=[0, 0])[1][:, 0]
         solves = 0
     else:
         sigma = sigma0 if sigma0 is not None else (
@@ -533,8 +531,7 @@ def lowest_eigenpair(system: FemSystem, tri, sigma0: float | None = None,
             sigma = 2.0 * sigma - 1.0
         else:
             raise NumericError(f"no shift below the spectrum found (last {sigma:g})")
-        _, vecs, solves = _power_iterate(lu, A, M, x0, sigma)
-    vec = vecs[:, 0]
+        _, vec, solves = _power_iterate(lu, M, x0, sigma)
     if float(vec.sum()) < 0.0:
         vec = -vec
     av, mv = A @ vec, M @ vec

@@ -22,14 +22,14 @@ verdict flag, and a status tag ("ok", "unconverged", "unresolved", "no-claim",
 "domain-error", "numeric-error").  Headers echo only the config fields the mode
 reads and the package version, so identical configs give byte-identical files.
 
-run_scan, verify_perimeter_variant and soundness_sweep, one entry per kind of
-grid (ScanConfig ranges, listed (a, c) values, listed (alpha, a) values), all
-run through one sweep core, _sweep, the only place that builds a ScanResult.
-Each entry point checks its global inputs (ranges, couplings, grid values,
-area, tolerance) by the rules of errors.py before any cell runs, and _sweep
-owns the axis rules (none empty, no value repeated).  _sweep runs every cell
-through one isolation boundary, _isolated: a robintri error becomes a typed
-failure row, and any other exception propagates.
+run_scan and soundness_sweep, one entry per kind of grid (ScanConfig ranges,
+listed (alpha, a) values), both run through one sweep core, _sweep, the only
+place that builds a ScanResult.  Each entry point checks its global inputs
+(ranges, couplings, grid values, area, tolerance) by the rules of errors.py
+before any cell runs, and _sweep owns the axis rules (none empty, no value
+repeated).  _sweep runs every cell through one isolation boundary, _isolated:
+a robintri error becomes a typed failure row, and any other exception
+propagates.
 """
 
 from __future__ import annotations
@@ -104,6 +104,10 @@ _MODE_FIELDS = {
 }
 _READ_BY_EVERY_MODE = ("mode", "output_path", "emit_svg")
 
+# far above the largest grid in use (the 60 x 60 default); a larger product
+# of point counts is refused before np.linspace allocates an axis
+_MAX_CELLS = 10**7
+
 _SQRT3 = math.sqrt(3.0)
 _NAN = float("nan")
 
@@ -148,7 +152,8 @@ class ScanConfig:
     mode that reads it.  c_fixed defaults to the equilateral half-base c0(S)
     when left unset.  A field the mode does not read (see _MODE_FIELDS) must
     keep its default.  emit_svg writes to svg_path, which may not be
-    output_path itself.
+    output_path itself.  A grid of more than _MAX_CELLS cells, the product
+    of the point counts of the ranges the mode reads, raises ResourceError.
     """
 
     mode: str
@@ -181,9 +186,13 @@ class ScanConfig:
             if (f.name not in reads and f.name not in _READ_BY_EVERY_MODE
                     and getattr(self, f.name) != f.default):
                 raise DomainError(f"mode {self.mode} does not read {f.name}; leave it unset")
-        for name, rule in reads.items():
-            if rule is not None:
-                _check_range(name, getattr(self, name), **rule)
+        ranges = [name for name, rule in reads.items() if rule is not None]
+        for name in ranges:
+            _check_range(name, getattr(self, name), **reads[name])
+        counts = [getattr(self, name)[2] for name in ranges]
+        if math.prod(int(n) for n in counts) > _MAX_CELLS:
+            raise ResourceError(f"the {self.mode} grid of {' x '.join('%g' % n for n in counts)}"
+                                f" points exceeds the cap of {_MAX_CELLS} cells")
 
     def resolved_c(self) -> float:
         return self.c_fixed if self.c_fixed is not None else c0(self.S)
@@ -198,8 +207,9 @@ class ScanConfig:
 class ScanResult:
     """In-memory scan outcome: tabular payload plus axes and provenance.
 
-    verdict_grid is row-major over (second axis, first axis); scans with a
-    third (alpha) axis reduce it by logical AND, which the provenance notes.
+    verdict_grid is derived from the rows: row-major over (second axis, first
+    axis); scans with a third (alpha) axis reduce it by logical AND, which the
+    provenance notes.
     """
 
     mode: str
@@ -207,7 +217,6 @@ class ScanResult:
     rows: tuple[tuple, ...]
     axes: dict[str, tuple[float, ...]]
     provenance: dict[str, str]
-    verdict_grid: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         for row in self.rows:
@@ -215,11 +224,24 @@ class ScanResult:
                 raise DomainError(
                     f"row width {len(row)} does not match {len(self.columns)} columns"
                 )
+
+    @property
+    def verdict_grid(self) -> tuple[tuple[int, ...], ...]:
+        """Row verdicts for one axis, else their AND over the first two axes (0 if no row)."""
+        vi = self.columns.index("verdict")
         names = list(self.axes)
-        nx = len(self.axes[names[0]])
-        ny = len(self.axes[names[1]]) if len(names) > 1 else 1
-        if len(self.verdict_grid) != ny or any(len(r) != nx for r in self.verdict_grid):
-            raise DomainError("verdict grid shape does not match the axes")
+        if len(names) == 1:
+            return (tuple(int(r[vi]) for r in self.rows),)
+        xs, ys = self.axes[names[0]], self.axes[names[1]]
+        xi, yi = self.columns.index(names[0]), self.columns.index(names[1])
+        xpos = {v: i for i, v in enumerate(xs)}
+        ypos = {v: i for i, v in enumerate(ys)}
+        cells: dict[tuple[int, int], int] = {}
+        for row in self.rows:
+            key = (ypos[row[yi]], xpos[row[xi]])
+            cells[key] = min(cells.get(key, 1), int(row[vi]))
+        return tuple(tuple(cells.get((iy, ix), 0) for ix in range(len(xs)))
+                     for iy in range(len(ys)))
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +376,6 @@ def _cell_monotone(alpha: float, *, S: float, rel_tol: float) -> tuple:
     return (alpha, *lam0s, *fems, int(ok_closed and ok_fem), status)
 
 
-def _prov(**values) -> dict[str, str]:
-    return {key: _format_cell(v) for key, v in values.items()}
-
-
 def _provenance(cfg: ScanConfig) -> dict[str, str]:
     """Header entries for exactly the config fields the mode reads; c_fixed
     is recorded as the resolved c, a range as 'lo,hi,n'."""
@@ -374,24 +392,6 @@ def _provenance(cfg: ScanConfig) -> dict[str, str]:
         else:
             out[name] = _format_cell(value)
     return out
-
-
-def _verdict_grid(rows, columns, axes) -> tuple[tuple[int, ...], ...]:
-    """Row verdicts for one axis, else their AND over the first two axes (0 if no row)."""
-    vi = columns.index("verdict")
-    names = list(axes)
-    if len(names) == 1:
-        return (tuple(int(r[vi]) for r in rows),)
-    xs, ys = axes[names[0]], axes[names[1]]
-    xi, yi = columns.index(names[0]), columns.index(names[1])
-    xpos = {v: i for i, v in enumerate(xs)}
-    ypos = {v: i for i, v in enumerate(ys)}
-    cells: dict[tuple[int, int], int] = {}
-    for row in rows:
-        key = (ypos[row[yi]], xpos[row[xi]])
-        cells[key] = min(cells.get(key, 1), int(row[vi]))
-    return tuple(tuple(cells.get((iy, ix), 0) for ix in range(len(xs)))
-                 for iy in range(len(ys)))
 
 
 def _sweep(mode: str, fn, tasks, axes: dict[str, tuple[float, ...]],
@@ -420,12 +420,11 @@ def _sweep(mode: str, fn, tasks, axes: dict[str, tuple[float, ...]],
             rows = tuple(pool.map(cell, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
     else:
         rows = tuple(map(cell, tasks))
-    columns = _MODE_COLUMNS[mode]
     prov = {"version": __version__, "mode": mode, **provenance}
     if len(axes) > 2:
         prov["verdict_grid_reduction"] = "and-over-" + "-".join(list(axes)[2:])
-    return ScanResult(mode=mode, columns=columns, rows=rows, axes=axes,
-                      provenance=prov, verdict_grid=_verdict_grid(rows, columns, axes))
+    return ScanResult(mode=mode, columns=_MODE_COLUMNS[mode], rows=rows, axes=axes,
+                      provenance=prov)
 
 
 def _plan(cfg: ScanConfig):
@@ -475,25 +474,6 @@ def run_scan(cfg: ScanConfig, workers: int = 1) -> ScanResult:
     return result
 
 
-def verify_perimeter_variant(alpha: float, S: float, a_values, c_values) -> ScanResult:
-    """Fixed-perimeter comparison on the a-major (a, c) product of the given values.
-
-    Each triangle is shrunk onto the equilateral perimeter, FEM-solved, and
-    chained against the closed forms: scaled eigenvalue <= scaled equilateral
-    value < reference equilateral value.  Margins for both links and their
-    combination are reported per cell.
-    """
-    check_coupling("alpha", alpha)
-    check_area(S)
-    avals = tuple(float(x) for x in a_values)
-    cvals = tuple(float(x) for x in c_values)
-    check_finite("a values", *avals)
-    check_length("c values", *cvals)
-    fn = partial(_cell_perimeter, alpha=alpha, S=S, rel_tol=1e-6)
-    return _sweep("perimeter-variant", fn, [(a, c) for a in avals for c in cvals],
-                  {"a": avals, "c": cvals}, _prov(alpha=alpha, S=S))
-
-
 def soundness_sweep(alpha_values, a_values, c: float, S: float,
                     fem_rel_tol: float = 1e-3) -> ScanResult:
     """Cross-check every certificate against the FEM oracle on an (a, alpha) grid.
@@ -513,8 +493,9 @@ def soundness_sweep(alpha_values, a_values, c: float, S: float,
     check_rel_tol("fem_rel_tol", fem_rel_tol)
     check_length("c", c)
     fn = partial(_soundness_cell, c=c, S=S, rel_tol=fem_rel_tol)
+    prov = {"c": _format_cell(c), "S": _format_cell(S), "fem_rel_tol": _format_cell(fem_rel_tol)}
     return _sweep("soundness", fn, [(al, a) for al in alphas for a in avals],
-                  {"a": avals, "alpha": alphas}, _prov(c=c, S=S, fem_rel_tol=fem_rel_tol))
+                  {"a": avals, "alpha": alphas}, prov)
 
 
 def _raw_upper_bound(tri, alpha: float, rel_tol: float,
@@ -694,6 +675,9 @@ def parse_config(path: str, overrides: dict | None = None) -> ScanConfig:
             text = fh.read()
     except OSError as exc:
         raise DomainError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"config {path} is not UTF-8 text: "
+                          f"{exc.reason} at byte {exc.start}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):

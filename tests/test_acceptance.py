@@ -16,6 +16,7 @@ from oracles import (corner_exponential, ground_state, reference_vertices, side_
 
 import robintri as r
 from robintri import _quad
+from robintri.scan import _cell_perimeter
 
 S_THIRD = 1.0 / math.sqrt(3.0)
 
@@ -294,15 +295,16 @@ class TestInvariantBundle:
         """Perimeter-normalised comparison strictly favours the equilateral
         on a near-equilateral grid at alpha = -0.5."""
         cc = r.c0(S_THIRD)
-        res = r.verify_perimeter_variant(-0.5, S_THIRD, [fa * cc for fa in (0.05, 0.2, 0.4)],
-                                         [fc * cc for fc in (0.85, 0.95, 1.05, 1.2)])
-        for row in res.rows:
+        # unevenly spaced, so the cells are evaluated one by one, not as a range
+        rows = [_cell_perimeter((fa * cc, fc * cc), alpha=-0.5, S=S_THIRD, rel_tol=1e-6)
+                for fa in (0.05, 0.2, 0.4) for fc in (0.85, 0.95, 1.05, 1.2)]
+        for row in rows:
             assert row[-1] == "ok" and row[-2] == 1
             assert row[7] < 0.0  # scaled-triangle link
             assert row[8] < 0.0  # dilation link
             assert row[9] < 0.0  # combined margin
         _report(
             "perimeter-variant-margins",
-            f"all {len(res.rows)} margins negative, worst "
-            f"{max(row[9] for row in res.rows):.2e}",
+            f"all {len(rows)} margins negative, worst "
+            f"{max(row[9] for row in rows):.2e}",
         )

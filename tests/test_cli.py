@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -171,6 +172,20 @@ class TestScan:
         assert code == EXIT_OK
         assert "rows      = 12 (domain-error 3, ok 9)" in out.splitlines()
 
+    @pytest.mark.parametrize("text,code,message", [
+        (b"mode = g-curve\n# \xff\n", EXIT_USAGE, "error: config .* is not UTF-8 text"),
+        (b"mode = g-curve\na_range = 0.1, 0.9, 1e300\n", EXIT_NUMERIC,
+         "numeric failure: the g-curve grid of 1e[+]300 points exceeds the cap"),
+    ], ids=["not-utf8", "past-the-cell-cap"])
+    def test_bad_config_file_exits_with_a_message(self, text, code, message, capsys, tmp_path):
+        """No traceback: a typed refusal, its exit code, and nothing written."""
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_bytes(text)
+        out_path = tmp_path / "x.csv"
+        got, out, err = run(capsys, ["scan", "--config", str(cfg), "--out", str(out_path)])
+        assert got == code and re.match(message, err) and out == ""
+        assert not out_path.exists()
+
     def test_missing_mode_is_usage_error(self, capsys):
         code, _, err = run(capsys, ["scan"])
         assert code == EXIT_USAGE
@@ -245,8 +260,10 @@ class TestVerify:
         assert code == EXIT_OK
         assert out.rstrip().endswith("OK")
 
-    def test_conjecture_suite_leaves_cwd_empty(self, capsys, monkeypatch, tmp_path):
-        """The suite's scan table goes to a temporary directory, not the cwd."""
+    @pytest.mark.parametrize("suite", cli.SUITES)
+    def test_every_suite_leaves_cwd_empty(self, suite, capsys, monkeypatch, tmp_path):
+        """Every suite is a run_scan preset whose table goes to a temporary
+        directory, not the cwd."""
         paths = []
 
         def fake_run_scan(cfg):
@@ -258,7 +275,7 @@ class TestVerify:
 
         monkeypatch.setattr(cli, "run_scan", fake_run_scan)
         assert os.getcwd() == str(tmp_path)
-        code, out, _ = run(capsys, ["verify", "--suite", "conjecture", "--alpha", "-0.5"])
+        code, out, _ = run(capsys, ["verify", "--suite", suite, "--alpha", "-0.5"])
         assert code == EXIT_OK
         assert out.rstrip().endswith("OK")
         assert len(paths) == 1 and not os.path.exists(paths[0])

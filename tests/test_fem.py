@@ -560,7 +560,7 @@ class TestWarmStart:
         assert fine.iterations == counted[-1].calls > 0
         form, mass = _pencil(assemble(build_mesh(tri, 5), -2.0))
         lu = CountingLU(factor(form, mass, -500.0)[0])
-        _, _, solves = fem._power_iterate(lu, form, mass, np.ones(form.shape[0]), -500.0)
+        _, _, solves = fem._power_iterate(lu, mass, np.ones(form.shape[0]), -500.0)
         assert solves == lu.calls > 0
 
     def test_ladders_run_without_arpack(self, monkeypatch):

@@ -12,7 +12,7 @@ import pytest
 import robintri
 from robintri import fem, scan
 from robintri.equilateral import c0, lambda0
-from robintri.errors import DomainError, NumericError
+from robintri.errors import DomainError, NumericError, ResourceError
 from robintri.fem import EigenResult, ShapeDerivatives
 from robintri.geometry import make_triangle
 from robintri.scan import (
@@ -23,7 +23,6 @@ from robintri.scan import (
     parse_config,
     run_scan,
     soundness_sweep,
-    verify_perimeter_variant,
 )
 
 S_THIRD = 1.0 / math.sqrt(3.0)
@@ -32,6 +31,10 @@ S_THIRD = 1.0 / math.sqrt(3.0)
 def _single_coupling_scan(mode: str, alpha: float, S: float = S_THIRD, **fields):
     """run_scan of a mode at the one coupling alpha, as the verify suites preset it."""
     return run_scan(ScanConfig(mode=mode, alpha_range=(alpha, alpha, 1), S=S, **fields))
+
+
+# the smallest perimeter-variant grid: a and c are ranges of at least two points
+_PERIMETER_AXES = {"a_range": (0.0, 0.4, 2), "c_range": (0.5, 0.6, 2)}
 
 
 @pytest.fixture
@@ -164,6 +167,22 @@ class TestScanConfig:
                                                     a_range=(0.0, 1.0, 60)))
         assert whole["a_range"] == "0,1,60"
 
+    def test_grid_cell_count_is_capped(self):
+        """The cap is on the product of the point counts of the ranges the mode
+        reads, and is checked before any axis is built."""
+        cap = scan._MAX_CELLS
+        ScanConfig(mode="transplant-region", alpha_range=(-2.0, -1.0, cap // 1000),
+                   a_range=(0.0, 1.0, 1000))
+        for mode, ranges in [
+            ("transplant-region", {"alpha_range": (-2.0, -1.0, cap // 1000 + 1),
+                                   "a_range": (0.0, 1.0, 1000)}),
+            # 60 default couplings times 500 x 500 (a, c) cells
+            ("fem-conjecture", {"a_range": (0.0, 1.0, 500), "c_range": (0.5, 1.0, 500)}),
+            ("g-curve", {"a_range": (0.1, 0.9, 1e300)}),
+        ]:
+            with pytest.raises(ResourceError, match="points exceeds the cap of 10000000 cells"):
+                ScanConfig(mode=mode, **ranges)
+
     def test_unset_a_range_resolves_per_mode(self):
         """g-curve's t axis spans the sign change of g; the (a, alpha) modes grid
         a over [0, 5]; a mode that reads no a_range keeps it unset."""
@@ -250,6 +269,17 @@ class TestParseConfig:
         cfg = parse_config(self._write(tmp_path, "mode = constant-region\na_range = 0, 1, 60.0\n"))
         assert cfg.a_range == (0.0, 1.0, 60) and type(cfg.a_range[2]) is int
         assert scan._provenance(cfg)["a_range"] == "0,1,60"
+
+    def test_file_that_is_not_utf8_is_refused(self, tmp_path):
+        path = tmp_path / "scan.cfg"
+        path.write_bytes(b"mode = g-curve\n# \xff\n")
+        with pytest.raises(DomainError, match="is not UTF-8 text: invalid start byte at byte 17"):
+            parse_config(str(path))
+
+    def test_grid_past_the_cell_cap_is_refused(self, tmp_path):
+        path = self._write(tmp_path, "mode = g-curve\na_range = 0.1, 0.9, 1e300\n")
+        with pytest.raises(ResourceError, match="g-curve grid of 1e[+]300 points exceeds the cap"):
+            parse_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = self._write(tmp_path, "mode = g-curve\nmesh_budget = 12\n")
@@ -445,7 +475,8 @@ class TestFemModes:
         """Perimeter-normalised comparison splits into two negative links
         away from the equilateral, and both collapse to zero on it."""
         cc = c0(S_THIRD)
-        res = verify_perimeter_variant(-0.5, S_THIRD, [0.0, 0.4], [0.8 * cc, cc])
+        res = _single_coupling_scan("perimeter-variant", -0.5, a_range=(0.0, 0.4, 2),
+                                    c_range=(0.8 * cc, cc, 2))
         assert res.axes == {"a": (0.0, 0.4), "c": (0.8 * cc, cc)}
         assert [row[:2] for row in res.rows] == [
             (0.0, 0.8 * cc), (0.0, cc), (0.4, 0.8 * cc), (0.4, cc)]
@@ -475,37 +506,16 @@ class TestFemModes:
         row = scan._cell_monotone(-0.5, S=S_THIRD, rel_tol=1e-4)
         assert row[-2:] == (1, "unconverged")
 
-    @pytest.mark.parametrize("a_values,c_values,text", [
-        ([0.0, 0.2, 0.0], [1.0], "axis a repeats"),
-        ([0.0], [1.0, 1.1, 1.0], "axis c repeats"),
-        ([], [1.0], "empty"),
-        ([0.0], [], "empty"),
-    ], ids=["repeated-a", "repeated-c", "empty-a", "empty-c"])
-    def test_perimeter_variant_refuses_a_degenerate_axis(self, a_values, c_values, text,
-                                                          monkeypatch):
-        """Two cells on one verdict-grid slot, or no cell at all, are refused
-        before any cell runs."""
-        calls = []
-        monkeypatch.setattr(scan, "_cell_perimeter", lambda task, **_: calls.append(task))
-        with pytest.raises(DomainError, match=text):
-            verify_perimeter_variant(-0.5, S_THIRD, a_values, c_values)
-        assert not calls
-
     @pytest.mark.parametrize("alpha_values,a_values", [([], [0.5]), ([-1.0], [])],
                              ids=["empty-alpha", "empty-a"])
     def test_soundness_refuses_an_empty_axis(self, alpha_values, a_values, monkeypatch):
-        """No cell at all is refused before any cell runs, with the message the
-        perimeter entry gives for its empty axes."""
+        """No cell at all is refused before any cell runs."""
         calls = []
         monkeypatch.setattr(scan, "_soundness_cell", lambda task, **_: calls.append(task))
-        monkeypatch.setattr(scan, "_cell_perimeter", lambda task, **_: calls.append(task))
         with pytest.raises(DomainError) as sound:
             soundness_sweep(alpha_values, a_values, c=S_THIRD, S=S_THIRD)
-        with pytest.raises(DomainError) as perim:
-            verify_perimeter_variant(-0.5, S_THIRD, [], [1.0])
         assert str(sound.value) == (f"empty (a, alpha) grid: a values {tuple(a_values)}, "
                                     f"alpha values {tuple(alpha_values)}")
-        assert str(perim.value) == "empty (a, c) grid: a values (), c values (1.0,)"
         assert not calls
 
     def test_soundness_rejects_a_repeated_axis_value(self, monkeypatch):
@@ -963,7 +973,8 @@ class TestFailurePath:
 
     @pytest.mark.parametrize("call,cell", [
         (lambda S: _single_coupling_scan("local-optimality", -0.5, S), "_cell_local"),
-        (lambda S: verify_perimeter_variant(-0.5, S, [0.0], [0.5]), "_cell_perimeter"),
+        (lambda S: _single_coupling_scan("perimeter-variant", -0.5, S, **_PERIMETER_AXES),
+         "_cell_perimeter"),
         (lambda S: _single_coupling_scan("monotonicity", -0.5, S), "_cell_monotone"),
         (lambda S: soundness_sweep([-0.5], [0.5], c=S_THIRD, S=S), "_soundness_cell"),
     ], ids=["local", "perimeter", "monotone", "soundness"])
@@ -993,16 +1004,18 @@ class TestFailurePath:
 
     @pytest.mark.parametrize("call,cell,bad", [
         (lambda v: _single_coupling_scan("local-optimality", v), "_cell_local", _NON_FINITE),
-        (lambda v: verify_perimeter_variant(v, S_THIRD, [0.0], [0.5]), "_cell_perimeter",
-         _NON_FINITE),
+        (lambda v: _single_coupling_scan("perimeter-variant", v, **_PERIMETER_AXES),
+         "_cell_perimeter", _NON_FINITE),
         (lambda v: _single_coupling_scan("monotonicity", v), "_cell_monotone", _NON_FINITE),
         (lambda v: soundness_sweep([-0.5, v], [0.5], c=S_THIRD, S=S_THIRD), "_soundness_cell",
          _NON_FINITE),
-        (lambda v: verify_perimeter_variant(-0.5, S_THIRD, [0.0, v], [0.5]), "_cell_perimeter",
-         _NON_FINITE),
-        # c is a length: soundness_sweep and ScanConfig.c_range refuse the same values
-        (lambda v: verify_perimeter_variant(-0.5, S_THIRD, [0.0], [0.5, v]), "_cell_perimeter",
-         ((math.nan, math.inf, -math.inf, -1.0, 0.0), "c values must be positive and finite")),
+        (lambda v: _single_coupling_scan("perimeter-variant", -0.5, a_range=(0.0, v, 2),
+                                         c_range=(0.5, 0.6, 2)), "_cell_perimeter", _NON_FINITE),
+        # c is a length: a non-finite endpoint, and a finite one that is not positive
+        (lambda v: _single_coupling_scan("perimeter-variant", -0.5, a_range=(0.0, 0.4, 2),
+                                         c_range=(v, 0.6, 2)), "_cell_perimeter",
+         ((math.nan, math.inf, -math.inf, -1.0, 0.0),
+          r"c_range(: endpoints)? must be (finite|positive and finite)")),
         (lambda v: soundness_sweep([-0.5], [0.5, v], c=S_THIRD, S=S_THIRD), "_soundness_cell",
          _NON_FINITE),
     ], ids=["local", "perimeter", "monotone", "soundness",
