@@ -18,10 +18,10 @@ factorisation returns the ground eigenpair.  A ladder starts that loop from
 the coarser level's ground vector: the lattices are nested, so interpolated
 onto the finer one it is the coarse eigenfunction itself (_prolongate).  On
 both paths the level's value is the Rayleigh quotient of the returned
-vector.  The shifted pencil is arithmetic on the data vectors of the
-one symmetric CSR pattern that assemble gives K, B and M, so no sparse add or
-format conversion runs per level or per shift.  _settle is the one Richardson
-loop of all three ladders: eigenvalue_converged,
+vector.  The shifted pencil is arithmetic on the data vectors of the one
+symmetric CSR pattern that assemble gives A = K + alpha B and M, so no sparse
+add or format conversion runs per level or per shift.  _settle is the one
+Richardson loop of all three ladders: eigenvalue_converged,
 shape_derivatives_at_equilateral and the soundness oracle scan._raw_upper_bound.
 A level's residual in the M^{-1} norm costs a mass-matrix solve that no ladder
 reads, so it is computed only on demand, by mass_residual.
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -40,7 +40,7 @@ from scipy.sparse.linalg import cg, splu
 
 from .errors import (DomainError, NumericError, ResourceError, check_coupling, check_level,
                      check_rel_tol)
-from .geometry import as_geometry, c0, make_triangle
+from .geometry import TriangleGeometry, as_geometry, c0, make_triangle
 
 MAX_LEVEL = 10
 # Meshes up to this many nodes (levels 0 to 4) are solved by dense LAPACK.  One
@@ -59,19 +59,59 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class FemMesh:
-    nodes: np.ndarray          # (N, 2)
-    elements: np.ndarray       # (M, 3) int
-    boundary_edges: np.ndarray  # (E, 2) int, node pairs
-    boundary_labels: np.ndarray  # (E,) int in {0, 1, 2}
+    """The level-`refinement_level` lattice mesh of tri (ResourceError above MAX_LEVEL):
+    the cached lattice's read-only topology arrays, and nodes computed when read,
+    v0 + xi (v1 - v0) + eta (v2 - v0) at the lattice's unit coordinates (xi, eta)."""
+
+    tri: TriangleGeometry
     refinement_level: int
+
+    def __post_init__(self) -> None:
+        level = self.refinement_level
+        as_geometry(self.tri)
+        check_level("refinement level", level)
+        if level > MAX_LEVEL:
+            raise ResourceError(f"refinement level {level} exceeds the cap {MAX_LEVEL} "
+                                f"({(2**level + 1) * (2**level + 2) // 2} nodes)")
+
+    def _image(self, unit: np.ndarray) -> np.ndarray:
+        v = self.tri.vertex_array()
+        return v[0] + unit[:, :1] * (v[1] - v[0]) + unit[:, 1:] * (v[2] - v[0])
+
+    @property
+    def nodes(self) -> np.ndarray:  # (N, 2)
+        return self._image(_lattice(self.refinement_level).unit)
+
+    @property
+    def elements(self) -> np.ndarray:  # (M, 3) int
+        return _lattice(self.refinement_level).elements
+
+    @property
+    def boundary_edges(self) -> np.ndarray:  # (E, 2) int, node pairs
+        return _lattice(self.refinement_level).boundary_edges
+
+    @property
+    def boundary_labels(self) -> np.ndarray:  # (E,) int in {0, 1, 2}
+        return _lattice(self.refinement_level).boundary_labels
 
 
 @dataclass(frozen=True)
 class FemSystem:
-    stiffness: sp.csr_matrix
-    boundary_mass: sp.csr_matrix
+    """A mesh's pencil at coupling alpha: form A = K + alpha B and mass M on one
+    canonical CSR pattern, which construction checks (DomainError otherwise),
+    so a shifted pencil is arithmetic on their data vectors."""
+
+    mesh: FemMesh
+    form: sp.csr_matrix
     mass: sp.csr_matrix
     alpha: float
+
+    def __post_init__(self) -> None:
+        A, M = self.form, self.mass
+        if not (A.format == M.format == "csr" and np.array_equal(A.indptr, M.indptr)
+                and np.array_equal(A.indices, M.indices) and A.has_canonical_format):
+            raise DomainError("form and mass must share one canonical CSR pattern, "
+                              "as assemble's do")
 
 
 @dataclass(frozen=True)
@@ -120,6 +160,10 @@ class _Lattice:
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
         n = len(self.indptr) - 1
         return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=(n, n))
+
+    def form(self, h: np.ndarray, ell: np.ndarray, alpha: float) -> sp.csr_matrix:
+        """sum_j h_j K_j + alpha sum_k l_k B_k, for stiffness weights h and side lengths ell."""
+        return self.matrix(h @ self.stiffness + alpha * (self.sides @ ell))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -212,42 +256,21 @@ def _parents(level: int) -> np.ndarray:
     return _frozen(np.stack([ids((i + 1) // 2, j // 2), ids(i // 2, (j + 1) // 2)]))
 
 
-def _prolongate(u: np.ndarray, n: int) -> np.ndarray:
-    """The P1 function with nodal values u on one lattice level, at the n
-    nodes of the next finer level.  The coarse space is nested in the fine
-    one, so this is the same function, and so are its Rayleigh quotients."""
-    m = (math.isqrt(8 * n + 1) - 3) // 2  # n = (m + 1)(m + 2)/2 nodes, m = 2^level
-    level = m.bit_length() - 1
-    if not (2 <= m == 2**level and len(u) == (m // 2 + 1) * (m // 2 + 2) // 2):
-        raise DomainError(f"a start vector for a mesh of {n} nodes must hold the nodal "
+def _prolongate(u: np.ndarray, level: int) -> np.ndarray:
+    """The P1 function with nodal values u on lattice level `level - 1`, at the
+    nodes of level `level`.  The coarse space is nested in the fine one, so
+    this is the same function, and so are its Rayleigh quotients."""
+    m = 2 ** (level - 1)
+    if len(u) != (m + 1) * (m + 2) // 2:
+        raise DomainError(f"a start vector for a level-{level} mesh must hold the nodal "
                           f"values of the next coarser lattice level, got {len(u)} values")
     parent = _parents(level)
     return 0.5 * (u[parent[0]] + u[parent[1]])
 
 
 def build_mesh(tri, level: int) -> FemMesh:
-    """Structured level-`level` mesh; raises ResourceError above MAX_LEVEL.
-
-    The topology arrays are the cached lattice's own (read-only); the nodes
-    are its unit coordinates mapped to v0 + xi (v1 - v0) + eta (v2 - v0).
-    """
-    geom = as_geometry(tri)
-    check_level("refinement level", level)
-    if level > MAX_LEVEL:
-        raise ResourceError(
-            f"refinement level {level} exceeds the cap {MAX_LEVEL} "
-            f"({(2**level + 1) * (2**level + 2) // 2} nodes)"
-        )
-    lat = _lattice(level)
-    v = geom.vertex_array()
-    nodes = v[0] + lat.unit[:, :1] * (v[1] - v[0]) + lat.unit[:, 1:] * (v[2] - v[0])
-    return FemMesh(
-        nodes=nodes,
-        elements=lat.elements,
-        boundary_edges=lat.boundary_edges,
-        boundary_labels=lat.boundary_labels,
-        refinement_level=level,
-    )
+    """Structured level-`level` mesh of tri (FemMesh); raises ResourceError above MAX_LEVEL."""
+    return FemMesh(tri, level)
 
 
 def dump_mesh(mesh: FemMesh, path: str) -> None:
@@ -299,55 +322,24 @@ def _weights(jet: np.ndarray, det: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def assemble(mesh: FemMesh, alpha: float) -> FemSystem:
-    """Stiffness, boundary mass and mass (CSR, one shared pattern) of a lattice mesh:
-    K = H11 K_xixi + H12 (K_xieta + K_etaxi) + H22 K_etaeta, M = |det J| M_lat and
-    B = sum_k l_k B_k, with J = [v1 - v0, v2 - v0] and the side lengths l_k read
-    from the corner nodes (lattice ids 0, 2^level and the last node).  A mesh whose
-    topology is not the lattice's, or whose nodes are not its image, raises DomainError.
+    """The pencil of a lattice mesh at coupling alpha (CSR, one shared pattern):
+    A = K + alpha B with K = H11 K_xixi + H12 (K_xieta + K_etaxi) + H22 K_etaeta
+    and B = sum_k l_k B_k, and M = |det J| M_lat, with J = [v1 - v0, v2 - v0] and
+    the side lengths l_k read from the mesh's corner nodes (lattice ids 0,
+    2^level and the last node).  A degenerate triangle raises NumericError.
     """
     check_coupling("alpha", alpha)
-    level = mesh.refinement_level
-    lat = _lattice(level) if 0 <= level <= MAX_LEVEL else None
-    if lat is None or len(mesh.nodes) != len(lat.unit) or not all(
-            np.array_equal(getattr(mesh, f), getattr(lat, f))
-            for f in ("elements", "boundary_edges", "boundary_labels")):
-        raise DomainError(f"mesh topology is not that of the level-{level} lattice; "
-                          "assemble only meshes from build_mesh")
-    v0, v1, v2 = mesh.nodes[[0, 2**level, -1]]
+    alpha, level = float(alpha), mesh.refinement_level
+    lat = _lattice(level)
+    v0, v1, v2 = mesh._image(lat.unit[[0, 2**level, -1]])
     e1, e2 = v1 - v0, v2 - v0
-    if np.abs(v0 + lat.unit @ np.stack([e1, e2]) - mesh.nodes).max() > (
-            1e-12 * np.abs(mesh.nodes).max()):
-        raise DomainError("mesh nodes are not an affine image of the lattice")
     det = abs(float(e1[0] * e2[1] - e1[1] * e2[0]))
     if not det > 1e-14 * float(e1 @ e1 + e2 @ e2):
         raise NumericError(f"degenerate triangle: |det J| = {det:g}")
     jet = np.zeros((6, 4))
     jet[0] = (e1 @ e1, e2 @ e2, (e2 - e1) @ (e2 - e1), e1 @ e2)
     h, ell = _weights(jet, det)
-    return FemSystem(
-        stiffness=lat.matrix(h[0] @ lat.stiffness),
-        boundary_mass=lat.matrix(lat.sides @ ell[0]),
-        mass=lat.matrix(det * lat.mass),
-        alpha=float(alpha),
-    )
-
-
-def _pencil(system: FemSystem) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """A = K + alpha*B and M on the one canonical CSR pattern of the system.
-
-    A is computed on the data vectors, so no sparse add runs.  A system whose
-    three matrices do not share that pattern (as assemble's do) raises
-    DomainError.
-    """
-    K, B, M = system.stiffness, system.boundary_mass, system.mass
-    shared = K.format == "csr" and all(
-        X.format == "csr" and np.array_equal(X.indptr, K.indptr)
-        and np.array_equal(X.indices, K.indices) for X in (B, M))
-    if not (shared and K.has_canonical_format):
-        raise DomainError("stiffness, boundary mass and mass must share one canonical "
-                          "CSR pattern, as assemble's do")
-    A = sp.csr_matrix((K.data + system.alpha * B.data, K.indices, K.indptr), shape=K.shape)
-    return A, M
+    return FemSystem(mesh, lat.form(h[0], ell[0], alpha), lat.matrix(det * lat.mass), alpha)
 
 
 def _power_iterate(lu, M, x0, sigma: float):
@@ -430,7 +422,7 @@ def _factor_counting(A, M, sigma: float):
     whole spectrum (count zero), which the ground-state solve needs.  The
     count is an inertia only under a symmetric permutation, so any other
     factorisation raises NumericError.  A and M share one CSR pattern
-    (_pencil), so A - sigma*M is computed on their data vectors, and as the
+    (FemSystem), so A - sigma*M is computed on their data vectors, and as the
     matrix is symmetric its CSR arrays are its CSC arrays: SuperLU reads them
     with no conversion.
     """
@@ -456,7 +448,7 @@ def mass_residual(system: FemSystem, x: np.ndarray) -> float:
     The mass-matrix solve is Jacobi-preconditioned CG to rtol 1e-13; no
     ladder calls this, so only a caller that reports the residual pays for it.
     """
-    A, M = _pencil(system)
+    A, M = system.form, system.mass
     ax, mx = A @ x, M @ x
     xmx = float(x @ mx)
     r = ax - (float(x @ ax) / xmx) * mx
@@ -466,9 +458,9 @@ def mass_residual(system: FemSystem, x: np.ndarray) -> float:
     return math.sqrt(max(float(r @ z), 0.0) / xmx)
 
 
-def lowest_eigenpair(system: FemSystem, tri, sigma0: float | None = None,
+def lowest_eigenpair(system: FemSystem, sigma0: float | None = None,
                      start: np.ndarray | None = None) -> EigenResult:
-    """Ground eigenpair of K + alpha*B against M on the assembled mesh.
+    """Ground eigenpair of K + alpha*B against M on the system's mesh, and its level.
 
     A mesh of at most _DENSE_NODES = 153 nodes (levels 0 to 4) is solved by
     dense LAPACK, which returns the exact lowest pair with no shift to
@@ -486,18 +478,16 @@ def lowest_eigenpair(system: FemSystem, tri, sigma0: float | None = None,
     need no start and ignore it.  On both paths lambda1 is the Rayleigh quotient
     x^T A x / x^T M x of the returned vector; one level gives no error
     estimate, so residual is nan (mass_residual measures the vector's).
-    A system whose matrices do not share one CSR pattern raises DomainError.
     """
-    geom = as_geometry(tri)
     alpha = system.alpha
-    A, M = _pencil(system)
+    A, M = system.form, system.mass
     n = A.shape[0]
     if n <= _DENSE_NODES:
         vec = scipy.linalg.eigh(A.toarray(), M.toarray(), subset_by_index=[0, 0])[1][:, 0]
         solves = 0
     else:
         sigma = sigma0 if sigma0 is not None else (
-            -2.0 * (alpha / math.sin(0.5 * geom.theta_star)) ** 2 - 1.0
+            -2.0 * (alpha / math.sin(0.5 * system.mesh.tri.theta_star)) ** 2 - 1.0
         )
         # Start vector: the constant, or the coarser level's ground vector
         # prolongated and scaled to peak 1, plus a fixed asymmetric ripple.  The
@@ -508,7 +498,7 @@ def lowest_eigenpair(system: FemSystem, tri, sigma0: float | None = None,
         if start is None:
             x0 += 1.0
         else:
-            u = _prolongate(np.asarray(start, dtype=float), n)
+            u = _prolongate(np.asarray(start, dtype=float), system.mesh.refinement_level)
             peak = float(np.abs(u).max())
             if not (math.isfinite(peak) and peak > 0.0):
                 raise DomainError("a start vector must be finite and nonzero")
@@ -541,6 +531,7 @@ def lowest_eigenpair(system: FemSystem, tri, sigma0: float | None = None,
         eigenvector=vec,
         iterations=solves,
         residual=math.nan,
+        level=system.mesh.refinement_level,
     )
 
 
@@ -548,11 +539,7 @@ def solve_at_level(tri, alpha: float, level: int, sigma0: float | None = None,
                    start: np.ndarray | None = None) -> EigenResult:
     """lowest_eigenpair on the level-`level` mesh; start is the ground vector
     of level - 1, if the caller holds it."""
-    geom = as_geometry(tri)
-    mesh = build_mesh(geom, level)
-    system = assemble(mesh, alpha)
-    res = lowest_eigenpair(system, geom, sigma0=sigma0, start=start)
-    return replace(res, level=level)
+    return lowest_eigenpair(assemble(build_mesh(tri, level), alpha), sigma0=sigma0, start=start)
 
 
 def walk_levels(tri, alpha: float, min_level: int, max_level: int,
@@ -568,12 +555,11 @@ def walk_levels(tri, alpha: float, min_level: int, max_level: int,
     cold shift and the constant vector again.  Callers stop the walk by
     leaving the loop.
     """
-    geom = as_geometry(tri)
     sigma0 = start = None
     prev = None
     for level in range(min_level, max_level + 1):
         try:
-            res = solve_at_level(geom, alpha, level, sigma0=sigma0, start=start)
+            res = solve_at_level(tri, alpha, level, sigma0=sigma0, start=start)
         except NumericError as exc:
             skipped.append((level, str(exc)))
             sigma0 = start = None
@@ -673,7 +659,7 @@ def _level_derivatives(lat: _Lattice, u: np.ndarray, alpha: float,
     """
     mass = lat.matrix(det * lat.mass)
     u = u / math.sqrt(float(u @ (mass @ u)))
-    forms = [lat.matrix(h[k] @ lat.stiffness + alpha * (lat.sides @ ell[k])) for k in range(6)]
+    forms = [lat.form(h[k], ell[k], alpha) for k in range(6)]
     au = [f @ u for f in forms]
     mu = mass @ u
     lam, lam_a, lam_c = (float(u @ au[k]) for k in range(3))

@@ -55,7 +55,6 @@ from .fem import _settle, eigenvalue_converged, shape_derivatives_at_equilateral
 from .geometry import c0, make_triangle, perimeter_normalizer
 from .trial import (
     constant_bound,
-    delta_transplant,
     lambda0_lower_bound,
     sector_bound,
     sector_closed_upper,
@@ -117,7 +116,8 @@ def _check_range(name: str, rng, *, rule=None, collapsed_ok=False, single=False)
         lo, hi, n = rng
     except (TypeError, ValueError):
         raise DomainError(f"{name} must be a (lo, hi, n) triple, got {rng!r}")
-    if not (isinstance(n, numbers.Real) and float(n).is_integer()):
+    if not (isinstance(n, numbers.Integral)  # float(n) overflows past float64
+            or isinstance(n, numbers.Real) and float(n).is_integer()):
         raise DomainError(f"{name}: the point count n must be a whole number, got {rng!r}")
     n = int(n)
     if single and n != 1:
@@ -133,6 +133,14 @@ def _check_range(name: str, rng, *, rule=None, collapsed_ok=False, single=False)
         raise DomainError(f"{name}: need n >= 2 (or a collapsed single value), got {rng!r}")
     if rule is not None:
         rule(name, lo, hi)
+
+
+def _count_text(n: int) -> str:
+    """'%g' % n for an integer n >= 0 in integer arithmetic (float(n) overflows)."""
+    if n < 10**6:
+        return str(n)
+    digits = str(round(n, 6 - len(str(n))))  # six significant digits, half to even
+    return f"{digits[0]}.{digits[1:6]}".rstrip("0").rstrip(".") + f"e+{len(digits) - 1:02d}"
 
 
 def _grid(rng) -> tuple[float, ...]:
@@ -189,9 +197,9 @@ class ScanConfig:
         ranges = [name for name, rule in reads.items() if rule is not None]
         for name in ranges:
             _check_range(name, getattr(self, name), **reads[name])
-        counts = [getattr(self, name)[2] for name in ranges]
-        if math.prod(int(n) for n in counts) > _MAX_CELLS:
-            raise ResourceError(f"the {self.mode} grid of {' x '.join('%g' % n for n in counts)}"
+        counts = [int(getattr(self, name)[2]) for name in ranges]
+        if math.prod(counts) > _MAX_CELLS:
+            raise ResourceError(f"the {self.mode} grid of {' x '.join(map(_count_text, counts))}"
                                 f" points exceeds the cap of {_MAX_CELLS} cells")
 
     def resolved_c(self) -> float:
@@ -665,11 +673,12 @@ def parse_config(path: str, overrides: dict | None = None) -> ScanConfig:
     Keys match the ScanConfig fields exactly, and each value is read as its
     field's type: ranges are comma triples "lo,hi,n", booleans true/false
     (or 1/0, yes/no), mode and output_path strings and every other field a
-    float.  Blank lines and '#' comments are ignored.  Entries in overrides
-    (CLI flags) replace file values.
+    float.  Blank lines and '#' comments are ignored.  A key set twice raises
+    DomainError.  Entries in overrides (CLI flags) replace file values.
     """
     kinds = {f.name: f.type for f in fields(ScanConfig)}  # annotation strings
     raw: dict[str, object] = {}
+    first_line: dict[str, int] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -690,6 +699,8 @@ def parse_config(path: str, overrides: dict | None = None) -> ScanConfig:
         kind = kinds.get(key)
         if kind is None:
             raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
+        if first_line.setdefault(key, lineno) != lineno:
+            raise DomainError(f"{path}:{lineno}: {key} is already set on line {first_line[key]}")
         if kind == "str":
             raw[key] = value
         elif kind == "bool":

@@ -10,7 +10,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from oracles import (corner_exponential, ground_state, reference_vertices, side_integrals,
                      transported_form)
 

@@ -176,7 +176,9 @@ class TestScan:
         (b"mode = g-curve\n# \xff\n", EXIT_USAGE, "error: config .* is not UTF-8 text"),
         (b"mode = g-curve\na_range = 0.1, 0.9, 1e300\n", EXIT_NUMERIC,
          "numeric failure: the g-curve grid of 1e[+]300 points exceeds the cap"),
-    ], ids=["not-utf8", "past-the-cell-cap"])
+        (b"mode = g-curve\nS = 0.5\nmode = constant-region\nS = 0.7\n", EXIT_USAGE,
+         "error: .*:3: mode is already set on line 1"),
+    ], ids=["not-utf8", "past-the-cell-cap", "repeated-key"])
     def test_bad_config_file_exits_with_a_message(self, text, code, message, capsys, tmp_path):
         """No traceback: a typed refusal, its exit code, and nothing written."""
         cfg = tmp_path / "scan.cfg"

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,9 +25,8 @@ from robintri import fem, scan
 from robintri.equilateral import lambda0
 from robintri.errors import DomainError, NumericError, ResourceError
 from robintri.fem import (
-    FemMesh,
+    FemSystem,
     _factor_counting,
-    _pencil,
     assemble,
     build_mesh,
     dump_mesh,
@@ -44,8 +44,21 @@ S_THIRD = 1.0 / math.sqrt(3.0)
 def dense_spectrum(tri, alpha, level):
     mesh = build_mesh(tri, level)
     system = assemble(mesh, alpha)
-    form = (system.stiffness + alpha * system.boundary_mass).toarray()
-    return eigh(form, system.mass.toarray(), eigvals_only=True)
+    return eigh(system.form.toarray(), system.mass.toarray(), eigvals_only=True)
+
+
+def split_form(mesh, alpha):
+    """K and B of a mesh, from its forms A = K + t B at t = alpha and 2 alpha:
+    K = 2 A(alpha) - A(2 alpha), B = (A(2 alpha) - A(alpha)) / alpha, on the
+    shared pattern.  Where B has no entry the two forms agree exactly, so B's
+    zeros are exact."""
+    once, twice = assemble(mesh, alpha).form, assemble(mesh, 2.0 * alpha).form
+    assert np.array_equal(once.indptr, twice.indptr)
+    assert np.array_equal(once.indices, twice.indices)
+    stiffness, boundary_mass = once.copy(), once.copy()
+    stiffness.data = 2.0 * once.data - twice.data
+    boundary_mass.data = (twice.data - once.data) / alpha
+    return stiffness, boundary_mass
 
 
 def loop_mesh(tri, level):
@@ -67,7 +80,7 @@ def loop_mesh(tri, level):
     edges = [(ids[(i, 0)], ids[(i + 1, 0)]) for i in range(n)]
     edges += [(ids[(0, j)], ids[(0, j + 1)]) for j in range(n)]
     edges += [(ids[(n - j, j)], ids[(n - j - 1, j + 1)]) for j in range(n)]
-    return FemMesh(
+    return SimpleNamespace(
         nodes=np.asarray(coords),
         elements=np.asarray(elems, dtype=np.int64),
         boundary_edges=np.asarray(edges, dtype=np.int64),
@@ -168,21 +181,24 @@ class TestAssembly:
         for _ in range(10):
             alpha = -float(rng.uniform(0.1, 5.0))
             tri = make_triangle(rng.uniform(-2, 2), rng.uniform(0.3, 2), rng.uniform(0.3, 2))
-            system = assemble(build_mesh(tri, 3), alpha)
+            mesh = build_mesh(tri, 3)
+            system = assemble(mesh, alpha)
+            stiffness, boundary_mass = split_form(mesh, alpha)
             ones = np.ones(system.mass.shape[0])
-            quad_k = float(ones @ (system.stiffness @ ones))
-            quad_b = float(ones @ (system.boundary_mass @ ones))
+            quad_k = float(ones @ (stiffness @ ones))
+            quad_b = float(ones @ (boundary_mass @ ones))
             quad_m = float(ones @ (system.mass @ ones))
-            scale = float(np.abs(system.stiffness.data).max())
+            scale = float(np.abs(stiffness.data).max())
             assert abs(quad_k) < 1e-12 * scale
             assert abs(quad_b - tri.perimeter) < 1e-12 * tri.perimeter
             assert abs(quad_m - tri.S) < 1e-12 * tri.S
-            form = quad_k + alpha * quad_b
+            form = float(ones @ (system.form @ ones))
             assert abs(form - alpha * tri.perimeter) < 1e-10 * abs(alpha * tri.perimeter)
 
     def test_symmetry(self):
-        system = assemble(build_mesh(make_triangle(0.9, 0.7, 0.8), 3), -1.5)
-        a = system.stiffness.toarray()
+        mesh = build_mesh(make_triangle(0.9, 0.7, 0.8), 3)
+        system = assemble(mesh, -1.5)
+        a = split_form(mesh, -1.5)[0].toarray()
         m = system.mass.toarray()
         assert np.max(np.abs(a - a.T)) < 1e-14 * np.max(np.abs(a))
         assert np.max(np.abs(m - m.T)) < 1e-15
@@ -203,17 +219,18 @@ class TestLatticeCache:
             assert np.abs(mesh.nodes - ref.nodes).max() <= 1e-15 * scale
             for name in ("elements", "boundary_edges", "boundary_labels"):
                 assert np.array_equal(getattr(mesh, name), getattr(ref, name))
-            system = assemble(mesh, -1.5)
             k_ref, m_ref, b_ref = coo_assemble(ref)
-            assert_same_matrix(system.stiffness, k_ref)
+            # two couplings pin the stiffness and the boundary mass separately
+            for alpha in (-1.5, -0.25):
+                system = assemble(mesh, alpha)
+                assert_same_matrix(system.form, k_ref + alpha * b_ref)
             assert_same_matrix(system.mass, m_ref)
             # the boundary mass is stored on the shared pattern, zeros included
-            assert_same_matrix(system.boundary_mass, b_ref, same_pattern=False)
-            assert np.array_equal(system.boundary_mass.indptr, system.mass.indptr)
-            assert np.array_equal(system.boundary_mass.indices, system.mass.indices)
-            nonzero = system.boundary_mass.copy()
-            nonzero.eliminate_zeros()
-            assert (nonzero != 0).sum() == (b_ref != 0).sum()
+            _, boundary_mass = split_form(mesh, -1.5)
+            assert_same_matrix(boundary_mass, b_ref, same_pattern=False)
+            assert np.array_equal(boundary_mass.indptr, system.mass.indptr)
+            assert np.array_equal(boundary_mass.indices, system.mass.indices)
+            assert np.count_nonzero(boundary_mass.data) == (b_ref != 0).sum()
 
     def test_interleaved_triangles_match_fresh_calls(self):
         tris = [(make_triangle(0.4, 0.9, 1.1), -1.0), (make_triangle(-1.3, 0.5, 0.7), -3.0)]
@@ -225,25 +242,12 @@ class TestLatticeCache:
             for (tri, alpha), lam in zip(tris, fresh):
                 assert solve_at_level(tri, alpha, 4).lambda1 == lam
 
-    def test_permuted_elements(self, rng):
-        """Assembly reads the lattice's reference matrices, so a mesh that is
-        not the lattice's affine image is refused, not mis-assembled."""
-        mesh = build_mesh(make_triangle(0.7, 0.6, 0.9), 4)
-        moved = mesh.nodes.copy()
-        moved[7] += 1e-3
-        for wrong in (
-            replace(mesh, elements=mesh.elements[rng.permutation(len(mesh.elements))]),
-            replace(mesh, boundary_edges=mesh.boundary_edges[::-1]),
-            replace(mesh, refinement_level=3),
-            replace(mesh, nodes=moved),
-        ):
-            with pytest.raises(DomainError):
-                assemble(wrong, -2.0)
+    def test_degenerate_triangle_is_refused(self):
+        """A triangle whose |det J| is rounding-small against its edges is
+        refused, not assembled."""
+        mesh = build_mesh(make_triangle(1e8, 1.0, 1.0), 4)
         with pytest.raises(NumericError, match="degenerate"):
-            assemble(replace(mesh, nodes=mesh.nodes * [1.0, 0.0]), -2.0)
-        # equal topology arrays that are not the cached ones are accepted
-        copied = replace(mesh, elements=mesh.elements.copy())
-        assert_same_matrix(assemble(copied, -2.0).stiffness, assemble(mesh, -2.0).stiffness)
+            assemble(mesh, -2.0)
 
     def test_lattice_is_read_only(self):
         mesh = build_mesh(make_triangle(0.0, 1.0, 1.0), 2)
@@ -268,7 +272,7 @@ class TestFactorCounting:
             level = int(rng.integers(2, 4))
             mesh = build_mesh(tri, level)
             system = assemble(mesh, alpha)
-            form, mass = _pencil(system)
+            form, mass = system.form, system.mass
             spec = eigh(form.toarray(), mass.toarray(), eigvals_only=True)
             lo, hi = spec[0], spec[min(4, len(spec) - 1)]
             sigma = float(rng.uniform(lo - 0.5 * abs(lo) - 1.0, hi))
@@ -283,7 +287,7 @@ class TestFactorCounting:
     def test_unsymmetric_permutation_is_refused(self, monkeypatch):
         """The U-diagonal sign count is an inertia only when perm_r == perm_c."""
         system = assemble(build_mesh(make_triangle(0.3, 0.8, 1.0), 5), -1.0)
-        form, mass = _pencil(system)
+        form, mass = system.form, system.mass
         n = form.shape[0]
 
         class Pivoted:
@@ -301,7 +305,7 @@ class TestFactorCounting:
         with pytest.raises(NumericError, match="inertia"):
             _factor_counting(form, mass, -10.0)
         with pytest.raises(NumericError, match="inertia"):
-            lowest_eigenpair(system, make_triangle(0.3, 0.8, 1.0))
+            lowest_eigenpair(system)
         assert len(calls) == 2  # the solver does not retry other shifts
 
     def test_shift_above_the_ground_value_is_moved_down(self):
@@ -322,7 +326,7 @@ class TestLowestEigenpair:
             alpha = -float(rng.uniform(0.3, 6.0))
             mesh = build_mesh(tri, 5)
             system = assemble(mesh, alpha)
-            res = lowest_eigenpair(system, tri)
+            res = lowest_eigenpair(system)
             spec = dense_spectrum(tri, alpha, 5)
             assert abs(res.lambda1 - spec[0]) < 1e-9 * max(1.0, abs(spec[0]))
 
@@ -353,10 +357,9 @@ class TestLowestEigenpair:
             tri = make_triangle(rng.uniform(-2, 2), rng.uniform(0.4, 1.8), S_THIRD)
             alpha = -float(rng.uniform(0.3, 6.0))
             system = assemble(build_mesh(tri, level), alpha)
-            res = lowest_eigenpair(system, tri)
+            res = lowest_eigenpair(system)
             assert math.isnan(res.residual)
-            form = system.stiffness + alpha * system.boundary_mass
-            r = form @ res.eigenvector - res.lambda1 * (system.mass @ res.eigenvector)
+            r = system.form @ res.eigenvector - res.lambda1 * (system.mass @ res.eigenvector)
             want = math.sqrt(float(r @ splu(system.mass.tocsc()).solve(r)))
             assert abs(mass_residual(system, res.eigenvector) - want) <= 1e-10 * want
             # the vector's scale does not enter (checked off the rounding floor)
@@ -365,8 +368,9 @@ class TestLowestEigenpair:
             assert abs(mass_residual(system, -3.0 * ones) - once) <= 1e-12 * once
 
     def test_matrices_off_the_shared_pattern_are_refused(self):
-        """The pencil is arithmetic on one CSR pattern's data: a lumped (diagonal)
-        mass matrix or unsorted column indices are refused, not misread."""
+        """The pencil is arithmetic on one CSR pattern's data: a system with a
+        lumped (diagonal) mass matrix, a CSC form or unsorted column indices is
+        refused when it is built, not misread."""
         tri = make_triangle(0.3, 0.8, S_THIRD)
         system = assemble(build_mesh(tri, 5), -1.5)
         lumped = sp.diags(np.asarray(system.mass.sum(axis=1)).ravel(), format="csr")
@@ -374,31 +378,28 @@ class TestLowestEigenpair:
         row = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
         flip = indptr[row] + indptr[row + 1] - 1 - np.arange(len(row))  # reverse each row
         unsorted = [sp.csr_matrix((m.data[flip], m.indices[flip], indptr), shape=m.shape)
-                    for m in (system.stiffness, system.boundary_mass, system.mass)]
-        assert abs(unsorted[2] - system.mass).max() == 0.0
-        for wrong in (replace(system, mass=lumped),
-                      replace(system, boundary_mass=system.boundary_mass.tocsc()),
-                      fem.FemSystem(*unsorted, alpha=-1.5)):
+                    for m in (system.form, system.mass)]
+        assert abs(unsorted[1] - system.mass).max() == 0.0
+        for build in (lambda: replace(system, mass=lumped),
+                      lambda: replace(system, form=system.form.tocsc()),
+                      lambda: FemSystem(system.mesh, *unsorted, alpha=-1.5)):
             with pytest.raises(DomainError, match="pattern"):
-                lowest_eigenpair(wrong, tri)
-            with pytest.raises(DomainError, match="pattern"):
-                mass_residual(wrong, np.ones(system.mass.shape[0]))
+                build()
 
     def test_value_is_the_rayleigh_quotient(self):
         """lambda1 is x^T A x / x^T M x of the returned vector; at level 7 the
         Lanczos loop's Ritz value sigma + 1/theta sits about 2.5e-13 off it."""
         tri = make_triangle(1.8, 1.32, S_THIRD)
         system = assemble(build_mesh(tri, 7), -0.5)
-        res = lowest_eigenpair(system, tri)
+        res = lowest_eigenpair(system)
         x = res.eigenvector
-        form = system.stiffness + system.alpha * system.boundary_mass
-        quotient = float(x @ (form @ x)) / float(x @ (system.mass @ x))
+        quotient = float(x @ (system.form @ x)) / float(x @ (system.mass @ x))
         assert abs(res.lambda1 - quotient) <= 1e-14 * abs(quotient)
 
     def test_eigenvector_is_signed_consistently(self):
         tri = make_triangle(0.5, 0.8, 1.0)
         system = assemble(build_mesh(tri, 4), -2.0)
-        res = lowest_eigenpair(system, tri)
+        res = lowest_eigenpair(system)
         # ground state of the discrete pencil keeps one sign
         assert np.min(res.eigenvector) > -1e-10 * np.max(res.eigenvector)
         assert res.eigenvector.sum() > 0.0
@@ -406,7 +407,7 @@ class TestLowestEigenpair:
     def test_gap_computation(self):
         tri = make_triangle(1.0, 1.0, S_THIRD)
         system = assemble(build_mesh(tri, 5), -2.0)
-        res = lowest_eigenpair(system, tri)
+        res = lowest_eigenpair(system)
         spec = dense_spectrum(tri, -2.0, 5)
         assert abs(res.lambda1 - spec[0]) < 1e-8 * abs(spec[0])
 
@@ -476,8 +477,9 @@ class TestWarmStart:
             fine_levels = []
             for coarse in walk_levels(tri, alpha, 2, 7, []):
                 level = coarse.level + 1
-                form, mass = _pencil(assemble(build_mesh(tri, level), alpha))
-                u = fem._prolongate(coarse.eigenvector, form.shape[0])
+                system = assemble(build_mesh(tri, level), alpha)
+                form, mass = system.form, system.mass
+                u = fem._prolongate(coarse.eigenvector, level)
                 quotient = float(u @ (form @ u)) / float(u @ (mass @ u))
                 assert abs(quotient - coarse.lambda1) <= 1e-12 * abs(coarse.lambda1)
                 fine_levels.append(level)
@@ -524,7 +526,8 @@ class TestWarmStart:
         assert not skipped
         cold = {level: solve_at_level(tri, alpha, level) for level in (5, 6)}
         for level in (5, 6):
-            form, mass = _pencil(assemble(build_mesh(tri, level), alpha))
+            system = assemble(build_mesh(tri, level), alpha)
+            form, mass = system.form, system.mass
             if level == 5:
                 spec, vecs = eigh(form.toarray(), mass.toarray(), subset_by_index=[0, 1])
                 assert abs(warm[5].lambda1 - spec[0]) <= 1e-10 * max(1.0, abs(spec[0]))
@@ -558,7 +561,8 @@ class TestWarmStart:
         assert coarse.iterations == counted[-1].calls > 0
         fine = solve_at_level(tri, -2.0, 6, start=coarse.eigenvector)
         assert fine.iterations == counted[-1].calls > 0
-        form, mass = _pencil(assemble(build_mesh(tri, 5), -2.0))
+        system = assemble(build_mesh(tri, 5), -2.0)
+        form, mass = system.form, system.mass
         lu = CountingLU(factor(form, mass, -500.0)[0])
         _, _, solves = fem._power_iterate(lu, mass, np.ones(form.shape[0]), -500.0)
         assert solves == lu.calls > 0

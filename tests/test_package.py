@@ -67,6 +67,30 @@ def test_every_public_name_has_a_non_test_reader():
     assert sorted(set(robintri.__all__) - read - set(_KEPT_UNREAD)) == []
 
 
+def test_no_module_imports_a_name_it_never_reads():
+    """Each name that a package module other than __init__.py (which imports
+    to re-export) or a test module imports is loaded somewhere in that module,
+    alone or as the base of an attribute.  __future__ imports bind no name."""
+    files = [path for path in sorted((REPO / "src" / "robintri").glob("*.py"))
+             if path.name != "__init__.py"] + sorted((REPO / "tests").glob("*.py"))
+    unread = []
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((alias.asname or alias.name.partition(".")[0], node.lineno)
+                                for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((alias.asname or alias.name, node.lineno)
+                                for alias in node.names)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in read]
+    assert unread == []
+
+
 S3 = 1.0 / math.sqrt(3.0)
 TRI = robintri.make_triangle(0.3, 0.8, S3)
 NAN, INF = math.nan, math.inf
@@ -108,6 +132,10 @@ _BAD_INPUTS = {
                        ALPHA),
     "build_mesh/level": (lambda v: robintri.build_mesh(TRI, v), LEVELS,
                          "refinement level must be a non-negative integer"),
+    "FemMesh/level": (lambda v: robintri.FemMesh(TRI, v), LEVELS,
+                      "refinement level must be a non-negative integer"),
+    "FemMesh/tri": (lambda v: robintri.FemMesh(v, 2), (None, 1.0, "tri"),
+                    "expected a TriangleGeometry from make_triangle"),
     "solve_at_level/alpha": (lambda v: robintri.solve_at_level(TRI, v, 2), COUPLINGS, ALPHA),
     "solve_at_level/level": (lambda v: robintri.solve_at_level(TRI, -1.0, v), LEVELS,
                              "refinement level must be a non-negative integer"),

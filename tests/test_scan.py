@@ -179,9 +179,14 @@ class TestScanConfig:
             # 60 default couplings times 500 x 500 (a, c) cells
             ("fem-conjecture", {"a_range": (0.0, 1.0, 500), "c_range": (0.5, 1.0, 500)}),
             ("g-curve", {"a_range": (0.1, 0.9, 1e300)}),
+            # whole counts past float64's range
+            ("g-curve", {"a_range": (0.1, 0.9, 10**400)}),
+            ("fem-conjecture", {"c_range": (0.5, 1.0, 10**400)}),
         ]:
             with pytest.raises(ResourceError, match="points exceeds the cap of 10000000 cells"):
                 ScanConfig(mode=mode, **ranges)
+        with pytest.raises(ResourceError, match=r"grid of 60 x 60 x 1e\+400 points"):
+            ScanConfig(mode="fem-conjecture", c_range=(0.5, 1.0, 10**400))
 
     def test_unset_a_range_resolves_per_mode(self):
         """g-curve's t axis spans the sign change of g; the (a, alpha) modes grid
@@ -279,6 +284,12 @@ class TestParseConfig:
     def test_grid_past_the_cell_cap_is_refused(self, tmp_path):
         path = self._write(tmp_path, "mode = g-curve\na_range = 0.1, 0.9, 1e300\n")
         with pytest.raises(ResourceError, match="g-curve grid of 1e[+]300 points exceeds the cap"):
+            parse_config(path)
+
+    def test_repeated_key_is_refused(self, tmp_path):
+        path = self._write(tmp_path, "mode = g-curve\nS = 0.5\nmode = constant-region\n"
+                                     "S = 0.7\n")
+        with pytest.raises(DomainError, match=":3: mode is already set on line 1"):
             parse_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
