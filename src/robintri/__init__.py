@@ -52,7 +52,6 @@ from .fem import (
     build_mesh,
     dump_mesh,
     eigenvalue_converged,
-    lowest_eigenpair,
     mass_residual,
     shape_derivatives_at_equilateral,
     solve_at_level,
@@ -101,7 +100,6 @@ __all__ = [
     "lambda0",
     "lambda0_lower_bound",
     "local_optimality_alpha_bound",
-    "lowest_eigenpair",
     "make_triangle",
     "mass_residual",
     "parse_config",

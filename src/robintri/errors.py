@@ -27,11 +27,14 @@ class ResourceError(RuntimeError):
 
 
 def _rule(holds, text: str):
-    """check(name, *values): each value must be a finite real number v with holds(v)."""
+    """check(name, *values): each value must be a finite real number v with holds(v);
+    a bool is not a number here."""
     def check(name: str, *values) -> None:
         for v in values:
             # float first: the numbers.Real check alone costs ~0.8 us a call
-            if not (isinstance(v, (float, numbers.Real)) and math.isfinite(v) and holds(v)):
+            real = isinstance(v, float) or (isinstance(v, numbers.Real)
+                                            and not isinstance(v, bool))
+            if not (real and math.isfinite(v) and holds(v)):
                 raise DomainError(f"{name} must be {text}, got {v!r}")
     return check
 

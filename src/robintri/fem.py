@@ -8,19 +8,20 @@ is an affine image of one unit lattice, so assembly is a weighted sum of
 reference matrices built once per level (see assemble), and the weights'
 (a, c)-derivatives give exact eigenvalue derivatives (Nelson's method).
 
-A mesh of at most 153 nodes (levels 0 to 4) is solved by dense LAPACK, which
-needs no shift.  Every larger level costs one sparse factorisation: the shift
-starts at a warm value from the coarser level (or the cold guess
--2 alpha^2/sin^2(theta*/2) - 1) and moves down until the factorisation's
-inertia certifies that no eigenvalue lies below it, and a thick-restart
-shift-invert Lanczos loop (_power_iterate, a 10-vector basis) on that same
-factorisation returns the ground eigenpair.  A ladder starts that loop from
-the coarser level's ground vector: the lattices are nested, so interpolated
-onto the finer one it is the coarse eigenfunction itself (_prolongate).  On
-both paths the level's value is the Rayleigh quotient of the returned
-vector.  The shifted pencil is arithmetic on the data vectors of the one
-symmetric CSR pattern that assemble gives A = K + alpha B and M, so no sparse
-add or format conversion runs per level or per shift.  _settle is the one
+solve_at_level is the one solve of a mesh level, on the pencil it assembles
+itself.  A mesh of at most 153 nodes (levels 0 to 4) is solved by dense
+LAPACK, which needs no shift.  Every larger level costs one sparse
+factorisation: the shift starts at a warm value from the coarser level (or
+the cold guess -2 alpha^2/sin^2(theta*/2) - 1) and moves down until the
+factorisation's inertia certifies that no eigenvalue lies below it, and a
+thick-restart shift-invert Lanczos loop (_power_iterate, a 10-vector basis)
+on that same factorisation returns the ground eigenpair.  A ladder starts
+that loop from the coarser level's ground vector: the lattices are nested, so
+interpolated onto the finer one it is the coarse eigenfunction itself
+(_prolongate).  On both paths the level's value is the Rayleigh quotient of
+the returned vector.  The shifted pencil is arithmetic on the data vectors of
+the one symmetric CSR pattern that assemble gives A = K + alpha B and M, so no
+sparse add or format conversion runs per level or per shift.  _settle is the one
 Richardson loop of all three ladders: eigenvalue_converged,
 shape_derivatives_at_equilateral and the soundness oracle scan._raw_upper_bound.
 A level's residual in the M^{-1} norm costs a mass-matrix solve that no ladder
@@ -38,8 +39,8 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import cg, splu
 
-from .errors import (DomainError, NumericError, ResourceError, check_coupling, check_level,
-                     check_rel_tol)
+from .errors import (DomainError, NumericError, ResourceError, check_coupling, check_finite,
+                     check_level, check_rel_tol)
 from .geometry import TriangleGeometry, as_geometry, c0, make_triangle
 
 MAX_LEVEL = 10
@@ -97,21 +98,11 @@ class FemMesh:
 
 @dataclass(frozen=True)
 class FemSystem:
-    """A mesh's pencil at coupling alpha: form A = K + alpha B and mass M on one
-    canonical CSR pattern, which construction checks (DomainError otherwise),
-    so a shifted pencil is arithmetic on their data vectors."""
+    """A mesh's pencil at coupling alpha, as assemble builds it: form
+    A = K + alpha B and mass M on one canonical CSR pattern."""
 
-    mesh: FemMesh
     form: sp.csr_matrix
     mass: sp.csr_matrix
-    alpha: float
-
-    def __post_init__(self) -> None:
-        A, M = self.form, self.mass
-        if not (A.format == M.format == "csr" and np.array_equal(A.indptr, M.indptr)
-                and np.array_equal(A.indices, M.indices) and A.has_canonical_format):
-            raise DomainError("form and mass must share one canonical CSR pattern, "
-                              "as assemble's do")
 
 
 @dataclass(frozen=True)
@@ -261,9 +252,9 @@ def _prolongate(u: np.ndarray, level: int) -> np.ndarray:
     nodes of level `level`.  The coarse space is nested in the fine one, so
     this is the same function, and so are its Rayleigh quotients."""
     m = 2 ** (level - 1)
-    if len(u) != (m + 1) * (m + 2) // 2:
-        raise DomainError(f"a start vector for a level-{level} mesh must hold the nodal "
-                          f"values of the next coarser lattice level, got {len(u)} values")
+    if level == 0 or u.ndim != 1 or len(u) != (m + 1) * (m + 2) // 2:
+        raise DomainError(f"a start vector for a level-{level} mesh must be a 1-D array of the "
+                          f"nodal values of the next coarser lattice level, got shape {u.shape}")
     parent = _parents(level)
     return 0.5 * (u[parent[0]] + u[parent[1]])
 
@@ -339,7 +330,7 @@ def assemble(mesh: FemMesh, alpha: float) -> FemSystem:
     jet = np.zeros((6, 4))
     jet[0] = (e1 @ e1, e2 @ e2, (e2 - e1) @ (e2 - e1), e1 @ e2)
     h, ell = _weights(jet, det)
-    return FemSystem(mesh, lat.form(h[0], ell[0], alpha), lat.matrix(det * lat.mass), alpha)
+    return FemSystem(lat.form(h[0], ell[0], alpha), lat.matrix(det * lat.mass))
 
 
 def _power_iterate(lu, M, x0, sigma: float):
@@ -422,7 +413,7 @@ def _factor_counting(A, M, sigma: float):
     whole spectrum (count zero), which the ground-state solve needs.  The
     count is an inertia only under a symmetric permutation, so any other
     factorisation raises NumericError.  A and M share one CSR pattern
-    (FemSystem), so A - sigma*M is computed on their data vectors, and as the
+    (assemble's), so A - sigma*M is computed on their data vectors, and as the
     matrix is symmetric its CSR arrays are its CSC arrays: SuperLU reads them
     with no conversion.
     """
@@ -447,8 +438,13 @@ def mass_residual(system: FemSystem, x: np.ndarray) -> float:
     Some eigenvalue of the pencil (A, M) lies within this distance of rho.
     The mass-matrix solve is Jacobi-preconditioned CG to rtol 1e-13; no
     ladder calls this, so only a caller that reports the residual pays for it.
+    An x that is not a nonzero vector of the system's size raises DomainError.
     """
     A, M = system.form, system.mass
+    x = np.asarray(x, dtype=float)
+    if x.shape != (A.shape[0],) or not x.any():
+        raise DomainError(f"x must be a nonzero vector of the system's {A.shape[0]} nodal "
+                          f"values, got shape {x.shape}")
     ax, mx = A @ x, M @ x
     xmx = float(x @ mx)
     r = ax - (float(x @ ax) / xmx) * mx
@@ -458,9 +454,9 @@ def mass_residual(system: FemSystem, x: np.ndarray) -> float:
     return math.sqrt(max(float(r @ z), 0.0) / xmx)
 
 
-def lowest_eigenpair(system: FemSystem, sigma0: float | None = None,
-                     start: np.ndarray | None = None) -> EigenResult:
-    """Ground eigenpair of K + alpha*B against M on the system's mesh, and its level.
+def solve_at_level(tri, alpha: float, level: int, sigma0: float | None = None,
+                   start: np.ndarray | None = None) -> EigenResult:
+    """Ground eigenpair of K + alpha*B against M on the level-`level` mesh of tri.
 
     A mesh of at most _DENSE_NODES = 153 nodes (levels 0 to 4) is solved by
     dense LAPACK, which returns the exact lowest pair with no shift to
@@ -472,22 +468,31 @@ def lowest_eigenpair(system: FemSystem, sigma0: float | None = None,
     the lowest eigenvalue, which matters on flat triangles where
     corner-localised ground and excited states are both nearly positive and
     sign inspection cannot tell them apart.  It starts from the constant plus
-    a 1% ripple, or, given start (the ground vector of the next coarser
-    lattice level), from that vector interpolated onto this mesh plus the
-    same ripple; a start of another length raises DomainError.  Dense levels
-    need no start and ignore it.  On both paths lambda1 is the Rayleigh quotient
-    x^T A x / x^T M x of the returned vector; one level gives no error
-    estimate, so residual is nan (mass_residual measures the vector's).
+    a 1% ripple, or, given start (the ground vector of level - 1), from that
+    vector interpolated onto this mesh plus the same ripple.  At every level a
+    sigma0 that is not a finite real, or a start that is not a finite nonzero
+    1-D array of level - 1's nodal values, raises DomainError before any
+    factorisation; dense levels need no start and do not use it.  On both
+    paths lambda1 is the Rayleigh quotient x^T A x / x^T M x of the returned
+    vector; one level gives no error estimate, so residual is nan
+    (mass_residual measures the vector's).
     """
-    alpha = system.alpha
+    system = assemble(build_mesh(tri, level), alpha)
     A, M = system.form, system.mass
+    if sigma0 is not None:
+        check_finite("sigma0", sigma0)
+    if start is not None:
+        start = _prolongate(np.asarray(start, dtype=float), level)
+        peak = float(np.abs(start).max())
+        if not (math.isfinite(peak) and peak > 0.0):
+            raise DomainError("a start vector must be finite and nonzero")
     n = A.shape[0]
     if n <= _DENSE_NODES:
         vec = scipy.linalg.eigh(A.toarray(), M.toarray(), subset_by_index=[0, 0])[1][:, 0]
         solves = 0
     else:
         sigma = sigma0 if sigma0 is not None else (
-            -2.0 * (alpha / math.sin(0.5 * system.mesh.tri.theta_star)) ** 2 - 1.0
+            -2.0 * (float(alpha) / math.sin(0.5 * tri.theta_star)) ** 2 - 1.0
         )
         # Start vector: the constant, or the coarser level's ground vector
         # prolongated and scaled to peak 1, plus a fixed asymmetric ripple.  The
@@ -495,14 +500,7 @@ def lowest_eigenpair(system: FemSystem, sigma0: float | None = None,
         # (symmetric meshes of isosceles triangles produce them) and with
         # corner states that overtake the coarse ground state on refinement.
         x0 = 0.01 * (np.arange(n) % 11 - 5.0)
-        if start is None:
-            x0 += 1.0
-        else:
-            u = _prolongate(np.asarray(start, dtype=float), system.mesh.refinement_level)
-            peak = float(np.abs(u).max())
-            if not (math.isfinite(peak) and peak > 0.0):
-                raise DomainError("a start vector must be finite and nonzero")
-            x0 += u / peak
+        x0 += 1.0 if start is None else start / peak
         # Rayleigh quotient of the constant vector (it lies in the P1 space),
         # 1^T A 1 / 1^T M 1: an exact upper bound on the discrete ground value
         # at every level, so a shift at or above it cannot be certified.
@@ -526,20 +524,8 @@ def lowest_eigenpair(system: FemSystem, sigma0: float | None = None,
         vec = -vec
     av, mv = A @ vec, M @ vec
     lam = float(vec @ av) / float(vec @ mv)
-    return EigenResult(
-        lambda1=lam,
-        eigenvector=vec,
-        iterations=solves,
-        residual=math.nan,
-        level=system.mesh.refinement_level,
-    )
-
-
-def solve_at_level(tri, alpha: float, level: int, sigma0: float | None = None,
-                   start: np.ndarray | None = None) -> EigenResult:
-    """lowest_eigenpair on the level-`level` mesh; start is the ground vector
-    of level - 1, if the caller holds it."""
-    return lowest_eigenpair(assemble(build_mesh(tri, level), alpha), sigma0=sigma0, start=start)
+    return EigenResult(lambda1=lam, eigenvector=vec, iterations=solves, residual=math.nan,
+                       level=level)
 
 
 def walk_levels(tri, alpha: float, min_level: int, max_level: int,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_area, check_finite, check_length
+from .errors import DomainError, NumericError, check_area, check_finite, check_length
 
 
 def c0(S: float) -> float:
@@ -62,10 +62,15 @@ class TriangleGeometry:
 
 
 def perimeter_min_over_a(c: float, S: float) -> float:
-    """Minimum of the perimeter over a at fixed (c, S), attained at a = 0."""
+    """Minimum of the perimeter over a at fixed (c, S), attained at a = 0;
+    NumericError when c^2 or S^2/c^2 leaves float64."""
     check_length("c", c)
     check_area(S)
-    return 2.0 * c + 2.0 * math.sqrt(c * c + S * S / (c * c))
+    cc = c * c
+    perimeter = 2.0 * c + 2.0 * math.sqrt(cc + S * S / cc) if cc > 0.0 else math.inf
+    if not math.isfinite(perimeter):
+        raise NumericError(f"the minimal perimeter overflows float64 at c = {c:g}, S = {S:g}")
+    return perimeter
 
 
 def corner(

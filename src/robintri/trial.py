@@ -97,11 +97,16 @@ def constant_bound(alpha: float, tri) -> tuple[float, bool]:
 
 
 def lambda0_lower_bound(alpha: float, S: float) -> float:
-    """-4 alpha^2 + 24 alpha / sqrt(sqrt(3) S) - 36/(sqrt(3) S), a bound below lambda0."""
+    """-4 alpha^2 + 24 alpha / sqrt(sqrt(3) S) - 36/(sqrt(3) S), a bound below lambda0;
+    NumericError when it leaves float64 (an area near 1e-320 or |alpha| near 1e154)."""
     check_coupling("alpha", alpha)
     check_area(S)
     root = math.sqrt(_SQRT3 * S)
-    return -4.0 * alpha * alpha + 24.0 * alpha / root - 36.0 / (root * root)
+    bound = -4.0 * alpha * alpha + 24.0 * alpha / root - 36.0 / (root * root)
+    if not math.isfinite(bound):
+        raise NumericError(f"the lambda0 lower bound overflows float64 at alpha = {alpha:g}, "
+                           f"S = {S:g}")
+    return bound
 
 
 def sector_closed_upper(alpha: float, theta: float, l_prime: float) -> float:

@@ -10,7 +10,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,13 +24,11 @@ from robintri import fem, scan
 from robintri.equilateral import lambda0
 from robintri.errors import DomainError, NumericError, ResourceError
 from robintri.fem import (
-    FemSystem,
     _factor_counting,
     assemble,
     build_mesh,
     dump_mesh,
     eigenvalue_converged,
-    lowest_eigenpair,
     mass_residual,
     solve_at_level,
     walk_levels,
@@ -286,7 +283,8 @@ class TestFactorCounting:
 
     def test_unsymmetric_permutation_is_refused(self, monkeypatch):
         """The U-diagonal sign count is an inertia only when perm_r == perm_c."""
-        system = assemble(build_mesh(make_triangle(0.3, 0.8, 1.0), 5), -1.0)
+        tri = make_triangle(0.3, 0.8, 1.0)
+        system = assemble(build_mesh(tri, 5), -1.0)
         form, mass = system.form, system.mass
         n = form.shape[0]
 
@@ -305,7 +303,7 @@ class TestFactorCounting:
         with pytest.raises(NumericError, match="inertia"):
             _factor_counting(form, mass, -10.0)
         with pytest.raises(NumericError, match="inertia"):
-            lowest_eigenpair(system)
+            solve_at_level(tri, -1.0, 5)
         assert len(calls) == 2  # the solver does not retry other shifts
 
     def test_shift_above_the_ground_value_is_moved_down(self):
@@ -318,15 +316,23 @@ class TestFactorCounting:
         res = solve_at_level(tri, -2.0, 5, sigma0=sigma0)
         assert abs(res.lambda1 - spec[0]) < 1e-10 * abs(spec[0])
 
+    def test_shift_that_is_not_finite_is_refused_before_factoring(self, monkeypatch):
+        """A shift of -inf or nan never certifies (each attempt costs a
+        factorisation, 80 in all), so it is refused before the first one."""
+        factored = []
+        monkeypatch.setattr(fem, "splu", lambda *a, **k: factored.append(1))
+        for sigma0 in (-math.inf, math.nan):
+            with pytest.raises(DomainError, match="sigma0 must be finite"):
+                solve_at_level(make_triangle(0.3, 0.6, 0.5), -1.0, 5, sigma0=sigma0)
+        assert factored == []
+
 
 class TestLowestEigenpair:
     def test_matches_dense_solution(self, rng):
         for _ in range(8):
             tri = make_triangle(rng.uniform(-2, 2), rng.uniform(0.4, 1.8), S_THIRD)
             alpha = -float(rng.uniform(0.3, 6.0))
-            mesh = build_mesh(tri, 5)
-            system = assemble(mesh, alpha)
-            res = lowest_eigenpair(system)
+            res = solve_at_level(tri, alpha, 5)
             spec = dense_spectrum(tri, alpha, 5)
             assert abs(res.lambda1 - spec[0]) < 1e-9 * max(1.0, abs(spec[0]))
 
@@ -357,7 +363,7 @@ class TestLowestEigenpair:
             tri = make_triangle(rng.uniform(-2, 2), rng.uniform(0.4, 1.8), S_THIRD)
             alpha = -float(rng.uniform(0.3, 6.0))
             system = assemble(build_mesh(tri, level), alpha)
-            res = lowest_eigenpair(system)
+            res = solve_at_level(tri, alpha, level)
             assert math.isnan(res.residual)
             r = system.form @ res.eigenvector - res.lambda1 * (system.mass @ res.eigenvector)
             want = math.sqrt(float(r @ splu(system.mass.tocsc()).solve(r)))
@@ -367,47 +373,26 @@ class TestLowestEigenpair:
             once = mass_residual(system, ones)
             assert abs(mass_residual(system, -3.0 * ones) - once) <= 1e-12 * once
 
-    def test_matrices_off_the_shared_pattern_are_refused(self):
-        """The pencil is arithmetic on one CSR pattern's data: a system with a
-        lumped (diagonal) mass matrix, a CSC form or unsorted column indices is
-        refused when it is built, not misread."""
-        tri = make_triangle(0.3, 0.8, S_THIRD)
-        system = assemble(build_mesh(tri, 5), -1.5)
-        lumped = sp.diags(np.asarray(system.mass.sum(axis=1)).ravel(), format="csr")
-        indptr = system.mass.indptr
-        row = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-        flip = indptr[row] + indptr[row + 1] - 1 - np.arange(len(row))  # reverse each row
-        unsorted = [sp.csr_matrix((m.data[flip], m.indices[flip], indptr), shape=m.shape)
-                    for m in (system.form, system.mass)]
-        assert abs(unsorted[1] - system.mass).max() == 0.0
-        for build in (lambda: replace(system, mass=lumped),
-                      lambda: replace(system, form=system.form.tocsc()),
-                      lambda: FemSystem(system.mesh, *unsorted, alpha=-1.5)):
-            with pytest.raises(DomainError, match="pattern"):
-                build()
-
     def test_value_is_the_rayleigh_quotient(self):
         """lambda1 is x^T A x / x^T M x of the returned vector; at level 7 the
         Lanczos loop's Ritz value sigma + 1/theta sits about 2.5e-13 off it."""
         tri = make_triangle(1.8, 1.32, S_THIRD)
         system = assemble(build_mesh(tri, 7), -0.5)
-        res = lowest_eigenpair(system)
+        res = solve_at_level(tri, -0.5, 7)
         x = res.eigenvector
         quotient = float(x @ (system.form @ x)) / float(x @ (system.mass @ x))
         assert abs(res.lambda1 - quotient) <= 1e-14 * abs(quotient)
 
     def test_eigenvector_is_signed_consistently(self):
         tri = make_triangle(0.5, 0.8, 1.0)
-        system = assemble(build_mesh(tri, 4), -2.0)
-        res = lowest_eigenpair(system)
+        res = solve_at_level(tri, -2.0, 4)
         # ground state of the discrete pencil keeps one sign
         assert np.min(res.eigenvector) > -1e-10 * np.max(res.eigenvector)
         assert res.eigenvector.sum() > 0.0
 
     def test_gap_computation(self):
         tri = make_triangle(1.0, 1.0, S_THIRD)
-        system = assemble(build_mesh(tri, 5), -2.0)
-        res = lowest_eigenpair(system)
+        res = solve_at_level(tri, -2.0, 5)
         spec = dense_spectrum(tri, -2.0, 5)
         assert abs(res.lambda1 - spec[0]) < 1e-8 * abs(spec[0])
 
@@ -507,6 +492,21 @@ class TestWarmStart:
             solve_at_level(tri, -2.0, 5, start=np.ones(561))
         with pytest.raises(DomainError, match="nonzero"):
             solve_at_level(tri, -2.0, 5, start=np.zeros(153))
+
+    @pytest.mark.parametrize("level", range(6))
+    def test_start_is_checked_at_every_level(self, level):
+        """Dense levels (0 to 4) do not use a start but refuse a bad one as
+        level 5 does: a column array, a vector of another length, a zero
+        vector.  Level 0 has no coarser level, so it refuses every start."""
+        tri = make_triangle(0.5, 0.9, S_THIRD)
+        coarse = len(build_mesh(tri, level - 1).nodes) if level else 1
+        bad = [np.ones((coarse, 1)), np.ones(coarse + 1)] + ([np.ones(1)] if level == 0 else [])
+        for start in bad:
+            with pytest.raises(DomainError, match="1-D array"):
+                solve_at_level(tri, -2.0, level, start=start)
+        if level:
+            with pytest.raises(DomainError, match="nonzero"):
+                solve_at_level(tri, -2.0, level, start=np.zeros(coarse))
 
     @pytest.mark.parametrize("alpha", [-0.5, -2.0, -8.0, -16.0])
     @pytest.mark.parametrize("a,c", FLAT_CELLS)

@@ -1,11 +1,12 @@
 """Tests for the triangle parameterisation and affine normalisation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from robintri.errors import DomainError
+from robintri.errors import DomainError, NumericError
 from robintri.geometry import (
     b0,
     c0,
@@ -159,6 +160,14 @@ class TestPerimeter:
             perimeter_min_over_a(0.0, 1.0)
         with pytest.raises(DomainError):
             perimeter_min_over_a(1.0, -2.0)
+
+    @pytest.mark.parametrize("c,S", [(1e-200, 1e200), (1e-200, 1e-200), (1.0, 1e200),
+                                     (1e200, 1.0)])
+    def test_perimeter_past_float64_is_a_numeric_error(self, c, S):
+        """c^2 or S^2/c^2 leaves float64: a NumericError naming c and S, never
+        an untyped ZeroDivisionError (c^2 rounds to 0) or an infinite perimeter."""
+        with pytest.raises(NumericError, match=re.escape(f"float64 at c = {c:g}, S = {S:g}")):
+            perimeter_min_over_a(c, S)
 
     def test_normalizer_is_one_only_at_equilateral(self, rng):
         S = 0.8

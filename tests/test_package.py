@@ -8,6 +8,7 @@ import math
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
 import robintri
@@ -93,11 +94,12 @@ def test_no_module_imports_a_name_it_never_reads():
 
 S3 = 1.0 / math.sqrt(3.0)
 TRI = robintri.make_triangle(0.3, 0.8, S3)
+SYSTEM = robintri.assemble(robintri.build_mesh(TRI, 2), -1.0)  # 15 nodes
 NAN, INF = math.nan, math.inf
 COUPLINGS = (NAN, INF, -INF, 0.0, 1.0, "-1")       # fails: finite and strictly negative
-POSITIVES = (NAN, INF, -INF, 0.0, -1.0, "1")       # fails: positive and finite
+POSITIVES = (NAN, INF, -INF, 0.0, -1.0, "1", True)  # fails: positive and finite
 FINITES = (NAN, INF, -INF)
-LEVELS = (2.5, 2.0, -1, "2")                       # fails: a non-negative integer
+LEVELS = (2.5, 2.0, -1, "2", True)                 # fails: a non-negative integer
 ALPHA = "alpha must be finite and strictly negative"
 AREA = "area S must be positive and finite"
 
@@ -139,6 +141,11 @@ _BAD_INPUTS = {
     "solve_at_level/alpha": (lambda v: robintri.solve_at_level(TRI, v, 2), COUPLINGS, ALPHA),
     "solve_at_level/level": (lambda v: robintri.solve_at_level(TRI, -1.0, v), LEVELS,
                              "refinement level must be a non-negative integer"),
+    "solve_at_level/sigma0": (lambda v: robintri.solve_at_level(TRI, -1.0, 2, sigma0=v),
+                              FINITES + ("x", True), "sigma0 must be finite"),
+    "mass_residual/x": (lambda v: robintri.mass_residual(SYSTEM, v),
+                        (np.ones(14), np.zeros(15), np.ones((15, 1))),
+                        "x must be a nonzero vector of the system's 15 nodal values"),
     "eigenvalue_converged/alpha": (lambda v: robintri.eigenvalue_converged(TRI, v), COUPLINGS,
                                    ALPHA),
     "eigenvalue_converged/max_level": (

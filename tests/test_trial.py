@@ -1,6 +1,7 @@
 """Tests for the trial-function upper bounds and their certificates."""
 
 import math
+import re
 import warnings
 
 import mpmath as mp
@@ -378,6 +379,14 @@ class TestLowerBound:
             lambda0_lower_bound(0.5, 1.0)
         with pytest.raises(DomainError):
             lambda0_lower_bound(-1.0, -1.0)
+
+    @pytest.mark.parametrize("alpha,S,text", [(-1.0, 1e-320, "alpha = -1, S = 9.99989e-321"),
+                                              (-1e160, 1.0, "alpha = -1e+160, S = 1")])
+    def test_bound_past_float64_is_a_numeric_error(self, alpha, S, text):
+        """Every input rule passes but 36/(sqrt(3) S) or 4 alpha^2 overflows:
+        a NumericError naming the coupling and the area, not -inf."""
+        with pytest.raises(NumericError, match=re.escape(f"overflows float64 at {text}")):
+            lambda0_lower_bound(alpha, S)
 
 
 _ALPHA_ENTRIES = {
