@@ -5,8 +5,9 @@ affine copies ((2^n+1)(2^n+2)/2 nodes), so Richardson extrapolation in the
 mesh size is clean and the discrete ground energy decreases monotonically
 toward the true one from above (conforming elements).  Every mesh of a level
 is an affine image of one unit lattice, so assembly is a weighted sum of
-reference matrices built once per level (see assemble), and the weights'
-(a, c)-derivatives give exact eigenvalue derivatives (Nelson's method).
+reference matrices built once per level, weighted by the value row of one jet
+(_invariant_jet, see assemble) whose (a, c)-derivative rows give exact
+eigenvalue derivatives (Nelson's method).
 
 solve_at_level is the one solve of a mesh level, on the pencil it assembles
 itself.  A mesh of at most 153 nodes (levels 0 to 4) is solved by dense
@@ -75,13 +76,10 @@ class FemMesh:
             raise ResourceError(f"refinement level {level} exceeds the cap {MAX_LEVEL} "
                                 f"({(2**level + 1) * (2**level + 2) // 2} nodes)")
 
-    def _image(self, unit: np.ndarray) -> np.ndarray:
-        v = self.tri.vertex_array()
-        return v[0] + unit[:, :1] * (v[1] - v[0]) + unit[:, 1:] * (v[2] - v[0])
-
     @property
     def nodes(self) -> np.ndarray:  # (N, 2)
-        return self._image(_lattice(self.refinement_level).unit)
+        v, unit = self.tri.vertex_array(), _lattice(self.refinement_level).unit
+        return v[0] + unit[:, :1] * (v[1] - v[0]) + unit[:, 1:] * (v[2] - v[0])
 
     @property
     def elements(self) -> np.ndarray:  # (M, 3) int
@@ -286,16 +284,23 @@ _SECOND = ((1, 1), (1, 2), (2, 2))
 
 def _invariant_jet(a: float, c: float, S: float) -> np.ndarray:
     """Jet (6, 4) of (|e1|^2, |e2|^2, |e2 - e1|^2, e1.e2) for Omega_{a,c}, where
-    e1 = v1 - v0 = (2c, 0), e2 = v2 - v0 = (a + c, S/c) and |det J| = 2S is fixed."""
-    t, tc, tcc = (S / c) ** 2, -2.0 * S * S / c**3, 6.0 * S * S / c**4  # b^2 and its c-derivatives
-    return np.array([
-        [4.0 * c * c, (a + c) ** 2 + t, (a - c) ** 2 + t, 2.0 * c * (a + c)],
-        [0.0, 2.0 * (a + c), 2.0 * (a - c), 2.0 * c],
-        [8.0 * c, 2.0 * (a + c) + tc, -2.0 * (a - c) + tc, 2.0 * a + 4.0 * c],
-        [0.0, 2.0, 2.0, 0.0],
-        [0.0, 2.0, -2.0, 2.0],
-        [8.0, 2.0 + tcc, 2.0 + tcc, 4.0],
-    ])
+    e1 = v1 - v0 = (2c, 0), e2 = v2 - v0 = (a + c, S/c) and |det J| = 2S is fixed;
+    NumericError when an entry leaves float64 (c^4 is 0 below c ~ 1e-81)."""
+    try:  # b^2 = (S/c)^2 and its c-derivatives
+        t, tc, tcc = (S / c) ** 2, -2.0 * S * S / c**3, 6.0 * S * S / c**4
+        jet = np.array([
+            [4.0 * c * c, (a + c) ** 2 + t, (a - c) ** 2 + t, 2.0 * c * (a + c)],
+            [0.0, 2.0 * (a + c), 2.0 * (a - c), 2.0 * c],
+            [8.0 * c, 2.0 * (a + c) + tc, -2.0 * (a - c) + tc, 2.0 * a + 4.0 * c],
+            [0.0, 2.0, 2.0, 0.0],
+            [0.0, 2.0, -2.0, 2.0],
+            [8.0, 2.0 + tcc, 2.0 + tcc, 4.0],
+        ])
+        if np.isfinite(jet).all():
+            return jet
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise NumericError(f"the invariant jet at a = {a:g}, c = {c:g}, S = {S:g} leaves float64")
 
 
 def _weights(jet: np.ndarray, det: float) -> tuple[np.ndarray, np.ndarray]:
@@ -315,22 +320,17 @@ def _weights(jet: np.ndarray, det: float) -> tuple[np.ndarray, np.ndarray]:
 def assemble(mesh: FemMesh, alpha: float) -> FemSystem:
     """The pencil of a lattice mesh at coupling alpha (CSR, one shared pattern):
     A = K + alpha B with K = H11 K_xixi + H12 (K_xieta + K_etaxi) + H22 K_etaeta
-    and B = sum_k l_k B_k, and M = |det J| M_lat, with J = [v1 - v0, v2 - v0] and
-    the side lengths l_k read from the mesh's corner nodes (lattice ids 0,
-    2^level and the last node).  A degenerate triangle raises NumericError.
+    and B = sum_k l_k B_k, and M = |det J| M_lat, with J = [v1 - v0, v2 - v0],
+    |det J| = 2S, and H and the side lengths l_k the value row of _weights on
+    the triangle's _invariant_jet.  A degenerate triangle raises NumericError.
     """
     check_coupling("alpha", alpha)
-    alpha, level = float(alpha), mesh.refinement_level
-    lat = _lattice(level)
-    v0, v1, v2 = mesh._image(lat.unit[[0, 2**level, -1]])
-    e1, e2 = v1 - v0, v2 - v0
-    det = abs(float(e1[0] * e2[1] - e1[1] * e2[0]))
-    if not det > 1e-14 * float(e1 @ e1 + e2 @ e2):
+    tri, lat = mesh.tri, _lattice(mesh.refinement_level)
+    det, jet = 2.0 * tri.S, _invariant_jet(tri.a, tri.c, tri.S)
+    if not det > 1e-14 * float(jet[0, 0] + jet[0, 1]):
         raise NumericError(f"degenerate triangle: |det J| = {det:g}")
-    jet = np.zeros((6, 4))
-    jet[0] = (e1 @ e1, e2 @ e2, (e2 - e1) @ (e2 - e1), e1 @ e2)
     h, ell = _weights(jet, det)
-    return FemSystem(lat.form(h[0], ell[0], alpha), lat.matrix(det * lat.mass))
+    return FemSystem(lat.form(h[0], ell[0], float(alpha)), lat.matrix(det * lat.mass))
 
 
 def _power_iterate(lu, M, x0, sigma: float):
@@ -438,11 +438,12 @@ def mass_residual(system: FemSystem, x: np.ndarray) -> float:
     Some eigenvalue of the pencil (A, M) lies within this distance of rho.
     The mass-matrix solve is Jacobi-preconditioned CG to rtol 1e-13; no
     ladder calls this, so only a caller that reports the residual pays for it.
-    An x that is not a nonzero vector of the system's size raises DomainError.
+    An x that is not a finite nonzero vector of the system's size raises
+    DomainError.
     """
     A, M = system.form, system.mass
     x = np.asarray(x, dtype=float)
-    if x.shape != (A.shape[0],) or not x.any():
+    if x.shape != (A.shape[0],) or not x.any() or not np.isfinite(x).all():
         raise DomainError(f"x must be a nonzero vector of the system's {A.shape[0]} nodal "
                           f"values, got shape {x.shape}")
     ax, mx = A @ x, M @ x
@@ -488,12 +489,18 @@ def solve_at_level(tri, alpha: float, level: int, sigma0: float | None = None,
             raise DomainError("a start vector must be finite and nonzero")
     n = A.shape[0]
     if n <= _DENSE_NODES:
-        vec = scipy.linalg.eigh(A.toarray(), M.toarray(), subset_by_index=[0, 0])[1][:, 0]
-        solves = 0
+        vecs = scipy.linalg.eigh(A.toarray(), M.toarray(), subset_by_index=[0, 0])[1]
+        if vecs.shape[1] == 0:
+            raise NumericError(f"the dense eigensolver returned no vector at alpha = {alpha:g}")
+        vec, solves = vecs[:, 0], 0
     else:
-        sigma = sigma0 if sigma0 is not None else (
-            -2.0 * (float(alpha) / math.sin(0.5 * tri.theta_star)) ** 2 - 1.0
-        )
+        try:
+            sigma = sigma0 if sigma0 is not None else (
+                -2.0 * (float(alpha) / math.sin(0.5 * tri.theta_star)) ** 2 - 1.0)
+        except OverflowError:
+            sigma = -math.inf
+        if not math.isfinite(sigma):
+            raise NumericError(f"the cold shift overflows float64 at alpha = {alpha:g}")
         # Start vector: the constant, or the coarser level's ground vector
         # prolongated and scaled to peak 1, plus a fixed asymmetric ripple.  The
         # ripple keeps a usable overlap with antisymmetric ground states
@@ -537,22 +544,26 @@ def walk_levels(tri, alpha: float, min_level: int, max_level: int,
     the ground vector just found, interpolated onto the finer lattice (see
     _power_iterate).  A level whose solve raises NumericError (tight but
     not-yet-degenerate pairs do this on very flat triangles) is appended to
-    ``skipped`` as (level, error text), and the next level starts from the
-    cold shift and the constant vector again.  Callers stop the walk by
-    leaving the loop.
+    ``skipped`` as (level, error text), as is a level more than 1e-12 relative
+    above the last solved one, which nested P1 spaces cannot give; the next
+    level starts from the cold shift and the constant vector again.  Callers
+    stop the walk by leaving the loop.
     """
     sigma0 = start = None
     prev = None
     for level in range(min_level, max_level + 1):
         try:
             res = solve_at_level(tri, alpha, level, sigma0=sigma0, start=start)
+            lam = res.lambda1
+            if prev is not None and lam > prev + 1e-12 * abs(prev):
+                raise NumericError(f"the level-{level} value {lam:.12g} lies above the "
+                                   f"last solved level's {prev:.12g}")
         except NumericError as exc:
             skipped.append((level, str(exc)))
             sigma0 = start = None
             continue
         yield res
         start = res.eigenvector
-        lam = res.lambda1
         drop = 2.0 * abs(lam - prev) if prev is not None else 0.1 * abs(lam)
         sigma0 = lam - drop - 0.02 * abs(lam) - 1.0
         prev = lam
@@ -563,7 +574,8 @@ def _settle(results, measure, settled):
     measure(res) over the solved levels (4^gap - 1 across skipped ones) until
     settled(vals, extrs), asked after every extrapolation, holds.  Returns the
     solved levels, their measures, the extrapolations and whether they settled;
-    fewer than two solved levels raise NumericError."""
+    fewer than two solved levels, or an extrapolation past float64, raise
+    NumericError."""
     done, vals, extrs = [], [], []
     for res in results:
         done.append(res)
@@ -571,6 +583,8 @@ def _settle(results, measure, settled):
         if len(done) > 1:
             gap = done[-1].level - done[-2].level
             extrs.append(vals[-1] + (vals[-1] - vals[-2]) / (4.0 ** gap - 1.0))
+            if not np.isfinite(extrs[-1]).all():
+                raise NumericError(f"the extrapolation to level {done[-1].level} leaves float64")
             if settled(vals, extrs):
                 return done, vals, extrs, True
     if len(done) < 2:

@@ -1,4 +1,4 @@
-"""Triangle parameterisation, affine normalisation and angle data.
+"""Triangle parameterisation, perimeter normalisation and angle data.
 
 A triangle of area S is described by (a, c): vertices V0 = (-c, 0),
 V1 = (c, 0), V2 = (a, b) with b = S/c.  The reference triangle of the same
@@ -134,29 +134,9 @@ def as_geometry(tri) -> TriangleGeometry:
     return tri
 
 
-def inverse_metric(tri: TriangleGeometry) -> tuple[float, float, float]:
-    """Entries (g11, g12, g22) of the inverse metric (M^T M)^-1.
-
-    M = [[c/c0, a/b0], [0, b/b0]] is the area-preserving affine map (det M =
-    c b / (c0 b0) = 1) taking the equilateral reference onto Omega_{a,c}.
-    """
-    a, c, S = tri.a, tri.c, tri.S
-    s3 = math.sqrt(3.0)
-    return a * a / (s3 * S) + S / (s3 * c * c), -a * c / S, s3 * c * c / S
-
-
 def perimeter_normalizer(tri) -> float:
     """Scale factor gamma in (0, 1] making gamma*Omega match the equilateral perimeter."""
     tri = as_geometry(tri)
     gamma = 6.0 * c0(tri.S) / tri.perimeter
     return min(gamma, 1.0)
 
-
-def edge_stretch_weights(tri: TriangleGeometry) -> tuple[float, float, float]:
-    """Per-side length ratios |side_k(a,c)| / |side_k(equilateral)|.
-
-    These are the boundary weights of the transported Robin form; they sum to
-    sqrt(sqrt(3)/S) * perimeter / 2.
-    """
-    base = 2.0 * c0(tri.S)
-    return tuple(s / base for s in tri.side_lengths)

@@ -31,7 +31,7 @@ import numpy as np
 from . import _quad
 from .equilateral import _normalised_ground_state, closed_form_norms, solve_equilateral
 from .errors import DomainError, NumericError, check_area, check_coupling, check_length
-from .geometry import TriangleGeometry, as_geometry, corner, edge_stretch_weights, inverse_metric
+from .geometry import TriangleGeometry, as_geometry, c0, corner
 
 _SQRT3 = math.sqrt(3.0)
 _MARGIN = 1e-10
@@ -55,9 +55,10 @@ def strictly_below(value: float, target: float) -> bool:
 
 
 def shape_coefficient(tri: TriangleGeometry) -> float:
-    """Trace of the inverse metric minus 2; zero exactly at the equilateral shape."""
-    g11, _, g22 = inverse_metric(tri)
-    return g11 + g22 - 2.0
+    """tr (M^T M)^-1 - 2 for the area-preserving map M = [[c/c0, a/b0], [0, b/b0]] from
+    the equilateral reference onto Omega_{a,c}; zero exactly at the equilateral shape."""
+    a, c, S = tri.a, tri.c, tri.S
+    return a * a / (_SQRT3 * S) + S / (_SQRT3 * c * c) + _SQRT3 * c * c / S - 2.0
 
 
 def delta_transplant(alpha: float, tri) -> float:
@@ -69,7 +70,7 @@ def delta_transplant(alpha: float, tri) -> float:
     tri = as_geometry(tri)
     sol = solve_equilateral(alpha, tri.S)
     d1, bdry, _ = closed_form_norms(sol)
-    f1 = sum(edge_stretch_weights(tri))
+    f1 = sum(s / (2.0 * c0(tri.S)) for s in tri.side_lengths)  # the side stretch weights
     return shape_coefficient(tri) * d1 + alpha * (f1 - 3.0) * bdry / 3.0
 
 
@@ -237,7 +238,7 @@ def small_coupling_functions(alpha: float, tri) -> tuple[float, float, float]:
     where both excesses vanish.
     """
     tri = as_geometry(tri)
-    f1 = sum(edge_stretch_weights(tri))
+    f1 = sum(s / (2.0 * c0(tri.S)) for s in tri.side_lengths)
     coef = shape_coefficient(tri)
     z = (f1 - 3.0) / coef if coef > 1e-14 else float("nan")
     b, grad_sq = _normalised_ground_state(alpha, tri.S)

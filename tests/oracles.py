@@ -2,7 +2,8 @@
 
 A field is a callable pts -> (values, gradients) on (n, 2) point arrays, e.g.
 ground_state(sol).  transported_form integrates the Robin form of a
-reference-triangle field carried onto Omega_{a,c}; the constant and
+reference-triangle field carried onto Omega_{a,c} with the affine map's
+inverse metric and edge stretch weights; the constant and
 corner-exponential fields are the other two trial functions of the paper.
 """
 
@@ -11,12 +12,33 @@ import math
 import numpy as np
 
 from robintri import _quad
-from robintri.geometry import as_geometry, b0, c0, corner, edge_stretch_weights, inverse_metric
+from robintri.geometry import as_geometry, b0, c0, corner
 
 
 def reference_vertices(S):
     """The equilateral reference triangle of area S, vertices in label order."""
     return np.array([[-c0(S), 0.0], [c0(S), 0.0], [0.0, b0(S)]])
+
+
+def inverse_metric(tri):
+    """Entries (g11, g12, g22) of the inverse metric (M^T M)^-1.
+
+    M = [[c/c0, a/b0], [0, b/b0]] is the area-preserving affine map (det M =
+    c b / (c0 b0) = 1) taking the equilateral reference onto Omega_{a,c}.
+    """
+    a, c, S = tri.a, tri.c, tri.S
+    s3 = math.sqrt(3.0)
+    return a * a / (s3 * S) + S / (s3 * c * c), -a * c / S, s3 * c * c / S
+
+
+def edge_stretch_weights(tri):
+    """Per-side length ratios |side_k(a,c)| / |side_k(equilateral)|.
+
+    These are the boundary weights of the transported Robin form; they sum to
+    sqrt(sqrt(3)/S) * perimeter / 2.
+    """
+    base = 2.0 * c0(tri.S)
+    return tuple(s / base for s in tri.side_lengths)
 
 
 def side_integrals(f, verts, n, tol):

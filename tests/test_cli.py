@@ -102,6 +102,17 @@ class TestEigen:
         assert code == EXIT_NUMERIC
         assert out == "" and err.startswith("numeric failure:")
 
+    def test_coupling_near_float64_range_is_a_numeric_failure(self, capsys):
+        """At alpha = -1e307 no level solves (dense levels get no vector, sparse
+        ones overflow the cold shift): exit 2 with a message, no traceback."""
+        code, out, err = run(
+            capsys,
+            ["eigen", "--a", "0.3", "--c", "0.6", "--area", "0.5",
+             "--alpha=-1e307", "--max-level", "6"],
+        )
+        assert code == EXIT_NUMERIC
+        assert out == "" and err.startswith("numeric failure:")
+
     def test_level_cap_below_four_is_usage_error(self, capsys):
         code, out, err = run(
             capsys,

@@ -6,6 +6,7 @@ the whole spectrum — the part that keeps shift-invert iteration honest on
 nearly-degenerate problems.
 """
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -246,6 +247,16 @@ class TestLatticeCache:
         with pytest.raises(NumericError, match="degenerate"):
             assemble(mesh, -2.0)
 
+    @pytest.mark.parametrize("c,S", [(1e-85, 1e-170), (1e80, 1e160)])
+    def test_jet_past_float64_is_refused(self, c, S):
+        """c^4 rounds to 0 below c ~ 1e-81 and S^2 overflows past S ~ 1e154: the
+        invariant jet's c-derivative rows leave float64, so assemble and the
+        shape derivatives, which read the same jet, raise NumericError."""
+        with pytest.raises(NumericError, match="invariant jet .* leaves float64"):
+            assemble(build_mesh(make_triangle(0.0, c, S), 2), -1.0)
+        with pytest.raises(NumericError, match="invariant jet .* leaves float64"):
+            fem.shape_derivatives_at_equilateral(-1.0, S)
+
     def test_lattice_is_read_only(self):
         mesh = build_mesh(make_triangle(0.0, 1.0, 1.0), 2)
         with pytest.raises(ValueError):
@@ -315,6 +326,21 @@ class TestFactorCounting:
         sigma0 = spec[1] - 0.1 * (spec[1] - spec[0])
         res = solve_at_level(tri, -2.0, 5, sigma0=sigma0)
         assert abs(res.lambda1 - spec[0]) < 1e-10 * abs(spec[0])
+
+    @pytest.mark.parametrize("alpha,level,text", [
+        (-1e307, 3, "dense eigensolver returned no vector"),
+        (-1e200, 5, "cold shift overflows float64"),
+    ])
+    def test_coupling_near_float64_range_is_a_numeric_error(self, alpha, level, text):
+        """Every input rule passes, but a dense level (3) gets no vector back and
+        a sparse level's cold shift (5) overflows: both raise NumericError,
+        which walk_levels records as a skipped level."""
+        tri = make_triangle(0.3, 0.6, 0.5)
+        with pytest.raises(NumericError, match=text):
+            solve_at_level(tri, alpha, level)
+        skipped = []
+        assert list(walk_levels(tri, alpha, level, level, skipped)) == []
+        assert [lev for lev, _ in skipped] == [level] and text in skipped[0][1]
 
     def test_shift_that_is_not_finite_is_refused_before_factoring(self, monkeypatch):
         """A shift of -inf or nan never certifies (each attempt costs a
@@ -674,6 +700,46 @@ class TestConvergence:
         assert not res.converged and [lev for lev, _ in res.skipped] == [6, 7]
         assert res.level == 5
         assert res.eigenvector.shape == (561,) == (len(build_mesh(tri, res.level).nodes),)
+
+    def test_level_above_the_last_solved_one_is_skipped(self, monkeypatch):
+        """Nested P1 spaces cannot raise the ground value: a level that lies
+        above the last solved one by more than 1e-12 relative is recorded as
+        skipped, the next level starts cold, and the ladder reads the rest."""
+        tri = make_triangle(0.5, 0.9, S_THIRD)
+        solve = fem.solve_at_level
+        starts = {}
+
+        def rising(tri, alpha, level, sigma0=None, start=None):
+            starts[level] = (sigma0, start)
+            res = solve(tri, alpha, level, sigma0=sigma0, start=start)
+            if level == 4:
+                res = dataclasses.replace(res, lambda1=0.5 * res.lambda1)
+            return res
+
+        monkeypatch.setattr(fem, "solve_at_level", rising)
+        res = eigenvalue_converged(tri, -2.0, rel_tol=1e-8, max_level=6)
+        assert [lev for lev, _ in res.skipped] == [4]
+        assert "lies above the last solved level's" in res.skipped[0][1]
+        assert starts[5] == (None, None) and starts[6][0] is not None
+        lam = {lev: solve(tri, -2.0, lev).lambda1 for lev in (2, 3, 5, 6)}
+        assert res.history == pytest.approx([lam[2], lam[3], lam[5], lam[6]], rel=1e-12)
+
+    def test_rising_level_near_float64_range_is_skipped(self):
+        """At alpha = -1e200 the warm level-5 solve lands above level 4 and the
+        cold level-6 shift overflows: both are skipped, and the history keeps
+        only conforming, non-increasing values."""
+        res = eigenvalue_converged(make_triangle(0.3, 0.6, 0.5), -1e200, max_level=6)
+        assert [lev for lev, _ in res.skipped] == [5, 6]
+        assert "lies above" in res.skipped[0][1] and "cold shift" in res.skipped[1][1]
+        hist = np.array(res.history)
+        assert len(hist) == 3 and np.all(np.diff(hist) <= 0.0)
+        assert math.isfinite(res.lambda1) and not res.converged
+
+    def test_extrapolation_past_float64_is_a_numeric_error(self):
+        """At alpha = -1e306 every level is finite but the Richardson step
+        overflows; the ladder raises instead of returning -inf as converged."""
+        with pytest.raises(NumericError, match="extrapolation to level 4 leaves float64"):
+            eigenvalue_converged(make_triangle(0.3, 0.6, 0.5), -1e306, max_level=6)
 
     def test_one_eigenpair_per_level_solve_count(self):
         """Shift-invert Lanczos started from the coarser level's ground vector

@@ -1,4 +1,4 @@
-"""Tests for the triangle parameterisation and affine normalisation."""
+"""Tests for the triangle parameterisation and perimeter normalisation."""
 
 import math
 import re
@@ -11,13 +11,10 @@ from robintri.geometry import (
     b0,
     c0,
     corner,
-    edge_stretch_weights,
-    inverse_metric,
     make_triangle,
     perimeter_min_over_a,
     perimeter_normalizer,
 )
-from robintri.trial import shape_coefficient
 
 SQRT3 = math.sqrt(3.0)
 
@@ -185,52 +182,3 @@ class TestPerimeter:
             scaled = make_triangle(gamma * a, gamma * c, gamma * gamma * S)
             if gamma < 1.0:
                 assert abs(scaled.perimeter - 6.0 * c0(S)) < 1e-10
-
-
-def _affine_matrix(tri):
-    """M = [[c/c0, a/b0], [0, b/b0]], the map from the reference onto Omega_{a,c}."""
-    S = tri.S
-    return np.array([[tri.c / c0(S), tri.a / b0(S)], [0.0, tri.b / b0(S)]])
-
-
-class TestInverseMetric:
-    def test_maps_reference_onto_triangle(self, rng):
-        """M takes the vertices of the equilateral triangle of area S onto
-        those of make_triangle(a, c, S), label by label."""
-        for _ in range(25):
-            a, c, S = rng.uniform(-3, 3), rng.uniform(0.2, 3), rng.uniform(0.3, 3)
-            m = _affine_matrix(make_triangle(a, c, S))
-            ref = make_triangle(0.0, c0(S), S).vertex_array()
-            assert np.allclose(ref @ m.T, make_triangle(a, c, S).vertex_array(), atol=1e-12)
-
-    def test_determinant_one(self, rng):
-        """M preserves area, so M^T M and its inverse both have determinant one."""
-        for _ in range(25):
-            tri = make_triangle(rng.uniform(-3, 3), rng.uniform(0.2, 3), rng.uniform(0.3, 3))
-            assert abs(np.linalg.det(_affine_matrix(tri)) - 1.0) < 1e-12
-            g11, g12, g22 = inverse_metric(tri)
-            assert abs(g11 * g22 - g12 * g12 - 1.0) < 1e-10 * g11 * g22
-
-    def test_inverts_the_metric_of_the_affine_map(self, rng):
-        """inverse_metric is the exact inverse of M^T M, and its trace minus 2
-        is the shape coefficient."""
-        for _ in range(25):
-            tri = make_triangle(rng.uniform(-3, 3), rng.uniform(0.2, 3), rng.uniform(0.3, 3))
-            m = _affine_matrix(tri)
-            g11, g12, g22 = inverse_metric(tri)
-            assert np.allclose(m.T @ m @ [[g11, g12], [g12, g22]], np.eye(2), atol=1e-10)
-            assert shape_coefficient(tri) == g11 + g22 - 2.0
-
-
-class TestEdgeWeights:
-    def test_equilateral_weights_are_unity(self):
-        w = edge_stretch_weights(make_triangle(0.0, c0(2.0), 2.0))
-        assert np.allclose(w, [1.0, 1.0, 1.0], atol=1e-12)
-
-    def test_sum_identity(self, rng):
-        """The weights sum to sqrt(sqrt(3)/S) * perimeter / 2."""
-        for _ in range(25):
-            tri = make_triangle(rng.uniform(-3, 3), rng.uniform(0.2, 3), rng.uniform(0.3, 3))
-            w = edge_stretch_weights(tri)
-            expected = math.sqrt(SQRT3 / tri.S) * tri.perimeter / 2.0
-            assert abs(sum(w) - expected) < 1e-12 * expected

@@ -1,6 +1,7 @@
 """The package's public surface: __all__ and the imports of __init__.py agree,
-every public name has a reader outside the tests, and every public entry
-refuses bad inputs with the rule texts of robintri.errors."""
+every public name and top-level definition has a reader outside the tests,
+and every public entry refuses bad inputs with the rule texts of
+robintri.errors."""
 
 import ast
 import inspect
@@ -38,8 +39,9 @@ def test_every_public_callable_has_a_docstring():
 
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
-# public names that no package module or bench script reads yet, each kept for
-# the ROADMAP item that will read it
+SRC = sorted((REPO / "src" / "robintri").glob("*.py"))
+# public names and top-level definitions that no package module or bench
+# script reads yet, each kept for the ROADMAP item that will read it
 _KEPT_UNREAD = {
     "T0": "the acceptance gate's threshold, read by test_acceptance.py",
     "coupling_elasticity": "item 4(a): u0's volume norm by Feynman-Hellmann",
@@ -48,14 +50,15 @@ _KEPT_UNREAD = {
 }
 
 
-def test_every_public_name_has_a_non_test_reader():
-    """Each name in __all__ is read outside the tests: as a loaded name or an
-    attribute in a package module other than __init__.py, or in a bench
-    script.  A public name only tests read is code no scan, CLI command or
-    bench workload reaches; it leaves __all__ or joins _KEPT_UNREAD with a
-    reason."""
-    files = [path for path in sorted((REPO / "src" / "robintri").glob("*.py"))
-             if path.name != "__init__.py"] + sorted((REPO / "bench").glob("*.py"))
+def test_every_public_name_and_definition_has_a_non_test_reader():
+    """Each name in __all__, and each function and class defined at the top
+    level of a package module, is read outside the tests: as a loaded name or
+    an attribute in a package module other than __init__.py, or in a bench
+    script.  A name only tests read is code no scan, CLI command or bench
+    workload reaches; it leaves the package (a test oracle moves to
+    tests/oracles.py) or joins _KEPT_UNREAD with a reason."""
+    files = [path for path in SRC if path.name != "__init__.py"]
+    files += sorted((REPO / "bench").glob("*.py"))
     assert files
     read = set()
     for path in files:
@@ -64,16 +67,20 @@ def test_every_public_name_has_a_non_test_reader():
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    assert set(_KEPT_UNREAD) <= set(robintri.__all__)
-    assert sorted(set(robintri.__all__) - read - set(_KEPT_UNREAD)) == []
+    defined = {node.name for path in SRC
+               for node in ast.parse(path.read_text(encoding="utf-8")).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert {"assemble", "_invariant_jet", "FemMesh"} <= defined
+    assert set(_KEPT_UNREAD) <= set(robintri.__all__) | defined
+    assert sorted((set(robintri.__all__) | defined) - read - set(_KEPT_UNREAD)) == []
 
 
 def test_no_module_imports_a_name_it_never_reads():
     """Each name that a package module other than __init__.py (which imports
     to re-export) or a test module imports is loaded somewhere in that module,
     alone or as the base of an attribute.  __future__ imports bind no name."""
-    files = [path for path in sorted((REPO / "src" / "robintri").glob("*.py"))
-             if path.name != "__init__.py"] + sorted((REPO / "tests").glob("*.py"))
+    files = [path for path in SRC if path.name != "__init__.py"]
+    files += sorted((REPO / "tests").glob("*.py"))
     unread = []
     for path in files:
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -144,7 +151,8 @@ _BAD_INPUTS = {
     "solve_at_level/sigma0": (lambda v: robintri.solve_at_level(TRI, -1.0, 2, sigma0=v),
                               FINITES + ("x", True), "sigma0 must be finite"),
     "mass_residual/x": (lambda v: robintri.mass_residual(SYSTEM, v),
-                        (np.ones(14), np.zeros(15), np.ones((15, 1))),
+                        (np.ones(14), np.zeros(15), np.ones((15, 1)), np.full(15, NAN),
+                         np.full(15, INF)),
                         "x must be a nonzero vector of the system's 15 nodal values"),
     "eigenvalue_converged/alpha": (lambda v: robintri.eigenvalue_converged(TRI, v), COUPLINGS,
                                    ALPHA),
