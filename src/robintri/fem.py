@@ -283,9 +283,8 @@ _SECOND = ((1, 1), (1, 2), (2, 2))
 
 
 def _invariant_jet(a: float, c: float, S: float) -> np.ndarray:
-    """Jet (6, 4) of (|e1|^2, |e2|^2, |e2 - e1|^2, e1.e2) for Omega_{a,c}, where
-    e1 = v1 - v0 = (2c, 0), e2 = v2 - v0 = (a + c, S/c) and |det J| = 2S is fixed;
-    NumericError when an entry leaves float64 (c^4 is 0 below c ~ 1e-81)."""
+    """Jet (6, 4) of (|e1|^2, |e2|^2, |e2 - e1|^2, e1.e2) for Omega_{a,c}, where e1 = v1 - v0 =
+    (2c, 0), e2 = v2 - v0 = (a + c, S/c), |det J| = 2S fixed; NumericError past float64."""
     try:  # b^2 = (S/c)^2 and its c-derivatives
         t, tc, tcc = (S / c) ** 2, -2.0 * S * S / c**3, 6.0 * S * S / c**4
         jet = np.array([
@@ -438,8 +437,7 @@ def mass_residual(system: FemSystem, x: np.ndarray) -> float:
     Some eigenvalue of the pencil (A, M) lies within this distance of rho.
     The mass-matrix solve is Jacobi-preconditioned CG to rtol 1e-13; no
     ladder calls this, so only a caller that reports the residual pays for it.
-    An x that is not a finite nonzero vector of the system's size raises
-    DomainError.
+    A non-finite, all-zero or wrongly sized x raises DomainError.
     """
     A, M = system.form, system.mass
     x = np.asarray(x, dtype=float)
@@ -544,18 +542,20 @@ def walk_levels(tri, alpha: float, min_level: int, max_level: int,
     the ground vector just found, interpolated onto the finer lattice (see
     _power_iterate).  A level whose solve raises NumericError (tight but
     not-yet-degenerate pairs do this on very flat triangles) is appended to
-    ``skipped`` as (level, error text), as is a level more than 1e-12 relative
-    above the last solved one, which nested P1 spaces cannot give; the next
-    level starts from the cold shift and the constant vector again.  Callers
-    stop the walk by leaving the loop.
+    ``skipped`` as (level, error text), as is a level above the last solved one
+    by more than rounding (1e-12 relative plus eps times 4 n sum|e_k|^2 / S^2,
+    about the n-node pencil's top eigenvalue), which nested P1 spaces cannot
+    give.  The next level starts from the cold shift and the constant vector
+    again.  Callers stop the walk by leaving the loop.
     """
-    sigma0 = start = None
-    prev = None
+    sigma0 = start = prev = None
+    q = math.hypot(*tri.side_lengths) / tri.S
     for level in range(min_level, max_level + 1):
         try:
             res = solve_at_level(tri, alpha, level, sigma0=sigma0, start=start)
             lam = res.lambda1
-            if prev is not None and lam > prev + 1e-12 * abs(prev):
+            if prev is not None and lam > prev + 1e-12 * abs(prev) + (
+                    4.0 * _EPS * q * q * len(res.eigenvector)):
                 raise NumericError(f"the level-{level} value {lam:.12g} lies above the "
                                    f"last solved level's {prev:.12g}")
         except NumericError as exc:
@@ -566,6 +566,7 @@ def walk_levels(tri, alpha: float, min_level: int, max_level: int,
         start = res.eigenvector
         drop = 2.0 * abs(lam - prev) if prev is not None else 0.1 * abs(lam)
         sigma0 = lam - drop - 0.02 * abs(lam) - 1.0
+        sigma0 = sigma0 if math.isfinite(sigma0) else None  # past float64: go cold
         prev = lam
 
 
@@ -574,8 +575,7 @@ def _settle(results, measure, settled):
     measure(res) over the solved levels (4^gap - 1 across skipped ones) until
     settled(vals, extrs), asked after every extrapolation, holds.  Returns the
     solved levels, their measures, the extrapolations and whether they settled;
-    fewer than two solved levels, or an extrapolation past float64, raise
-    NumericError."""
+    fewer than two solved levels or a non-finite extrapolation raise NumericError."""
     done, vals, extrs = [], [], []
     for res in results:
         done.append(res)

@@ -61,6 +61,10 @@ def shape_coefficient(tri: TriangleGeometry) -> float:
     return a * a / (_SQRT3 * S) + S / (_SQRT3 * c * c) + _SQRT3 * c * c / S - 2.0
 
 
+def _stretch_sum(tri: TriangleGeometry) -> float:  # sum |side_k| / (2 c0(S)), 3 if equilateral
+    return sum(s / (2.0 * c0(tri.S)) for s in tri.side_lengths)
+
+
 def delta_transplant(alpha: float, tri) -> float:
     """Closed-form excess of the transported form of u0 over its equilateral value.
 
@@ -70,7 +74,7 @@ def delta_transplant(alpha: float, tri) -> float:
     tri = as_geometry(tri)
     sol = solve_equilateral(alpha, tri.S)
     d1, bdry, _ = closed_form_norms(sol)
-    f1 = sum(s / (2.0 * c0(tri.S)) for s in tri.side_lengths)  # the side stretch weights
+    f1 = _stretch_sum(tri)
     return shape_coefficient(tri) * d1 + alpha * (f1 - 3.0) * bdry / 3.0
 
 
@@ -238,7 +242,7 @@ def small_coupling_functions(alpha: float, tri) -> tuple[float, float, float]:
     where both excesses vanish.
     """
     tri = as_geometry(tri)
-    f1 = sum(s / (2.0 * c0(tri.S)) for s in tri.side_lengths)
+    f1 = _stretch_sum(tri)
     coef = shape_coefficient(tri)
     z = (f1 - 3.0) / coef if coef > 1e-14 else float("nan")
     b, grad_sq = _normalised_ground_state(alpha, tri.S)

@@ -703,7 +703,7 @@ class TestConvergence:
 
     def test_level_above_the_last_solved_one_is_skipped(self, monkeypatch):
         """Nested P1 spaces cannot raise the ground value: a level that lies
-        above the last solved one by more than 1e-12 relative is recorded as
+        above the last solved one by more than rounding is recorded as
         skipped, the next level starts cold, and the ladder reads the rest."""
         tri = make_triangle(0.5, 0.9, S_THIRD)
         solve = fem.solve_at_level
@@ -724,13 +724,31 @@ class TestConvergence:
         lam = {lev: solve(tri, -2.0, lev).lambda1 for lev in (2, 3, 5, 6)}
         assert res.history == pytest.approx([lam[2], lam[3], lam[5], lam[6]], rel=1e-12)
 
-    def test_rising_level_near_float64_range_is_skipped(self):
+    @pytest.mark.parametrize("alpha", [-1e-6, -1e-7, -1e-9])
+    def test_rounding_at_weak_coupling_skips_no_level(self, alpha):
+        """At weak coupling the true level-to-level drop, O(alpha^2 h^2), is
+        below the Rayleigh quotient's rounding floor, which does not shrink
+        with alpha: levels rise by rounding (here by up to 1e-10 on a flat
+        triangle at level 8), and none is skipped for it."""
+        res = eigenvalue_converged(make_triangle(-0.9, 0.15, 1.0), alpha, rel_tol=1e-8,
+                                   max_level=8)
+        assert res.skipped == () and res.level == 8 and len(res.history) == 7
+        assert fem.shape_derivatives_at_equilateral(alpha, 1.0).skipped == ()
+
+    @pytest.mark.parametrize("alpha,texts", [
+        (-1e200, ("lies above", "cold shift overflows")),
+        (-7e305, ("cold shift overflows", "cold shift overflows")),
+    ])
+    def test_rising_level_near_float64_range_is_skipped(self, alpha, texts):
         """At alpha = -1e200 the warm level-5 solve lands above level 4 and the
-        cold level-6 shift overflows: both are skipped, and the history keeps
-        only conforming, non-increasing values."""
-        res = eigenvalue_converged(make_triangle(0.3, 0.6, 0.5), -1e200, max_level=6)
+        cold level-6 shift overflows.  At -7e305 the warm shift below level 4's
+        value, about 2.02 lambda4, overflows while the extrapolation stays
+        finite, so level 5 goes cold instead of raising DomainError, and its
+        cold shift overflows too.  Both skip levels 5 and 6, and the history
+        keeps only conforming, non-increasing values."""
+        res = eigenvalue_converged(make_triangle(0.3, 0.6, 0.5), alpha, max_level=6)
         assert [lev for lev, _ in res.skipped] == [5, 6]
-        assert "lies above" in res.skipped[0][1] and "cold shift" in res.skipped[1][1]
+        assert all(t in text for t, (_, text) in zip(texts, res.skipped))
         hist = np.array(res.history)
         assert len(hist) == 3 and np.all(np.diff(hist) <= 0.0)
         assert math.isfinite(res.lambda1) and not res.converged
