@@ -12,11 +12,18 @@ eigenvalue derivatives (Nelson's method).
 solve_at_level is the one solve of a mesh level, on the pencil it assembles
 itself.  A mesh of at most 153 nodes (levels 0 to 4) is solved by dense
 LAPACK, which needs no shift.  Every larger level costs one sparse
-factorisation: the shift starts at a warm value from the coarser level (or
-the cold guess -2 alpha^2/sin^2(theta*/2) - 1) and moves down until the
-factorisation's inertia certifies that no eigenvalue lies below it, and a
-thick-restart shift-invert Lanczos loop (_power_iterate, a 10-vector basis)
-on that same factorisation returns the ground eigenpair.  A ladder starts
+factorisation at a shift that the factorisation's inertia certifies to lie
+below every eigenvalue, and a thick-restart shift-invert Lanczos loop
+(_power_iterate, a 10-vector basis) on that same factorisation returns the
+ground eigenpair; its solve count grows with the shift's distance below the
+value (Ericsson & Ruhe).  A ladder (walk_levels) predicts the next level's
+drop from its last observed drop ratio and shifts a quarter of that drop
+below the predicted value; until two drops above rounding are known, as at
+weak coupling, it shifts conservatively, lam - 2 |drop| - 0.02 |lam| - 1/S,
+and a rejected prediction steps to that conservative shift.  With no warm
+shift the cold guess is -2 alpha^2/sin^2(theta*/2) - 1/S, and a rejected
+shift sigma steps to 2 sigma - 1/S: every rule is relative to 1/S, so a
+dilated problem tries the same shifts, scaled.  A ladder starts
 that loop from the coarser level's ground vector: the lattices are nested, so
 interpolated onto the finer one it is the coarse eigenfunction itself
 (_prolongate).  On both paths the level's value is the Rayleigh quotient of
@@ -57,6 +64,10 @@ _NCV = 10
 _KEEP = 3
 _MAX_SOLVES = 100 * _NCV
 _EPS = float(np.finfo(float).eps)
+# A ladder's predicted shift sits this many predicted drops below the value
+# just found (walk_levels): a quarter of the predicted drop below the
+# predicted value.
+_MARGIN = 1.25
 
 
 @dataclass(frozen=True)
@@ -321,7 +332,8 @@ def assemble(mesh: FemMesh, alpha: float) -> FemSystem:
     A = K + alpha B with K = H11 K_xixi + H12 (K_xieta + K_etaxi) + H22 K_etaeta
     and B = sum_k l_k B_k, and M = |det J| M_lat, with J = [v1 - v0, v2 - v0],
     |det J| = 2S, and H and the side lengths l_k the value row of _weights on
-    the triangle's _invariant_jet.  A degenerate triangle raises NumericError.
+    the triangle's _invariant_jet.  A degenerate triangle, or a coupling so
+    strong that A leaves float64, raises NumericError.
     """
     check_coupling("alpha", alpha)
     tri, lat = mesh.tri, _lattice(mesh.refinement_level)
@@ -329,7 +341,11 @@ def assemble(mesh: FemMesh, alpha: float) -> FemSystem:
     if not det > 1e-14 * float(jet[0, 0] + jet[0, 1]):
         raise NumericError(f"degenerate triangle: |det J| = {det:g}")
     h, ell = _weights(jet, det)
-    return FemSystem(lat.form(h[0], ell[0], float(alpha)), lat.matrix(det * lat.mass))
+    with np.errstate(over="ignore", invalid="ignore"):
+        form = lat.form(h[0], ell[0], float(alpha))
+    if not np.isfinite(form.data).all():
+        raise NumericError(f"the pencil at alpha = {alpha:g} leaves float64")
+    return FemSystem(form, lat.matrix(det * lat.mass))
 
 
 def _power_iterate(lu, M, x0, sigma: float):
@@ -453,33 +469,42 @@ def mass_residual(system: FemSystem, x: np.ndarray) -> float:
     return math.sqrt(max(float(r @ z), 0.0) / xmx)
 
 
-def solve_at_level(tri, alpha: float, level: int, sigma0: float | None = None,
+def solve_at_level(tri, alpha: float, level: int,
+                   sigma0: float | tuple[float, ...] | None = None,
                    start: np.ndarray | None = None) -> EigenResult:
     """Ground eigenpair of K + alpha*B against M on the level-`level` mesh of tri.
 
     A mesh of at most _DENSE_NODES = 153 nodes (levels 0 to 4) is solved by
     dense LAPACK, which returns the exact lowest pair with no shift to
-    certify.  On a larger mesh the shift starts at -2 alpha^2/sin^2(theta*/2) - 1
-    (callers that already know the eigenvalue from a coarser mesh pass a warm
-    sigma0 instead) and moves down until the factorisation's inertia count
-    shows no eigenvalue below it.  The thick-restart shift-invert Lanczos
+    certify.  On a larger mesh the shift must certify, by the factorisation's
+    inertia count, that no eigenvalue lies below it.  The shifts tried are
+    sigma0, one warm shift or several in order (a ladder passes its
+    predicted shift, then its conservative one; see walk_levels), or else the
+    cold -2 alpha^2/sin^2(theta*/2) - 1/S.  A rejected shift sigma steps to
+    the next given shift if that lies lower, else to 2 sigma - 1/S.  A shift
+    at or above ub, the Rayleigh quotient of the constant vector, is moved to
+    ub - 0.05 max(1/S, |ub|).  Every rule is relative to 1/S, which scales
+    with the spectrum when the triangle is dilated and alpha S^(1/2) held
+    fixed, so a problem and its dilated copy try the same shifts, scaled.
+    The thick-restart shift-invert Lanczos
     loop of _power_iterate on that one certified factorisation converges onto
     the lowest eigenvalue, which matters on flat triangles where
     corner-localised ground and excited states are both nearly positive and
     sign inspection cannot tell them apart.  It starts from the constant plus
     a 1% ripple, or, given start (the ground vector of level - 1), from that
     vector interpolated onto this mesh plus the same ripple.  At every level a
-    sigma0 that is not a finite real, or a start that is not a finite nonzero
-    1-D array of level - 1's nodal values, raises DomainError before any
-    factorisation; dense levels need no start and do not use it.  On both
-    paths lambda1 is the Rayleigh quotient x^T A x / x^T M x of the returned
-    vector; one level gives no error estimate, so residual is nan
-    (mass_residual measures the vector's).
+    sigma0 that is not a finite real or a tuple of them, or a start that is
+    not a finite nonzero 1-D array of level - 1's nodal values, raises
+    DomainError before any factorisation; dense levels need no start and do
+    not use it.  On both paths lambda1 is the Rayleigh quotient
+    x^T A x / x^T M x of the returned vector; one level gives no error
+    estimate, so residual is nan (mass_residual measures the vector's).
     """
     system = assemble(build_mesh(tri, level), alpha)
     A, M = system.form, system.mass
-    if sigma0 is not None:
-        check_finite("sigma0", sigma0)
+    shifts = () if sigma0 is None else sigma0 if isinstance(sigma0, tuple) else (sigma0,)
+    for shift in shifts:
+        check_finite("sigma0", shift)
     if start is not None:
         start = _prolongate(np.asarray(start, dtype=float), level)
         peak = float(np.abs(start).max())
@@ -492,13 +517,14 @@ def solve_at_level(tri, alpha: float, level: int, sigma0: float | None = None,
             raise NumericError(f"the dense eigensolver returned no vector at alpha = {alpha:g}")
         vec, solves = vecs[:, 0], 0
     else:
-        try:
-            sigma = sigma0 if sigma0 is not None else (
-                -2.0 * (float(alpha) / math.sin(0.5 * tri.theta_star)) ** 2 - 1.0)
-        except OverflowError:
-            sigma = -math.inf
-        if not math.isfinite(sigma):
-            raise NumericError(f"the cold shift overflows float64 at alpha = {alpha:g}")
+        unit = 1.0 / tri.S
+        if not shifts:
+            try:
+                shifts = (-2.0 * (float(alpha) / math.sin(0.5 * tri.theta_star)) ** 2 - unit,)
+            except OverflowError:
+                shifts = (-math.inf,)
+            if not math.isfinite(shifts[0]):
+                raise NumericError(f"the cold shift overflows float64 at alpha = {alpha:g}")
         # Start vector: the constant, or the coarser level's ground vector
         # prolongated and scaled to peak 1, plus a fixed asymmetric ripple.  The
         # ripple keeps a usable overlap with antisymmetric ground states
@@ -510,9 +536,9 @@ def solve_at_level(tri, alpha: float, level: int, sigma0: float | None = None,
         # 1^T A 1 / 1^T M 1: an exact upper bound on the discrete ground value
         # at every level, so a shift at or above it cannot be certified.
         ub = float(A.data.sum()) / float(M.data.sum())
-        if sigma >= ub:
-            sigma = ub - 0.05 * max(1.0, abs(ub))
-        for _ in range(80):
+        shifts = [s if s < ub else ub - 0.05 * max(unit, abs(ub)) for s in shifts]
+        sigma = shifts[0]
+        for attempt in range(1, 81):
             try:
                 lu, neg = _factor_counting(A, M, sigma)
                 if neg == 0:
@@ -521,7 +547,9 @@ def solve_at_level(tri, alpha: float, level: int, sigma0: float | None = None,
                 raise
             except RuntimeError:
                 pass  # singular factorisation: sigma sits on an eigenvalue
-            sigma = 2.0 * sigma - 1.0
+            # the next given shift if it lies lower, else a doubling step
+            nxt = shifts[attempt] if attempt < len(shifts) else sigma
+            sigma = nxt if nxt < sigma else 2.0 * sigma - unit
         else:
             raise NumericError(f"no shift below the spectrum found (last {sigma:g})")
         _, vec, solves = _power_iterate(lu, M, x0, sigma)
@@ -537,36 +565,56 @@ def walk_levels(tri, alpha: float, min_level: int, max_level: int,
                 skipped: list[tuple[int, str]]):
     """Yield the certified solve of each level from min_level to max_level.
 
-    Each level starts from a warm shift a bit below the value just found,
-    padded by the observed level-to-level movement, and its Lanczos loop from
-    the ground vector just found, interpolated onto the finer lattice (see
-    _power_iterate).  A level whose solve raises NumericError (tight but
-    not-yet-degenerate pairs do this on very flat triangles) is appended to
-    ``skipped`` as (level, error text), as is a level above the last solved one
-    by more than rounding (1e-12 relative plus eps times 4 n sum|e_k|^2 / S^2,
-    about the n-node pencil's top eigenvalue), which nested P1 spaces cannot
-    give.  The next level starts from the cold shift and the constant vector
-    again.  Callers stop the walk by leaving the loop.
+    Each level starts its Lanczos loop from the ground vector just found,
+    interpolated onto the finer lattice (see _power_iterate), and its shift
+    search from the ladder's own convergence.  With Delta the last
+    level-to-level drop and r = Delta / (the drop before it) the last observed
+    drop ratio (2^-p for an observed order p), the next drop is predicted as
+    r Delta, and the predicted shift lam - _MARGIN r Delta = lam - 1.25 r Delta
+    sits a quarter of that drop below the predicted value.  It needs two drops
+    since the last cold start, each above the monotone check's rounding
+    allowance (below); otherwise, as at weak coupling where the drops are
+    rounding noise, the shift is the conservative lam - 2 |Delta| - 0.02 |lam|
+    - 1/S (0.1 |lam| for 2 |Delta| on the first level).  A predicted shift goes
+    to solve_at_level with the conservative one after it, so a prediction that
+    the inertia count rejects costs one more factorisation (when the
+    conservative shift lies lower; else the search doubles down).  A level whose
+    solve raises NumericError (tight but not-yet-degenerate pairs do this on
+    very flat triangles) is appended to ``skipped`` as (level, error text), as
+    is a level above the last solved one by more than rounding (1e-12 relative
+    plus eps times 4 n sum|e_k|^2 / S^2, about the n-node pencil's top
+    eigenvalue), which nested P1 spaces cannot give.  The next level starts
+    from the cold shift and the constant vector again.  Callers stop the walk
+    by leaving the loop.
     """
     sigma0 = start = prev = None
-    q = math.hypot(*tri.side_lengths) / tri.S
+    drops: list[float] = []  # since the last cold start, each above rounding
+    q, unit = math.hypot(*tri.side_lengths) / tri.S, 1.0 / tri.S
     for level in range(min_level, max_level + 1):
         try:
             res = solve_at_level(tri, alpha, level, sigma0=sigma0, start=start)
             lam = res.lambda1
-            if prev is not None and lam > prev + 1e-12 * abs(prev) + (
-                    4.0 * _EPS * q * q * len(res.eigenvector)):
-                raise NumericError(f"the level-{level} value {lam:.12g} lies above the "
-                                   f"last solved level's {prev:.12g}")
+            if prev is not None:
+                allowance = 1e-12 * abs(prev) + 4.0 * _EPS * q * q * len(res.eigenvector)
+                if lam > prev + allowance:
+                    raise NumericError(f"the level-{level} value {lam:.12g} lies above the "
+                                       f"last solved level's {prev:.12g}")
         except NumericError as exc:
             skipped.append((level, str(exc)))
             sigma0 = start = None
+            drops = []
             continue
         yield res
+        if start is not None and prev - lam > allowance:  # a drop from the level below
+            drops.append(prev - lam)
+        else:
+            drops = []
         start = res.eigenvector
-        drop = 2.0 * abs(lam - prev) if prev is not None else 0.1 * abs(lam)
-        sigma0 = lam - drop - 0.02 * abs(lam) - 1.0
-        sigma0 = sigma0 if math.isfinite(sigma0) else None  # past float64: go cold
+        pad = 2.0 * abs(lam - prev) if prev is not None else 0.1 * abs(lam)
+        shifts = (lam - pad - 0.02 * abs(lam) - unit,)
+        if len(drops) > 1:  # the predicted shift first
+            shifts = (lam - _MARGIN * drops[-1] / drops[-2] * drops[-1],) + shifts
+        sigma0 = tuple(s for s in shifts if math.isfinite(s)) or None  # past float64: go cold
         prev = lam
 
 

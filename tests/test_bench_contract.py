@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from robintri import equilateral, scan
+from robintri import equilateral, fem, scan
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 S = 1.0 / math.sqrt(3.0)
@@ -80,3 +80,24 @@ def test_iteration_counter_reads_the_solve_count(bench, tmp_path):
     metrics = _traced(layers, lambda: cells.extend(worker.ConjectureGrid(0, tmp_path).run_unit(0)))
     ((_, (_, res)),) = cells
     assert metrics["fem.iterations"] == res.iterations > 0
+
+
+def test_one_factorisation_per_sparse_level(bench, tmp_path):
+    """Each sparse level (more than fem._DENSE_NODES nodes: levels 5 and up)
+    certifies the first shift it tries, so over the traced conjecture-grid
+    pass fem.factorisations equals the number of sparse levels solved, and a
+    wasted factorisation fails here."""
+    layers, worker, _ = bench
+    grid, cells = worker.ConjectureGrid(0, tmp_path), []
+
+    def traced_pass():
+        for index in range(grid.fixed_units):
+            cells.extend(grid.run_unit(index))
+
+    metrics = _traced(layers, traced_pass)
+    sparse = 0
+    for _, (_, res) in cells:
+        skipped = {level for level, _ in res.skipped}
+        sparse += sum(1 for level in range(2, res.level + 1) if level not in skipped
+                      and (2**level + 1) * (2**level + 2) // 2 > fem._DENSE_NODES)
+    assert metrics["fem.factorisations"] == metrics["fem.inertia_factorisations"] == sparse > 0

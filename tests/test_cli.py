@@ -113,6 +113,17 @@ class TestEigen:
         assert code == EXIT_NUMERIC
         assert out == "" and err.startswith("numeric failure:")
 
+    def test_pencil_past_float64_is_a_numeric_failure(self, capsys):
+        """At alpha = -1.7e308 the level-2 boundary form overflows float64 and
+        assemble refuses it; no two levels certify, so exit 2, no traceback."""
+        code, out, err = run(
+            capsys,
+            ["eigen", "--a", "0", "--c", "0.15", "--area", "1",
+             "--alpha=-1.7e308", "--max-level", "6"],
+        )
+        assert code == EXIT_NUMERIC
+        assert out == "" and err.startswith("numeric failure:")
+
     def test_level_cap_below_four_is_usage_error(self, capsys):
         code, out, err = run(
             capsys,

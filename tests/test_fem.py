@@ -344,10 +344,11 @@ class TestFactorCounting:
 
     def test_shift_that_is_not_finite_is_refused_before_factoring(self, monkeypatch):
         """A shift of -inf or nan never certifies (each attempt costs a
-        factorisation, 80 in all), so it is refused before the first one."""
+        factorisation, 80 in all), so it is refused before the first one,
+        also as one of several shifts."""
         factored = []
         monkeypatch.setattr(fem, "splu", lambda *a, **k: factored.append(1))
-        for sigma0 in (-math.inf, math.nan):
+        for sigma0 in (-math.inf, math.nan, (-10.0, math.nan)):
             with pytest.raises(DomainError, match="sigma0 must be finite"):
                 solve_at_level(make_triangle(0.3, 0.6, 0.5), -1.0, 5, sigma0=sigma0)
         assert factored == []
@@ -609,6 +610,109 @@ class TestWarmStart:
         assert fem.shape_derivatives_at_equilateral(-0.5, 1.0).converged
 
 
+def recorded_walk(monkeypatch, tri, alpha, max_level, rewrite=None):
+    """walk_levels from level 2, with each level's sigma0 (after rewrite(level,
+    sigma0), if given) and the shifts it factored at, keyed by level."""
+    solve, factor = fem.solve_at_level, fem._factor_counting
+    factored, seen = [], {}
+
+    def counting(A, M, sigma):
+        factored.append(sigma)
+        return factor(A, M, sigma)
+
+    def recording(tri, alpha, level, sigma0=None, start=None):
+        if rewrite is not None:
+            sigma0 = rewrite(level, sigma0)
+        factored.clear()
+        res = solve(tri, alpha, level, sigma0=sigma0, start=start)
+        seen[level] = (sigma0, list(factored))
+        return res
+
+    skipped = []
+    with monkeypatch.context() as m:
+        m.setattr(fem, "_factor_counting", counting)
+        m.setattr(fem, "solve_at_level", recording)
+        results = {res.level: res for res in walk_levels(tri, alpha, 2, max_level, skipped)}
+    assert not skipped
+    return results, seen
+
+
+class TestShiftRules:
+    """A ladder's warm shift comes from its observed drop ratio, with the
+    conservative shift behind it; every shift rule is relative to 1/S."""
+
+    @pytest.mark.parametrize("S", [1e150, 1e-150])
+    def test_cold_solve_is_scale_invariant(self, S):
+        """Dilating the triangle by sqrt(S) and alpha by 1/sqrt(S) scales the
+        spectrum by 1/S, and so does every shift: the cold level-5 solve
+        matches the S = 1 problem's, scaled, to 1e-12 (an absolute shift of -1
+        swamped the spectrum at S = 1e150 and returned a positive value)."""
+        ref = solve_at_level(make_triangle(0.1, 1.0, 1.0), -1.0, 5).lambda1
+        r = math.sqrt(S)
+        res = solve_at_level(make_triangle(0.1 * r, r, S), -1.0 / r, 5)
+        assert abs(res.lambda1 * S - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("a,c,alpha,pre_asymptotic", [
+        (0.0, 2.44, -8.0, True),  # the corner layer is not yet resolved
+        (0.5, c0(S_THIRD), -16.0, False),  # the deep-ladder cell, drops tending to h^2
+    ])
+    def test_predicted_shift_certifies_first_time(self, monkeypatch, a, c, alpha,
+                                                  pre_asymptotic):
+        """From level 5 on each sparse level is handed lam - 1.25 r Delta, r the
+        last observed drop ratio, then the conservative shift, and certifies
+        with one factorisation at the predicted shift, whether the drops still
+        grow (every r > 1) or shrink toward the h^2 rate (the last r < 1)."""
+        results, seen = recorded_walk(monkeypatch, make_triangle(a, c, S_THIRD), alpha, 7)
+        lam = {level: res.lambda1 for level, res in results.items()}
+        ratios = []
+        for level in (5, 6, 7):
+            d1, d2 = lam[level - 3] - lam[level - 2], lam[level - 2] - lam[level - 1]
+            ratios.append(d2 / d1)
+            predicted = lam[level - 1] - fem._MARGIN * ratios[-1] * d2
+            (first, conservative), factored = seen[level]
+            assert first == pytest.approx(predicted, rel=1e-14) and conservative < first
+            assert factored == [first]
+        assert min(ratios) > 1.0 if pre_asymptotic else ratios[-1] < 1.0
+
+    def test_rejected_prediction_steps_to_the_conservative_shift(self, monkeypatch):
+        """A predicted shift above the level's value (here the level-5 value,
+        which level 6 lies below) is rejected by the inertia count; the level
+        then certifies at the conservative shift, two factorisations in all,
+        and its value is the conservative path's."""
+        tri = make_triangle(0.5, 0.9, S_THIRD)
+
+        def above(level, sigma0):
+            return (plain[5].lambda1, sigma0[1]) if level == 6 else sigma0
+
+        plain, _ = recorded_walk(monkeypatch, tri, -2.0, 7)
+        results, seen = recorded_walk(monkeypatch, tri, -2.0, 7, rewrite=above)
+        (_, conservative), factored = seen[6]
+        assert factored == [plain[5].lambda1, conservative]
+        assert all(len(seen[level][1]) == 1 for level in (5, 7))
+        direct = solve_at_level(tri, -2.0, 6, sigma0=conservative, start=plain[5].eigenvector)
+        for value in (direct.lambda1, plain[6].lambda1):
+            assert abs(results[6].lambda1 - value) <= 1e-12 * abs(value)
+
+    def test_drops_below_rounding_keep_the_conservative_shift(self, monkeypatch):
+        """At alpha = -1e-9 the level-to-level drops are rounding noise, so no
+        drop ratio is formed: every sparse level gets the conservative shift
+        alone."""
+        _, seen = recorded_walk(monkeypatch, make_triangle(-0.9, 0.15, 1.0), -1e-9, 7)
+        assert all(len(seen[level][0]) == 1 for level in (5, 6, 7))
+
+    def test_pencil_past_float64_is_refused(self):
+        """At alpha = -1.7e308 the level-2 boundary form overflows: assemble
+        raises NumericError rather than hand LAPACK an infinite matrix, and the
+        ladder records it, and the finer levels that fail in turn, as skipped."""
+        tri = make_triangle(0.0, 0.15, 1.0)
+        with pytest.raises(NumericError, match="leaves float64"):
+            assemble(build_mesh(tri, 2), -1.7e308)
+        skipped = []
+        assert list(walk_levels(tri, -1.7e308, 2, 6, skipped)) == []
+        assert [lev for lev, _ in skipped] == [2, 3, 4, 5, 6]
+        assert "pencil at alpha = -1.7e+308 leaves float64" in skipped[0][1]
+
+
 class TestConvergence:
     def test_equilateral_history_is_monotone_upper_bounds(self):
         """Nested P1 spaces give a non-increasing eigenvalue ladder above lambda0."""
@@ -741,11 +845,12 @@ class TestConvergence:
     ])
     def test_rising_level_near_float64_range_is_skipped(self, alpha, texts):
         """At alpha = -1e200 the warm level-5 solve lands above level 4 and the
-        cold level-6 shift overflows.  At -7e305 the warm shift below level 4's
-        value, about 2.02 lambda4, overflows while the extrapolation stays
-        finite, so level 5 goes cold instead of raising DomainError, and its
-        cold shift overflows too.  Both skip levels 5 and 6, and the history
-        keeps only conforming, non-increasing values."""
+        cold level-6 shift overflows.  At -7e305 the warm shifts below level 4's
+        value (the predicted one and the conservative one, about 2.02 lambda4)
+        overflow while the extrapolation stays finite, so level 5 goes cold
+        instead of raising DomainError, and its cold shift overflows too.  Both
+        skip levels 5 and 6, and the history keeps only conforming,
+        non-increasing values."""
         res = eigenvalue_converged(make_triangle(0.3, 0.6, 0.5), alpha, max_level=6)
         assert [lev for lev, _ in res.skipped] == [5, 6]
         assert all(t in text for t, (_, text) in zip(texts, res.skipped))
@@ -760,13 +865,15 @@ class TestConvergence:
             eigenvalue_converged(make_triangle(0.3, 0.6, 0.5), -1e306, max_level=6)
 
     def test_one_eigenpair_per_level_solve_count(self):
-        """Shift-invert Lanczos started from the coarser level's ground vector
-        converges the ground pair alone in 14 factorisation solves per sparse
-        level here (levels 5 and 6; levels 2 to 4 are dense and solve nothing)."""
+        """Shift-invert Lanczos started from the coarser level's ground vector,
+        at the shift predicted from the ladder's drop ratio, converges the
+        ground pair alone in 12 factorisation solves per sparse level here
+        (levels 5 and 6 take 12 and 11; levels 2 to 4 are dense and solve
+        nothing)."""
         res = eigenvalue_converged(make_triangle(1.0, 1.6, S_THIRD), -2.0,
                                    rel_tol=1e-3, max_level=6)
         assert len(res.history) == 5 and not res.skipped  # levels 2 to 6
-        assert res.iterations <= 14 * 2
+        assert res.iterations <= 12 * 2
 
     def test_ladders_run_no_mass_matrix_solve(self, monkeypatch):
         """No ladder reads a level's M^{-1} residual, so none pays for its CG
