@@ -34,6 +34,9 @@ Richardson loop of all three ladders: eigenvalue_converged,
 shape_derivatives_at_equilateral and the soundness oracle scan._raw_upper_bound.
 A level's residual in the M^{-1} norm costs a mass-matrix solve that no ladder
 reads, so it is computed only on demand, by mass_residual.
+The factorisation is SuperLU's at panel width 2 (_PANEL), which fits the
+narrow supernodes of the ordered lattice pencils: a level-8 factorisation
+takes about three quarters of the default width's time.
 """
 
 from __future__ import annotations
@@ -53,8 +56,9 @@ from .geometry import TriangleGeometry, as_geometry, c0, make_triangle
 
 MAX_LEVEL = 10
 # Meshes up to this many nodes (levels 0 to 4) are solved by dense LAPACK.  One
-# warm solve with one BLAS thread on a 2-core Xeon VM: level 4 takes 3.0 ms
-# dense against 5.3 ms sparse, level 5 (561 nodes) 61 ms against 7.7 ms.
+# warm solve with one BLAS thread on a 2-core Xeon VM, panel width _PANEL,
+# medians on three triangles: level 4 takes 2.1-2.2 ms dense against 2.3-5.1 ms
+# sparse, level 5 (561 nodes) 39-40 ms against 6.5-7.2 ms.
 _DENSE_NODES = 153
 # Lanczos basis size of the sparse solve (shift-invert needs 2k + 1 vectors for
 # k wanted pairs, Ericsson & Ruhe, Math. Comp. 35, 1980), the Ritz vectors a
@@ -63,6 +67,10 @@ _DENSE_NODES = 153
 _NCV = 10
 _KEEP = 3
 _MAX_SOLVES = 100 * _NCV
+# SuperLU's panel width in _factor_counting.  The default suits wide
+# supernodes (Demmel, Eisenstat, Gilbert, Li & Liu, SIAM J. Matrix Anal. Appl.
+# 20, 1999); the MMD-ordered lattice pencils have narrow ones.
+_PANEL = 2
 _EPS = float(np.finfo(float).eps)
 # A ladder's predicted shift sits this many predicted drops below the value
 # just found (walk_levels): a quarter of the predicted drop below the
@@ -430,12 +438,17 @@ def _factor_counting(A, M, sigma: float):
     factorisation raises NumericError.  A and M share one CSR pattern
     (assemble's), so A - sigma*M is computed on their data vectors, and as the
     matrix is symmetric its CSR arrays are its CSC arrays: SuperLU reads them
-    with no conversion.
+    with no conversion.  The panel width is _PANEL = 2, not SuperLU's default:
+    the default is sized for wide supernodes, and the minimum-degree-ordered
+    lattice pencils have narrow ones.  A level-8 factorisation (33k nodes)
+    takes about three quarters of the default's time; the inertia count is
+    the same, and a solve through the factor differs by rounding only.
     """
     lu = splu(
         sp.csc_matrix((A.data - sigma * M.data, A.indices, A.indptr), shape=A.shape),
         diag_pivot_thresh=0.0,
         permc_spec="MMD_AT_PLUS_A",
+        panel_size=_PANEL,
         options=dict(SymmetricMode=True),
     )
     if not np.array_equal(lu.perm_r, lu.perm_c):

@@ -409,7 +409,8 @@ def _sweep(mode: str, fn, tasks, axes: dict[str, tuple[float, ...]],
     Each cell runs through _isolated.  An empty axis among the first two
     leaves no cell, and a value repeated on one would make two cells share one
     verdict-grid slot, so both are rejected before any cell runs.  The pool
-    has at most one worker per task and per core this process may run on.
+    has at most one worker per task and per core this process may run on;
+    the cores are looked up only when more than one worker is asked for.
     """
     from . import __version__
 
@@ -422,7 +423,10 @@ def _sweep(mode: str, fn, tasks, axes: dict[str, tuple[float, ...]],
             raise DomainError(f"axis {name} repeats a value: {axes[name]}")
     tasks = list(tasks)
     cell = partial(_isolated, mode, fn)
-    workers = min(workers, len(tasks), len(os.sched_getaffinity(0)))
+    if workers > 1:  # macOS and Windows have no affinity set, only a core count
+        cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1)
+        workers = min(workers, len(tasks), cores)
     if workers > 1:
         with get_context("fork").Pool(workers) as pool:
             rows = tuple(pool.map(cell, tasks, chunksize=max(1, len(tasks) // (4 * workers))))

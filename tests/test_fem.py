@@ -292,6 +292,40 @@ class TestFactorCounting:
                 continue  # exactly singular shift; the solver retries elsewhere
             assert neg == int(np.sum(spec < sigma))
 
+    def test_counts_match_dense_inertia_at_a_sparse_level(self, rng):
+        """Level 5 (561 nodes), the first sparse level, spans many panels of
+        width _PANEL: shifts in the widest gap of each window of the spectrum
+        count every eigenvalue below them."""
+        for _ in range(2):
+            tri = make_triangle(rng.uniform(-2.5, 2.5), rng.uniform(0.3, 2.0), S_THIRD)
+            alpha = -float(rng.uniform(0.2, 8.0))
+            system = assemble(build_mesh(tri, 5), alpha)
+            form, mass = system.form, system.mass
+            spec = eigh(form.toarray(), mass.toarray(), eigvals_only=True)
+            for lo, hi in ((1, 4), (5, 20), (40, 120)):
+                k = lo + int(np.argmax(np.diff(spec[lo - 1:hi])))
+                assert _factor_counting(form, mass, 0.5 * (spec[k - 1] + spec[k]))[1] == k
+
+    def test_panel_width_moves_values_by_rounding_only(self, monkeypatch):
+        """Levels 5 to 7 give the same value, to 1e-12 relative, through a
+        factorisation at SuperLU's default panel width; every sparse solve
+        passes panel_size=_PANEL."""
+        cases = [(make_triangle(0.5, c0(S_THIRD), S_THIRD), -8.0),
+                 (make_triangle(2.4, 0.3, S_THIRD), -2.0)]
+        panel = [solve_at_level(tri, alpha, level).lambda1
+                 for tri, alpha in cases for level in (5, 6, 7)]
+        widths = []
+
+        def default_width(*args, panel_size=None, **kwargs):
+            widths.append(panel_size)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(fem, "splu", default_width)
+        default = [solve_at_level(tri, alpha, level).lambda1
+                   for tri, alpha in cases for level in (5, 6, 7)]
+        assert widths and set(widths) == {fem._PANEL}
+        np.testing.assert_allclose(panel, default, rtol=1e-12, atol=0.0)
+
     def test_unsymmetric_permutation_is_refused(self, monkeypatch):
         """The U-diagonal sign count is an inertia only when perm_r == perm_c."""
         tri = make_triangle(0.3, 0.8, 1.0)

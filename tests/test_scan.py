@@ -758,6 +758,28 @@ class TestWorkerPool:
         assert sizes == [3]
         assert pooled.rows == run_scan(cfg).rows
 
+    def test_serial_scan_runs_without_an_affinity_call(self, monkeypatch, tmp_path):
+        """Where os has no sched_getaffinity (macOS, Windows), a one-worker
+        scan never asks for the cores and returns every row."""
+        monkeypatch.delattr(scan.os, "sched_getaffinity", raising=False)
+        result = run_scan(ScanConfig(mode="constant-region", alpha_range=(-2.0, -0.5, 2),
+                                     a_range=(0.0, 1.0, 2), output_path=str(tmp_path / "c.csv")))
+        assert len(result.rows) == 4
+        assert all(row[-1] == "ok" for row in result.rows)
+
+    def test_pool_falls_back_to_the_core_count(self, fake_pool, monkeypatch, tmp_path):
+        """Without sched_getaffinity the pool is capped at os.cpu_count(), and
+        a core count the platform cannot tell (None) runs serially."""
+        sizes = fake_pool
+        monkeypatch.delattr(scan.os, "sched_getaffinity", raising=False)
+        cfg = ScanConfig(mode="g-curve", a_range=(0.91, 0.96, 5), output_path=str(tmp_path / "g.csv"))
+        monkeypatch.setattr(scan.os, "cpu_count", lambda: 2)
+        pooled = run_scan(cfg, workers=8)
+        monkeypatch.setattr(scan.os, "cpu_count", lambda: None)
+        serial = run_scan(cfg, workers=8)
+        assert sizes == [2]
+        assert pooled.rows == serial.rows
+
     def test_pooled_cell_function_pickles(self):
         """The pool ships partial(_isolated, mode, fn) to its workers."""
         fn = partial(scan._cell_transplant, c=S_THIRD, S=S_THIRD)
