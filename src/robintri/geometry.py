@@ -38,8 +38,9 @@ def b0(S: float) -> float:
 class TriangleGeometry:
     """Omega_{a,c} of area S and the data derived from it, built by make_triangle.
 
-    side_lengths are in label order; theta_star is the smallest angle (at
-    vertex apex_index) clamped to pi/3, and L_prime the shorter side there.
+    side_lengths are in label order and corners[i] is corner(vertices,
+    side_lengths, i); theta_star is the smallest angle (at vertex apex_index,
+    the first minimum) clamped to pi/3, and L_prime the shorter side there.
     """
 
     a: float
@@ -51,6 +52,7 @@ class TriangleGeometry:
     theta_star: float
     L_prime: float
     apex_index: int
+    corners: tuple[tuple[float, float, tuple[float, float], tuple[float, float]], ...]
 
     @property
     def b(self) -> float:
@@ -74,56 +76,60 @@ def perimeter_min_over_a(c: float, S: float) -> float:
 
 
 def corner(
-    verts: np.ndarray, sides: tuple[float, float, float], i: int
+    verts: tuple[tuple[float, float], ...], sides: tuple[float, float, float], i: int
 ) -> tuple[float, float, tuple[float, float], tuple[float, float]]:
     """(angle, shorter adjacent side, vertex, inward unit bisector) at vertex i.
 
-    verts is the (3, 2) vertex array and sides the side lengths in label
-    order; the side joining vertices j and k carries label j + k - 1.
+    verts holds the three vertices as (x, y) float pairs and sides the side
+    lengths in label order; the side joining vertices j and k carries label
+    j + k - 1.  DomainError when the side vectors' products overflow, or when
+    the triangle is so flat that the two unit sides at vertex i cancel.
     """
-    at = verts[i]
     j, k = (i + 1) % 3, (i + 2) % 3
-    d1 = verts[j] - at
-    d2 = verts[k] - at
-    (x1, y1), (x2, y2) = d1.tolist(), d2.tolist()
-    cross = abs(x1 * y2 - y1 * x2)
-    if not (math.isfinite(cross) and math.isfinite(x1 * x2 + y1 * y2)):
+    x, y = verts[i]
+    x1, y1 = verts[j][0] - x, verts[j][1] - y
+    x2, y2 = verts[k][0] - x, verts[k][1] - y
+    cross, dot = abs(x1 * y2 - y1 * x2), x1 * x2 + y1 * y2
+    if not (math.isfinite(cross) and math.isfinite(dot)):
         raise DomainError(f"the side vectors at vertex {i} are too long to multiply "
                           "without overflow")
-    # atan2 form stays accurate for very thin triangles where arccos loses digits
-    angle = math.atan2(cross, float(d1 @ d2))
     n1, n2 = sides[i + j - 1], sides[i + k - 1]
-    bx = d1[0] / n1 + d2[0] / n2
-    by = d1[1] / n1 + d2[1] / n2
+    bx, by = x1 / n1 + x2 / n2, y1 / n1 + y2 / n2
     nb = math.hypot(bx, by)
-    return angle, min(n1, n2), (float(at[0]), float(at[1])), (float(bx / nb), float(by / nb))
+    if nb == 0.0:
+        raise DomainError(f"the triangle is too flat for a bisector at vertex {i}")
+    # atan2 form stays accurate for very thin triangles where arccos loses digits
+    return math.atan2(cross, dot), min(n1, n2), (x, y), (bx / nb, by / nb)
 
 
 def make_triangle(a: float, c: float, S: float) -> TriangleGeometry:
     """Build the geometry record for Omega_{a,c} with area S.
 
-    DomainError unless c and S are positive and finite and a is finite.
+    DomainError unless c and S are positive and finite, a is finite and the
+    apex height S/c does not underflow to 0.
     """
     check_length("c", c)
     check_area(S)
     check_finite("a", a)
     a, c, S = float(a), float(c), float(S)
     b = S / c
-    verts = np.array([[-c, 0.0], [c, 0.0], [a, b]])
+    if not b > 0.0:
+        raise DomainError(f"the apex height S/c underflows to 0 at c = {c:g}, S = {S:g}")
+    verts = ((-c, 0.0), (c, 0.0), (a, b))
     sides = (2.0 * c, math.hypot(a + c, b), math.hypot(a - c, b))
-    corners = [corner(verts, sides, i) for i in range(3)]
-    angles = [cn[0] for cn in corners]
-    apex = int(np.argmin(angles))
+    corners = tuple(corner(verts, sides, i) for i in range(3))
+    apex = min(range(3), key=lambda i: corners[i][0])
     return TriangleGeometry(
         a=a,
         c=c,
         S=S,
-        vertices=tuple((float(x), float(y)) for x, y in verts),
+        vertices=verts,
         side_lengths=sides,
         perimeter=sum(sides),
-        theta_star=min(angles[apex], math.pi / 3.0),
+        theta_star=min(corners[apex][0], math.pi / 3.0),
         L_prime=corners[apex][1],
         apex_index=apex,
+        corners=corners,
     )
 
 

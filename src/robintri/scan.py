@@ -39,7 +39,7 @@ import numbers
 import os
 from dataclasses import dataclass, fields
 from functools import partial
-from multiprocessing import get_context
+from multiprocessing import get_all_start_methods, get_context
 
 import numpy as np
 
@@ -410,7 +410,8 @@ def _sweep(mode: str, fn, tasks, axes: dict[str, tuple[float, ...]],
     leaves no cell, and a value repeated on one would make two cells share one
     verdict-grid slot, so both are rejected before any cell runs.  The pool
     has at most one worker per task and per core this process may run on;
-    the cores are looked up only when more than one worker is asked for.
+    the cores are looked up only when more than one worker is asked for, and
+    where the fork start method is missing (Windows) the cells run serially.
     """
     from . import __version__
 
@@ -423,6 +424,8 @@ def _sweep(mode: str, fn, tasks, axes: dict[str, tuple[float, ...]],
             raise DomainError(f"axis {name} repeats a value: {axes[name]}")
     tasks = list(tasks)
     cell = partial(_isolated, mode, fn)
+    if workers > 1 and "fork" not in get_all_start_methods():
+        workers = 1  # Windows has no fork start method
     if workers > 1:  # macOS and Windows have no affinity set, only a core count
         cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                  else os.cpu_count() or 1)

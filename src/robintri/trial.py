@@ -31,7 +31,7 @@ import numpy as np
 from . import _quad
 from .equilateral import _normalised_ground_state, closed_form_norms, solve_equilateral
 from .errors import DomainError, NumericError, check_area, check_coupling, check_length
-from .geometry import TriangleGeometry, as_geometry, c0, corner
+from .geometry import TriangleGeometry, as_geometry, c0
 
 _SQRT3 = math.sqrt(3.0)
 _MARGIN = 1e-10
@@ -69,13 +69,17 @@ def delta_transplant(alpha: float, tri) -> float:
     """Closed-form excess of the transported form of u0 over its equilateral value.
 
     delta <= 0 certifies lambda(alpha, a, c) <= lambda0(alpha, S); built from
-    the closed-form norms, so no quadrature is involved.
+    the closed-form norms, so no quadrature is involved.  NumericError when
+    delta leaves float64.
     """
     tri = as_geometry(tri)
     sol = solve_equilateral(alpha, tri.S)
     d1, bdry, _ = closed_form_norms(sol)
     f1 = _stretch_sum(tri)
-    return shape_coefficient(tri) * d1 + alpha * (f1 - 3.0) * bdry / 3.0
+    delta = shape_coefficient(tri) * d1 + alpha * (f1 - 3.0) * bdry / 3.0
+    if not math.isfinite(delta):
+        raise NumericError(f"the transplant excess leaves float64 at alpha = {alpha:g}: {delta:g}")
+    return delta
 
 
 def transplant_verdict(alpha: float, tri) -> tuple[float, bool]:
@@ -93,10 +97,14 @@ def constant_bound(alpha: float, tri) -> tuple[float, bool]:
 
     The verdict is True when this upper bound lies strictly below lambda0,
     i.e. when perimeter/area alone already certifies the inequality.
+    NumericError when the bound leaves float64.
     """
     check_coupling("alpha", alpha)
     tri = as_geometry(tri)
     bound = alpha * tri.perimeter / tri.S
+    if not math.isfinite(bound):
+        raise NumericError(f"the constant-field bound leaves float64 at alpha = {alpha:g}: "
+                           f"{bound:g}")
     lam0 = solve_equilateral(alpha, tri.S).lambda0
     return bound, strictly_below(bound, lam0)
 
@@ -194,20 +202,22 @@ def sector_bound(alpha: float, tri, anchor_vertex: int | None = None) -> tuple[f
     tri = as_geometry(tri)
     verts = tri.vertex_array()
     index = tri.apex_index if anchor_vertex is None else int(anchor_vertex)
-    theta, l_prime, apex, bisector = corner(verts, tri.side_lengths, index)
+    theta, l_prime, apex, bisector = tri.corners[index]
     _check_angle(theta)
     rate = alpha / math.sin(0.5 * theta)
     apex, k = np.asarray(apex), 2.0 * rate * np.asarray(bisector)
-    l2 = 2.0 * tri.S * _exp_divided_difference(*((verts - apex) @ k).tolist())
 
     def square(pts: np.ndarray) -> np.ndarray:
         return np.exp((pts - apex) @ k)
 
-    bdry = sum(float(_quad.segment_integrate(square, verts[i], verts[j], n=10, tol=1e-12))
-               for i, j in ((0, 1), (0, 2), (1, 2)))
-    if not (math.isfinite(l2) and l2 > 0.0):
-        raise NumericError(f"sector field at alpha = {alpha:g}: the exact volume norm "
-                           f"2|T| exp[z0, z1, z2] = {l2:g} is not a positive float64")
+    # an exponent past float64 reads as -inf or nan, which the norm checks refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        l2 = 2.0 * tri.S * _exp_divided_difference(*((verts - apex) @ k).tolist())
+        if not (math.isfinite(l2) and l2 > 0.0):
+            raise NumericError(f"sector field at alpha = {alpha:g}: the exact volume norm "
+                               f"2|T| exp[z0, z1, z2] = {l2:g} is not a positive float64")
+        bdry = sum(float(_quad.segment_integrate(square, verts[i], verts[j], n=10, tol=1e-12))
+                   for i, j in ((0, 1), (0, 2), (1, 2)))
     if not (math.isfinite(bdry) and bdry > 0.0):
         raise NumericError(f"sector field at alpha = {alpha:g}: volume norm {l2:g}, "
                            f"boundary norm {bdry:g}; the side quadrature found no mass "

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from robintri import _quad
-from robintri.geometry import as_geometry, b0, c0, corner
+from robintri.geometry import as_geometry, b0, c0
 
 
 def reference_vertices(S):
@@ -101,7 +101,7 @@ def corner_exponential(tri, alpha, vertex=None):
     coordinate along the inward bisector of the corner at vertex (default the
     smallest angle, tri.apex_index), measured from that vertex."""
     index = tri.apex_index if vertex is None else vertex
-    theta, _, apex, bisector = corner(tri.vertex_array(), tri.side_lengths, index)
+    theta, _, apex, bisector = tri.corners[index]
     rate = alpha / math.sin(0.5 * theta)
     apex, bisector = np.asarray(apex), np.asarray(bisector)
 
@@ -111,3 +111,21 @@ def corner_exponential(tri, alpha, vertex=None):
         return vals, (rate * vals)[:, None] * bisector[None, :]
 
     return rate, field
+
+
+def numpy_corner(verts, sides, i):
+    """(angle, shorter adjacent side, vertex, inward unit bisector) at vertex i,
+    formed with numpy on the (3, 2) vertex array: the reference for the corners
+    make_triangle stores."""
+    verts = np.asarray(verts, dtype=float)
+    at = verts[i]
+    j, k = (i + 1) % 3, (i + 2) % 3
+    d1 = verts[j] - at
+    d2 = verts[k] - at
+    (x1, y1), (x2, y2) = d1.tolist(), d2.tolist()
+    angle = math.atan2(abs(x1 * y2 - y1 * x2), float(d1 @ d2))
+    n1, n2 = sides[i + j - 1], sides[i + k - 1]
+    bx = d1[0] / n1 + d2[0] / n2
+    by = d1[1] / n1 + d2[1] / n2
+    nb = math.hypot(bx, by)
+    return angle, min(n1, n2), (float(at[0]), float(at[1])), (float(bx / nb), float(by / nb))

@@ -161,10 +161,11 @@ class TestConjectureGrid:
         couplings: the FEM eigenvalue stays below the equilateral one up to
         the combined FEM tolerance.  Budget: minutes.
 
-        Away from the equilateral corner of the grid the eigenvalue drops far
-        below lambda0 and the raw conforming bound already decides the
-        comparison at coarse levels, so each cell runs a short ladder; only the
-        near-equilateral cells need the error estimate to carry the verdict."""
+        Each cell runs the whole ladder to rel_tol 1e-3 (at most level 7) and
+        compares its extrapolated value, padded by ten residuals.  Away from
+        the equilateral corner of the grid the raw conforming bound already
+        clears lambda0 at coarse levels, but eigenvalue_converged has no stop
+        there yet (ROADMAP item 1)."""
         t0 = time.time()
         worst_margin = -math.inf
         strict = 0

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from oracles import numpy_corner
 
 from robintri.errors import DomainError, NumericError
 from robintri.geometry import (
@@ -70,7 +71,7 @@ class TestMakeTriangle:
     def test_angles_sum_to_pi(self, rng):
         for _ in range(50):
             tri = make_triangle(rng.uniform(-4, 4), rng.uniform(0.1, 4), rng.uniform(0.2, 5))
-            angles = [corner(tri.vertex_array(), tri.side_lengths, i)[0] for i in range(3)]
+            angles = [cn[0] for cn in tri.corners]
             assert abs(sum(angles) - math.pi) < 1e-12
 
     def test_perimeter_matches_sides(self, rng):
@@ -81,7 +82,7 @@ class TestMakeTriangle:
 
     def test_theta_star_is_clamped_smallest_angle(self):
         tri = make_triangle(2.5, 0.7, 0.9)
-        angles = [corner(tri.vertex_array(), tri.side_lengths, i)[0] for i in range(3)]
+        angles = [cn[0] for cn in tri.corners]
         assert abs(tri.theta_star - min(angles)) < 1e-15
         eq = make_triangle(0.0, c0(1.0), 1.0)
         assert eq.theta_star <= math.pi / 3.0 + 1e-15
@@ -97,7 +98,7 @@ class TestMakeTriangle:
 
     def test_bisector_is_unit_and_inward(self):
         tri = make_triangle(1.3, 0.8, 1.1)
-        _, _, apex, bis = corner(tri.vertex_array(), tri.side_lengths, tri.apex_index)
+        _, _, apex, bis = tri.corners[tri.apex_index]
         bis = np.asarray(bis)
         assert abs(np.linalg.norm(bis) - 1.0) < 1e-12
         # a short step along the bisector stays inside the triangle
@@ -127,18 +128,54 @@ class TestMakeTriangle:
             assert abs(t1.theta_star - t2.theta_star) < 1e-12
 
     def test_apex_data_is_the_corner_at_the_apex(self, rng):
-        """The apex index, theta*, L' and the apex come from the one corner
-        function, bitwise; the bisector sector_bound reads there is a unit vector."""
+        """The stored corners are corner() at each vertex, bitwise; the apex
+        index is the first smallest angle and theta*, L' and the apex come from
+        its corner; the bisector sector_bound reads there is a unit vector."""
         for _ in range(200):
             tri = make_triangle(rng.uniform(-3.0, 3.0), rng.uniform(0.2, 2.0), rng.uniform(0.3, 2.0))
-            verts = tri.vertex_array()
-            corners = [corner(verts, tri.side_lengths, i) for i in range(3)]
-            angles = [cn[0] for cn in corners]
+            assert tri.corners == tuple(corner(tri.vertices, tri.side_lengths, i)
+                                        for i in range(3))
+            angles = [cn[0] for cn in tri.corners]
             assert tri.apex_index == int(np.argmin(angles))
             assert tri.theta_star == min(angles[tri.apex_index], math.pi / 3.0)
-            _, l_prime, vertex, bis = corners[tri.apex_index]
+            _, l_prime, vertex, bis = tri.corners[tri.apex_index]
             assert (l_prime, vertex) == (tri.L_prime, tri.vertices[tri.apex_index])
             assert abs(math.hypot(*bis) - 1.0) < 1e-14
+
+    def test_corners_match_the_numpy_reference(self):
+        """10,000 seeded triangles, a in [-4, 4], c and S log-uniform over
+        e^-3..e^3, one in ten exactly equilateral: each stored corner's angle,
+        L', vertex and bisector match the numpy form to 1e-15 relative, and the
+        apex index matches off the equilateral triangles, whose three angles
+        tie up to rounding."""
+        rng = np.random.default_rng(20261019)
+        for n in range(10_000):
+            S = math.exp(rng.uniform(-3.0, 3.0))
+            equilateral = n % 10 == 0
+            a, c = (0.0, c0(S)) if equilateral else (rng.uniform(-4.0, 4.0),
+                                                     math.exp(rng.uniform(-3.0, 3.0)))
+            tri = make_triangle(a, c, S)
+            ref = [numpy_corner(tri.vertex_array(), tri.side_lengths, i) for i in range(3)]
+            for got, want in zip(tri.corners, ref):
+                values = [got[0], got[1], *got[2], *got[3]]
+                wanted = [want[0], want[1], *want[2], *want[3]]
+                assert np.allclose(values, wanted, rtol=1e-15, atol=0.0), (a, c, S)
+            if not equilateral:
+                assert tri.apex_index == int(np.argmin([cn[0] for cn in ref])), (a, c, S)
+
+    @pytest.mark.parametrize("a,c,S", [(0.0, 1e100, 1e-300), (0.5, 1e10, 1e-320)])
+    def test_apex_height_that_underflows_is_a_domain_error(self, a, c, S):
+        """S/c rounds to 0: the vertices are collinear, and the corner at the
+        apex has no bisector (0/0).  Refused, never a record with theta* = 0."""
+        with pytest.raises(DomainError, match="apex height S/c underflows"):
+            make_triangle(a, c, S)
+
+    def test_unit_sides_that_cancel_are_a_domain_error(self):
+        """At (0, 1e30, 1e-270) the apex height 1e-300 is positive, but its
+        ratio to the slanted sides underflows: the two unit sides at the apex
+        cancel exactly, so there is no bisector to divide by its norm."""
+        with pytest.raises(DomainError, match="too flat for a bisector at vertex 2"):
+            make_triangle(0.0, 1e30, 1e-270)
 
 
 class TestPerimeter:

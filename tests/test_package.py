@@ -40,6 +40,17 @@ def test_every_public_callable_has_a_docstring():
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 SRC = sorted((REPO / "src" / "robintri").glob("*.py"))
+
+
+def test_distribution_is_robintri_at_the_package_version():
+    """pyproject.toml names the distribution robintri, at the version that
+    robintri.__version__ gives and every CSV header records.  Read by regex:
+    Python 3.10 has no tomllib."""
+    project = (REPO / "pyproject.toml").read_text().split("[project]\n", 1)[1].split("\n[", 1)[0]
+    assert re.search(r'^name = "(.*)"$', project, re.M).group(1) == "robintri"
+    assert re.search(r'^version = "(.*)"$', project, re.M).group(1) == robintri.__version__
+
+
 # public names and top-level definitions that no package module or bench
 # script reads yet, each kept for the ROADMAP item that will read it
 _KEPT_UNREAD = {

@@ -455,6 +455,27 @@ class TestRegionModes:
             (-2.0, 0.0, "domain-error"), (-2.0, 1.0, "domain-error"),
             (-1.0, 0.0, "domain-error"), (-1.0, 1.0, "domain-error")]
 
+    @pytest.mark.parametrize("mode", ["transplant-region", "constant-region"])
+    def test_zero_height_cell_is_a_domain_error_row(self, mode):
+        """At c = 1e100, S = 1e-300 the apex height S/c underflows to 0 and the
+        triangle is a segment: every cell is a domain-error row, where delta
+        and the constant bound would read -inf with verdict 1."""
+        res = run_scan(ScanConfig(mode=mode, alpha_range=(-2.0, -1.0, 2),
+                                  a_range=(0.0, 1.0, 2), c_fixed=1e100, S=1e-300))
+        assert [(row[0], row[1], row[-2], row[-1]) for row in res.rows] == [
+            (-2.0, 0.0, 0, "domain-error"), (-2.0, 1.0, 0, "domain-error"),
+            (-1.0, 0.0, 0, "domain-error"), (-1.0, 1.0, 0, "domain-error")]
+
+    @pytest.mark.parametrize("mode,alphas,c,S", [
+        ("transplant-region", (-100.0, -50.0, 2), 1e-150, 1.0),
+        ("constant-region", (-1e10, -5e9, 2), 1.0, 1e-300)])
+    def test_certificate_past_float64_is_a_numeric_error_row(self, mode, alphas, c, S):
+        """A delta or constant bound that leaves float64 (nan, inf or -inf) is a
+        numeric-error row with verdict 0, never an ok row."""
+        res = run_scan(ScanConfig(mode=mode, alpha_range=alphas, a_range=(0.0, 1.0, 2),
+                                  c_fixed=c, S=S))
+        assert [(row[-2], row[-1]) for row in res.rows] == [(0, "numeric-error")] * 4
+
     def test_zero_angle_soundness_cell_is_a_typed_row(self):
         """The zero-angle cell's sector condition is a domain error, which the
         sweep reads as no certificate.  The constant bound certifies the cell,
@@ -779,6 +800,17 @@ class TestWorkerPool:
         serial = run_scan(cfg, workers=8)
         assert sizes == [2]
         assert pooled.rows == serial.rows
+
+    def test_scan_runs_serially_without_fork(self, fake_pool, monkeypatch, tmp_path):
+        """Where multiprocessing has no fork start method (Windows), a scan
+        asked for four workers builds no pool and returns the serial rows."""
+        sizes = fake_pool
+        monkeypatch.setattr(scan, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(scan.os, "sched_getaffinity", lambda pid: set(range(8)))
+        cfg = ScanConfig(mode="constant-region", alpha_range=(-2.0, -0.5, 2),
+                         a_range=(0.0, 1.0, 2), output_path=str(tmp_path / "c.csv"))
+        assert run_scan(cfg, workers=4).rows == run_scan(cfg).rows
+        assert sizes == []
 
     def test_pooled_cell_function_pickles(self):
         """The pool ships partial(_isolated, mode, fn) to its workers."""

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 import warnings
 
 import mpmath as mp
@@ -10,10 +11,10 @@ import pytest
 from oracles import (constant, corner_exponential, edge_stretch_weights, ground_state,
                      inverse_metric, side_integrals, transported_form)
 
-from robintri import _quad
+from robintri import _quad, geometry
 from robintri.equilateral import lambda0, solve_equilateral
 from robintri.errors import DomainError, NumericError
-from robintri.geometry import b0, c0, corner, make_triangle
+from robintri.geometry import b0, c0, make_triangle
 from robintri.scan import ScanConfig, run_scan
 from robintri.trial import (
     _exp_divided_difference,
@@ -48,9 +49,9 @@ def mp_sector_rayleigh(alpha, tri, vertex):
     """rate^2 + alpha * ||u||^2_bdry / ||u||^2 at 40 digits from the float
     corner data: the volume norm by Hermite-Genocchi and each side as
     |e| exp[z_i, z_j]."""
-    theta, _, apex, bisector = corner(tri.vertex_array(), tri.side_lengths, vertex)
+    theta, _, apex, bisector = tri.corners[vertex]
     with mp.workdps(40):
-        verts = [(mp.mpf(x), mp.mpf(y)) for x, y in tri.vertex_array().tolist()]
+        verts = [(mp.mpf(x), mp.mpf(y)) for x, y in tri.vertices]
         (px, py), (bx, by) = [tuple(map(mp.mpf, v)) for v in (apex, bisector)]
         rate = alpha / mp.sin(mp.mpf(theta) / 2)
         z = [2 * rate * ((x - px) * bx + (y - py) * by) for x, y in verts]
@@ -261,6 +262,17 @@ class TestTransplant:
             assert (g1 <= z) == (delta <= 0.0)
             assert f1 >= 3.0  # perimeter is smallest at the equilateral shape
 
+    @pytest.mark.parametrize("alpha,value", [(-100.0, "nan"), (-50.0, "inf")])
+    def test_excess_past_float64_is_a_numeric_error(self, alpha, value):
+        """On the needle (0, 1e-150, 1) the shape coefficient is near 1e300, so
+        the excess leaves float64: inf at alpha = -50, inf - inf = nan at -100.
+        A NumericError, never a verdict read off it."""
+        tri = make_triangle(0.0, 1e-150, 1.0)
+        for entry in (delta_transplant, transplant_verdict):
+            with pytest.raises(NumericError, match=f"excess leaves float64 at alpha = {alpha:g}: "
+                                                   f"{value}"):
+                entry(alpha, tri)
+
 
 class TestConstantBound:
     def test_certifies_weak_coupling_far_shapes(self):
@@ -271,6 +283,12 @@ class TestConstantBound:
         bound, ok = constant_bound(-1.0, make_triangle(0.0, c0(1.0), 1.0))
         assert not ok
         assert bound > lambda0(-1.0, 1.0)
+
+    def test_bound_past_float64_is_a_numeric_error(self):
+        """alpha * perimeter / area overflows at alpha = -1e10 on the area 1e-300:
+        a NumericError, not a certified verdict built from -inf."""
+        with pytest.raises(NumericError, match="bound leaves float64 at alpha = -1e\\+10: -inf"):
+            constant_bound(-1e10, make_triangle(0.0, 1.0, 1e-300))
 
 
 class TestSectorBound:
@@ -303,6 +321,33 @@ class TestSectorBound:
         assert "side quadrature" not in str(underflow.value)
         with pytest.raises(NumericError, match="side quadrature found no mass"):
             sector_bound(-10.0, make_triangle(20.0, 0.5, 1.0))
+
+    def test_overflowing_exponents_leak_no_warning(self):
+        """On the needle (0, 1e-150, 1) the smallest angle is near 2e-300, the
+        rate near -1e290, and the exponents k.(v - apex) leave float64: the
+        exact volume norm is refused, and no RuntimeWarning escapes first."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="exact volume norm"):
+                sector_bound(-1e-10, make_triangle(0.0, 1e-150, 1.0))
+
+    def test_reads_the_corners_make_triangle_stored(self, monkeypatch):
+        """With corner() made to raise once the triangles are built, every
+        anchor gives the values it gave before: sector_bound reads tri.corners
+        and computes no corner again."""
+        tris = [make_triangle(1.3, 0.6, 0.9), make_triangle(-2.0, 0.4, 1.2),
+                make_triangle(0.0, c0(0.8), 0.8)]
+        anchors = (None, 0, 1, 2)
+        expected = [sector_bound(-2.0, tri, anchor_vertex=v) for tri in tris for v in anchors]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("corner recomputed after make_triangle")
+
+        original = geometry.corner
+        for name, module in list(sys.modules.items()):
+            if name.startswith("robintri") and getattr(module, "corner", None) is original:
+                monkeypatch.setattr(module, "corner", refuse)
+        assert [sector_bound(-2.0, tri, anchor_vertex=v) for tri in tris for v in anchors] == expected
 
     @pytest.mark.parametrize("vertex", [0, 1, 2])
     def test_matches_mpmath_formula(self, rng, vertex):
