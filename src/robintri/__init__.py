@@ -3,9 +3,17 @@
 Closed-form equilateral data, transplanted trial-function bounds, a P1
 finite-element reference solver, and parameter-plane scans with certificate
 output.
+
+The finite-element module, robintri.fem, is the only one that imports SciPy.
+It loads on first use (PEP 562): its names in __all__ (_FEM_NAMES) and
+robintri.fem itself resolve through the module __getattr__ below, and a FEM
+scan mode imports it when it runs.  So import robintri, the closed forms, the
+certificates, the region scans and robintri equilateral never load SciPy.
 """
 
 from __future__ import annotations
+
+import importlib
 
 __version__ = "0.1.0"
 
@@ -43,19 +51,6 @@ from .trial import (
     strictly_below,
     transplant_verdict,
 )
-from .fem import (
-    EigenResult,
-    FemMesh,
-    FemSystem,
-    ShapeDerivatives,
-    assemble,
-    build_mesh,
-    dump_mesh,
-    eigenvalue_converged,
-    mass_residual,
-    shape_derivatives_at_equilateral,
-    solve_at_level,
-)
 from .scan import (
     MODES,
     ScanConfig,
@@ -66,6 +61,36 @@ from .scan import (
     run_scan,
     soundness_sweep,
 )
+
+# robintri.fem's public names, loaded with it by __getattr__
+_FEM_NAMES = (
+    "EigenResult",
+    "FemMesh",
+    "FemSystem",
+    "ShapeDerivatives",
+    "assemble",
+    "build_mesh",
+    "dump_mesh",
+    "eigenvalue_converged",
+    "mass_residual",
+    "shape_derivatives_at_equilateral",
+    "solve_at_level",
+)
+
+
+def __getattr__(name: str):
+    """robintri.fem and its public names, imported on first use."""
+    if name == "fem" or name in _FEM_NAMES:
+        # import_module, not "from . import fem": that statement's hasattr
+        # check on this package would call __getattr__ again
+        fem = importlib.import_module(".fem", __name__)
+        return fem if name == "fem" else getattr(fem, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), "fem", *_FEM_NAMES})
+
 
 __all__ = [
     "DomainError",

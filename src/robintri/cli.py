@@ -20,7 +20,6 @@ from collections import Counter
 
 from .equilateral import solve_equilateral
 from .errors import DomainError, NumericError, ResourceError
-from .fem import assemble, build_mesh, dump_mesh, eigenvalue_converged, mass_residual
 from .geometry import c0, make_triangle
 from .scan import MODES, ScanConfig, parse_config, run_scan
 
@@ -82,6 +81,8 @@ def _cmd_equilateral(args) -> int:
 
 
 def _cmd_eigen(args) -> int:
+    from .fem import assemble, build_mesh, dump_mesh, eigenvalue_converged, mass_residual
+
     tri = make_triangle(args.a, args.c, args.area)
     res = eigenvalue_converged(tri, args.alpha, rel_tol=args.tol, max_level=args.max_level)
     mesh = build_mesh(tri, res.level)

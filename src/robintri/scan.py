@@ -30,10 +30,17 @@ before any cell runs, and _sweep owns the axis rules (none empty, no value
 repeated).  _sweep runs every cell through one isolation boundary, _isolated:
 a robintri error becomes a typed failure row, and any other exception
 propagates.
+
+SciPy loads with robintri.fem, which this module imports only inside its FEM
+evaluators (_cell_fem, _cell_perimeter, _cell_local, _cell_monotone and the
+soundness oracle _raw_upper_bound).  run_scan imports it for a FEM mode
+(_FEM_MODES) before _sweep forks its workers, so a pool loads it once; g-curve
+and the four region modes never load it.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 import numbers
 import os
@@ -51,7 +58,6 @@ from .equilateral import (
 )
 from .errors import (DomainError, NumericError, ResourceError, check_area, check_coupling,
                      check_finite, check_length, check_rel_tol, check_unit_interval)
-from .fem import _settle, eigenvalue_converged, shape_derivatives_at_equilateral, walk_levels
 from .geometry import c0, make_triangle, perimeter_normalizer
 from .trial import (
     constant_bound,
@@ -84,6 +90,8 @@ _MODE_COLUMNS = {
 }
 
 MODES = tuple(m for m in _MODE_COLUMNS if m != "soundness")
+# the modes whose evaluators import robintri.fem, and with it SciPy
+_FEM_MODES = ("fem-conjecture", "local-optimality", "perimeter-variant", "monotonicity")
 
 # per mode: every config field it reads, with the _check_range keywords of a
 # range field (None for a scalar; the rule holds at both endpoints).  Any other
@@ -299,7 +307,7 @@ def _cell_condition(task, *, c: float, S: float) -> tuple:
     closed = sector_closed_upper(alpha, tri.theta_star, tri.L_prime)
     lower = lambda0_lower_bound(alpha, S)
     try:
-        ok, status = sector_condition(alpha, tri), "ok"
+        ok, status = sector_condition(alpha, tri, bounds=(closed, lower)), "ok"
     except DomainError:  # vacuous at the equilateral corner of the grid
         ok, status = False, "domain-error"
     return (alpha, a, closed, lower, int(ok), status)
@@ -318,6 +326,8 @@ def _fem_pad(lam0: float, err: float) -> float:
 
 
 def _cell_fem(task, *, S: float, rel_tol: float) -> tuple:
+    from .fem import eigenvalue_converged
+
     alpha, a, c = task
     res = eigenvalue_converged(make_triangle(a, c, S), alpha, rel_tol=rel_tol)
     lam0 = lambda0(alpha, S)
@@ -328,6 +338,8 @@ def _cell_fem(task, *, S: float, rel_tol: float) -> tuple:
 
 
 def _cell_perimeter(task, *, alpha: float, S: float, rel_tol: float) -> tuple:
+    from .fem import eigenvalue_converged
+
     a, c = task
     tri = make_triangle(a, c, S)
     gamma = perimeter_normalizer(tri)
@@ -346,6 +358,8 @@ def _cell_perimeter(task, *, alpha: float, S: float, rel_tol: float) -> tuple:
 
 
 def _cell_local(alpha: float, *, S: float) -> tuple:
+    from .fem import shape_derivatives_at_equilateral
+
     simple, _improved = local_optimality_alpha_bound(S)
     claimed = int(alpha >= simple)
     try:
@@ -372,6 +386,8 @@ def _cell_local(alpha: float, *, S: float) -> tuple:
 
 
 def _cell_monotone(alpha: float, *, S: float, rel_tol: float) -> tuple:
+    from .fem import eigenvalue_converged
+
     areas = (0.5 * S, S, 2.0 * S)
     lam0s = [lambda0(alpha, s) for s in areas]
     results = [eigenvalue_converged(make_triangle(0.0, c0(s), s), alpha, rel_tol=rel_tol)
@@ -482,6 +498,8 @@ def run_scan(cfg: ScanConfig, workers: int = 1) -> ScanResult:
     abort the scan; I/O failures and any other exception do.  Row order is the deterministic nested loop over
     the axes, independent of the worker count.
     """
+    if cfg.mode in _FEM_MODES:  # once here, not once in each forked worker
+        importlib.import_module(".fem", __package__)
     result = _sweep(cfg.mode, *_plan(cfg), _provenance(cfg), workers)
     emit_csv(result, cfg.output_path)
     if cfg.emit_svg:
@@ -527,6 +545,8 @@ def _raw_upper_bound(tri, alpha: float, rel_tol: float,
     value, so the comparison is already decided and further refinement can
     only reconfirm it.
     """
+    from .fem import _settle, walk_levels
+
     def decided(vals, extrs):
         est = abs(extrs[-1] - vals[-1])
         return est <= rel_tol * abs(vals[-1]) or vals[-1] + 10.0 * est <= sound_target

@@ -227,19 +227,23 @@ def sector_bound(alpha: float, tri, anchor_vertex: int | None = None) -> tuple[f
     return rayleigh, closed
 
 
-def sector_condition(alpha: float, tri) -> bool:
+def sector_condition(alpha: float, tri,
+                     bounds: tuple[float, float] | None = None) -> bool:
     """True when the closed sector bound drops below the closed lower bound for lambda0.
 
     This is the fully closed-form certificate chain; it is vacuous for the
     equilateral triangle, which is rejected as a domain error, and so is a
-    triangle whose smallest angle rounds to 0.
+    triangle whose smallest angle rounds to 0.  bounds, the pair
+    (sector_closed_upper, lambda0_lower_bound) a caller has already computed
+    for this alpha and triangle, is compared instead of computed again.
     """
     tri = as_geometry(tri)
     if tri.theta_star >= math.pi / 3.0 - 1e-12:
         raise DomainError("sector condition is undefined for the equilateral triangle")
-    closed = sector_closed_upper(alpha, tri.theta_star, tri.L_prime)
-    lower = lambda0_lower_bound(alpha, tri.S)
-    return strictly_below(closed, lower)
+    if bounds is None:
+        bounds = (sector_closed_upper(alpha, tri.theta_star, tri.L_prime),
+                  lambda0_lower_bound(alpha, tri.S))
+    return strictly_below(*bounds)
 
 
 def small_coupling_functions(alpha: float, tri) -> tuple[float, float, float]:

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from robintri import cli, scan
+from robintri import cli, fem, scan
 from robintri.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from robintri.equilateral import lambda0
 from robintri.errors import NumericError
@@ -334,7 +334,7 @@ class TestVerify:
         def fail(alpha, S):
             raise NumericError("forced failure")
 
-        monkeypatch.setattr(scan, "shape_derivatives_at_equilateral", fail)
+        monkeypatch.setattr(fem, "shape_derivatives_at_equilateral", fail)
         code, out, _ = run(capsys, ["verify", "--suite", "local", "--alpha", "-0.5"])
         assert code == EXIT_NUMERIC
         cells = dict(zip(*(line.split(",") for line in out.splitlines()[:2])))

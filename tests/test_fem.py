@@ -45,6 +45,13 @@ def dense_spectrum(tri, alpha, level):
     return eigh(system.form.toarray(), system.mass.toarray(), eigvals_only=True)
 
 
+def dense_minimum(tri, alpha, level):
+    """The lowest value of dense_spectrum, computed alone."""
+    system = assemble(build_mesh(tri, level), alpha)
+    return eigh(system.form.toarray(), system.mass.toarray(), eigvals_only=True,
+                subset_by_index=[0, 0])[0]
+
+
 def split_form(mesh, alpha):
     """K and B of a mesh, from its forms A = K + t B at t = alpha and 2 alpha:
     K = 2 A(alpha) - A(2 alpha), B = (A(2 alpha) - A(alpha)) / alpha, on the
@@ -479,8 +486,9 @@ class TestLowestEigenpair:
         skipped = []
         warm = [res for res in walk_levels(tri, alpha, 2, top, skipped) if res.level >= 5]
         assert not skipped and len(warm) == top - 4
+        lowest = {level: dense_minimum(tri, alpha, level) for level in range(5, top + 1)}
         for res in [solve_at_level(tri, alpha, 5)] + warm:
-            lam = dense_spectrum(tri, alpha, res.level)[0]
+            lam = lowest[res.level]
             assert abs(res.lambda1 - lam) <= 1e-10 * max(1.0, abs(lam))
 
     def test_frozen_flat_anchor(self):

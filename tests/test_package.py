@@ -6,8 +6,11 @@ robintri.errors."""
 import ast
 import inspect
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,17 +19,85 @@ import robintri
 
 
 def test_all_lists_exactly_the_imported_public_names():
-    """__init__.py keeps its import list and __all__ by hand; a name in one
-    but not the other, or listed twice, fails here."""
+    """__init__.py keeps its import list, its table of lazily loaded fem
+    names (_FEM_NAMES) and __all__ by hand; a name in __all__ but in neither
+    of the others, in one of them but not in __all__, or listed twice, fails
+    here.  Each lazy name is fem's own object."""
     tree = ast.parse(inspect.getsource(robintri))
     imported = [alias.asname or alias.name
                 for node in tree.body if isinstance(node, ast.ImportFrom) and node.level > 0
                 for alias in node.names]
-    public = sorted(name for name in imported
-                    if not name.startswith("_")
-                    and not inspect.ismodule(getattr(robintri, name)))
+    public = [name for name in imported
+              if not name.startswith("_") and not inspect.ismodule(getattr(robintri, name))]
+    lazy = list(robintri._FEM_NAMES)
+    names = public + lazy
+    assert len(set(names)) == len(names)
     assert len(set(robintri.__all__)) == len(robintri.__all__)
-    assert sorted(set(robintri.__all__) - {"__version__"}) == public
+    assert sorted(set(robintri.__all__) - {"__version__"}) == sorted(names)
+    assert all(getattr(robintri, name) is getattr(robintri.fem, name) for name in lazy)
+
+
+def _fresh(code: str) -> list[str]:
+    """The stdout lines of code run in a fresh interpreter on this checkout's
+    package: pytest itself has loaded SciPy (pyproject's warning filters name
+    scipy.sparse), so only a new process shows what an import loads."""
+    path = os.pathsep.join(filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120, check=True)
+    return proc.stdout.splitlines()
+
+
+_LOADED = "import sys; print('scipy.sparse' in sys.modules)"
+
+
+@pytest.mark.parametrize("code", [
+    "import robintri",
+    "import robintri; robintri.lambda0(-1.0, 0.5); robintri.sector_condition(-4.0, "
+    "robintri.make_triangle(1.0, 0.8, 0.5))",
+    *(f"import robintri; robintri.run_scan(robintri.ScanConfig(mode={mode!r}, "
+      "alpha_range=(-4.0, -1.0, 2), a_range=(0.0, 1.0, 2), output_path={out!r}))"
+      for mode in ("transplant-region", "constant-region", "condition-region",
+                   "sector-region")),
+    "from robintri import cli; cli.main(['equilateral', '--alpha', '-1', '--area', '1'])",
+], ids=["import", "closed-forms", "transplant-region", "constant-region", "condition-region",
+        "sector-region", "cli-equilateral"])
+def test_closed_forms_and_region_scans_load_no_scipy(code, tmp_path):
+    """SciPy loads with robintri.fem alone: importing the package, the closed
+    forms and certificates, every region scan and robintri equilateral leave
+    it unloaded."""
+    code = code.format(out=str(tmp_path / "scan.csv"))
+    assert _fresh(f"{code}; {_LOADED}")[-1] == "False"
+
+
+@pytest.mark.parametrize("use", [
+    "robintri.eigenvalue_converged", "from robintri import solve_at_level", "robintri.fem"])
+def test_a_fem_name_loads_scipy_on_first_use(use):
+    assert _fresh(f"import robintri; {_LOADED}; {use}; {_LOADED}") == ["False", "True"]
+
+
+def test_a_fem_scan_loads_fem_before_its_sweep_forks():
+    """run_scan imports robintri.fem in the calling process for a FEM mode,
+    so the workers that _sweep forks inherit it instead of each loading it."""
+    code = ("import sys; from robintri import scan\n"
+            "def sweep(*args):\n"
+            "    print('robintri.fem' in sys.modules)\n"
+            "    raise SystemExit\n"
+            "scan._sweep = sweep\n"
+            "print('robintri.fem' in sys.modules)\n"
+            "scan.run_scan(scan.ScanConfig(mode='fem-conjecture', c_range=(0.5, 1.0, 2)), "
+            "workers=2)")
+    assert _fresh(code) == ["False", "True"]
+
+
+def test_dir_lists_the_lazy_names_and_star_import_binds_them():
+    """dir(robintri) lists every name of __all__ before fem loads, and
+    from robintri import * binds every one of them, fem's names included."""
+    code = ("import sys, robintri\n"
+            "print(set(robintri.__all__) <= set(dir(robintri)), 'robintri.fem' in sys.modules)\n"
+            "names = {}\n"
+            "exec('from robintri import *', names)\n"
+            "print(all(getattr(robintri, n) is names[n] for n in robintri.__all__))")
+    assert _fresh(code) == ["True False", "True"]
 
 
 def test_every_public_callable_has_a_docstring():
@@ -83,7 +154,9 @@ def test_every_public_name_and_definition_has_a_non_test_reader():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert {"assemble", "_invariant_jet", "FemMesh"} <= defined
     assert set(_KEPT_UNREAD) <= set(robintri.__all__) | defined
-    assert sorted((set(robintri.__all__) | defined) - read - set(_KEPT_UNREAD)) == []
+    hooks = {"__getattr__", "__dir__"}  # __init__.py's module hooks, called by Python
+    assert hooks <= defined
+    assert sorted((set(robintri.__all__) | defined) - read - set(_KEPT_UNREAD) - hooks) == []
 
 
 def test_no_module_imports_a_name_it_never_reads():

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import robintri
-from robintri import fem, scan
+from robintri import fem, scan, trial
 from robintri.equilateral import c0, lambda0
 from robintri.errors import DomainError, NumericError, ResourceError
 from robintri.fem import EigenResult, ShapeDerivatives
@@ -413,6 +413,32 @@ class TestRegionModes:
         # the equilateral column never satisfies the strict condition
         assert all(row[0] == 0 for row in res.verdict_grid)
 
+    def test_condition_cells_evaluate_the_closed_chain_once(self, monkeypatch):
+        """Each condition cell computes its closed sector bound and its lower
+        bound once, wherever they are looked up, and reads the verdict off
+        that printed pair; the equilateral column still prints its pair, with
+        status domain-error."""
+        calls = {"sector_closed_upper": 0, "lambda0_lower_bound": 0}
+
+        def counting(name):
+            orig = getattr(trial, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return orig(*args)
+            return wrapper
+
+        for name in calls:
+            for module in (scan, trial):
+                monkeypatch.setattr(module, name, counting(name))
+        res = run_scan(ScanConfig(mode="condition-region", alpha_range=(-9.0, -1.0, 4),
+                                  a_range=(0.0, 2.5, 5)))
+        assert calls == {"sector_closed_upper": 20, "lambda0_lower_bound": 20}
+        for _, a, closed, lower, verdict, status in res.rows:
+            assert math.isfinite(closed) and math.isfinite(lower)
+            assert status == ("domain-error" if a == 0.0 else "ok")
+            assert verdict == int(status == "ok" and trial.strictly_below(closed, lower))
+
     def test_sector_rayleigh_never_beats_closed_value(self):
         res = run_scan(
             ScanConfig(
@@ -534,7 +560,7 @@ class TestFemModes:
             return EigenResult(lambda1=lambda0(alpha, tri.S), eigenvector=None,
                                iterations=0, residual=1e-9, converged=False)
 
-        monkeypatch.setattr(scan, "eigenvalue_converged", capped)
+        monkeypatch.setattr(fem, "eigenvalue_converged", capped)
         row = scan._cell_monotone(-0.5, S=S_THIRD, rel_tol=1e-4)
         assert row[-2:] == (1, "unconverged")
 
@@ -748,7 +774,7 @@ class TestLocalOptimality:
             return ShapeDerivatives(lambda1=-3.28, grad_a=0.0, grad_c=0.0, hess_aa=-2.05,
                                     hess_cc=-24.6, hess_ac=0.0, converged=False)
 
-        monkeypatch.setattr(scan, "shape_derivatives_at_equilateral", unsettled)
+        monkeypatch.setattr(fem, "shape_derivatives_at_equilateral", unsettled)
         row = scan._cell_local(-0.5, S=S_THIRD)
         assert row[9:] == (1, 0, "unconverged")
         assert row[3:5] == (-2.05, -24.6)
@@ -959,18 +985,20 @@ class TestPipeline:
             _PINNED_HEADERS[mode].format(version=robintri.__version__))
 
 
-# the scan-level callee through which each evaluator is made to fail
+# the callee through which each evaluator is made to fail, patched where the
+# evaluator looks it up: scan's namespace, or fem's for the FEM evaluators,
+# which import their fem names when they run
 _FAILING_CALLEE = {
-    "g-curve": "g_threshold",
-    "transplant-region": "transplant_verdict",
-    "constant-region": "constant_bound",
-    "condition-region": "sector_closed_upper",
-    "sector-region": "sector_bound",
-    "fem-conjecture": "eigenvalue_converged",
-    "local-optimality": "shape_derivatives_at_equilateral",
-    "perimeter-variant": "eigenvalue_converged",
-    "monotonicity": "eigenvalue_converged",
-    "soundness": "make_triangle",
+    "g-curve": (scan, "g_threshold"),
+    "transplant-region": (scan, "transplant_verdict"),
+    "constant-region": (scan, "constant_bound"),
+    "condition-region": (scan, "sector_closed_upper"),
+    "sector-region": (scan, "sector_bound"),
+    "fem-conjecture": (fem, "eigenvalue_converged"),
+    "local-optimality": (fem, "shape_derivatives_at_equilateral"),
+    "perimeter-variant": (fem, "eigenvalue_converged"),
+    "monotonicity": (fem, "eigenvalue_converged"),
+    "soundness": (scan, "make_triangle"),
 }
 # failure rows (repr) of the _PIPELINE_CFG runs, recorded from the per-evaluator
 # handlers that _isolated replaced; {status} is the row's status
@@ -1014,7 +1042,7 @@ class TestFailurePath:
                                      monkeypatch, tmp_path):
         """A robintri error in any evaluator gives the same typed row, serially
         and, for run_scan, through the pool path."""
-        monkeypatch.setattr(scan, _FAILING_CALLEE[mode], _raising(error))
+        monkeypatch.setattr(*_FAILING_CALLEE[mode], _raising(error))
         if mode == "soundness":
             res = soundness_sweep([-2.0, -0.5], [0.0, 1.0], c=S_THIRD, S=S_THIRD)
         else:

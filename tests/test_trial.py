@@ -456,6 +456,19 @@ class TestSectorBound:
         assert sector_condition(-8.0, tri)
         assert not sector_condition(-0.1, tri)
 
+    def test_condition_compares_the_pair_it_is_given(self):
+        """Given the pair (closed sector bound, lower bound) it would compute,
+        the condition reads the same verdict off it; a given pair is what it
+        compares, and the equilateral triangle is refused with a pair too."""
+        tri = make_triangle(3.0, S_THIRD, S_THIRD)
+        for alpha in (-8.0, -0.1):
+            pair = (sector_closed_upper(alpha, tri.theta_star, tri.L_prime),
+                    lambda0_lower_bound(alpha, S_THIRD))
+            assert sector_condition(alpha, tri, bounds=pair) == sector_condition(alpha, tri)
+        assert sector_condition(-0.1, tri, bounds=(-2.0, -1.0))
+        with pytest.raises(DomainError, match="equilateral"):
+            sector_condition(-2.0, make_triangle(0.0, c0(1.0), 1.0), bounds=(-2.0, -1.0))
+
     def test_sector_certificates_accept_params(self):
         """Like every other certificate, sector_bound refuses anything but the
         record make_triangle builds."""
