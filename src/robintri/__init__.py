@@ -5,10 +5,11 @@ finite-element reference solver, and parameter-plane scans with certificate
 output.
 
 The finite-element module, robintri.fem, is the only one that imports SciPy.
-It loads on first use (PEP 562): its names in __all__ (_FEM_NAMES) and
-robintri.fem itself resolve through the module __getattr__ below, and a FEM
-scan mode imports it when it runs.  So import robintri, the closed forms, the
-certificates, the region scans and robintri equilateral never load SciPy.
+It loads on first use (PEP 562): the names of __all__ that this module does not
+import, all of them fem's, and robintri.fem itself resolve through the module
+__getattr__ below, and a FEM scan mode imports it when it runs.  So import
+robintri, the closed forms, the certificates, the region scans and robintri
+equilateral never load SciPy.
 """
 
 from __future__ import annotations
@@ -62,36 +63,6 @@ from .scan import (
     soundness_sweep,
 )
 
-# robintri.fem's public names, loaded with it by __getattr__
-_FEM_NAMES = (
-    "EigenResult",
-    "FemMesh",
-    "FemSystem",
-    "ShapeDerivatives",
-    "assemble",
-    "build_mesh",
-    "dump_mesh",
-    "eigenvalue_converged",
-    "mass_residual",
-    "shape_derivatives_at_equilateral",
-    "solve_at_level",
-)
-
-
-def __getattr__(name: str):
-    """robintri.fem and its public names, imported on first use."""
-    if name == "fem" or name in _FEM_NAMES:
-        # import_module, not "from . import fem": that statement's hasattr
-        # check on this package would call __getattr__ again
-        fem = importlib.import_module(".fem", __name__)
-        return fem if name == "fem" else getattr(fem, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), "fem", *_FEM_NAMES})
-
-
 __all__ = [
     "DomainError",
     "EigenResult",
@@ -135,7 +106,7 @@ __all__ = [
     "sector_closed_upper",
     "sector_condition",
     "shape_coefficient",
-    "shape_derivatives_at_equilateral",
+    "shape_derivatives",
     "small_coupling_functions",
     "solve_at_level",
     "solve_equilateral",
@@ -144,3 +115,18 @@ __all__ = [
     "transplant_verdict",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """robintri.fem and its public names, imported on first use: a name in
+    __all__ that is not a module global can only be one of fem's."""
+    if name == "fem" or name in __all__:
+        # import_module, not "from . import fem": that statement's hasattr
+        # check on this package would call __getattr__ again
+        fem = importlib.import_module(".fem", __name__)
+        return fem if name == "fem" else getattr(fem, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), "fem", *__all__})

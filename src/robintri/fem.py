@@ -30,8 +30,8 @@ interpolated onto the finer one it is the coarse eigenfunction itself
 the returned vector.  The shifted pencil is arithmetic on the data vectors of
 the one symmetric CSR pattern that assemble gives A = K + alpha B and M, so no
 sparse add or format conversion runs per level or per shift.  _settle is the one
-Richardson loop of all three ladders: eigenvalue_converged,
-shape_derivatives_at_equilateral and the soundness oracle scan._raw_upper_bound.
+Richardson loop of all three ladders: eigenvalue_converged, shape_derivatives
+and the soundness oracle scan._raw_upper_bound.
 A level's residual in the M^{-1} norm costs a mass-matrix solve that no ladder
 reads, so it is computed only on demand, by mass_residual.
 The factorisation is SuperLU's at panel width 2 (_PANEL), which fits the
@@ -52,7 +52,7 @@ from scipy.sparse.linalg import cg, splu
 
 from .errors import (DomainError, NumericError, ResourceError, check_coupling, check_finite,
                      check_level, check_rel_tol)
-from .geometry import TriangleGeometry, as_geometry, c0, make_triangle
+from .geometry import TriangleGeometry, as_geometry
 
 MAX_LEVEL = 10
 # Meshes up to this many nodes (levels 0 to 4) are solved by dense LAPACK.  One
@@ -695,9 +695,9 @@ def eigenvalue_converged(
 
 @dataclass(frozen=True)
 class ShapeDerivatives:
-    """Gradient and Hessian of (a, c) -> lambda1 at the equilateral point in
-    jet-row order, extrapolated over mesh levels; converged says whether
-    lambda1, hess_aa and hess_cc settled before the level cap."""
+    """Gradient and Hessian of (a, c) -> lambda1 at one triangle in jet-row
+    order, extrapolated over mesh levels; converged says whether lambda1,
+    hess_aa and hess_cc settled before the level cap."""
 
     lambda1: float
     grad_a: float
@@ -732,21 +732,21 @@ def _level_derivatives(lat: _Lattice, u: np.ndarray, alpha: float,
     return np.array([lam, lam_a, lam_c, *second])
 
 
-def shape_derivatives_at_equilateral(alpha: float, S: float) -> ShapeDerivatives:
-    """Exact discrete gradient and Hessian of lambda1 in (a, c) at (0, c0(S)).
+def shape_derivatives(tri, alpha: float) -> ShapeDerivatives:
+    """Exact discrete gradient and Hessian of lambda1 in (a, c) at tri, at fixed area.
 
     One ladder, levels 2 to 8, differentiates each level's eigenvalue and
     extrapolates the jets like lambda1 until lambda1, hess_aa and hess_cc
     settle to 1e-6 relative.
     """
-    cc = c0(S)
-    h, ell = _weights(_invariant_jet(0.0, cc, S), 2.0 * S)
+    tri = as_geometry(tri)
+    h, ell = _weights(_invariant_jet(tri.a, tri.c, tri.S), 2.0 * tri.S)
     watched = [0, 3, 5]  # lambda1, hess_aa, hess_cc
     skipped: list[tuple[int, str]] = []
     _, _, extrs, converged = _settle(
-        walk_levels(make_triangle(0.0, cc, S), alpha, 2, 8, skipped),
+        walk_levels(tri, alpha, 2, 8, skipped),
         lambda res: _level_derivatives(_lattice(res.level), res.eigenvector, alpha,
-                                       h, ell, 2.0 * S),
+                                       h, ell, 2.0 * tri.S),
         lambda _, x: len(x) > 1 and bool(np.all(
             np.abs(x[-1] - x[-2])[watched] <= 1e-6 * np.abs(x[-1][watched]))))
     return ShapeDerivatives(*map(float, extrs[-1]), converged, tuple(skipped))

@@ -25,11 +25,11 @@ reads and the package version, so identical configs give byte-identical files.
 run_scan and soundness_sweep, one entry per kind of grid (ScanConfig ranges,
 listed (alpha, a) values), both run through one sweep core, _sweep, the only
 place that builds a ScanResult.  Each entry point checks its global inputs
-(ranges, couplings, grid values, area, tolerance) by the rules of errors.py
-before any cell runs, and _sweep owns the axis rules (none empty, no value
-repeated).  _sweep runs every cell through one isolation boundary, _isolated:
-a robintri error becomes a typed failure row, and any other exception
-propagates.
+(ranges, couplings, grid values, area, tolerance, cell count) by the rules of
+errors.py before any cell runs, and _sweep owns the axis rules (none empty, no
+value repeated).  _sweep runs every cell through one isolation boundary,
+_isolated: a robintri error becomes a typed failure row, and any other
+exception propagates.
 
 SciPy loads with robintri.fem, which this module imports only inside its FEM
 evaluators (_cell_fem, _cell_perimeter, _cell_local, _cell_monotone and the
@@ -114,6 +114,8 @@ _READ_BY_EVERY_MODE = ("mode", "output_path", "emit_svg")
 # far above the largest grid in use (the 60 x 60 default); a larger product
 # of point counts is refused before np.linspace allocates an axis
 _MAX_CELLS = 10**7
+# the soundness oracle's ladder tolerance, recorded as fem_rel_tol in its provenance
+_SOUND_REL_TOL = 1e-3
 
 _SQRT3 = math.sqrt(3.0)
 _NAN = float("nan")
@@ -149,6 +151,13 @@ def _count_text(n: int) -> str:
         return str(n)
     digits = str(round(n, 6 - len(str(n))))  # six significant digits, half to even
     return f"{digits[0]}.{digits[1:6]}".rstrip("0").rstrip(".") + f"e+{len(digits) - 1:02d}"
+
+
+def _check_cells(mode: str, counts: list[int]) -> None:
+    """ResourceError when a grid of these point counts has more than _MAX_CELLS cells."""
+    if math.prod(counts) > _MAX_CELLS:
+        raise ResourceError(f"the {mode} grid of {' x '.join(map(_count_text, counts))}"
+                            f" points exceeds the cap of {_MAX_CELLS} cells")
 
 
 def _grid(rng) -> tuple[float, ...]:
@@ -205,10 +214,7 @@ class ScanConfig:
         ranges = [name for name, rule in reads.items() if rule is not None]
         for name in ranges:
             _check_range(name, getattr(self, name), **reads[name])
-        counts = [int(getattr(self, name)[2]) for name in ranges]
-        if math.prod(counts) > _MAX_CELLS:
-            raise ResourceError(f"the {self.mode} grid of {' x '.join(map(_count_text, counts))}"
-                                f" points exceeds the cap of {_MAX_CELLS} cells")
+        _check_cells(self.mode, [int(getattr(self, name)[2]) for name in ranges])
 
     def resolved_c(self) -> float:
         return self.c_fixed if self.c_fixed is not None else c0(self.S)
@@ -358,12 +364,13 @@ def _cell_perimeter(task, *, alpha: float, S: float, rel_tol: float) -> tuple:
 
 
 def _cell_local(alpha: float, *, S: float) -> tuple:
-    from .fem import shape_derivatives_at_equilateral
+    from .fem import shape_derivatives
 
     simple, _improved = local_optimality_alpha_bound(S)
     claimed = int(alpha >= simple)
+    cc = c0(S)
     try:
-        d = shape_derivatives_at_equilateral(alpha, S)
+        d = shape_derivatives(make_triangle(0.0, cc, S), alpha)
         hb = hessian_upper_bounds(alpha, S)
     except _CELL_ERRORS as exc:
         # claimed depends on (alpha, S) alone: a failed claimed row must still say so
@@ -373,7 +380,6 @@ def _cell_local(alpha: float, *, S: float) -> tuple:
     eig_max = 0.5 * (d.hess_aa + d.hess_cc) + half_span
     C = -0.5 * eig_max
     lam = lambda0(alpha, S)
-    cc = c0(S)
     tol_g = 1e-3 * abs(lam) / cc
     tol_h = 1e-3 * abs(lam) / cc**2
     flat = abs(d.grad_a) < tol_g and abs(d.grad_c) < tol_g and abs(d.hess_ac) < tol_h
@@ -507,26 +513,29 @@ def run_scan(cfg: ScanConfig, workers: int = 1) -> ScanResult:
     return result
 
 
-def soundness_sweep(alpha_values, a_values, c: float, S: float,
-                    fem_rel_tol: float = 1e-3) -> ScanResult:
+def soundness_sweep(alpha_values, a_values, c: float, S: float) -> ScanResult:
     """Cross-check every certificate against the FEM oracle on an (a, alpha) grid.
 
     For each cell the three trial-function certificates are evaluated; on the
     cells where at least one fires, the FEM upper bound must sit below the
-    equilateral value by ten times its own error estimate.  The verdict is 1
-    for uncertified and for certified-and-confirmed cells, else 0.  A settled
-    verdict-0 cell whose bound is within ten error estimates of the equilateral
-    value has status "unresolved"; with status "ok" it is a contradiction.
+    equilateral value by ten times its own error estimate, from a ladder that
+    stops at _SOUND_REL_TOL = 1e-3 relative (_raw_upper_bound).  The verdict
+    is 1 for uncertified and for certified-and-confirmed cells, else 0.  A
+    settled verdict-0 cell whose bound is within ten error estimates of the
+    equilateral value has status "unresolved"; with status "ok" it is a
+    contradiction.  More than _MAX_CELLS cells raise ResourceError before any
+    task is built.
     """
     alphas = tuple(float(x) for x in alpha_values)
     avals = tuple(float(x) for x in a_values)
     check_coupling("alpha values", *alphas)
     check_finite("a values", *avals)
     check_area(S)
-    check_rel_tol("fem_rel_tol", fem_rel_tol)
     check_length("c", c)
-    fn = partial(_soundness_cell, c=c, S=S, rel_tol=fem_rel_tol)
-    prov = {"c": _format_cell(c), "S": _format_cell(S), "fem_rel_tol": _format_cell(fem_rel_tol)}
+    _check_cells("soundness", [len(alphas), len(avals)])
+    fn = partial(_soundness_cell, c=c, S=S, rel_tol=_SOUND_REL_TOL)
+    prov = {"c": _format_cell(c), "S": _format_cell(S),
+            "fem_rel_tol": _format_cell(_SOUND_REL_TOL)}
     return _sweep("soundness", fn, [(al, a) for al in alphas for a in avals],
                   {"a": avals, "alpha": alphas}, prov)
 

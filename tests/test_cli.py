@@ -11,7 +11,8 @@ from robintri import cli, fem, scan
 from robintri.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from robintri.equilateral import lambda0
 from robintri.errors import NumericError
-from robintri.fem import assemble, build_mesh, eigenvalue_converged, mass_residual
+from robintri.fem import (ShapeDerivatives, assemble, build_mesh, eigenvalue_converged,
+                          mass_residual)
 from robintri.geometry import make_triangle
 
 S_THIRD = 1.0 / math.sqrt(3.0)
@@ -266,6 +267,14 @@ class TestScan:
         assert "would overwrite the CSV" in err and out == ""
         assert not calls and not out_path.exists()
 
+    def test_output_in_a_missing_directory_is_an_io_failure(self, capsys, tmp_path):
+        """The CSV cannot be opened: exit 1 with the reason on stderr, no traceback."""
+        out_path = tmp_path / "missing" / "g.csv"
+        code, out, err = run(capsys, ["scan", "--mode", "g-curve", "--out", str(out_path)])
+        assert code == EXIT_USAGE
+        assert err.startswith("i/o failure: ") and out == ""
+        assert not out_path.parent.exists()
+
     def test_svg_flag_writes_image(self, capsys, tmp_path):
         out_path = tmp_path / "g.csv"
         code, _, _ = run(
@@ -329,12 +338,27 @@ class TestVerify:
         assert lines[0].startswith("a,c,gamma,") and len(lines) == 1 + 15 + 1
         assert lines[-1] == "verify perimeter: OK"
 
+    def test_local_suite_past_the_claim_makes_no_claim(self, capsys, monkeypatch):
+        """alpha = -1.5 lies past the simple threshold -0.92/sqrt(S) at the
+        default area: the row is not claimed, and the suite passes with no
+        claim.  The derivative ladder is stubbed."""
+        def settled(tri, alpha):
+            return ShapeDerivatives(lambda1=-7.0, grad_a=0.0, grad_c=0.0, hess_aa=-20.0,
+                                    hess_cc=-240.0, hess_ac=0.0, converged=True)
+
+        monkeypatch.setattr(fem, "shape_derivatives", settled)
+        code, out, _ = run(capsys, ["verify", "--suite", "local", "--alpha=-1.5"])
+        assert code == EXIT_OK
+        cells = dict(zip(*(line.split(",") for line in out.splitlines()[:2])))
+        assert (cells["claimed"], cells["verdict"], cells["status"]) == ("0", "0", "no-claim")
+        assert out.splitlines()[-1] == "verify local: no claim at this coupling"
+
     def test_local_suite_fails_on_a_claimed_failing_row(self, capsys, monkeypatch):
         """A claimed row whose derivatives cannot be computed fails the suite."""
-        def fail(alpha, S):
+        def fail(tri, alpha):
             raise NumericError("forced failure")
 
-        monkeypatch.setattr(fem, "shape_derivatives_at_equilateral", fail)
+        monkeypatch.setattr(fem, "shape_derivatives", fail)
         code, out, _ = run(capsys, ["verify", "--suite", "local", "--alpha", "-0.5"])
         assert code == EXIT_NUMERIC
         cells = dict(zip(*(line.split(",") for line in out.splitlines()[:2])))

@@ -259,10 +259,11 @@ class TestLatticeCache:
         """c^4 rounds to 0 below c ~ 1e-81 and S^2 overflows past S ~ 1e154: the
         invariant jet's c-derivative rows leave float64, so assemble and the
         shape derivatives, which read the same jet, raise NumericError."""
+        tri = make_triangle(0.0, c, S)
         with pytest.raises(NumericError, match="invariant jet .* leaves float64"):
-            assemble(build_mesh(make_triangle(0.0, c, S), 2), -1.0)
+            assemble(build_mesh(tri, 2), -1.0)
         with pytest.raises(NumericError, match="invariant jet .* leaves float64"):
-            fem.shape_derivatives_at_equilateral(-1.0, S)
+            fem.shape_derivatives(tri, -1.0)
 
     def test_lattice_is_read_only(self):
         mesh = build_mesh(make_triangle(0.0, 1.0, 1.0), 2)
@@ -497,6 +498,25 @@ class TestLowestEigenpair:
         res = solve_at_level(make_triangle(0.0, 3.0, S_THIRD), -8.0, 2)
         assert abs(res.lambda1 - (-643.710077702709)) < 1e-9 * 643.7
 
+    def test_lanczos_past_its_solve_budget_is_a_numeric_error(self, monkeypatch):
+        monkeypatch.setattr(fem, "_MAX_SOLVES", 2)
+        with pytest.raises(NumericError, match="Lanczos did not converge in 2 solves"):
+            solve_at_level(make_triangle(0.3, 0.7, S_THIRD), -1.5, 5)
+
+    def test_no_certified_shift_is_a_numeric_error(self, monkeypatch):
+        """Every shift tried leaves an eigenvalue below it: after the 80th
+        attempt the solve gives up, typed."""
+        tried = []
+
+        def one_below(A, M, sigma):
+            tried.append(sigma)
+            return None, 1
+
+        monkeypatch.setattr(fem, "_factor_counting", one_below)
+        with pytest.raises(NumericError, match="no shift below the spectrum found"):
+            solve_at_level(make_triangle(0.3, 0.7, S_THIRD), -1.5, 5)
+        assert len(tried) == 80 and all(b < a for a, b in zip(tried, tried[1:]))
+
     def test_reflection_symmetry(self):
         plus = solve_at_level(make_triangle(0.8, 0.7, 1.0), -1.5, 3)
         minus = solve_at_level(make_triangle(-0.8, 0.7, 1.0), -1.5, 3)
@@ -649,7 +669,7 @@ class TestWarmStart:
         assert res.level == 6 and res.iterations > 0
         _, _, settled = scan._raw_upper_bound(tri, -2.0, 1e-3, sound_target=lambda0(-2.0, S_THIRD))
         assert settled
-        assert fem.shape_derivatives_at_equilateral(-0.5, 1.0).converged
+        assert fem.shape_derivatives(make_triangle(0.0, c0(1.0), 1.0), -0.5).converged
 
 
 def recorded_walk(monkeypatch, tri, alpha, max_level, rewrite=None):
@@ -879,7 +899,7 @@ class TestConvergence:
         res = eigenvalue_converged(make_triangle(-0.9, 0.15, 1.0), alpha, rel_tol=1e-8,
                                    max_level=8)
         assert res.skipped == () and res.level == 8 and len(res.history) == 7
-        assert fem.shape_derivatives_at_equilateral(alpha, 1.0).skipped == ()
+        assert fem.shape_derivatives(make_triangle(0.0, c0(1.0), 1.0), alpha).skipped == ()
 
     @pytest.mark.parametrize("alpha,texts", [
         (-1e200, ("lies above", "cold shift overflows")),
@@ -930,7 +950,7 @@ class TestConvergence:
         assert res.level == 6 and not res.skipped  # Lanczos levels 5 and 6 ran
         _, _, settled = scan._raw_upper_bound(tri, -2.0, 1e-3, sound_target=lambda0(-2.0, S_THIRD))
         assert settled
-        assert fem.shape_derivatives_at_equilateral(-0.5, 1.0).converged
+        assert fem.shape_derivatives(make_triangle(0.0, c0(1.0), 1.0), -0.5).converged
 
     def test_non_finite_tolerance_is_refused(self):
         tri = make_triangle(0.5, 0.6, S_THIRD)
@@ -945,17 +965,17 @@ class TestConvergence:
 
 
 class TestShapeDerivatives:
-    """Exact derivatives of each level's eigenvalue in (a, c) at the
-    equilateral point (Nelson's method on the weighted reference matrices)."""
+    """Exact derivatives of each level's eigenvalue in (a, c), at the
+    equilateral point unless a triangle is given (Nelson's method on the
+    weighted reference matrices)."""
 
     @staticmethod
-    def level_jets(alpha, levels):
-        cc = c0(S_THIRD)
-        h, ell = fem._weights(fem._invariant_jet(0.0, cc, S_THIRD), 2.0 * S_THIRD)
-        for res in fem.walk_levels(make_triangle(0.0, cc, S_THIRD), alpha,
-                                   levels[0], levels[-1], []):
+    def level_jets(alpha, levels, tri=None):
+        tri = tri or make_triangle(0.0, c0(S_THIRD), S_THIRD)
+        h, ell = fem._weights(fem._invariant_jet(tri.a, tri.c, tri.S), 2.0 * tri.S)
+        for res in fem.walk_levels(tri, alpha, levels[0], levels[-1], []):
             yield res.level, fem._level_derivatives(fem._lattice(res.level), res.eigenvector,
-                                                    alpha, h, ell, 2.0 * S_THIRD)
+                                                    alpha, h, ell, 2.0 * tri.S)
 
     @pytest.mark.parametrize("alpha", [-0.1, -0.5, -1.0])
     def test_hessian_matches_central_differences(self, alpha):
@@ -970,6 +990,25 @@ class TestShapeDerivatives:
         assert jet[0] == pytest.approx(lam[0, 0], rel=1e-12)
         assert jet[3] == pytest.approx(hess_aa, rel=1e-4)
         assert jet[5] == pytest.approx(hess_cc, rel=1e-4)
+
+    def test_jet_matches_central_differences_away_from_the_equilateral(self):
+        """On a scalene triangle neither the gradient nor the mixed derivative
+        vanishes, so each of the six entries of the level-5 jet is checked
+        against central differences of the level solve: a swapped jet row or
+        a dropped 2 u^T A_x u_y term shows here."""
+        S, alpha, step = S_THIRD, -2.5, 1e-4
+        a, c = 0.7, 0.9 * c0(S)
+        ((_, jet),) = self.level_jets(alpha, [5], make_triangle(a, c, S))
+        lam = {(i, j): solve_at_level(make_triangle(a + i * step, c + j * step, S),
+                                      alpha, 5).lambda1
+               for i in (-1, 0, 1) for j in (-1, 0, 1)}
+        fd = [lam[0, 0],
+              (lam[1, 0] - lam[-1, 0]) / (2.0 * step),
+              (lam[0, 1] - lam[0, -1]) / (2.0 * step),
+              (lam[1, 0] - 2.0 * lam[0, 0] + lam[-1, 0]) / step**2,
+              (lam[1, 1] - lam[1, -1] - lam[-1, 1] + lam[-1, -1]) / (4.0 * step**2),
+              (lam[0, 1] - 2.0 * lam[0, 0] + lam[0, -1]) / step**2]
+        assert jet == pytest.approx(fd, rel=1e-5, abs=0.0)
 
     @pytest.mark.parametrize("alpha", [-0.1, -0.5, -1.0])
     def test_symmetry_at_every_level(self, alpha):

@@ -19,21 +19,21 @@ import robintri
 
 
 def test_all_lists_exactly_the_imported_public_names():
-    """__init__.py keeps its import list, its table of lazily loaded fem
-    names (_FEM_NAMES) and __all__ by hand; a name in __all__ but in neither
-    of the others, in one of them but not in __all__, or listed twice, fails
-    here.  Each lazy name is fem's own object."""
+    """__init__.py keeps its import list and __all__ by hand, and each name of
+    __all__ that it does not import is loaded from fem on first use.  A name
+    listed twice, an imported public name missing from __all__, or a name of
+    __all__ that fem does not define fails here.  Each lazy name is fem's own
+    object."""
     tree = ast.parse(inspect.getsource(robintri))
     imported = [alias.asname or alias.name
                 for node in tree.body if isinstance(node, ast.ImportFrom) and node.level > 0
                 for alias in node.names]
     public = [name for name in imported
               if not name.startswith("_") and not inspect.ismodule(getattr(robintri, name))]
-    lazy = list(robintri._FEM_NAMES)
-    names = public + lazy
-    assert len(set(names)) == len(names)
+    assert len(set(public)) == len(public)
     assert len(set(robintri.__all__)) == len(robintri.__all__)
-    assert sorted(set(robintri.__all__) - {"__version__"}) == sorted(names)
+    lazy = set(robintri.__all__) - set(public) - {"__version__"}
+    assert set(public) <= set(robintri.__all__) and "ShapeDerivatives" in lazy
     assert all(getattr(robintri, name) is getattr(robintri.fem, name) for name in lazy)
 
 
@@ -243,10 +243,9 @@ _BAD_INPUTS = {
     "eigenvalue_converged/max_level": (
         lambda v: robintri.eigenvalue_converged(TRI, -1.0, max_level=v), (5.5, 6.0, "6"),
         "max_level must be a non-negative integer"),
-    "shape_derivatives_at_equilateral/alpha": (
-        lambda v: robintri.shape_derivatives_at_equilateral(v, 1.0), COUPLINGS, ALPHA),
-    "shape_derivatives_at_equilateral/S": (
-        lambda v: robintri.shape_derivatives_at_equilateral(-1.0, v), POSITIVES, AREA),
+    "shape_derivatives/alpha": (lambda v: robintri.shape_derivatives(TRI, v), COUPLINGS, ALPHA),
+    "shape_derivatives/tri": (lambda v: robintri.shape_derivatives(v, -1.0), (None, 1.0, "tri"),
+                              "expected a TriangleGeometry from make_triangle"),
     "ScanConfig/alpha_range": (
         lambda v: robintri.ScanConfig(mode="constant-region", alpha_range=(-2.0, v, 3)),
         (0.0, 1.0), "alpha_range must be finite and strictly negative"),

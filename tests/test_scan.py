@@ -210,6 +210,10 @@ class TestScanConfig:
         assert ScanConfig(mode="constant-region", output_path="heat.svg").svg_path == "heat.svg"
         assert ScanConfig(mode="g-curve", output_path="out/g.csv").svg_path == "out/g.svg"
 
+    def test_empty_output_path_is_refused(self):
+        with pytest.raises(DomainError, match="output_path must be non-empty"):
+            ScanConfig(mode="g-curve", output_path="")
+
     def test_resolved_c_defaults_to_equilateral(self):
         cfg = ScanConfig(mode="transplant-region")
         assert abs(cfg.resolved_c() - c0(cfg.S)) < 1e-15
@@ -265,7 +269,8 @@ class TestParseConfig:
                                            # the range rule's text, not a parse error
                                            ("c_range = 0.5, 1.5, 2.5", "must be a whole number"),
                                            ("c_range = 0.5, 1.5, nan", "must be a whole number"),
-                                           ("version = 1", "unknown config key")])
+                                           ("version = 1", "unknown config key"),
+                                           ("S 0.5", ":2: expected 'key = value'")])
     def test_error_texts(self, tmp_path, line, text):
         with pytest.raises(DomainError, match=text):
             parse_config(self._write(tmp_path, f"mode = fem-conjecture\n{line}\n"))
@@ -280,6 +285,10 @@ class TestParseConfig:
         path.write_bytes(b"mode = g-curve\n# \xff\n")
         with pytest.raises(DomainError, match="is not UTF-8 text: invalid start byte at byte 17"):
             parse_config(str(path))
+
+    def test_directory_is_refused(self, tmp_path):
+        with pytest.raises(DomainError, match="cannot read config"):
+            parse_config(str(tmp_path))
 
     def test_grid_past_the_cell_cap_is_refused(self, tmp_path):
         path = self._write(tmp_path, "mode = g-curve\na_range = 0.1, 0.9, 1e300\n")
@@ -584,9 +593,29 @@ class TestFemModes:
             soundness_sweep([-0.5], [0.0, 0.0], c=S_THIRD, S=S_THIRD)
         assert not calls
 
+    def test_soundness_grid_past_the_cell_cap_is_refused(self, monkeypatch):
+        """The cap of ScanConfig holds for the listed values too, checked
+        before the task list is built."""
+        calls = []
+
+        def cell(task, **_):
+            calls.append(task)
+            return scan._failure_row("soundness", task, NumericError("stub"))
+
+        monkeypatch.setattr(scan, "_soundness_cell", cell)
+        monkeypatch.setattr(scan, "_MAX_CELLS", 3)
+        with pytest.raises(ResourceError,
+                           match=r"^the soundness grid of 2 x 2 points exceeds the cap of 3 cells$"):
+            soundness_sweep([-0.5, -1.0], [0.0, 0.5], c=S_THIRD, S=S_THIRD)
+        assert not calls
+        monkeypatch.setattr(scan, "_MAX_CELLS", 4)
+        soundness_sweep([-0.5, -1.0], [0.0, 0.5], c=S_THIRD, S=S_THIRD)
+        assert len(calls) == 4
+
     def test_soundness_certified_cells_stay_sound(self):
         cc = c0(S_THIRD)
-        res = soundness_sweep([-0.5, -6.0], [0.5, 2.0], cc, S_THIRD, fem_rel_tol=1e-2)
+        res = soundness_sweep([-0.5, -6.0], [0.5, 2.0], cc, S_THIRD)
+        assert res.provenance["fem_rel_tol"] == "0.001"
         assert len(res.rows) == 4
         certified = [row for row in res.rows if row[5] == 1]
         assert certified  # the sweep must actually exercise a certificate
@@ -597,6 +626,11 @@ class TestFemModes:
 
 
 class TestOutputs:
+    def test_row_of_the_wrong_width_is_refused(self):
+        with pytest.raises(DomainError, match="row width 3 does not match 4 columns"):
+            scan.ScanResult(mode="g-curve", columns=scan._MODE_COLUMNS["g-curve"],
+                            rows=((0.5, -1.0, 1),), axes={"t": (0.5,)}, provenance={})
+
     def test_csv_is_byte_deterministic(self, tmp_path):
         cfg = ScanConfig(
             mode="transplant-region",
@@ -713,6 +747,17 @@ class TestSoundnessStatus:
         assert row[5] == 1  # certified
         assert row[-3:] == (0, 0, "ok")
 
+    def test_unsettled_oracle_is_unconverged(self, monkeypatch):
+        """A certified cell whose oracle ladder hits its level cap unsettled
+        keeps its sound verdict but reads unconverged."""
+        def unsettled(tri, alpha, rel_tol, sound_target):
+            return sound_target - 1.0, 1e-3, False
+
+        monkeypatch.setattr(scan, "_raw_upper_bound", unsettled)
+        (row,) = soundness_sweep([-0.5], [0.5], c0(S_THIRD), S_THIRD).rows
+        assert row[5] == 1  # certified
+        assert row[-3:] == (1, 1, "unconverged")
+
 
 def _solve_levels_except(monkeypatch, failing):
     """Make fem.solve_at_level raise NumericError at every level where failing(level) holds."""
@@ -728,7 +773,7 @@ def _solve_levels_except(monkeypatch, failing):
 
 class TestRawUpperBound:
     """The soundness ladder against a hand walk of walk_levels(tri, alpha, 3, 9, [])
-    at S = c = 1/sqrt(3) with the sweep's default rel_tol 1e-3."""
+    at S = c = 1/sqrt(3) with the sweep's rel_tol 1e-3 (scan._SOUND_REL_TOL)."""
 
     @pytest.mark.parametrize("alpha,a,rule", [(-4.0, 1.5, "target"), (-1.64, 0.015, "rel_tol")])
     def test_stops_at_level_5_by_one_rule(self, alpha, a, rule):
@@ -770,11 +815,11 @@ class TestLocalOptimality:
     def test_unsettled_claimed_row_is_unconverged(self, monkeypatch):
         """Derivatives that look fine but did not settle by the level cap give
         no verdict."""
-        def unsettled(alpha, S):
+        def unsettled(tri, alpha):
             return ShapeDerivatives(lambda1=-3.28, grad_a=0.0, grad_c=0.0, hess_aa=-2.05,
                                     hess_cc=-24.6, hess_ac=0.0, converged=False)
 
-        monkeypatch.setattr(fem, "shape_derivatives_at_equilateral", unsettled)
+        monkeypatch.setattr(fem, "shape_derivatives", unsettled)
         row = scan._cell_local(-0.5, S=S_THIRD)
         assert row[9:] == (1, 0, "unconverged")
         assert row[3:5] == (-2.05, -24.6)
@@ -995,7 +1040,7 @@ _FAILING_CALLEE = {
     "condition-region": (scan, "sector_closed_upper"),
     "sector-region": (scan, "sector_bound"),
     "fem-conjecture": (fem, "eigenvalue_converged"),
-    "local-optimality": (fem, "shape_derivatives_at_equilateral"),
+    "local-optimality": (fem, "shape_derivatives"),
     "perimeter-variant": (fem, "eigenvalue_converged"),
     "monotonicity": (fem, "eigenvalue_converged"),
     "soundness": (scan, "make_triangle"),
@@ -1084,8 +1129,6 @@ class TestFailurePath:
         monkeypatch.setattr(scan, "_soundness_cell", lambda task, **_: calls.append(task))
         monkeypatch.setattr(scan, "_cell_monotone", lambda task, **_: calls.append(task))
         for tol in (math.inf, math.nan, 0.0):
-            with pytest.raises(DomainError, match="fem_rel_tol"):
-                soundness_sweep([-2.0], [1.0], c=S_THIRD, S=S_THIRD, fem_rel_tol=tol)
             with pytest.raises(DomainError, match="fem_rel_tol"):
                 _single_coupling_scan("monotonicity", -0.5, fem_rel_tol=tol)
         for c in (-1.0, math.inf, math.nan):
