@@ -40,9 +40,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from . import _quad
 from .errors import NumericError, check_area, check_coupling, check_unit_interval
 from .geometry import b0, c0
 
@@ -216,7 +213,15 @@ def _boundary_norm_sq_unit(K: float, L: float, M: float) -> float:
 
 @lru_cache(maxsize=256)
 def _l2_norm_sq_cached(alpha: float, S: float) -> float:
-    """||u0||^2 over the reference triangle by adaptive quadrature of u0^2."""
+    """||u0||^2 over the reference triangle by adaptive quadrature of u0^2.
+
+    The only array code of this module: NumPy and the quadrature load on the
+    first miss, so the closed forms alone never import them.
+    """
+    import numpy as np
+
+    from . import _quad
+
     sol = solve_equilateral(alpha, S)
     K, L, M = sol.K, sol.L, sol.M
     cc, bb = c0(S), b0(S)

@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, NumericError, check_area, check_finite, check_length
 
 
@@ -59,7 +57,11 @@ class TriangleGeometry:
         """Apex height S/c."""
         return self.S / self.c
 
-    def vertex_array(self) -> np.ndarray:
+    def vertex_array(self):
+        """The vertices as a 3 x 2 float array.  NumPy is imported here, on
+        first use, so that make_triangle and the closed forms never load it."""
+        import numpy as np
+
         return np.asarray(self.vertices, dtype=float)
 
 

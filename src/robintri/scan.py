@@ -35,7 +35,9 @@ SciPy loads with robintri.fem, which this module imports only inside its FEM
 evaluators (_cell_fem, _cell_perimeter, _cell_local, _cell_monotone and the
 soundness oracle _raw_upper_bound).  run_scan imports it for a FEM mode
 (_FEM_MODES) before _sweep forks its workers, so a pool loads it once; g-curve
-and the four region modes never load it.
+and the four region modes never load it.  This module imports no NumPy
+either: _grid builds each axis in plain floats, so a mode loads NumPy only
+through the certificates it calls (transplant-region and sector-region).
 """
 
 from __future__ import annotations
@@ -47,8 +49,6 @@ import os
 from dataclasses import dataclass, fields
 from functools import partial
 from multiprocessing import get_all_start_methods, get_context
-
-import numpy as np
 
 from .equilateral import (
     g_threshold,
@@ -112,7 +112,7 @@ _MODE_FIELDS = {
 _READ_BY_EVERY_MODE = ("mode", "output_path", "emit_svg")
 
 # far above the largest grid in use (the 60 x 60 default); a larger product
-# of point counts is refused before np.linspace allocates an axis
+# of point counts is refused before _grid builds an axis
 _MAX_CELLS = 10**7
 # the soundness oracle's ladder tolerance, recorded as fem_rel_tol in its provenance
 _SOUND_REL_TOL = 1e-3
@@ -161,8 +161,22 @@ def _check_cells(mode: str, counts: list[int]) -> None:
 
 
 def _grid(rng) -> tuple[float, ...]:
+    """The n points of np.linspace(lo, hi, n), bit for bit, in plain floats:
+    i*step + lo with the last point set to hi, (i/(n - 1))*(hi - lo) + lo
+    where step underflows to 0, and 0*(hi - lo) + lo for n = 1 (which is not
+    lo when lo is -0.0)."""
     lo, hi, n = rng
-    return tuple(float(x) for x in np.linspace(lo, hi, int(n)))
+    lo, hi, n = float(lo), float(hi), int(n)
+    delta = hi - lo
+    div = max(n - 1, 1)
+    step = delta / div
+    if step == 0.0:
+        points = [i / div * delta + lo for i in range(n)]
+    else:
+        points = [i * step + lo for i in range(n)]
+    if n > 1:
+        points[-1] = hi
+    return tuple(points)
 
 
 @dataclass(frozen=True)
@@ -598,7 +612,7 @@ def _soundness_cell(task, *, c: float, S: float, rel_tol: float) -> tuple:
 def _format_cell(value) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):  # int, bool and NumPy's integers
         return str(int(value))
     return "%.17g" % float(value)
 

@@ -26,9 +26,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from . import _quad
 from .equilateral import _normalised_ground_state, closed_form_norms, solve_equilateral
 from .errors import DomainError, NumericError, check_area, check_coupling, check_length
 from .geometry import TriangleGeometry, as_geometry, c0
@@ -194,8 +191,13 @@ def sector_bound(alpha: float, tri, anchor_vertex: int | None = None) -> tuple[f
     angle that rounds to 0 raises DomainError.  A norm that is not positive
     and finite raises NumericError naming it: the volume norm underflows at
     angles near 1e-200, and on flat triangles at strong coupling no side
-    quadrature node lands in the boundary layer, 1/|2 rate| wide.
+    quadrature node lands in the boundary layer, 1/|2 rate| wide.  NumPy and
+    the side quadrature load on the first call.
     """
+    import numpy as np
+
+    from . import _quad
+
     check_coupling("alpha", alpha)
     if anchor_vertex not in (None, 0, 1, 2):
         raise DomainError(f"anchor_vertex must be None, 0, 1 or 2, got {anchor_vertex!r}")

@@ -47,32 +47,38 @@ def _fresh(code: str) -> list[str]:
     return proc.stdout.splitlines()
 
 
-_LOADED = "import sys; print('scipy.sparse' in sys.modules)"
+_LOADED = "import sys; print('numpy' in sys.modules, 'scipy.sparse' in sys.modules)"
 
 
-@pytest.mark.parametrize("code", [
-    "import robintri",
-    "import robintri; robintri.lambda0(-1.0, 0.5); robintri.sector_condition(-4.0, "
-    "robintri.make_triangle(1.0, 0.8, 0.5))",
-    *(f"import robintri; robintri.run_scan(robintri.ScanConfig(mode={mode!r}, "
-      "alpha_range=(-4.0, -1.0, 2), a_range=(0.0, 1.0, 2), output_path={out!r}))"
-      for mode in ("transplant-region", "constant-region", "condition-region",
-                   "sector-region")),
-    "from robintri import cli; cli.main(['equilateral', '--alpha', '-1', '--area', '1'])",
-], ids=["import", "closed-forms", "transplant-region", "constant-region", "condition-region",
-        "sector-region", "cli-equilateral"])
-def test_closed_forms_and_region_scans_load_no_scipy(code, tmp_path):
+@pytest.mark.parametrize("code, numpy", [
+    ("import robintri", False),
+    ("import robintri; robintri.lambda0(-1.0, 0.5); tri = robintri.make_triangle(1.0, 0.8, 0.5); "
+     "robintri.constant_bound(-4.0, tri); robintri.sector_condition(-4.0, tri)", False),
+    ("import robintri; robintri.run_scan(robintri.ScanConfig(mode='g-curve', "
+     "a_range=(0.5, 0.9, 2), output_path={out!r}))", False),
+    *((f"import robintri; robintri.run_scan(robintri.ScanConfig(mode={mode!r}, "
+       "alpha_range=(-4.0, -1.0, 2), a_range=(0.0, 1.0, 2), output_path={out!r}))", numpy)
+      for mode, numpy in (("transplant-region", True), ("constant-region", False),
+                          ("condition-region", False), ("sector-region", True))),
+    ("from robintri import cli; cli.main(['equilateral', '--alpha', '-1', '--area', '1'])", False),
+], ids=["import", "closed-forms", "g-curve", "transplant-region", "constant-region",
+        "condition-region", "sector-region", "cli-equilateral"])
+def test_closed_forms_and_region_scans_load_no_scipy(code, numpy, tmp_path):
     """SciPy loads with robintri.fem alone: importing the package, the closed
     forms and certificates, every region scan and robintri equilateral leave
-    it unloaded."""
+    it unloaded.  NumPy loads with the quadrature of u0's volume norm and of
+    the sector field's side norms, so only transplant-region and
+    sector-region load it; exact norms in their place (ROADMAP item 4(a))
+    would make these two read False."""
     code = code.format(out=str(tmp_path / "scan.csv"))
-    assert _fresh(f"{code}; {_LOADED}")[-1] == "False"
+    assert _fresh(f"{code}; {_LOADED}")[-1] == f"{numpy} False"
 
 
 @pytest.mark.parametrize("use", [
     "robintri.eigenvalue_converged", "from robintri import solve_at_level", "robintri.fem"])
 def test_a_fem_name_loads_scipy_on_first_use(use):
-    assert _fresh(f"import robintri; {_LOADED}; {use}; {_LOADED}") == ["False", "True"]
+    assert _fresh(f"import robintri; {_LOADED}; {use}; {_LOADED}") == ["False False",
+                                                                        "True True"]
 
 
 def test_a_fem_scan_loads_fem_before_its_sweep_forks():

@@ -7,6 +7,7 @@ from functools import partial
 from itertools import islice
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import robintri
@@ -626,6 +627,36 @@ class TestFemModes:
 
 
 class TestOutputs:
+    def test_grid_is_linspace_bit_for_bit(self):
+        """_grid, in plain floats, gives np.linspace's points to the last bit:
+        on seeded ranges, collapsed ranges, n = 1 and 2, signed zeros, and a
+        step that underflows to 0, where numpy scales i/(n - 1) by hi - lo."""
+        rng = np.random.default_rng(20261019)
+        los = rng.normal(0.0, 10.0, 400).tolist()
+        widths = np.exp(rng.uniform(-40.0, 5.0, 400)).tolist()
+        counts = rng.integers(2, 130, 400).tolist()
+        ranges = [(lo, lo + w, n) for lo, w, n in zip(los, widths, counts) if w > 0.0]
+        assert len(ranges) == 400
+        denormal = (0.0, 1.5e-323, 8)  # step 3/7 of the least denormal rounds to 0
+        assert denormal[1] / 7 == 0.0
+        ranges += [denormal, (-2.5, -2.5, 1), (-0.0, 0.0, 1), (0.0, -0.0, 1), (1.0, 1.0, 3),
+                   (0.0, 1.0, 2), (-0.0, 1.0, 3), (-1.0, 1e-300, 2), (1.0, 1.0 + 2**-52, 7),
+                   (-5.0, -0.01, 60), (0.05, 0.995, 95)]
+        for lo, hi, n in ranges:
+            want = [x.hex() for x in np.linspace(lo, hi, n).tolist()]
+            assert [x.hex() for x in scan._grid((lo, hi, n))] == want, (lo, hi, n)
+        assert len(set(scan._grid(denormal))) > 2  # the i/(n - 1) branch, not lo + i*0
+
+    @pytest.mark.parametrize("value, text", [
+        (3, "3"), (np.int64(3), "3"), (True, "1"), (np.bool_(True), "1"),
+        (np.int64(2**53 + 1), "9007199254740993"), (10**20, "100000000000000000000"),
+        (0.1, "0.10000000000000001"), (np.float64(0.1), "0.10000000000000001"),
+        (-0.0, "-0"), (math.nan, "nan"), ("ok", "ok")])
+    def test_cell_text(self, value, text):
+        """Integers of any kind print exactly, past 2^53 too, every other
+        number with 17 significant digits, and text as itself."""
+        assert scan._format_cell(value) == text
+
     def test_row_of_the_wrong_width_is_refused(self):
         with pytest.raises(DomainError, match="row width 3 does not match 4 columns"):
             scan.ScanResult(mode="g-curve", columns=scan._MODE_COLUMNS["g-curve"],
