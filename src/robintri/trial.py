@@ -182,8 +182,10 @@ def sector_bound(alpha: float, tri, anchor_vertex: int | None = None) -> tuple[f
     rate^2 + alpha * ||u||^2_bdry / ||u||^2 that |grad u|^2 = rate^2 u^2 gives.
     One exponent k = 2 rate bisector gives u^2 = exp(k.(x - apex)) for both
     norms: the volume norm is 2|T| exp[z0, z1, z2] with z_i = k.(v_i - apex),
-    and the side norms integrate the same exponential by adaptive quadrature
-    (the benchmark contract still counts its cells on the region scans).
+    and the side norms integrate the same exponential by adaptive quadrature,
+    the three sides in one stacked loop and summed in label order.  Each side
+    is exactly |e| exp[z_i, z_j]; it stays quadrature because the benchmark
+    contract still counts its cells on the region scans.
     closed_upper replaces the volume norm by the infinite-sector integral and
     the boundary norm by the two adjacent sides truncated at L', so
     rayleigh_upper <= closed_upper always.  The field anchors at the smallest
@@ -218,8 +220,9 @@ def sector_bound(alpha: float, tri, anchor_vertex: int | None = None) -> tuple[f
         if not (math.isfinite(l2) and l2 > 0.0):
             raise NumericError(f"sector field at alpha = {alpha:g}: the exact volume norm "
                                f"2|T| exp[z0, z1, z2] = {l2:g} is not a positive float64")
-        bdry = sum(float(_quad.segment_integrate(square, verts[i], verts[j], n=10, tol=1e-12))
-                   for i, j in ((0, 1), (0, 2), (1, 2)))
+        sides = _quad.segment_integrate(square, verts[[0, 0, 1]], verts[[1, 2, 2]], n=10,
+                                        tol=1e-12)
+        bdry = sum(sides.tolist())
     if not (math.isfinite(bdry) and bdry > 0.0):
         raise NumericError(f"sector field at alpha = {alpha:g}: volume norm {l2:g}, "
                            f"boundary norm {bdry:g}; the side quadrature found no mass "

@@ -167,6 +167,117 @@ class TestAgainstPerCellLoop:
                 _close(new, old)
 
 
+# -- a stack of segments equals its segments one at a time --------------------
+
+_SIDES = ((0, 1), (0, 2), (1, 2))
+
+
+def _hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def _rough_segments(n_cases=12):
+    """Two-component oscillatory integrands on three random segments each:
+    many open cells per segment, and magnitudes that differ between the
+    segments, so that a root's cells fill several batches."""
+    rng = np.random.default_rng(20261019)
+    for _ in range(n_cases):
+        w = float(rng.uniform(5.0, 60.0))
+
+        def f(p, w=w):
+            return np.column_stack([np.sin(w * p[:, 0]) ** 2 + np.exp(3.0 * p[:, 1]),
+                                    np.cos(w * p[:, 0] * p[:, 1])])
+
+        p0 = rng.normal(size=(3, 2))
+        yield f, p0, p0 + rng.normal(size=(3, 2)) * rng.uniform(0.1, 5.0, size=(3, 1))
+
+
+class TestStackedSegments:
+    # 2**4 points leave one cell of n = 10 per root and batch, so a side
+    # with two open cells leaves one of them on the stack for the next pass
+    @pytest.mark.parametrize("max_points", _POINT_BOUNDS + (2**4,))
+    def test_triangle_sides_equal_single_sides(self, monkeypatch, max_points):
+        """One stacked call over a triangle's three sides gives each side's
+        single-call value, float.hex for float.hex, and splits as many cells
+        as the per-cell oracle run once per side."""
+        monkeypatch.setattr(_quad, "_MAX_POINTS", max_points)
+        counter = _counting_split(monkeypatch, "_halves")
+        for tri, field in _sector_cases():
+            verts = tri.vertex_array()
+            f = lambda p: field(p)[0] ** 2  # noqa: E731
+            oracle_cells = sum(_oracle_segment(f, verts[i], verts[j], n=10, tol=1e-12)[1]
+                               for i, j in _SIDES)
+            counter["cells"] = 0
+            stacked = _quad.segment_integrate(f, verts[[0, 0, 1]], verts[[1, 2, 2]], n=10,
+                                              tol=1e-12)
+            assert counter["cells"] == oracle_cells
+            single = [_quad.segment_integrate(f, verts[i], verts[j], n=10, tol=1e-12)
+                      for i, j in _SIDES]
+            assert stacked.shape == (3,)
+            assert _hexes(stacked) == _hexes(single)
+
+    @pytest.mark.parametrize("max_points", _POINT_BOUNDS)
+    def test_rough_vector_integrands(self, monkeypatch, max_points):
+        """Each segment of the stack keeps its own running magnitude and its
+        own batches: with one magnitude or one batch budget shared by the
+        stack, these values move in the last bits."""
+        monkeypatch.setattr(_quad, "_MAX_POINTS", max_points)
+        for f, p0, p1 in _rough_segments():
+            stacked = _quad.segment_integrate(f, p0, p1, n=8, tol=1e-12)
+            single = [_quad.segment_integrate(f, a, b, n=8, tol=1e-12) for a, b in zip(p0, p1)]
+            assert stacked.shape == (3, 2)
+            assert _hexes(stacked) == _hexes(single)
+
+    def test_cell_budget_is_per_segment(self, monkeypatch):
+        """Three rough segments raise "exceeded" at the pass where one alone
+        does, each having split what one splits alone; and a stack
+        whose sides together split more than _MAX_CELLS cells, each within
+        it, is integrated."""
+        monkeypatch.setattr(_quad, "_MAX_CELLS", 1000)
+        counter = _counting_split(monkeypatch, "_halves")
+        rough = lambda p: np.sign(np.sin(1e9 * p[:, 0]))  # noqa: E731
+        ends = np.array([[0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(NumericError, match="exceeded 1000 cells"):
+            _quad.segment_integrate(rough, ends[0], ends[1])
+        alone, counter["cells"] = counter["cells"], 0
+        with pytest.raises(NumericError, match="exceeded 1000 cells"):
+            _quad.segment_integrate(rough, ends[[0, 0, 0]], ends[[1, 1, 1]])
+        assert 500 < alone <= 1000 and counter["cells"] == 3 * alone
+
+        tri, field = next(_sector_cases())
+        verts = tri.vertex_array()
+        f = lambda p: field(p)[0] ** 2  # noqa: E731
+        per_side = []
+        for i, j in _SIDES:
+            counter["cells"] = 0
+            _quad.segment_integrate(f, verts[i], verts[j], n=10, tol=1e-12)
+            per_side.append(counter["cells"])
+        monkeypatch.setattr(_quad, "_MAX_CELLS", max(per_side))
+        assert sum(per_side) > max(per_side)
+        _quad.segment_integrate(f, verts[[0, 0, 1]], verts[[1, 2, 2]], n=10, tol=1e-12)
+        monkeypatch.setattr(_quad, "_MAX_CELLS", max(per_side) - 1)
+        with pytest.raises(NumericError, match="exceeded"):
+            _quad.segment_integrate(f, verts[[0, 0, 1]], verts[[1, 2, 2]], n=10, tol=1e-12)
+
+    @pytest.mark.parametrize("p0,p1", [
+        (np.zeros((3, 2)), np.ones((2, 2))),
+        (np.zeros((3, 2)), np.ones(2)),
+        (np.zeros((3, 3)), np.ones((3, 3))),
+        (np.zeros((2, 2, 2)), np.ones((2, 2, 2))),
+        (np.zeros((0, 2)), np.ones((0, 2))),
+        (np.zeros(3), np.ones(3)),
+        (0.0, 1.0),
+    ], ids=["unequal-length", "stack-and-point", "three-columns", "three-axes", "empty",
+            "three-coordinates", "scalars"])
+    def test_bad_endpoint_shapes_are_refused_before_any_rule_call(self, monkeypatch, p0, p1):
+        def refuse(*args, **kwargs):
+            raise AssertionError("rule called on endpoints of a bad shape")
+
+        monkeypatch.setattr(_quad, "segment_apply", refuse)
+        with pytest.raises(ValueError, match="segment endpoints"):
+            _quad.segment_integrate(refuse, p0, p1)
+
+
 # -- bounds and failures ---------------------------------------------------------
 
 class TestBatchBounds:

@@ -303,14 +303,18 @@ class TestSectorBound:
             ray, closed = sector_bound(alpha, tri)
             assert ray <= closed + 1e-11 * max(1.0, abs(closed))
 
-    @pytest.mark.parametrize("alpha,a", [(-10.0, 20.0), (-1.0, 50.0)])
-    def test_underflowing_field_is_a_numeric_error(self, alpha, a):
+    @pytest.mark.parametrize("alpha,a,volume,width", [(-10.0, 20.0, "7.59664e-11", "0.000123838"),
+                                                      (-1.0, 50.0, "3.18564e-11", "0.0001997")])
+    def test_underflowing_field_is_a_numeric_error(self, alpha, a, volume, width):
         """On a flat triangle at strong coupling no side quadrature node lands
         in the boundary layer, 1/|2 rate| wide, so the boundary norm reads 0
         while the exact volume norm is positive: a typed NumericError, not a
         quotient built from a norm the quadrature missed."""
-        with pytest.raises(NumericError, match="volume norm"):
+        with pytest.raises(NumericError) as err:
             sector_bound(alpha, make_triangle(a, 0.5, 1.0))
+        assert str(err.value) == (
+            f"sector field at alpha = {alpha:g}: volume norm {volume}, boundary norm 0; "
+            f"the side quadrature found no mass in the boundary layer of width {width}")
 
     def test_error_names_the_norm_that_failed(self):
         """At a smallest angle of 2e-200 the exact volume norm underflows to 0
@@ -414,6 +418,24 @@ class TestSectorBound:
             expected = (float(grad) + alpha * bdry) / float(l2)
             ray, _ = sector_bound(alpha, tri, anchor_vertex=vertex)
             assert abs(ray - expected) <= 1e-13 * abs(expected)
+
+    @pytest.mark.parametrize("vertex", [None, 0, 1, 2])
+    def test_quotient_sums_the_sides_one_at_a_time(self, rng, vertex):
+        """The three sides, integrated in one stacked loop, give the quotient
+        that three single-side integrals summed in label order give, bit for
+        bit."""
+        for _ in range(15):
+            tri = make_triangle(rng.uniform(-2, 2), rng.uniform(0.3, 1.5), rng.uniform(0.3, 1.5))
+            alpha = -float(rng.uniform(0.1, 40.0))
+            theta, _, apex, bisector = tri.corners[tri.apex_index if vertex is None else vertex]
+            rate = alpha / math.sin(0.5 * theta)
+            apex, k = np.asarray(apex), 2.0 * rate * np.asarray(bisector)
+            verts = tri.vertex_array()
+            l2 = 2.0 * tri.S * _exp_divided_difference(*((verts - apex) @ k).tolist())
+            sides = side_integrals(lambda p: np.exp((p - apex) @ k), verts, n=10, tol=1e-12)
+            expected = rate * rate + alpha * sum(sides) / l2
+            ray, _ = sector_bound(alpha, tri, anchor_vertex=vertex)
+            assert ray.hex() == expected.hex(), (alpha, tri.a, tri.c, tri.S)
 
     def test_closed_form_monotone_in_l_prime(self):
         """Extending the truncated sides can only improve the closed bound."""
