@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 import tempfile
 from collections import Counter
@@ -30,8 +31,18 @@ EXIT_NUMERIC = 2
 SUITES = ("local", "perimeter", "monotone", "conjecture")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a negative decimal ("-1", "-1.", "-.5", "-1e-3") after a flag as
+    its value, as in "--alpha=-1e-3"; argparse alone takes "-1e-3" for an option."""
+
+    def _parse_optional(self, arg_string):
+        if re.fullmatch(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?", arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="robintri",
         description="Robin eigenvalue bounds on the two-parameter triangle family",
     )
@@ -58,8 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sc.add_argument("--out", dest="output_path", default=None, help="output CSV path override")
     p_sc.add_argument("--svg", dest="emit_svg", action="store_const", const=True,
                       help="also write an SVG heatmap")
-    p_sc.add_argument("--workers", type=int, default=1,
-                      help="parallel cell workers, at most one per cell and per available core")
     p_sc.add_argument("--anchor-left", dest="anchor_left", action="store_const", const=True,
                       help="anchor the corner trial field at the left base vertex")
 
@@ -109,7 +118,7 @@ def _cmd_scan(args) -> int:
             print("scan needs --config or --mode", file=sys.stderr)
             return EXIT_USAGE
         cfg = ScanConfig(**{k: v for k, v in overrides.items() if v is not None})
-    result = run_scan(cfg, workers=max(1, args.workers))
+    result = run_scan(cfg)
     statuses = sorted(Counter(row[-1] for row in result.rows).items())
     grid = result.verdict_grid
     certified = sum(sum(r) for r in grid)

@@ -79,25 +79,16 @@ def _slope_A(t: float) -> float:
     return t / (1.0 - t * t) + t / (2.0 - 0.5 * t * t)
 
 
-def _t_and_K(y: float) -> tuple[float, float]:
-    """(t, K) at y = log(1 - t); expm1/log1p keep every digit as y -> 0."""
-    t = -math.expm1(y)
-    return t, 0.5 * (math.log1p(t) - y) + math.atanh(0.5 * t)
-
-
-def _psi(y: float, beta: float) -> float:
-    """t * K - beta written in y = log(1 - t)."""
-    t, k = _t_and_K(y)
-    return t * k - beta
-
-
-def _psi_prime(y: float) -> float:
-    """d/dy of _psi; stays finite when e^y underflows (limit -1/2)."""
+def _psi(y: float, beta: float) -> tuple[float, float]:
+    """(psi, dpsi/dy) for psi = t * K - beta written in y = log(1 - t).
+    expm1/log1p keep every digit of t and K as y -> 0, and the derivative
+    stays finite when e^y underflows (limit -1/2)."""
     s = math.exp(y)
-    t, k = _t_and_K(y)
+    t = -math.expm1(y)
+    k = 0.5 * (math.log1p(t) - y) + math.atanh(0.5 * t)
     # s * A(t) expanded so the 1/(1-t^2) pole cancels the factor s analytically
     s_times_A = t / (1.0 + t) + s * t / (2.0 - 0.5 * t * t)
-    return -(s * k + s_times_A)
+    return t * k - beta, -(s * k + s_times_A)
 
 
 def _solve_t(beta: float) -> tuple[float, float]:
@@ -117,14 +108,14 @@ def _solve_t(beta: float) -> tuple[float, float]:
     y = math.log1p(-weak) if weak < 0.9 else math.log(2.0) + 2.0 * math.atanh(0.5) - 2.0 * beta
     best_y, best_f = y, math.inf
     for _ in range(50):
-        f = _psi(y, beta)
+        f, slope = _psi(y, beta)
         if not abs(f) < abs(best_f):
             break
         best_y, best_f = y, f
         if f == 0.0:
             break
         lo, hi = (y, hi) if f > 0.0 else (lo, y)
-        y_next = y - f / _psi_prime(y)
+        y_next = y - f / slope
         if not (lo < y_next < hi):
             y_next = 0.5 * (lo + hi)
         if abs(y_next - y) <= 2.0 * math.ulp(y):

@@ -33,22 +33,19 @@ exception propagates.
 
 SciPy loads with robintri.fem, which this module imports only inside its FEM
 evaluators (_cell_fem, _cell_perimeter, _cell_local, _cell_monotone and the
-soundness oracle _raw_upper_bound).  run_scan imports it for a FEM mode
-(_FEM_MODES) before _sweep forks its workers, so a pool loads it once; g-curve
-and the four region modes never load it.  This module imports no NumPy
+soundness oracle _raw_upper_bound), so g-curve and the four region modes
+never load it.  This module imports no NumPy
 either: _grid builds each axis in plain floats, so a mode loads NumPy only
 through the certificates it calls (transplant-region and sector-region).
 """
 
 from __future__ import annotations
 
-import importlib
 import math
 import numbers
 import os
 from dataclasses import dataclass, fields
 from functools import partial
-from multiprocessing import get_all_start_methods, get_context
 
 from .equilateral import (
     g_threshold,
@@ -90,8 +87,6 @@ _MODE_COLUMNS = {
 }
 
 MODES = tuple(m for m in _MODE_COLUMNS if m != "soundness")
-# the modes whose evaluators import robintri.fem, and with it SciPy
-_FEM_MODES = ("fem-conjecture", "local-optimality", "perimeter-variant", "monotonicity")
 
 # per mode: every config field it reads, with the _check_range keywords of a
 # range field (None for a scalar; the rule holds at both endpoints).  Any other
@@ -282,7 +277,7 @@ class ScanResult:
 
 # ---------------------------------------------------------------------------
 # the isolation boundary and the per-cell evaluators, which only compute their
-# row (top-level functions so worker pools can pickle them)
+# row (top-level, so that bench/layers.py can wrap them by name)
 
 _CELL_ERRORS = (DomainError, NumericError, ResourceError)
 _FLAGS = frozenset(("verdict", "constant_ok", "condition_ok", "certified", "sound", "claimed"))
@@ -439,15 +434,12 @@ def _provenance(cfg: ScanConfig) -> dict[str, str]:
 
 
 def _sweep(mode: str, fn, tasks, axes: dict[str, tuple[float, ...]],
-           provenance: dict[str, str], workers: int = 1) -> ScanResult:
+           provenance: dict[str, str]) -> ScanResult:
     """Evaluate fn on every task, in task order, and assemble the ScanResult.
 
     Each cell runs through _isolated.  An empty axis among the first two
     leaves no cell, and a value repeated on one would make two cells share one
-    verdict-grid slot, so both are rejected before any cell runs.  The pool
-    has at most one worker per task and per core this process may run on;
-    the cores are looked up only when more than one worker is asked for, and
-    where the fork start method is missing (Windows) the cells run serially.
+    verdict-grid slot, so both are rejected before any cell runs.
     """
     from . import __version__
 
@@ -458,19 +450,7 @@ def _sweep(mode: str, fn, tasks, axes: dict[str, tuple[float, ...]],
     for name in names:
         if len(set(axes[name])) != len(axes[name]):
             raise DomainError(f"axis {name} repeats a value: {axes[name]}")
-    tasks = list(tasks)
-    cell = partial(_isolated, mode, fn)
-    if workers > 1 and "fork" not in get_all_start_methods():
-        workers = 1  # Windows has no fork start method
-    if workers > 1:  # macOS and Windows have no affinity set, only a core count
-        cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                 else os.cpu_count() or 1)
-        workers = min(workers, len(tasks), cores)
-    if workers > 1:
-        with get_context("fork").Pool(workers) as pool:
-            rows = tuple(pool.map(cell, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
-    else:
-        rows = tuple(map(cell, tasks))
+    rows = tuple(_isolated(mode, fn, task) for task in tasks)
     prov = {"version": __version__, "mode": mode, **provenance}
     if len(axes) > 2:
         prov["verdict_grid_reduction"] = "and-over-" + "-".join(list(axes)[2:])
@@ -511,16 +491,14 @@ def _plan(cfg: ScanConfig):
     return fn, [(al, a) for al in alphas for a in avals], {"a": avals, "alpha": alphas}
 
 
-def run_scan(cfg: ScanConfig, workers: int = 1) -> ScanResult:
+def run_scan(cfg: ScanConfig) -> ScanResult:
     """Evaluate one grid scan, write its CSV (and SVG on request), return it.
 
     A robintri error in a cell is recorded in its row's status and does not
-    abort the scan; I/O failures and any other exception do.  Row order is the deterministic nested loop over
-    the axes, independent of the worker count.
+    abort the scan; I/O failures and any other exception do.  Rows follow
+    the deterministic nested loop over the axes.
     """
-    if cfg.mode in _FEM_MODES:  # once here, not once in each forked worker
-        importlib.import_module(".fem", __package__)
-    result = _sweep(cfg.mode, *_plan(cfg), _provenance(cfg), workers)
+    result = _sweep(cfg.mode, *_plan(cfg), _provenance(cfg))
     emit_csv(result, cfg.output_path)
     if cfg.emit_svg:
         emit_svg(result, cfg.svg_path)

@@ -173,6 +173,17 @@ class TestScan:
         assert out_path.exists()
         assert str(out_path) in out
 
+    @pytest.mark.parametrize("flag", [["--workers", "2"], ["--workers=2"]], ids=["spaced", "joined"])
+    def test_workers_is_an_unknown_argument(self, flag, capsys, monkeypatch):
+        """Every scan runs in one process, so --workers is no option: the scan
+        exits 1 as an unknown argument before run_scan is called."""
+        calls = []
+        monkeypatch.setattr(cli, "run_scan", lambda cfg: calls.append(cfg))
+        code, _, err = run(capsys, ["scan", "--mode", "g-curve", *flag])
+        assert code == EXIT_USAGE
+        assert "unrecognized arguments: --workers" in err
+        assert calls == []
+
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "scan.cfg"
         cfg.write_text(
@@ -228,7 +239,7 @@ class TestScan:
         without a config file."""
         seen = []
 
-        def record(cfg, workers):
+        def record(cfg):
             seen.append(cfg)
             return SimpleNamespace(rows=[], verdict_grid=[])
 
@@ -384,3 +395,29 @@ class TestTopLevel:
         code = main(["equilateral", "--alpha", "-1", "--area", "1", "--frobnicate"])
         capsys.readouterr()
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["equilateral", "--alpha", "-1e-3", "--area", "1"],
+        ["equilateral", "--alpha", "-1E-2", "--area", "1"],
+        ["equilateral", "--alpha", "-1.", "--area", "1"],
+        ["equilateral", "--alpha", "-.5e+1", "--area", "1"],
+        ["equilateral", "--alpha", "-1", "--area", "-1e0"],
+        ["eigen", "--a", "-2e-1", "--c", "0.6", "--area", "0.5", "--alpha", "-1e0",
+         "--max-level", "4"],
+        ["verify", "--suite", "local", "--alpha", "-1E-2"],
+    ], ids=["exponent", "capital-exponent", "trailing-point", "point-and-plus",
+            "negative-area", "eigen", "verify"])
+    def test_a_negative_number_is_a_value(self, argv, capsys):
+        """argparse alone takes -1e-3 and -1. for option names ("expected one
+        argument").  Each flag followed by a negative number prints what its
+        --flag=value form prints and exits the same way."""
+        pairs = iter(argv[1:])
+        joined = [argv[0], *(f"{flag}={value}" for flag, value in zip(pairs, pairs))]
+        spaced = run(capsys, argv)
+        assert spaced == run(capsys, joined)
+        assert "expected one argument" not in spaced[2]
+
+    def test_a_negative_non_number_is_still_an_option(self, capsys):
+        code, _, err = run(capsys, ["equilateral", "--alpha", "-x", "--area", "1"])
+        assert code == EXIT_USAGE
+        assert "--alpha: expected one argument" in err

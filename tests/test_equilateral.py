@@ -131,6 +131,22 @@ class TestSolver:
             equilateral._solve_t(float(beta))
             assert len(calls) <= 5, beta
 
+    @pytest.mark.parametrize("y", [-1e-6, -0.5, -3.0, -40.0])
+    def test_psi_returns_its_derivative(self, y):
+        """_psi(y, beta) is (t K - beta, d(t K)/dy) with t = 1 - e^y and
+        K = atanh t + atanh(t/2), both to 1e-13 relative of mpmath's values.
+        beta = 1e-300 leaves t K unrounded by the subtraction."""
+        beta = 1e-300
+        with mp.workdps(50):
+            def tK(yy):
+                t = 1 - mp.exp(yy)
+                return t * (mp.atanh(t) + mp.atanh(t / 2))
+
+            value, slope = tK(mp.mpf(y)), mp.diff(tK, mp.mpf(y))
+        f, dfdy = equilateral._psi(y, beta)
+        assert abs(f - float(value)) <= 1e-13 * abs(float(value))
+        assert abs(dfdy - float(slope)) <= 1e-13 * abs(float(slope))
+
     def test_system_relations(self, rng):
         """K = M - L, t = beta/K, M = atanh t and L = -atanh(t/2) hold exactly."""
         for _ in range(20):
@@ -168,6 +184,22 @@ class TestSolver:
         NumericError instead of returning a non-finite or zero solution."""
         with pytest.raises(NumericError, match="beta"):
             solve_equilateral(alpha, S)
+
+    @pytest.mark.parametrize("beta", [1e-6, 1.0, 1e3])
+    def test_stalled_root_search_is_a_numeric_error(self, monkeypatch, beta):
+        """psi evaluated with a residual floor of 1e-9 beta, a hundred times
+        the root's tolerance, never settles: the solve raises NumericError at
+        its best y instead of returning an unsettled root."""
+        psi = equilateral._psi
+
+        def floored(y, beta):
+            f, slope = psi(y, beta)
+            return f + math.copysign(1e-9 * beta, f), slope
+
+        monkeypatch.setattr(equilateral, "_psi", floored)
+        alpha = -beta / math.sqrt(SQRT3 * S_THIRD)
+        with pytest.raises(NumericError, match="log-space solve stalled"):
+            solve_equilateral(alpha, S_THIRD)
 
     def test_extreme_coupling_does_not_overflow(self):
         sol = solve_equilateral(-1e4, 1.0)
@@ -293,6 +325,17 @@ class TestThresholds:
         r = g_root()
         assert abs(r - 0.9428705917904152) < 1e-9
         assert g_threshold(r - 1e-4) < 0.0 < g_threshold(r + 1e-4)
+
+    def test_g_root_refuses_a_lost_bracket(self, monkeypatch):
+        """A g that does not change sign from - to + on [0.9, 0.99] raises
+        NumericError before any bisection; the cache holds no root from it."""
+        g_root.cache_clear()
+        try:
+            monkeypatch.setattr(equilateral, "g_threshold", lambda t: -g_threshold(t))
+            with pytest.raises(NumericError, match="expected bracketing"):
+                g_root()
+        finally:
+            g_root.cache_clear()
 
     def test_g_domain(self):
         with pytest.raises(DomainError):

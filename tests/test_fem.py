@@ -517,6 +517,51 @@ class TestLowestEigenpair:
             solve_at_level(make_triangle(0.3, 0.7, S_THIRD), -1.5, 5)
         assert len(tried) == 80 and all(b < a for a, b in zip(tried, tried[1:]))
 
+    def test_singular_factorisation_steps_to_a_lower_shift(self, monkeypatch):
+        """SuperLU raises RuntimeError on a shift that sits on an eigenvalue:
+        the search steps to 2 sigma - 1/S, certifies it, and the solve returns
+        the value it returns with no singular shift."""
+        tri = make_triangle(0.3, 0.7, S_THIRD)
+        want = solve_at_level(tri, -1.5, 5).lambda1
+        factor = fem._factor_counting
+        tried = []
+
+        def singular_once(A, M, sigma):
+            tried.append(sigma)
+            if len(tried) == 1:
+                raise RuntimeError("Factor is exactly singular")
+            return factor(A, M, sigma)
+
+        monkeypatch.setattr(fem, "_factor_counting", singular_once)
+        res = solve_at_level(tri, -1.5, 5)
+        assert tried[1:] == [2.0 * tried[0] - 1.0 / tri.S]
+        assert abs(res.lambda1 - want) <= 1e-12 * abs(want)
+
+    def test_lanczos_breakdown_is_a_numeric_error(self, monkeypatch):
+        """A factor whose solves come back negated is not positive definite
+        below the spectrum: its first Ritz value is negative, and the Lanczos
+        loop stops, typed, instead of returning sigma + 1/theta."""
+        factor = fem._factor_counting
+
+        def negated(A, M, sigma):
+            lu, neg = factor(A, M, sigma)
+            return SimpleNamespace(solve=lambda b: -lu.solve(b)), neg
+
+        monkeypatch.setattr(fem, "_factor_counting", negated)
+        with pytest.raises(NumericError, match="Lanczos broke down at shift"):
+            solve_at_level(make_triangle(0.3, 0.7, S_THIRD), -1.5, 5)
+
+    def test_mass_solve_that_does_not_converge_is_a_numeric_error(self, monkeypatch):
+        """CG cut to one iteration misses rtol 1e-13; mass_residual raises
+        with CG's info instead of returning the unconverged norm."""
+        tri = make_triangle(0.3, 0.7, S_THIRD)
+        system = assemble(build_mesh(tri, 4), -1.5)
+        x = solve_at_level(tri, -1.5, 4).eigenvector
+        cg = fem.cg
+        monkeypatch.setattr(fem, "cg", lambda *args, **kwargs: cg(*args, **kwargs, maxiter=1))
+        with pytest.raises(NumericError, match=r"did not converge \(info 1\)"):
+            mass_residual(system, x)
+
     def test_reflection_symmetry(self):
         plus = solve_at_level(make_triangle(0.8, 0.7, 1.0), -1.5, 3)
         minus = solve_at_level(make_triangle(-0.8, 0.7, 1.0), -1.5, 3)

@@ -81,18 +81,25 @@ def test_a_fem_name_loads_scipy_on_first_use(use):
                                                                         "True True"]
 
 
-def test_a_fem_scan_loads_fem_before_its_sweep_forks():
-    """run_scan imports robintri.fem in the calling process for a FEM mode,
-    so the workers that _sweep forks inherit it instead of each loading it."""
-    code = ("import sys; from robintri import scan\n"
-            "def sweep(*args):\n"
-            "    print('robintri.fem' in sys.modules)\n"
-            "    raise SystemExit\n"
-            "scan._sweep = sweep\n"
-            "print('robintri.fem' in sys.modules)\n"
-            "scan.run_scan(scan.ScanConfig(mode='fem-conjecture', c_range=(0.5, 1.0, 2)), "
-            "workers=2)")
-    assert _fresh(code) == ["False", "True"]
+def test_import_loads_no_numpy_scipy_or_multiprocessing():
+    """The CI workflow's import check: import robintri loads neither NumPy nor
+    SciPy, and no process pool either, since every scan runs in one process."""
+    code = ("import sys, robintri; print([m for m in ('numpy', 'scipy.sparse', "
+            "'multiprocessing') if m in sys.modules])")
+    assert _fresh(code) == ["[]"]
+
+
+@pytest.mark.parametrize("mode, axes", [
+    ("g-curve", "a_range=(0.5, 0.9, 2)"),
+    ("transplant-region", "alpha_range=(-4.0, -1.0, 2), a_range=(0.0, 1.0, 2)"),
+], ids=["g-curve", "transplant-region"])
+def test_a_scan_loads_no_multiprocessing(mode, axes, tmp_path):
+    """A scan runs its cells in the calling process: running one, not only
+    importing robintri, leaves multiprocessing unloaded."""
+    out = str(tmp_path / "scan.csv")
+    code = (f"import sys, robintri; robintri.run_scan(robintri.ScanConfig(mode={mode!r}, "
+            f"{axes}, output_path={out!r})); print('multiprocessing' in sys.modules)")
+    assert _fresh(code) == ["False"]
 
 
 def test_dir_lists_the_lazy_names_and_star_import_binds_them():

@@ -326,6 +326,16 @@ class TestBatchBounds:
             _quad.segment_integrate(nan_everywhere, np.zeros(2), np.array([1.0, 0.0]))
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("extra", [-1, 36])
+    def test_integrand_of_the_wrong_length_is_refused(self, extra):
+        """An integrand must return one value (or one row) per point.  One
+        value short would fail to reshape; 72 values for 36 points would read
+        as two components per point.  Both raise before any weighting."""
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match=rf"integrand returned shape \({36 + extra},\) "
+                                             r"for 36 points"):
+            _quad.triangle_integrate(lambda p: np.ones(len(p) + extra), verts, n=6)
+
     def test_overflowing_ground_state_norm_fails_fast(self, monkeypatch):
         """u0^2 overflows at alpha = -190; the norm raises on its first rule
         call (it used to split its way to the cell budget for minutes), and

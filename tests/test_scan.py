@@ -2,10 +2,7 @@
 deterministic CSV/SVG output, and the verification helpers."""
 
 import math
-import pickle
-from functools import partial
 from itertools import islice
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,29 +33,6 @@ def _single_coupling_scan(mode: str, alpha: float, S: float = S_THIRD, **fields)
 
 # the smallest perimeter-variant grid: a and c are ranges of at least two points
 _PERIMETER_AXES = {"a_range": (0.0, 0.4, 2), "c_range": (0.5, 0.6, 2)}
-
-
-@pytest.fixture
-def fake_pool(monkeypatch):
-    """Route _sweep's pool path through a serial map in this process: no
-    process starts.  Returns the list of requested pool sizes."""
-    sizes = []
-
-    class FakePool:
-        def __init__(self, n):
-            sizes.append(n)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return [fn(t) for t in tasks]
-
-    monkeypatch.setattr(scan, "get_context", lambda method: SimpleNamespace(Pool=FakePool))
-    return sizes
 
 
 class TestScanConfig:
@@ -856,69 +830,35 @@ class TestLocalOptimality:
         assert row[3:5] == (-2.05, -24.6)
 
 
-class TestWorkerPool:
-    def test_pool_is_capped_at_the_task_count(self, fake_pool, monkeypatch, tmp_path):
-        """A fake pool records its size and maps serially: no process starts.
-        Eight cores are pinned, so only the task count caps the pool."""
-        sizes = fake_pool
-        monkeypatch.setattr(scan.os, "sched_getaffinity", lambda pid: set(range(8)))
-        out = str(tmp_path / "g.csv")
-        serial = run_scan(ScanConfig(mode="g-curve", a_range=(0.91, 0.96, 2), output_path=out))
-        capped = run_scan(ScanConfig(mode="g-curve", a_range=(0.91, 0.96, 2), output_path=out),
-                          workers=8)
-        pooled = run_scan(ScanConfig(mode="g-curve", a_range=(0.91, 0.96, 5), output_path=out),
-                          workers=3)
-        assert sizes == [2, 3]
-        assert capped.rows == serial.rows and len(pooled.rows) == 5
-
-    def test_pool_is_capped_at_the_cores(self, fake_pool, monkeypatch, tmp_path):
-        """A worker count far past the cores asks for one worker per core
-        this process may run on, and the rows keep their serial order."""
-        sizes = fake_pool
-        monkeypatch.setattr(scan.os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        cfg = ScanConfig(mode="g-curve", a_range=(0.91, 0.96, 5), output_path=str(tmp_path / "g.csv"))
-        pooled = run_scan(cfg, workers=4000)
-        assert sizes == [3]
-        assert pooled.rows == run_scan(cfg).rows
-
+class TestOneProcess:
     def test_serial_scan_runs_without_an_affinity_call(self, monkeypatch, tmp_path):
-        """Where os has no sched_getaffinity (macOS, Windows), a one-worker
-        scan never asks for the cores and returns every row."""
+        """Where os has no sched_getaffinity (macOS, Windows), a scan never
+        asks for the cores and returns every row."""
         monkeypatch.delattr(scan.os, "sched_getaffinity", raising=False)
         result = run_scan(ScanConfig(mode="constant-region", alpha_range=(-2.0, -0.5, 2),
                                      a_range=(0.0, 1.0, 2), output_path=str(tmp_path / "c.csv")))
         assert len(result.rows) == 4
         assert all(row[-1] == "ok" for row in result.rows)
 
-    def test_pool_falls_back_to_the_core_count(self, fake_pool, monkeypatch, tmp_path):
-        """Without sched_getaffinity the pool is capped at os.cpu_count(), and
-        a core count the platform cannot tell (None) runs serially."""
-        sizes = fake_pool
-        monkeypatch.delattr(scan.os, "sched_getaffinity", raising=False)
+    def test_cells_run_in_task_order_in_this_process(self, monkeypatch, tmp_path):
+        """Each cell is evaluated here, once, in the order of its row; the rows
+        are those of the unpatched scan."""
         cfg = ScanConfig(mode="g-curve", a_range=(0.91, 0.96, 5), output_path=str(tmp_path / "g.csv"))
-        monkeypatch.setattr(scan.os, "cpu_count", lambda: 2)
-        pooled = run_scan(cfg, workers=8)
-        monkeypatch.setattr(scan.os, "cpu_count", lambda: None)
-        serial = run_scan(cfg, workers=8)
-        assert sizes == [2]
-        assert pooled.rows == serial.rows
+        want = run_scan(cfg).rows
+        seen = []
+        g = scan.g_threshold
 
-    def test_scan_runs_serially_without_fork(self, fake_pool, monkeypatch, tmp_path):
-        """Where multiprocessing has no fork start method (Windows), a scan
-        asked for four workers builds no pool and returns the serial rows."""
-        sizes = fake_pool
-        monkeypatch.setattr(scan, "get_all_start_methods", lambda: ["spawn"])
-        monkeypatch.setattr(scan.os, "sched_getaffinity", lambda pid: set(range(8)))
-        cfg = ScanConfig(mode="constant-region", alpha_range=(-2.0, -0.5, 2),
-                         a_range=(0.0, 1.0, 2), output_path=str(tmp_path / "c.csv"))
-        assert run_scan(cfg, workers=4).rows == run_scan(cfg).rows
-        assert sizes == []
+        def recorded(t):
+            seen.append(t)
+            return g(t)
 
-    def test_pooled_cell_function_pickles(self):
-        """The pool ships partial(_isolated, mode, fn) to its workers."""
-        fn = partial(scan._cell_transplant, c=S_THIRD, S=S_THIRD)
-        cell = pickle.loads(pickle.dumps(partial(scan._isolated, "transplant-region", fn)))
-        assert cell((-1.0, 0.5)) == scan._isolated("transplant-region", fn, (-1.0, 0.5))
+        monkeypatch.setattr(scan, "g_threshold", recorded)
+        assert run_scan(cfg).rows == want
+        assert seen == [row[0] for row in want]
+
+    def test_run_scan_takes_no_worker_count(self):
+        with pytest.raises(TypeError, match="workers"):
+            run_scan(ScanConfig(mode="g-curve", a_range=(0.5, 0.9, 3)), workers=2)
 
 
 # every mode's evaluator, and the header block it writes for _PIPELINE_CFG
@@ -1108,22 +1048,18 @@ def _raising(error):
 
 
 class TestFailurePath:
-    @pytest.mark.parametrize("mode,error,status,workers", [
-        pytest.param(mode, error, status, workers, id=f"{mode}-{error.__name__}-{status}-{workers}")
+    @pytest.mark.parametrize("mode,error,status", [
+        pytest.param(mode, error, status, id=f"{mode}-{error.__name__}-{status}")
         for mode in (*MODES, "soundness")
-        for error, status in ((NumericError, "numeric-error"), (DomainError, "domain-error"))
-        # soundness_sweep takes no workers: it has no pool path
-        for workers in ((1,) if mode == "soundness" else (1, 2))])
-    def test_failure_rows_are_pinned(self, mode, error, status, workers, fake_pool,
-                                     monkeypatch, tmp_path):
-        """A robintri error in any evaluator gives the same typed row, serially
-        and, for run_scan, through the pool path."""
+        for error, status in ((NumericError, "numeric-error"), (DomainError, "domain-error"))])
+    def test_failure_rows_are_pinned(self, mode, error, status, monkeypatch, tmp_path):
+        """A robintri error in any evaluator gives its typed failure row."""
         monkeypatch.setattr(*_FAILING_CALLEE[mode], _raising(error))
         if mode == "soundness":
             res = soundness_sweep([-2.0, -0.5], [0.0, 1.0], c=S_THIRD, S=S_THIRD)
         else:
             cfg = ScanConfig(mode=mode, output_path=str(tmp_path / "f.csv"), **_PIPELINE_CFG[mode])
-            res = run_scan(cfg, workers=workers)
+            res = run_scan(cfg)
         assert [repr(row) for row in res.rows] == [
             row.format(status=status) for row in _FAILURE_ROWS[mode]]
 
@@ -1133,12 +1069,11 @@ class TestFailurePath:
         assert row[9:] == (1, 0, "numeric-error")
         assert all(math.isnan(v) for v in row[1:9])
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_other_exceptions_propagate(self, workers, fake_pool, monkeypatch):
+    def test_other_exceptions_propagate(self, monkeypatch):
         """Only robintri errors are cell failures; anything else is a bug."""
         monkeypatch.setattr(scan, "g_threshold", _raising(ValueError))
         with pytest.raises(ValueError, match="forced failure"):
-            run_scan(ScanConfig(mode="g-curve", a_range=(0.5, 0.9, 3)), workers=workers)
+            run_scan(ScanConfig(mode="g-curve", a_range=(0.5, 0.9, 3)))
 
     @pytest.mark.parametrize("call,cell", [
         (lambda S: _single_coupling_scan("local-optimality", -0.5, S), "_cell_local"),
