@@ -8,15 +8,17 @@ The finite-element module, robintri.fem, is the only one that imports SciPy.
 It loads on first use (PEP 562): the names of __all__ that this module does not
 import, all of them fem's, and robintri.fem itself resolve through the module
 __getattr__ below, and a FEM scan mode imports it when it runs.  So import
-robintri, the closed forms, the certificates, the region scans and robintri
-equilateral never load SciPy.
+robintri, the closed forms, the certificates, the region scans, the
+monotonicity scan, robintri equilateral and robintri verify --suite monotone
+never load SciPy.
 
 NumPy loads on first use as well.  Outside fem and the quadrature module
 _quad, only the two quadratures of the certificates import it: u0's volume
 norm (closed_form_norms, which the transplant certificate reads) and the side
 norms of the corner exponential (sector_bound).  So import robintri, lambda0,
-constant_bound, sector_condition, the g-curve, constant-region and
-condition-region scans and robintri equilateral never load NumPy.
+constant_bound, sector_condition, the g-curve, constant-region,
+condition-region and monotonicity scans and robintri equilateral never load
+NumPy.
 """
 
 from __future__ import annotations

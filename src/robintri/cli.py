@@ -151,7 +151,7 @@ def _suite_result(suite: str, alpha: float, S: float):
         # the scaled chain holds near the equilateral, on both sides of c0
         "perimeter": {"mode": "perimeter-variant", "a_range": (0.0, 0.4 * cc, 3),
                       "c_range": (0.8 * cc, 1.3 * cc, 5)},
-        "monotone": {"mode": "monotonicity", "fem_rel_tol": 1e-5},
+        "monotone": {"mode": "monotonicity"},
         # eigenvalue never exceeds the equilateral value on a sample grid
         "conjecture": {"mode": "fem-conjecture", "a_range": (0.0, 2.0 * cc, 5),
                        "c_range": (0.6 * cc, 1.8 * cc, 5), "fem_rel_tol": 1e-5},

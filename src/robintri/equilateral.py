@@ -153,16 +153,34 @@ def lambda0(alpha: float, S: float) -> float:
     return solve_equilateral(alpha, S).lambda0
 
 
+def _K_over_A(sol: EquilateralSolution) -> float:
+    """x = K/A with A = t dK/dt, assembled from log(1-t) so the 1/(1-t^2)
+    pole of A never forms; positive whenever K > 0, t > 0 and log(1-t) is
+    finite, and it underflows to 0 only with 1 - t^2."""
+    t, s = sol.t, math.exp(sol.log_one_minus_t)
+    q = s * (2.0 - s)  # 1 - t^2
+    inv_A = q / (t * (1.0 + q / (2.0 - 0.5 * t * t))) if t > 0 else math.inf
+    return sol.K * inv_A
+
+
 def coupling_elasticity(sol: EquilateralSolution) -> float:
     """k(alpha) = (alpha/K) dK/dalpha = A / (K + A), computed pole-free.
 
-    Written as 1/(1 + K/A) with K/A assembled from log(1-t) so the value
-    tends to 1 cleanly in the strong-coupling limit.
+    Written as 1/(1 + K/A) so the value tends to 1 cleanly in the
+    strong-coupling limit.
     """
-    t, K = sol.t, sol.K
-    q = math.exp(sol.log_one_minus_t) * (2.0 - math.exp(sol.log_one_minus_t))  # 1 - t^2
-    inv_A = q / (t * (1.0 + q / (2.0 - 0.5 * t * t))) if t > 0 else math.inf
-    return 1.0 / (1.0 + K * inv_A)
+    return 1.0 / (1.0 + _K_over_A(sol))
+
+
+def _area_derivative(sol: EquilateralSolution) -> float:
+    """d lambda0 / dS = (|lambda0|/S) (1 - k) at fixed alpha, by scaling.
+
+    1 - k is formed as x/(1 + x) with x = K/A: the complement
+    1 - coupling_elasticity rounds to 0 from alpha ~ -24 at S = 1/sqrt(3),
+    while x/(1 + x) keeps its digits until 1 - t^2 underflows.
+    """
+    x = _K_over_A(sol)
+    return (-sol.lambda0 / sol.S) * (x / (1.0 + x))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ sector-region       Rayleigh quotient of the corner exponential vs lambda0
 fem-conjecture      extrapolated FEM eigenvalue vs lambda0 on an (a, c) grid
 local-optimality    exact discrete gradient/Hessian report at the equilateral point
 perimeter-variant   fixed-perimeter rescaling chain on an (a, c) grid
-monotonicity        eigenvalue ordering across areas {S/2, S, 2S}
+monotonicity        sign of the closed area derivative of lambda0, at S/2, S and 2S
 
 Every cell row carries the numeric evidence its verdict was derived from, a
 verdict flag, and a status tag ("ok", "unconverged", "unresolved", "no-claim",
@@ -32,9 +32,9 @@ _isolated: a robintri error becomes a typed failure row, and any other
 exception propagates.
 
 SciPy loads with robintri.fem, which this module imports only inside its FEM
-evaluators (_cell_fem, _cell_perimeter, _cell_local, _cell_monotone and the
-soundness oracle _raw_upper_bound), so g-curve and the four region modes
-never load it.  This module imports no NumPy
+evaluators (_cell_fem, _cell_perimeter, _cell_local and the soundness oracle
+_raw_upper_bound), so g-curve, the four region modes and monotonicity never
+load it.  This module imports no NumPy
 either: _grid builds each axis in plain floats, so a mode loads NumPy only
 through the certificates it calls (transplant-region and sector-region).
 """
@@ -48,10 +48,12 @@ from dataclasses import dataclass, fields
 from functools import partial
 
 from .equilateral import (
+    _area_derivative,
     g_threshold,
     hessian_upper_bounds,
     lambda0,
     local_optimality_alpha_bound,
+    solve_equilateral,
 )
 from .errors import (DomainError, NumericError, ResourceError, check_area, check_coupling,
                      check_finite, check_length, check_rel_tol, check_unit_interval)
@@ -79,8 +81,8 @@ _MODE_COLUMNS = {
     "perimeter-variant": ("a", "c", "gamma", "lambda_fem", "fem_error", "lambda0_scaled",
                           "lambda0", "margin_link1", "margin_link2", "margin",
                           "verdict", "status"),
-    "monotonicity": ("alpha", "lambda0_half", "lambda0_base", "lambda0_twice",
-                     "fem_half", "fem_base", "fem_twice", "verdict", "status"),
+    "monotonicity": ("alpha", "lambda0_half", "lambda0_base", "lambda0_twice", "dlambda0_dS",
+                     "verdict", "status"),
     # reached only through soundness_sweep, which takes no ScanConfig
     "soundness": ("alpha", "a", "delta", "constant_ok", "condition_ok", "certified",
                   "lambda_fem", "fem_error", "lambda0", "sound", "verdict", "status"),
@@ -102,7 +104,7 @@ _MODE_FIELDS = {
     "fem-conjecture": {"alpha_range": _NEG_OR_ONE, **_AC_GRID},
     "local-optimality": {"alpha_range": _NEG_OR_ONE, "S": None},
     "perimeter-variant": {"alpha_range": {"rule": check_coupling, "single": True}, **_AC_GRID},
-    "monotonicity": {"alpha_range": _NEG_OR_ONE, "S": None, "fem_rel_tol": None},
+    "monotonicity": {"alpha_range": _NEG_OR_ONE, "S": None},
 }
 _READ_BY_EVERY_MODE = ("mode", "output_path", "emit_svg")
 
@@ -366,7 +368,8 @@ def _cell_perimeter(task, *, alpha: float, S: float, rel_tol: float) -> tuple:
     m2 = lam0_scaled - lam0_ref
     m = res.lambda1 - lam0_ref
     pad = _fem_pad(lam0_ref, res.residual)
-    ok = (m1 <= pad) and (m2 <= 1e-12 * abs(lam0_ref)) and (m <= pad)
+    # link 2 is monotonicity in area: lambda0 rises with S, and gamma <= 1
+    ok = (m1 <= pad) and (gamma <= 1.0) and (m <= pad)
     status = "ok" if res.converged else "unconverged"
     return (a, c, gamma, res.lambda1, res.residual, lam0_scaled, lam0_ref,
             m1, m2, m, int(ok), status)
@@ -400,19 +403,12 @@ def _cell_local(alpha: float, *, S: float) -> tuple:
             hb.bound_aa, hb.bound_cc, C, claimed, verdict, status)
 
 
-def _cell_monotone(alpha: float, *, S: float, rel_tol: float) -> tuple:
-    from .fem import eigenvalue_converged
-
-    areas = (0.5 * S, S, 2.0 * S)
-    lam0s = [lambda0(alpha, s) for s in areas]
-    results = [eigenvalue_converged(make_triangle(0.0, c0(s), s), alpha, rel_tol=rel_tol)
-               for s in areas]
-    fems = [res.lambda1 for res in results]
-    pad = [_fem_pad(l, res.residual) for l, res in zip(lam0s, results)]
-    ok_closed = lam0s[0] < lam0s[1] < lam0s[2]
-    ok_fem = (fems[0] < fems[1] + pad[0] + pad[1]) and (fems[1] < fems[2] + pad[1] + pad[2])
-    status = "ok" if all(res.converged for res in results) else "unconverged"
-    return (alpha, *lam0s, *fems, int(ok_closed and ok_fem), status)
+def _cell_monotone(alpha: float, *, S: float) -> tuple:
+    sols = [solve_equilateral(alpha, s) for s in (0.5 * S, S, 2.0 * S)]
+    # the derivative's sign from its factors, so it holds where the product underflows
+    ok = all(sol.K > 0.0 and sol.t > 0.0 and math.isfinite(sol.log_one_minus_t)
+             for sol in sols)
+    return (alpha, *(sol.lambda0 for sol in sols), _area_derivative(sols[1]), int(ok), "ok")
 
 
 def _provenance(cfg: ScanConfig) -> dict[str, str]:
@@ -469,7 +465,7 @@ def _plan(cfg: ScanConfig):
     if mode == "local-optimality":
         return partial(_cell_local, S=S), alphas, {"alpha": alphas}
     if mode == "monotonicity":
-        return partial(_cell_monotone, S=S, rel_tol=cfg.fem_rel_tol), alphas, {"alpha": alphas}
+        return partial(_cell_monotone, S=S), alphas, {"alpha": alphas}
     avals = _grid(cfg.a_range)
     if mode in ("perimeter-variant", "fem-conjecture"):
         cvals = _grid(cfg.c_range)

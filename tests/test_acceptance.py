@@ -254,11 +254,10 @@ class TestInvariantBundle:
     def test_area_monotonicity_ordering(self):
         for alpha in (-0.5, -2.0):
             res = r.run_scan(r.ScanConfig(mode="monotonicity", alpha_range=(alpha, alpha, 1),
-                                          S=S_THIRD, fem_rel_tol=1e-4))
+                                          S=S_THIRD))
             (row,) = res.rows
             assert row[-2] == 1 and row[-1] == "ok"
             assert row[1] < row[2] < row[3] < 0.0  # closed form over S/2, S, 2S
-            assert row[4] < row[5] < row[6] < 0.0  # FEM over the same areas
         _report("area-monotonicity", "orderings hold at alpha in (-0.5, -2)")
 
     def test_scan_reflection_symmetry(self):

@@ -297,12 +297,13 @@ class TestScan:
 
 
 class TestVerify:
-    def test_monotone_suite_passes(self, capsys):
-        code, out, _ = run(
-            capsys, ["verify", "--suite", "monotone", "--alpha", "-0.5"]
-        )
+    @pytest.mark.parametrize("alpha", ["-0.5", "-24", "-40", "-170"])
+    def test_monotone_suite_passes(self, alpha, capsys):
+        """The closed area derivative decides the suite at strong coupling too,
+        where lambda0 at S/2, S and 2S agrees to one ulp."""
+        code, out, _ = run(capsys, ["verify", "--suite", "monotone", f"--alpha={alpha}"])
         assert code == EXIT_OK
-        assert out.rstrip().endswith("OK")
+        assert out.rstrip().endswith("verify monotone: OK")
 
     @pytest.mark.parametrize("suite", cli.SUITES)
     def test_every_suite_leaves_cwd_empty(self, suite, capsys, monkeypatch, tmp_path):

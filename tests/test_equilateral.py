@@ -386,6 +386,36 @@ class TestThresholds:
         assert 0.5 < k < 1.0
 
 
+class TestAreaDerivative:
+    """d lambda0/dS = (|lambda0|/S) x/(1 + x), x = K/A, the sign that the
+    monotonicity mode and the fixed-perimeter chain read."""
+
+    def test_matches_central_differences(self, rng):
+        """Weak to moderate coupling, where a difference of lambda0 over
+        h = 1e-5 S resolves the derivative (truncation and rounding ~1e-9)."""
+        for alpha, S in zip(-10.0 ** rng.uniform(-6.0, math.log10(2.0), 200),
+                            10.0 ** rng.uniform(math.log10(0.3), math.log10(4.0), 200)):
+            h = 1e-5 * S
+            diff = (lambda0(alpha, S + h) - lambda0(alpha, S - h)) / (2.0 * h)
+            exact = equilateral._area_derivative(solve_equilateral(alpha, S))
+            assert abs(exact - diff) <= 1e-7 * abs(exact), (alpha, S)
+
+    @pytest.mark.parametrize("alpha", [-24.0, -40.0, -170.0])
+    def test_positive_where_the_complement_rounds_to_zero(self, alpha):
+        sol = solve_equilateral(alpha, S_THIRD)
+        assert 1.0 - coupling_elasticity(sol) == 0.0
+        assert equilateral._area_derivative(sol) > 0.0
+
+    def test_verdict_factors_hold_over_the_root_solvers_range(self, rng):
+        """K > 0, t > 0 and a finite log(1 - t) at every beta from 1e-12 to
+        1e16: the factors of a positive derivative, which holds where the
+        product underflows to 0 (beta past ~370)."""
+        for beta in 10.0 ** rng.uniform(-12.0, 16.0, 1000):
+            sol = solve_equilateral(-beta, S_THIRD)  # sqrt(sqrt(3) S) = 1
+            assert sol.K > 0.0 and sol.t > 0.0 and math.isfinite(sol.log_one_minus_t), beta
+            assert equilateral._area_derivative(sol) >= 0.0
+
+
 class TestQuadratureHelpers:
     def test_triangle_rule_polynomial_exactness(self):
         """The Duffy rule integrates x^2 y^3 exactly on a known triangle."""

@@ -61,15 +61,20 @@ _LOADED = "import sys; print('numpy' in sys.modules, 'scipy.sparse' in sys.modul
       for mode, numpy in (("transplant-region", True), ("constant-region", False),
                           ("condition-region", False), ("sector-region", True))),
     ("from robintri import cli; cli.main(['equilateral', '--alpha', '-1', '--area', '1'])", False),
+    ("import robintri; robintri.run_scan(robintri.ScanConfig(mode='monotonicity', "
+     "alpha_range=(-24.0, -0.5, 2), output_path={out!r}))", False),
+    ("from robintri import cli; cli.main(['verify', '--suite', 'monotone', '--alpha=-24'])",
+     False),
 ], ids=["import", "closed-forms", "g-curve", "transplant-region", "constant-region",
-        "condition-region", "sector-region", "cli-equilateral"])
+        "condition-region", "sector-region", "cli-equilateral", "monotonicity",
+        "cli-verify-monotone"])
 def test_closed_forms_and_region_scans_load_no_scipy(code, numpy, tmp_path):
     """SciPy loads with robintri.fem alone: importing the package, the closed
-    forms and certificates, every region scan and robintri equilateral leave
-    it unloaded.  NumPy loads with the quadrature of u0's volume norm and of
-    the sector field's side norms, so only transplant-region and
-    sector-region load it; exact norms in their place (ROADMAP item 4(a))
-    would make these two read False."""
+    forms and certificates, every region scan, the monotonicity scan, robintri
+    equilateral and robintri verify --suite monotone leave it unloaded.  NumPy
+    loads with the quadrature of u0's volume norm and of the sector field's
+    side norms, so only transplant-region and sector-region load it; exact
+    norms in their place (ROADMAP item 4(a)) would make these two read False."""
     code = code.format(out=str(tmp_path / "scan.csv"))
     assert _fresh(f"{code}; {_LOADED}")[-1] == f"{numpy} False"
 

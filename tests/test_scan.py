@@ -11,7 +11,7 @@ import robintri
 from robintri import fem, scan, trial
 from robintri.equilateral import c0, lambda0
 from robintri.errors import DomainError, NumericError, ResourceError
-from robintri.fem import EigenResult, ShapeDerivatives
+from robintri.fem import ShapeDerivatives
 from robintri.geometry import make_triangle
 from robintri.scan import (
     MODES,
@@ -99,6 +99,7 @@ class TestScanConfig:
         ("g-curve", "S", 1.0),
         ("local-optimality", "c_fixed", 0.8),
         ("monotonicity", "a_range", (0.0, 1.0, 3)),
+        ("monotonicity", "fem_rel_tol", 1e-4),
         ("fem-conjecture", "c_fixed", 0.8),
     ])
     def test_fields_the_mode_does_not_read_are_refused(self, mode, field, value):
@@ -303,7 +304,7 @@ class TestParseConfig:
 
     def test_non_finite_tolerance_rejected(self, tmp_path):
         for value in ("nan", "inf"):
-            path = self._write(tmp_path, f"mode = monotonicity\nfem_rel_tol = {value}\n")
+            path = self._write(tmp_path, f"mode = perimeter-variant\nfem_rel_tol = {value}\n")
             with pytest.raises(DomainError, match="finite"):
                 parse_config(path)
 
@@ -531,22 +532,20 @@ class TestFemModes:
         assert all(row[10] == 1 for row in res.rows)
 
     def test_monotone_in_area(self):
-        res = _single_coupling_scan("monotonicity", -0.5, fem_rel_tol=1e-4)
+        res = _single_coupling_scan("monotonicity", -0.5)
         (row,) = res.rows
-        _, l_half, l_base, l_twice, f_half, f_base, f_twice, verdict, status = row
+        _, l_half, l_base, l_twice, slope, verdict, status = row
         assert status == "ok" and verdict == 1
         assert l_half < l_base < l_twice < 0.0
-        assert f_half < f_base < f_twice < 0.0
+        assert slope > 0.0
 
-    def test_unconverged_ladders_mark_the_monotone_row(self, monkeypatch):
-        """The verdict stays the comparison's; the status says a ladder hit its cap."""
-        def capped(tri, alpha, rel_tol):
-            return EigenResult(lambda1=lambda0(alpha, tri.S), eigenvector=None,
-                               iterations=0, residual=1e-9, converged=False)
-
-        monkeypatch.setattr(fem, "eigenvalue_converged", capped)
-        row = scan._cell_monotone(-0.5, S=S_THIRD, rel_tol=1e-4)
-        assert row[-2:] == (1, "unconverged")
+    def test_monotone_rows_hold_at_every_coupling(self):
+        """Verdict 1 and status ok from weak coupling to past alpha = -370,
+        where the derivative underflows to 0 and lambda0 at S/2, S and 2S
+        agrees to a few ulps: the verdict reads the derivative's factors."""
+        res = run_scan(ScanConfig(mode="monotonicity", alpha_range=(-400.0, -1e-6, 41)))
+        assert {row[-2:] for row in res.rows} == {(1, "ok")}
+        assert res.rows[0][4] == 0.0 and res.rows[-1][4] > 0.0
 
     @pytest.mark.parametrize("alpha_values,a_values", [([], [0.5]), ([-1.0], [])],
                              ids=["empty-alpha", "empty-a"])
@@ -884,7 +883,7 @@ _PIPELINE_CFG = {
     "local-optimality": dict(alpha_range=(-3.0, -0.5, 2)),
     "perimeter-variant": dict(alpha_range=(-0.5, -0.5, 1), a_range=(0.0, 1.0, 2),
                               c_range=(0.5, 1.0, 2)),
-    "monotonicity": dict(alpha_range=(-1.0, -1.0, 1), fem_rel_tol=1e-4),
+    "monotonicity": dict(alpha_range=(-1.0, -1.0, 1)),
 }
 _PINNED_HEADERS = {
     "g-curve": """\
@@ -970,10 +969,9 @@ a,c,gamma,lambda_fem,fem_error,lambda0_scaled,lambda0,margin_link1,margin_link2,
 # robintri scan output
 # S = 0.57735026918962584
 # alpha_range = -1,-1,1
-# fem_rel_tol = 0.0001
 # mode = monotonicity
 # version = {version}
-alpha,lambda0_half,lambda0_base,lambda0_twice,fem_half,fem_base,fem_twice,verdict,status
+alpha,lambda0_half,lambda0_base,lambda0_twice,dlambda0_dS,verdict,status
 """,
 }
 
@@ -1013,7 +1011,7 @@ _FAILING_CALLEE = {
     "fem-conjecture": (fem, "eigenvalue_converged"),
     "local-optimality": (fem, "shape_derivatives"),
     "perimeter-variant": (fem, "eigenvalue_converged"),
-    "monotonicity": (fem, "eigenvalue_converged"),
+    "monotonicity": (scan, "solve_equilateral"),
     "soundness": (scan, "make_triangle"),
 }
 # failure rows (repr) of the _PIPELINE_CFG runs, recorded from the per-evaluator
@@ -1035,7 +1033,7 @@ _FAILURE_ROWS = {
     ],
     "perimeter-variant": [f"({a}, {c}, nan, nan, nan, nan, nan, nan, nan, nan, 0, '{{status}}')"
                           for a in ("0.0", "1.0") for c in ("0.5", "1.0")],
-    "monotonicity": ["(-1.0, nan, nan, nan, nan, nan, nan, 0, '{status}')"],
+    "monotonicity": ["(-1.0, nan, nan, nan, nan, 0, '{status}')"],
     "soundness": [f"({t}, nan, 0, 0, 0, nan, nan, nan, 0, 0, '{{status}}')"
                   for t in ("-2.0, 0.0", "-2.0, 1.0", "-0.5, 0.0", "-0.5, 1.0")],
 }
@@ -1093,10 +1091,11 @@ class TestFailurePath:
     def test_helpers_refuse_bad_tolerances_before_any_cell(self, monkeypatch):
         calls = []
         monkeypatch.setattr(scan, "_soundness_cell", lambda task, **_: calls.append(task))
-        monkeypatch.setattr(scan, "_cell_monotone", lambda task, **_: calls.append(task))
+        monkeypatch.setattr(scan, "_cell_perimeter", lambda task, **_: calls.append(task))
         for tol in (math.inf, math.nan, 0.0):
             with pytest.raises(DomainError, match="fem_rel_tol"):
-                _single_coupling_scan("monotonicity", -0.5, fem_rel_tol=tol)
+                _single_coupling_scan("perimeter-variant", -0.5, fem_rel_tol=tol,
+                                      **_PERIMETER_AXES)
         for c in (-1.0, math.inf, math.nan):
             with pytest.raises(DomainError, match="c must be positive and finite"):
                 soundness_sweep([-2.0], [1.0], c=c, S=S_THIRD)
