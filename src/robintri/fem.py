@@ -17,21 +17,26 @@ below every eigenvalue, and a thick-restart shift-invert Lanczos loop
 (_power_iterate, a 10-vector basis) on that same factorisation returns the
 ground eigenpair; its solve count grows with the shift's distance below the
 value (Ericsson & Ruhe).  A ladder (walk_levels) predicts the next level's
-drop from its last observed drop ratio and shifts a quarter of that drop
-below the predicted value; until two drops above rounding are known, as at
-weak coupling, it shifts conservatively, lam - 2 |drop| - 0.02 |lam| - 1/S,
-and a rejected prediction steps to that conservative shift.  With no warm
-shift the cold guess is -2 alpha^2/sin^2(theta*/2) - 1/S, and a rejected
-shift sigma steps to 2 sigma - 1/S: every rule is relative to 1/S, so a
-dilated problem tries the same shifts, scaled.  A ladder starts
-that loop from the coarser level's ground vector: the lattices are nested, so
-interpolated onto the finer one it is the coarse eigenfunction itself
-(_prolongate).  On both paths the level's value is the Rayleigh quotient of
-the returned vector.  The shifted pencil is arithmetic on the data vectors of
-the one symmetric CSR pattern that assemble gives A = K + alpha B and M, so no
-sparse add or format conversion runs per level or per shift.  _settle is the one
-Richardson loop of all three ladders: eigenvalue_converged, shape_derivatives
-and the soundness oracle scan._raw_upper_bound.
+drop from its last observed drop ratio and shifts a twentieth of that drop
+below the predicted value (no measured drop exceeded its prediction by more
+than 1.4%); until two drops above rounding are known, as at weak coupling,
+it shifts conservatively, lam - 2 |drop| - 0.02 |lam| - 1/S, and a rejected
+prediction steps to that conservative shift.  With no warm shift the cold
+guess is -2 alpha^2/sin^2(theta*/2) - 1/S, and a rejected shift sigma steps
+to 2 sigma - 1/S: every rule is relative to 1/S, so a dilated problem tries
+the same shifts, scaled.  A ladder starts that loop from the coarser level's
+ground vector: the lattices are nested, so interpolated onto the finer one it
+is the coarse eigenfunction itself (_prolongate).  On both paths the level's
+value is the Rayleigh quotient of the returned vector.  The shifted pencil is
+arithmetic on the data vectors of the one symmetric CSR pattern that assemble
+gives A = K + alpha B and M, so no sparse add or format conversion runs per
+level or per shift.  A level's elimination order is computed once per
+process, by its first factorisation; every later solve of the level
+renumbers its pencil into that order (one gather of the data vectors),
+factors it in natural order and runs its Lanczos loop in that numbering.
+_settle is the one Richardson loop of all three ladders:
+eigenvalue_converged, shape_derivatives and the soundness oracle
+scan._raw_upper_bound.
 A level's residual in the M^{-1} norm costs a mass-matrix solve that no ladder
 reads, so it is computed only on demand, by mass_residual.
 The factorisation is SuperLU's at panel width 2 (_PANEL), which fits the
@@ -73,9 +78,11 @@ _MAX_SOLVES = 100 * _NCV
 _PANEL = 2
 _EPS = float(np.finfo(float).eps)
 # A ladder's predicted shift sits this many predicted drops below the value
-# just found (walk_levels): a quarter of the predicted drop below the
-# predicted value.
-_MARGIN = 1.25
+# just found (walk_levels): a twentieth of the predicted drop below the
+# predicted value.  Over 747 predicted sparse levels (the benchmark's
+# conjecture grid, deep ladders and soundness grid, and 150 random ladders)
+# the actual drop over the predicted one was at most 1.0134, median 0.86.
+_MARGIN = 1.05
 
 
 @dataclass(frozen=True)
@@ -161,17 +168,19 @@ class _Lattice:
     boundary_labels: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
-    stiffness: np.ndarray       # (3, nnz) K_xixi, K_xieta + K_etaxi, K_etaeta
+    stiffness: np.ndarray       # (3, nnz) int8: twice K_xixi, K_xieta + K_etaxi, K_etaeta
     mass: np.ndarray            # (nnz,) M_lat, the P1 mass in lattice coordinates
     sides: sp.csc_matrix        # (nnz, 3) B_k, side k's 1-D P1 mass in its unit parameter
 
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
+        """data on the lattice's pattern; the matrix shares the read-only index
+        arrays, so a SciPy routine that wrote into them would raise."""
         n = len(self.indptr) - 1
-        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=(n, n))
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
 
     def form(self, h: np.ndarray, ell: np.ndarray, alpha: float) -> sp.csr_matrix:
         """sum_j h_j K_j + alpha sum_k l_k B_k, for stiffness weights h and side lengths ell."""
-        return self.matrix(h @ self.stiffness + alpha * (self.sides @ ell))
+        return self.matrix((0.5 * h) @ self.stiffness + alpha * (self.sides @ ell))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -229,9 +238,11 @@ def _lattice(level: int) -> _Lattice:
     b = np.roll(p[..., 1], -1, axis=1) - np.roll(p[..., 1], 1, axis=1)
     c = np.roll(p[..., 0], 1, axis=1) - np.roll(p[..., 0], -1, axis=1)
     bc = b[:, :, None] * c[:, None, :]
-    stiffness = 0.5 * np.stack([summed(b[:, :, None] * b[:, None, :]),
-                                summed(bc + bc.transpose(0, 2, 1)),
-                                summed(c[:, :, None] * c[:, None, :])])
+    # stored doubled: integers of modulus at most 4, exact as int8 at an
+    # eighth of float64's memory (form halves the weights, exactly)
+    stiffness = np.stack([summed(b[:, :, None] * b[:, None, :]),
+                          summed(bc + bc.transpose(0, 2, 1)),
+                          summed(c[:, :, None] * c[:, None, :])]).astype(np.int8)
     mass = summed(np.tile(np.eye(3) + 1.0, (len(elements), 1))) / (24.0 * n * n)
 
     entries = np.tile([2.0, 1.0, 1.0, 2.0], len(edges)) / (6.0 * n)
@@ -365,18 +376,19 @@ def _power_iterate(lu, M, x0, sigma: float):
     eigenvalue nu of OP = (A - sigma*M)^{-1} M, which is self-adjoint in the
     M inner product, and lambda = sigma + 1/nu.
 
-    The basis holds at most _NCV = 10 M-orthonormal vectors, and only they
-    are stored, not M times them, so the loop holds as much as ARPACK does.
-    Each step is one solve, full Gram-Schmidt against the basis with
-    coefficients Q (M w) and a second pass when the first one cancels
-    (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 1976), and the
-    eigenproblem of the projected matrix, at most 10 x 10.  M is applied
-    once for the coefficients and once to the orthogonalised vector, whose
-    product gives its norm and the next solve's right-hand side; a second
-    pass costs a third.  A full basis restarts on the _KEEP = 3 largest Ritz
-    vectors plus the residual direction (Wu & Simon, SIAM J. Matrix Anal.
-    Appl. 22, 2000): flat triangles carry three corner states that nearly
-    tie, and a restart on fewer loses them.
+    The basis holds at most _NCV = 10 M-orthonormal vectors q_k, stored with
+    M q_k beside them (Q and MQ, twice the memory of the basis alone).  Each
+    step is one solve, whose right-hand side is the newest M q_k, full
+    Gram-Schmidt against the basis with coefficients (M Q) w, and a second
+    pass, with the same coefficients, when the first one cancels more than
+    half of |w|_M^2 (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30,
+    1976), and the eigenproblem of the projected matrix, at most 10 x 10.  M
+    is applied once per step, to the orthogonalised vector: that product
+    gives its norm and the next right-hand side, and a second pass updates it
+    from M Q.  A full basis restarts (_restart) on the _KEEP = 3 largest Ritz vectors plus the
+    residual direction (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 2000):
+    flat triangles carry three corner states that nearly tie, and a restart
+    on fewer loses them.
 
     The stop is ARPACK's at tol=0, a Ritz residual beta |s_last| <= eps nu:
     the value feeds level-to-level Richardson differences, and a looser stop
@@ -385,27 +397,26 @@ def _power_iterate(lu, M, x0, sigma: float):
     vector that is already close, the coarser level's prolongated
     eigenvector, ends the loop early.
     """
-    Q = np.empty((_NCV + 1, len(x0)))
+    Q, MQ = np.empty((_NCV + 1, len(x0))), np.empty((_NCV + 1, len(x0)))
+    QM = (Q, MQ)
     T = np.zeros((_NCV, _NCV))  # upper triangle: the projection Q M OP Q^T
-    p = M @ x0
-    norm = math.sqrt(float(x0 @ p))
-    Q[0] = x0 / norm
-    p /= norm
+    z = M @ x0
+    norm = math.sqrt(float(x0 @ z))
+    np.divide(x0, norm, out=Q[0])
+    np.divide(z, norm, out=MQ[0])
     j = 0
     for solves in range(1, _MAX_SOLVES + 1):
-        basis = Q[:j + 1]
-        w = lu.solve(p)
-        z = M @ w
-        raw = float(w @ z)
-        h = basis @ z
+        basis, mbasis = Q[:j + 1], MQ[:j + 1]
+        w = lu.solve(MQ[j])
+        h = mbasis @ w
         w -= h @ basis
         z = M @ w
         beta2 = float(w @ z)
-        if beta2 < 0.5 * raw:  # the first pass cancelled: one more (DGKS)
-            extra = basis @ z
+        if beta2 < float(h @ h):  # |w|_M^2 = beta2 + |h|^2: more than half cancelled (DGKS)
+            extra = mbasis @ w
             w -= extra @ basis
+            z -= extra @ mbasis
             h += extra
-            z = M @ w
             beta2 = float(w @ z)
         beta = math.sqrt(max(beta2, 0.0))
         T[:j + 1, j] = h
@@ -415,16 +426,74 @@ def _power_iterate(lu, M, x0, sigma: float):
         if beta * abs(s[j, -1]) <= _EPS * theta[-1]:
             return sigma + 1.0 / theta[-1], s[:, -1] @ basis, solves
         np.divide(w, beta, out=Q[j + 1])
-        p = np.divide(z, beta, out=z)
+        np.divide(z, beta, out=MQ[j + 1])
         j += 1
-        if j == _NCV:  # thick restart
-            Q[:_KEEP] = s[:, -_KEEP:].T @ Q[:_NCV]
-            Q[_KEEP] = Q[_NCV]
-            T[:] = 0.0
-            T[range(_KEEP), range(_KEEP)] = theta[-_KEEP:]
+        if j == _NCV:
+            _restart(QM, T, theta, s)
             j = _KEEP
     raise NumericError(f"shift-invert Lanczos did not converge in {_MAX_SOLVES} solves "
                        f"at shift {sigma:g}")
+
+
+def _restart(QM, T, theta, s) -> None:
+    """Thick restart of a full basis, in place: the basis and M times it
+    (QM = (Q, MQ)) keep the _KEEP largest Ritz vectors, then the residual
+    direction, and T their projection, diagonal in the Ritz values."""
+    for V in QM:
+        V[:_KEEP] = s[:, -_KEEP:].T @ V[:_NCV]
+        V[_KEEP] = V[_NCV]
+    T[:] = 0.0
+    T[range(_KEEP), range(_KEEP)] = theta[-_KEEP:]
+
+
+@dataclass(frozen=True)
+class _Order:
+    """A symmetric CSR pattern renumbered into the elimination order that
+    SuperLU chose on its first factorisation of that pattern (perm_c).
+
+    Node i of the pattern is node new[i] of the ordered one.  The ordered
+    pattern's CSR arrays, which are also its CSC arrays, are indptr and
+    indices, and its k-th stored entry is the pattern's gather[k]-th.  source
+    and source_indices are the pattern's own arrays; source identifies it.
+    All arrays are int32 and read-only.
+    """
+
+    source: np.ndarray
+    source_indices: np.ndarray
+    new: np.ndarray
+    gather: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @classmethod
+    def of(cls, indptr: np.ndarray, indices: np.ndarray, perm_c: np.ndarray) -> _Order:
+        new = perm_c.astype(np.int32)
+        rows, cols = np.repeat(new, np.diff(indptr)), new[indices]
+        # each (row, col) pair occurs once, so one sort of a combined key orders them
+        gather = np.argsort(rows.astype(np.int64) * len(new) + cols).astype(np.int32)
+        ordered = np.zeros(len(indptr), dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=len(new)), out=ordered[1:])
+        return cls(source=indptr, source_indices=indices, new=_frozen(new),
+                   gather=_frozen(gather), indptr=_frozen(ordered), indices=_frozen(cols[gather]))
+
+    def renumbered(self, X: sp.csr_matrix) -> sp.csr_matrix:
+        """X, a matrix on the source pattern, in the ordered numbering.  The
+        result takes over X's data array, permuted in place, so X is spent:
+        a solve's pencil allocates no second copy."""
+        X.data[:] = X.data[self.gather]
+        return sp.csr_matrix((X.data, self.indices, self.indptr), shape=X.shape)
+
+    def restored(self, X: sp.csr_matrix) -> sp.csr_matrix:
+        """The inverse of renumbered, in place as well: X, a matrix in the
+        ordered numbering, on the source pattern."""
+        X.data[self.gather] = X.data.copy()
+        return sp.csr_matrix((X.data, self.source_indices, self.source), shape=X.shape)
+
+
+# node count -> the order of the pattern of that size that _factor_counting
+# last ordered by minimum degree: in a ladder, its level's lattice pattern,
+# recorded by the level's first factorisation in the process
+_ORDERS: dict[int, _Order] = {}
 
 
 def _factor_counting(A, M, sigma: float):
@@ -438,16 +507,26 @@ def _factor_counting(A, M, sigma: float):
     factorisation raises NumericError.  A and M share one CSR pattern
     (assemble's), so A - sigma*M is computed on their data vectors, and as the
     matrix is symmetric its CSR arrays are its CSC arrays: SuperLU reads them
-    with no conversion.  The panel width is _PANEL = 2, not SuperLU's default:
-    the default is sized for wide supernodes, and the minimum-degree-ordered
-    lattice pencils have narrow ones.  A level-8 factorisation (33k nodes)
-    takes about three quarters of the default's time; the inertia count is
-    the same, and a solve through the factor differs by rounding only.
+    with no conversion.
+
+    The elimination order is the minimum-degree order of A^T + A, which
+    depends on the pattern alone.  The first such factorisation of a pattern
+    records its order (an _Order, in _ORDERS), and a pencil already
+    renumbered into that order (solve_at_level does so) is factored in
+    natural order: the same fill and inertia, without recomputing the order
+    (a level-8 factorisation takes about 0.9 of the time).  The panel width
+    is _PANEL = 2, not SuperLU's default: the default is sized for wide
+    supernodes, and the ordered lattice pencils have narrow ones.  A level-8
+    factorisation (33k nodes) takes about three quarters of the default's
+    time; the inertia count is the same, and a solve through the factor
+    differs by rounding only.
     """
+    order = _ORDERS.get(A.shape[0])
+    ordered = order is not None and A.indptr is order.indptr
     lu = splu(
         sp.csc_matrix((A.data - sigma * M.data, A.indices, A.indptr), shape=A.shape),
         diag_pivot_thresh=0.0,
-        permc_spec="MMD_AT_PLUS_A",
+        permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A",
         panel_size=_PANEL,
         options=dict(SymmetricMode=True),
     )
@@ -456,6 +535,8 @@ def _factor_counting(A, M, sigma: float):
             f"factorisation at shift {sigma:g} pivoted off the diagonal; "
             "its U-diagonal signs are not an inertia count"
         )
+    if not ordered and (order is None or A.indptr is not order.source):
+        _ORDERS[A.shape[0]] = _Order.of(A.indptr, A.indices, lu.perm_c)
     return lu, int((lu.U.diagonal() < 0.0).sum())
 
 
@@ -505,7 +586,10 @@ def solve_at_level(tri, alpha: float, level: int,
     corner-localised ground and excited states are both nearly positive and
     sign inspection cannot tell them apart.  It starts from the constant plus
     a 1% ripple, or, given start (the ground vector of level - 1), from that
-    vector interpolated onto this mesh plus the same ripple.  At every level a
+    vector interpolated onto this mesh plus the same ripple.  Once the
+    level's elimination order is recorded (see _factor_counting), the pencil
+    and the start are renumbered into it, and the vector is numbered back
+    before it is returned.  At every level a
     sigma0 that is not a finite real or a tuple of them, or a start that is
     not a finite nonzero 1-D array of level - 1's nodal values, raises
     DomainError before any factorisation; dense levels need no start and do
@@ -523,7 +607,7 @@ def solve_at_level(tri, alpha: float, level: int,
         peak = float(np.abs(start).max())
         if not (math.isfinite(peak) and peak > 0.0):
             raise DomainError("a start vector must be finite and nonzero")
-    n = A.shape[0]
+    n, back = A.shape[0], None
     if n <= _DENSE_NODES:
         vecs = scipy.linalg.eigh(A.toarray(), M.toarray(), subset_by_index=[0, 0])[1]
         if vecs.shape[1] == 0:
@@ -550,6 +634,13 @@ def solve_at_level(tri, alpha: float, level: int,
         # at every level, so a shift at or above it cannot be certified.
         ub = float(A.data.sum()) / float(M.data.sum())
         shifts = [s if s < ub else ub - 0.05 * max(unit, abs(ub)) for s in shifts]
+        order = _ORDERS.get(n)
+        if order is not None and A.indptr is order.source:
+            # the level's elimination order is known: renumber the pencil (in
+            # place) and the start into it once, so that every factorisation
+            # runs in natural order and no Lanczos solve gathers
+            A, M, back = order.renumbered(A), order.renumbered(M), order.new
+            x0[back] = x0.copy()
         sigma = shifts[0]
         for attempt in range(1, 81):
             try:
@@ -566,6 +657,9 @@ def solve_at_level(tri, alpha: float, level: int,
         else:
             raise NumericError(f"no shift below the spectrum found (last {sigma:g})")
         _, vec, solves = _power_iterate(lu, M, x0, sigma)
+        if back is not None:  # the value is the quotient in the mesh's numbering
+            A, M = order.restored(A), order.restored(M)
+            vec[:] = vec[back]
     if float(vec.sum()) < 0.0:
         vec = -vec
     av, mv = A @ vec, M @ vec
@@ -583,12 +677,15 @@ def walk_levels(tri, alpha: float, min_level: int, max_level: int,
     search from the ladder's own convergence.  With Delta the last
     level-to-level drop and r = Delta / (the drop before it) the last observed
     drop ratio (2^-p for an observed order p), the next drop is predicted as
-    r Delta, and the predicted shift lam - _MARGIN r Delta = lam - 1.25 r Delta
-    sits a quarter of that drop below the predicted value.  It needs two drops
-    since the last cold start, each above the monotone check's rounding
-    allowance (below); otherwise, as at weak coupling where the drops are
-    rounding noise, the shift is the conservative lam - 2 |Delta| - 0.02 |lam|
-    - 1/S (0.1 |lam| for 2 |Delta| on the first level).  A predicted shift goes
+    r Delta, and the predicted shift lam - _MARGIN r Delta = lam - 1.05 r Delta
+    sits a twentieth of that drop below the predicted value.  No measured drop
+    exceeded r Delta by more than 1.4% (see _MARGIN), so the shift certifies
+    while it stays close below the value, where the Lanczos loop needs the
+    fewest solves.  It needs two drops since the last cold start, each above
+    the monotone check's rounding allowance (below); otherwise, as at weak
+    coupling where the drops are rounding noise, the shift is the
+    conservative lam - 2 |Delta| - 0.02 |lam| - 1/S (0.1 |lam| for 2 |Delta|
+    on the first level).  A predicted shift goes
     to solve_at_level with the conservative one after it, so a prediction that
     the inertia count rejects costs one more factorisation (when the
     conservative shift lies lower; else the search doubles down).  A level whose

@@ -206,22 +206,25 @@ class ScanConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise DomainError(f"unknown mode {self.mode!r}; choose one of {', '.join(MODES)}")
-        check_area(self.S)
-        check_rel_tol("fem_rel_tol", self.fem_rel_tol)
-        check_length("c_fixed", self.resolved_c())
+        reads = _MODE_FIELDS[self.mode]
+        for f in fields(self):
+            if (f.name not in reads and f.name not in _READ_BY_EVERY_MODE
+                    and getattr(self, f.name) != f.default):
+                raise DomainError(f"mode {self.mode} does not read {f.name}; leave it unset")
+        if "S" in reads:
+            check_area(self.S)
+        if "fem_rel_tol" in reads:
+            check_rel_tol("fem_rel_tol", self.fem_rel_tol)
+        if "c_fixed" in reads:
+            check_length("c_fixed", self.resolved_c())
         if not self.output_path:
             raise DomainError("output_path must be non-empty")
         if self.emit_svg and self.svg_path == self.output_path:
             raise DomainError(f"the SVG heatmap would overwrite the CSV at {self.output_path}; "
                               "give output_path an extension other than .svg")
-        reads = _MODE_FIELDS[self.mode]
         if self.a_range is None and "a_range" in reads:
             default = (0.05, 0.995, 95) if self.mode == "g-curve" else (0.0, 5.0, 60)
             object.__setattr__(self, "a_range", default)
-        for f in fields(self):
-            if (f.name not in reads and f.name not in _READ_BY_EVERY_MODE
-                    and getattr(self, f.name) != f.default):
-                raise DomainError(f"mode {self.mode} does not read {f.name}; leave it unset")
         ranges = [name for name, rule in reads.items() if rule is not None]
         for name in ranges:
             _check_range(name, getattr(self, name), **reads[name])

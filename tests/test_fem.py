@@ -270,6 +270,16 @@ class TestLatticeCache:
         with pytest.raises(ValueError):
             mesh.elements[0, 0] = 1
 
+    def test_pencils_share_the_read_only_pattern(self):
+        """assemble's form and mass carry no copy of the lattice's index
+        arrays but the arrays themselves, read-only, so a write raises."""
+        lat = fem._lattice(5)
+        system = assemble(build_mesh(make_triangle(0.3, 0.8, 1.0), 5), -1.0)
+        for matrix in (system.form, system.mass):
+            assert matrix.indptr is lat.indptr and np.shares_memory(matrix.indices, lat.indices)
+            with pytest.raises(ValueError, match="read-only"):
+                matrix.indices[0] = 0
+
     def test_import_builds_no_lattice(self):
         src = os.path.dirname(os.path.dirname(robintri.__file__))
         env = dict(os.environ, PYTHONPATH=src)
@@ -313,6 +323,12 @@ class TestFactorCounting:
             for lo, hi in ((1, 4), (5, 20), (40, 120)):
                 k = lo + int(np.argmax(np.diff(spec[lo - 1:hi])))
                 assert _factor_counting(form, mass, 0.5 * (spec[k - 1] + spec[k]))[1] == k
+                # the pencil renumbered into the level's recorded order, as
+                # solve_at_level factors it, in natural order (renumbered
+                # permutes its argument's data in place)
+                order = fem._ORDERS[form.shape[0]]
+                ordered = order.renumbered(form.copy()), order.renumbered(mass.copy())
+                assert _factor_counting(*ordered, 0.5 * (spec[k - 1] + spec[k]))[1] == k
 
     def test_panel_width_moves_values_by_rounding_only(self, monkeypatch):
         """Levels 5 to 7 give the same value, to 1e-12 relative, through a
@@ -333,6 +349,33 @@ class TestFactorCounting:
                    for tri, alpha in cases for level in (5, 6, 7)]
         assert widths and set(widths) == {fem._PANEL}
         np.testing.assert_allclose(panel, default, rtol=1e-12, atol=0.0)
+
+    def test_one_elimination_order_per_level(self, monkeypatch):
+        """The first factorisation of a level's pattern orders it by minimum
+        degree and records the order; every later solve of the level factors
+        its pencil, renumbered into that order, in natural order.  Values agree
+        with a solve that orders afresh to 1e-12, and vectors, numbered back,
+        to 1e-10."""
+        specs = []
+
+        def recording(*args, permc_spec=None, **kwargs):
+            specs.append(permc_spec)
+            return splu(*args, permc_spec=permc_spec, **kwargs)
+
+        monkeypatch.setattr(fem, "splu", recording)
+        cases = [(make_triangle(0.5, 0.8, S_THIRD), -2.0), (make_triangle(2.4, 0.3, S_THIRD), -8.0)]
+        fresh = []
+        for tri, alpha in cases:
+            monkeypatch.setattr(fem, "_ORDERS", {})
+            fresh.append(solve_at_level(tri, alpha, 6))
+        assert specs == ["MMD_AT_PLUS_A"] * 2
+        for (tri, alpha), want in zip(cases, fresh):
+            res = solve_at_level(tri, alpha, 6)
+            assert abs(res.lambda1 - want.lambda1) <= 1e-12 * abs(want.lambda1)
+            diff = np.abs(res.eigenvector - want.eigenvector).max()
+            assert diff <= 1e-10 * np.abs(want.eigenvector).max()
+        assert specs == ["MMD_AT_PLUS_A"] * 2 + ["NATURAL"] * 2
+        assert list(fem._ORDERS) == [len(fresh[0].eigenvector)]
 
     def test_unsymmetric_permutation_is_refused(self, monkeypatch):
         """The U-diagonal sign count is an inertia only when perm_r == perm_c."""
@@ -701,6 +744,30 @@ class TestWarmStart:
         _, _, solves = fem._power_iterate(lu, mass, np.ones(form.shape[0]), -500.0)
         assert solves == lu.calls > 0
 
+    def test_restart_keeps_m_times_the_basis(self, monkeypatch):
+        """The loop keeps M q_k beside each basis vector q_k and reads its
+        Gram-Schmidt coefficients from it, so a thick restart must recombine
+        both: after every restart MQ[k] = M Q[k] to 1e-12 of the largest
+        entry for the kept vectors.  A cold start far below the spectrum
+        restarts several times and still returns the dense minimum."""
+        tri = make_triangle(0.3, 0.7, S_THIRD)
+        system = assemble(build_mesh(tri, 5), -1.5)
+        form, mass = system.form, system.mass
+        restart, restarts = fem._restart, []
+
+        def checking(QM, T, theta, s):
+            restart(QM, T, theta, s)
+            Q, MQ = (V[:fem._KEEP + 1] for V in QM)
+            want = (mass @ Q.T).T
+            restarts.append(float(np.abs(MQ - want).max() / np.abs(want).max()))
+
+        monkeypatch.setattr(fem, "_restart", checking)
+        lu, _ = _factor_counting(form, mass, -500.0)
+        lam, _, _ = fem._power_iterate(lu, mass, np.ones(form.shape[0]), -500.0)
+        assert len(restarts) > 1 and max(restarts) <= 1e-12
+        want = dense_minimum(tri, -1.5, 5)
+        assert abs(lam - want) <= 1e-10 * abs(want)
+
     def test_ladders_run_without_arpack(self, monkeypatch):
         """With ARPACK's eigsh refusing, all three ladders finish: the sparse
         levels are solved by the module's own Lanczos loop."""
@@ -765,8 +832,8 @@ class TestShiftRules:
     ])
     def test_predicted_shift_certifies_first_time(self, monkeypatch, a, c, alpha,
                                                   pre_asymptotic):
-        """From level 5 on each sparse level is handed lam - 1.25 r Delta, r the
-        last observed drop ratio, then the conservative shift, and certifies
+        """From level 5 on each sparse level is handed lam - _MARGIN r Delta, r
+        the last observed drop ratio, then the conservative shift, and certifies
         with one factorisation at the predicted shift, whether the drops still
         grow (every r > 1) or shrink toward the h^2 rate (the last r < 1)."""
         results, seen = recorded_walk(monkeypatch, make_triangle(a, c, S_THIRD), alpha, 7)
@@ -780,6 +847,28 @@ class TestShiftRules:
             assert first == pytest.approx(predicted, rel=1e-14) and conservative < first
             assert factored == [first]
         assert min(ratios) > 1.0 if pre_asymptotic else ratios[-1] < 1.0
+
+    def test_margin_covers_the_actual_drop(self, monkeypatch):
+        """On 12 seeded cells of the conjecture grid (the acceptance test's
+        (a, c) axes at alpha -0.5, -2 and -8, ladders to level 7), every
+        sparse level handed a predicted shift drops by at most _MARGIN times
+        the predicted drop r Delta, so that shift lies below the level's
+        value, and every sparse level certifies with one factorisation."""
+        grid = [(alpha, float(a), float(c)) for alpha in (-0.5, -2.0, -8.0)
+                for a in np.linspace(0.0, 3.0, 11)[::3] for c in np.linspace(0.2, 3.0, 11)[::2]]
+        predicted = 0
+        for k in np.random.default_rng(37).choice(len(grid), 12, replace=False):
+            alpha, a, c = grid[k]
+            results, seen = recorded_walk(monkeypatch, make_triangle(a, c, S_THIRD), alpha, 7)
+            lam = {level: res.lambda1 for level, res in results.items()}
+            for level in (5, 6, 7):
+                sigma0, factored = seen[level]
+                assert factored == [sigma0[0]]
+                if len(sigma0) == 2:
+                    d1, d2 = lam[level - 3] - lam[level - 2], lam[level - 2] - lam[level - 1]
+                    assert lam[level - 1] - lam[level] <= fem._MARGIN * (d2 / d1) * d2
+                    predicted += 1
+        assert predicted > 0
 
     def test_rejected_prediction_steps_to_the_conservative_shift(self, monkeypatch):
         """A predicted shift above the level's value (here the level-5 value,
@@ -974,13 +1063,13 @@ class TestConvergence:
     def test_one_eigenpair_per_level_solve_count(self):
         """Shift-invert Lanczos started from the coarser level's ground vector,
         at the shift predicted from the ladder's drop ratio, converges the
-        ground pair alone in 12 factorisation solves per sparse level here
-        (levels 5 and 6 take 12 and 11; levels 2 to 4 are dense and solve
+        ground pair alone in 10 factorisation solves per sparse level here
+        (levels 5 and 6 take 10 each; levels 2 to 4 are dense and solve
         nothing)."""
         res = eigenvalue_converged(make_triangle(1.0, 1.6, S_THIRD), -2.0,
                                    rel_tol=1e-3, max_level=6)
         assert len(res.history) == 5 and not res.skipped  # levels 2 to 6
-        assert res.iterations <= 12 * 2
+        assert res.iterations <= 10 * 2
 
     def test_ladders_run_no_mass_matrix_solve(self, monkeypatch):
         """No ladder reads a level's M^{-1} residual, so none pays for its CG

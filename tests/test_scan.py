@@ -101,6 +101,10 @@ class TestScanConfig:
         ("monotonicity", "a_range", (0.0, 1.0, 3)),
         ("monotonicity", "fem_rel_tol", 1e-4),
         ("fem-conjecture", "c_fixed", 0.8),
+        # values the reading modes refuse: the unread field is named, not the rule
+        ("g-curve", "fem_rel_tol", math.nan),
+        ("g-curve", "S", math.nan),
+        ("monotonicity", "c_fixed", -1.0),
     ])
     def test_fields_the_mode_does_not_read_are_refused(self, mode, field, value):
         with pytest.raises(DomainError, match=f"does not read {field}"):
