@@ -4,13 +4,17 @@ Closed-form equilateral data, transplanted trial-function bounds, a P1
 finite-element reference solver, and parameter-plane scans with certificate
 output.
 
-The finite-element module, robintri.fem, is the only one that imports SciPy.
-It loads on first use (PEP 562): the names of __all__ that this module does not
-import, all of them fem's, and robintri.fem itself resolve through the module
-__getattr__ below, and a FEM scan mode imports it when it runs.  So import
-robintri, the closed forms, the certificates, the region scans, the
-monotonicity scan, robintri equilateral and robintri verify --suite monotone
-never load SciPy.
+import robintri loads the closed forms only: errors, geometry and
+equilateral.  The certificates (robintri.trial), the scans (robintri.scan,
+which imports trial) and the finite-element oracle (robintri.fem) load on
+first use (PEP 562): each of their public names, and each module's own name,
+is a key of the _LAZY map below, and the module __getattr__ imports the
+module it names when the name is first read.  A FEM scan mode imports fem
+when it runs, and robintri.cli imports scan.
+
+fem is the only module that imports SciPy.  So import robintri, the closed
+forms, the certificates, the region scans, the monotonicity scan, robintri
+equilateral and robintri verify --suite monotone never load SciPy.
 
 NumPy loads on first use as well.  Outside fem and the quadrature module
 _quad, only the two quadratures of the certificates import it: u0's volume
@@ -48,28 +52,6 @@ from .equilateral import (
     lambda0,
     local_optimality_alpha_bound,
     solve_equilateral,
-)
-from .trial import (
-    constant_bound,
-    delta_transplant,
-    lambda0_lower_bound,
-    sector_bound,
-    sector_closed_upper,
-    sector_condition,
-    shape_coefficient,
-    small_coupling_functions,
-    strictly_below,
-    transplant_verdict,
-)
-from .scan import (
-    MODES,
-    ScanConfig,
-    ScanResult,
-    emit_csv,
-    emit_svg,
-    parse_config,
-    run_scan,
-    soundness_sweep,
 )
 
 __all__ = [
@@ -126,16 +108,36 @@ __all__ = [
 ]
 
 
+#: each public name that loads on first use -> the module that defines it, and
+#: each of those modules' own name -> itself
+_LAZY = {
+    **dict.fromkeys((
+        "trial", "constant_bound", "delta_transplant", "lambda0_lower_bound",
+        "sector_bound", "sector_closed_upper", "sector_condition", "shape_coefficient",
+        "small_coupling_functions", "strictly_below", "transplant_verdict",
+    ), "trial"),
+    **dict.fromkeys((
+        "scan", "MODES", "ScanConfig", "ScanResult", "emit_csv", "emit_svg",
+        "parse_config", "run_scan", "soundness_sweep",
+    ), "scan"),
+    **dict.fromkeys((
+        "fem", "EigenResult", "FemMesh", "FemSystem", "ShapeDerivatives", "assemble",
+        "build_mesh", "dump_mesh", "eigenvalue_converged", "mass_residual",
+        "shape_derivatives", "solve_at_level",
+    ), "fem"),
+}
+
+
 def __getattr__(name: str):
-    """robintri.fem and its public names, imported on first use: a name in
-    __all__ that is not a module global can only be one of fem's."""
-    if name == "fem" or name in __all__:
-        # import_module, not "from . import fem": that statement's hasattr
-        # check on this package would call __getattr__ again
-        fem = importlib.import_module(".fem", __name__)
-        return fem if name == "fem" else getattr(fem, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """A name of _LAZY, resolved by importing its module on first use."""
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # import_module, not a "from . import" statement: its hasattr check on this
+    # package would call __getattr__ again
+    loaded = importlib.import_module(f".{module}", __name__)
+    return loaded if name == module else getattr(loaded, name)
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), "fem", *__all__})
+    return sorted({*globals(), *_LAZY, *__all__})

@@ -183,6 +183,48 @@ def _area_derivative(sol: EquilateralSolution) -> float:
     return (-sol.lambda0 / sol.S) * (x / (1.0 + x))
 
 
+#: the 8-point Gauss-Legendre rule on [-1, 1] as (node, weight) for the nodes
+#: +-node, to 22 digits
+_GAUSS8 = ((0.1834346424956498049394761, 0.3626837833783619829651504),
+           (0.5255324099163289858177390, 0.3137066458778872873379622),
+           (0.7966664774136267395915539, 0.2223810344533744705443560),
+           (0.9602898564975362316835609, 0.1012285362903762591525314))
+
+
+def _lambda0_drop(low: EquilateralSolution, high: EquilateralSolution) -> float:
+    """lambda0(alpha, low.S) - lambda0(alpha, high.S) for low.S <= high.S at
+    one alpha: never positive, and free of the cancellation of the two rounded
+    values, which agree to the last bit at strong coupling (both near
+    -4 alpha^2) while the true drop is exponentially small.
+
+    lambda0 = -4 alpha^2 / t^2 and t = 1 - e^y, so the drop is
+    -4 alpha^2 (t_h - t_l)(t_h + t_l) / (t_l t_h)^2 with
+    t_h - t_l = -e^{y_l} expm1(y_h - y_l), formed from the two roots
+    y = log(1 - t) without overflow.  The difference of roots keeps about
+    eps |y| / (y_l - y_h) relative error, so for close areas (y_l - y_h <= 1
+    and high.S / low.S <= e^(1/2)) the drop is -integral of d lambda0 / dS
+    over [low.S, high.S] instead: 8-point Gauss-Legendre in log S on
+    _area_derivative, whose terms are all positive.  Either way the drop is
+    within 3e-13 relative of a converged composite Gauss rule over alpha
+    from -1e-12 to -300, S from 0.01 to 100 and low.S / high.S from 1e-3 to 1.
+    """
+    if low.S == high.S:
+        return 0.0
+    dy = low.log_one_minus_t - high.log_one_minus_t
+    span = math.log(high.S / low.S)
+    if dy > 1.0 or span > 0.5:
+        rise = -math.exp(low.log_one_minus_t) * math.expm1(-dy)  # t_h - t_l
+        return -4.0 * (low.alpha / low.t) * (low.alpha / high.t) * (rise / low.t) * (
+            (low.t + high.t) / high.t)
+    half = 0.5 * span
+    mid = math.log(high.S) - half
+    terms = []
+    for x, w in _GAUSS8:
+        for s in (math.exp(mid - half * x), math.exp(mid + half * x)):
+            terms.append(w * s * _area_derivative(solve_equilateral(low.alpha, s)))
+    return -half * math.fsum(terms)
+
+
 # ---------------------------------------------------------------------------
 # norms of the (unnormalised) ground state
 

@@ -49,6 +49,7 @@ from functools import partial
 
 from .equilateral import (
     _area_derivative,
+    _lambda0_drop,
     g_threshold,
     hessian_upper_bounds,
     lambda0,
@@ -365,10 +366,10 @@ def _cell_perimeter(task, *, alpha: float, S: float, rel_tol: float) -> tuple:
     gamma = perimeter_normalizer(tri)
     scaled = make_triangle(gamma * a, gamma * c, gamma * gamma * S)
     res = eigenvalue_converged(scaled, alpha, rel_tol=rel_tol)
-    lam0_scaled = lambda0(alpha, gamma * gamma * S)
-    lam0_ref = lambda0(alpha, S)
+    sol_scaled, sol_ref = solve_equilateral(alpha, gamma * gamma * S), solve_equilateral(alpha, S)
+    lam0_scaled, lam0_ref = sol_scaled.lambda0, sol_ref.lambda0
     m1 = res.lambda1 - lam0_scaled
-    m2 = lam0_scaled - lam0_ref
+    m2 = _lambda0_drop(sol_scaled, sol_ref)
     m = res.lambda1 - lam0_ref
     pad = _fem_pad(lam0_ref, res.residual)
     # link 2 is monotonicity in area: lambda0 rises with S, and gamma <= 1

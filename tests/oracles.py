@@ -5,6 +5,8 @@ ground_state(sol).  transported_form integrates the Robin form of a
 reference-triangle field carried onto Omega_{a,c} with the affine map's
 inverse metric and edge stretch weights; the constant and
 corner-exponential fields are the other two trial functions of the paper.
+exact_sector_quotient is the corner exponential's Rayleigh quotient with
+every norm in closed form.
 """
 
 import math
@@ -13,6 +15,7 @@ import numpy as np
 
 from robintri import _quad
 from robintri.geometry import as_geometry, b0, c0
+from robintri.trial import _exp_divided_difference
 
 
 def reference_vertices(S):
@@ -129,3 +132,29 @@ def numpy_corner(verts, sides, i):
     by = d1[1] / n1 + d2[1] / n2
     nb = math.hypot(bx, by)
     return angle, min(n1, n2), (float(at[0]), float(at[1])), (float(bx / nb), float(by / nb))
+
+
+def exact_sector_quotient(alpha, tri, vertex=None):
+    """rate^2 + alpha ||u||^2_bdry / ||u||^2 for the corner exponential at
+    vertex (default the smallest angle), every norm exact in plain floats.
+
+    u^2 = exp(z) with z = k.(x - apex), k = 2 rate bisector, is linear in z,
+    so the side from v_i to v_j has norm |e| e^b (-expm1(a - b)) / (b - a),
+    a <= b the values of z at its ends (|e| e^b where they agree), and the
+    volume norm is 2|T| exp[z0, z1, z2], trial's divided difference.  The
+    sides are summed in label order (0, 1), (0, 2), (1, 2).
+    """
+    index = tri.apex_index if vertex is None else vertex
+    theta, _, (px, py), (bx, by) = tri.corners[index]
+    rate = alpha / math.sin(0.5 * theta)
+    kx, ky = 2.0 * rate * bx, 2.0 * rate * by
+    verts = tri.vertices
+    z = [kx * (x - px) + ky * (y - py) for x, y in verts]
+
+    def side(i, j):
+        a, b = sorted((z[i], z[j]))
+        length = math.hypot(verts[j][0] - verts[i][0], verts[j][1] - verts[i][1])
+        return length * math.exp(b) * (-math.expm1(a - b) / (b - a) if b > a else 1.0)
+
+    bdry = side(0, 1) + side(0, 2) + side(1, 2)
+    return rate * rate + alpha * bdry / (2.0 * tri.S * _exp_divided_difference(*z))

@@ -350,6 +350,24 @@ class TestVerify:
         assert lines[0].startswith("a,c,gamma,") and len(lines) == 1 + 15 + 1
         assert lines[-1] == "verify perimeter: OK"
 
+    @pytest.mark.parametrize("alpha", ["-24", "-170"])
+    def test_perimeter_link2_is_never_positive(self, alpha, capsys, monkeypatch):
+        """margin_link2 = lambda0(gamma^2 S) - lambda0(S) is negative on every
+        row with gamma < 1, also at strong coupling, where the two lambda0
+        round to the same float and the true link is exponentially small.  The
+        FEM ladder, which link 2 does not read, is stubbed."""
+        def ladder(tri, alpha, rel_tol):
+            return fem.EigenResult(lambda1=lambda0(alpha, tri.S), eigenvector=None,
+                                   iterations=0, residual=0.0)
+
+        monkeypatch.setattr(fem, "eigenvalue_converged", ladder)
+        code, out, _ = run(capsys, ["verify", "--suite", "perimeter", f"--alpha={alpha}"])
+        assert code == EXIT_OK
+        header, *rows, _ = out.splitlines()
+        rows = [dict(zip(header.split(","), row.split(","))) for row in rows]
+        assert len(rows) == 15 and all(float(row["gamma"]) < 1.0 for row in rows)
+        assert [row["margin_link2"] for row in rows if not float(row["margin_link2"]) < 0.0] == []
+
     def test_local_suite_past_the_claim_makes_no_claim(self, capsys, monkeypatch):
         """alpha = -1.5 lies past the simple threshold -0.92/sqrt(S) at the
         default area: the row is not claimed, and the suite passes with no

@@ -416,6 +416,51 @@ class TestAreaDerivative:
             assert equilateral._area_derivative(sol) >= 0.0
 
 
+def mp_drop(alpha, s_low, s_high):
+    """lambda0(alpha, s_low) - lambda0(alpha, s_high) from lambda0 = -4 alpha^2 / t^2,
+    with each t a root of t K(t) = beta found in u = log(1 - t) by mpmath at
+    enough digits that the two values differ past 20 of them."""
+    beta = -alpha * math.sqrt(SQRT3 * s_high)
+    with mp.workdps(int(0.9 * beta) + 40):
+        def lam(S):
+            b = -mp.mpf(alpha) * mp.sqrt(mp.sqrt(3) * mp.mpf(S))
+
+            def psi(u):
+                t = -mp.expm1(u)
+                return t * ((mp.log(2 - mp.e**u) - u) / 2 + mp.atanh(t / 2)) - b
+
+            u = mp.findroot(psi, mp.mpf(solve_equilateral(alpha, S).log_one_minus_t))
+            return -4 * mp.mpf(alpha) ** 2 / mp.expm1(u) ** 2
+
+        return float(lam(s_low) - lam(s_high))
+
+
+class TestLambda0Drop:
+    """lambda0(alpha, gamma^2 S) - lambda0(alpha, S), the perimeter chain's
+    link 2, without the cancellation of two rounded lambda0 values."""
+
+    @pytest.mark.parametrize("alpha", [-1e-6, -0.5, -2.0, -8.0, -24.0, -170.0])
+    @pytest.mark.parametrize("gamma", [0.9999, 0.99, 0.9, 0.5, 0.1])
+    def test_matches_mpmath(self, alpha, gamma):
+        """Both of its forms, the closed one and the Gauss rule of the
+        close-area cells, agree with a high-precision difference to 1e-12
+        relative and are negative, down to -1e-143 at alpha -170."""
+        low, high = solve_equilateral(alpha, gamma**2 * S_THIRD), solve_equilateral(alpha, S_THIRD)
+        drop = equilateral._lambda0_drop(low, high)
+        exact = mp_drop(alpha, gamma**2 * S_THIRD, S_THIRD)
+        assert drop < 0.0 and abs(drop - exact) <= 1e-12 * abs(exact), (drop, exact)
+
+    def test_equal_areas_drop_by_zero(self):
+        sol = solve_equilateral(-24.0, S_THIRD)
+        assert math.copysign(1.0, equilateral._lambda0_drop(sol, sol)) == 1.0
+
+    def test_direct_difference_loses_the_sign(self):
+        """The reason for the closed form: at alpha -24 the rounded values of
+        lambda0 at 0.9801 S and S read a rise where the true link is -1e-20."""
+        low, high = solve_equilateral(-24.0, 0.9801 * S_THIRD), solve_equilateral(-24.0, S_THIRD)
+        assert low.lambda0 - high.lambda0 >= 0.0 > equilateral._lambda0_drop(low, high)
+
+
 class TestQuadratureHelpers:
     def test_triangle_rule_polynomial_exactness(self):
         """The Duffy rule integrates x^2 y^3 exactly on a known triangle."""

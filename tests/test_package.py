@@ -4,6 +4,7 @@ and every public entry refuses bad inputs with the rule texts of
 robintri.errors."""
 
 import ast
+import importlib
 import inspect
 import math
 import os
@@ -19,11 +20,11 @@ import robintri
 
 
 def test_all_lists_exactly_the_imported_public_names():
-    """__init__.py keeps its import list and __all__ by hand, and each name of
-    __all__ that it does not import is loaded from fem on first use.  A name
-    listed twice, an imported public name missing from __all__, or a name of
-    __all__ that fem does not define fails here.  Each lazy name is fem's own
-    object."""
+    """__init__.py keeps its import list, its lazy map _LAZY and __all__ by
+    hand.  Each name of __all__ is imported or a key of _LAZY, and each key of
+    _LAZY is a name of __all__ or the module it maps to.  A name listed twice,
+    imported and lazy both, missing from __all__, or mapped to a module that
+    does not define it fails here.  Each lazy name is its module's own object."""
     tree = ast.parse(inspect.getsource(robintri))
     imported = [alias.asname or alias.name
                 for node in tree.body if isinstance(node, ast.ImportFrom) and node.level > 0
@@ -32,9 +33,18 @@ def test_all_lists_exactly_the_imported_public_names():
               if not name.startswith("_") and not inspect.ismodule(getattr(robintri, name))]
     assert len(set(public)) == len(public)
     assert len(set(robintri.__all__)) == len(robintri.__all__)
-    lazy = set(robintri.__all__) - set(public) - {"__version__"}
-    assert set(public) <= set(robintri.__all__) and "ShapeDerivatives" in lazy
-    assert all(getattr(robintri, name) is getattr(robintri.fem, name) for name in lazy)
+    modules = set(robintri._LAZY.values())
+    assert modules == {"trial", "scan", "fem"}
+    assert all(robintri._LAZY[module] == module for module in modules)
+    lazy = set(robintri._LAZY) - modules
+    assert not lazy & set(public)
+    assert set(robintri.__all__) == set(public) | lazy | {"__version__"}
+    assert {"ShapeDerivatives", "constant_bound", "run_scan"} <= lazy
+    for name in lazy:
+        module = importlib.import_module(f"robintri.{robintri._LAZY[name]}")
+        assert getattr(robintri, name) is vars(module)[name], name
+    for module in modules:
+        assert getattr(robintri, module) is importlib.import_module(f"robintri.{module}")
 
 
 def _fresh(code: str) -> list[str]:
@@ -86,6 +96,33 @@ def test_a_fem_name_loads_scipy_on_first_use(use):
                                                                         "True True"]
 
 
+_LAYERS = ("import sys; print(sorted(m for m in sys.modules "
+           "if m.startswith('robintri.')))")
+
+
+@pytest.mark.parametrize("use, loaded", [
+    ("", ["equilateral", "errors", "geometry"]),
+    ("robintri.constant_bound", ["equilateral", "errors", "geometry", "trial"]),
+    ("robintri.run_scan", ["equilateral", "errors", "geometry", "scan", "trial"]),
+], ids=["import", "trial-name", "scan-name"])
+def test_each_layer_loads_on_first_use(use, loaded):
+    """import robintri loads the closed forms only; a certificate's name
+    loads trial and no more, a scan's name scan and trial but not fem."""
+    assert _fresh(f"import robintri\n{use}\n{_LAYERS}") == [
+        str([f"robintri.{name}" for name in loaded])]
+
+
+def test_lazy_names_are_their_modules_own_objects():
+    """In a fresh interpreter, where nothing has touched the package first,
+    every lazy name and lazy module read through robintri is the object its
+    module defines."""
+    code = ("import importlib, robintri\n"
+            "print(all(getattr(robintri, n) is (importlib.import_module('robintri.' + m) "
+            "if n == m else vars(importlib.import_module('robintri.' + m))[n]) "
+            "for n, m in robintri._LAZY.items()))")
+    assert _fresh(code) == ["True"]
+
+
 def test_import_loads_no_numpy_scipy_or_multiprocessing():
     """The CI workflow's import check: import robintri loads neither NumPy nor
     SciPy, and no process pool either, since every scan runs in one process."""
@@ -108,14 +145,16 @@ def test_a_scan_loads_no_multiprocessing(mode, axes, tmp_path):
 
 
 def test_dir_lists_the_lazy_names_and_star_import_binds_them():
-    """dir(robintri) lists every name of __all__ before fem loads, and
-    from robintri import * binds every one of them, fem's names included."""
+    """dir(robintri) lists every name of __all__ before trial, scan or fem
+    loads, and from robintri import * binds every one of them, the lazy
+    modules' names included."""
     code = ("import sys, robintri\n"
-            "print(set(robintri.__all__) <= set(dir(robintri)), 'robintri.fem' in sys.modules)\n"
+            "print(set(robintri.__all__) <= set(dir(robintri)), [m for m in "
+            "('robintri.trial', 'robintri.scan', 'robintri.fem') if m in sys.modules])\n"
             "names = {}\n"
             "exec('from robintri import *', names)\n"
             "print(all(getattr(robintri, n) is names[n] for n in robintri.__all__))")
-    assert _fresh(code) == ["True False", "True"]
+    assert _fresh(code) == ["True []", "True"]
 
 
 def test_every_public_callable_has_a_docstring():

@@ -8,8 +8,8 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from oracles import (constant, corner_exponential, edge_stretch_weights, ground_state,
-                     inverse_metric, side_integrals, transported_form)
+from oracles import (constant, corner_exponential, edge_stretch_weights, exact_sector_quotient,
+                     ground_state, inverse_metric, side_integrals, transported_form)
 
 from robintri import _quad, geometry
 from robintri.equilateral import lambda0, solve_equilateral
@@ -365,6 +365,33 @@ class TestSectorBound:
             ray, _ = sector_bound(alpha, tri, anchor_vertex=vertex)
             ref = mp_sector_rayleigh(alpha, tri, vertex)
             assert float(abs(ray - ref) / abs(ref)) <= 1e-12, (alpha, a, c, S)
+
+    @pytest.mark.parametrize("alpha, a, c, S, vertex", [
+        (-10.0, 20.0, 0.5, 1.0, None), (-1.0, 50.0, 0.5, 1.0, None),
+        (-2.0, 1.3, 0.6, 0.9, 0), (-0.3, -2.0, 0.4, 1.2, 1), (-8.0, 3.0, 0.45, S_THIRD, 2),
+    ], ids=["flat-10", "flat-1", "v0", "v1", "v2"])
+    def test_exact_oracle_matches_mpmath(self, alpha, a, c, S, vertex):
+        """tests/oracles.py's exact sector quotient against the 40-digit
+        formula, also on the two flat cells where sector_bound's side
+        quadrature finds no mass (the first is (20, 0.5, 1) at alpha -10)."""
+        tri = make_triangle(a, c, S)
+        ref = mp_sector_rayleigh(alpha, tri, tri.apex_index if vertex is None else vertex)
+        exact = exact_sector_quotient(alpha, tri, vertex)
+        assert float(abs(exact - ref) / abs(ref)) <= 1e-13, (exact, ref)
+
+    @pytest.mark.parametrize("anchor_vertex", [None, 0], ids=["apex", "left"])
+    def test_agrees_with_exact_side_norms_on_the_bench_grid(self, anchor_vertex):
+        """On the region-scan benchmark's 7x7 grid (alpha -10 to -0.01, a 0 to
+        5, c = c0(S), S = 1/sqrt(3)) at both anchors of the sector-region
+        scan, the side quadrature's quotient is the exact one to 1e-12."""
+        worst = 0.0
+        for alpha in np.linspace(-10.0, -0.01, 7).tolist():
+            for a in np.linspace(0.0, 5.0, 7).tolist():
+                tri = make_triangle(a, c0(S_THIRD), S_THIRD)
+                ray, _ = sector_bound(alpha, tri, anchor_vertex=anchor_vertex)
+                exact = exact_sector_quotient(alpha, tri, anchor_vertex)
+                worst = max(worst, abs(ray - exact) / abs(exact))
+        assert worst <= 1e-12
 
     def test_stays_off_triangle_quadrature(self, monkeypatch):
         """The sector certificate and its region scan integrate exp(k.(x - apex))
