@@ -162,8 +162,10 @@ def _suite_result(suite: str, alpha: float, S: float):
 
 
 def _cmd_verify(args) -> int:
-    """Print the suite's table; it passes when every claimed row has verdict 1.
-    A result without a claimed column claims every row."""
+    """Print the suite's table; it fails when a claimed row's verdict is not 1,
+    and is unresolved when the verdicts hold but a claimed row's status is not
+    ok (e.g. a FEM ladder that stopped at its level cap).  A result without a claimed
+    column claims every row."""
     result = _suite_result(args.suite, args.alpha, args.area)
     _print_table(result)
     cols = result.columns
@@ -171,9 +173,17 @@ def _cmd_verify(args) -> int:
     if not claimed:
         print(f"verify {args.suite}: no claim at this coupling")
         return EXIT_OK
-    ok = all(row[cols.index("verdict")] == 1 for row in claimed)
-    print(f"verify {args.suite}: {'OK' if ok else 'FAILED'}")
-    return EXIT_OK if ok else EXIT_NUMERIC
+    if any(row[cols.index("verdict")] != 1 for row in claimed):
+        print(f"verify {args.suite}: FAILED")
+        return EXIT_NUMERIC
+    unsettled = Counter(row[-1] for row in claimed if row[-1] != "ok")
+    if unsettled:
+        counts = ", ".join(f"{k} of {len(claimed)} claimed rows {status}"
+                           for status, k in sorted(unsettled.items()))
+        print(f"verify {args.suite}: UNRESOLVED ({counts})")
+        return EXIT_NUMERIC
+    print(f"verify {args.suite}: OK")
+    return EXIT_OK
 
 
 def main(argv=None) -> int:

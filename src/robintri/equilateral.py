@@ -37,7 +37,7 @@ gradient term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import NumericError, check_area, check_coupling, check_unit_interval
@@ -50,20 +50,16 @@ _SQRT3 = math.sqrt(3.0)
 T0 = math.sqrt(9.0 - math.sqrt(33.0)) / 2.0
 
 
-@dataclass(frozen=True)
-class EquilateralSolution:
-    """Solved transcendental data for one (alpha, S)."""
+class EquilateralSolution(namedtuple("EquilateralSolution",
+                                       ("alpha", "S", "t", "K", "L", "M", "lambda0",
+                                        "log_one_minus_t"))):
+    """Solved transcendental data for one (alpha, S), every field a float.
 
-    alpha: float
-    S: float
-    t: float
-    K: float
-    L: float
-    M: float
-    lambda0: float
-    #: log(1 - t); kept separately because 1 - t underflows float64 once
-    #: beta = -alpha*sqrt(sqrt(3) S) grows past ~350
-    log_one_minus_t: float
+    log_one_minus_t is log(1 - t), kept separately because 1 - t underflows
+    float64 once beta = -alpha*sqrt(sqrt(3) S) grows past ~350.
+    """
+
+    __slots__ = ()
 
     @property
     def beta(self) -> float:
@@ -349,12 +345,11 @@ def local_optimality_alpha_bound(S: float) -> tuple[float, float]:
     return simple, improved
 
 
-@dataclass(frozen=True)
-class HessianBounds:
-    """Upper bounds for the diagonal second derivatives at the equilateral point."""
+class HessianBounds(namedtuple("HessianBounds", ("bound_aa", "bound_cc"))):
+    """Upper bounds for the diagonal second derivatives at the equilateral point,
+    both floats."""
 
-    bound_aa: float
-    bound_cc: float
+    __slots__ = ()
 
 
 def _normalised_ground_state(alpha: float, S: float) -> tuple[float, float]:

@@ -15,7 +15,7 @@ which is the labelling every boundary-weighted form in this package uses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError, NumericError, check_area, check_finite, check_length
 
@@ -32,25 +32,19 @@ def b0(S: float) -> float:
     return math.sqrt(math.sqrt(3.0) * S)
 
 
-@dataclass(frozen=True)
-class TriangleGeometry:
+class TriangleGeometry(namedtuple("TriangleGeometry", (
+        "a", "c", "S", "vertices", "side_lengths", "perimeter", "theta_star", "L_prime",
+        "apex_index", "corners"))):
     """Omega_{a,c} of area S and the data derived from it, built by make_triangle.
 
-    side_lengths are in label order and corners[i] is corner(vertices,
-    side_lengths, i); theta_star is the smallest angle (at vertex apex_index,
-    the first minimum) clamped to pi/3, and L_prime the shorter side there.
+    a, c, S, perimeter, theta_star and L_prime are floats and apex_index an
+    int.  vertices holds the three (x, y) float pairs, side_lengths the three
+    lengths in label order, and corners[i] is corner(vertices, side_lengths,
+    i); theta_star is the smallest angle (at vertex apex_index, the first
+    minimum) clamped to pi/3, and L_prime the shorter side there.
     """
 
-    a: float
-    c: float
-    S: float
-    vertices: tuple[tuple[float, float], ...]
-    side_lengths: tuple[float, float, float]
-    perimeter: float
-    theta_star: float
-    L_prime: float
-    apex_index: int
-    corners: tuple[tuple[float, float, tuple[float, float], tuple[float, float]], ...]
+    __slots__ = ()
 
     @property
     def b(self) -> float:

@@ -6,7 +6,8 @@ reference-triangle field carried onto Omega_{a,c} with the affine map's
 inverse metric and edge stretch weights; the constant and
 corner-exponential fields are the other two trial functions of the paper.
 exact_sector_quotient is the corner exponential's Rayleigh quotient with
-every norm in closed form.
+every norm in closed form, and closed_lower_bound a closed lower bound for
+the eigenvalue of any triangle.
 """
 
 import math
@@ -158,3 +159,18 @@ def exact_sector_quotient(alpha, tri, vertex=None):
 
     bdry = side(0, 1) + side(0, 2) + side(1, 2)
     return rate * rate + alpha * bdry / (2.0 * tri.S * _exp_divided_difference(*z))
+
+
+def closed_lower_bound(alpha, tri):
+    """alpha P/S - alpha^2 / sin^2(theta_min/2), a lower bound for the lowest
+    Robin eigenvalue of the triangle at every coupling alpha < 0.
+
+    With I the incentre and r = 2S/P the inradius, F(x) = (x - I)/r has
+    F.n = 1 on every side and div F = P/S, and |F| <= 1/sin(theta_min/2) on
+    the triangle, whose farthest point from I is the vertex of the smallest
+    angle.  The divergence theorem gives ||u||^2_bdry <= (P/S)||u||^2 +
+    (2/sin(theta_min/2)) ||u|| ||grad u||, and the bound is the minimum over
+    ||grad u||/||u|| of the Rayleigh quotient this leaves.
+    """
+    theta_min = min(c[0] for c in as_geometry(tri).corners)
+    return alpha * tri.perimeter / tri.S - (alpha / math.sin(0.5 * theta_min)) ** 2

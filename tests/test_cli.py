@@ -368,6 +368,22 @@ class TestVerify:
         assert len(rows) == 15 and all(float(row["gamma"]) < 1.0 for row in rows)
         assert [row["margin_link2"] for row in rows if not float(row["margin_link2"]) < 0.0] == []
 
+    def test_unconverged_claimed_rows_leave_the_suite_unresolved(self, capsys, monkeypatch):
+        """Claimed rows with verdict 1 whose ladders stopped at their level cap
+        neither pass nor fail the suite: it is UNRESOLVED and exits 2.  The
+        ladder is stubbed to the closed form, unconverged."""
+        def ladder(tri, alpha, rel_tol):
+            return fem.EigenResult(lambda1=lambda0(alpha, tri.S), eigenvector=None,
+                                   iterations=0, residual=0.0, converged=False)
+
+        monkeypatch.setattr(fem, "eigenvalue_converged", ladder)
+        code, out, _ = run(capsys, ["verify", "--suite", "perimeter", "--alpha", "-0.5"])
+        assert code == EXIT_NUMERIC
+        header, *rows, last = out.splitlines()
+        rows = [dict(zip(header.split(","), row.split(","))) for row in rows]
+        assert {(row["verdict"], row["status"]) for row in rows} == {("1", "unconverged")}
+        assert last == "verify perimeter: UNRESOLVED (15 of 15 claimed rows unconverged)"
+
     def test_local_suite_past_the_claim_makes_no_claim(self, capsys, monkeypatch):
         """alpha = -1.5 lies past the simple threshold -0.92/sqrt(S) at the
         default area: the row is not claimed, and the suite passes with no

@@ -47,12 +47,14 @@ def test_all_lists_exactly_the_imported_public_names():
         assert getattr(robintri, module) is importlib.import_module(f"robintri.{module}")
 
 
-def _fresh(code: str) -> list[str]:
-    """The stdout lines of code run in a fresh interpreter on this checkout's
-    package: pytest itself has loaded SciPy (pyproject's warning filters name
-    scipy.sparse), so only a new process shows what an import loads."""
+def _fresh(code: str, *flags: str) -> list[str]:
+    """The stdout lines of code run in a fresh interpreter, with the
+    interpreter flags given, on this checkout's package: pytest itself has
+    loaded SciPy (pyproject's warning filters name scipy.sparse), so only a new
+    process shows what an import loads."""
     path = os.pathsep.join(filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+    proc = subprocess.run([sys.executable, *flags, "-c", code],
+                          env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120, check=True)
     return proc.stdout.splitlines()
 
@@ -129,6 +131,45 @@ def test_import_loads_no_numpy_scipy_or_multiprocessing():
     code = ("import sys, robintri; print([m for m in ('numpy', 'scipy.sparse', "
             "'multiprocessing') if m in sys.modules])")
     assert _fresh(code) == ["[]"]
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    """The closed-form records are named tuples, so import robintri loads
+    neither dataclasses (which loads inspect, ast, dis and tokenize) nor
+    typing.  -S runs no site file, whose .pth files may preload typing."""
+    code = ("import sys, robintri; print([m for m in ('dataclasses', 'inspect', 'typing') "
+            "if m in sys.modules])")
+    assert _fresh(code, "-S") == ["[]"]
+
+
+# each closed-form record -> its one constructor and its fields, in order
+_RECORDS = {
+    "TriangleGeometry": (lambda: robintri.make_triangle(0.3, 0.8, 0.5), (
+        "a", "c", "S", "vertices", "side_lengths", "perimeter", "theta_star", "L_prime",
+        "apex_index", "corners")),
+    "EquilateralSolution": (lambda: robintri.solve_equilateral(-1.0, 0.5), (
+        "alpha", "S", "t", "K", "L", "M", "lambda0", "log_one_minus_t")),
+    "HessianBounds": (lambda: robintri.hessian_upper_bounds(-1.0, 0.5), ("bound_aa", "bound_cc")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+def test_records_are_immutable_values(name):
+    """Each record refuses a field assignment and any new attribute; equal
+    inputs give equal records with equal hashes; its repr names the class and
+    every field; and, as a named tuple, it equals the tuple of its fields in
+    their declared order."""
+    make, names = _RECORDS[name]
+    record, twin = make(), make()
+    assert type(record) is getattr(robintri, name) and record is not twin
+    for field in names:
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.0)
+    with pytest.raises(AttributeError):
+        record.extra = 0.0
+    assert record == twin and hash(record) == hash(twin)
+    assert re.fullmatch(rf"{name}\({', '.join(f'{f}=.+' for f in names)}\)", repr(record))
+    assert record == tuple(getattr(record, field) for field in names)
 
 
 @pytest.mark.parametrize("mode, axes", [
@@ -244,6 +285,7 @@ S3 = 1.0 / math.sqrt(3.0)
 TRI = robintri.make_triangle(0.3, 0.8, S3)
 SYSTEM = robintri.assemble(robintri.build_mesh(TRI, 2), -1.0)  # 15 nodes
 NAN, INF = math.nan, math.inf
+NOT_TRIANGLES = (None, 1.0, "tri", tuple(TRI))     # a tuple of its fields is no triangle
 COUPLINGS = (NAN, INF, -INF, 0.0, 1.0, "-1")       # fails: finite and strictly negative
 POSITIVES = (NAN, INF, -INF, 0.0, -1.0, "1", True)  # fails: positive and finite
 FINITES = (NAN, INF, -INF)
@@ -270,7 +312,7 @@ _BAD_INPUTS = {
     "perimeter_min_over_a/c": (lambda v: robintri.perimeter_min_over_a(v, 1.0), POSITIVES,
                                "c must be positive and finite"),
     "perimeter_min_over_a/S": (lambda v: robintri.perimeter_min_over_a(1.0, v), POSITIVES, AREA),
-    "perimeter_normalizer/tri": (robintri.perimeter_normalizer, (None, 1.0, "tri"),
+    "perimeter_normalizer/tri": (robintri.perimeter_normalizer, NOT_TRIANGLES,
                                  "expected a TriangleGeometry from make_triangle"),
     "g_threshold/t": (robintri.g_threshold, FINITES + (0.0, 1.0, -0.5), "t must be in (0, 1)"),
     "lambda0_lower_bound/S": (lambda v: robintri.lambda0_lower_bound(-1.0, v), POSITIVES, AREA),
@@ -284,7 +326,7 @@ _BAD_INPUTS = {
                          "refinement level must be a non-negative integer"),
     "FemMesh/level": (lambda v: robintri.FemMesh(TRI, v), LEVELS,
                       "refinement level must be a non-negative integer"),
-    "FemMesh/tri": (lambda v: robintri.FemMesh(v, 2), (None, 1.0, "tri"),
+    "FemMesh/tri": (lambda v: robintri.FemMesh(v, 2), NOT_TRIANGLES,
                     "expected a TriangleGeometry from make_triangle"),
     "solve_at_level/alpha": (lambda v: robintri.solve_at_level(TRI, v, 2), COUPLINGS, ALPHA),
     "solve_at_level/level": (lambda v: robintri.solve_at_level(TRI, -1.0, v), LEVELS,
@@ -301,7 +343,7 @@ _BAD_INPUTS = {
         lambda v: robintri.eigenvalue_converged(TRI, -1.0, max_level=v), (5.5, 6.0, "6"),
         "max_level must be a non-negative integer"),
     "shape_derivatives/alpha": (lambda v: robintri.shape_derivatives(TRI, v), COUPLINGS, ALPHA),
-    "shape_derivatives/tri": (lambda v: robintri.shape_derivatives(v, -1.0), (None, 1.0, "tri"),
+    "shape_derivatives/tri": (lambda v: robintri.shape_derivatives(v, -1.0), NOT_TRIANGLES,
                               "expected a TriangleGeometry from make_triangle"),
     "ScanConfig/alpha_range": (
         lambda v: robintri.ScanConfig(mode="constant-region", alpha_range=(-2.0, v, 3)),

@@ -8,12 +8,14 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from oracles import (constant, corner_exponential, edge_stretch_weights, exact_sector_quotient,
-                     ground_state, inverse_metric, side_integrals, transported_form)
+from oracles import (closed_lower_bound, constant, corner_exponential, edge_stretch_weights,
+                     exact_sector_quotient, ground_state, inverse_metric, side_integrals,
+                     transported_form)
 
 from robintri import _quad, geometry
 from robintri.equilateral import lambda0, solve_equilateral
 from robintri.errors import DomainError, NumericError
+from robintri.fem import eigenvalue_converged
 from robintri.geometry import b0, c0, make_triangle
 from robintri.scan import ScanConfig, run_scan
 from robintri.trial import (
@@ -545,6 +547,38 @@ class TestLowerBound:
         a NumericError naming the coupling and the area, not -inf."""
         with pytest.raises(NumericError, match=re.escape(f"overflows float64 at {text}")):
             lambda0_lower_bound(alpha, S)
+
+
+
+class TestClosedLowerBound:
+    """The oracle closed_lower_bound: alpha P/S - alpha^2/sin^2(theta_min/2)."""
+
+    @pytest.mark.parametrize("S", [0.3, 1.0 / math.sqrt(3.0), 4.0])
+    @pytest.mark.parametrize("alpha", [-1e-6, -0.5, -8.0, -100.0])
+    def test_below_lambda0_at_the_equilateral_point(self, alpha, S):
+        assert closed_lower_bound(alpha, make_triangle(0.0, c0(S), S)) < lambda0(alpha, S)
+
+    def test_level_values_and_certificates_lie_above_it(self, rng):
+        """Every level value of a coarse ladder (a conforming upper bound),
+        the constant field's bound and both sector bounds at each anchor lie
+        at or above the bound, on four flat cells at S = 1 and
+        on seeded cells.  With the largest angle in place of the smallest the
+        check fails on all but one of these cells."""
+        cells = [(0.0, 2.0, 1.0, -4.0), (2.5, 0.8, 1.0, -4.0), (1.5, 0.4, 1.0, -8.0),
+                 (0.0, 2.0, 1.0, -0.5)]
+        for _ in range(16):
+            S = math.exp(rng.uniform(-1.5, 1.5))
+            root = math.sqrt(S)
+            cells.append((root * rng.uniform(-3.0, 3.0), root * math.exp(rng.uniform(-1.5, 1.5)),
+                          S, -math.exp(rng.uniform(math.log(0.01), math.log(30.0))) / root))
+        for a, c, S, alpha in cells:
+            tri = make_triangle(a, c, S)
+            values = [*eigenvalue_converged(tri, alpha, rel_tol=1e-3, max_level=5).history,
+                      constant_bound(alpha, tri)[0]]
+            for vertex in range(3):
+                values += sector_bound(alpha, tri, anchor_vertex=vertex)
+            bound = closed_lower_bound(alpha, tri)
+            assert min(values) >= bound - 1e-12 * abs(bound), (a, c, S, alpha)
 
 
 _ALPHA_ENTRIES = {
