@@ -27,13 +27,14 @@ to 2 sigma - 1/S: every rule is relative to 1/S, so a dilated problem tries
 the same shifts, scaled.  A ladder starts that loop from the coarser level's
 ground vector: the lattices are nested, so interpolated onto the finer one it
 is the coarse eigenfunction itself (_prolongate).  On both paths the level's
-value is the Rayleigh quotient of the returned vector.  The shifted pencil is
+value is the Rayleigh quotient of the returned vector, with the stiffness
+applied to the vector less its mean, which does not cancel at weak coupling.
+The shifted pencil is
 arithmetic on the data vectors of the one symmetric CSR pattern that assemble
 gives A = K + alpha B and M, so no sparse add or format conversion runs per
-level or per shift.  A level's elimination order is computed once per
-process, by its first factorisation; every later solve of the level
-renumbers its pencil into that order (one gather of the data vectors),
-factors it in natural order and runs its Lanczos loop in that numbering.
+level or per shift.  Each lattice numbers its nodes in the level's
+minimum-degree elimination order, computed once when the lattice is built,
+so every pencil is factored in natural order and solved in its own numbering.
 _settle is the one Richardson loop of all three ladders:
 eigenvalue_converged, shape_derivatives and the soundness oracle
 scan._raw_upper_bound.
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import cg, splu
+from scipy.sparse.linalg import cg, spilu, splu
 
 from .errors import (DomainError, NumericError, ResourceError, check_coupling, check_finite,
                      check_level, check_rel_tol)
@@ -89,7 +90,9 @@ _MARGIN = 1.05
 class FemMesh:
     """The level-`refinement_level` lattice mesh of tri (ResourceError above MAX_LEVEL):
     the cached lattice's read-only topology arrays, and nodes computed when read,
-    v0 + xi (v1 - v0) + eta (v2 - v0) at the lattice's unit coordinates (xi, eta)."""
+    v0 + xi (v1 - v0) + eta (v2 - v0) at the lattice's unit coordinates (xi, eta).
+    Nodes are numbered in the level's elimination order (_lattice), not row by
+    row; so are assemble's pencils and the eigenvectors of this level."""
 
     tri: TriangleGeometry
     refinement_level: int
@@ -160,7 +163,8 @@ class EigenResult:
 class _Lattice:
     """The level-n mesh in unit lattice coordinates and its reference matrices
     as data over one CSR pattern, the union of the element and boundary
-    couplings.  The arrays are read-only."""
+    couplings, all in the level's elimination order.  The arrays are
+    read-only."""
 
     unit: np.ndarray            # (N, 2) lattice coordinates (i/n, j/n)
     elements: np.ndarray
@@ -182,15 +186,35 @@ class _Lattice:
         """sum_j h_j K_j + alpha sum_k l_k B_k, for stiffness weights h and side lengths ell."""
         return self.matrix((0.5 * h) @ self.stiffness + alpha * (self.sides @ ell))
 
+    def boundary(self, ell: np.ndarray, u: np.ndarray) -> float:
+        """u^T (sum_k l_k B_k) u, summed over the boundary edges: an edge of
+        side k has length l_k / n, and there are 3 n edges."""
+        p, q = u[self.boundary_edges].T
+        return float(ell[self.boundary_labels] @ (p * p + p * q + q * q)) / len(p)
+
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 
 
+def _elimination_order(elements: np.ndarray, size: int) -> np.ndarray:
+    """SuperLU's minimum-degree order of A^T + A on the pattern of the element
+    couplings (every boundary edge is an element edge), as new with node i
+    at position new[i].  The order depends on the pattern alone, and an
+    incomplete factorisation that drops every entry returns the one a
+    complete factorisation would choose, at about a third of its cost."""
+    rows, cols = np.repeat(elements, 3, axis=1).ravel(), np.tile(elements, (1, 3)).ravel()
+    pattern = sp.csc_matrix(((rows == cols) + 1.0, (rows, cols)), shape=(size, size))
+    return spilu(pattern, drop_tol=1.0, permc_spec="MMD_AT_PLUS_A",
+                 options=dict(SymmetricMode=True)).perm_c.astype(np.int64)
+
+
 @functools.lru_cache(maxsize=None)
 def _lattice(level: int) -> _Lattice:
-    """Lattice node (i, j), i + j <= n, numbered row by row in j; built on first use."""
+    """Lattice node (i, j), i + j <= n, numbered in the level's elimination
+    order (_elimination_order), in which _factor_counting factors every
+    pencil; built on first use."""
     n = 2**level
     row_len = n + 1 - np.arange(n + 1)
     offset = np.concatenate([[0], np.cumsum(row_len)])
@@ -207,19 +231,24 @@ def _lattice(level: int) -> _Lattice:
     up = np.stack([ids(ic, jc), ids(ic + 1, jc), ids(ic, jc + 1)], axis=1)
     down = np.stack([ids(ic + 1, jc), ids(ic + 1, jc + 1), ids(ic, jc + 1)], axis=1)
     keep = np.stack([np.ones(len(jc), dtype=bool), ic + jc <= n - 2], axis=1)
-    elements = np.stack([up, down], axis=1)[keep].astype(np.int64)
+    elements = np.stack([up, down], axis=1)[keep]
 
     k = np.arange(n)
     edges = np.concatenate([
         np.stack([ids(k, 0), ids(k + 1, 0)], axis=1),
         np.stack([ids(0, k), ids(0, k + 1)], axis=1),
         np.stack([ids(n - k, k), ids(n - k - 1, k + 1)], axis=1),
-    ]).astype(np.int64)
+    ])
     labels = np.repeat(np.arange(3, dtype=np.int64), n)
-    unit = np.stack([i_n / n, jn / n], axis=1)
+
+    # the ids above run row by row in j; the lattice keeps the ordered ones
+    size = len(jn)
+    new = _elimination_order(elements, size)
+    elements, edges = new[elements], new[edges]
+    unit = np.empty((size, 2))
+    unit[new] = np.stack([i_n / n, jn / n], axis=1)
 
     # pattern slot of every element and edge entry; only the sums are kept
-    size = len(unit)
     keys = np.concatenate([
         np.repeat(elements, 3, axis=1).ravel() * size + np.tile(elements, (1, 3)).ravel(),
         np.repeat(edges, 2, axis=1).ravel() * size + np.tile(edges, (1, 2)).ravel(),
@@ -267,12 +296,11 @@ def _parents(level: int) -> np.ndarray:
     between coarse nodes (ceil(i/2), floor(j/2)) and (floor(i/2), ceil(j/2)),
     one node twice when i and j are even.  Read-only, built on first use."""
     m = 2 ** (level - 1)
+    coarse = np.rint(_lattice(level - 1).unit * m).astype(np.int64)
+    ids = np.empty((m + 1, m + 1), dtype=np.int64)  # coarse id by (i, j)
+    ids[coarse[:, 0], coarse[:, 1]] = np.arange(len(coarse))
     i, j = np.rint(_lattice(level).unit * (2 * m)).astype(np.int64).T
-
-    def ids(i, j):
-        return j * (m + 1) - j * (j - 1) // 2 + i
-
-    return _frozen(np.stack([ids((i + 1) // 2, j // 2), ids(i // 2, (j + 1) // 2)]))
+    return _frozen(np.stack([ids[(i + 1) // 2, j // 2], ids[i // 2, (j + 1) // 2]]))
 
 
 def _prolongate(u: np.ndarray, level: int) -> np.ndarray:
@@ -446,56 +474,6 @@ def _restart(QM, T, theta, s) -> None:
     T[range(_KEEP), range(_KEEP)] = theta[-_KEEP:]
 
 
-@dataclass(frozen=True)
-class _Order:
-    """A symmetric CSR pattern renumbered into the elimination order that
-    SuperLU chose on its first factorisation of that pattern (perm_c).
-
-    Node i of the pattern is node new[i] of the ordered one.  The ordered
-    pattern's CSR arrays, which are also its CSC arrays, are indptr and
-    indices, and its k-th stored entry is the pattern's gather[k]-th.  source
-    and source_indices are the pattern's own arrays; source identifies it.
-    All arrays are int32 and read-only.
-    """
-
-    source: np.ndarray
-    source_indices: np.ndarray
-    new: np.ndarray
-    gather: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-
-    @classmethod
-    def of(cls, indptr: np.ndarray, indices: np.ndarray, perm_c: np.ndarray) -> _Order:
-        new = perm_c.astype(np.int32)
-        rows, cols = np.repeat(new, np.diff(indptr)), new[indices]
-        # each (row, col) pair occurs once, so one sort of a combined key orders them
-        gather = np.argsort(rows.astype(np.int64) * len(new) + cols).astype(np.int32)
-        ordered = np.zeros(len(indptr), dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=len(new)), out=ordered[1:])
-        return cls(source=indptr, source_indices=indices, new=_frozen(new),
-                   gather=_frozen(gather), indptr=_frozen(ordered), indices=_frozen(cols[gather]))
-
-    def renumbered(self, X: sp.csr_matrix) -> sp.csr_matrix:
-        """X, a matrix on the source pattern, in the ordered numbering.  The
-        result takes over X's data array, permuted in place, so X is spent:
-        a solve's pencil allocates no second copy."""
-        X.data[:] = X.data[self.gather]
-        return sp.csr_matrix((X.data, self.indices, self.indptr), shape=X.shape)
-
-    def restored(self, X: sp.csr_matrix) -> sp.csr_matrix:
-        """The inverse of renumbered, in place as well: X, a matrix in the
-        ordered numbering, on the source pattern."""
-        X.data[self.gather] = X.data.copy()
-        return sp.csr_matrix((X.data, self.source_indices, self.source), shape=X.shape)
-
-
-# node count -> the order of the pattern of that size that _factor_counting
-# last ordered by minimum degree: in a ladder, its level's lattice pattern,
-# recorded by the level's first factorisation in the process
-_ORDERS: dict[int, _Order] = {}
-
-
 def _factor_counting(A, M, sigma: float):
     """Factor A - sigma*M without row pivoting and read off its inertia.
 
@@ -509,24 +487,19 @@ def _factor_counting(A, M, sigma: float):
     matrix is symmetric its CSR arrays are its CSC arrays: SuperLU reads them
     with no conversion.
 
-    The elimination order is the minimum-degree order of A^T + A, which
-    depends on the pattern alone.  The first such factorisation of a pattern
-    records its order (an _Order, in _ORDERS), and a pencil already
-    renumbered into that order (solve_at_level does so) is factored in
-    natural order: the same fill and inertia, without recomputing the order
-    (a level-8 factorisation takes about 0.9 of the time).  The panel width
-    is _PANEL = 2, not SuperLU's default: the default is sized for wide
-    supernodes, and the ordered lattice pencils have narrow ones.  A level-8
-    factorisation (33k nodes) takes about three quarters of the default's
-    time; the inertia count is the same, and a solve through the factor
-    differs by rounding only.
+    The pencil comes in its lattice's numbering, the level's minimum-degree
+    elimination order (_lattice), so it is factored in natural order: the
+    fill of a minimum-degree factorisation, without computing the order per
+    factorisation.  The panel width is _PANEL = 2, not SuperLU's default: the
+    default is sized for wide supernodes, and the ordered lattice pencils
+    have narrow ones.  A level-8 factorisation (33k nodes) takes about three
+    quarters of the default's time; the inertia count is the same, and a
+    solve through the factor differs by rounding only.
     """
-    order = _ORDERS.get(A.shape[0])
-    ordered = order is not None and A.indptr is order.indptr
     lu = splu(
         sp.csc_matrix((A.data - sigma * M.data, A.indices, A.indptr), shape=A.shape),
         diag_pivot_thresh=0.0,
-        permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A",
+        permc_spec="NATURAL",
         panel_size=_PANEL,
         options=dict(SymmetricMode=True),
     )
@@ -535,8 +508,6 @@ def _factor_counting(A, M, sigma: float):
             f"factorisation at shift {sigma:g} pivoted off the diagonal; "
             "its U-diagonal signs are not an inertia count"
         )
-    if not ordered and (order is None or A.indptr is not order.source):
-        _ORDERS[A.shape[0]] = _Order.of(A.indptr, A.indices, lu.perm_c)
     return lu, int((lu.U.diagonal() < 0.0).sum())
 
 
@@ -586,16 +557,17 @@ def solve_at_level(tri, alpha: float, level: int,
     corner-localised ground and excited states are both nearly positive and
     sign inspection cannot tell them apart.  It starts from the constant plus
     a 1% ripple, or, given start (the ground vector of level - 1), from that
-    vector interpolated onto this mesh plus the same ripple.  Once the
-    level's elimination order is recorded (see _factor_counting), the pencil
-    and the start are renumbered into it, and the vector is numbered back
-    before it is returned.  At every level a
-    sigma0 that is not a finite real or a tuple of them, or a start that is
+    vector interpolated onto this mesh plus the same ripple.  At every level
+    a sigma0 that is not a finite real or a tuple of them, or a start that is
     not a finite nonzero 1-D array of level - 1's nodal values, raises
     DomainError before any factorisation; dense levels need no start and do
-    not use it.  On both paths lambda1 is the Rayleigh quotient
-    x^T A x / x^T M x of the returned vector; one level gives no error
-    estimate, so residual is nan (mass_residual measures the vector's).
+    not use it.  On both paths lambda1 is the Rayleigh quotient of the
+    returned vector x, (v^T K v + alpha x^T B x) / x^T M x with v = x -
+    mean(x): K 1 = 0, so that is x^T A x / x^T M x, but the stiffness rows no
+    longer cancel on a nearly constant x (weak coupling), where x^T A x
+    rounds to an error that scales with |K|, not |lambda|, and can put the
+    value below the discrete one.  One level gives no error estimate, so
+    residual is nan (mass_residual measures the vector's).
     """
     system = assemble(build_mesh(tri, level), alpha)
     A, M = system.form, system.mass
@@ -607,7 +579,7 @@ def solve_at_level(tri, alpha: float, level: int,
         peak = float(np.abs(start).max())
         if not (math.isfinite(peak) and peak > 0.0):
             raise DomainError("a start vector must be finite and nonzero")
-    n, back = A.shape[0], None
+    n = A.shape[0]
     if n <= _DENSE_NODES:
         vecs = scipy.linalg.eigh(A.toarray(), M.toarray(), subset_by_index=[0, 0])[1]
         if vecs.shape[1] == 0:
@@ -634,13 +606,6 @@ def solve_at_level(tri, alpha: float, level: int,
         # at every level, so a shift at or above it cannot be certified.
         ub = float(A.data.sum()) / float(M.data.sum())
         shifts = [s if s < ub else ub - 0.05 * max(unit, abs(ub)) for s in shifts]
-        order = _ORDERS.get(n)
-        if order is not None and A.indptr is order.source:
-            # the level's elimination order is known: renumber the pencil (in
-            # place) and the start into it once, so that every factorisation
-            # runs in natural order and no Lanczos solve gathers
-            A, M, back = order.renumbered(A), order.renumbered(M), order.new
-            x0[back] = x0.copy()
         sigma = shifts[0]
         for attempt in range(1, 81):
             try:
@@ -657,13 +622,12 @@ def solve_at_level(tri, alpha: float, level: int,
         else:
             raise NumericError(f"no shift below the spectrum found (last {sigma:g})")
         _, vec, solves = _power_iterate(lu, M, x0, sigma)
-        if back is not None:  # the value is the quotient in the mesh's numbering
-            A, M = order.restored(A), order.restored(M)
-            vec[:] = vec[back]
     if float(vec.sum()) < 0.0:
         vec = -vec
-    av, mv = A @ vec, M @ vec
-    lam = float(vec @ av) / float(vec @ mv)
+    # v^T K v = v^T A v - alpha v^T B v; B from the boundary edges, not a second matrix
+    lat, ell, v = _lattice(level), np.array(tri.side_lengths), vec - vec.mean()
+    edge_terms = lat.boundary(ell, vec) - lat.boundary(ell, v)
+    lam = (float(v @ (A @ v)) + alpha * edge_terms) / float(vec @ (M @ vec))
     return EigenResult(lambda1=lam, eigenvector=vec, iterations=solves, residual=math.nan,
                        level=level)
 
@@ -814,14 +778,18 @@ def _level_derivatives(lat: _Lattice, u: np.ndarray, alpha: float,
     u^T M u = 1: lambda_x = u^T A_x u, and lambda_xy = u^T A_xy u + 2 u^T A_x u_y,
     where u_y solves the bordered system [[A - lambda M, M u], [u^T M, 0]]
     [u_y; mu] = [-(A_y - lambda_y M) u; 0] (Nelson, AIAA J. 14, 1976).
+    Each A_x u is K_x v + alpha B_x u with v = u - mean(u), as K_x 1 = 0: the
+    stiffness rows do not cancel on a nearly constant u (see solve_at_level).
     """
     mass = lat.matrix(det * lat.mass)
     u = u / math.sqrt(float(u @ (mass @ u)))
-    forms = [lat.form(h[k], ell[k], alpha) for k in range(6)]
-    au = [f @ u for f in forms]
+    v = u - u.mean()
+    au = [lat.matrix((0.5 * h[k]) @ lat.stiffness) @ v
+          + alpha * (lat.matrix(lat.sides @ ell[k]) @ u) for k in range(6)]
     mu = mass @ u
     lam, lam_a, lam_c = (float(u @ au[k]) for k in range(3))
-    bordered = sp.bmat([[forms[0] - lam * mass, mu[:, None]], [mu[None, :], None]], format="csc")
+    bordered = sp.bmat([[lat.form(h[0], ell[0], alpha) - lam * mass, mu[:, None]],
+                        [mu[None, :], None]], format="csc")
     rhs = np.vstack([np.outer(mu, [lam_a, lam_c]) - np.column_stack(au[1:3]), np.zeros(2)])
     du = splu(bordered).solve(rhs)[:-1]
     second = [float(u @ au[3 + k] + 2.0 * au[x] @ du[:, y - 1])

@@ -335,6 +335,17 @@ class TestVerify:
         assert (cells["claimed"], cells["verdict"], cells["status"]) == ("1", "1", "ok")
         assert out.rstrip().endswith("verify local: OK")
 
+    def test_local_suite_at_weak_coupling(self, capsys):
+        """At alpha = -1e-9 the derivative ladder settles: the gradient reads
+        about 1e-22 where the lattice symmetry makes it 0, below the flatness
+        tolerance 1e-3 |lambda0| / c0 (about 1e-11), because each level's
+        stiffness acts on u - mean(u); on u itself it rounded to 4.8e-11."""
+        code, out, _ = run(capsys, ["verify", "--suite", "local", "--alpha=-1e-9"])
+        assert code == EXIT_OK
+        cells = dict(zip(*(line.split(",") for line in out.splitlines()[:2])))
+        assert (cells["claimed"], cells["verdict"], cells["status"]) == ("1", "1", "ok")
+        assert out.rstrip().endswith("verify local: OK")
+
     @pytest.mark.parametrize("suite", cli.SUITES)
     def test_every_suite_refuses_a_bad_area(self, suite, capsys):
         """A bad area is a usage error before any cell runs, not a failed check."""

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg
+from oracles import closed_lower_bound
 from scipy.linalg import eigh
 from scipy.sparse.linalg import splu
 
@@ -91,7 +92,22 @@ def loop_mesh(tri, level):
         boundary_edges=np.asarray(edges, dtype=np.int64),
         boundary_labels=np.repeat(np.arange(3), n),
         refinement_level=level,
+        ids=ids,
     )
+
+
+def loop_ids(ref):
+    """The loop_mesh id of each lattice node of ref's level, matched by the
+    node's lattice coordinates (i, j)."""
+    n = 2**ref.refinement_level
+    ij = np.rint(fem._lattice(ref.refinement_level).unit * n).astype(int)
+    return np.array([ref.ids[i, j] for i, j in ij.tolist()])
+
+
+def permuted(X, new):
+    """The sparse matrix X with node k moved to new[k], in CSR."""
+    X = X.tocoo()
+    return sp.csr_matrix((X.data, (new[X.row], new[X.col])), shape=X.shape)
 
 
 def coo_assemble(mesh):
@@ -217,14 +233,22 @@ class TestAssembly:
 
 class TestLatticeCache:
     def test_matches_loop_mesh_and_coo_assembly(self, rng):
+        """The lattice numbers its nodes in elimination order, loop_mesh row by
+        row: matched by lattice coordinates, the two numberings are one
+        bijection, under which nodes, elements, edges and the assembled
+        matrices agree."""
         for level in range(7):
             tri = make_triangle(rng.uniform(-2, 2), rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0))
             mesh, ref = build_mesh(tri, level), loop_mesh(tri, level)
+            to_ref = loop_ids(ref)
+            assert np.array_equal(np.sort(to_ref), np.arange(len(ref.nodes)))
+            to_mesh = np.argsort(to_ref)
             scale = float(np.abs(ref.nodes).max())
-            assert np.abs(mesh.nodes - ref.nodes).max() <= 1e-15 * scale
-            for name in ("elements", "boundary_edges", "boundary_labels"):
-                assert np.array_equal(getattr(mesh, name), getattr(ref, name))
-            k_ref, m_ref, b_ref = coo_assemble(ref)
+            assert np.abs(mesh.nodes - ref.nodes[to_ref]).max() <= 1e-15 * scale
+            assert np.array_equal(mesh.elements, to_mesh[ref.elements])
+            assert np.array_equal(mesh.boundary_edges, to_mesh[ref.boundary_edges])
+            assert np.array_equal(mesh.boundary_labels, ref.boundary_labels)
+            k_ref, m_ref, b_ref = (permuted(X, to_mesh) for X in coo_assemble(ref))
             # two couplings pin the stiffness and the boundary mass separately
             for alpha in (-1.5, -0.25):
                 system = assemble(mesh, alpha)
@@ -323,12 +347,6 @@ class TestFactorCounting:
             for lo, hi in ((1, 4), (5, 20), (40, 120)):
                 k = lo + int(np.argmax(np.diff(spec[lo - 1:hi])))
                 assert _factor_counting(form, mass, 0.5 * (spec[k - 1] + spec[k]))[1] == k
-                # the pencil renumbered into the level's recorded order, as
-                # solve_at_level factors it, in natural order (renumbered
-                # permutes its argument's data in place)
-                order = fem._ORDERS[form.shape[0]]
-                ordered = order.renumbered(form.copy()), order.renumbered(mass.copy())
-                assert _factor_counting(*ordered, 0.5 * (spec[k - 1] + spec[k]))[1] == k
 
     def test_panel_width_moves_values_by_rounding_only(self, monkeypatch):
         """Levels 5 to 7 give the same value, to 1e-12 relative, through a
@@ -350,32 +368,33 @@ class TestFactorCounting:
         assert widths and set(widths) == {fem._PANEL}
         np.testing.assert_allclose(panel, default, rtol=1e-12, atol=0.0)
 
-    def test_one_elimination_order_per_level(self, monkeypatch):
-        """The first factorisation of a level's pattern orders it by minimum
-        degree and records the order; every later solve of the level factors
-        its pencil, renumbered into that order, in natural order.  Values agree
-        with a solve that orders afresh to 1e-12, and vectors, numbered back,
-        to 1e-10."""
-        specs = []
+    def test_every_factorisation_keeps_the_lattice_order(self, monkeypatch):
+        """Every pencil factorisation of a ladder to level 8 passes NATURAL and
+        keeps perm_r == perm_c.  At levels 5 to 8 its fill equals that of a
+        minimum-degree factorisation of the same pencil numbered row by row:
+        the lattice's numbering is that order (the row-by-row numbering
+        factored in natural order fills far more).  Minimum degree run on the
+        ordered numbering itself breaks its ties otherwise and fills 2 to 15%
+        more, so it is no reference."""
+        specs, first = [], {}
 
-        def recording(*args, permc_spec=None, **kwargs):
-            specs.append(permc_spec)
-            return splu(*args, permc_spec=permc_spec, **kwargs)
+        def recording(A, **kwargs):
+            lu = splu(A, **kwargs)
+            specs.append((kwargs["permc_spec"], np.array_equal(lu.perm_r, lu.perm_c)))
+            if A.shape[0] not in first:
+                first[A.shape[0]] = A.copy(), lu.L.nnz + lu.U.nnz
+            return lu
 
         monkeypatch.setattr(fem, "splu", recording)
-        cases = [(make_triangle(0.5, 0.8, S_THIRD), -2.0), (make_triangle(2.4, 0.3, S_THIRD), -8.0)]
-        fresh = []
-        for tri, alpha in cases:
-            monkeypatch.setattr(fem, "_ORDERS", {})
-            fresh.append(solve_at_level(tri, alpha, 6))
-        assert specs == ["MMD_AT_PLUS_A"] * 2
-        for (tri, alpha), want in zip(cases, fresh):
-            res = solve_at_level(tri, alpha, 6)
-            assert abs(res.lambda1 - want.lambda1) <= 1e-12 * abs(want.lambda1)
-            diff = np.abs(res.eigenvector - want.eigenvector).max()
-            assert diff <= 1e-10 * np.abs(want.eigenvector).max()
-        assert specs == ["MMD_AT_PLUS_A"] * 2 + ["NATURAL"] * 2
-        assert list(fem._ORDERS) == [len(fresh[0].eigenvector)]
+        tri = make_triangle(0.5, 0.8, S_THIRD)
+        assert [res.level for res in walk_levels(tri, -2.0, 2, 8, [])] == list(range(2, 9))
+        assert len(specs) >= 4 and set(specs) == {("NATURAL", True)}
+        for level in (5, 6, 7, 8):
+            pencil, fill = first[(2**level + 1) * (2**level + 2) // 2]
+            rows = permuted(pencil, loop_ids(loop_mesh(tri, level))).tocsc()
+            mmd = splu(rows, diag_pivot_thresh=0.0, permc_spec="MMD_AT_PLUS_A",
+                       panel_size=fem._PANEL, options=dict(SymmetricMode=True))
+            assert mmd.L.nnz + mmd.U.nnz == fill
 
     def test_unsymmetric_permutation_is_refused(self, monkeypatch):
         """The U-diagonal sign count is an inertia only when perm_r == perm_c."""
@@ -477,7 +496,11 @@ class TestLowestEigenpair:
             system = assemble(build_mesh(tri, level), alpha)
             res = solve_at_level(tri, alpha, level)
             assert math.isnan(res.residual)
-            r = system.form @ res.eigenvector - res.lambda1 * (system.mass @ res.eigenvector)
+            # the plain quotient on both sides: a converged vector's residual is
+            # so small that lambda1's own rounding would move it past 1e-10
+            x = res.eigenvector
+            ax, mx = system.form @ x, system.mass @ x
+            r = ax - (float(x @ ax) / float(x @ mx)) * mx
             want = math.sqrt(float(r @ splu(system.mass.tocsc()).solve(r)))
             assert abs(mass_residual(system, res.eigenvector) - want) <= 1e-10 * want
             # the vector's scale does not enter (checked off the rounding floor)
@@ -486,13 +509,23 @@ class TestLowestEigenpair:
             assert abs(mass_residual(system, -3.0 * ones) - once) <= 1e-12 * once
 
     def test_value_is_the_rayleigh_quotient(self):
-        """lambda1 is x^T A x / x^T M x of the returned vector; at level 7 the
-        Lanczos loop's Ritz value sigma + 1/theta sits about 2.5e-13 off it."""
-        tri = make_triangle(1.8, 1.32, S_THIRD)
-        system = assemble(build_mesh(tri, 7), -0.5)
-        res = solve_at_level(tri, -0.5, 7)
-        x = res.eigenvector
-        quotient = float(x @ (system.form @ x)) / float(x @ (system.mass @ x))
+        """lambda1 is the Rayleigh quotient (x^T K x + alpha x^T B x) / x^T M x
+        of the returned vector, here summed in long double from the lattice's
+        reference forms; at level 7 the Lanczos loop's Ritz value sigma +
+        1/theta sits about 2.5e-13 off it."""
+        tri, alpha, ld = make_triangle(1.8, 1.32, S_THIRD), -0.5, np.longdouble
+        res = solve_at_level(tri, alpha, 7)
+        lat, x = fem._lattice(7), res.eigenvector.astype(ld)
+        h, ell = fem._weights(fem._invariant_jet(tri.a, tri.c, tri.S), 2.0 * tri.S)
+        rows = np.repeat(np.arange(len(x)), np.diff(lat.indptr))
+
+        def quadratic(data):
+            return (data * x[rows] * x[lat.indices]).sum()
+
+        kxx = quadratic((0.5 * h[0]).astype(ld) @ lat.stiffness.astype(ld))
+        bxx = quadratic(lat.sides.toarray().astype(ld) @ ell[0].astype(ld))
+        mxx = quadratic(lat.mass.astype(ld) * ld(2.0 * tri.S))
+        quotient = float((kxx + ld(alpha) * bxx) / mxx)
         assert abs(res.lambda1 - quotient) <= 1e-14 * abs(quotient)
 
     def test_eigenvector_is_signed_consistently(self):
@@ -920,6 +953,24 @@ class TestConvergence:
         assert np.all(hist >= lam0)
         assert abs(res.lambda1 - lam0) < 1e-6 * abs(lam0)
 
+    @pytest.mark.parametrize("S", [1e-4, S_THIRD, 1e4])
+    @pytest.mark.parametrize("alpha", [-1e-6, -1e-9, -1e-12])
+    def test_weak_coupling_levels_lie_above_lambda0(self, S, alpha):
+        """Conforming levels are upper bounds in floating point too: at the
+        equilateral triangle every level value from 2 to 8 lies at or above
+        lambda0, less a slack of 32 ulps of lambda0 (7e-15 relative; a
+        long-double evaluation of the same quotients differed by at most 11
+        ulps), and at or above the closed lower bound.  A stiffness applied to
+        the nearly constant vector itself rounds to errors that scale with |K|,
+        not |lambda|: level 8 then reads 2.0e-3 relative below lambda0 at S =
+        1/sqrt(3), alpha = -1e-9, and below the closed lower bound too."""
+        tri = make_triangle(0.0, c0(S), S)
+        lam0, skipped = lambda0(alpha, S), []
+        values = [res.lambda1 for res in walk_levels(tri, alpha, 2, 8, skipped)]
+        assert not skipped and len(values) == 7
+        assert min(values) >= lam0 - 32.0 * math.ulp(lam0)
+        assert min(values) >= closed_lower_bound(alpha, tri)
+
     def test_skewed_triangle_against_closed_form_bound(self):
         """The corner-localised skewed state sits far below the equilateral
         value; raw conforming levels already prove the strict inequality."""
@@ -1026,13 +1077,15 @@ class TestConvergence:
 
     @pytest.mark.parametrize("alpha", [-1e-6, -1e-7, -1e-9])
     def test_rounding_at_weak_coupling_skips_no_level(self, alpha):
-        """At weak coupling the true level-to-level drop, O(alpha^2 h^2), is
-        below the Rayleigh quotient's rounding floor, which does not shrink
-        with alpha: levels rise by rounding (here by up to 1e-10 on a flat
-        triangle at level 8), and none is skipped for it."""
+        """At weak coupling the ground vector is nearly constant and the level
+        values, quotients with the stiffness applied to x - mean(x), fall
+        monotonically on a flat triangle: no level is skipped, and the ladder
+        settles to 1e-8 at level 4, as the drops shrink 4x per level."""
         res = eigenvalue_converged(make_triangle(-0.9, 0.15, 1.0), alpha, rel_tol=1e-8,
                                    max_level=8)
-        assert res.skipped == () and res.level == 8 and len(res.history) == 7
+        assert res.skipped == () and res.converged
+        assert res.level == 4 and len(res.history) == 3
+        assert np.all(np.diff(res.history) < 0.0)
         assert fem.shape_derivatives(make_triangle(0.0, c0(1.0), 1.0), alpha).skipped == ()
 
     @pytest.mark.parametrize("alpha,texts", [
