@@ -13,21 +13,21 @@ segment_apply stacks of endpoints, and each calls f once on the points of
 every cell in the stack.
 
 One adaptive loop serves both domains, vectorised over open cells in the
-manner of Shampine's quadgk (J. Comput. Appl. Math. 211, 2008).  It takes a
-stack of roots (segment_integrate's m segments, or one triangle) and every
-open cell carries the index of its root.  Each pass pops a batch of cells of
-every root off a LIFO stack, splits every one of them (a triangle into four
+manner of Shampine's quadgk (J. Comput. Appl. Math. 211, 2008).  The cells it
+is given, its roots (one triangle, or segment_integrate's m segments), start
+one integral with one total and one cell budget.  Each pass pops a batch of
+cells off a LIFO stack, splits every one of them (a triangle into four
 congruent children, a segment into two halves), evaluates all the children
 with one rule call and accepts a cell when its coarse and fine answers agree
 componentwise; the children of the cells that fail go back on the stack as
-one chunk.  The running magnitude, the total and the cell budget are kept per
-root, and a batch takes at most as many cells of a root as a one-root loop
-would, so each root's value is bit for bit the one it has alone.  A batch is
-bounded by evaluation points per root, not cells, so a high-order rule costs
-no more memory per call than a low-order one.  This is what resolves the
-boundary-layer exponentials at strong coupling without hand-tuned meshes, at
-a few dozen rule calls per integral, and the three sides of a triangle share
-those calls.
+one chunk.  A batch is bounded by evaluation points, not cells, so a
+high-order rule costs no more memory per call than a low-order one.  This is
+what resolves the boundary-layer exponentials at strong coupling without
+hand-tuned meshes, at a few dozen rule calls per integral, and the three
+sides of a triangle share those calls.  Each root keeps its own running
+magnitude: on a flat triangle the Gauss nodes of one long side can miss a
+layer 1e-4 wide that the other side has found, and against that side's mass
+the miss would pass for converged.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ _MAX_CELLS = 400_000
 #: subdivision depth at which a triangle / segment cell is accepted as is
 _MAX_DEPTH_TRIANGLE = 26
 _MAX_DEPTH_SEGMENT = 40
-#: evaluation points one batched rule call of the adaptive loop may use per
-#: root (a batch always takes at least one cell of each open root)
+#: evaluation points one batched rule call of the adaptive loop may use (a
+#: batch always takes at least one cell)
 _MAX_POINTS = 2**15
 
 
@@ -126,59 +126,45 @@ def _finite(vals: np.ndarray, what: str) -> np.ndarray:
     return vals
 
 
-def _pop(stack: list, size: int, m: int) -> tuple[np.ndarray, ...]:
-    """Take up to `size` cells of each of m roots, with their coarse values,
-    depths and root indices, off the top of a stack of (cells, coarse, depth,
-    root) chunks.  Per root these are the cells, in the same order, that a
-    stack of that root's cells alone would give."""
-    need = [size] * m
-    taken, rest = [], []
-    while stack and max(need) > 0:
+def _pop(stack: list, size: int) -> tuple[np.ndarray, ...]:
+    """Take up to `size` cells, with their coarse values, depths and roots,
+    off the top of a stack of (cells, coarse, depth, root) chunks: the cells a
+    stack of single cells would pop one at a time, in that order."""
+    taken = []
+    while stack and size > 0:
         chunk = stack.pop()
-        # a chunk no longer than every root's need is taken whole
-        if len(chunk[0]) > min(need):
-            root = chunk[3]
-            take = np.zeros(len(root), dtype=bool)
-            for r in range(m):
-                at = np.flatnonzero(root == r)
-                take[at[max(0, len(at) - need[r]):]] = True
-            if not take.all():
-                rest.append(tuple(a[~take] for a in chunk))
-                chunk = tuple(a[take] for a in chunk)
+        if len(chunk[0]) > size:
+            stack.append(tuple(a[:-size] for a in chunk))
+            chunk = tuple(a[-size:] for a in chunk)
         taken.append(chunk)
-        if stack:
-            counts = np.bincount(chunk[3], minlength=m).tolist()
-            need = [n - c for n, c in zip(need, counts)]
-    stack.extend(reversed(rest))
+        size -= len(chunk[0])
     if len(taken) == 1:
         return taken[0]
     return tuple(np.concatenate(parts) for parts in zip(*taken))
 
 
 def _adaptive(rule, split, roots: np.ndarray, batch: int, tol: float, max_depth: int,
-              what: str) -> np.ndarray:
-    """Shared subdivision loop over batches of open cells of a stack of m roots.
+              what: str):
+    """Shared subdivision loop: the integral of f over the union of the cells
+    `roots`, as a float for a scalar integrand and (c,) for c components.
 
-    Every open cell carries the index of its root, and each root keeps its
-    own running magnitude, total and cell budget.  Each pass pops up to
-    `batch` cells of every root off the LIFO stack and evaluates all their
-    children with one rule call, so a root goes through the passes it would go
-    through alone and its value is bit for bit the one it has alone.  A cell is
-    accepted when its coarse value and the sum of its children agree to `tol`
-    relative to its root's running magnitude of each component, or at
-    max_depth; the children of the other cells are pushed.  Returns the
-    integrals as (m, c).  Raises NumericError as soon as a rule value is not
-    finite, and once one root would split more than _MAX_CELLS cells."""
-    m = len(roots)
+    Each pass pops up to `batch` open cells off the LIFO stack and evaluates
+    all their children with one rule call.  A cell is accepted when its
+    coarse value and the sum of its children agree to `tol` relative to its
+    root's running magnitude of each component (the largest |value| of any
+    cell of that root so far), or at max_depth; the children of the other
+    cells are pushed.  Raises NumericError as soon as a rule value is not
+    finite, and once more than _MAX_CELLS cells, counted over all the roots,
+    would split."""
     coarse0 = _finite(rule(roots), what)
-    total = np.zeros_like(coarse0)
+    total = np.zeros(coarse0.shape[1])
     scale = np.maximum(np.abs(coarse0), 1e-300)
-    stack = [(roots, coarse0, np.zeros(m, dtype=int), np.arange(m))]
-    cells = np.zeros(m, dtype=int)
+    stack = [(roots, coarse0, np.zeros(len(roots), dtype=int), np.arange(len(roots)))]
+    cells = 0
     while stack:
-        cell, coarse, depth, root = _pop(stack, batch, m)
-        cells += np.bincount(root, minlength=m)
-        if cells.max() > _MAX_CELLS:
+        cell, coarse, depth, root = _pop(stack, batch)
+        cells += len(cell)
+        if cells > _MAX_CELLS:
             raise NumericError(
                 f"adaptive {what} quadrature exceeded {_MAX_CELLS} cells "
                 f"(tol={tol:g}); integrand too rough for this tolerance"
@@ -188,43 +174,34 @@ def _adaptive(rule, split, roots: np.ndarray, batch: int, tol: float, max_depth:
         fine = parts.reshape(len(cell), -1, parts.shape[1]).sum(axis=1)
         np.maximum.at(scale, root, np.abs(fine))
         done = (depth >= max_depth) | np.all(np.abs(fine - coarse) <= tol * scale[root], axis=1)
-        for r in range(m):
-            total[r] += fine[done & (root == r)].sum(axis=0)
+        total += fine[done].sum(axis=0)
         if not done.all():
             per_cell, left = len(kids) // len(cell), ~done
             keep = np.repeat(left, per_cell)
             stack.append((kids[keep], parts[keep], np.repeat(depth[left] + 1, per_cell),
                           np.repeat(root[left], per_cell)))
-    return total
-
-
-def _per_root(total: np.ndarray) -> np.ndarray:
-    """The (m, c) integrals as returned to callers: (m,) when c = 1."""
-    return total if total.shape[1] > 1 else total[:, 0]
+    return total if len(total) > 1 else total[0]
 
 
 def triangle_integrate(f, verts, n: int = 6, tol: float = 1e-12) -> np.ndarray:
     """Adaptive integral of a vector-valued integrand over one triangle."""
-    total = _adaptive(lambda cells: triangle_apply(f, cells, n), _children,
-                      np.asarray(verts, dtype=float)[None], max(1, _MAX_POINTS // (4 * n * n)),
-                      tol, _MAX_DEPTH_TRIANGLE, "triangle")
-    return _per_root(total)[0]
+    return _adaptive(lambda cells: triangle_apply(f, cells, n), _children,
+                     np.asarray(verts, dtype=float)[None], max(1, _MAX_POINTS // (4 * n * n)),
+                     tol, _MAX_DEPTH_TRIANGLE, "triangle")
 
 
 def segment_integrate(f, p0, p1, n: int = 8, tol: float = 1e-12) -> np.ndarray:
     """Adaptive bisection counterpart of segment_apply.
 
     p0 and p1 are one pair of endpoints (2,), or two stacks (m, 2) of the m
-    segments p0[i] -> p1[i], integrated in one loop; a stack gives one value
-    per segment, (m,) or (m, c), each bit for bit the value its segment has
-    alone.  ValueError, before f is called, for endpoints of any other shape."""
+    segments p0[i] -> p1[i]; a stack gives the integral over all m segments
+    as one adaptive integral, a float or (c,) like one segment's.  ValueError,
+    before f is called, for endpoints of any other shape."""
     p0, p1 = np.asarray(p0, dtype=float), np.asarray(p1, dtype=float)
     if not (p0.shape == p1.shape and p0.shape[-1:] == (2,) and p0.ndim in (1, 2)
             and p0.size > 0):
         raise ValueError(f"segment endpoints must be two points (2,) or two stacks (m, 2) "
                          f"of equal length m >= 1, got shapes {p0.shape} and {p1.shape}")
-    total = _adaptive(lambda segs: segment_apply(f, segs[:, 0], segs[:, 1], n), _halves,
-                      np.stack([p0, p1], axis=-2).reshape(-1, 2, 2),
-                      max(1, _MAX_POINTS // (2 * n)), tol, _MAX_DEPTH_SEGMENT, "segment")
-    values = _per_root(total)
-    return values if p0.ndim == 2 else values[0]
+    return _adaptive(lambda segs: segment_apply(f, segs[:, 0], segs[:, 1], n), _halves,
+                     np.stack([p0, p1], axis=-2).reshape(-1, 2, 2),
+                     max(1, _MAX_POINTS // (2 * n)), tol, _MAX_DEPTH_SEGMENT, "segment")

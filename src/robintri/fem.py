@@ -59,6 +59,7 @@ from scipy.sparse.linalg import cg, spilu, splu
 from .errors import (DomainError, NumericError, ResourceError, check_coupling, check_finite,
                      check_level, check_rel_tol)
 from .geometry import TriangleGeometry, as_geometry
+from .trial import closed_lower_bound
 
 MAX_LEVEL = 10
 # Meshes up to this many nodes (levels 0 to 4) are solved by dense LAPACK.  One
@@ -518,7 +519,12 @@ def mass_residual(system: FemSystem, x: np.ndarray) -> float:
     Some eigenvalue of the pencil (A, M) lies within this distance of rho.
     The mass-matrix solve is Jacobi-preconditioned CG to rtol 1e-13; no
     ladder calls this, so only a caller that reports the residual pays for it.
-    A non-finite, all-zero or wrongly sized x raises DomainError.
+    A non-finite, all-zero or wrongly sized x raises DomainError.  A is
+    applied to x itself, not to x - mean(x) as in the level values: on a
+    returned ground vector the reading is that vector's own rounding floor,
+    not the quotient's cancellation.  At the equilateral triangle (S =
+    1/sqrt(3)) it reads about 4e-12 at level 6 and 7e-11 at level 8 for every
+    alpha from -1e-9 to -8, and the centred product moves it by under 10%.
     """
     A, M = system.form, system.mass
     x = np.asarray(x, dtype=float)
@@ -657,17 +663,25 @@ def walk_levels(tri, alpha: float, min_level: int, max_level: int,
     very flat triangles) is appended to ``skipped`` as (level, error text), as
     is a level above the last solved one by more than rounding (1e-12 relative
     plus eps times 4 n sum|e_k|^2 / S^2, about the n-node pencil's top
-    eigenvalue), which nested P1 spaces cannot give.  The next level starts
-    from the cold shift and the constant vector again.  Callers stop the walk
-    by leaving the loop.
+    eigenvalue), which nested P1 spaces cannot give, and a level below
+    trial.closed_lower_bound by more than 1e-12 relative, which no upper bound
+    of the eigenvalue can be (where that bound leaves float64 it reads -inf,
+    and every level passes).  The next level starts from the cold shift and the
+    constant vector again.  Callers stop the walk by leaving the loop.
     """
     sigma0 = start = prev = None
     drops: list[float] = []  # since the last cold start, each above rounding
     q, unit = math.hypot(*tri.side_lengths) / tri.S, 1.0 / tri.S
+    bound = closed_lower_bound(alpha, tri)
+    floor = bound - 1e-12 * abs(bound)  # -inf where the bound leaves float64
     for level in range(min_level, max_level + 1):
         try:
             res = solve_at_level(tri, alpha, level, sigma0=sigma0, start=start)
             lam = res.lambda1
+            if lam < floor:
+                raise NumericError(f"the level-{level} value {lam:.12g} lies below the closed "
+                                   f"lower bound alpha P/S - alpha^2/sin^2(theta*/2) = "
+                                   f"{bound:.12g}")
             if prev is not None:
                 allowance = 1e-12 * abs(prev) + 4.0 * _EPS * q * q * len(res.eigenvector)
                 if lam > prev + allowance:

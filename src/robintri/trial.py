@@ -18,6 +18,9 @@ form or exactly:
     Replacing the triangle by the infinite sector gives a closed upper bound
     (sector_closed_upper, sector_condition).
 
+closed_lower_bound is the one bound from below for any triangle, which every
+FEM level value must clear (fem.walk_levels).
+
 Verdicts certify strict inequalities and therefore include a small safety
 margin: a bound counts only when it clears its target by 1e-10 relative.
 """
@@ -119,6 +122,24 @@ def lambda0_lower_bound(alpha: float, S: float) -> float:
     return bound
 
 
+def closed_lower_bound(alpha: float, tri) -> float:
+    """alpha P/S - alpha^2 / sin^2(theta*/2), a lower bound for the lowest Robin
+    eigenvalue of the triangle at every coupling alpha < 0.
+
+    With I the incentre and r = 2S/P the inradius, F = (x - I)/r has F.n = 1
+    on every side, div F = P/S and |F| <= 1/sin(theta*/2); the divergence
+    theorem bounds the boundary term by the volume and gradient norms, and
+    the bound is the least Rayleigh quotient that leaves.  It is -inf where
+    its second term leaves float64: alpha^2 overflows, or the angle is so
+    small that sin^2 underflows.
+    """
+    check_coupling("alpha", alpha)
+    tri = as_geometry(tri)
+    half = math.sin(0.5 * tri.theta_star)
+    rate = alpha / half if half > 0.0 else -math.inf
+    return alpha * tri.perimeter / tri.S - rate * rate
+
+
 def sector_closed_upper(alpha: float, theta: float, l_prime: float) -> float:
     """-(alpha/sin(theta/2))^2 (1 - 2 exp(2 alpha L' cot(theta/2))).
 
@@ -182,10 +203,10 @@ def sector_bound(alpha: float, tri, anchor_vertex: int | None = None) -> tuple[f
     rate^2 + alpha * ||u||^2_bdry / ||u||^2 that |grad u|^2 = rate^2 u^2 gives.
     One exponent k = 2 rate bisector gives u^2 = exp(k.(x - apex)) for both
     norms: the volume norm is 2|T| exp[z0, z1, z2] with z_i = k.(v_i - apex),
-    and the side norms integrate the same exponential by adaptive quadrature,
-    the three sides in one stacked loop and summed in label order.  Each side
-    is exactly |e| exp[z_i, z_j]; it stays quadrature because the benchmark
-    contract still counts its cells on the region scans.
+    and the boundary norm integrates the same exponential over the three sides
+    as one adaptive quadrature.  Each side is exactly |e| exp[z_i, z_j]; the
+    norm stays quadrature because the benchmark contract still counts its
+    cells on the region scans.
     closed_upper replaces the volume norm by the infinite-sector integral and
     the boundary norm by the two adjacent sides truncated at L', so
     rayleigh_upper <= closed_upper always.  The field anchors at the smallest
@@ -220,9 +241,8 @@ def sector_bound(alpha: float, tri, anchor_vertex: int | None = None) -> tuple[f
         if not (math.isfinite(l2) and l2 > 0.0):
             raise NumericError(f"sector field at alpha = {alpha:g}: the exact volume norm "
                                f"2|T| exp[z0, z1, z2] = {l2:g} is not a positive float64")
-        sides = _quad.segment_integrate(square, verts[[0, 0, 1]], verts[[1, 2, 2]], n=10,
-                                        tol=1e-12)
-        bdry = sum(sides.tolist())
+        bdry = float(_quad.segment_integrate(square, verts[[0, 0, 1]], verts[[1, 2, 2]],
+                                             n=10, tol=1e-12))
     if not (math.isfinite(bdry) and bdry > 0.0):
         raise NumericError(f"sector field at alpha = {alpha:g}: volume norm {l2:g}, "
                            f"boundary norm {bdry:g}; the side quadrature found no mass "

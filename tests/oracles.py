@@ -6,8 +6,8 @@ reference-triangle field carried onto Omega_{a,c} with the affine map's
 inverse metric and edge stretch weights; the constant and
 corner-exponential fields are the other two trial functions of the paper.
 exact_sector_quotient is the corner exponential's Rayleigh quotient with
-every norm in closed form, and closed_lower_bound a closed lower bound for
-the eigenvalue of any triangle.
+every norm in closed form (exp_side_norm for each side), and
+closed_lower_bound a closed lower bound for the eigenvalue of any triangle.
 """
 
 import math
@@ -140,10 +140,9 @@ def exact_sector_quotient(alpha, tri, vertex=None):
     vertex (default the smallest angle), every norm exact in plain floats.
 
     u^2 = exp(z) with z = k.(x - apex), k = 2 rate bisector, is linear in z,
-    so the side from v_i to v_j has norm |e| e^b (-expm1(a - b)) / (b - a),
-    a <= b the values of z at its ends (|e| e^b where they agree), and the
-    volume norm is 2|T| exp[z0, z1, z2], trial's divided difference.  The
-    sides are summed in label order (0, 1), (0, 2), (1, 2).
+    so each side has its exp_side_norm, and the volume norm is 2|T|
+    exp[z0, z1, z2], trial's divided difference.  The sides are summed in
+    label order (0, 1), (0, 2), (1, 2).
     """
     index = tri.apex_index if vertex is None else vertex
     theta, _, (px, py), (bx, by) = tri.corners[index]
@@ -151,14 +150,17 @@ def exact_sector_quotient(alpha, tri, vertex=None):
     kx, ky = 2.0 * rate * bx, 2.0 * rate * by
     verts = tri.vertices
     z = [kx * (x - px) + ky * (y - py) for x, y in verts]
-
-    def side(i, j):
-        a, b = sorted((z[i], z[j]))
-        length = math.hypot(verts[j][0] - verts[i][0], verts[j][1] - verts[i][1])
-        return length * math.exp(b) * (-math.expm1(a - b) / (b - a) if b > a else 1.0)
-
-    bdry = side(0, 1) + side(0, 2) + side(1, 2)
+    bdry = sum(exp_side_norm(math.dist(verts[i], verts[j]), z[i], z[j])
+               for i, j in ((0, 1), (0, 2), (1, 2)))
     return rate * rate + alpha * bdry / (2.0 * tri.S * _exp_divided_difference(*z))
+
+
+def exp_side_norm(length, za, zb):
+    """|e| exp[za, zb]: the integral of exp(z) along a side of that length on
+    which z runs linearly from za to zb, |e| e^b (-expm1(a - b)) / (b - a) with
+    a <= b the two end values (|e| e^b where they agree)."""
+    a, b = sorted((za, zb))
+    return length * math.exp(b) * (-math.expm1(a - b) / (b - a) if b > a else 1.0)
 
 
 def closed_lower_bound(alpha, tri):

@@ -31,8 +31,8 @@ def bench(monkeypatch):
     return layers, worker, run
 
 
-def _traced(layers, unit) -> dict[str, float]:
-    """layer_metrics of one traced call of unit, from a cold norm cache."""
+def _traced(layers, unit):
+    """(layer_metrics, tracer) of one traced call of unit, from a cold norm cache."""
     equilateral._l2_norm_sq_cached.cache_clear()
     tracer = layers.Tracer()
     tracer.install()
@@ -42,7 +42,8 @@ def _traced(layers, unit) -> dict[str, float]:
         after = equilateral._l2_norm_sq_cached.cache_info()
     finally:
         tracer.uninstall()
-    return layers.layer_metrics(tracer, after.hits - before.hits, after.misses - before.misses)
+    return (layers.layer_metrics(tracer, after.hits - before.hits, after.misses - before.misses),
+            tracer)
 
 
 def test_every_wrapped_name_exists(bench):
@@ -56,9 +57,14 @@ def test_every_wrapped_name_exists(bench):
 
 
 def test_region_scan_counters_read_nonzero(bench, tmp_path):
+    """Every counter the workload serves reads nonzero, and so does the
+    evaluators' scan.cells time.  scan.self_s is entry time less that time,
+    so it would stay positive if _plan bound the evaluators before the
+    wrappers were installed."""
     layers, worker, run = bench
-    metrics = _traced(layers, lambda: worker.RegionScan(0, tmp_path).run_unit(0))
+    metrics, tracer = _traced(layers, lambda: worker.RegionScan(0, tmp_path).run_unit(0))
     assert {k for k in run.SERVES["region-scan"] if not metrics[k] > 0} == set()
+    assert tracer.times["scan.cells"] > 0
 
 
 def test_soundness_counters_read_nonzero(bench):
@@ -68,8 +74,9 @@ def test_soundness_counters_read_nonzero(bench):
         (row,) = scan.soundness_sweep([-4.0], [1.5], c=S, S=S).rows
         assert row[5] == 1 and row[-1] == "ok"  # certified: the FEM ladder runs
 
-    metrics = _traced(layers, certified_cell)
+    metrics, tracer = _traced(layers, certified_cell)
     assert {k for k in run.SERVES["soundness"] if not metrics[k] > 0} == set()
+    assert tracer.times["scan.cells"] > 0
 
 
 def test_iteration_counter_reads_the_solve_count(bench, tmp_path):
@@ -77,7 +84,8 @@ def test_iteration_counter_reads_the_solve_count(bench, tmp_path):
     conjecture-grid unit that sum is the unit's EigenResult.iterations."""
     layers, worker, _ = bench
     cells = []
-    metrics = _traced(layers, lambda: cells.extend(worker.ConjectureGrid(0, tmp_path).run_unit(0)))
+    metrics, _ = _traced(layers,
+                         lambda: cells.extend(worker.ConjectureGrid(0, tmp_path).run_unit(0)))
     ((_, (_, res)),) = cells
     assert metrics["fem.iterations"] == res.iterations > 0
 
@@ -94,7 +102,7 @@ def test_one_factorisation_per_sparse_level(bench, tmp_path):
         for index in range(grid.fixed_units):
             cells.extend(grid.run_unit(index))
 
-    metrics = _traced(layers, traced_pass)
+    metrics, _ = _traced(layers, traced_pass)
     sparse = 0
     for _, (_, res) in cells:
         skipped = {level for level, _ in res.skipped}

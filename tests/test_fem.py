@@ -22,7 +22,7 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import splu
 
 import robintri
-from robintri import fem, scan
+from robintri import fem, scan, trial
 from robintri.equilateral import lambda0
 from robintri.errors import DomainError, NumericError, ResourceError
 from robintri.fem import (
@@ -1074,6 +1074,44 @@ class TestConvergence:
         assert starts[5] == (None, None) and starts[6][0] is not None
         lam = {lev: solve(tri, -2.0, lev).lambda1 for lev in (2, 3, 5, 6)}
         assert res.history == pytest.approx([lam[2], lam[3], lam[5], lam[6]], rel=1e-12)
+
+    def test_level_below_the_closed_lower_bound_is_skipped(self, monkeypatch):
+        """No upper bound of the eigenvalue lies below alpha P/S -
+        alpha^2/sin^2(theta*/2): a level value below it by more than 1e-12
+        relative is recorded as skipped, with the bound in its reason, and the
+        next level starts cold; a value below it by less (level 6) is kept."""
+        tri = make_triangle(0.5, 0.9, S_THIRD)
+        bound = closed_lower_bound(-2.0, tri)
+        solve = fem.solve_at_level
+        starts = {}
+
+        def sinking(tri, alpha, level, sigma0=None, start=None):
+            starts[level] = (sigma0, start)
+            res = solve(tri, alpha, level, sigma0=sigma0, start=start)
+            below = {4: 1e-9, 6: 1e-13}.get(level)
+            if below is not None:
+                res = dataclasses.replace(res, lambda1=bound - below * abs(bound))
+            return res
+
+        monkeypatch.setattr(fem, "solve_at_level", sinking)
+        res = eigenvalue_converged(tri, -2.0, rel_tol=1e-8, max_level=6)
+        assert [lev for lev, _ in res.skipped] == [4]
+        assert f"lies below the closed lower bound alpha P/S - alpha^2/sin^2(theta*/2) = " \
+               f"{bound:.12g}" in res.skipped[0][1]
+        assert starts[5] == (None, None) and starts[6][0] is not None
+        assert res.history[-1] == bound - 1e-13 * abs(bound)
+
+    @pytest.mark.parametrize("alpha,a,c", [(-1e200, 0.5, 0.9), (-2.0, 0.0, 1e-100)],
+                             ids=["alpha-squared-overflows", "sine-squared-underflows"])
+    def test_ladder_without_a_finite_lower_bound_runs_unchecked(self, alpha, a, c):
+        """Where alpha P/S - alpha^2/sin^2(theta*/2) leaves float64, at alpha =
+        -1e200 or at a smallest angle of 2e-200, the bound reads -inf and the
+        walk runs without the check, raising nothing."""
+        tri = make_triangle(a, c, 1.0)
+        assert trial.closed_lower_bound(alpha, tri) == -math.inf
+        skipped = []
+        list(walk_levels(tri, alpha, 2, 4, skipped))
+        assert not any("closed lower bound" in text for _, text in skipped)
 
     @pytest.mark.parametrize("alpha", [-1e-6, -1e-7, -1e-9])
     def test_rounding_at_weak_coupling_skips_no_level(self, alpha):

@@ -12,7 +12,7 @@ from oracles import (closed_lower_bound, constant, corner_exponential, edge_stre
                      exact_sector_quotient, ground_state, inverse_metric, side_integrals,
                      transported_form)
 
-from robintri import _quad, geometry
+from robintri import _quad, geometry, trial
 from robintri.equilateral import lambda0, solve_equilateral
 from robintri.errors import DomainError, NumericError
 from robintri.fem import eigenvalue_converged
@@ -450,21 +450,19 @@ class TestSectorBound:
 
     @pytest.mark.parametrize("vertex", [None, 0, 1, 2])
     def test_quotient_sums_the_sides_one_at_a_time(self, rng, vertex):
-        """The three sides, integrated in one stacked loop, give the quotient
-        that three single-side integrals summed in label order give, bit for
-        bit."""
+        """The three sides, integrated as one adaptive quadrature, give the
+        quotient of tests/oracles.py's exact_sector_quotient, which sums the
+        exact side norms |e| exp[zi, zj] one at a time, to 1e-12 relative.
+        The first cell is flat: at its apex both long sides hold half the
+        boundary mass, in a layer 1.4e-4 wide."""
+        cells = [(-4.0, make_triangle(12.0, 1.25, 0.2))]
         for _ in range(15):
             tri = make_triangle(rng.uniform(-2, 2), rng.uniform(0.3, 1.5), rng.uniform(0.3, 1.5))
-            alpha = -float(rng.uniform(0.1, 40.0))
-            theta, _, apex, bisector = tri.corners[tri.apex_index if vertex is None else vertex]
-            rate = alpha / math.sin(0.5 * theta)
-            apex, k = np.asarray(apex), 2.0 * rate * np.asarray(bisector)
-            verts = tri.vertex_array()
-            l2 = 2.0 * tri.S * _exp_divided_difference(*((verts - apex) @ k).tolist())
-            sides = side_integrals(lambda p: np.exp((p - apex) @ k), verts, n=10, tol=1e-12)
-            expected = rate * rate + alpha * sum(sides) / l2
+            cells.append((-float(rng.uniform(0.1, 40.0)), tri))
+        for alpha, tri in cells:
             ray, _ = sector_bound(alpha, tri, anchor_vertex=vertex)
-            assert ray.hex() == expected.hex(), (alpha, tri.a, tri.c, tri.S)
+            exact = exact_sector_quotient(alpha, tri, vertex)
+            assert abs(ray - exact) <= 1e-12 * abs(exact), (alpha, tri.a, tri.c, tri.S)
 
     def test_closed_form_monotone_in_l_prime(self):
         """Extending the truncated sides can only improve the closed bound."""
@@ -558,6 +556,16 @@ class TestClosedLowerBound:
     def test_below_lambda0_at_the_equilateral_point(self, alpha, S):
         assert closed_lower_bound(alpha, make_triangle(0.0, c0(S), S)) < lambda0(alpha, S)
 
+    def test_package_bound_is_the_oracle(self, rng):
+        """trial.closed_lower_bound, the bound fem.walk_levels checks every
+        level value against, agrees with the oracle to 4 ulps on seeded cells."""
+        for _ in range(200):
+            tri = make_triangle(rng.uniform(-5.0, 5.0), math.exp(rng.uniform(-2.0, 2.0)),
+                                math.exp(rng.uniform(-3.0, 3.0)))
+            alpha = -math.exp(rng.uniform(-10.0, 5.0))
+            want = closed_lower_bound(alpha, tri)
+            assert abs(trial.closed_lower_bound(alpha, tri) - want) <= 4 * math.ulp(want)
+
     def test_level_values_and_certificates_lie_above_it(self, rng):
         """Every level value of a coarse ladder (a conforming upper bound),
         the constant field's bound and both sector bounds at each anchor lie
@@ -582,6 +590,7 @@ class TestClosedLowerBound:
 
 
 _ALPHA_ENTRIES = {
+    "closed_lower_bound": trial.closed_lower_bound,
     "constant_bound": constant_bound,
     "sector_bound": sector_bound,
     "sector_condition": sector_condition,
