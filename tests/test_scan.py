@@ -6,6 +6,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from oracles import exact_sector_quotient
 
 import robintri
 from robintri import fem, scan, trial
@@ -442,13 +443,17 @@ class TestRegionModes:
 
     def test_underflowing_sector_cell_is_a_numeric_error_row(self):
         """A flat cell where the side quadrature finds no mass in the sector
-        field's boundary layer is one typed row; the scan and its other cells
-        run on."""
+        field's boundary layer, (50, 0.5, 1) at alpha -10, is one typed row;
+        the scan and its other cells run on, and the flat cells (20, 0.5, 1)
+        at -10 and (50, 0.5, 1) at -1 read the exact quotient."""
         res = run_scan(ScanConfig(mode="sector-region", alpha_range=(-10.0, -1.0, 2),
-                                  a_range=(0.0, 20.0, 2), c_fixed=0.5, S=1.0))
+                                  a_range=(20.0, 50.0, 2), c_fixed=0.5, S=1.0))
         assert [(row[0], row[1], row[-1]) for row in res.rows] == [
-            (-10.0, 0.0, "ok"), (-10.0, 20.0, "numeric-error"),
-            (-1.0, 0.0, "ok"), (-1.0, 20.0, "ok")]
+            (-10.0, 20.0, "ok"), (-10.0, 50.0, "numeric-error"),
+            (-1.0, 20.0, "ok"), (-1.0, 50.0, "ok")]
+        for row in (res.rows[0], res.rows[3]):
+            exact = exact_sector_quotient(row[0], make_triangle(row[1], 0.5, 1.0))
+            assert abs(row[2] - exact) <= 1e-13 * abs(exact), row
 
     @pytest.mark.parametrize("mode", ["sector-region", "condition-region"])
     def test_zero_angle_cell_is_a_domain_error_row(self, mode):

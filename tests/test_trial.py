@@ -305,28 +305,40 @@ class TestSectorBound:
             ray, closed = sector_bound(alpha, tri)
             assert ray <= closed + 1e-11 * max(1.0, abs(closed))
 
-    @pytest.mark.parametrize("alpha,a,volume,width", [(-10.0, 20.0, "7.59664e-11", "0.000123838"),
-                                                      (-1.0, 50.0, "3.18564e-11", "0.0001997")])
-    def test_underflowing_field_is_a_numeric_error(self, alpha, a, volume, width):
+    @pytest.mark.parametrize("alpha,a,volume,width,resolved", [
+        (-10.0, 100.0, "4.99438e-15", "4.99813e-06", 20.0),
+        (-1.0, 100.0, "4.99438e-13", "4.99813e-05", 50.0)], ids=["alpha-10", "alpha-1"])
+    def test_underflowing_field_is_a_numeric_error(self, alpha, a, volume, width, resolved):
         """On a flat triangle at strong coupling no side quadrature node lands
         in the boundary layer, 1/|2 rate| wide, so the boundary norm reads 0
         while the exact volume norm is positive: a typed NumericError, not a
-        quotient built from a norm the quadrature missed."""
+        quotient built from a norm the quadrature missed.  The 40-point side
+        rule finds the layer of the flat cell (resolved, 0.5, 1) at the same
+        alpha, and reads the exact quotient there."""
         with pytest.raises(NumericError) as err:
             sector_bound(alpha, make_triangle(a, 0.5, 1.0))
         assert str(err.value) == (
             f"sector field at alpha = {alpha:g}: volume norm {volume}, boundary norm 0; "
             f"the side quadrature found no mass in the boundary layer of width {width}")
+        tri = make_triangle(resolved, 0.5, 1.0)
+        exact = exact_sector_quotient(alpha, tri)
+        assert abs(sector_bound(alpha, tri)[0] - exact) <= 1e-13 * abs(exact)
 
     def test_error_names_the_norm_that_failed(self):
         """At a smallest angle of 2e-200 the exact volume norm underflows to 0
-        and the error says so; on the flat strong-coupling triangle the volume
-        norm is fine and the side quadrature is what missed the layer."""
+        and the error says so; on the flat strong-coupling triangle (100, 0.5,
+        1) the volume norm is fine and the side quadrature is what missed the
+        layer.  The flatter cells (20, 0.5, 1) at -10 and (50, 0.5, 1) at -1
+        resolve to the exact quotient."""
         with pytest.raises(NumericError, match="exact volume norm") as underflow:
             sector_bound(-2.0, make_triangle(0.0, 1e-100, 1.0))
         assert "side quadrature" not in str(underflow.value)
         with pytest.raises(NumericError, match="side quadrature found no mass"):
-            sector_bound(-10.0, make_triangle(20.0, 0.5, 1.0))
+            sector_bound(-10.0, make_triangle(100.0, 0.5, 1.0))
+        for alpha, a in ((-10.0, 20.0), (-1.0, 50.0)):
+            tri = make_triangle(a, 0.5, 1.0)
+            exact = exact_sector_quotient(alpha, tri)
+            assert abs(sector_bound(alpha, tri)[0] - exact) <= 1e-13 * abs(exact), (alpha, a)
 
     def test_overflowing_exponents_leak_no_warning(self):
         """On the needle (0, 1e-150, 1) the smallest angle is near 2e-300, the
@@ -463,6 +475,60 @@ class TestSectorBound:
             ray, _ = sector_bound(alpha, tri, anchor_vertex=vertex)
             exact = exact_sector_quotient(alpha, tri, vertex)
             assert abs(ray - exact) <= 1e-12 * abs(exact), (alpha, tri.a, tri.c, tri.S)
+
+    def test_never_below_the_exact_quotient(self):
+        """On 400 seeded cells, flat ones and strong coupling among them
+        (alpha = -10^U(-4, 2), a ~ U(-6, 40), c = 10^U(-1.5, 0.6), S =
+        10^U(-2, 2)), a quotient that is not a NumericError lies no more than
+        1e-13 relative below the exact one: the side quadrature may miss
+        boundary mass, never add it.  Nor does it certify a cell the exact
+        quotient does not."""
+        gen = np.random.default_rng(20261020)
+        resolved = 0
+        for _ in range(400):
+            alpha = -float(10.0 ** gen.uniform(-4.0, 2.0))
+            a, c, S = (float(gen.uniform(-6.0, 40.0)), float(10.0 ** gen.uniform(-1.5, 0.6)),
+                       float(10.0 ** gen.uniform(-2.0, 2.0)))
+            tri = make_triangle(a, c, S)
+            try:
+                ray, _ = sector_bound(alpha, tri)
+            except NumericError:
+                continue
+            resolved += 1
+            exact = exact_sector_quotient(alpha, tri)
+            assert ray >= exact - 1e-13 * abs(exact), (alpha, a, c, S, ray, exact)
+            lam0 = lambda0(alpha, S)
+            assert strictly_below(exact, lam0) or not strictly_below(ray, lam0), (alpha, a, c, S)
+        assert resolved >= 300
+
+    def test_keeps_the_certificate_of_a_flat_strong_coupling_cell(self):
+        """At (alpha, a, c, S) = (-31.41, 7.508, 2.068, 0.2475) the exponents
+        k.x of absolute coordinates lost the boundary layer's mass to rounding
+        and the quotient read -6.2e-5, above lambda0 = -3946.35, without an
+        error.  Apex-relative exponents read the exact -4.37e7."""
+        tri = make_triangle(7.508, 2.068, 0.2475)
+        ray, _ = sector_bound(-31.41, tri)
+        exact = exact_sector_quotient(-31.41, tri)
+        assert abs(ray - exact) <= 1e-13 * abs(exact), (ray, exact)
+        assert strictly_below(ray, lambda0(-31.41, 0.2475))
+
+    def test_side_rule_calls_on_the_bench_grid(self, monkeypatch):
+        """On the region-scan benchmark's 7x7 sector grid (alpha -10 to -0.01,
+        a 0 to 5, c = c0(S), S = 1/sqrt(3)) the side quadrature makes at most
+        170 rule calls over the 49 cells, 3.47 per sector_bound: the count the
+        40-point rule measured.  The 10-point rule made 329 (6.71)."""
+        calls = []
+        rule = _quad.segment_apply
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return rule(*args, **kwargs)
+
+        monkeypatch.setattr(_quad, "segment_apply", counted)
+        for alpha in np.linspace(-10.0, -0.01, 7).tolist():
+            for a in np.linspace(0.0, 5.0, 7).tolist():
+                sector_bound(alpha, make_triangle(a, c0(S_THIRD), S_THIRD))
+        assert len(calls) <= 170
 
     def test_closed_form_monotone_in_l_prime(self):
         """Extending the truncated sides can only improve the closed bound."""
