@@ -126,10 +126,19 @@ def solve_equilateral(alpha: float, S: float) -> EquilateralSolution:
     """Solve the coupling equation and package (t, K, L, M, lambda0).
 
     Raises DomainError unless alpha < 0 and S > 0, NumericError if beta or
-    lambda0 leaves float64 or the root search misses its tolerance.
+    lambda0 leaves float64 or the root search misses its tolerance.  The
+    inputs are checked on every call; the solve itself is memoised per
+    (float(alpha), float(S)) in a process-wide cache of the last 256 pairs
+    (the size of _l2_norm_sq_cached's), and a solve that raises is not cached.
     """
     check_coupling("alpha", alpha)
     check_area(S)
+    return _solve(float(alpha), float(S))
+
+
+@lru_cache(maxsize=256)
+def _solve(alpha: float, S: float) -> EquilateralSolution:
+    """solve_equilateral for inputs already checked and converted to float."""
     beta = -alpha * math.sqrt(_SQRT3 * S)
     t, y = _solve_t(beta)
     M = 0.5 * (math.log1p(t) - y)
@@ -139,7 +148,7 @@ def solve_equilateral(alpha: float, S: float) -> EquilateralSolution:
     if not math.isfinite(lam):
         raise NumericError(f"lambda0 overflows float64 at beta = {beta:g}")
     return EquilateralSolution(
-        alpha=float(alpha), S=float(S), t=t, K=K, L=L, M=M,
+        alpha=alpha, S=S, t=t, K=K, L=L, M=M,
         lambda0=lam, log_one_minus_t=y,
     )
 

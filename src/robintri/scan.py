@@ -45,7 +45,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import lru_cache, partial
 
 from .equilateral import (
     _area_derivative,
@@ -310,21 +310,21 @@ def _cell_g(t: float) -> tuple:
     return (t, g, int(g < 0.0), "ok")
 
 
-def _cell_transplant(task, *, c: float, S: float) -> tuple:
+def _cell_transplant(task, *, shape, S: float) -> tuple:
     alpha, a = task
-    delta, ok = transplant_verdict(alpha, make_triangle(a, c, S))
+    delta, ok = transplant_verdict(alpha, shape(a))
     return (alpha, a, delta, int(ok), "ok")
 
 
-def _cell_constant(task, *, c: float, S: float) -> tuple:
+def _cell_constant(task, *, shape, S: float) -> tuple:
     alpha, a = task
-    bound, ok = constant_bound(alpha, make_triangle(a, c, S))
+    bound, ok = constant_bound(alpha, shape(a))
     return (alpha, a, bound, lambda0(alpha, S), int(ok), "ok")
 
 
-def _cell_condition(task, *, c: float, S: float) -> tuple:
+def _cell_condition(task, *, shape, S: float) -> tuple:
     alpha, a = task
-    tri = make_triangle(a, c, S)
+    tri = shape(a)
     closed = sector_closed_upper(alpha, tri.theta_star, tri.L_prime)
     lower = lambda0_lower_bound(alpha, S)
     try:
@@ -334,9 +334,9 @@ def _cell_condition(task, *, c: float, S: float) -> tuple:
     return (alpha, a, closed, lower, int(ok), status)
 
 
-def _cell_sector(task, *, c: float, S: float, anchor_left: bool) -> tuple:
+def _cell_sector(task, *, shape, S: float, anchor_left: bool) -> tuple:
     alpha, a = task
-    tri = make_triangle(a, c, S)
+    tri = shape(a)
     ray, closed = sector_bound(alpha, tri, anchor_vertex=0 if anchor_left else None)
     lam0 = lambda0(alpha, S)
     return (alpha, a, ray, closed, lam0, int(strictly_below(ray, lam0)), "ok")
@@ -460,7 +460,13 @@ def _sweep(mode: str, fn, tasks, axes: dict[str, tuple[float, ...]],
 
 def _plan(cfg: ScanConfig):
     """(cell function, tasks in row order, axes) for one validated config.
-    Evaluators are looked up at call time, so wrappers on their names see every cell."""
+    Evaluators are looked up at call time, so wrappers on their names see every cell.
+
+    The region modes' evaluators share one shape(a) = make_triangle(a, c, S),
+    memoised without a size bound for this plan alone: each grid column's
+    triangle is built once per scan, and a build that raises is not cached.
+    The equilateral solve behind every row is memoised process-wide by
+    solve_equilateral itself."""
     mode, S = cfg.mode, cfg.S
     if mode == "g-curve":
         ts = _grid(cfg.a_range)
@@ -481,12 +487,12 @@ def _plan(cfg: ScanConfig):
         if len(alphas) > 1:
             axes["alpha"] = alphas
         return partial(_cell_fem, S=S, rel_tol=cfg.fem_rel_tol), tasks, axes
-    c = cfg.resolved_c()
+    shape = lru_cache(maxsize=None)(partial(make_triangle, c=cfg.resolved_c(), S=S))
     fn = {
-        "transplant-region": partial(_cell_transplant, c=c, S=S),
-        "constant-region": partial(_cell_constant, c=c, S=S),
-        "condition-region": partial(_cell_condition, c=c, S=S),
-        "sector-region": partial(_cell_sector, c=c, S=S, anchor_left=cfg.anchor_left),
+        "transplant-region": partial(_cell_transplant, shape=shape, S=S),
+        "constant-region": partial(_cell_constant, shape=shape, S=S),
+        "condition-region": partial(_cell_condition, shape=shape, S=S),
+        "sector-region": partial(_cell_sector, shape=shape, S=S, anchor_left=cfg.anchor_left),
     }[mode]
     return fn, [(al, a) for al in alphas for a in avals], {"a": avals, "alpha": alphas}
 
@@ -588,6 +594,8 @@ def _soundness_cell(task, *, c: float, S: float, rel_tol: float) -> tuple:
 # serialisation
 
 def _format_cell(value) -> str:
+    if type(value) is float:  # most cells: skip the isinstance checks below
+        return "%.17g" % value
     if isinstance(value, str):
         return value
     if isinstance(value, numbers.Integral):  # int, bool and NumPy's integers

@@ -197,6 +197,7 @@ class TestSolver:
             return f + math.copysign(1e-9 * beta, f), slope
 
         monkeypatch.setattr(equilateral, "_psi", floored)
+        equilateral._solve.cache_clear()  # a cached root would skip the floored psi
         alpha = -beta / math.sqrt(SQRT3 * S_THIRD)
         with pytest.raises(NumericError, match="log-space solve stalled"):
             solve_equilateral(alpha, S_THIRD)
@@ -221,6 +222,54 @@ class TestSolver:
             alpha = -float(rng.uniform(0.05, 10.0))
             S = float(rng.uniform(0.3, 3.0))
             assert lambda0_lower_bound(alpha, S) <= lambda0(alpha, S) < 0.0
+
+
+class TestSolveCache:
+    """solve_equilateral checks its inputs on every call and memoises the
+    solve of the checked floats; a memoised record is the record a cold
+    solve builds, and a solve that raises is not memoised."""
+
+    def test_cached_record_equals_a_cold_solve(self):
+        rng = np.random.default_rng(44)
+        alphas = [-1e-12, -1e3, *(-(10.0 ** rng.uniform(-12.0, 3.0, 198)))]
+        areas = [S_THIRD, 1.0, *(10.0 ** rng.uniform(-2.0, 2.0, 198))]
+        pairs = [(float(al), float(S)) for al, S in zip(alphas, areas)]
+        equilateral._solve.cache_clear()
+        for al, S in pairs:
+            solve_equilateral(al, S)
+        before = equilateral._solve.cache_info()
+        for al, S in pairs:
+            cached = solve_equilateral(np.float64(al), S)
+            assert repr(cached) == repr(equilateral._solve.__wrapped__(al, S)), (al, S)
+            assert all(type(v) is float for v in cached)
+        assert equilateral._solve.cache_info().hits - before.hits == len(pairs)
+
+    @pytest.mark.parametrize("alpha, S", [
+        (True, 1.0), (math.nan, 1.0), (np.array(-1.0), 1.0), (0.0, 1.0), (1.5, 1.0),
+        (-1.0, True), (-1.0, math.nan), (-1.0, np.array(1.0)),
+    ], ids=["alpha-True", "alpha-nan", "alpha-0d-array", "alpha-zero", "alpha-positive",
+            "S-True", "S-nan", "S-0d-array"])
+    def test_invalid_inputs_raise_on_every_call(self, alpha, S):
+        """Each bad input sits next to a cached entry it would alias as a
+        float key (-1.0 or 1.0), and still raises DomainError every time."""
+        solve_equilateral(-1.0, 1.0)
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                solve_equilateral(alpha, S)
+
+    def test_a_failed_solve_is_not_cached(self, monkeypatch):
+        psi = equilateral._psi
+
+        def floored(y, beta):
+            f, slope = psi(y, beta)
+            return f + math.copysign(1e-9 * beta, f), slope
+
+        monkeypatch.setattr(equilateral, "_psi", floored)
+        equilateral._solve.cache_clear()
+        for _ in range(2):
+            with pytest.raises(NumericError, match="log-space solve stalled"):
+                solve_equilateral(-1.0, S_THIRD)
+        assert equilateral._solve.cache_info().currsize == 0
 
 
 class TestGroundState:

@@ -9,7 +9,7 @@ import pytest
 from oracles import exact_sector_quotient
 
 import robintri
-from robintri import fem, scan, trial
+from robintri import equilateral, fem, geometry, scan, trial
 from robintri.equilateral import c0, lambda0
 from robintri.errors import DomainError, NumericError, ResourceError
 from robintri.fem import ShapeDerivatives
@@ -337,6 +337,32 @@ class TestGCurve:
 
 
 class TestRegionModes:
+    @pytest.mark.parametrize("mode", ["transplant-region", "constant-region",
+                                      "condition-region", "sector-region"])
+    def test_each_coupling_solved_and_each_shape_built_once(self, mode, monkeypatch):
+        """On the benchmark's 7x7 grid a scan solves the coupling equation at
+        most once per alpha (solve_equilateral's memo, emptied first) and
+        builds each triangle once per a (three corners, _plan's per-scan
+        memo).  Each cell solving and building for itself makes 98 to 105
+        solves on the transplant scan and 147 corners on every scan."""
+        solve_t, corner = equilateral._solve_t, geometry.corner
+        counts = {"solves": 0, "corners": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(equilateral, "_solve_t", counted("solves", solve_t))
+        monkeypatch.setattr(geometry, "corner", counted("corners", corner))
+        equilateral._solve.cache_clear()
+        res = run_scan(ScanConfig(mode=mode, alpha_range=(-10.0, -0.01, 7),
+                                  a_range=(0.0, 5.0, 7)))
+        assert len(res.rows) == 49
+        assert counts["solves"] <= 7  # condition-region solves none
+        assert 0 < counts["corners"] <= 3 * 7
+
     def test_transplant_weak_coupling_certifies_every_skew(self):
         res = run_scan(
             ScanConfig(
@@ -633,10 +659,14 @@ class TestOutputs:
         (3, "3"), (np.int64(3), "3"), (True, "1"), (np.bool_(True), "1"),
         (np.int64(2**53 + 1), "9007199254740993"), (10**20, "100000000000000000000"),
         (0.1, "0.10000000000000001"), (np.float64(0.1), "0.10000000000000001"),
-        (-0.0, "-0"), (math.nan, "nan"), ("ok", "ok")])
+        (-0.0, "-0"), (math.nan, "nan"), ("ok", "ok"),
+        (0.0, "0"), (math.inf, "inf"), (-math.inf, "-inf"), (5e-324, "4.9406564584124654e-324"),
+        (-2.5e300, "-2.5000000000000001e+300"), (np.float64(1 / 3), "0.33333333333333331"),
+        (False, "0"), (np.int64(-3), "-3")])
     def test_cell_text(self, value, text):
         """Integers of any kind print exactly, past 2^53 too, every other
-        number with 17 significant digits, and text as itself."""
+        number with 17 significant digits, and text as itself.  Plain floats
+        take their own branch first and print what the general one prints."""
         assert scan._format_cell(value) == text
 
     def test_row_of_the_wrong_width_is_refused(self):
