@@ -163,9 +163,10 @@ def _suite_result(suite: str, alpha: float, S: float):
 
 def _cmd_verify(args) -> int:
     """Print the suite's table; it fails when a claimed row's verdict is not 1,
-    and is unresolved when the verdicts hold but a claimed row's status is not
-    ok (e.g. a FEM ladder that stopped at its level cap).  A result without a claimed
-    column claims every row."""
+    and is unresolved when no row fails but a claimed row's status is not ok.
+    An undecided row (no FEM level value below its target by the level cap)
+    leaves it unresolved, never failed.  A result without a claimed column
+    claims every row."""
     result = _suite_result(args.suite, args.alpha, args.area)
     _print_table(result)
     cols = result.columns
@@ -173,7 +174,7 @@ def _cmd_verify(args) -> int:
     if not claimed:
         print(f"verify {args.suite}: no claim at this coupling")
         return EXIT_OK
-    if any(row[cols.index("verdict")] != 1 for row in claimed):
+    if any(row[cols.index("verdict")] != 1 and row[-1] != "undecided" for row in claimed):
         print(f"verify {args.suite}: FAILED")
         return EXIT_NUMERIC
     unsettled = Counter(row[-1] for row in claimed if row[-1] != "ok")

@@ -146,7 +146,9 @@ class EigenResult:
       M^{-1}-norm residual of a vector is mass_residual's.
     converged: whether the ladder settled before its level cap.
     level: the finest solved level.
-    history: the ladder's per-level values, coarsest first.
+    history: the ladder's per-level values, coarsest first; each is a checked
+      conforming upper bound (walk_levels skips a rise and a value below
+      trial.closed_lower_bound), so one below a target proves the eigenvalue is.
     skipped: (level, error text) per level that failed to certify.
     """
 

@@ -22,7 +22,8 @@ closed_lower_bound is the one bound from below for any triangle, which every
 FEM level value must clear (fem.walk_levels).
 
 Verdicts certify strict inequalities and therefore include a small safety
-margin: a bound counts only when it clears its target by 1e-10 relative.
+margin: a bound counts only when it clears its target by 1e-10 of |target|,
+with no absolute floor, so a dilated problem gets the same verdicts.
 """
 
 from __future__ import annotations
@@ -57,8 +58,10 @@ def _check_angle(theta: float) -> None:
 
 
 def strictly_below(value: float, target: float) -> bool:
-    """value < target with a 1e-10 relative safety margin."""
-    return value < target - _MARGIN * max(1.0, abs(target))
+    """value < target - 1e-10 |target|; a target of 0, which has no scale, is a DomainError."""
+    if target == 0.0:
+        raise DomainError("strictly_below needs a nonzero target to scale its margin")
+    return value < target - _MARGIN * abs(target)
 
 
 def shape_coefficient(tri: TriangleGeometry) -> float:

@@ -162,10 +162,11 @@ class TestConjectureGrid:
         the combined FEM tolerance.  Budget: minutes.
 
         Each cell runs the whole ladder to rel_tol 1e-3 (at most level 7) and
-        compares its extrapolated value, padded by ten residuals.  Away from
-        the equilateral corner of the grid the raw conforming bound already
-        clears lambda0 at coarse levels, but eigenvalue_converged has no stop
-        there yet (ROADMAP item 1)."""
+        compares its extrapolated value, padded by ten residuals.  Each cell
+        is also proved: one of its level values, a conforming upper bound,
+        lies strictly below lambda0 (359 cells at level 2, 4 at level 3), as
+        fem-conjecture decides.  eigenvalue_converged has no stop there yet
+        (ROADMAP item 1)."""
         t0 = time.time()
         worst_margin = -math.inf
         strict = 0
@@ -181,6 +182,7 @@ class TestConjectureGrid:
                     pad = 10.0 * res.residual + pad_floor
                     worst_margin = max(worst_margin, res.lambda1 - lam0 - pad)
                     assert res.lambda1 <= lam0 + pad
+                    assert any(r.strictly_below(v, lam0) for v in res.history), (alpha, a, c)
                     if res.lambda1 <= lam0:
                         strict += 1
         elapsed = time.time() - t0

@@ -366,10 +366,12 @@ class TestVerify:
         """margin_link2 = lambda0(gamma^2 S) - lambda0(S) is negative on every
         row with gamma < 1, also at strong coupling, where the two lambda0
         round to the same float and the true link is exponentially small.  The
-        FEM ladder, which link 2 does not read, is stubbed."""
+        FEM ladder, which link 2 does not read, is stubbed, with a level value
+        below the scaled lambda0 so that link 1 decides every row."""
         def ladder(tri, alpha, rel_tol):
-            return fem.EigenResult(lambda1=lambda0(alpha, tri.S), eigenvector=None,
-                                   iterations=0, residual=0.0)
+            lam0 = lambda0(alpha, tri.S)
+            return fem.EigenResult(lambda1=lam0, eigenvector=None, iterations=0,
+                                   residual=0.0, history=(lam0 * (1.0 + 1e-6),))
 
         monkeypatch.setattr(fem, "eigenvalue_converged", ladder)
         code, out, _ = run(capsys, ["verify", "--suite", "perimeter", f"--alpha={alpha}"])
@@ -380,20 +382,27 @@ class TestVerify:
         assert [row["margin_link2"] for row in rows if not float(row["margin_link2"]) < 0.0] == []
 
     def test_unconverged_claimed_rows_leave_the_suite_unresolved(self, capsys, monkeypatch):
-        """Claimed rows with verdict 1 whose ladders stopped at their level cap
-        neither pass nor fail the suite: it is UNRESOLVED and exits 2.  The
-        ladder is stubbed to the closed form, unconverged."""
+        """Claimed rows whose ladders stopped at their level cap with no level
+        value below the target neither pass nor fail the suite: they read
+        undecided, and the suite is UNRESOLVED and exits 2, although their
+        extrapolations lie below lambda0.  The ladder is stubbed: on the a = 0
+        column its levels stay within the margin above the scaled lambda0 and
+        it is unconverged; elsewhere its last level clears lambda0."""
         def ladder(tri, alpha, rel_tol):
-            return fem.EigenResult(lambda1=lambda0(alpha, tri.S), eigenvector=None,
-                                   iterations=0, residual=0.0, converged=False)
+            lam0, capped = lambda0(alpha, tri.S), tri.a == 0.0
+            last = lam0 * (1.0 + (1e-11 if capped else 1e-6))
+            return fem.EigenResult(lambda1=lam0 * (1.0 + 1e-3), eigenvector=None, iterations=0,
+                                   residual=0.0, converged=not capped,
+                                   history=(0.9 * lam0, last))
 
         monkeypatch.setattr(fem, "eigenvalue_converged", ladder)
         code, out, _ = run(capsys, ["verify", "--suite", "perimeter", "--alpha", "-0.5"])
         assert code == EXIT_NUMERIC
         header, *rows, last = out.splitlines()
         rows = [dict(zip(header.split(","), row.split(","))) for row in rows]
-        assert {(row["verdict"], row["status"]) for row in rows} == {("1", "unconverged")}
-        assert last == "verify perimeter: UNRESOLVED (15 of 15 claimed rows unconverged)"
+        assert sorted((float(row["a"]) == 0.0, row["verdict"], row["status"]) for row in rows) == (
+            [(False, "1", "ok")] * 10 + [(True, "0", "undecided")] * 5)
+        assert last == "verify perimeter: UNRESOLVED (5 of 15 claimed rows undecided)"
 
     def test_local_suite_past_the_claim_makes_no_claim(self, capsys, monkeypatch):
         """alpha = -1.5 lies past the simple threshold -0.92/sqrt(S) at the

@@ -2,6 +2,7 @@
 deterministic CSV/SVG output, and the verification helpers."""
 
 import math
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -363,6 +364,37 @@ class TestRegionModes:
         assert counts["solves"] <= 7  # condition-region solves none
         assert 0 < counts["corners"] <= 3 * 7
 
+    def test_verdicts_are_dilation_invariant(self):
+        """(alpha, S, a, c) -> (alpha/sqrt(k), k S, sqrt(k) a, sqrt(k) c)
+        scales every eigenvalue by 1/k and leaves delta as it is.  On 300
+        seeded cells (beta = -alpha sqrt(sqrt(3) S) = 10^U(-6, log10 20), one
+        shape per cell, the first the flat-floor cell (0.5, 0.9) at beta =
+        1e-6) at S = 1e-4, 1 and 1e4, every region mode gives the same
+        verdicts and statuses, and values that agree to 1e-12 once scaled.  A
+        margin with an absolute floor flips constant and sector verdicts at
+        S = 1e4, where lambda0 is about -3.5e-10 at beta = 1e-6."""
+        evaluators = {"transplant-region": scan._cell_transplant,
+                      "constant-region": scan._cell_constant,
+                      "condition-region": scan._cell_condition,
+                      "sector-region": partial(scan._cell_sector, anchor_left=False)}
+        gen = np.random.default_rng(20261020)
+        for i in range(300):
+            beta = 1e-6 if i == 0 else float(10.0 ** gen.uniform(-6.0, math.log10(20.0)))
+            a, c = (0.5, 0.9) if i == 0 else (float(gen.uniform(-1.5, 1.5)),
+                                              float(10.0 ** gen.uniform(-0.7, 0.5)))
+            for mode, cell in evaluators.items():
+                rows = {}
+                for S in (1e-4, 1.0, 1e4):
+                    r, alpha = math.sqrt(S), -beta / math.sqrt(math.sqrt(3.0) * S)
+                    fn = partial(cell, shape=partial(make_triangle, c=c * r, S=S), S=S)
+                    rows[S] = scan._isolated(mode, fn, (alpha, a * r))
+                power = 0.0 if mode == "transplant-region" else 1.0
+                base = rows[1.0]
+                for S, row in rows.items():
+                    assert row[-2:] == base[-2:], (mode, beta, a, c, S, row, base)
+                    for v, w in zip(row[2:-2], base[2:-2]):
+                        assert abs(v * S**power - w) <= 1e-12 * abs(w), (mode, beta, a, c, S)
+
     def test_transplant_weak_coupling_certifies_every_skew(self):
         res = run_scan(
             ScanConfig(
@@ -562,9 +594,61 @@ class TestFemModes:
         eq = by_cell[(0.0, cc)]
         assert abs(eq[7]) < 1e-6  # lambda_fem - lambda0(scaled) at equilateral
         assert eq[8] == 0.0  # gamma = 1 so the dilation link vanishes
+        # every level value of the equilateral triangle lies above lambda0
+        assert eq[10:] == (0, "undecided")
         skew = by_cell[(0.4, 0.8 * cc)]
         assert skew[7] < 0.0 and skew[8] < 0.0 and skew[9] < 0.0
-        assert all(row[10] == 1 for row in res.rows)
+        assert all(row[10:] == (1, "ok") for cell, row in by_cell.items() if cell != (0.0, cc))
+
+    def test_conjecture_verdict_reads_the_level_values(self, monkeypatch):
+        """A fem-conjecture cell is decided exactly when one of its ladder's
+        level values, each a conforming upper bound, lies strictly below
+        lambda0.  The equilateral cell's values all lie above it, so the cell
+        reads (0, "undecided"), whatever its extrapolation reads."""
+        ladders = {}
+        ladder = fem.eigenvalue_converged
+
+        def recorded(tri, alpha, rel_tol):
+            ladders[(tri.a, tri.c)] = res = ladder(tri, alpha, rel_tol=rel_tol)
+            return res
+
+        monkeypatch.setattr(fem, "eigenvalue_converged", recorded)
+        cc = c0(S_THIRD)
+        res = _single_coupling_scan("fem-conjecture", -1.0, a_range=(0.0, 0.4, 2),
+                                    c_range=(cc, 1.2 * cc, 2), fem_rel_tol=1e-4)
+        assert len(res.rows) == len(ladders) == 4
+        lam0 = lambda0(-1.0, S_THIRD)
+        for row in res.rows:
+            _, a, c, lam_fem, err, row_lam0, margin, verdict, status = row
+            history = ladders[(a, c)].history
+            assert row_lam0 == lam0 and margin == lam_fem - lam0
+            decided = any(trial.strictly_below(v, lam0) for v in history)
+            assert (verdict, status) == ((1, "ok") if decided else (0, "undecided")), row
+            if (a, c) == (0.0, cc):
+                assert verdict == 0 and min(history) > lam0
+        assert sum(row[-2] for row in res.rows) == 3
+
+    @pytest.mark.parametrize("evaluator", ["fem-conjecture", "perimeter-variant"])
+    @pytest.mark.parametrize("deciding", [True, False], ids=["deciding", "never-below"])
+    def test_stubbed_ladder_decides_by_its_levels(self, evaluator, deciding, monkeypatch):
+        """Only the history decides, not the extrapolation or converged: an
+        unconverged ladder whose extrapolation lies above the target but whose
+        last level lies below it reads (1, "ok"); a converged ladder whose
+        extrapolation lies below the target but whose levels stay within the
+        margin above it reads (0, "undecided")."""
+        def ladder(tri, alpha, rel_tol):
+            lam0 = lambda0(alpha, tri.S)
+            last = lam0 * (1.0 + 1e-6) if deciding else lam0 * (1.0 + 1e-11)
+            return fem.EigenResult(lambda1=lam0 * (1.0 - 1e-3 if deciding else 1.0 + 1e-3),
+                                   eigenvector=None, iterations=0, residual=1e-3,
+                                   converged=not deciding, history=(0.9 * lam0, last))
+
+        monkeypatch.setattr(fem, "eigenvalue_converged", ladder)
+        if evaluator == "fem-conjecture":
+            row = scan._cell_fem((-2.0, 0.3, 0.7), S=S_THIRD, rel_tol=1e-6)
+        else:
+            row = scan._cell_perimeter((0.3, 0.7), alpha=-2.0, S=S_THIRD, rel_tol=1e-6)
+        assert row[-2:] == ((1, "ok") if deciding else (0, "undecided"))
 
     def test_monotone_in_area(self):
         res = _single_coupling_scan("monotonicity", -0.5)

@@ -122,13 +122,18 @@ class TestExpDividedDifference:
 class TestStrictlyBelow:
     def test_clear_separation(self):
         assert strictly_below(0.0, 1.0)
-        assert strictly_below(-1e-9, 0.0)
+        assert strictly_below(-2e-20, -1e-20)
         assert not strictly_below(1.0, 1.0)
 
     def test_margin_blocks_ties(self):
-        """Values inside the relative safety band do not count as below."""
+        """Values inside the relative safety band do not count as below, at
+        any scale of the target; a target of 0 has no scale and is refused."""
         assert not strictly_below(1.0 - 1e-12, 1.0)
-        assert not strictly_below(-1e-11, 0.0)
+        assert not strictly_below(-1e-20 * (1.0 + 1e-11), -1e-20)
+        assert strictly_below(-1e-20 * (1.0 + 1e-9), -1e-20)
+        for zero in (0.0, -0.0):
+            with pytest.raises(DomainError, match="nonzero target"):
+                strictly_below(-1e-11, zero)
 
 
 class TestFormHat:
