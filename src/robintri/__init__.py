@@ -59,7 +59,6 @@ __all__ = [
     "EigenResult",
     "EquilateralSolution",
     "FemMesh",
-    "FemSystem",
     "HessianBounds",
     "MODES",
     "NumericError",
@@ -88,7 +87,6 @@ __all__ = [
     "lambda0_lower_bound",
     "local_optimality_alpha_bound",
     "make_triangle",
-    "mass_residual",
     "parse_config",
     "perimeter_min_over_a",
     "perimeter_normalizer",
@@ -121,9 +119,8 @@ _LAZY = {
         "parse_config", "run_scan", "soundness_sweep",
     ), "scan"),
     **dict.fromkeys((
-        "fem", "EigenResult", "FemMesh", "FemSystem", "ShapeDerivatives", "assemble",
-        "build_mesh", "dump_mesh", "eigenvalue_converged", "mass_residual",
-        "shape_derivatives", "solve_at_level",
+        "fem", "EigenResult", "FemMesh", "ShapeDerivatives", "assemble", "build_mesh",
+        "dump_mesh", "eigenvalue_converged", "shape_derivatives", "solve_at_level",
     ), "fem"),
 }
 

@@ -90,21 +90,17 @@ def _cmd_equilateral(args) -> int:
 
 
 def _cmd_eigen(args) -> int:
-    from .fem import assemble, build_mesh, dump_mesh, eigenvalue_converged, mass_residual
+    from .fem import build_mesh, dump_mesh, eigenvalue_converged
 
     tri = make_triangle(args.a, args.c, args.area)
     res = eigenvalue_converged(tri, args.alpha, rel_tol=args.tol, max_level=args.max_level)
-    mesh = build_mesh(tri, res.level)
-    # the finest level's M^{-1} residual, the one mass-matrix solve of the call
-    residual = mass_residual(assemble(mesh, args.alpha), res.eigenvector)
     print(f"lambda1   = {res.lambda1:.15g}")
     print(f"error_est = {res.residual:.3g}")
-    print(f"residual  = {residual:.3g}")
     print(f"level     = {res.level}")
     print(f"converged = {res.converged}")
     print("history   = " + " ".join("%.12g" % v for v in res.history))
     if args.dump_mesh is not None:
-        dump_mesh(mesh, args.dump_mesh)
+        dump_mesh(build_mesh(tri, res.level), args.dump_mesh)
         print(f"mesh      -> {args.dump_mesh}")
     return EXIT_OK if res.converged else EXIT_NUMERIC
 

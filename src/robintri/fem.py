@@ -37,9 +37,8 @@ minimum-degree elimination order, computed once when the lattice is built,
 so every pencil is factored in natural order and solved in its own numbering.
 _settle is the one Richardson loop of all three ladders:
 eigenvalue_converged, shape_derivatives and the soundness oracle
-scan._raw_upper_bound.
-A level's residual in the M^{-1} norm costs a mass-matrix solve that no ladder
-reads, so it is computed only on demand, by mass_residual.
+scan._raw_upper_bound.  A ladder's one error estimate is the change of its
+extrapolation over the last refinement (EigenResult.residual).
 The factorisation is SuperLU's at panel width 2 (_PANEL), which fits the
 narrow supernodes of the ordered lattice pencils: a level-8 factorisation
 takes about three quarters of the default width's time.
@@ -54,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import cg, spilu, splu
+from scipy.sparse.linalg import spilu, splu
 
 from .errors import (DomainError, NumericError, ResourceError, check_coupling, check_finite,
                      check_level, check_rel_tol)
@@ -125,15 +124,6 @@ class FemMesh:
 
 
 @dataclass(frozen=True)
-class FemSystem:
-    """A mesh's pencil at coupling alpha, as assemble builds it: form
-    A = K + alpha B and mass M on one canonical CSR pattern."""
-
-    form: sp.csr_matrix
-    mass: sp.csr_matrix
-
-
-@dataclass(frozen=True)
 class EigenResult:
     """A ground eigenvalue and how it was found.
 
@@ -142,8 +132,7 @@ class EigenResult:
     eigenvector: the M-normalised ground vector of the finest solved level.
     iterations: shift-invert solves spent (0 on a dense level).
     residual: the ladder's error estimate, the change of the extrapolation
-      over the last refinement; nan on a one-level result (no estimate).  The
-      M^{-1}-norm residual of a vector is mass_residual's.
+      over the last refinement; nan on a one-level result (no estimate).
     converged: whether the ladder settled before its level cap.
     level: the finest solved level.
     history: the ladder's per-level values, coarsest first; each is a checked
@@ -377,9 +366,10 @@ def _weights(jet: np.ndarray, det: float) -> tuple[np.ndarray, np.ndarray]:
     return h, np.array([ell, q[1] / (2.0 * ell), q[2] / (2.0 * ell), *second])
 
 
-def assemble(mesh: FemMesh, alpha: float) -> FemSystem:
-    """The pencil of a lattice mesh at coupling alpha (CSR, one shared pattern):
-    A = K + alpha B with K = H11 K_xixi + H12 (K_xieta + K_etaxi) + H22 K_etaeta
+def assemble(mesh: FemMesh, alpha: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The pencil (A, M) of a lattice mesh at coupling alpha (CSR, one shared
+    pattern): A = K + alpha B with
+    K = H11 K_xixi + H12 (K_xieta + K_etaxi) + H22 K_etaeta
     and B = sum_k l_k B_k, and M = |det J| M_lat, with J = [v1 - v0, v2 - v0],
     |det J| = 2S, and H and the side lengths l_k the value row of _weights on
     the triangle's _invariant_jet.  A degenerate triangle, or a coupling so
@@ -395,7 +385,7 @@ def assemble(mesh: FemMesh, alpha: float) -> FemSystem:
         form = lat.form(h[0], ell[0], float(alpha))
     if not np.isfinite(form.data).all():
         raise NumericError(f"the pencil at alpha = {alpha:g} leaves float64")
-    return FemSystem(form, lat.matrix(det * lat.mass))
+    return form, lat.matrix(det * lat.mass)
 
 
 def _power_iterate(lu, M, x0, sigma: float):
@@ -514,34 +504,6 @@ def _factor_counting(A, M, sigma: float):
     return lu, int((lu.U.diagonal() < 0.0).sum())
 
 
-def mass_residual(system: FemSystem, x: np.ndarray) -> float:
-    """sqrt(r^T M^{-1} r / x^T M x) for r = A x - rho M x, where A = K + alpha*B
-    and rho = x^T A x / x^T M x is the Rayleigh quotient of x.
-
-    Some eigenvalue of the pencil (A, M) lies within this distance of rho.
-    The mass-matrix solve is Jacobi-preconditioned CG to rtol 1e-13; no
-    ladder calls this, so only a caller that reports the residual pays for it.
-    A non-finite, all-zero or wrongly sized x raises DomainError.  A is
-    applied to x itself, not to x - mean(x) as in the level values: on a
-    returned ground vector the reading is that vector's own rounding floor,
-    not the quotient's cancellation.  At the equilateral triangle (S =
-    1/sqrt(3)) it reads about 4e-12 at level 6 and 7e-11 at level 8 for every
-    alpha from -1e-9 to -8, and the centred product moves it by under 10%.
-    """
-    A, M = system.form, system.mass
-    x = np.asarray(x, dtype=float)
-    if x.shape != (A.shape[0],) or not x.any() or not np.isfinite(x).all():
-        raise DomainError(f"x must be a nonzero vector of the system's {A.shape[0]} nodal "
-                          f"values, got shape {x.shape}")
-    ax, mx = A @ x, M @ x
-    xmx = float(x @ mx)
-    r = ax - (float(x @ ax) / xmx) * mx
-    z, info = cg(M, r, rtol=1e-13, atol=0.0, M=sp.diags(1.0 / M.diagonal()))
-    if info != 0:
-        raise NumericError(f"mass-matrix solve for the residual did not converge (info {info})")
-    return math.sqrt(max(float(r @ z), 0.0) / xmx)
-
-
 def solve_at_level(tri, alpha: float, level: int,
                    sigma0: float | tuple[float, ...] | None = None,
                    start: np.ndarray | None = None) -> EigenResult:
@@ -575,10 +537,9 @@ def solve_at_level(tri, alpha: float, level: int,
     longer cancel on a nearly constant x (weak coupling), where x^T A x
     rounds to an error that scales with |K|, not |lambda|, and can put the
     value below the discrete one.  One level gives no error estimate, so
-    residual is nan (mass_residual measures the vector's).
+    residual is nan.
     """
-    system = assemble(build_mesh(tri, level), alpha)
-    A, M = system.form, system.mass
+    A, M = assemble(build_mesh(tri, level), alpha)
     shifts = () if sigma0 is None else sigma0 if isinstance(sigma0, tuple) else (sigma0,)
     for shift in shifts:
         check_finite("sigma0", shift)

@@ -601,13 +601,16 @@ def emit_csv(result: ScanResult, path: str) -> None:
     """Write the scan table: '#'-prefixed provenance, header row, data rows.
 
     Floats are printed with 17 significant digits so re-parsing reproduces
-    them bit-exactly; the bytes are a function of the config alone.
+    them bit-exactly; the bytes are a function of the config alone.  Every
+    row goes through one template built from the columns: %d for a flag, %s
+    for the status, %.17g otherwise, as _format_cell prints those cells.
     """
     lines = ["# robintri scan output"]
     lines.extend(f"# {key} = {result.provenance[key]}" for key in sorted(result.provenance))
     lines.append(",".join(result.columns))
-    for row in result.rows:
-        lines.append(",".join(_format_cell(v) for v in row))
+    template = ",".join("%d" if name in _FLAGS else "%s" if name == "status" else "%.17g"
+                        for name in result.columns)
+    lines.extend(template % row for row in result.rows)
     _write_lines(path, lines)
 
 

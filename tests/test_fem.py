@@ -31,7 +31,6 @@ from robintri.fem import (
     build_mesh,
     dump_mesh,
     eigenvalue_converged,
-    mass_residual,
     solve_at_level,
     walk_levels,
 )
@@ -41,16 +40,14 @@ S_THIRD = 1.0 / math.sqrt(3.0)
 
 
 def dense_spectrum(tri, alpha, level):
-    mesh = build_mesh(tri, level)
-    system = assemble(mesh, alpha)
-    return eigh(system.form.toarray(), system.mass.toarray(), eigvals_only=True)
+    form, mass = assemble(build_mesh(tri, level), alpha)
+    return eigh(form.toarray(), mass.toarray(), eigvals_only=True)
 
 
 def dense_minimum(tri, alpha, level):
     """The lowest value of dense_spectrum, computed alone."""
-    system = assemble(build_mesh(tri, level), alpha)
-    return eigh(system.form.toarray(), system.mass.toarray(), eigvals_only=True,
-                subset_by_index=[0, 0])[0]
+    form, mass = assemble(build_mesh(tri, level), alpha)
+    return eigh(form.toarray(), mass.toarray(), eigvals_only=True, subset_by_index=[0, 0])[0]
 
 
 def split_form(mesh, alpha):
@@ -58,7 +55,7 @@ def split_form(mesh, alpha):
     K = 2 A(alpha) - A(2 alpha), B = (A(2 alpha) - A(alpha)) / alpha, on the
     shared pattern.  Where B has no entry the two forms agree exactly, so B's
     zeros are exact."""
-    once, twice = assemble(mesh, alpha).form, assemble(mesh, 2.0 * alpha).form
+    once, twice = assemble(mesh, alpha)[0], assemble(mesh, 2.0 * alpha)[0]
     assert np.array_equal(once.indptr, twice.indptr)
     assert np.array_equal(once.indices, twice.indices)
     stiffness, boundary_mass = once.copy(), once.copy()
@@ -203,24 +200,23 @@ class TestAssembly:
             alpha = -float(rng.uniform(0.1, 5.0))
             tri = make_triangle(rng.uniform(-2, 2), rng.uniform(0.3, 2), rng.uniform(0.3, 2))
             mesh = build_mesh(tri, 3)
-            system = assemble(mesh, alpha)
+            form, mass = assemble(mesh, alpha)
             stiffness, boundary_mass = split_form(mesh, alpha)
-            ones = np.ones(system.mass.shape[0])
+            ones = np.ones(mass.shape[0])
             quad_k = float(ones @ (stiffness @ ones))
             quad_b = float(ones @ (boundary_mass @ ones))
-            quad_m = float(ones @ (system.mass @ ones))
+            quad_m = float(ones @ (mass @ ones))
             scale = float(np.abs(stiffness.data).max())
             assert abs(quad_k) < 1e-12 * scale
             assert abs(quad_b - tri.perimeter) < 1e-12 * tri.perimeter
             assert abs(quad_m - tri.S) < 1e-12 * tri.S
-            form = float(ones @ (system.form @ ones))
-            assert abs(form - alpha * tri.perimeter) < 1e-10 * abs(alpha * tri.perimeter)
+            quad_a = float(ones @ (form @ ones))
+            assert abs(quad_a - alpha * tri.perimeter) < 1e-10 * abs(alpha * tri.perimeter)
 
     def test_symmetry(self):
         mesh = build_mesh(make_triangle(0.9, 0.7, 0.8), 3)
-        system = assemble(mesh, -1.5)
         a = split_form(mesh, -1.5)[0].toarray()
-        m = system.mass.toarray()
+        m = assemble(mesh, -1.5)[1].toarray()
         assert np.max(np.abs(a - a.T)) < 1e-14 * np.max(np.abs(a))
         assert np.max(np.abs(m - m.T)) < 1e-15
         # mass matrix is positive definite
@@ -251,14 +247,14 @@ class TestLatticeCache:
             k_ref, m_ref, b_ref = (permuted(X, to_mesh) for X in coo_assemble(ref))
             # two couplings pin the stiffness and the boundary mass separately
             for alpha in (-1.5, -0.25):
-                system = assemble(mesh, alpha)
-                assert_same_matrix(system.form, k_ref + alpha * b_ref)
-            assert_same_matrix(system.mass, m_ref)
+                form, mass = assemble(mesh, alpha)
+                assert_same_matrix(form, k_ref + alpha * b_ref)
+            assert_same_matrix(mass, m_ref)
             # the boundary mass is stored on the shared pattern, zeros included
             _, boundary_mass = split_form(mesh, -1.5)
             assert_same_matrix(boundary_mass, b_ref, same_pattern=False)
-            assert np.array_equal(boundary_mass.indptr, system.mass.indptr)
-            assert np.array_equal(boundary_mass.indices, system.mass.indices)
+            assert np.array_equal(boundary_mass.indptr, mass.indptr)
+            assert np.array_equal(boundary_mass.indices, mass.indices)
             assert np.count_nonzero(boundary_mass.data) == (b_ref != 0).sum()
 
     def test_interleaved_triangles_match_fresh_calls(self):
@@ -298,8 +294,7 @@ class TestLatticeCache:
         """assemble's form and mass carry no copy of the lattice's index
         arrays but the arrays themselves, read-only, so a write raises."""
         lat = fem._lattice(5)
-        system = assemble(build_mesh(make_triangle(0.3, 0.8, 1.0), 5), -1.0)
-        for matrix in (system.form, system.mass):
+        for matrix in assemble(build_mesh(make_triangle(0.3, 0.8, 1.0), 5), -1.0):
             assert matrix.indptr is lat.indptr and np.shares_memory(matrix.indices, lat.indices)
             with pytest.raises(ValueError, match="read-only"):
                 matrix.indices[0] = 0
@@ -320,9 +315,7 @@ class TestFactorCounting:
             tri = make_triangle(rng.uniform(-2.5, 2.5), rng.uniform(0.3, 2.0), S_THIRD)
             alpha = -float(rng.uniform(0.2, 8.0))
             level = int(rng.integers(2, 4))
-            mesh = build_mesh(tri, level)
-            system = assemble(mesh, alpha)
-            form, mass = system.form, system.mass
+            form, mass = assemble(build_mesh(tri, level), alpha)
             spec = eigh(form.toarray(), mass.toarray(), eigvals_only=True)
             lo, hi = spec[0], spec[min(4, len(spec) - 1)]
             sigma = float(rng.uniform(lo - 0.5 * abs(lo) - 1.0, hi))
@@ -341,8 +334,7 @@ class TestFactorCounting:
         for _ in range(2):
             tri = make_triangle(rng.uniform(-2.5, 2.5), rng.uniform(0.3, 2.0), S_THIRD)
             alpha = -float(rng.uniform(0.2, 8.0))
-            system = assemble(build_mesh(tri, 5), alpha)
-            form, mass = system.form, system.mass
+            form, mass = assemble(build_mesh(tri, 5), alpha)
             spec = eigh(form.toarray(), mass.toarray(), eigvals_only=True)
             for lo, hi in ((1, 4), (5, 20), (40, 120)):
                 k = lo + int(np.argmax(np.diff(spec[lo - 1:hi])))
@@ -399,8 +391,7 @@ class TestFactorCounting:
     def test_unsymmetric_permutation_is_refused(self, monkeypatch):
         """The U-diagonal sign count is an inertia only when perm_r == perm_c."""
         tri = make_triangle(0.3, 0.8, 1.0)
-        system = assemble(build_mesh(tri, 5), -1.0)
-        form, mass = system.form, system.mass
+        form, mass = assemble(build_mesh(tri, 5), -1.0)
         n = form.shape[0]
 
         class Pivoted:
@@ -485,28 +476,7 @@ class TestLowestEigenpair:
             assert abs(res.lambda1 - lam) < 1e-12 * max(1.0, abs(lam))
             assert (res.iterations > 0) == (level == 5)
             assert bool(factored) == (level == 5)
-
-    @pytest.mark.parametrize("level", [4, 5])
-    def test_residual_is_the_mass_inverse_norm(self, rng, level):
-        """mass_residual of a dense (level 4) and a Lanczos (level 5) solve; the
-        one-level result itself carries no error estimate."""
-        for _ in range(4):
-            tri = make_triangle(rng.uniform(-2, 2), rng.uniform(0.4, 1.8), S_THIRD)
-            alpha = -float(rng.uniform(0.3, 6.0))
-            system = assemble(build_mesh(tri, level), alpha)
-            res = solve_at_level(tri, alpha, level)
-            assert math.isnan(res.residual)
-            # the plain quotient on both sides: a converged vector's residual is
-            # so small that lambda1's own rounding would move it past 1e-10
-            x = res.eigenvector
-            ax, mx = system.form @ x, system.mass @ x
-            r = ax - (float(x @ ax) / float(x @ mx)) * mx
-            want = math.sqrt(float(r @ splu(system.mass.tocsc()).solve(r)))
-            assert abs(mass_residual(system, res.eigenvector) - want) <= 1e-10 * want
-            # the vector's scale does not enter (checked off the rounding floor)
-            ones = np.ones(len(res.eigenvector))
-            once = mass_residual(system, ones)
-            assert abs(mass_residual(system, -3.0 * ones) - once) <= 1e-12 * once
+            assert math.isnan(res.residual)  # one level carries no error estimate
 
     def test_value_is_the_rayleigh_quotient(self):
         """lambda1 is the Rayleigh quotient (x^T K x + alpha x^T B x) / x^T M x
@@ -627,17 +597,6 @@ class TestLowestEigenpair:
         with pytest.raises(NumericError, match="Lanczos broke down at shift"):
             solve_at_level(make_triangle(0.3, 0.7, S_THIRD), -1.5, 5)
 
-    def test_mass_solve_that_does_not_converge_is_a_numeric_error(self, monkeypatch):
-        """CG cut to one iteration misses rtol 1e-13; mass_residual raises
-        with CG's info instead of returning the unconverged norm."""
-        tri = make_triangle(0.3, 0.7, S_THIRD)
-        system = assemble(build_mesh(tri, 4), -1.5)
-        x = solve_at_level(tri, -1.5, 4).eigenvector
-        cg = fem.cg
-        monkeypatch.setattr(fem, "cg", lambda *args, **kwargs: cg(*args, **kwargs, maxiter=1))
-        with pytest.raises(NumericError, match=r"did not converge \(info 1\)"):
-            mass_residual(system, x)
-
     def test_reflection_symmetry(self):
         plus = solve_at_level(make_triangle(0.8, 0.7, 1.0), -1.5, 3)
         minus = solve_at_level(make_triangle(-0.8, 0.7, 1.0), -1.5, 3)
@@ -672,8 +631,7 @@ class TestWarmStart:
             fine_levels = []
             for coarse in walk_levels(tri, alpha, 2, 7, []):
                 level = coarse.level + 1
-                system = assemble(build_mesh(tri, level), alpha)
-                form, mass = system.form, system.mass
+                form, mass = assemble(build_mesh(tri, level), alpha)
                 u = fem._prolongate(coarse.eigenvector, level)
                 quotient = float(u @ (form @ u)) / float(u @ (mass @ u))
                 assert abs(quotient - coarse.lambda1) <= 1e-12 * abs(coarse.lambda1)
@@ -736,8 +694,7 @@ class TestWarmStart:
         assert not skipped
         cold = {level: solve_at_level(tri, alpha, level) for level in (5, 6)}
         for level in (5, 6):
-            system = assemble(build_mesh(tri, level), alpha)
-            form, mass = system.form, system.mass
+            form, mass = assemble(build_mesh(tri, level), alpha)
             if level == 5:
                 spec, vecs = eigh(form.toarray(), mass.toarray(), subset_by_index=[0, 1])
                 assert abs(warm[5].lambda1 - spec[0]) <= 1e-10 * max(1.0, abs(spec[0]))
@@ -771,8 +728,7 @@ class TestWarmStart:
         assert coarse.iterations == counted[-1].calls > 0
         fine = solve_at_level(tri, -2.0, 6, start=coarse.eigenvector)
         assert fine.iterations == counted[-1].calls > 0
-        system = assemble(build_mesh(tri, 5), -2.0)
-        form, mass = system.form, system.mass
+        form, mass = assemble(build_mesh(tri, 5), -2.0)
         lu = CountingLU(factor(form, mass, -500.0)[0])
         _, _, solves = fem._power_iterate(lu, mass, np.ones(form.shape[0]), -500.0)
         assert solves == lu.calls > 0
@@ -784,8 +740,7 @@ class TestWarmStart:
         entry for the kept vectors.  A cold start far below the spectrum
         restarts several times and still returns the dense minimum."""
         tri = make_triangle(0.3, 0.7, S_THIRD)
-        system = assemble(build_mesh(tri, 5), -1.5)
-        form, mass = system.form, system.mass
+        form, mass = assemble(build_mesh(tri, 5), -1.5)
         restart, restarts = fem._restart, []
 
         def checking(QM, T, theta, s):
@@ -1161,21 +1116,6 @@ class TestConvergence:
                                    rel_tol=1e-3, max_level=6)
         assert len(res.history) == 5 and not res.skipped  # levels 2 to 6
         assert res.iterations <= 10 * 2
-
-    def test_ladders_run_no_mass_matrix_solve(self, monkeypatch):
-        """No ladder reads a level's M^{-1} residual, so none pays for its CG
-        mass solve: with cg and mass_residual refusing, all three ladders finish."""
-        def refuse(*args, **kwargs):
-            raise AssertionError("mass-matrix solve inside a ladder")
-
-        monkeypatch.setattr(fem, "cg", refuse)
-        monkeypatch.setattr(fem, "mass_residual", refuse)
-        tri = make_triangle(1.0, 1.6, S_THIRD)
-        res = eigenvalue_converged(tri, -2.0, rel_tol=1e-3, max_level=6)
-        assert res.level == 6 and not res.skipped  # Lanczos levels 5 and 6 ran
-        _, _, settled = scan._raw_upper_bound(tri, -2.0, 1e-3, sound_target=lambda0(-2.0, S_THIRD))
-        assert settled
-        assert fem.shape_derivatives(make_triangle(0.0, c0(1.0), 1.0), -0.5).converged
 
     def test_non_finite_tolerance_is_refused(self):
         tri = make_triangle(0.5, 0.6, S_THIRD)

@@ -13,7 +13,6 @@ import re
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 import robintri
@@ -286,7 +285,6 @@ def test_no_module_imports_a_name_it_never_reads():
 
 S3 = 1.0 / math.sqrt(3.0)
 TRI = robintri.make_triangle(0.3, 0.8, S3)
-SYSTEM = robintri.assemble(robintri.build_mesh(TRI, 2), -1.0)  # 15 nodes
 NAN, INF = math.nan, math.inf
 NOT_TRIANGLES = (None, 1.0, "tri", tuple(TRI))     # a tuple of its fields is no triangle
 COUPLINGS = (NAN, INF, -INF, 0.0, 1.0, "-1")       # fails: finite and strictly negative
@@ -336,10 +334,6 @@ _BAD_INPUTS = {
                              "refinement level must be a non-negative integer"),
     "solve_at_level/sigma0": (lambda v: robintri.solve_at_level(TRI, -1.0, 2, sigma0=v),
                               FINITES + ("x", True), "sigma0 must be finite"),
-    "mass_residual/x": (lambda v: robintri.mass_residual(SYSTEM, v),
-                        (np.ones(14), np.zeros(15), np.ones((15, 1)), np.full(15, NAN),
-                         np.full(15, INF)),
-                        "x must be a nonzero vector of the system's 15 nodal values"),
     "eigenvalue_converged/alpha": (lambda v: robintri.eigenvalue_converged(TRI, v), COUPLINGS,
                                    ALPHA),
     "eigenvalue_converged/max_level": (

@@ -780,11 +780,18 @@ class TestOutputs:
             a_range=(0.0, 1.5, 3),
         )
         res = run_scan(cfg)
+        # failure rows too: NaN values and a 0 flag
+        failed = tuple(scan._failure_row(res.mode, (-1.0, 0.5), exc)
+                       for exc in (DomainError("stub"), NumericError("stub")))
+        res = scan.ScanResult(mode=res.mode, columns=res.columns, rows=res.rows + failed,
+                              axes=res.axes, provenance=res.provenance)
         path = tmp_path / "rt.csv"
         emit_csv(res, str(path))
         lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
         header = lines[0].split(",")
         assert tuple(header) == res.columns
+        assert lines[-2:] == ["-1,0.5,nan,0,domain-error", "-1,0.5,nan,0,numeric-error"]
+        assert len(lines) == 1 + len(res.rows)
         for text_row, row in zip(lines[1:], res.rows):
             parts = text_row.split(",")
             for got, want in zip(parts, row):
