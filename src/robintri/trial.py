@@ -29,6 +29,8 @@ with no absolute floor, so a dilated problem gets the same verdicts.
 from __future__ import annotations
 
 import math
+import numbers
+from functools import lru_cache
 
 from .equilateral import _normalised_ground_state, closed_form_norms, solve_equilateral
 from .errors import DomainError, NumericError, check_area, check_coupling, check_length
@@ -41,9 +43,9 @@ _EXP_FLOOR = -700.0
 _SERIES_TERMS = 25
 #: Gauss points per cell of sector_bound's side quadrature.  Rule calls per
 #: side norm on the benchmark's 7x7 sector grid: 6.71, 4.88, 3.47, 2.86 and
-#: 2.31 at n = 10, 20, 40, 60 and 100, and the 49 cells took about 26, 13,
-#: 9, 8 and 7 ms on one core of a 2-core machine.  40 is the knee, and the
-#: largest of these orders whose weights (_quad._gauss01) hold 5e-14
+#: 2.31 at n = 10, 20, 40, 60 and 100, and the 49 cells took about 12, 8.3,
+#: 5.9, 5.0 and 4.2 ms on one core of a 2-core machine.  40 is the knee, and
+#: the largest of these orders whose weights (_quad._gauss01) hold 5e-14
 #: relative: 6e-14 at 60, 1.4e-13 at 100.
 _SIDE_RULE = 40
 
@@ -206,6 +208,23 @@ def _exp_divided_difference(z0: float, z1: float, z2: float) -> float:
     return math.exp(top) * math.exp(mean) * total
 
 
+@lru_cache(maxsize=256)
+def _sector_frame(tri: TriangleGeometry, index: int) -> tuple:
+    """(rel, p0, p1, bisector) of the sector field anchored at vertex index:
+    the vertices relative to that apex (3, 2), the three sides' endpoint
+    stacks p0 -> p1 (3, 2) in label order, and the unit bisector (2,).
+    Geometry only, so one frame serves every coupling; read-only arrays,
+    since the cache hands the same ones to every caller."""
+    import numpy as np
+
+    _, _, apex, bisector = tri.corners[index]
+    rel = tri.vertex_array() - np.asarray(apex)
+    frame = (rel, rel[[0, 0, 1]], rel[[1, 2, 2]], np.asarray(bisector))
+    for array in frame:
+        array.flags.writeable = False
+    return frame
+
+
 def sector_bound(alpha: float, tri, anchor_vertex: int | None = None) -> tuple[float, float]:
     """(rayleigh_upper, closed_upper) for the sector exponential.
 
@@ -223,8 +242,10 @@ def sector_bound(alpha: float, tri, anchor_vertex: int | None = None) -> tuple[f
     closed_upper replaces the volume norm by the infinite-sector integral and
     the boundary norm by the two adjacent sides truncated at L', so
     rayleigh_upper <= closed_upper always.  The field anchors at the smallest
-    angle, or at anchor_vertex 0, 1 or 2 with that vertex's angle data; an
-    angle that rounds to 0 raises DomainError.  A norm that is not positive
+    angle, or at anchor_vertex 0, 1 or 2 (an integer, not a bool) with that
+    vertex's angle data; an angle that rounds to 0 raises DomainError.  The
+    anchor's geometry comes from _sector_frame's cache, which a refused angle
+    never reaches, so a cell computes only k, its exponents and the norms.  A norm that is not positive
     and finite raises NumericError naming it: the volume norm underflows at
     angles near 1e-200, and on flat triangles at strong coupling no side
     quadrature node lands in the boundary layer, 1/|2 rate| wide.  NumPy and
@@ -235,15 +256,17 @@ def sector_bound(alpha: float, tri, anchor_vertex: int | None = None) -> tuple[f
     from . import _quad
 
     check_coupling("alpha", alpha)
-    if anchor_vertex not in (None, 0, 1, 2):
+    if not (anchor_vertex is None or (isinstance(anchor_vertex, numbers.Integral)
+                                      and not isinstance(anchor_vertex, bool)
+                                      and 0 <= anchor_vertex <= 2)):
         raise DomainError(f"anchor_vertex must be None, 0, 1 or 2, got {anchor_vertex!r}")
     tri = as_geometry(tri)
-    verts = tri.vertex_array()
     index = tri.apex_index if anchor_vertex is None else int(anchor_vertex)
-    theta, l_prime, apex, bisector = tri.corners[index]
+    theta, l_prime, _, _ = tri.corners[index]
     _check_angle(theta)
     rate = alpha / math.sin(0.5 * theta)
-    rel, k = verts - np.asarray(apex), 2.0 * rate * np.asarray(bisector)
+    rel, p0, p1, bisector = _sector_frame(tri, index)
+    k = 2.0 * rate * bisector
 
     def square(pts: np.ndarray) -> np.ndarray:
         return np.exp(pts @ k)
@@ -254,8 +277,7 @@ def sector_bound(alpha: float, tri, anchor_vertex: int | None = None) -> tuple[f
         if not (math.isfinite(l2) and l2 > 0.0):
             raise NumericError(f"sector field at alpha = {alpha:g}: the exact volume norm "
                                f"2|T| exp[z0, z1, z2] = {l2:g} is not a positive float64")
-        bdry = float(_quad.segment_integrate(square, rel[[0, 0, 1]], rel[[1, 2, 2]],
-                                             n=_SIDE_RULE, tol=1e-12))
+        bdry = float(_quad.segment_integrate(square, p0, p1, n=_SIDE_RULE, tol=1e-12))
     if not (math.isfinite(bdry) and bdry > 0.0):
         raise NumericError(f"sector field at alpha = {alpha:g}: volume norm {l2:g}, "
                            f"boundary norm {bdry:g}; the side quadrature found no mass "

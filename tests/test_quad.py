@@ -168,6 +168,30 @@ class TestAgainstPerCellLoop:
                 assert counter["cells"] == old_cells
                 _close(new, old)
 
+    @pytest.mark.parametrize("max_depth", [0, 1, 3])
+    def test_cells_at_max_depth_are_accepted(self, monkeypatch, max_depth):
+        """With the depth cap lowered so that it binds, a cell that reaches it
+        is accepted unconverged: the batched loop splits the oracle's cells and
+        returns its value, on segments and on triangles."""
+        monkeypatch.setattr(_quad, "_MAX_DEPTH_SEGMENT", max_depth)
+        monkeypatch.setattr(_quad, "_MAX_DEPTH_TRIANGLE", max_depth)
+        halves = _counting_split(monkeypatch, "_halves")
+        children = _counting_split(monkeypatch, "_children")
+        for tri, _, field in _sector_cases():
+            verts = tri.vertex_array()
+            f = lambda p: field(p)[0] ** 2  # noqa: E731
+            old, old_cells = _oracle_segment(f, verts[0], verts[2], n=10, tol=1e-12,
+                                             max_depth=max_depth)
+            halves["cells"] = 0
+            new = _quad.segment_integrate(f, verts[0], verts[2], n=10, tol=1e-12)
+            assert halves["cells"] == old_cells
+            _close(new, old)
+            old, old_cells = _oracle_triangle(f, verts, n=8, tol=1e-12, max_depth=max_depth)
+            children["cells"] = 0
+            new = _quad.triangle_integrate(f, verts, n=8, tol=1e-12)
+            assert children["cells"] == old_cells
+            _close(new, old)
+
 
 # -- a stack of segments is one integral -------------------------------------
 

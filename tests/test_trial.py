@@ -428,11 +428,40 @@ class TestSectorBound:
         assert [sector_bound(-2.0, tri, anchor_vertex=v) for v in (None, 0, 1, 2)] == expected
         assert run_scan(cfg).rows == rows
 
-    @pytest.mark.parametrize("vertex", [3, -1])
+    @pytest.mark.parametrize("vertex", [3, -1, True, False, 1.0])
     def test_rejects_anchor_outside_the_vertices(self, vertex):
-        """Neither an IndexError nor Python's negative indexing: a DomainError."""
+        """Neither an IndexError nor Python's negative indexing: a DomainError.
+        A bool or a float is no vertex index, though True == 1 and 1.0 == 1."""
         with pytest.raises(DomainError, match="anchor_vertex"):
             sector_bound(-2.0, make_triangle(1.2, 0.5, S_THIRD), anchor_vertex=vertex)
+
+    def test_accepts_a_numpy_integer_anchor(self):
+        tri = make_triangle(1.2, 0.5, S_THIRD)
+        assert sector_bound(-2.0, tri, anchor_vertex=np.int64(1)) == sector_bound(
+            -2.0, tri, anchor_vertex=1)
+
+    def test_frame_cache_changes_no_value_and_keeps_no_refusal(self):
+        """The anchor frame sector_bound caches per (triangle, vertex) is
+        geometry only: on the region-scan benchmark's 7x7 grid, at both anchors
+        of the sector-region scan, a cleared cache, a warm one and the reversed
+        cell order give the same pairs bitwise; a triangle whose corner angle
+        is refused is refused again and leaves no entry."""
+        cells = [(alpha, make_triangle(a, c0(S_THIRD), S_THIRD))
+                 for alpha in np.linspace(-10.0, -0.01, 7).tolist()
+                 for a in np.linspace(0.0, 5.0, 7).tolist()]
+        for anchor in (None, 0):
+            trial._sector_frame.cache_clear()
+            cold = [sector_bound(alpha, tri, anchor_vertex=anchor) for alpha, tri in cells]
+            warm = [sector_bound(alpha, tri, anchor_vertex=anchor) for alpha, tri in cells]
+            backwards = [sector_bound(alpha, tri, anchor_vertex=anchor)
+                         for alpha, tri in reversed(cells)]
+            assert cold == warm == backwards[::-1]
+        entries = trial._sector_frame.cache_info().currsize
+        flat = make_triangle(1e17, 0.5, 1.0)
+        for _ in range(2):
+            with pytest.raises(DomainError, match="positive corner angle"):
+                sector_bound(-2.0, flat)
+        assert trial._sector_frame.cache_info().currsize == entries
 
     def test_anchored_variant(self):
         tri = make_triangle(1.5, 0.6, 0.8)
@@ -519,9 +548,10 @@ class TestSectorBound:
 
     def test_side_rule_calls_on_the_bench_grid(self, monkeypatch):
         """On the region-scan benchmark's 7x7 sector grid (alpha -10 to -0.01,
-        a 0 to 5, c = c0(S), S = 1/sqrt(3)) the side quadrature makes at most
-        170 rule calls over the 49 cells, 3.47 per sector_bound: the count the
-        40-point rule measured.  The 10-point rule made 329 (6.71)."""
+        a 0 to 5, c = c0(S), S = 1/sqrt(3)) the side quadrature makes exactly
+        170 rule calls over the 49 cells at the apex anchor, 3.47 per
+        sector_bound, and 134 at the left base vertex: the counts the 40-point
+        rule measured.  The 10-point rule made 329 (6.71) at the apex."""
         calls = []
         rule = _quad.segment_apply
 
@@ -530,10 +560,15 @@ class TestSectorBound:
             return rule(*args, **kwargs)
 
         monkeypatch.setattr(_quad, "segment_apply", counted)
-        for alpha in np.linspace(-10.0, -0.01, 7).tolist():
-            for a in np.linspace(0.0, 5.0, 7).tolist():
-                sector_bound(alpha, make_triangle(a, c0(S_THIRD), S_THIRD))
-        assert len(calls) <= 170
+        counts = []
+        for anchor_vertex in (None, 0):
+            calls.clear()
+            for alpha in np.linspace(-10.0, -0.01, 7).tolist():
+                for a in np.linspace(0.0, 5.0, 7).tolist():
+                    sector_bound(alpha, make_triangle(a, c0(S_THIRD), S_THIRD),
+                                 anchor_vertex=anchor_vertex)
+            counts.append(len(calls))
+        assert counts == [170, 134]
 
     def test_closed_form_monotone_in_l_prime(self):
         """Extending the truncated sides can only improve the closed bound."""
