@@ -9,9 +9,13 @@ reference matrices built once per level, weighted by the value row of one jet
 (_invariant_jet, see assemble) whose (a, c)-derivative rows give exact
 eigenvalue derivatives (Nelson's method).
 
-solve_at_level is the one solve of a mesh level, on the pencil it assembles
-itself.  A mesh of at most 153 nodes (levels 0 to 4) is solved by dense
-LAPACK, which needs no shift.  Every larger level costs one sparse
+solve_at_level is the one solve of a mesh level.  A mesh of at most 153
+nodes (levels 0 to 4) is solved by dense LAPACK, which needs no shift, on the
+pencil reduced to standard form once per level: M = |det J| M_lat for every
+triangle, so the Cholesky factor of M_lat reduces each reference block once
+(_dense_level), and a level costs one weighted sum of six cached blocks and
+one standard eigensolve, with no matrix assembled.  Every larger level
+assembles its pencil and costs one sparse
 factorisation at a shift that the factorisation's inertia certifies to lie
 below every eigenvalue, and a thick-restart shift-invert Lanczos loop
 (_power_iterate, a 10-vector basis) on that same factorisation returns the
@@ -61,10 +65,11 @@ from .geometry import TriangleGeometry, as_geometry
 from .trial import closed_lower_bound
 
 MAX_LEVEL = 10
-# Meshes up to this many nodes (levels 0 to 4) are solved by dense LAPACK.  One
-# warm solve with one BLAS thread on a 2-core Xeon VM, panel width _PANEL,
-# medians on three triangles: level 4 takes 2.1-2.2 ms dense against 2.3-5.1 ms
-# sparse, level 5 (561 nodes) 39-40 ms against 6.5-7.2 ms.
+# Meshes up to this many nodes (levels 0 to 4) are solved by dense LAPACK, on
+# the cached reduced pencil (_dense_level).  One warm ladder solve with one BLAS
+# thread on a 2-core Xeon VM, panel width _PANEL, medians of 15 to 25 ladders
+# on three triangles at alpha -2: level 4 takes 0.99-1.06 ms dense against
+# 1.10-1.23 ms sparse, level 5 (561 nodes) 14.9-15.7 ms against 1.5-1.9 ms.
 _DENSE_NODES = 153
 # Lanczos basis size of the sparse solve (shift-invert needs 2k + 1 vectors for
 # k wanted pairs, Ericsson & Ruhe, Math. Comp. 35, 1980), the Ritz vectors a
@@ -174,9 +179,10 @@ class _Lattice:
         n = len(self.indptr) - 1
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
 
-    def form(self, h: np.ndarray, ell: np.ndarray, alpha: float) -> sp.csr_matrix:
-        """sum_j h_j K_j + alpha sum_k l_k B_k, for stiffness weights h and side lengths ell."""
-        return self.matrix((0.5 * h) @ self.stiffness + alpha * (self.sides @ ell))
+    def form(self, h: np.ndarray, ell: np.ndarray, alpha: float) -> np.ndarray:
+        """The data of sum_j h_j K_j + alpha sum_k l_k B_k on the lattice's
+        pattern, for stiffness weights h and side lengths ell."""
+        return (0.5 * h) @ self.stiffness + alpha * (self.sides @ ell)
 
     def boundary(self, ell: np.ndarray, u: np.ndarray) -> float:
         """u^T (sum_k l_k B_k) u, summed over the boundary edges: an edge of
@@ -281,6 +287,40 @@ def _lattice(level: int) -> _Lattice:
     )
 
 
+@dataclass(frozen=True)
+class _DenseLevel:
+    """A dense level's reference pencil reduced to standard form (Parlett, The
+    Symmetric Eigenvalue Problem, ch. 15): chol, the lower Cholesky factor L
+    of M_lat, and blocks R_i = L^-1 X_i L^-T for the three doubled stiffness
+    blocks and the three side masses, in that order.  M = |det J| M_lat for
+    every triangle, so the pencil (A, M) of a triangle has the standard form
+    (sum_j h_j R_j / 2 + alpha sum_k l_k R_{3+k}) / |det J|, whose unit
+    eigenvector y gives the M-normalised x = L^-T y / |det J|^(1/2).  rows
+    holds the row of each slot of the lattice's pattern.  The arrays are
+    read-only."""
+
+    chol: np.ndarray            # (N, N)
+    blocks: np.ndarray          # (6, N, N)
+    rows: np.ndarray            # (nnz,)
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_level(level: int) -> _DenseLevel:
+    """The reduced reference pencil of a level of at most _DENSE_NODES nodes,
+    built on first use."""
+    lat = _lattice(level)
+    chol = scipy.linalg.cholesky(lat.matrix(lat.mass).toarray(), lower=True)
+    blocks = np.empty((6, len(lat.unit), len(lat.unit)))
+    for block, data in zip(blocks, [*lat.stiffness, *lat.sides.T.toarray()]):
+        half = scipy.linalg.solve_triangular(chol, lat.matrix(data.astype(float)).toarray(),
+                                             lower=True)
+        block[:] = scipy.linalg.solve_triangular(chol, half.T, lower=True)
+        block += block.T.copy()
+        block *= 0.5  # exactly symmetric
+    rows = np.repeat(np.arange(len(lat.unit), dtype=np.int32), np.diff(lat.indptr))
+    return _DenseLevel(chol=_frozen(chol), blocks=_frozen(blocks), rows=_frozen(rows))
+
+
 @functools.lru_cache(maxsize=None)
 def _parents(level: int) -> np.ndarray:
     """(2, N) ids on the level - 1 lattice of the two coarse nodes whose
@@ -366,15 +406,11 @@ def _weights(jet: np.ndarray, det: float) -> tuple[np.ndarray, np.ndarray]:
     return h, np.array([ell, q[1] / (2.0 * ell), q[2] / (2.0 * ell), *second])
 
 
-def assemble(mesh: FemMesh, alpha: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """The pencil (A, M) of a lattice mesh at coupling alpha (CSR, one shared
-    pattern): A = K + alpha B with
-    K = H11 K_xixi + H12 (K_xieta + K_etaxi) + H22 K_etaeta
-    and B = sum_k l_k B_k, and M = |det J| M_lat, with J = [v1 - v0, v2 - v0],
-    |det J| = 2S, and H and the side lengths l_k the value row of _weights on
-    the triangle's _invariant_jet.  A degenerate triangle, or a coupling so
-    strong that A leaves float64, raises NumericError.
-    """
+def _pencil(mesh: FemMesh, alpha: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """|det J|, the stiffness weights (H11, H12, H22), the side lengths and the
+    data of A = K + alpha B on the lattice's pattern, for assemble and the
+    dense levels of solve_at_level; a degenerate triangle, or a coupling so
+    strong that A leaves float64, raises NumericError."""
     check_coupling("alpha", alpha)
     tri, lat = mesh.tri, _lattice(mesh.refinement_level)
     det, jet = 2.0 * tri.S, _invariant_jet(tri.a, tri.c, tri.S)
@@ -382,10 +418,24 @@ def assemble(mesh: FemMesh, alpha: float) -> tuple[sp.csr_matrix, sp.csr_matrix]
         raise NumericError(f"degenerate triangle: |det J| = {det:g}")
     h, ell = _weights(jet, det)
     with np.errstate(over="ignore", invalid="ignore"):
-        form = lat.form(h[0], ell[0], float(alpha))
-    if not np.isfinite(form.data).all():
+        data = lat.form(h[0], ell[0], float(alpha))
+    if not np.isfinite(data).all():
         raise NumericError(f"the pencil at alpha = {alpha:g} leaves float64")
-    return form, lat.matrix(det * lat.mass)
+    return det, h[0], ell[0], data
+
+
+def assemble(mesh: FemMesh, alpha: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The pencil (A, M) of a lattice mesh at coupling alpha (CSR, one shared
+    pattern): A = K + alpha B with
+    K = H11 K_xixi + H12 (K_xieta + K_etaxi) + H22 K_etaeta
+    and B = sum_k l_k B_k, and M = |det J| M_lat, with J = [v1 - v0, v2 - v0],
+    |det J| = 2S, and H and the side lengths l_k the value row of _weights on
+    the triangle's _invariant_jet.  A degenerate triangle, or a coupling so
+    strong that A leaves float64, raises NumericError (_pencil).
+    """
+    det, _, _, data = _pencil(mesh, alpha)
+    lat = _lattice(mesh.refinement_level)
+    return lat.matrix(data), lat.matrix(det * lat.mass)
 
 
 def _power_iterate(lu, M, x0, sigma: float):
@@ -403,7 +453,8 @@ def _power_iterate(lu, M, x0, sigma: float):
     Gram-Schmidt against the basis with coefficients (M Q) w, and a second
     pass, with the same coefficients, when the first one cancels more than
     half of |w|_M^2 (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30,
-    1976), and the eigenproblem of the projected matrix, at most 10 x 10.  M
+    1976), and the eigenproblem of the projected matrix, at most 10 x 10,
+    solved by LAPACK dsyevd (a nonzero info raises NumericError).  M
     is applied once per step, to the orthogonalised vector: that product
     gives its norm and the next right-hand side, and a second pass updates it
     from M Q.  A full basis restarts (_restart) on the _KEEP = 3 largest Ritz vectors plus the
@@ -441,8 +492,8 @@ def _power_iterate(lu, M, x0, sigma: float):
             beta2 = float(w @ z)
         beta = math.sqrt(max(beta2, 0.0))
         T[:j + 1, j] = h
-        theta, s = np.linalg.eigh(T[:j + 1, :j + 1], UPLO="U")
-        if not (math.isfinite(beta) and theta[-1] > 0.0):
+        theta, s, info = scipy.linalg.lapack.dsyevd(T[:j + 1, :j + 1], lower=0)
+        if info != 0 or not (math.isfinite(beta) and theta[-1] > 0.0):
             raise NumericError(f"shift-invert Lanczos broke down at shift {sigma:g}")
         if beta * abs(s[j, -1]) <= _EPS * theta[-1]:
             return sigma + 1.0 / theta[-1], s[:, -1] @ basis, solves
@@ -504,6 +555,23 @@ def _factor_counting(A, M, sigma: float):
     return lu, int((lu.U.diagonal() < 0.0).sum())
 
 
+def _checked_start(sigma0, start, level: int):
+    """The shifts sigma0 gives, as a tuple, and start prolongated onto level
+    and scaled to peak 1 (or None); DomainError for a shift that is not
+    finite or a start that is not a finite nonzero 1-D array of level - 1's
+    nodal values."""
+    shifts = () if sigma0 is None else sigma0 if isinstance(sigma0, tuple) else (sigma0,)
+    for shift in shifts:
+        check_finite("sigma0", shift)
+    if start is not None:
+        start = _prolongate(np.asarray(start, dtype=float), level)
+        peak = float(np.abs(start).max())
+        if not (math.isfinite(peak) and peak > 0.0):
+            raise DomainError("a start vector must be finite and nonzero")
+        start = start / peak
+    return shifts, start
+
+
 def solve_at_level(tri, alpha: float, level: int,
                    sigma0: float | tuple[float, ...] | None = None,
                    start: np.ndarray | None = None) -> EigenResult:
@@ -511,7 +579,13 @@ def solve_at_level(tri, alpha: float, level: int,
 
     A mesh of at most _DENSE_NODES = 153 nodes (levels 0 to 4) is solved by
     dense LAPACK, which returns the exact lowest pair with no shift to
-    certify.  On a larger mesh the shift must certify, by the factorisation's
+    certify.  It assembles no matrix: the pencil's standard form is one
+    weighted sum of the level's cached reduced blocks (_dense_level),
+    (sum_j h_j R_j / 2 + alpha sum_k l_k R_{3+k}) / |det J|, whose ground
+    vector y (scipy.linalg.eigh, driver evr) gives x = L^-T y / |det J|^(1/2),
+    M-normalised.  It refuses what assemble refuses, with the same messages
+    (_pencil), and a standard form past float64 raises NumericError.  On a
+    larger mesh the shift must certify, by the factorisation's
     inertia count, that no eigenvalue lies below it.  The shifts tried are
     sigma0, one warm shift or several in order (a ladder passes its
     predicted shift, then its conservative one; see walk_levels), or else the
@@ -532,29 +606,40 @@ def solve_at_level(tri, alpha: float, level: int,
     not a finite nonzero 1-D array of level - 1's nodal values, raises
     DomainError before any factorisation; dense levels need no start and do
     not use it.  On both paths lambda1 is the Rayleigh quotient of the
-    returned vector x, (v^T K v + alpha x^T B x) / x^T M x with v = x -
+    returned vector x, from the lattice's exact reference data (not from the
+    reduced blocks), (v^T K v + alpha x^T B x) / x^T M x with v = x -
     mean(x): K 1 = 0, so that is x^T A x / x^T M x, but the stiffness rows no
     longer cancel on a nearly constant x (weak coupling), where x^T A x
     rounds to an error that scales with |K|, not |lambda|, and can put the
     value below the discrete one.  One level gives no error estimate, so
     residual is nan.
     """
-    A, M = assemble(build_mesh(tri, level), alpha)
-    shifts = () if sigma0 is None else sigma0 if isinstance(sigma0, tuple) else (sigma0,)
-    for shift in shifts:
-        check_finite("sigma0", shift)
-    if start is not None:
-        start = _prolongate(np.asarray(start, dtype=float), level)
-        peak = float(np.abs(start).max())
-        if not (math.isfinite(peak) and peak > 0.0):
-            raise DomainError("a start vector must be finite and nonzero")
-    n = A.shape[0]
+    mesh, lat = build_mesh(tri, level), _lattice(level)
+    n = len(lat.unit)
     if n <= _DENSE_NODES:
-        vecs = scipy.linalg.eigh(A.toarray(), M.toarray(), subset_by_index=[0, 0])[1]
-        if vecs.shape[1] == 0:
-            raise NumericError(f"the dense eigensolver returned no vector at alpha = {alpha:g}")
-        vec, solves = vecs[:, 0], 0
+        det, h, ell, data = _pencil(mesh, alpha)
+        _checked_start(sigma0, start, level)  # unused here, but refused as at every level
+        dense, solves = _dense_level(level), 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = np.concatenate([0.5 * h, alpha * ell]) / det
+            reduced = np.tensordot(weights, dense.blocks, axes=1)
+        if not np.isfinite(reduced).all():
+            raise NumericError(f"the dense eigensolver returned no vector at alpha = {alpha:g}: "
+                               "the standard form leaves float64")
+        y = scipy.linalg.eigh(reduced, subset_by_index=[0, 0], driver="evr",
+                              check_finite=False)[1][:, 0]
+        vec = scipy.linalg.solve_triangular(dense.chol, y, trans="T", lower=True,
+                                            check_finite=False) / math.sqrt(det)
+        rows, cols = dense.rows, lat.indices
+
+        def form_quad(u):
+            return float(data @ (u[rows] * u[cols]))
+
+        def mass_quad(u):
+            return det * float(lat.mass @ (u[rows] * u[cols]))
     else:
+        A, M = assemble(mesh, alpha)
+        shifts, start = _checked_start(sigma0, start, level)
         unit = 1.0 / tri.S
         if not shifts:
             try:
@@ -569,7 +654,7 @@ def solve_at_level(tri, alpha: float, level: int,
         # (symmetric meshes of isosceles triangles produce them) and with
         # corner states that overtake the coarse ground state on refinement.
         x0 = 0.01 * (np.arange(n) % 11 - 5.0)
-        x0 += 1.0 if start is None else start / peak
+        x0 += 1.0 if start is None else start
         # Rayleigh quotient of the constant vector (it lies in the P1 space),
         # 1^T A 1 / 1^T M 1: an exact upper bound on the discrete ground value
         # at every level, so a shift at or above it cannot be certified.
@@ -591,12 +676,18 @@ def solve_at_level(tri, alpha: float, level: int,
         else:
             raise NumericError(f"no shift below the spectrum found (last {sigma:g})")
         _, vec, solves = _power_iterate(lu, M, x0, sigma)
+
+        def form_quad(u):
+            return float(u @ (A @ u))
+
+        def mass_quad(u):
+            return float(u @ (M @ u))
     if float(vec.sum()) < 0.0:
         vec = -vec
     # v^T K v = v^T A v - alpha v^T B v; B from the boundary edges, not a second matrix
-    lat, ell, v = _lattice(level), np.array(tri.side_lengths), vec - vec.mean()
+    ell, v = np.array(tri.side_lengths), vec - vec.mean()
     edge_terms = lat.boundary(ell, vec) - lat.boundary(ell, v)
-    lam = (float(v @ (A @ v)) + alpha * edge_terms) / float(vec @ (M @ vec))
+    lam = (form_quad(v) + alpha * edge_terms) / mass_quad(vec)
     return EigenResult(lambda1=lam, eigenvector=vec, iterations=solves, residual=math.nan,
                        level=level)
 
@@ -765,7 +856,7 @@ def _level_derivatives(lat: _Lattice, u: np.ndarray, alpha: float,
           + alpha * (lat.matrix(lat.sides @ ell[k]) @ u) for k in range(6)]
     mu = mass @ u
     lam, lam_a, lam_c = (float(u @ au[k]) for k in range(3))
-    bordered = sp.bmat([[lat.form(h[0], ell[0], alpha) - lam * mass, mu[:, None]],
+    bordered = sp.bmat([[lat.matrix(lat.form(h[0], ell[0], alpha)) - lam * mass, mu[:, None]],
                         [mu[None, :], None]], format="csc")
     rhs = np.vstack([np.outer(mu, [lam_a, lam_c]) - np.column_stack(au[1:3]), np.zeros(2)])
     du = splu(bordered).solve(rhs)[:-1]

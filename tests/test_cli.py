@@ -86,6 +86,27 @@ class TestEigen:
         assert printed["level"] == str(res.level)
         assert printed["history"] == " ".join("%.12g" % v for v in res.history)
 
+    def test_all_dense_ladder(self, capsys):
+        """--max-level 4 walks levels 2 to 4, every one of them dense (at most
+        fem._DENSE_NODES nodes), and settles at level 4; the same run goes
+        through the installed entry point in CI.  Its history is pinned to
+        1e-12 relative, in print and in full precision."""
+        code, out, _ = run(
+            capsys,
+            ["eigen", "--a", "0.3", "--c", "0.7", "--area", "0.5773502691896258",
+             "--alpha=-0.5", "--tol", "1e-3", "--max-level", "4"],
+        )
+        assert code == EXIT_OK
+        printed = fields(out)
+        assert printed["converged"] == "True" and printed["level"] == "4"
+        assert printed["history"] == "-3.53243879679 -3.56003725501 -3.56749421889"
+        res = eigenvalue_converged(make_triangle(0.3, 0.7, 0.5773502691896258), -0.5,
+                                   rel_tol=1e-3, max_level=4)
+        assert res.iterations == 0 and (2**4 + 1) * (2**4 + 2) // 2 <= fem._DENSE_NODES
+        want = (-3.532438796786418, -3.5600372550114936, -3.567494218889406)
+        assert all(abs(got - lam) <= 1e-12 * abs(lam) for got, lam in zip(res.history, want))
+        assert len(res.history) == len(want)
+
     def test_nonconvergence_exits_numeric(self, capsys):
         code, out, _ = run(
             capsys,

@@ -15,6 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 from oracles import closed_lower_bound
@@ -269,19 +270,27 @@ class TestLatticeCache:
 
     def test_degenerate_triangle_is_refused(self):
         """A triangle whose |det J| is rounding-small against its edges is
-        refused, not assembled."""
-        mesh = build_mesh(make_triangle(1e8, 1.0, 1.0), 4)
+        refused, not assembled, and not solved at a dense level (2, 4) or a
+        sparse one (5)."""
+        tri = make_triangle(1e8, 1.0, 1.0)
         with pytest.raises(NumericError, match="degenerate"):
-            assemble(mesh, -2.0)
+            assemble(build_mesh(tri, 4), -2.0)
+        for level in (2, 4, 5):
+            with pytest.raises(NumericError, match="degenerate"):
+                solve_at_level(tri, -2.0, level)
 
     @pytest.mark.parametrize("c,S", [(1e-85, 1e-170), (1e80, 1e160)])
     def test_jet_past_float64_is_refused(self, c, S):
         """c^4 rounds to 0 below c ~ 1e-81 and S^2 overflows past S ~ 1e154: the
-        invariant jet's c-derivative rows leave float64, so assemble and the
-        shape derivatives, which read the same jet, raise NumericError."""
+        invariant jet's c-derivative rows leave float64, so assemble, the
+        solve of a dense (2, 4) or sparse (5) level and the shape derivatives,
+        which read the same jet, raise NumericError."""
         tri = make_triangle(0.0, c, S)
         with pytest.raises(NumericError, match="invariant jet .* leaves float64"):
             assemble(build_mesh(tri, 2), -1.0)
+        for level in (2, 4, 5):
+            with pytest.raises(NumericError, match="invariant jet .* leaves float64"):
+                solve_at_level(tri, -1.0, level)
         with pytest.raises(NumericError, match="invariant jet .* leaves float64"):
             fem.shape_derivatives(tri, -1.0)
 
@@ -447,6 +456,93 @@ class TestFactorCounting:
             with pytest.raises(DomainError, match="sigma0 must be finite"):
                 solve_at_level(make_triangle(0.3, 0.6, 0.5), -1.0, 5, sigma0=sigma0)
         assert factored == []
+
+
+def generalized_quotient(tri, alpha, level):
+    """A level's value from the generalized dense eigensolve: the ground
+    vector x of eigh(A, M) in solve_at_level's centred Rayleigh quotient."""
+    form, mass = assemble(build_mesh(tri, level), alpha)
+    x = eigh(form.toarray(), mass.toarray(), subset_by_index=[0, 0])[1][:, 0]
+    lat, ell, v = fem._lattice(level), np.array(tri.side_lengths), x - x.mean()
+    edge_terms = lat.boundary(ell, x) - lat.boundary(ell, v)
+    return (float(v @ (form @ v)) + alpha * edge_terms) / float(x @ (mass @ x))
+
+
+class TestDenseLevels:
+    """Levels 0 to 4 solve the standard form of the pencil reduced by the
+    cached Cholesky factor of the lattice mass (fem._dense_level)."""
+
+    @pytest.mark.parametrize("alpha", [-1e-12, -1e-6, -0.5, -8.0, -16.0])
+    def test_levels_match_the_generalized_solve(self, rng, alpha):
+        """On seeded triangles every dense level's value is the generalized
+        solve's to 1e-12 relative: its ground vector's centred quotient
+        (generalized_quotient) at every coupling, and its eigenvalue
+        (dense_minimum) too from alpha -0.5 on.  At weak coupling that
+        eigenvalue carries an absolute error of about eps times the top of the
+        spectrum, which exceeds the value itself at alpha -1e-12."""
+        for _ in range(4):
+            tri = make_triangle(rng.uniform(-2.0, 2.0), rng.uniform(0.3, 2.0),
+                                rng.uniform(0.2, 3.0))
+            for level in range(5):
+                lam = solve_at_level(tri, alpha, level).lambda1
+                refs = [generalized_quotient(tri, alpha, level)]
+                if alpha <= -0.5:
+                    refs.append(dense_minimum(tri, alpha, level))
+                for ref in refs:
+                    assert abs(lam - ref) <= 1e-12 * abs(ref)
+
+    def test_record_is_built_once_and_replaces_the_generalized_solve(self, monkeypatch):
+        """Each dense level builds its record once, read-only, in at most 1.5
+        MB for levels 0 to 4 together; a dense solve factors nothing, assembles
+        no CSR pencil and calls no two-matrix eigh.  Level 5 builds no record."""
+        calls = []
+
+        def refused(name):
+            def call(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} called at a dense level")
+            return call
+
+        two_matrix, eigh_ = [], scipy.linalg.eigh
+
+        def counting_eigh(a, b=None, **kwargs):
+            if b is not None:
+                two_matrix.append(1)
+            return eigh_(a, b, **kwargs)
+
+        fem._dense_level.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(fem, "splu", refused("splu"))
+            m.setattr(fem, "assemble", refused("assemble"))
+            m.setattr(scipy.linalg, "eigh", counting_eigh)
+            tris = [make_triangle(0.3, 0.7, S_THIRD), make_triangle(-1.2, 0.4, 2.0)]
+            for tri in tris:
+                for level in range(5):
+                    solve_at_level(tri, -2.0, level)
+        assert calls == [] and two_matrix == []
+        info = fem._dense_level.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (5, 5, 5)
+        records = [fem._dense_level(level) for level in range(5)]
+        for rec in records:
+            for array in (rec.chol, rec.blocks, rec.rows):
+                assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                rec.blocks[0, 0, 0] = 0.0
+        assert sum(a.nbytes for rec in records for a in (rec.chol, rec.blocks, rec.rows)) <= 1.5e6
+        solve_at_level(tris[0], -2.0, 5)
+        assert fem._dense_level.cache_info().currsize == 5
+
+    @pytest.mark.parametrize("level", [0, 2, 4, 5, 6])
+    def test_eigenvector_is_m_normalised(self, level):
+        """EigenResult.eigenvector is M-normalised, x^T M x = 1 to 1e-12, at
+        dense (0, 2, 4) and sparse (5, 6) levels, on triangles whose |det J|
+        = 2S is far from 1."""
+        for tri, alpha in [(make_triangle(0.3, 0.7, S_THIRD), -2.0),
+                           (make_triangle(1.1, 4.0, 40.0), -0.3),
+                           (make_triangle(-0.02, 0.05, 1e-3), -20.0)]:
+            x = solve_at_level(tri, alpha, level).eigenvector
+            mass = assemble(build_mesh(tri, level), alpha)[1]
+            assert abs(float(x @ (mass @ x)) - 1.0) <= 1e-12
 
 
 class TestLowestEigenpair:
@@ -803,15 +899,19 @@ class TestShiftRules:
     """A ladder's warm shift comes from its observed drop ratio, with the
     conservative shift behind it; every shift rule is relative to 1/S."""
 
-    @pytest.mark.parametrize("S", [1e150, 1e-150])
-    def test_cold_solve_is_scale_invariant(self, S):
+    @pytest.mark.parametrize("level,S", [
+        pytest.param(level, S, id=f"{S:g}" if level == 5 else f"level{level}-{S:g}")
+        for level in (5, 2, 3, 4) for S in (1e150, 1e-150)])
+    def test_cold_solve_is_scale_invariant(self, level, S):
         """Dilating the triangle by sqrt(S) and alpha by 1/sqrt(S) scales the
         spectrum by 1/S, and so does every shift: the cold level-5 solve
         matches the S = 1 problem's, scaled, to 1e-12 (an absolute shift of -1
-        swamped the spectrum at S = 1e150 and returned a positive value)."""
-        ref = solve_at_level(make_triangle(0.1, 1.0, 1.0), -1.0, 5).lambda1
+        swamped the spectrum at S = 1e150 and returned a positive value).  The
+        dense levels 2 to 4 take no shift; their standard form divides by
+        |det J| = 2S, so they check that scaling."""
+        ref = solve_at_level(make_triangle(0.1, 1.0, 1.0), -1.0, level).lambda1
         r = math.sqrt(S)
-        res = solve_at_level(make_triangle(0.1 * r, r, S), -1.0 / r, 5)
+        res = solve_at_level(make_triangle(0.1 * r, r, S), -1.0 / r, level)
         assert abs(res.lambda1 * S - ref) <= 1e-12 * abs(ref)
 
     @pytest.mark.parametrize("a,c,alpha,pre_asymptotic", [
