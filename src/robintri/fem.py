@@ -9,43 +9,46 @@ reference matrices built once per level, weighted by the value row of one jet
 (_invariant_jet, see assemble) whose (a, c)-derivative rows give exact
 eigenvalue derivatives (Nelson's method).
 
-solve_at_level is the one solve of a mesh level.  A mesh of at most 153
-nodes (levels 0 to 4) is solved by dense LAPACK, which needs no shift, on the
-pencil reduced to standard form once per level: M = |det J| M_lat for every
-triangle, so the Cholesky factor of M_lat reduces each reference block once
+solve_at_level is the one solve of a mesh level.  A mesh of at most 153 nodes
+(levels 0 to 4) is solved by dense LAPACK, which needs no shift, on the pencil
+reduced to standard form once per level: M = |det J| M_lat for every triangle,
+so the Cholesky factor of M_lat reduces each reference block once
 (_dense_level), and a level costs one weighted sum of six cached blocks and
 one standard eigensolve, with no matrix assembled.  Every larger level
-assembles its pencil and costs one sparse
-factorisation at a shift that the factorisation's inertia certifies to lie
-below every eigenvalue, and a thick-restart shift-invert Lanczos loop
-(_power_iterate, a 10-vector basis) on that same factorisation returns the
-ground eigenpair; its solve count grows with the shift's distance below the
-value (Ericsson & Ruhe).  A ladder (walk_levels) predicts the next level's
-drop from its last observed drop ratio and shifts a twentieth of that drop
-below the predicted value (no measured drop exceeded its prediction by more
-than 1.4%); until two drops above rounding are known, as at weak coupling,
-it shifts conservatively, lam - 2 |drop| - 0.02 |lam| - 1/S, and a rejected
-prediction steps to that conservative shift.  With no warm shift the cold
-guess is -2 alpha^2/sin^2(theta*/2) - 1/S, and a rejected shift sigma steps
-to 2 sigma - 1/S: every rule is relative to 1/S, so a dilated problem tries
-the same shifts, scaled.  A ladder starts that loop from the coarser level's
+assembles its pencil and costs one factorisation at a shift that the
+factorisation certifies to lie below every eigenvalue, and a thick-restart
+shift-invert Lanczos loop (_power_iterate, a 10-vector basis) on that same
+factorisation returns the ground eigenpair; its solve count grows with the
+shift's distance below the value (Ericsson & Ruhe).  A ladder (walk_levels)
+predicts the next level's drop from its last observed drop ratio and shifts a
+twentieth of that drop below the predicted value (no measured drop exceeded
+its prediction by more than 1.4%); until two drops above rounding are known,
+as at weak coupling, it shifts conservatively,
+lam - 2 |drop| - 0.02 |lam| - 1/S, and a rejected prediction steps to that
+conservative shift.  With no warm shift the cold guess is
+-2 alpha^2/sin^2(theta*/2) - 1/S, and a rejected shift sigma steps to
+2 sigma - 1/S: every rule is relative to 1/S, so a dilated problem tries the
+same shifts, scaled.  A ladder starts that loop from the coarser level's
 ground vector: the lattices are nested, so interpolated onto the finer one it
 is the coarse eigenfunction itself (_prolongate).  On both paths the level's
 value is the Rayleigh quotient of the returned vector, with the stiffness
 applied to the vector less its mean, which does not cancel at weak coupling.
-The shifted pencil is
-arithmetic on the data vectors of the one symmetric CSR pattern that assemble
-gives A = K + alpha B and M, so no sparse add or format conversion runs per
-level or per shift.  Each lattice numbers its nodes in the level's
-minimum-degree elimination order, computed once when the lattice is built,
-so every pencil is factored in natural order and solved in its own numbering.
-_settle is the one Richardson loop of all three ladders:
+The shifted pencil is arithmetic on the data vectors of the one symmetric CSR
+pattern that assemble gives A = K + alpha B and M, so no sparse add or format
+conversion runs per level or per shift.  A lattice of at most 2145 nodes
+(levels 0 to 6) numbers its nodes row by row, a band of half-width
+2^level + 1, and its pencils are factored by LAPACK's band Cholesky (dpbtrf),
+whose success certifies the shift; where it refuses, SuperLU counts the
+inertia.  A larger lattice numbers its nodes in the level's minimum-degree
+elimination order, computed once when the lattice is built, so every pencil is
+factored by SuperLU in natural order and solved in its own numbering
+(_factor_counting).  _settle is the one Richardson loop of all three ladders:
 eigenvalue_converged, shape_derivatives and the soundness oracle
 scan._raw_upper_bound.  A ladder's one error estimate is the change of its
 extrapolation over the last refinement (EigenResult.residual).
-The factorisation is SuperLU's at panel width 2 (_PANEL), which fits the
-narrow supernodes of the ordered lattice pencils: a level-8 factorisation
-takes about three quarters of the default width's time.
+SuperLU factors at panel width 2 (_PANEL), which fits the narrow supernodes
+of the ordered lattice pencils: a level-8 factorisation takes about three
+quarters of the default width's time.
 """
 
 from __future__ import annotations
@@ -71,6 +74,16 @@ MAX_LEVEL = 10
 # on three triangles at alpha -2: level 4 takes 0.99-1.06 ms dense against
 # 1.10-1.23 ms sparse, level 5 (561 nodes) 14.9-15.7 ms against 1.5-1.9 ms.
 _DENSE_NODES = 153
+# Lattices up to this many nodes (levels 0 to 6) are numbered row by row, a
+# band of half-width 2^level + 1, and _factor_counting factors their pencils by
+# LAPACK's band Cholesky.  With one BLAS thread on a 2-core Xeon VM, medians at
+# a certified shift, band against SuperLU in minimum-degree order with its
+# inertia read: a factorisation takes 0.19 against 0.82 ms at level 5, 2.0
+# against 3.0 ms at level 6 (2145 nodes), but 16.3 against 15.4 ms at level 7
+# and 130 against 83 ms at level 8, where one solve also takes 1.4 against 0.9
+# ms: band cost grows as N kd^2, and minimum degree wins on large lattices
+# (George, SIAM J. Numer. Anal. 10, 1973).
+_BAND_NODES = 2145
 # Lanczos basis size of the sparse solve (shift-invert needs 2k + 1 vectors for
 # k wanted pairs, Ericsson & Ruhe, Math. Comp. 35, 1980), the Ritz vectors a
 # restart keeps (flat triangles carry three corner states that nearly tie),
@@ -96,8 +109,10 @@ class FemMesh:
     """The level-`refinement_level` lattice mesh of tri (ResourceError above MAX_LEVEL):
     the cached lattice's read-only topology arrays, and nodes computed when read,
     v0 + xi (v1 - v0) + eta (v2 - v0) at the lattice's unit coordinates (xi, eta).
-    Nodes are numbered in the level's elimination order (_lattice), not row by
-    row; so are assemble's pencils and the eigenvectors of this level."""
+    Nodes are numbered in the level's factorisation order (_lattice): row by
+    row, (i, j) with i fastest, up to level 6, and in minimum-degree order
+    from level 7 on; so are assemble's pencils and the eigenvectors of this
+    level."""
 
     tri: TriangleGeometry
     refinement_level: int
@@ -160,8 +175,8 @@ class EigenResult:
 class _Lattice:
     """The level-n mesh in unit lattice coordinates and its reference matrices
     as data over one CSR pattern, the union of the element and boundary
-    couplings, all in the level's elimination order.  The arrays are
-    read-only."""
+    couplings, all in the level's factorisation order (_lattice).  The arrays
+    are read-only."""
 
     unit: np.ndarray            # (N, 2) lattice coordinates (i/n, j/n)
     elements: np.ndarray
@@ -199,7 +214,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def _elimination_order(elements: np.ndarray, size: int) -> np.ndarray:
     """SuperLU's minimum-degree order of A^T + A on the pattern of the element
     couplings (every boundary edge is an element edge), as new with node i
-    at position new[i].  The order depends on the pattern alone, and an
+    at position new[i]; _lattice takes it for lattices past _BAND_NODES
+    (levels 7 and up).  The order depends on the pattern alone, and an
     incomplete factorisation that drops every entry returns the one a
     complete factorisation would choose, at about a third of its cost."""
     rows, cols = np.repeat(elements, 3, axis=1).ravel(), np.tile(elements, (1, 3)).ravel()
@@ -210,9 +226,10 @@ def _elimination_order(elements: np.ndarray, size: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _lattice(level: int) -> _Lattice:
-    """Lattice node (i, j), i + j <= n, numbered in the level's elimination
-    order (_elimination_order), in which _factor_counting factors every
-    pencil; built on first use."""
+    """Lattice node (i, j), i + j <= n, numbered in the order in which
+    _factor_counting factors the level's pencils: row by row (j, then i),
+    the band order, up to _BAND_NODES nodes (levels 0 to 6), and the level's
+    minimum-degree order (_elimination_order) above; built on first use."""
     n = 2**level
     row_len = n + 1 - np.arange(n + 1)
     offset = np.concatenate([[0], np.cumsum(row_len)])
@@ -239,12 +256,14 @@ def _lattice(level: int) -> _Lattice:
     ])
     labels = np.repeat(np.arange(3, dtype=np.int64), n)
 
-    # the ids above run row by row in j; the lattice keeps the ordered ones
+    # the ids above run row by row in j, the band order; a lattice past
+    # _BAND_NODES takes its minimum-degree order instead
     size = len(jn)
-    new = _elimination_order(elements, size)
-    elements, edges = new[elements], new[edges]
-    unit = np.empty((size, 2))
-    unit[new] = np.stack([i_n / n, jn / n], axis=1)
+    unit = np.stack([i_n / n, jn / n], axis=1)
+    if size > _BAND_NODES:
+        new = _elimination_order(elements, size)
+        elements, edges = new[elements], new[edges]
+        unit[new] = unit.copy()
 
     # pattern slot of every element and edge entry; only the sums are kept
     keys = np.concatenate([
@@ -319,6 +338,33 @@ def _dense_level(level: int) -> _DenseLevel:
         block *= 0.5  # exactly symmetric
     rows = np.repeat(np.arange(len(lat.unit), dtype=np.int32), np.diff(lat.indptr))
     return _DenseLevel(chol=_frozen(chol), blocks=_frozen(blocks), rows=_frozen(rows))
+
+
+@functools.lru_cache(maxsize=None)
+def _band(nodes: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """The band layout of the row-by-row lattice of `nodes` <= _BAND_NODES
+    nodes: its half-bandwidth kd (2^level + 1), the slots of its pattern on
+    or above the diagonal, and each one's flat index in LAPACK's upper band
+    storage, the (kd + 1, N) Fortran-order array that holds X[i, j] at row
+    kd + i - j of column j.  Read-only, built on first use."""
+    m = (math.isqrt(8 * nodes + 1) - 3) // 2  # nodes = (m + 1)(m + 2)/2, m = 2^level
+    lat = _lattice(m.bit_length() - 1)
+    rows = np.repeat(np.arange(nodes), np.diff(lat.indptr))
+    upper = np.flatnonzero(lat.indices >= rows)
+    rows, cols = rows[upper], lat.indices[upper]
+    kd = int((cols - rows).max())
+    return kd, _frozen(upper), _frozen(kd + rows - cols + (kd + 1) * cols)
+
+
+@dataclass(frozen=True)
+class _BandFactor:
+    """The band Cholesky factor of a positive definite A - sigma*M, in dpbtrf's
+    upper band storage; solve applies (A - sigma*M)^-1 by dpbtrs."""
+
+    chol: np.ndarray
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return scipy.linalg.lapack.dpbtrs(self.chol, b)[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -519,27 +565,49 @@ def _restart(QM, T, theta, s) -> None:
 
 
 def _factor_counting(A, M, sigma: float):
-    """Factor A - sigma*M without row pivoting and read off its inertia.
+    """Factor A - sigma*M and read off its inertia: (factor, count), where the
+    factor's solve applies (A - sigma*M)^-1 and count is the number of
+    eigenvalues of the pencil below sigma.
 
-    With symmetric-mode elimination the U diagonal carries the pivot signs,
-    so the number of negative entries equals the number of eigenvalues of the
-    pencil below sigma.  That gives a certificate that a shift sits under the
-    whole spectrum (count zero), which the ground-state solve needs.  The
-    count is an inertia only under a symmetric permutation, so any other
-    factorisation raises NumericError.  A and M share one CSR pattern
-    (assemble's), so A - sigma*M is computed on their data vectors, and as the
-    matrix is symmetric its CSR arrays are its CSC arrays: SuperLU reads them
-    with no conversion.
+    A pencil of at most _BAND_NODES nodes (levels 0 to 6) comes row by row, a
+    band of half-width kd = 2^level + 1 (_band), and is first factored by
+    LAPACK's band Cholesky, dpbtrf, on its upper band read from the data
+    vectors.  Success means A - sigma*M is positive definite, so the count is
+    0 with no U to read, and the factor solves by dpbtrs (_BandFactor).  A
+    refusal (info > 0: a nonpositive pivot) says only that the count is not
+    0, so that pencil goes on to SuperLU below, which returns the exact
+    count.  Band cost grows as N kd^2: at level 7 SuperLU in minimum-degree
+    order is the faster one (see _BAND_NODES).
 
-    The pencil comes in its lattice's numbering, the level's minimum-degree
-    elimination order (_lattice), so it is factored in natural order: the
-    fill of a minimum-degree factorisation, without computing the order per
-    factorisation.  The panel width is _PANEL = 2, not SuperLU's default: the
-    default is sized for wide supernodes, and the ordered lattice pencils
-    have narrow ones.  A level-8 factorisation (33k nodes) takes about three
-    quarters of the default's time; the inertia count is the same, and a
-    solve through the factor differs by rounding only.
+    SuperLU factors without row pivoting.  With symmetric-mode elimination
+    the U diagonal carries the pivot signs, so the number of negative entries
+    equals the number of eigenvalues of the pencil below sigma.  That gives a
+    certificate that a shift sits under the whole spectrum (count zero),
+    which the ground-state solve needs.  The count is an inertia only under
+    a symmetric permutation, so any other factorisation raises NumericError.
+    A and M share one CSR pattern (assemble's), so A - sigma*M is computed on
+    their data vectors, and as the matrix is symmetric its CSR arrays are its
+    CSC arrays: SuperLU reads them with no conversion.
+
+    The pencil comes in its lattice's numbering (_lattice), from level 7 on
+    the level's minimum-degree elimination order, so it is factored in
+    natural order: the fill of a minimum-degree factorisation, without
+    computing the order per factorisation.  The panel width is _PANEL = 2,
+    not SuperLU's default: the default is sized for wide supernodes, and the
+    ordered lattice pencils have narrow ones.  A level-8 factorisation (33k
+    nodes) takes about three quarters of the default's time; the inertia
+    count is the same, and a solve through the factor differs by rounding
+    only.
     """
+    n = A.shape[0]
+    if n <= _BAND_NODES:
+        kd, upper, where = _band(n)
+        band = np.zeros((kd + 1) * n)
+        band[where] = A.data[upper] - sigma * M.data[upper]
+        chol, info = scipy.linalg.lapack.dpbtrf(band.reshape((kd + 1, n), order="F"),
+                                                overwrite_ab=1)
+        if info == 0:  # positive definite: no eigenvalue lies below sigma
+            return _BandFactor(chol), 0
     lu = splu(
         sp.csc_matrix((A.data - sigma * M.data, A.indices, A.indptr), shape=A.shape),
         diag_pivot_thresh=0.0,

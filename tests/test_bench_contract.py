@@ -3,20 +3,18 @@
 bench/layers.py wraps package functions by name, bench/worker.py reads the
 norm cache's statistics, and bench/run.py requires every counter a workload
 serves to read nonzero.  These checks import the three scripts unchanged and
-run one small traced unit of each workload that has such counters, so a
-change that breaks the benchmark fails here first.
+run a small traced unit of each workload that has such counters (soundness:
+its fixed pass), so a change that breaks the benchmark fails here first.
 """
 
-import math
 import sys
 from pathlib import Path
 
 import pytest
 
-from robintri import equilateral, fem, scan
+from robintri import equilateral, fem
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-S = 1.0 / math.sqrt(3.0)
 
 
 @pytest.fixture
@@ -67,14 +65,18 @@ def test_region_scan_counters_read_nonzero(bench, tmp_path):
     assert tracer.times["scan.cells"] > 0
 
 
-def test_soundness_counters_read_nonzero(bench):
-    layers, _, run = bench
+def test_soundness_counters_read_nonzero(bench, tmp_path):
+    """Over the bench's own fixed soundness pass (every cell of the seed-0
+    grid), the data run.py's gate reads: a single certified cell may decide
+    below level 7 and so call no SuperLU (fem.factorisations reads 0 there)."""
+    layers, worker, run = bench
+    sweep = worker.Soundness(0, tmp_path)
 
-    def certified_cell():
-        (row,) = scan.soundness_sweep([-4.0], [1.5], c=S, S=S).rows
-        assert row[5] == 1 and row[-1] == "ok"  # certified: the FEM ladder runs
+    def fixed_pass():
+        for index in range(sweep.fixed_units):
+            sweep.run_unit(index)
 
-    metrics, tracer = _traced(layers, certified_cell)
+    metrics, tracer = _traced(layers, fixed_pass)
     assert {k for k in run.SERVES["soundness"] if not metrics[k] > 0} == set()
     assert tracer.times["scan.cells"] > 0
 
@@ -93,8 +95,11 @@ def test_iteration_counter_reads_the_solve_count(bench, tmp_path):
 def test_one_factorisation_per_sparse_level(bench, tmp_path):
     """Each sparse level (more than fem._DENSE_NODES nodes: levels 5 and up)
     certifies the first shift it tries, so over the traced conjecture-grid
-    pass fem.factorisations equals the number of sparse levels solved, and a
-    wasted factorisation fails here."""
+    pass fem.inertia_factorisations equals the number of sparse levels
+    solved, and fem.factorisations, which counts SuperLU's, the number of
+    those above fem._BAND_NODES nodes (levels 7 and up; a band-factored
+    level that certifies calls no SuperLU).  A wasted factorisation fails
+    here."""
     layers, worker, _ = bench
     grid, cells = worker.ConjectureGrid(0, tmp_path), []
 
@@ -103,9 +108,13 @@ def test_one_factorisation_per_sparse_level(bench, tmp_path):
             cells.extend(grid.run_unit(index))
 
     metrics, _ = _traced(layers, traced_pass)
-    sparse = 0
+    sparse = superlu = 0
     for _, (_, res) in cells:
         skipped = {level for level, _ in res.skipped}
-        sparse += sum(1 for level in range(2, res.level + 1) if level not in skipped
-                      and (2**level + 1) * (2**level + 2) // 2 > fem._DENSE_NODES)
-    assert metrics["fem.factorisations"] == metrics["fem.inertia_factorisations"] == sparse > 0
+        for level in range(2, res.level + 1):
+            nodes = (2**level + 1) * (2**level + 2) // 2
+            if level not in skipped and nodes > fem._DENSE_NODES:
+                sparse += 1
+                superlu += nodes > fem._BAND_NODES
+    assert metrics["fem.inertia_factorisations"] == sparse > superlu
+    assert metrics["fem.factorisations"] == superlu > 0

@@ -370,13 +370,14 @@ class TestFactorCounting:
         np.testing.assert_allclose(panel, default, rtol=1e-12, atol=0.0)
 
     def test_every_factorisation_keeps_the_lattice_order(self, monkeypatch):
-        """Every pencil factorisation of a ladder to level 8 passes NATURAL and
-        keeps perm_r == perm_c.  At levels 5 to 8 its fill equals that of a
+        """Every SuperLU factorisation of a ladder to level 8 passes NATURAL and
+        keeps perm_r == perm_c.  At levels 7 and 8 its fill equals that of a
         minimum-degree factorisation of the same pencil numbered row by row:
         the lattice's numbering is that order (the row-by-row numbering
         factored in natural order fills far more).  Minimum degree run on the
         ordered numbering itself breaks its ties otherwise and fills 2 to 15%
-        more, so it is no reference."""
+        more, so it is no reference.  Levels 0 to 6 are band-factored, and
+        their lattice is the row-by-row numbering itself."""
         specs, first = [], {}
 
         def recording(A, **kwargs):
@@ -389,8 +390,11 @@ class TestFactorCounting:
         monkeypatch.setattr(fem, "splu", recording)
         tri = make_triangle(0.5, 0.8, S_THIRD)
         assert [res.level for res in walk_levels(tri, -2.0, 2, 8, [])] == list(range(2, 9))
-        assert len(specs) >= 4 and set(specs) == {("NATURAL", True)}
-        for level in (5, 6, 7, 8):
+        assert len(specs) >= 2 and set(specs) == {("NATURAL", True)}
+        for level in range(7):
+            assert np.array_equal(loop_ids(loop_mesh(tri, level)),
+                                  np.arange((2**level + 1) * (2**level + 2) // 2))
+        for level in (7, 8):
             pencil, fill = first[(2**level + 1) * (2**level + 2) // 2]
             rows = permuted(pencil, loop_ids(loop_mesh(tri, level))).tocsc()
             mmd = splu(rows, diag_pivot_thresh=0.0, permc_spec="MMD_AT_PLUS_A",
@@ -398,9 +402,10 @@ class TestFactorCounting:
             assert mmd.L.nnz + mmd.U.nnz == fill
 
     def test_unsymmetric_permutation_is_refused(self, monkeypatch):
-        """The U-diagonal sign count is an inertia only when perm_r == perm_c."""
+        """The U-diagonal sign count is an inertia only when perm_r == perm_c
+        (level 7, the first level SuperLU factors)."""
         tri = make_triangle(0.3, 0.8, 1.0)
-        form, mass = assemble(build_mesh(tri, 5), -1.0)
+        form, mass = assemble(build_mesh(tri, 7), -1.0)
         n = form.shape[0]
 
         class Pivoted:
@@ -418,7 +423,7 @@ class TestFactorCounting:
         with pytest.raises(NumericError, match="inertia"):
             _factor_counting(form, mass, -10.0)
         with pytest.raises(NumericError, match="inertia"):
-            solve_at_level(tri, -1.0, 5)
+            solve_at_level(tri, -1.0, 7)
         assert len(calls) == 2  # the solver does not retry other shifts
 
     def test_shift_above_the_ground_value_is_moved_down(self):
@@ -451,7 +456,7 @@ class TestFactorCounting:
         factorisation, 80 in all), so it is refused before the first one,
         also as one of several shifts."""
         factored = []
-        monkeypatch.setattr(fem, "splu", lambda *a, **k: factored.append(1))
+        monkeypatch.setattr(fem, "_factor_counting", lambda *a: factored.append(1))
         for sigma0 in (-math.inf, math.nan, (-10.0, math.nan)):
             with pytest.raises(DomainError, match="sigma0 must be finite"):
                 solve_at_level(make_triangle(0.3, 0.6, 0.5), -1.0, 5, sigma0=sigma0)
@@ -545,6 +550,87 @@ class TestDenseLevels:
             assert abs(float(x @ (mass @ x)) - 1.0) <= 1e-12
 
 
+class TestBandedLevels:
+    """Lattices of at most fem._BAND_NODES nodes (levels 0 to 6) are numbered
+    row by row, and _factor_counting factors their pencils by LAPACK's band
+    Cholesky, falling back to SuperLU's inertia count where it refuses."""
+
+    @pytest.mark.parametrize("level", [5, 6])
+    def test_band_is_the_row_by_row_lattice(self, level):
+        """The half-bandwidth is 2^level + 1, the widest coupling of the
+        pattern, and every slot on or above the diagonal has its own band
+        position."""
+        lat, n = fem._lattice(level), (2**level + 1) * (2**level + 2) // 2
+        kd, upper, where = fem._band(n)
+        rows = np.repeat(np.arange(n), np.diff(lat.indptr))
+        assert kd == 2**level + 1 == int(np.abs(lat.indices - rows).max())
+        assert np.array_equal(upper, np.flatnonzero(lat.indices >= rows))
+        assert len(np.unique(where)) == len(where) and where.max() < (kd + 1) * n
+
+    @pytest.mark.parametrize("level", [5, 6])
+    def test_counts_match_dense_inertia(self, level):
+        """Below the lowest eigenvalue lambda_min, 1e-9 relative on either
+        side of it, and in the widest gap of each window of the spectrum, the
+        count is the dense one: 0 below lambda_min, by the band factor."""
+        for tri, alpha in [(make_triangle(0.5, 0.8, S_THIRD), -8.0),
+                           (make_triangle(2.4, 0.3, S_THIRD), -0.5)]:
+            form, mass = assemble(build_mesh(tri, level), alpha)
+            spec = eigh(form.toarray(), mass.toarray(), eigvals_only=True,
+                        subset_by_index=[0, 60])
+            low = spec[0]
+            shifts = [low - 1.0 - abs(low), low - 1e-9 * abs(low), low + 1e-9 * abs(low)]
+            for lo, hi in ((1, 4), (5, 20), (20, 60)):
+                k = lo + int(np.argmax(np.diff(spec[lo - 1:hi])))
+                shifts.append(0.5 * (spec[k - 1] + spec[k]))
+            for sigma in shifts:
+                lu, neg = _factor_counting(form, mass, sigma)
+                assert neg == int(np.sum(spec < sigma))
+                assert isinstance(lu, fem._BandFactor) == (neg == 0)
+
+    @pytest.mark.parametrize("alpha", [-1e-9, -0.5, -8.0, -16.0])
+    def test_values_match_a_superlu_solve(self, monkeypatch, alpha):
+        """Levels 5 and 6 give a forced-SuperLU solve's values to 1e-12
+        relative, cold and along a ladder."""
+        tri = make_triangle(0.9, 0.9, S_THIRD)
+
+        def values():
+            ladder = {res.level: res.lambda1 for res in walk_levels(tri, alpha, 4, 6, [])}
+            return [solve_at_level(tri, alpha, level).lambda1 for level in (5, 6)] + [
+                ladder[5], ladder[6]]
+
+        band = values()
+        monkeypatch.setattr(fem, "_BAND_NODES", 0)
+        np.testing.assert_allclose(band, values(), rtol=1e-12, atol=0.0)
+
+    def test_certified_shift_reads_no_superlu_factor(self, monkeypatch):
+        """A shift the band factor certifies builds no SuperLU factor, so no
+        U is read; a refused one falls back to SuperLU and reads U's
+        diagonal."""
+        watched = []
+
+        class Watched:
+            def __init__(self, lu):
+                self.lu, self.read = lu, []
+
+            def __getattr__(self, name):
+                self.read.append(name)
+                return getattr(self.lu, name)
+
+        def watching(*args, **kwargs):
+            watched.append(Watched(splu(*args, **kwargs)))
+            return watched[-1]
+
+        monkeypatch.setattr(fem, "splu", watching)
+        tri = make_triangle(0.5, 0.8, S_THIRD)
+        form, mass = assemble(build_mesh(tri, 5), -2.0)
+        low = solve_at_level(tri, -2.0, 5).lambda1
+        assert watched == []
+        lu, neg = _factor_counting(form, mass, low - 0.01 * abs(low))
+        assert neg == 0 and watched == [] and not hasattr(lu, "U")
+        _, neg = _factor_counting(form, mass, low + 0.01 * abs(low))
+        assert neg == 1 and len(watched) == 1 and "U" in watched[0].read
+
+
 class TestLowestEigenpair:
     def test_matches_dense_solution(self, rng):
         for _ in range(8):
@@ -556,16 +642,16 @@ class TestLowestEigenpair:
 
     def test_coarsest_levels_match_dense_solution(self, monkeypatch):
         """Levels 0 to 4 (at most 153 nodes) are solved by dense LAPACK: no
-        sparse factorisation, no Lanczos solve.  Level 5 (561 nodes) is the
+        pencil factorisation, no Lanczos solve.  Level 5 (561 nodes) is the
         smallest Lanczos solve.  Every level returns the dense minimum."""
         tri = make_triangle(0.3, 0.7, S_THIRD)
-        factored = []
+        factored, factor = [], fem._factor_counting
 
-        def counting_splu(*args, **kwargs):
+        def counting_factor(*args):
             factored.append(1)
-            return splu(*args, **kwargs)
+            return factor(*args)
 
-        monkeypatch.setattr(fem, "splu", counting_splu)
+        monkeypatch.setattr(fem, "_factor_counting", counting_factor)
         for level in range(6):
             res = solve_at_level(tri, -1.5, level)
             lam = dense_spectrum(tri, -1.5, level)[0]
