@@ -13,8 +13,8 @@ solve_at_level is the one solve of a mesh level.  A mesh of at most 153 nodes
 (levels 0 to 4) is solved by dense LAPACK, which needs no shift, on the pencil
 reduced to standard form once per level: M = |det J| M_lat for every triangle,
 so the Cholesky factor of M_lat reduces each reference block once
-(_dense_level), and a level costs one weighted sum of six cached blocks and
-one standard eigensolve, with no matrix assembled.  Every larger level
+(_Lattice.reduced), and a level costs one weighted sum of six cached blocks
+and one standard eigensolve, with no matrix assembled.  Every larger level
 assembles its pencil and costs one factorisation at a shift that the
 factorisation certifies to lie below every eigenvalue, and a thick-restart
 shift-invert Lanczos loop (_power_iterate, a 10-vector basis) on that same
@@ -30,20 +30,22 @@ conservative shift.  With no warm shift the cold guess is
 2 sigma - 1/S: every rule is relative to 1/S, so a dilated problem tries the
 same shifts, scaled.  A ladder starts that loop from the coarser level's
 ground vector: the lattices are nested, so interpolated onto the finer one it
-is the coarse eigenfunction itself (_prolongate).  On both paths the level's
-value is the Rayleigh quotient of the returned vector, with the stiffness
-applied to the vector less its mean, which does not cancel at weak coupling.
-The shifted pencil is arithmetic on the data vectors of the one symmetric CSR
-pattern that assemble gives A = K + alpha B and M, so no sparse add or format
-conversion runs per level or per shift.  A lattice of at most 2145 nodes
-(levels 0 to 6) numbers its nodes row by row, a band of half-width
-2^level + 1, and its pencils are factored by LAPACK's band Cholesky (dpbtrf),
-whose success certifies the shift; where it refuses, SuperLU counts the
-inertia.  A larger lattice numbers its nodes in the level's minimum-degree
-elimination order, computed once when the lattice is built, so every pencil is
-factored by SuperLU in natural order and solved in its own numbering
-(_factor_counting).  _settle is the one Richardson loop of all three ladders:
-eigenvalue_converged, shape_derivatives and the soundness oracle
+is the coarse eigenfunction itself (_prolongate, by _Lattice.parents).  On
+both paths the level's value is the Rayleigh quotient of the returned vector,
+with the stiffness applied to the vector less its mean, which does not cancel
+at weak coupling.  The shifted pencil is arithmetic on the data vectors of the
+one symmetric CSR pattern that assemble gives A = K + alpha B and M, so no
+sparse add or format conversion runs per level or per shift.  A lattice of at
+most 2145 nodes (levels 0 to 6) numbers its nodes row by row, a band of
+half-width 2^level + 1 (_Lattice.band), and its pencils are factored by
+LAPACK's band Cholesky (dpbtrf), whose success certifies the shift; where it
+refuses, SuperLU counts the inertia.  A larger lattice numbers its nodes in
+the level's minimum-degree elimination order, computed once when the lattice
+is built, so every pencil is factored by SuperLU in natural order and solved
+in its own numbering (_factor_counting, which is handed the level's lattice).
+_lattice(level) is the one per-level cache: a level's derived arrays are
+attributes of its record.  _settle is the one Richardson loop of all three
+ladders: eigenvalue_converged, shape_derivatives and the soundness oracle
 scan._raw_upper_bound.  A ladder's one error estimate is the change of its
 extrapolation over the last refinement (EigenResult.residual).
 SuperLU factors at panel width 2 (_PANEL), which fits the narrow supernodes
@@ -69,20 +71,22 @@ from .trial import closed_lower_bound
 
 MAX_LEVEL = 10
 # Meshes up to this many nodes (levels 0 to 4) are solved by dense LAPACK, on
-# the cached reduced pencil (_dense_level).  One warm ladder solve with one BLAS
-# thread on a 2-core Xeon VM, panel width _PANEL, medians of 15 to 25 ladders
-# on three triangles at alpha -2: level 4 takes 0.99-1.06 ms dense against
-# 1.10-1.23 ms sparse, level 5 (561 nodes) 14.9-15.7 ms against 1.5-1.9 ms.
+# the lattice's reduced pencil (_Lattice.reduced, built for these levels only).
+# One warm ladder solve with one BLAS thread on a 2-core Xeon VM, panel width
+# _PANEL, medians of 15 to 25 ladders on three triangles at alpha -2: level 4
+# takes 0.99-1.06 ms dense against 1.10-1.23 ms sparse, level 5 (561 nodes)
+# 14.9-15.7 ms against 1.5-1.9 ms.
 _DENSE_NODES = 153
 # Lattices up to this many nodes (levels 0 to 6) are numbered row by row, a
-# band of half-width 2^level + 1, and _factor_counting factors their pencils by
-# LAPACK's band Cholesky.  With one BLAS thread on a 2-core Xeon VM, medians at
-# a certified shift, band against SuperLU in minimum-degree order with its
-# inertia read: a factorisation takes 0.19 against 0.82 ms at level 5, 2.0
-# against 3.0 ms at level 6 (2145 nodes), but 16.3 against 15.4 ms at level 7
-# and 130 against 83 ms at level 8, where one solve also takes 1.4 against 0.9
-# ms: band cost grows as N kd^2, and minimum degree wins on large lattices
-# (George, SIAM J. Numer. Anal. 10, 1973).
+# band of half-width 2^level + 1 (_Lattice.band, built for these levels only),
+# and _factor_counting factors their pencils by LAPACK's band Cholesky.  With
+# one BLAS thread on a 2-core Xeon VM, medians at a certified shift, band
+# against SuperLU in minimum-degree order with its inertia read: a
+# factorisation takes 0.19 against 0.82 ms at level 5, 2.0 against 3.0 ms at
+# level 6 (2145 nodes), but 16.3 against 15.4 ms at level 7 and 130 against
+# 83 ms at level 8, where one solve also takes 1.4 against 0.9 ms: band cost
+# grows as N kd^2, and minimum degree wins on large lattices (George, SIAM J.
+# Numer. Anal. 10, 1973).
 _BAND_NODES = 2145
 # Lanczos basis size of the sparse solve (shift-invert needs 2k + 1 vectors for
 # k wanted pairs, Ericsson & Ruhe, Math. Comp. 35, 1980), the Ritz vectors a
@@ -176,8 +180,11 @@ class _Lattice:
     """The level-n mesh in unit lattice coordinates and its reference matrices
     as data over one CSR pattern, the union of the element and boundary
     couplings, all in the level's factorisation order (_lattice).  The arrays
-    are read-only."""
+    derived from them are attributes built on first read and then kept: rows,
+    reduced (dense levels 0 to 4 only), band (levels 0 to 6 only) and parents.
+    Every array is read-only."""
 
+    level: int
     unit: np.ndarray            # (N, 2) lattice coordinates (i/n, j/n)
     elements: np.ndarray
     boundary_edges: np.ndarray
@@ -204,6 +211,57 @@ class _Lattice:
         side k has length l_k / n, and there are 3 n edges."""
         p, q = u[self.boundary_edges].T
         return float(ell[self.boundary_labels] @ (p * p + p * q + q * q)) / len(p)
+
+    @functools.cached_property
+    def rows(self) -> np.ndarray:  # (nnz,) int32
+        """The row of each slot of the pattern."""
+        return _frozen(np.repeat(np.arange(len(self.unit), dtype=np.int32), np.diff(self.indptr)))
+
+    @functools.cached_property
+    def reduced(self) -> tuple[np.ndarray, np.ndarray]:
+        """A dense level's reference pencil reduced to standard form (Parlett,
+        The Symmetric Eigenvalue Problem, ch. 15), for lattices of at most
+        _DENSE_NODES nodes: (chol, blocks), the lower Cholesky factor L (N, N)
+        of M_lat and blocks (6, N, N), R_i = L^-1 X_i L^-T for the three
+        doubled stiffness blocks and the three side masses, in that order.
+        M = |det J| M_lat for every triangle, so the pencil (A, M) of a
+        triangle has the standard form (sum_j h_j R_j / 2 + alpha sum_k l_k
+        R_{3+k}) / |det J|, whose unit eigenvector y gives the M-normalised
+        x = L^-T y / |det J|^(1/2)."""
+        chol = scipy.linalg.cholesky(self.matrix(self.mass).toarray(), lower=True)
+        blocks = np.empty((6, len(self.unit), len(self.unit)))
+        for block, data in zip(blocks, [*self.stiffness, *self.sides.T.toarray()]):
+            half = scipy.linalg.solve_triangular(chol, self.matrix(data.astype(float)).toarray(),
+                                                 lower=True)
+            block[:] = scipy.linalg.solve_triangular(chol, half.T, lower=True)
+            block += block.T.copy()
+            block *= 0.5  # exactly symmetric
+        return _frozen(chol), _frozen(blocks)
+
+    @functools.cached_property
+    def band(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """The band layout of a row-by-row lattice (at most _BAND_NODES
+        nodes): its half-bandwidth kd (2^level + 1), the slots of its pattern
+        on or above the diagonal, and each one's flat index in LAPACK's upper
+        band storage, the (kd + 1, N) Fortran-order array that holds X[i, j]
+        at row kd + i - j of column j."""
+        upper = np.flatnonzero(self.indices >= self.rows)
+        rows, cols = self.rows[upper], self.indices[upper]
+        kd = int((cols - rows).max())
+        return kd, _frozen(upper), _frozen(kd + rows - cols + (kd + 1) * cols)
+
+    @functools.cached_property
+    def parents(self) -> np.ndarray:  # (2, N) int64
+        """The ids on the level - 1 lattice of the two coarse nodes whose
+        midpoint each node is: lattice node (i, j) lies halfway between coarse
+        nodes (ceil(i/2), floor(j/2)) and (floor(i/2), ceil(j/2)), one node
+        twice when i and j are even."""
+        m = 2 ** (self.level - 1)
+        coarse = np.rint(_lattice(self.level - 1).unit * m).astype(np.int64)
+        ids = np.empty((m + 1, m + 1), dtype=np.int64)  # coarse id by (i, j)
+        ids[coarse[:, 0], coarse[:, 1]] = np.arange(len(coarse))
+        i, j = np.rint(self.unit * (2 * m)).astype(np.int64).T
+        return _frozen(np.stack([ids[(i + 1) // 2, j // 2], ids[i // 2, (j + 1) // 2]]))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -294,6 +352,7 @@ def _lattice(level: int) -> _Lattice:
     entries = np.tile([2.0, 1.0, 1.0, 2.0], len(edges)) / (6.0 * n)
     sides = sp.csc_matrix((entries, (edge_slots, np.repeat(labels, 4))), shape=(len(uniq), 3))
     return _Lattice(
+        level=level,
         unit=_frozen(unit),
         elements=_frozen(elements),
         boundary_edges=_frozen(edges),
@@ -307,56 +366,6 @@ def _lattice(level: int) -> _Lattice:
 
 
 @dataclass(frozen=True)
-class _DenseLevel:
-    """A dense level's reference pencil reduced to standard form (Parlett, The
-    Symmetric Eigenvalue Problem, ch. 15): chol, the lower Cholesky factor L
-    of M_lat, and blocks R_i = L^-1 X_i L^-T for the three doubled stiffness
-    blocks and the three side masses, in that order.  M = |det J| M_lat for
-    every triangle, so the pencil (A, M) of a triangle has the standard form
-    (sum_j h_j R_j / 2 + alpha sum_k l_k R_{3+k}) / |det J|, whose unit
-    eigenvector y gives the M-normalised x = L^-T y / |det J|^(1/2).  rows
-    holds the row of each slot of the lattice's pattern.  The arrays are
-    read-only."""
-
-    chol: np.ndarray            # (N, N)
-    blocks: np.ndarray          # (6, N, N)
-    rows: np.ndarray            # (nnz,)
-
-
-@functools.lru_cache(maxsize=None)
-def _dense_level(level: int) -> _DenseLevel:
-    """The reduced reference pencil of a level of at most _DENSE_NODES nodes,
-    built on first use."""
-    lat = _lattice(level)
-    chol = scipy.linalg.cholesky(lat.matrix(lat.mass).toarray(), lower=True)
-    blocks = np.empty((6, len(lat.unit), len(lat.unit)))
-    for block, data in zip(blocks, [*lat.stiffness, *lat.sides.T.toarray()]):
-        half = scipy.linalg.solve_triangular(chol, lat.matrix(data.astype(float)).toarray(),
-                                             lower=True)
-        block[:] = scipy.linalg.solve_triangular(chol, half.T, lower=True)
-        block += block.T.copy()
-        block *= 0.5  # exactly symmetric
-    rows = np.repeat(np.arange(len(lat.unit), dtype=np.int32), np.diff(lat.indptr))
-    return _DenseLevel(chol=_frozen(chol), blocks=_frozen(blocks), rows=_frozen(rows))
-
-
-@functools.lru_cache(maxsize=None)
-def _band(nodes: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """The band layout of the row-by-row lattice of `nodes` <= _BAND_NODES
-    nodes: its half-bandwidth kd (2^level + 1), the slots of its pattern on
-    or above the diagonal, and each one's flat index in LAPACK's upper band
-    storage, the (kd + 1, N) Fortran-order array that holds X[i, j] at row
-    kd + i - j of column j.  Read-only, built on first use."""
-    m = (math.isqrt(8 * nodes + 1) - 3) // 2  # nodes = (m + 1)(m + 2)/2, m = 2^level
-    lat = _lattice(m.bit_length() - 1)
-    rows = np.repeat(np.arange(nodes), np.diff(lat.indptr))
-    upper = np.flatnonzero(lat.indices >= rows)
-    rows, cols = rows[upper], lat.indices[upper]
-    kd = int((cols - rows).max())
-    return kd, _frozen(upper), _frozen(kd + rows - cols + (kd + 1) * cols)
-
-
-@dataclass(frozen=True)
 class _BandFactor:
     """The band Cholesky factor of a positive definite A - sigma*M, in dpbtrf's
     upper band storage; solve applies (A - sigma*M)^-1 by dpbtrs."""
@@ -367,20 +376,6 @@ class _BandFactor:
         return scipy.linalg.lapack.dpbtrs(self.chol, b)[0]
 
 
-@functools.lru_cache(maxsize=None)
-def _parents(level: int) -> np.ndarray:
-    """(2, N) ids on the level - 1 lattice of the two coarse nodes whose
-    midpoint each level-`level` node is: lattice node (i, j) lies halfway
-    between coarse nodes (ceil(i/2), floor(j/2)) and (floor(i/2), ceil(j/2)),
-    one node twice when i and j are even.  Read-only, built on first use."""
-    m = 2 ** (level - 1)
-    coarse = np.rint(_lattice(level - 1).unit * m).astype(np.int64)
-    ids = np.empty((m + 1, m + 1), dtype=np.int64)  # coarse id by (i, j)
-    ids[coarse[:, 0], coarse[:, 1]] = np.arange(len(coarse))
-    i, j = np.rint(_lattice(level).unit * (2 * m)).astype(np.int64).T
-    return _frozen(np.stack([ids[(i + 1) // 2, j // 2], ids[i // 2, (j + 1) // 2]]))
-
-
 def _prolongate(u: np.ndarray, level: int) -> np.ndarray:
     """The P1 function with nodal values u on lattice level `level - 1`, at the
     nodes of level `level`.  The coarse space is nested in the fine one, so
@@ -389,7 +384,7 @@ def _prolongate(u: np.ndarray, level: int) -> np.ndarray:
     if level == 0 or u.ndim != 1 or len(u) != (m + 1) * (m + 2) // 2:
         raise DomainError(f"a start vector for a level-{level} mesh must be a 1-D array of the "
                           f"nodal values of the next coarser lattice level, got shape {u.shape}")
-    parent = _parents(level)
+    parent = _lattice(level).parents
     return 0.5 * (u[parent[0]] + u[parent[1]])
 
 
@@ -401,9 +396,9 @@ def build_mesh(tri, level: int) -> FemMesh:
 def dump_mesh(mesh: FemMesh, path: str) -> None:
     """Plain-text node / element / boundary-edge listing for debugging."""
     with open(path, "w") as fh:
-        fh.write(f"# level {mesh.refinement_level}\n")
-        fh.write(f"nodes {len(mesh.nodes)}\n")
-        for x, y in mesh.nodes:
+        nodes = mesh.nodes
+        fh.write(f"# level {mesh.refinement_level}\nnodes {len(nodes)}\n")
+        for x, y in nodes:
             fh.write(f"{x:.17g} {y:.17g}\n")
         fh.write(f"elements {len(mesh.elements)}\n")
         for tri in mesh.elements:
@@ -564,13 +559,14 @@ def _restart(QM, T, theta, s) -> None:
     T[range(_KEEP), range(_KEEP)] = theta[-_KEEP:]
 
 
-def _factor_counting(A, M, sigma: float):
-    """Factor A - sigma*M and read off its inertia: (factor, count), where the
-    factor's solve applies (A - sigma*M)^-1 and count is the number of
-    eigenvalues of the pencil below sigma.
+def _factor_counting(lat: _Lattice, A, M, sigma: float):
+    """Factor A - sigma*M, a pencil on lattice lat's pattern, and read off its
+    inertia: (factor, count), where the factor's solve applies
+    (A - sigma*M)^-1 and count is the number of eigenvalues of the pencil
+    below sigma.
 
     A pencil of at most _BAND_NODES nodes (levels 0 to 6) comes row by row, a
-    band of half-width kd = 2^level + 1 (_band), and is first factored by
+    band of half-width kd = 2^level + 1 (lat.band), and is first factored by
     LAPACK's band Cholesky, dpbtrf, on its upper band read from the data
     vectors.  Success means A - sigma*M is positive definite, so the count is
     0 with no U to read, and the factor solves by dpbtrs (_BandFactor).  A
@@ -601,7 +597,7 @@ def _factor_counting(A, M, sigma: float):
     """
     n = A.shape[0]
     if n <= _BAND_NODES:
-        kd, upper, where = _band(n)
+        kd, upper, where = lat.band
         band = np.zeros((kd + 1) * n)
         band[where] = A.data[upper] - sigma * M.data[upper]
         chol, info = scipy.linalg.lapack.dpbtrf(band.reshape((kd + 1, n), order="F"),
@@ -648,7 +644,7 @@ def solve_at_level(tri, alpha: float, level: int,
     A mesh of at most _DENSE_NODES = 153 nodes (levels 0 to 4) is solved by
     dense LAPACK, which returns the exact lowest pair with no shift to
     certify.  It assembles no matrix: the pencil's standard form is one
-    weighted sum of the level's cached reduced blocks (_dense_level),
+    weighted sum of the lattice's reduced blocks (_Lattice.reduced),
     (sum_j h_j R_j / 2 + alpha sum_k l_k R_{3+k}) / |det J|, whose ground
     vector y (scipy.linalg.eigh, driver evr) gives x = L^-T y / |det J|^(1/2),
     M-normalised.  It refuses what assemble refuses, with the same messages
@@ -687,18 +683,18 @@ def solve_at_level(tri, alpha: float, level: int,
     if n <= _DENSE_NODES:
         det, h, ell, data = _pencil(mesh, alpha)
         _checked_start(sigma0, start, level)  # unused here, but refused as at every level
-        dense, solves = _dense_level(level), 0
+        (chol, blocks), solves = lat.reduced, 0
         with np.errstate(over="ignore", invalid="ignore"):
             weights = np.concatenate([0.5 * h, alpha * ell]) / det
-            reduced = np.tensordot(weights, dense.blocks, axes=1)
+            reduced = np.tensordot(weights, blocks, axes=1)
         if not np.isfinite(reduced).all():
             raise NumericError(f"the dense eigensolver returned no vector at alpha = {alpha:g}: "
                                "the standard form leaves float64")
         y = scipy.linalg.eigh(reduced, subset_by_index=[0, 0], driver="evr",
                               check_finite=False)[1][:, 0]
-        vec = scipy.linalg.solve_triangular(dense.chol, y, trans="T", lower=True,
+        vec = scipy.linalg.solve_triangular(chol, y, trans="T", lower=True,
                                             check_finite=False) / math.sqrt(det)
-        rows, cols = dense.rows, lat.indices
+        rows, cols = lat.rows, lat.indices
 
         def form_quad(u):
             return float(data @ (u[rows] * u[cols]))
@@ -731,7 +727,7 @@ def solve_at_level(tri, alpha: float, level: int,
         sigma = shifts[0]
         for attempt in range(1, 81):
             try:
-                lu, neg = _factor_counting(A, M, sigma)
+                lu, neg = _factor_counting(lat, A, M, sigma)
                 if neg == 0:
                     break
             except NumericError:

@@ -324,14 +324,14 @@ class TestFactorCounting:
             tri = make_triangle(rng.uniform(-2.5, 2.5), rng.uniform(0.3, 2.0), S_THIRD)
             alpha = -float(rng.uniform(0.2, 8.0))
             level = int(rng.integers(2, 4))
-            form, mass = assemble(build_mesh(tri, level), alpha)
+            lat, (form, mass) = fem._lattice(level), assemble(build_mesh(tri, level), alpha)
             spec = eigh(form.toarray(), mass.toarray(), eigvals_only=True)
             lo, hi = spec[0], spec[min(4, len(spec) - 1)]
             sigma = float(rng.uniform(lo - 0.5 * abs(lo) - 1.0, hi))
             if np.min(np.abs(spec - sigma)) < 1e-8 * max(1.0, abs(sigma)):
                 continue
             try:
-                _, neg = _factor_counting(form, mass, sigma)
+                _, neg = _factor_counting(lat, form, mass, sigma)
             except RuntimeError:
                 continue  # exactly singular shift; the solver retries elsewhere
             assert neg == int(np.sum(spec < sigma))
@@ -347,7 +347,8 @@ class TestFactorCounting:
             spec = eigh(form.toarray(), mass.toarray(), eigvals_only=True)
             for lo, hi in ((1, 4), (5, 20), (40, 120)):
                 k = lo + int(np.argmax(np.diff(spec[lo - 1:hi])))
-                assert _factor_counting(form, mass, 0.5 * (spec[k - 1] + spec[k]))[1] == k
+                sigma = 0.5 * (spec[k - 1] + spec[k])
+                assert _factor_counting(fem._lattice(5), form, mass, sigma)[1] == k
 
     def test_panel_width_moves_values_by_rounding_only(self, monkeypatch):
         """Levels 5 to 7 give the same value, to 1e-12 relative, through a
@@ -421,7 +422,7 @@ class TestFactorCounting:
 
         monkeypatch.setattr(fem, "splu", fake_splu)
         with pytest.raises(NumericError, match="inertia"):
-            _factor_counting(form, mass, -10.0)
+            _factor_counting(fem._lattice(7), form, mass, -10.0)
         with pytest.raises(NumericError, match="inertia"):
             solve_at_level(tri, -1.0, 7)
         assert len(calls) == 2  # the solver does not retry other shifts
@@ -475,7 +476,8 @@ def generalized_quotient(tri, alpha, level):
 
 class TestDenseLevels:
     """Levels 0 to 4 solve the standard form of the pencil reduced by the
-    cached Cholesky factor of the lattice mass (fem._dense_level)."""
+    Cholesky factor of the lattice mass, which their lattice record keeps
+    (fem._Lattice.reduced)."""
 
     @pytest.mark.parametrize("alpha", [-1e-12, -1e-6, -0.5, -8.0, -16.0])
     def test_levels_match_the_generalized_solve(self, rng, alpha):
@@ -497,9 +499,10 @@ class TestDenseLevels:
                     assert abs(lam - ref) <= 1e-12 * abs(ref)
 
     def test_record_is_built_once_and_replaces_the_generalized_solve(self, monkeypatch):
-        """Each dense level builds its record once, read-only, in at most 1.5
-        MB for levels 0 to 4 together; a dense solve factors nothing, assembles
-        no CSR pencil and calls no two-matrix eigh.  Level 5 builds no record."""
+        """Each dense level's lattice builds its reduced pencil once, read-only,
+        in at most 1.5 MB for levels 0 to 4 together with their row indices; a
+        dense solve factors nothing, assembles no CSR pencil and calls no
+        two-matrix eigh.  Level 5 builds no reduced pencil."""
         calls = []
 
         def refused(name):
@@ -509,33 +512,40 @@ class TestDenseLevels:
             return call
 
         two_matrix, eigh_ = [], scipy.linalg.eigh
+        built, cholesky = [], scipy.linalg.cholesky
 
         def counting_eigh(a, b=None, **kwargs):
             if b is not None:
                 two_matrix.append(1)
             return eigh_(a, b, **kwargs)
 
-        fem._dense_level.cache_clear()
+        def counting_cholesky(*args, **kwargs):
+            built.append(1)
+            return cholesky(*args, **kwargs)
+
+        fem._lattice.cache_clear()
         with monkeypatch.context() as m:
             m.setattr(fem, "splu", refused("splu"))
             m.setattr(fem, "assemble", refused("assemble"))
             m.setattr(scipy.linalg, "eigh", counting_eigh)
+            m.setattr(scipy.linalg, "cholesky", counting_cholesky)
             tris = [make_triangle(0.3, 0.7, S_THIRD), make_triangle(-1.2, 0.4, 2.0)]
             for tri in tris:
                 for level in range(5):
                     solve_at_level(tri, -2.0, level)
-        assert calls == [] and two_matrix == []
-        info = fem._dense_level.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (5, 5, 5)
-        records = [fem._dense_level(level) for level in range(5)]
-        for rec in records:
-            for array in (rec.chol, rec.blocks, rec.rows):
-                assert not array.flags.writeable
+        assert calls == [] and two_matrix == [] and len(built) == 5
+        lattices = [fem._lattice(level) for level in range(5)]
+        arrays = [a for lat in lattices for a in (*lat.reduced, lat.rows)]
+        for array in arrays:
+            assert not array.flags.writeable
+        for lat in lattices:
             with pytest.raises(ValueError, match="read-only"):
-                rec.blocks[0, 0, 0] = 0.0
-        assert sum(a.nbytes for rec in records for a in (rec.chol, rec.blocks, rec.rows)) <= 1.5e6
+                lat.reduced[1][0, 0, 0] = 0.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                lat.reduced = None
+        assert sum(a.nbytes for a in arrays) <= 1.5e6
         solve_at_level(tris[0], -2.0, 5)
-        assert fem._dense_level.cache_info().currsize == 5
+        assert "reduced" not in vars(fem._lattice(5))
 
     @pytest.mark.parametrize("level", [0, 2, 4, 5, 6])
     def test_eigenvector_is_m_normalised(self, level):
@@ -561,11 +571,23 @@ class TestBandedLevels:
         pattern, and every slot on or above the diagonal has its own band
         position."""
         lat, n = fem._lattice(level), (2**level + 1) * (2**level + 2) // 2
-        kd, upper, where = fem._band(n)
+        kd, upper, where = lat.band
         rows = np.repeat(np.arange(n), np.diff(lat.indptr))
         assert kd == 2**level + 1 == int(np.abs(lat.indices - rows).max())
         assert np.array_equal(upper, np.flatnonzero(lat.indices >= rows))
         assert len(np.unique(where)) == len(where) and where.max() < (kd + 1) * n
+        assert not (upper.flags.writeable or where.flags.writeable)
+
+    def test_each_level_builds_only_its_own_solver_data(self):
+        """A ladder from level 2 to 8 leaves a reduced pencil on the lattices
+        of levels 2 to 4 only and a band layout on those of levels 5 and 6
+        only: no level above 4 builds a dense pencil, none above 6 a band."""
+        tri = make_triangle(0.5, 0.8, S_THIRD)
+        assert [res.level for res in walk_levels(tri, -2.0, 2, 8, [])] == list(range(2, 9))
+        built = {level: {"reduced", "band"} & set(vars(fem._lattice(level)))
+                 for level in range(2, 9)}
+        assert built == {2: {"reduced"}, 3: {"reduced"}, 4: {"reduced"},
+                         5: {"band"}, 6: {"band"}, 7: set(), 8: set()}
 
     @pytest.mark.parametrize("level", [5, 6])
     def test_counts_match_dense_inertia(self, level):
@@ -583,7 +605,7 @@ class TestBandedLevels:
                 k = lo + int(np.argmax(np.diff(spec[lo - 1:hi])))
                 shifts.append(0.5 * (spec[k - 1] + spec[k]))
             for sigma in shifts:
-                lu, neg = _factor_counting(form, mass, sigma)
+                lu, neg = _factor_counting(fem._lattice(level), form, mass, sigma)
                 assert neg == int(np.sum(spec < sigma))
                 assert isinstance(lu, fem._BandFactor) == (neg == 0)
 
@@ -625,9 +647,9 @@ class TestBandedLevels:
         form, mass = assemble(build_mesh(tri, 5), -2.0)
         low = solve_at_level(tri, -2.0, 5).lambda1
         assert watched == []
-        lu, neg = _factor_counting(form, mass, low - 0.01 * abs(low))
+        lu, neg = _factor_counting(fem._lattice(5), form, mass, low - 0.01 * abs(low))
         assert neg == 0 and watched == [] and not hasattr(lu, "U")
-        _, neg = _factor_counting(form, mass, low + 0.01 * abs(low))
+        _, neg = _factor_counting(fem._lattice(5), form, mass, low + 0.01 * abs(low))
         assert neg == 1 and len(watched) == 1 and "U" in watched[0].read
 
 
@@ -736,7 +758,7 @@ class TestLowestEigenpair:
         attempt the solve gives up, typed."""
         tried = []
 
-        def one_below(A, M, sigma):
+        def one_below(lat, A, M, sigma):
             tried.append(sigma)
             return None, 1
 
@@ -754,11 +776,11 @@ class TestLowestEigenpair:
         factor = fem._factor_counting
         tried = []
 
-        def singular_once(A, M, sigma):
+        def singular_once(lat, A, M, sigma):
             tried.append(sigma)
             if len(tried) == 1:
                 raise RuntimeError("Factor is exactly singular")
-            return factor(A, M, sigma)
+            return factor(lat, A, M, sigma)
 
         monkeypatch.setattr(fem, "_factor_counting", singular_once)
         res = solve_at_level(tri, -1.5, 5)
@@ -771,8 +793,8 @@ class TestLowestEigenpair:
         loop stops, typed, instead of returning sigma + 1/theta."""
         factor = fem._factor_counting
 
-        def negated(A, M, sigma):
-            lu, neg = factor(A, M, sigma)
+        def negated(lat, A, M, sigma):
+            lu, neg = factor(lat, A, M, sigma)
             return SimpleNamespace(solve=lambda b: -lu.solve(b)), neg
 
         monkeypatch.setattr(fem, "_factor_counting", negated)
@@ -883,7 +905,7 @@ class TestWarmStart:
             for res in (warm[level], cold[level]):
                 pad = 1e-10 * max(1.0, abs(res.lambda1))
                 assert abs(res.lambda1 - cold[level].lambda1) <= pad
-                _, neg = _factor_counting(form, mass, res.lambda1 - pad)
+                _, neg = _factor_counting(fem._lattice(level), form, mass, res.lambda1 - pad)
                 assert neg == 0
         if spec[1] - spec[0] > 1e-2 * abs(spec[0]):
             ref = vecs[:, 0] * np.sign(vecs[:, 0].sum())
@@ -911,7 +933,7 @@ class TestWarmStart:
         fine = solve_at_level(tri, -2.0, 6, start=coarse.eigenvector)
         assert fine.iterations == counted[-1].calls > 0
         form, mass = assemble(build_mesh(tri, 5), -2.0)
-        lu = CountingLU(factor(form, mass, -500.0)[0])
+        lu = CountingLU(factor(fem._lattice(5), form, mass, -500.0)[0])
         _, _, solves = fem._power_iterate(lu, mass, np.ones(form.shape[0]), -500.0)
         assert solves == lu.calls > 0
 
@@ -932,7 +954,7 @@ class TestWarmStart:
             restarts.append(float(np.abs(MQ - want).max() / np.abs(want).max()))
 
         monkeypatch.setattr(fem, "_restart", checking)
-        lu, _ = _factor_counting(form, mass, -500.0)
+        lu, _ = _factor_counting(fem._lattice(5), form, mass, -500.0)
         lam, _, _ = fem._power_iterate(lu, mass, np.ones(form.shape[0]), -500.0)
         assert len(restarts) > 1 and max(restarts) <= 1e-12
         want = dense_minimum(tri, -1.5, 5)
@@ -960,9 +982,9 @@ def recorded_walk(monkeypatch, tri, alpha, max_level, rewrite=None):
     solve, factor = fem.solve_at_level, fem._factor_counting
     factored, seen = [], {}
 
-    def counting(A, M, sigma):
+    def counting(lat, A, M, sigma):
         factored.append(sigma)
-        return factor(A, M, sigma)
+        return factor(lat, A, M, sigma)
 
     def recording(tri, alpha, level, sigma0=None, start=None):
         if rewrite is not None:
