@@ -30,7 +30,7 @@ conservative shift.  With no warm shift the cold guess is
 2 sigma - 1/S: every rule is relative to 1/S, so a dilated problem tries the
 same shifts, scaled.  A ladder starts that loop from the coarser level's
 ground vector: the lattices are nested, so interpolated onto the finer one it
-is the coarse eigenfunction itself (_prolongate, by _Lattice.parents).  On
+is the coarse eigenfunction itself (_Lattice.prolongate).  On
 both paths the level's value is the Rayleigh quotient of the returned vector,
 with the stiffness applied to the vector less its mean, which does not cancel
 at weak coupling.  The shifted pencil is arithmetic on the data vectors of the
@@ -181,8 +181,9 @@ class _Lattice:
     as data over one CSR pattern, the union of the element and boundary
     couplings, all in the level's factorisation order (_lattice).  The arrays
     derived from them are attributes built on first read and then kept: rows,
-    reduced (dense levels 0 to 4 only), band (levels 0 to 6 only) and parents.
-    Every array is read-only."""
+    reduced (dense levels 0 to 4 only), band (levels 0 to 6 only) and parents
+    (read by prolongate, which only the sparse levels 5 and up call).  Every
+    array is read-only."""
 
     level: int
     unit: np.ndarray            # (N, 2) lattice coordinates (i/n, j/n)
@@ -262,6 +263,13 @@ class _Lattice:
         ids[coarse[:, 0], coarse[:, 1]] = np.arange(len(coarse))
         i, j = np.rint(self.unit * (2 * m)).astype(np.int64).T
         return _frozen(np.stack([ids[(i + 1) // 2, j // 2], ids[i // 2, (j + 1) // 2]]))
+
+    def prolongate(self, u: np.ndarray) -> np.ndarray:
+        """The P1 function with nodal values u on the level - 1 lattice, at this
+        lattice's nodes.  The coarse space is nested in the fine one, so this
+        is the same function, and so are its Rayleigh quotients."""
+        parent = self.parents
+        return 0.5 * (u[parent[0]] + u[parent[1]])
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -374,18 +382,6 @@ class _BandFactor:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return scipy.linalg.lapack.dpbtrs(self.chol, b)[0]
-
-
-def _prolongate(u: np.ndarray, level: int) -> np.ndarray:
-    """The P1 function with nodal values u on lattice level `level - 1`, at the
-    nodes of level `level`.  The coarse space is nested in the fine one, so
-    this is the same function, and so are its Rayleigh quotients."""
-    m = 2 ** (level - 1)
-    if level == 0 or u.ndim != 1 or len(u) != (m + 1) * (m + 2) // 2:
-        raise DomainError(f"a start vector for a level-{level} mesh must be a 1-D array of the "
-                          f"nodal values of the next coarser lattice level, got shape {u.shape}")
-    parent = _lattice(level).parents
-    return 0.5 * (u[parent[0]] + u[parent[1]])
 
 
 def build_mesh(tri, level: int) -> FemMesh:
@@ -619,23 +615,6 @@ def _factor_counting(lat: _Lattice, A, M, sigma: float):
     return lu, int((lu.U.diagonal() < 0.0).sum())
 
 
-def _checked_start(sigma0, start, level: int):
-    """The shifts sigma0 gives, as a tuple, and start prolongated onto level
-    and scaled to peak 1 (or None); DomainError for a shift that is not
-    finite or a start that is not a finite nonzero 1-D array of level - 1's
-    nodal values."""
-    shifts = () if sigma0 is None else sigma0 if isinstance(sigma0, tuple) else (sigma0,)
-    for shift in shifts:
-        check_finite("sigma0", shift)
-    if start is not None:
-        start = _prolongate(np.asarray(start, dtype=float), level)
-        peak = float(np.abs(start).max())
-        if not (math.isfinite(peak) and peak > 0.0):
-            raise DomainError("a start vector must be finite and nonzero")
-        start = start / peak
-    return shifts, start
-
-
 def solve_at_level(tri, alpha: float, level: int,
                    sigma0: float | tuple[float, ...] | None = None,
                    start: np.ndarray | None = None) -> EigenResult:
@@ -665,11 +644,14 @@ def solve_at_level(tri, alpha: float, level: int,
     corner-localised ground and excited states are both nearly positive and
     sign inspection cannot tell them apart.  It starts from the constant plus
     a 1% ripple, or, given start (the ground vector of level - 1), from that
-    vector interpolated onto this mesh plus the same ripple.  At every level
-    a sigma0 that is not a finite real or a tuple of them, or a start that is
-    not a finite nonzero 1-D array of level - 1's nodal values, raises
-    DomainError before any factorisation; dense levels need no start and do
-    not use it.  On both paths lambda1 is the Rayleigh quotient of the
+    vector interpolated onto this mesh (_Lattice.prolongate) and scaled to
+    peak 1, plus the same ripple; dense levels need no start and do not
+    interpolate it.  sigma0 and start are checked once, before either path:
+    at every level a sigma0 that is not a finite real or a tuple of them, or
+    a start that is not a 1-D array of level - 1's nodal values with a
+    nonzero peak that is finite when doubled (the interpolation adds two
+    nodal values), raises DomainError before any factorisation.  On both
+    paths lambda1 is the Rayleigh quotient of the
     returned vector x, from the lattice's exact reference data (not from the
     reduced blocks), (v^T K v + alpha x^T B x) / x^T M x with v = x -
     mean(x): K 1 = 0, so that is x^T A x / x^T M x, but the stiffness rows no
@@ -679,10 +661,23 @@ def solve_at_level(tri, alpha: float, level: int,
     residual is nan.
     """
     mesh, lat = build_mesh(tri, level), _lattice(level)
+    shifts = () if sigma0 is None else sigma0 if isinstance(sigma0, tuple) else (sigma0,)
+    for shift in shifts:
+        check_finite("sigma0", shift)
+    if start is not None:
+        start, m = np.asarray(start, dtype=float), 2 ** (level - 1)
+        if level == 0 or start.ndim != 1 or len(start) != (m + 1) * (m + 2) // 2:
+            raise DomainError(f"a start vector for a level-{level} mesh must be a 1-D array of the "
+                              f"nodal values of the next coarser lattice level, got shape "
+                              f"{start.shape}")
+        # 2 * peak too: the interpolation copies each coarse node as
+        # 0.5 * (u + u), which overflows where 2 |u| does
+        peak = float(np.abs(start).max())
+        if not (peak > 0.0 and math.isfinite(2.0 * peak)):
+            raise DomainError("a start vector must be finite and nonzero")
     n = len(lat.unit)
     if n <= _DENSE_NODES:
         det, h, ell, data = _pencil(mesh, alpha)
-        _checked_start(sigma0, start, level)  # unused here, but refused as at every level
         (chol, blocks), solves = lat.reduced, 0
         with np.errstate(over="ignore", invalid="ignore"):
             weights = np.concatenate([0.5 * h, alpha * ell]) / det
@@ -703,7 +698,6 @@ def solve_at_level(tri, alpha: float, level: int,
             return det * float(lat.mass @ (u[rows] * u[cols]))
     else:
         A, M = assemble(mesh, alpha)
-        shifts, start = _checked_start(sigma0, start, level)
         unit = 1.0 / tri.S
         if not shifts:
             try:
@@ -718,7 +712,7 @@ def solve_at_level(tri, alpha: float, level: int,
         # (symmetric meshes of isosceles triangles produce them) and with
         # corner states that overtake the coarse ground state on refinement.
         x0 = 0.01 * (np.arange(n) % 11 - 5.0)
-        x0 += 1.0 if start is None else start
+        x0 += 1.0 if start is None else lat.prolongate(start) / peak
         # Rayleigh quotient of the constant vector (it lies in the P1 space),
         # 1^T A 1 / 1^T M 1: an exact upper bound on the discrete ground value
         # at every level, so a shift at or above it cannot be certified.

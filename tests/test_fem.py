@@ -579,15 +579,19 @@ class TestBandedLevels:
         assert not (upper.flags.writeable or where.flags.writeable)
 
     def test_each_level_builds_only_its_own_solver_data(self):
-        """A ladder from level 2 to 8 leaves a reduced pencil on the lattices
-        of levels 2 to 4 only and a band layout on those of levels 5 and 6
-        only: no level above 4 builds a dense pencil, none above 6 a band."""
+        """A ladder from level 2 to 8, on fresh lattices, leaves a reduced
+        pencil on the lattices of levels 2 to 4 only, a band layout on those
+        of levels 5 and 6 only, and a prolongation map on those of levels 5
+        to 8 only: no level above 4 builds a dense pencil, none above 6 a
+        band, and no dense level interpolates the start it is handed."""
+        fem._lattice.cache_clear()
         tri = make_triangle(0.5, 0.8, S_THIRD)
         assert [res.level for res in walk_levels(tri, -2.0, 2, 8, [])] == list(range(2, 9))
-        built = {level: {"reduced", "band"} & set(vars(fem._lattice(level)))
+        built = {level: {"reduced", "band", "parents"} & set(vars(fem._lattice(level)))
                  for level in range(2, 9)}
         assert built == {2: {"reduced"}, 3: {"reduced"}, 4: {"reduced"},
-                         5: {"band"}, 6: {"band"}, 7: set(), 8: set()}
+                         5: {"band", "parents"}, 6: {"band", "parents"},
+                         7: {"parents"}, 8: {"parents"}}
 
     @pytest.mark.parametrize("level", [5, 6])
     def test_counts_match_dense_inertia(self, level):
@@ -836,7 +840,7 @@ class TestWarmStart:
             for coarse in walk_levels(tri, alpha, 2, 7, []):
                 level = coarse.level + 1
                 form, mass = assemble(build_mesh(tri, level), alpha)
-                u = fem._prolongate(coarse.eigenvector, level)
+                u = fem._lattice(level).prolongate(coarse.eigenvector)
                 quotient = float(u @ (form @ u)) / float(u @ (mass @ u))
                 assert abs(quotient - coarse.lambda1) <= 1e-12 * abs(coarse.lambda1)
                 fine_levels.append(level)
@@ -869,7 +873,9 @@ class TestWarmStart:
     def test_start_is_checked_at_every_level(self, level):
         """Dense levels (0 to 4) do not use a start but refuse a bad one as
         level 5 does: a column array, a vector of another length, a zero
-        vector.  Level 0 has no coarser level, so it refuses every start."""
+        vector, a NaN or inf entry, and an entry of 1e308, which the
+        interpolation (0.5 * (u + u) at a copied node) takes past float64.
+        Level 0 has no coarser level, so it refuses every start."""
         tri = make_triangle(0.5, 0.9, S_THIRD)
         coarse = len(build_mesh(tri, level - 1).nodes) if level else 1
         bad = [np.ones((coarse, 1)), np.ones(coarse + 1)] + ([np.ones(1)] if level == 0 else [])
@@ -879,6 +885,11 @@ class TestWarmStart:
         if level:
             with pytest.raises(DomainError, match="nonzero"):
                 solve_at_level(tri, -2.0, level, start=np.zeros(coarse))
+            for entry in (math.nan, math.inf, 1e308):
+                start = np.ones(coarse)
+                start[coarse // 2] = entry
+                with pytest.raises(DomainError, match="nonzero"):
+                    solve_at_level(tri, -2.0, level, start=start)
 
     @pytest.mark.parametrize("alpha", [-0.5, -2.0, -8.0, -16.0])
     @pytest.mark.parametrize("a,c", FLAT_CELLS)
