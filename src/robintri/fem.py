@@ -41,8 +41,15 @@ half-width 2^level + 1 (_Lattice.band), and its pencils are factored by
 LAPACK's band Cholesky (dpbtrf), whose success certifies the shift; where it
 refuses, SuperLU counts the inertia.  A larger lattice numbers its nodes in
 the level's minimum-degree elimination order, computed once when the lattice
-is built, so every pencil is factored by SuperLU in natural order and solved
-in its own numbering (_factor_counting, which is handed the level's lattice).
+is built, so SuperLU factors its pencils in natural order and solves them in
+their own numbering (_factor_counting, which is handed the level's lattice):
+level 7's factorisation.  Past 8385 nodes (levels 8 and up) a pencil is
+first factored over the lattice's 4-way midpoint subdivision, nested
+dissection whose congruent sub-triangles share one local pencil
+(_Lattice.fronts): one dense Cholesky elimination per sub-triangle type
+(_factor_fronts, 46 types at level 8) factors the whole pencil, and its
+success certifies the shift; where a front refuses, SuperLU counts the
+inertia.
 _lattice(level) is the one per-level cache: a level's derived arrays are
 attributes of its record.  _settle is the one Richardson loop of all three
 ladders: eigenvalue_converged, shape_derivatives and the soundness oracle
@@ -88,6 +95,14 @@ _DENSE_NODES = 153
 # grows as N kd^2, and minimum degree wins on large lattices (George, SIAM J.
 # Numer. Anal. 10, 1973).
 _BAND_NODES = 2145
+# Lattices past this many nodes (levels 8 to 10) are factored over the
+# midpoint subdivision, one dense elimination per sub-triangle type
+# (_Lattice.fronts); level 7 (8385 nodes) stays on SuperLU.  With one BLAS
+# thread on a 2-core Xeon VM, medians at a certified shift, fronts against
+# SuperLU with its inertia read: a factorisation takes 14 against 85 ms at
+# level 8 and 71 against 520 ms at level 9 (131,841 nodes), and one solve
+# 3.1 against 4.5 ms and 12 against 20 ms.
+_SPLU_NODES = 8385
 # Lanczos basis size of the sparse solve (shift-invert needs 2k + 1 vectors for
 # k wanted pairs, Ericsson & Ruhe, Math. Comp. 35, 1980), the Ritz vectors a
 # restart keeps (flat triangles carry three corner states that nearly tie),
@@ -181,9 +196,9 @@ class _Lattice:
     as data over one CSR pattern, the union of the element and boundary
     couplings, all in the level's factorisation order (_lattice).  The arrays
     derived from them are attributes built on first read and then kept: rows,
-    reduced (dense levels 0 to 4 only), band (levels 0 to 6 only) and parents
-    (read by prolongate, which only the sparse levels 5 and up call).  Every
-    array is read-only."""
+    reduced (dense levels 0 to 4 only), band (levels 0 to 6 only), parents
+    (read by prolongate, which only the sparse levels 5 and up call) and
+    fronts (levels 8 and up only).  Every array is read-only."""
 
     level: int
     unit: np.ndarray            # (N, 2) lattice coordinates (i/n, j/n)
@@ -270,6 +285,14 @@ class _Lattice:
         is the same function, and so are its Rayleigh quotients."""
         parent = self.parents
         return 0.5 * (u[parent[0]] + u[parent[1]])
+
+    @functools.cached_property
+    def fronts(self) -> tuple[np.ndarray, tuple[_Front, ...]]:
+        """The elimination plan of a lattice past _SPLU_NODES nodes (levels 8
+        and up) over its 4-way midpoint subdivision (_subdivision): the nine
+        pattern slots from which _factor_fronts reads the element block, and
+        one _Front per sub-triangle type, the smallest first."""
+        return _subdivision(self)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -371,6 +394,200 @@ def _lattice(level: int) -> _Lattice:
         mass=_frozen(mass),
         sides=sides,
     )
+
+
+# A size-m sub-triangle's four children: three corner ones at place * m/2,
+# whose sides on the boundary are the parent's in keep, and the central down
+# one, the interior type (no side on the boundary) point-reflected (flip -1).
+_CHILDREN = (((0, 0), 0b011, 1), ((1, 0), 0b101, 1), ((0, 1), 0b110, 1), ((1, 1), 0b000, -1))
+# A front's skeleton: the three midlines and the six half sides of a size-m
+# sub-triangle, as segment ends in units of m/2.
+_SKELETON = np.array([[[1, 0], [1, 1]], [[0, 1], [1, 1]], [[1, 0], [0, 1]],
+                      [[0, 0], [1, 0]], [[1, 0], [2, 0]], [[0, 0], [0, 1]],
+                      [[0, 1], [0, 2]], [[2, 0], [1, 1]], [[1, 1], [0, 2]]])
+# A size-2 sub-triangle's four elements, each in the vertex order of the up
+# element at the origin (the down one point-reflected), and its two edges
+# on each side k.
+_LEAF_ELEMENTS = np.array([[[0, 0], [1, 0], [0, 1]], [[1, 0], [2, 0], [1, 1]],
+                           [[0, 1], [1, 1], [0, 2]], [[1, 1], [0, 1], [1, 0]]])
+_LEAF_EDGES = np.array([[[[0, 0], [1, 0]], [[1, 0], [2, 0]]],
+                        [[[0, 0], [0, 1]], [[0, 1], [0, 2]]],
+                        [[[2, 0], [1, 1]], [[1, 1], [0, 2]]]])
+# Side k's edge block is r_k times this, raveled: the 1-D P1 mass pattern.
+_EDGE = np.array([2.0, 1.0, 1.0, 2.0])
+
+
+@dataclass(frozen=True)
+class _Front:
+    """One sub-triangle type of the midpoint subdivision (_subdivision).  Its
+    front holds `pivots` nodes, which it eliminates, then the update nodes on
+    its interior sides, which a larger front eliminates.  Its matrix is the
+    sum of its sources, each (block, flat): block number `block` of
+    _factor_fronts added at the flat positions of the front's raveled
+    matrix.  pivot_ids (k, pivots) and update_ids (k, updates) are the
+    lattice ids of the front's nodes in each of the type's k instances."""
+
+    pivots: int
+    sources: tuple[tuple[int, np.ndarray], ...]
+    pivot_ids: np.ndarray
+    update_ids: np.ndarray
+
+
+def _front_nodes(m: int, sides: int) -> tuple[np.ndarray, int]:
+    """The front of the size-m up sub-triangle with sides `sides` on the
+    boundary (_subdivision), as local (a, b) rows, pivots first, and its
+    pivot count; each part is in (a, b) order."""
+    h, t = m // 2, np.arange(m // 2 + 1)[:, None, None]
+    points = h * _SKELETON[:, 0] + t * (_SKELETON[:, 1] - _SKELETON[:, 0])
+    skeleton = np.zeros((m + 1) ** 2, dtype=bool)
+    skeleton[points @ [m + 1, 1]] = True
+    a, b = np.divmod(np.flatnonzero(skeleton), m + 1)
+    on_side = np.stack([b == 0, a == 0, a + b == m])
+    interior = (on_side & (sides >> np.arange(3) & 1 == 0)[:, None]).any(axis=0)
+    pivot = ~interior & ((a == h) | (b == h) | (a + b == h) | (m == 2))
+    keep = np.concatenate([np.flatnonzero(pivot), np.flatnonzero(interior)])
+    return np.stack([a[keep], b[keep]], axis=1), int(pivot.sum())
+
+
+def _subdivision(lat: _Lattice) -> tuple[np.ndarray, tuple[_Front, ...]]:
+    """The symbolic factorisation of lattice lat over its 4-way midpoint
+    subdivision (_Lattice.fronts): nested dissection on the regular mesh
+    (George, SIAM J. Numer. Anal. 10, 1973), whose three midlines cut a
+    size-m sub-triangle into three corner ones and a central down one of
+    size m/2, down to size 2.
+
+    A sub-triangle's front is made of the nodes on its midlines, which it
+    eliminates (its pivots), and those on its interior sides, the sides off
+    the triangle's boundary, which a larger sub-triangle eliminates (its
+    updates).  A midline's end on the boundary is a pivot too, and at size 2
+    so is every node off the interior sides, the triangle's corners among
+    them; so every node is the pivot of one front.  The lattice is uniform:
+    two up sub-triangles of one size with the same sides on the boundary (a
+    type, keyed by (size, bitmask of sides 0, 1, 2)) have the same pencil in
+    local coordinates (a, b), a + b <= m, and a down sub-triangle has that of
+    the interior up type, point-reflected.  An instance (i, j, s), s = +-1,
+    holds lattice node (i + s a, j + s b).  A child's local nodes map into
+    its parent's, so one extend-add map per type and child serves every
+    instance.
+
+    Returns (slots, fronts): the pattern slots of the nine pencil entries
+    that _factor_fronts reads, and one _Front per type, size by size from 2
+    up, so the root is last."""
+    n = 2**lat.level
+    ij = np.rint(lat.unit * n).astype(np.int64)
+    grid = np.empty((n + 1) ** 2, dtype=np.int64)  # lattice id of node (i, j) at i (n + 1) + j
+    grid[ij @ [n + 1, 1]] = np.arange(len(ij))
+    instances, m = {(n, 0b111): np.array([[0, 0, 1]])}, n
+    while m > 2:
+        m, grown = m // 2, {}
+        for (size, sides), rows in instances.items():
+            if size == 2 * m:
+                for place, keep, flip in _CHILDREN:
+                    child = rows * [1, 1, flip]
+                    child[:, :2] += rows[:, 2:] * m * np.array(place)
+                    grown.setdefault((m, sides & keep), []).append(child)
+        instances.update({key: np.concatenate(parts) for key, parts in grown.items()})
+
+    types = sorted(instances)
+    nodes = {key: _front_nodes(*key) for key in types}
+    fronts = []
+    for m, sides in types:
+        local, pivots = nodes[m, sides]
+        code = local @ [m + 1, 1]
+        position = np.empty((m + 1) ** 2, dtype=np.int64)  # front position by local code
+        position[code] = np.arange(len(local))
+        if m == 2:
+            parts = [(0, element) for element in _LEAF_ELEMENTS] + [
+                (1 + k, edge) for k in range(3) if sides >> k & 1 for edge in _LEAF_EDGES[k]]
+        else:  # each child's update nodes, in this front's local coordinates
+            parts = []
+            for place, keep, flip in _CHILDREN:
+                child = (m // 2, sides & keep)
+                child_nodes, child_pivots = nodes[child]
+                parts.append((4 + types.index(child),
+                              np.multiply(place, m // 2) + flip * child_nodes[child_pivots:]))
+        sources = []
+        for block, at in parts:
+            pos = position[at @ [m + 1, 1]]
+            sources.append((block, _frozen((pos[:, None] * len(local) + pos).ravel())))
+        rows = instances[m, sides]
+        at = rows[:, :2] @ [[n + 1], [1]] + rows[:, 2:] * (local @ [n + 1, 1])
+        fronts.append(_Front(pivots, tuple(sources), _frozen(grid[at[:, :pivots]]),
+                             _frozen(grid[at[:, pivots:]])))
+
+    # the three edges of the up element at (1, 1), all interior, one
+    # boundary edge of each side, and the three corners' diagonals
+    pairs = np.array([[1, 1, 2, 1], [1, 1, 1, 2], [2, 1, 1, 2], [0, 0, 1, 0], [0, 0, 0, 1],
+                      [n, 0, n - 1, 1], [0, 0, 0, 0], [n, 0, n, 0], [0, n, 0, n]])
+    slots = [lat.indptr[row] + np.searchsorted(lat.indices[lat.indptr[row]:lat.indptr[row + 1]],
+                                               col)
+             for row, col in grid[pairs.reshape(-1, 2) @ [n + 1, 1]].reshape(-1, 2)]
+    return _frozen(np.array(slots)), tuple(fronts)
+
+
+@dataclass(frozen=True)
+class _FrontFactor:
+    """The Cholesky factor of a positive definite A - sigma*M over the
+    subdivision fronts (_factor_fronts): per type with pivots, (pivot ids,
+    update ids, L, W).  solve applies (A - sigma*M)^-1 by a forward sweep,
+    smallest fronts first, and a backward sweep, root first, each one
+    triangular solve and one GEMM per type over all its instances."""
+
+    steps: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x, trsm = np.array(b, dtype=float), scipy.linalg.blas.dtrsm
+        for pivots, updates, L, W in self.steps:  # L y = b
+            y = trsm(1.0, L, x[pivots].T, lower=1).T
+            x[pivots] = y
+            np.subtract.at(x, updates.ravel(), (y @ W).ravel())
+        for pivots, updates, L, W in reversed(self.steps):  # L^T x = y
+            x[pivots] = trsm(1.0, L, (x[pivots] - x[updates] @ W.T).T, lower=1, trans_a=1).T
+        return x
+
+
+def _factor_fronts(lat: _Lattice, A, M, sigma: float) -> _FrontFactor | None:
+    """The Cholesky factor of A - sigma*M, a pencil on lattice lat's
+    pattern, over its subdivision fronts (_Lattice.fronts), or None when a
+    front's pivot block is not positive definite: then A - sigma*M is not,
+    and some eigenvalue of the pencil lies at or below sigma.
+
+    The lattice is uniform, so the pencil is one 3 x 3 element block E summed
+    over the up elements, E point-reflected over the down ones, and
+    r_k [[2, 1], [1, 2]] over the edges of side k.  Nine entries of the
+    pencil's data give them: an interior edge's entry is twice E's (the two
+    elements on it agree there), a boundary edge's entry less E's is r_k,
+    and a corner lies in one element, so its diagonal less its two sides'
+    2 r_k is E's.  Each front sums its sources into a dense matrix (the
+    extend-add of Duff & Reid, ACM TOMS 9, 1983), factors its pivot block,
+    L L^T, by dpotrf, forms W = L^-1 (pivot-update block) by dtrsm and passes
+    the Schur complement (update block) - W^T W to its parent: one
+    elimination per type serves all its instances."""
+    slots, fronts = lat.fronts
+    d = A.data[slots] - sigma * M.data[slots]
+    e = 0.5 * d[:3]
+    r = d[3:6] - e
+    blocks = [np.array([d[6] - 2.0 * (r[0] + r[1]), e[0], e[1],
+                        e[0], d[7] - 2.0 * (r[0] + r[2]), e[2],
+                        e[1], e[2], d[8] - 2.0 * (r[1] + r[2])]),
+              *(rk * _EDGE for rk in r)]
+    steps = []
+    for front in fronts:
+        p = front.pivots
+        size = p + front.update_ids.shape[1]
+        F = np.zeros(size * size)
+        for block, flat in front.sources:
+            np.add.at(F, flat, blocks[block])
+        F = F.reshape(size, size)
+        if p:
+            L, info = scipy.linalg.lapack.dpotrf(F[:p, :p], lower=1)
+            if info != 0:
+                return None
+            W = scipy.linalg.blas.dtrsm(1.0, L, F[:p, p:], lower=1)
+            steps.append((front.pivot_ids, front.update_ids, L, W))
+            F = F[p:, p:] - W.T @ W
+        blocks.append(F.ravel())
+    return _FrontFactor(tuple(steps))
 
 
 @dataclass(frozen=True)
@@ -571,6 +788,13 @@ def _factor_counting(lat: _Lattice, A, M, sigma: float):
     count.  Band cost grows as N kd^2: at level 7 SuperLU in minimum-degree
     order is the faster one (see _BAND_NODES).
 
+    A pencil of more than _SPLU_NODES nodes (levels 8 and up) is first
+    factored over its lattice's midpoint subdivision (_factor_fronts), one
+    dense Cholesky elimination per sub-triangle type.  As with the band, its
+    success means the count is 0, and the factor solves by two sweeps over
+    the fronts (_FrontFactor); a front that refuses sends the pencil on to
+    SuperLU.  Level 7 stays on SuperLU (see _SPLU_NODES).
+
     SuperLU factors without row pivoting.  With symmetric-mode elimination
     the U diagonal carries the pivot signs, so the number of negative entries
     equals the number of eigenvalues of the pencil below sigma.  That gives a
@@ -600,6 +824,10 @@ def _factor_counting(lat: _Lattice, A, M, sigma: float):
                                                 overwrite_ab=1)
         if info == 0:  # positive definite: no eigenvalue lies below sigma
             return _BandFactor(chol), 0
+    elif n > _SPLU_NODES:
+        factor = _factor_fronts(lat, A, M, sigma)
+        if factor is not None:  # positive definite
+            return factor, 0
     lu = splu(
         sp.csc_matrix((A.data - sigma * M.data, A.indices, A.indptr), shape=A.shape),
         diag_pivot_thresh=0.0,

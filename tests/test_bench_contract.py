@@ -97,9 +97,10 @@ def test_one_factorisation_per_sparse_level(bench, tmp_path):
     certifies the first shift it tries, so over the traced conjecture-grid
     pass fem.inertia_factorisations equals the number of sparse levels
     solved, and fem.factorisations, which counts SuperLU's, the number of
-    those above fem._BAND_NODES nodes (levels 7 and up; a band-factored
-    level that certifies calls no SuperLU).  A wasted factorisation fails
-    here."""
+    those above fem._BAND_NODES nodes and up to fem._SPLU_NODES: SuperLU
+    factors level 7 only.  A band-factored level (5 or 6) or a
+    front-factored one (8 and up) that certifies calls no SuperLU, and the
+    grid's ladders stop at level 7.  A wasted factorisation fails here."""
     layers, worker, _ = bench
     grid, cells = worker.ConjectureGrid(0, tmp_path), []
 
@@ -115,6 +116,6 @@ def test_one_factorisation_per_sparse_level(bench, tmp_path):
             nodes = (2**level + 1) * (2**level + 2) // 2
             if level not in skipped and nodes > fem._DENSE_NODES:
                 sparse += 1
-                superlu += nodes > fem._BAND_NODES
+                superlu += fem._BAND_NODES < nodes <= fem._SPLU_NODES
     assert metrics["fem.inertia_factorisations"] == sparse > superlu
     assert metrics["fem.factorisations"] == superlu > 0

@@ -371,14 +371,16 @@ class TestFactorCounting:
         np.testing.assert_allclose(panel, default, rtol=1e-12, atol=0.0)
 
     def test_every_factorisation_keeps_the_lattice_order(self, monkeypatch):
-        """Every SuperLU factorisation of a ladder to level 8 passes NATURAL and
-        keeps perm_r == perm_c.  At levels 7 and 8 its fill equals that of a
-        minimum-degree factorisation of the same pencil numbered row by row:
-        the lattice's numbering is that order (the row-by-row numbering
-        factored in natural order fills far more).  Minimum degree run on the
-        ordered numbering itself breaks its ties otherwise and fills 2 to 15%
-        more, so it is no reference.  Levels 0 to 6 are band-factored, and
-        their lattice is the row-by-row numbering itself."""
+        """Every SuperLU factorisation of a ladder to level 8, and of a level-8
+        shift above the ground value (which the fronts refuse, so SuperLU
+        counts it), passes NATURAL and keeps perm_r == perm_c.  At levels 7
+        and 8 its fill equals that of a minimum-degree factorisation of the
+        same pencil numbered row by row: the lattice's numbering is that
+        order (the row-by-row numbering factored in natural order fills far
+        more).  Minimum degree run on the ordered numbering itself breaks its
+        ties otherwise and fills 2 to 15% more, so it is no reference.
+        Levels 0 to 6 are band-factored, and their lattice is the row-by-row
+        numbering itself."""
         specs, first = [], {}
 
         def recording(A, **kwargs):
@@ -390,7 +392,11 @@ class TestFactorCounting:
 
         monkeypatch.setattr(fem, "splu", recording)
         tri = make_triangle(0.5, 0.8, S_THIRD)
-        assert [res.level for res in walk_levels(tri, -2.0, 2, 8, [])] == list(range(2, 9))
+        ladder = list(walk_levels(tri, -2.0, 2, 8, []))
+        assert [res.level for res in ladder] == list(range(2, 9))
+        low = ladder[-1].lambda1
+        form, mass = assemble(build_mesh(tri, 8), -2.0)
+        assert _factor_counting(fem._lattice(8), form, mass, low + 0.01 * abs(low))[1] == 1
         assert len(specs) >= 2 and set(specs) == {("NATURAL", True)}
         for level in range(7):
             assert np.array_equal(loop_ids(loop_mesh(tri, level)),
@@ -581,17 +587,18 @@ class TestBandedLevels:
     def test_each_level_builds_only_its_own_solver_data(self):
         """A ladder from level 2 to 8, on fresh lattices, leaves a reduced
         pencil on the lattices of levels 2 to 4 only, a band layout on those
-        of levels 5 and 6 only, and a prolongation map on those of levels 5
-        to 8 only: no level above 4 builds a dense pencil, none above 6 a
-        band, and no dense level interpolates the start it is handed."""
+        of levels 5 and 6 only, a prolongation map on those of levels 5 to 8
+        only, and subdivision fronts on that of level 8 only: no level above
+        4 builds a dense pencil, none above 6 a band, none below 8 fronts,
+        and no dense level interpolates the start it is handed."""
         fem._lattice.cache_clear()
         tri = make_triangle(0.5, 0.8, S_THIRD)
         assert [res.level for res in walk_levels(tri, -2.0, 2, 8, [])] == list(range(2, 9))
-        built = {level: {"reduced", "band", "parents"} & set(vars(fem._lattice(level)))
+        built = {level: {"reduced", "band", "parents", "fronts"} & set(vars(fem._lattice(level)))
                  for level in range(2, 9)}
         assert built == {2: {"reduced"}, 3: {"reduced"}, 4: {"reduced"},
                          5: {"band", "parents"}, 6: {"band", "parents"},
-                         7: {"parents"}, 8: {"parents"}}
+                         7: {"parents"}, 8: {"parents", "fronts"}}
 
     @pytest.mark.parametrize("level", [5, 6])
     def test_counts_match_dense_inertia(self, level):
@@ -655,6 +662,128 @@ class TestBandedLevels:
         assert neg == 0 and watched == [] and not hasattr(lu, "U")
         _, neg = _factor_counting(fem._lattice(5), form, mass, low + 0.01 * abs(low))
         assert neg == 1 and len(watched) == 1 and "U" in watched[0].read
+
+
+def front_positions(flat, size):
+    """The front positions p of an extend-add map flat = p_i size + p_j,
+    read off its diagonal."""
+    return flat[::math.isqrt(len(flat)) + 1] // (size + 1)
+
+
+def sorted_rows(rows):
+    """rows (k, w) with each row sorted, in lexicographic row order."""
+    rows = np.sort(rows, axis=1)
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+FRONT_CASES = [((0.5, c0(S_THIRD)), -8.0), ((0.9, 1.32), -2.0), ((2.4, 0.3), -0.5)]
+
+
+class TestFrontLevels:
+    """Lattices past fem._SPLU_NODES nodes (levels 8 and up) are factored
+    over their midpoint subdivision, one dense elimination per sub-triangle
+    type (fem._Lattice.fronts, fem._factor_fronts), falling back to
+    SuperLU's inertia count where a front refuses."""
+
+    @pytest.mark.parametrize("level", [8, 9])
+    def test_every_node_is_the_pivot_of_one_front(self, level):
+        """The pivots of every instance of every type cover the lattice once;
+        the update nodes of every child instance land in its parent's front,
+        each child instance exactly once; the leaves' elements are the
+        lattice's elements, each once, and their side-k edge blocks sit on
+        the lattice's side-k boundary edges.  46 types eliminate at level 8,
+        53 at level 9."""
+        lat = fem._lattice(level)
+        _, fronts = lat.fronts
+        pivots = np.concatenate([front.pivot_ids.ravel() for front in fronts])
+        assert np.array_equal(np.sort(pivots), np.arange(len(lat.unit)))
+        assert sum(front.pivots > 0 for front in fronts) == {8: 46, 9: 53}[level]
+        assert fronts[-1].update_ids.shape == (1, 0)  # the root
+        landed, elements, edges = {}, [], {k: [] for k in range(3)}
+        for front in fronts:
+            ids = np.concatenate([front.pivot_ids, front.update_ids], axis=1)
+            for block, flat in front.sources:
+                at = ids[:, front_positions(flat, ids.shape[1])]
+                if block == 0:
+                    elements.append(at)
+                elif block < 4:
+                    edges[block - 1].append(at)
+                else:
+                    landed.setdefault(block - 4, []).append(at)
+        assert sorted(landed) == list(range(len(fronts) - 1))
+        for child, rows in landed.items():
+            np.testing.assert_array_equal(sorted_rows(np.concatenate(rows)),
+                                          sorted_rows(fronts[child].update_ids))
+        np.testing.assert_array_equal(sorted_rows(np.concatenate(elements)),
+                                      sorted_rows(lat.elements))
+        for k, rows in edges.items():
+            np.testing.assert_array_equal(sorted_rows(np.concatenate(rows)),
+                                          sorted_rows(lat.boundary_edges[lat.boundary_labels == k]))
+
+    @pytest.mark.parametrize("level", [8, 9])
+    def test_solve_is_backward_stable(self, rng, level):
+        """At a shift below the closed lower bound, which the fronts certify,
+        a solve's normwise backward error |b - C x| / (|C| |x| + |b|) (inf
+        norms, C = A - sigma M) is within 10 eps on three triangles."""
+        for (a, c), alpha in FRONT_CASES:
+            tri = make_triangle(a, c, S_THIRD)
+            form, mass = assemble(build_mesh(tri, level), alpha)
+            sigma = closed_lower_bound(alpha, tri) - 1.0 / tri.S
+            lu, neg = _factor_counting(fem._lattice(level), form, mass, sigma)
+            assert neg == 0 and isinstance(lu, fem._FrontFactor)
+            pencil = form - sigma * mass
+            b = rng.standard_normal(form.shape[0])
+            x = lu.solve(b)
+            norm = float(abs(pencil).sum(axis=1).max())
+            error = np.abs(b - pencil @ x).max() / (norm * np.abs(x).max() + np.abs(b).max())
+            assert error <= 10.0 * np.finfo(float).eps
+
+    def test_shift_above_the_ground_value_is_counted_by_superlu(self, monkeypatch):
+        """A level-8 shift between lambda1 and lambda2 is refused by a front,
+        and SuperLU, called once, counts the one eigenvalue below it."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return splu(*args, **kwargs)
+
+        tri = make_triangle(0.5, 0.8, S_THIRD)
+        form, mass = assemble(build_mesh(tri, 8), -2.0)
+        low = solve_at_level(tri, -2.0, 8).lambda1
+        sigma = low + 0.01 * abs(low)
+        assert fem._factor_fronts(fem._lattice(8), form, mass, sigma) is None
+        monkeypatch.setattr(fem, "splu", counting)
+        lu, neg = _factor_counting(fem._lattice(8), form, mass, sigma)
+        assert neg == 1 and len(calls) == 1 and not isinstance(lu, fem._FrontFactor)
+
+    def test_certified_solve_calls_no_superlu(self, monkeypatch):
+        """A level-8 solve whose shift the fronts certify calls no splu."""
+        def refused(*args, **kwargs):
+            raise AssertionError("splu called")
+
+        monkeypatch.setattr(fem, "splu", refused)
+        tri = make_triangle(0.5, 0.8, S_THIRD)
+        res = solve_at_level(tri, -2.0, 8)
+        assert res.level == 8 and res.iterations > 0
+
+    @pytest.mark.parametrize("case", FRONT_CASES)
+    def test_ladders_match_the_superlu_path(self, monkeypatch, case):
+        """A ladder to level 9 gives the levels, values (to 1e-12 relative)
+        and solve counts of the same ladder factored by SuperLU."""
+        (a, c), alpha = case
+        tri = make_triangle(a, c, S_THIRD)
+
+        def ladder():
+            return [(res.level, res.lambda1, res.iterations)
+                    for res in walk_levels(tri, alpha, 2, 9, [])]
+
+        fronts = ladder()
+        monkeypatch.setattr(fem, "_SPLU_NODES", fem.MAX_LEVEL * 10**6)
+        superlu = ladder()
+        assert [(level, solves) for level, _, solves in fronts] == [
+            (level, solves) for level, _, solves in superlu] and fronts[-1][0] == 9
+        np.testing.assert_allclose([value for _, value, _ in fronts],
+                                   [value for _, value, _ in superlu], rtol=1e-12, atol=0.0)
 
 
 class TestLowestEigenpair:
